@@ -43,36 +43,6 @@ use std::rc::Rc;
 /// The VSync period: 60 Hz, like the paper's mobile display.
 pub const VSYNC_PERIOD: Duration = Duration::from_nanos(16_666_667);
 
-/// Reads `GREENWEB_EFFECT_GATE`: `off`, `0`, or `false` (any case)
-/// disables summary-gated invalidation downgrades, anything else —
-/// including unset — enables them. Mirrors `GREENWEB_STYLE_CACHE`; the
-/// effect-gate parity gate in CI runs one workload each way and diffs
-/// the metrics after stripping the style counters.
-fn effect_gate_from_env() -> bool {
-    !matches!(
-        std::env::var("GREENWEB_EFFECT_GATE")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str(),
-        "off" | "0" | "false"
-    )
-}
-
-/// Reads `GREENWEB_EFFECT_ASSERT`: `off`, `0`, or `false` (any case)
-/// downgrades the `dynamic ⊆ static` containment debug assertion to
-/// ledger-only recording. Poison harnesses — which attach deliberately
-/// under-approximated summaries to prove the detector detects — use it
-/// to observe violations in the report instead of aborting debug builds.
-fn effect_assert_from_env() -> bool {
-    !matches!(
-        std::env::var("GREENWEB_EFFECT_ASSERT")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str(),
-        "off" | "0" | "false"
-    )
-}
-
 /// Which script backend a browser executes callbacks on.
 ///
 /// The default ([`ScriptBackend::Auto`]) is the bytecode VM: every setup
@@ -95,18 +65,6 @@ pub enum ScriptBackend {
     Tree,
 }
 
-/// Reads `GREENWEB_SCRIPT_VM` for [`ScriptBackend::Auto`]. Mirrors
-/// `GREENWEB_STYLE_CACHE` / `GREENWEB_EFFECT_GATE`: opt-out, not opt-in.
-fn script_vm_from_env() -> bool {
-    !matches!(
-        std::env::var("GREENWEB_SCRIPT_VM")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str(),
-        "off" | "0" | "false"
-    )
-}
-
 /// The script execution backend behind one browser: either the bytecode
 /// VM or the tree-walking oracle, behind one call surface so the event
 /// loop never branches on the backend.
@@ -118,7 +76,7 @@ enum ScriptEngine {
 impl ScriptEngine {
     fn for_backend(backend: ScriptBackend) -> Self {
         let use_vm = match backend {
-            ScriptBackend::Auto => script_vm_from_env(),
+            ScriptBackend::Auto => crate::env_flag_enabled("GREENWEB_SCRIPT_VM"),
             ScriptBackend::Vm => true,
             ScriptBackend::Tree => false,
         };
@@ -416,10 +374,15 @@ pub struct Browser<S: Scheduler> {
     /// list)`. Built from [`App::effect_summaries`] at load.
     effect_summaries: HashMap<(NodeId, EventType, usize), Rc<HandlerSummary>>,
     /// Whether summary-gated invalidation downgrades are enabled
-    /// (`GREENWEB_EFFECT_GATE`; containment *checks* run regardless).
+    /// (`GREENWEB_EFFECT_GATE`, opt-out; containment *checks* run
+    /// regardless). The effect-gate parity gate in CI runs one workload
+    /// each way and diffs the metrics after stripping the style counters.
     effect_gate: bool,
-    /// Whether a containment violation trips a debug assertion. Poison
-    /// harnesses disable this to observe violations deterministically.
+    /// Whether a containment violation trips a debug assertion
+    /// (`GREENWEB_EFFECT_ASSERT`, opt-out). Poison harnesses — which
+    /// attach deliberately under-approximated summaries to prove the
+    /// detector detects — disable this to observe violations in the
+    /// report instead of aborting debug builds.
     effect_assertions: bool,
     /// Set after any containment violation: summaries are no longer
     /// trusted for invalidation downgrades in this browser.
@@ -537,8 +500,8 @@ impl<S: Scheduler> Browser<S> {
             budget: None,
             events_popped: 0,
             effect_summaries: HashMap::new(),
-            effect_gate: effect_gate_from_env(),
-            effect_assertions: effect_assert_from_env(),
+            effect_gate: crate::env_flag_enabled("GREENWEB_EFFECT_GATE"),
+            effect_assertions: crate::env_flag_enabled("GREENWEB_EFFECT_ASSERT"),
             summaries_distrusted: false,
             effect_violations: Vec::new(),
             effect_checks: 0,
@@ -1651,8 +1614,7 @@ impl<S: Scheduler> Browser<S> {
     pub fn computed_style(&self, node: NodeId) -> ComputedStyle {
         self.style_cache
             .borrow_mut()
-            .resolve(&self.style, &self.doc, node)
-            .0
+            .resolve_with_inline(&self.style, &self.doc, node)
     }
 
     fn apply_config(&mut self, desired: Option<CpuConfig>) {
@@ -1738,7 +1700,7 @@ impl<S: Scheduler> Browser<S> {
         let cache = &self.style_cache;
         self.render
             .render_frame(doc, style.generation(), &self.overlay, &mut |node| {
-                cache.borrow_mut().resolve(style, doc, node).0
+                cache.borrow_mut().resolve_with_inline(style, doc, node)
             })
     }
 

@@ -41,10 +41,16 @@
 //! byte-identical between `GREENWEB_PAINT_INCR` on and off; only the
 //! `layout`/`paint` counters (and the style counters, since reused
 //! subtrees skip style resolution) differ. CI diffs exactly that.
+//!
+//! All per-node state lives in one vector indexed by [`NodeId::index`]
+//! and the per-frame buffers are reused, so a frame does no hashing
+//! beyond the fingerprints and, once warm, allocates only for style
+//! resolution and animation-overlay values.
 
 use greenweb_css::{ComputedStyle, CssValue};
 use greenweb_dom::{Document, NodeId};
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Layout viewport width, px (a typical mobile portrait viewport).
 pub const VIEWPORT_WIDTH: f64 = 360.0;
@@ -70,6 +76,23 @@ fn fnv_str(hash: u64, s: &str) -> u64 {
 
 fn fnv_u64(hash: u64, v: u64) -> u64 {
     fnv_bytes(hash, &v.to_le_bytes())
+}
+
+/// Hashes `value`'s `Debug` rendering, formatted into the reused `buf`.
+fn fnv_debug(hash: u64, value: &CssValue, buf: &mut String) -> u64 {
+    buf.clear();
+    write!(buf, "{value:?}").expect("formatting into a String cannot fail");
+    fnv_str(hash, buf)
+}
+
+/// Pushes `n`'s children last-first, so popping `stack` visits them in
+/// document order (an allocation-free pre-order walk).
+fn push_children_reversed(doc: &Document, n: NodeId, stack: &mut Vec<NodeId>) {
+    let mut child = doc.last_child(n);
+    while let Some(c) = child {
+        stack.push(c);
+        child = doc.prev_sibling(c);
+    }
 }
 
 /// Layout-stage counters, reported in [`crate::SimReport`] and the
@@ -201,19 +224,39 @@ struct NodeMeasure {
     style_fp: u64,
 }
 
-/// Reads `GREENWEB_PAINT_INCR`: `off`, `0`, or `false` (any case)
-/// selects the naive full-relayout/full-repaint oracle, anything else —
-/// including unset — the incremental path. Mirrors
-/// `GREENWEB_STYLE_CACHE` / `GREENWEB_EFFECT_GATE` / `GREENWEB_SCRIPT_VM`:
-/// opt-out, not opt-in.
-fn paint_incr_from_env() -> bool {
-    !matches!(
-        std::env::var("GREENWEB_PAINT_INCR")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str(),
-        "off" | "0" | "false"
-    )
+/// Everything the pipeline keeps about one node, indexed by
+/// [`NodeId::index`] (DESIGN.md §6k, "Per-node state").
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeState {
+    // Persistent across frames.
+    /// Last frame (counted from 1; 0 = never) whose walk reached the node.
+    walked: u64,
+    /// Subtree fingerprint from frame `walked`. It is the node's
+    /// *previous* fingerprint only if `walked` is the previous frame: a
+    /// node that left the tree loses it, so coming back counts as dirty.
+    fp: Option<u64>,
+    /// Measure cache + box metrics. Entries for clean subtrees stay
+    /// valid across frames (their fingerprints haven't changed), which
+    /// is what lets the position pass read metrics the measure pass
+    /// skipped.
+    measure: Option<NodeMeasure>,
+    /// Stable display-item ID.
+    item_id: Option<u64>,
+    /// Position of the node's item in the display list it was last
+    /// emitted into. In the retained and in the new list alike, the
+    /// entry at this position belongs to the node exactly when the node
+    /// has an item there (at most one per list), so the damage diff
+    /// needs no map.
+    item_index: usize,
+    // Per-frame scratch, written before it is read in every frame.
+    /// Hash of the node's own selector-salient features and content.
+    own: u64,
+    /// Ancestor-context chain hash.
+    ctx: u64,
+    /// Position pass: content box `(x, width)` children are laid into.
+    content: (f64, f64),
+    /// Position pass: y where the next child goes.
+    cursor: f64,
 }
 
 /// The incremental rendering pipeline: subtree fingerprints, the
@@ -222,20 +265,21 @@ fn paint_incr_from_env() -> bool {
 #[derive(Debug)]
 pub struct RenderPipeline {
     enabled: bool,
-    /// Previous frame's subtree fingerprint per node.
-    prev_fps: HashMap<NodeId, u64>,
-    /// Measure cache + persistent per-node box metrics. Entries for
-    /// clean subtrees stay valid across frames (their fingerprints
-    /// haven't changed), which is what lets the position pass read
-    /// metrics the measure pass skipped.
-    measures: HashMap<NodeId, NodeMeasure>,
-    /// Stable display-item ID per node.
-    item_ids: HashMap<NodeId, u64>,
+    /// Frames rendered so far; stamps [`NodeState::walked`].
+    frame: u64,
+    /// Per-node state, grown to [`Document::len`] each frame.
+    nodes: Vec<NodeState>,
     next_item_id: u64,
     /// The retained display list (previous frame, document order).
     retained: Vec<DisplayItem>,
     /// Last frame's positioned boxes, document order.
     boxes: Vec<LayoutBox>,
+    // Per-frame scratch buffers, kept for their capacity.
+    order: Vec<NodeId>,
+    stack: Vec<NodeId>,
+    to_measure: Vec<NodeId>,
+    items: Vec<DisplayItem>,
+    value_buf: String,
     layout_stats: LayoutStats,
     paint_stats: PaintStats,
 }
@@ -252,20 +296,27 @@ impl RenderPipeline {
     pub fn new(enabled: bool) -> Self {
         RenderPipeline {
             enabled,
-            prev_fps: HashMap::new(),
-            measures: HashMap::new(),
-            item_ids: HashMap::new(),
+            frame: 0,
+            nodes: Vec::new(),
             next_item_id: 0,
             retained: Vec::new(),
             boxes: Vec::new(),
+            order: Vec::new(),
+            stack: Vec::new(),
+            to_measure: Vec::new(),
+            items: Vec::new(),
+            value_buf: String::new(),
             layout_stats: LayoutStats::default(),
             paint_stats: PaintStats::default(),
         }
     }
 
-    /// Creates a pipeline honouring `GREENWEB_PAINT_INCR`.
+    /// Creates a pipeline honouring `GREENWEB_PAINT_INCR`: `off`, `0`,
+    /// or `false` (any case) selects the naive full-relayout /
+    /// full-repaint oracle, anything else — including unset — the
+    /// incremental path.
     pub fn from_env() -> Self {
-        Self::new(paint_incr_from_env())
+        Self::new(crate::env_flag_enabled("GREENWEB_PAINT_INCR"))
     }
 
     /// Switches between the incremental path and the naive oracle.
@@ -312,29 +363,42 @@ impl RenderPipeline {
         overlay: &HashMap<(NodeId, String), CssValue>,
         resolve: &mut dyn FnMut(NodeId) -> ComputedStyle,
     ) -> FrameRenderInfo {
-        // Per-node overlay values, sorted by property for deterministic
-        // hashing and application order.
-        let mut overlays: HashMap<NodeId, Vec<(&str, &CssValue)>> = HashMap::new();
-        for ((node, property), value) in overlay {
-            overlays
-                .entry(*node)
-                .or_default()
-                .push((property.as_str(), value));
+        self.frame += 1;
+        let frame = self.frame;
+        if self.nodes.len() < doc.len() {
+            self.nodes.resize(doc.len(), NodeState::default());
         }
-        for props in overlays.values_mut() {
-            props.sort_by(|a, b| a.0.cmp(b.0));
-        }
+        let nodes = &mut self.nodes;
+        let buf = &mut self.value_buf;
+
+        // Overlay values sorted by (node, property): one node's values
+        // are a contiguous run, in a deterministic hashing and
+        // application order.
+        let mut overlays: Vec<(NodeId, &str, &CssValue)> = overlay
+            .iter()
+            .map(|((node, property), value)| (*node, property.as_str(), value))
+            .collect();
+        overlays.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        let overlay_of = |n: NodeId| {
+            let start = overlays.partition_point(|o| o.0 < n);
+            let end = start + overlays[start..].partition_point(|o| o.0 == n);
+            &overlays[start..end]
+        };
 
         // Pass 1: fingerprints. Pre-order list once, contexts top-down,
         // fingerprints bottom-up over the reversed list (children come
         // after their parent in pre-order, so the reverse sees every
         // child before its parent).
         let root = doc.root();
-        let order: Vec<NodeId> = doc.descendants(root).collect();
-        let mut own: HashMap<NodeId, u64> = HashMap::with_capacity(order.len());
-        let mut ctx: HashMap<NodeId, u64> = HashMap::with_capacity(order.len());
+        self.order.clear();
+        self.stack.clear();
+        self.stack.push(root);
+        while let Some(n) = self.stack.pop() {
+            self.order.push(n);
+            push_children_reversed(doc, n, &mut self.stack);
+        }
         let mut elements = 0usize;
-        for &n in &order {
+        for &n in &self.order {
             let mut h = FNV_OFFSET;
             if let Some(el) = doc.element(n) {
                 elements += 1;
@@ -343,72 +407,69 @@ impl RenderPipeline {
                     h = fnv_str(h, &attr.name);
                     h = fnv_str(h, &attr.value);
                 }
-                if let Some(props) = overlays.get(&n) {
-                    for (property, value) in props {
-                        h = fnv_str(h, property);
-                        h = fnv_str(h, &format!("{value:?}"));
-                    }
+                for &(_, property, value) in overlay_of(n) {
+                    h = fnv_str(h, property);
+                    h = fnv_debug(h, value, buf);
                 }
             } else if let Some(text) = doc.kind(n).as_text() {
                 h = fnv_str(h, text);
             }
-            own.insert(n, h);
-            let parent_ctx = doc
-                .parent(n)
-                .and_then(|p| ctx.get(&p).copied())
-                .unwrap_or(FNV_OFFSET);
-            ctx.insert(n, fnv_u64(parent_ctx, h));
+            let parent_ctx = doc.parent(n).map_or(FNV_OFFSET, |p| nodes[p.index()].ctx);
+            let state = &mut nodes[n.index()];
+            state.own = h;
+            state.ctx = fnv_u64(parent_ctx, h);
         }
-        let mut fps: HashMap<NodeId, u64> = HashMap::with_capacity(order.len());
-        for &n in order.iter().rev() {
-            let mut h = fnv_u64(ctx[&n], own[&n]);
-            for child in doc.children(n) {
-                h = fnv_u64(h, fps[&child]);
-            }
-            fps.insert(n, h);
-        }
-
         // Machinery-independent dirty count: elements whose subtree
         // fingerprint changed since the previous frame (all of them on
         // the first frame).
-        let dirty_elements = order
-            .iter()
-            .filter(|&&n| doc.element(n).is_some() && self.prev_fps.get(&n) != Some(&fps[&n]))
-            .count();
+        let mut dirty_elements = 0usize;
+        for &n in self.order.iter().rev() {
+            let mut h = fnv_u64(nodes[n.index()].ctx, nodes[n.index()].own);
+            for child in doc.children(n) {
+                let child_fp = nodes[child.index()].fp;
+                h = fnv_u64(h, child_fp.expect("children are fingerprinted first"));
+            }
+            let state = &mut nodes[n.index()];
+            let prev_fp = if state.walked + 1 == frame {
+                state.fp
+            } else {
+                None
+            };
+            if doc.element(n).is_some() && prev_fp != Some(h) {
+                dirty_elements += 1;
+            }
+            state.walked = frame;
+            state.fp = Some(h);
+        }
 
         // Pass 2a: mark. Pre-order descent that stops at clean subtree
         // roots when the incremental machinery is on.
-        let mut to_measure: Vec<NodeId> = Vec::new();
-        let mut stack = vec![root];
+        self.to_measure.clear();
+        self.stack.clear();
+        self.stack.push(root);
         let mut reuses = 0u64;
-        while let Some(n) = stack.pop() {
+        while let Some(n) = self.stack.pop() {
             if doc.element(n).is_some() {
-                let fp = fps[&n];
-                let cached = self
-                    .measures
-                    .get(&n)
-                    .is_some_and(|m| m.generation == generation && m.fp == fp);
+                let state = &nodes[n.index()];
+                let cached = state
+                    .measure
+                    .is_some_and(|m| m.generation == generation && Some(m.fp) == state.fp);
                 if self.enabled && cached {
                     reuses += 1;
                     continue; // whole subtree is clean: skip it
                 }
-                to_measure.push(n);
+                self.to_measure.push(n);
             }
-            let children: Vec<NodeId> = doc.children(n).collect();
-            for &child in children.iter().rev() {
-                stack.push(child);
-            }
+            push_children_reversed(doc, n, &mut self.stack);
         }
 
         // Pass 2b: measure, bottom-up (reversed pre-order of the marked
         // region sees children before parents; clean children keep
         // their cached metrics).
-        for &n in to_measure.iter().rev() {
+        for &n in self.to_measure.iter().rev() {
             let mut style = resolve(n);
-            if let Some(props) = overlays.get(&n) {
-                for (property, value) in props {
-                    style.set(*property, (*value).clone());
-                }
+            for &(_, property, value) in overlay_of(n) {
+                style.set(property, value.clone());
             }
             let margin = style_px(&style, "margin").unwrap_or(0.0);
             let explicit_width = style_px(&style, "width");
@@ -419,7 +480,7 @@ impl RenderPipeline {
                     let mut sum = 0.0;
                     for child in doc.children(n) {
                         if doc.element(child).is_some() {
-                            sum += self.measures.get(&child).map_or(0.0, |m| m.outer_height);
+                            sum += nodes[child.index()].measure.map_or(0.0, |m| m.outer_height);
                         } else if doc.kind(child).as_text().is_some() {
                             sum += TEXT_LINE_HEIGHT;
                         }
@@ -430,30 +491,30 @@ impl RenderPipeline {
             let mut style_fp = FNV_OFFSET;
             for (property, value) in style.iter() {
                 style_fp = fnv_str(style_fp, property);
-                style_fp = fnv_str(style_fp, &format!("{value:?}"));
+                style_fp = fnv_debug(style_fp, value, buf);
             }
-            self.measures.insert(
-                n,
-                NodeMeasure {
-                    generation,
-                    fp: fps[&n],
-                    margin,
-                    explicit_width,
-                    outer_height: content_height + 2.0 * margin,
-                    style_fp,
-                },
-            );
+            let state = &mut nodes[n.index()];
+            state.measure = Some(NodeMeasure {
+                generation,
+                fp: state.fp.expect("fingerprinted in pass 1"),
+                margin,
+                explicit_width,
+                outer_height: content_height + 2.0 * margin,
+                style_fp,
+            });
         }
 
         // Pass 3: position. Always a full walk — block stacking means a
         // box's y depends on every earlier sibling — and deliberately
-        // not counted as layout work (it is the cheap part).
+        // not counted as layout work (it is the cheap part). Every node
+        // starts from the viewport defaults when the walk reaches it;
+        // its parent was reached earlier, so a parent without a box lays
+        // its children out from those defaults.
         self.boxes.clear();
-        let mut content: HashMap<NodeId, (f64, f64)> = HashMap::new();
-        let mut cursor: HashMap<NodeId, f64> = HashMap::new();
-        content.insert(root, (0.0, VIEWPORT_WIDTH));
-        cursor.insert(root, 0.0);
-        for &n in &order {
+        for &n in &self.order {
+            let state = &mut nodes[n.index()];
+            state.content = (0.0, VIEWPORT_WIDTH);
+            state.cursor = 0.0;
             if n == root {
                 continue;
             }
@@ -461,14 +522,11 @@ impl RenderPipeline {
                 continue;
             };
             if doc.element(n).is_some() {
-                let Some(m) = self.measures.get(&n).copied() else {
+                let Some(m) = state.measure else {
                     continue;
                 };
-                let (px, pw) = content
-                    .get(&parent)
-                    .copied()
-                    .unwrap_or((0.0, VIEWPORT_WIDTH));
-                let y_cursor = cursor.get(&parent).copied().unwrap_or(0.0);
+                let (px, pw) = nodes[parent.index()].content;
+                let y_cursor = nodes[parent.index()].cursor;
                 let width = m
                     .explicit_width
                     .unwrap_or_else(|| (pw - 2.0 * m.margin).max(0.0));
@@ -482,66 +540,66 @@ impl RenderPipeline {
                     width,
                     height,
                 });
-                content.insert(n, (x, width));
-                cursor.insert(n, y);
-                *cursor.entry(parent).or_insert(0.0) += m.outer_height;
+                let state = &mut nodes[n.index()];
+                state.content = (x, width);
+                state.cursor = y;
+                nodes[parent.index()].cursor += m.outer_height;
             } else if doc.kind(n).as_text().is_some() {
-                *cursor.entry(parent).or_insert(0.0) += TEXT_LINE_HEIGHT;
+                nodes[parent.index()].cursor += TEXT_LINE_HEIGHT;
             }
         }
 
         // Pass 4: display list + damage diff against the retained list.
-        let mut items: Vec<DisplayItem> = Vec::with_capacity(self.boxes.len());
+        // A node's `item_index` finds its item in either list; pointing
+        // at an item of another node means it has none there.
+        self.items.clear();
+        let mut damage_items = 0usize;
+        let mut damage_area = 0u64;
+        let mut reused_items = 0u64;
         for b in &self.boxes {
-            let id = match self.item_ids.get(&b.node) {
-                Some(&id) => id,
+            let state = &mut nodes[b.node.index()];
+            let id = match state.item_id {
+                Some(id) => id,
                 None => {
                     let id = self.next_item_id;
                     self.next_item_id += 1;
-                    self.item_ids.insert(b.node, id);
+                    state.item_id = Some(id);
                     id
                 }
             };
-            let style_fp = self.measures.get(&b.node).map_or(0, |m| m.style_fp);
-            items.push(DisplayItem {
+            let item = DisplayItem {
                 id,
                 node: b.node,
                 x: b.x,
                 y: b.y,
                 width: b.width,
                 height: b.height,
-                style_fp,
-            });
-        }
-        let prev: HashMap<u64, DisplayItem> =
-            self.retained.iter().map(|item| (item.id, *item)).collect();
-        let mut damage_items = 0usize;
-        let mut damage_area = 0u64;
-        let mut reused_items = 0u64;
-        for item in &items {
-            match prev.get(&item.id) {
-                Some(old) if old.same_as(item) => reused_items += 1,
+                style_fp: state.measure.map_or(0, |m| m.style_fp),
+            };
+            match self.retained.get(state.item_index) {
+                Some(old) if old.node == b.node && old.same_as(&item) => reused_items += 1,
                 _ => {
                     damage_items += 1;
                     damage_area += item.area_px2();
                 }
             }
+            state.item_index = self.items.len();
+            self.items.push(item);
         }
-        let current_ids: std::collections::HashSet<u64> =
-            items.iter().map(|item| item.id).collect();
         for old in &self.retained {
-            if !current_ids.contains(&old.id) {
+            let index = nodes[old.node.index()].item_index;
+            if self.items.get(index).map(|item| item.node) != Some(old.node) {
                 damage_items += 1;
                 damage_area += old.area_px2();
             }
         }
-        let total_items = items.len();
+        let total_items = self.items.len();
 
         // Counters. The damage/dirty numbers are mode-independent; the
         // laid-out/reuse/emit split is where the two modes differ.
         self.layout_stats.relayouts += 1;
         self.layout_stats.dirty_elements += dirty_elements as u64;
-        self.layout_stats.elements_laid_out += to_measure.len() as u64;
+        self.layout_stats.elements_laid_out += self.to_measure.len() as u64;
         if self.enabled {
             self.layout_stats.subtree_reuses += reuses;
             self.paint_stats.items_emitted += damage_items.min(total_items) as u64;
@@ -560,8 +618,7 @@ impl RenderPipeline {
             self.paint_stats.partial_repaints += 1;
         }
 
-        self.prev_fps = fps;
-        self.retained = items;
+        std::mem::swap(&mut self.retained, &mut self.items);
         FrameRenderInfo {
             elements,
             dirty_elements,
@@ -752,13 +809,81 @@ mod tests {
     }
 
     #[test]
-    fn env_gate_is_opt_out() {
-        // Only checks the parser logic, not the live env (which races
-        // under parallel tests): unset/garbage enable, off-words
-        // disable.
-        for (value, expect) in [("off", false), ("0", false), ("FALSE", false), ("on", true)] {
-            let parsed = !matches!(value.to_ascii_lowercase().as_str(), "off" | "0" | "false");
-            assert_eq!(parsed, expect, "{value}");
+    fn reattached_subtree_counts_as_dirty() {
+        // A node that left the tree loses its previous fingerprint, so
+        // coming back dirties it even though its fingerprint is the one
+        // it had two frames ago.
+        let (mut doc, engine) = fixture();
+        let (mut incr, mut naive) = pipeline_pair();
+        let overlay = HashMap::new();
+        let b_id = doc.element_by_id("b").expect("b");
+        let parent = doc.parent(b_id).expect("attached");
+        for pipe in [&mut incr, &mut naive] {
+            render(pipe, &doc, &engine, &overlay);
+        }
+        doc.detach(b_id);
+        for pipe in [&mut incr, &mut naive] {
+            render(pipe, &doc, &engine, &overlay);
+        }
+        doc.append_child(parent, b_id);
+        let a = render(&mut incr, &doc, &engine, &overlay);
+        let b = render(&mut naive, &doc, &engine, &overlay);
+        assert_eq!(a, b);
+        assert_eq!(a.dirty_elements, 2, "div#b and its span");
+        assert_eq!(a.damage_items, 2, "both items reappear");
+        assert_eq!(incr.display_list(), naive.display_list());
+        // A clean frame after the return is clean again.
+        let again = render(&mut incr, &doc, &engine, &overlay);
+        assert_eq!((again.dirty_elements, again.damage_items), (0, 0));
+    }
+
+    #[test]
+    fn element_created_after_first_frame_is_rendered() {
+        let (mut doc, engine) = fixture();
+        let (mut incr, mut naive) = pipeline_pair();
+        let overlay = HashMap::new();
+        for pipe in [&mut incr, &mut naive] {
+            render(pipe, &doc, &engine, &overlay);
+        }
+        let a_id = doc.element_by_id("a").expect("a");
+        let extra = doc.create_element("p");
+        doc.append_child(a_id, extra);
+        let a = render(&mut incr, &doc, &engine, &overlay);
+        let b = render(&mut naive, &doc, &engine, &overlay);
+        assert_eq!(a, b);
+        assert_eq!((a.elements, a.total_items), (6, 6));
+        assert_eq!(a.dirty_elements, 2, "the new <p> and div#a");
+        assert_eq!(incr.layout_boxes(), naive.layout_boxes());
+        let item = incr
+            .display_list()
+            .iter()
+            .find(|i| i.node == extra)
+            .expect("new element painted");
+        assert_eq!(item.id, 5, "next id after the five first-frame items");
+    }
+
+    #[test]
+    fn item_ids_follow_their_nodes_across_mutations() {
+        let (mut doc, engine) = fixture();
+        let (mut incr, _) = pipeline_pair();
+        let overlay = HashMap::new();
+        render(&mut incr, &doc, &engine, &overlay);
+        let first: HashMap<NodeId, u64> =
+            incr.display_list().iter().map(|i| (i.node, i.id)).collect();
+        let a_id = doc.element_by_id("a").expect("a");
+        let parent = doc.parent(a_id).expect("attached");
+        let b_id = doc.element_by_id("b").expect("b");
+        doc.element_mut(b_id)
+            .expect("element")
+            .set_attribute("class", "card");
+        doc.detach(a_id);
+        render(&mut incr, &doc, &engine, &overlay);
+        doc.append_child(parent, a_id);
+        render(&mut incr, &doc, &engine, &overlay);
+        // div#a now paints after div#b, and every node kept its id.
+        assert_eq!(incr.display_list()[0].node, b_id);
+        for item in incr.display_list() {
+            assert_eq!(Some(&item.id), first.get(&item.node), "{}", item.node);
         }
     }
 }

@@ -71,3 +71,34 @@ pub use report::{InputRecord, SimReport};
 pub use runspec::{RunBudget, RunOutcome, RunSpec, SchedulerFactory, SchedulerProbe, TraceMode};
 pub use scheduler::{GovernorScheduler, Scheduler, SchedulerCtx};
 pub use style_cache::StyleCache;
+
+/// Whether an opt-out flag's value leaves its feature on: `off`, `0`,
+/// or `false` (any case) turn it off, anything else — including the
+/// empty string — leaves it on.
+fn flag_enabled(value: &str) -> bool {
+    !["off", "0", "false"]
+        .iter()
+        .any(|word| value.eq_ignore_ascii_case(word))
+}
+
+/// Reads the opt-out environment flag `var` (`GREENWEB_STYLE_CACHE`,
+/// `GREENWEB_SCRIPT_VM`, `GREENWEB_PAINT_INCR`, `GREENWEB_EFFECT_GATE`,
+/// `GREENWEB_EFFECT_ASSERT`); unset counts as on.
+pub(crate) fn env_flag_enabled(var: &str) -> bool {
+    flag_enabled(&std::env::var(var).unwrap_or_default())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flag_enabled;
+
+    #[test]
+    fn flags_are_opt_out() {
+        for value in ["off", "OFF", "Off", "0", "false", "FALSE", "fAlSe"] {
+            assert!(!flag_enabled(value), "{value:?} turns the feature off");
+        }
+        for value in ["", "on", "1", "true", "no", " off", "off ", "00"] {
+            assert!(flag_enabled(value), "{value:?} leaves the feature on");
+        }
+    }
+}

@@ -24,6 +24,8 @@
 
 use greenweb_css::{ComputedStyle, StyleEngine};
 use greenweb_dom::{Document, NodeId};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Both views of one node's resolved style.
@@ -63,15 +65,8 @@ impl StyleCache {
     /// else — including unset — enables it. The parity gate in CI runs
     /// one workload each way and diffs the metrics.
     pub fn from_env() -> Self {
-        let enabled = !matches!(
-            std::env::var("GREENWEB_STYLE_CACHE")
-                .unwrap_or_default()
-                .to_ascii_lowercase()
-                .as_str(),
-            "off" | "0" | "false"
-        );
         let mut cache = StyleCache::new();
-        cache.enabled = enabled;
+        cache.enabled = crate::env_flag_enabled("GREENWEB_STYLE_CACHE");
         cache
     }
 
@@ -120,28 +115,54 @@ impl StyleCache {
         doc: &Document,
         node: NodeId,
     ) -> (ComputedStyle, ComputedStyle) {
+        let entry = self.entry(engine, doc, node).into_owned();
+        (entry.with_inline, entry.without_inline)
+    }
+
+    /// The with-inline view alone: what [`StyleCache::resolve`]`(..).0`
+    /// returns, with the same hit/miss accounting, cloning one cached
+    /// style instead of two.
+    pub fn resolve_with_inline(
+        &mut self,
+        engine: &StyleEngine,
+        doc: &Document,
+        node: NodeId,
+    ) -> ComputedStyle {
+        match self.entry(engine, doc, node) {
+            Cow::Borrowed(entry) => entry.with_inline.clone(),
+            Cow::Owned(entry) => entry.with_inline,
+        }
+    }
+
+    /// Counts one hit or miss and returns `node`'s entry: borrowed from
+    /// the cache when enabled (inserted first on a miss), freshly
+    /// resolved when disabled.
+    fn entry(&mut self, engine: &StyleEngine, doc: &Document, node: NodeId) -> Cow<'_, CacheEntry> {
         if engine.generation() != self.generation {
             self.entries.clear();
             self.generation = engine.generation();
         }
-        if self.enabled {
-            if let Some(entry) = self.entries.get(&node) {
+        let resolve = || {
+            let (with_inline, without_inline) = engine.compute_style_both(doc, node, None);
+            CacheEntry {
+                with_inline,
+                without_inline,
+            }
+        };
+        if !self.enabled {
+            self.misses += 1;
+            return Cow::Owned(resolve());
+        }
+        match self.entries.entry(node) {
+            Entry::Occupied(entry) => {
                 self.hits += 1;
-                return (entry.with_inline.clone(), entry.without_inline.clone());
+                Cow::Borrowed(entry.into_mut())
+            }
+            Entry::Vacant(slot) => {
+                self.misses += 1;
+                Cow::Borrowed(slot.insert(resolve()))
             }
         }
-        self.misses += 1;
-        let (with_inline, without_inline) = engine.compute_style_both(doc, node, None);
-        if self.enabled {
-            self.entries.insert(
-                node,
-                CacheEntry {
-                    with_inline: with_inline.clone(),
-                    without_inline: without_inline.clone(),
-                },
-            );
-        }
-        (with_inline, without_inline)
     }
 
     /// Drops `node` and every node below it. Sound for inline-style
@@ -203,6 +224,21 @@ mod tests {
             second.0.get("width"),
             Some(&CssValue::Length(Length::px(2.0)))
         );
+        // The single-view read is the same view and counts the same way.
+        assert_eq!(cache.resolve_with_inline(&engine, &doc, b), second.0);
+        assert_eq!(cache.counters(), (2, 1));
+        let a = doc.element_by_id("a").unwrap();
+        assert_eq!(
+            cache.resolve_with_inline(&engine, &doc, a),
+            engine.compute_style(&doc, a, None)
+        );
+        assert_eq!(cache.counters(), (2, 2));
+        assert_eq!(
+            cache.resolve(&engine, &doc, a),
+            engine.compute_style_both(&doc, a, None),
+            "a single-view miss caches both views"
+        );
+        assert_eq!(cache.counters(), (3, 2));
     }
 
     #[test]
@@ -212,7 +248,7 @@ mod tests {
         cache.set_enabled(false);
         let b = doc.element_by_id("b").unwrap();
         cache.resolve(&engine, &doc, b);
-        cache.resolve(&engine, &doc, b);
+        cache.resolve_with_inline(&engine, &doc, b);
         assert_eq!(cache.counters(), (0, 2));
         assert!(cache.is_empty());
     }
