@@ -6,7 +6,8 @@
 //! filter *may* contain `.wrap` and `section`, so a filter miss rejects
 //! the candidate without walking the tree. We reproduce that design with
 //! a fixed 256-bit filter over the DOM's [`style
-//! atoms`](greenweb_dom::tag_atom).
+//! atoms`](greenweb_dom::tag_atom), which each element caches when its
+//! `id` or `class` is written, so building a filter hashes no strings.
 //!
 //! False positives are possible (the exact [`crate::Selector::matches`]
 //! walk still runs after a filter hit); false negatives are not, which
@@ -66,7 +67,7 @@ pub fn ancestor_filter(doc: &Document, node: NodeId) -> AncestorFilter {
     let mut filter = AncestorFilter::new();
     for ancestor in doc.ancestors(node) {
         if let Some(element) = doc.element(ancestor) {
-            for atom in element.style_atoms() {
+            for &atom in element.style_atoms() {
                 filter.insert(atom);
             }
         }

@@ -1,7 +1,7 @@
 //! The cascade: computing an element's style from stylesheet rules,
 //! specificity, source order, `!important`, inline style, and inheritance.
 //!
-//! Two resolvers share one application path:
+//! Two resolvers share one cascade builder:
 //!
 //! * the **bucketed** resolver (the default) consults the
 //!   `bucket` rule index and the [`crate::bloom`] ancestor
@@ -226,13 +226,64 @@ impl StyleStats {
     }
 }
 
-/// Cascade origin/priority level, lowest to highest. Inline declarations
-/// are handled out-of-band (between these two levels when normal, above
-/// both when `!important`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Priority {
-    Stylesheet,
-    StylesheetImportant,
+/// One element's cascade from [`StyleEngine::cascade`]: the layers both
+/// views share already applied, the rest held for the view builders.
+struct Cascade<'a> {
+    stylesheet: &'a Stylesheet,
+    /// Matched rules as `(specificity, rule index)`, ascending.
+    rules: Vec<(Specificity, usize)>,
+    /// The inline `style` declarations, in source order.
+    inline: Vec<Declaration>,
+    /// Inheritance + stylesheet-normal declarations.
+    base: ComputedStyle,
+}
+
+impl Cascade<'_> {
+    /// The with-inline view: the shared layers, then inline-normal,
+    /// stylesheet-`!important`, and inline-`!important`.
+    fn with_inline(self) -> ComputedStyle {
+        let Cascade {
+            stylesheet,
+            rules,
+            inline,
+            mut base,
+        } = self;
+        apply(&mut base, inline.iter().filter(|d| !d.important));
+        apply(&mut base, layer(stylesheet, &rules, true));
+        apply(&mut base, inline.iter().filter(|d| d.important));
+        base
+    }
+
+    /// Both views, `(with inline, without inline)`. The without-inline
+    /// view is a clone of the shared layers plus stylesheet-`!important`.
+    fn both(self) -> (ComputedStyle, ComputedStyle) {
+        let mut without_inline = self.base.clone();
+        apply(
+            &mut without_inline,
+            layer(self.stylesheet, &self.rules, true),
+        );
+        (self.with_inline(), without_inline)
+    }
+}
+
+/// The declarations of `rules`, in cascade order, whose `!important`
+/// flag equals `important`.
+fn layer<'a>(
+    stylesheet: &'a Stylesheet,
+    rules: &'a [(Specificity, usize)],
+    important: bool,
+) -> impl Iterator<Item = &'a Declaration> {
+    rules
+        .iter()
+        .flat_map(move |&(_, order)| stylesheet.rules()[order].declarations())
+        .filter(move |decl| decl.important == important)
+}
+
+/// Sets every declaration of `decls` on `style`, in order: later wins.
+fn apply<'a>(style: &mut ComputedStyle, decls: impl IntoIterator<Item = &'a Declaration>) {
+    for decl in decls {
+        style.set(&decl.property, decl.value.clone());
+    }
 }
 
 /// A matched rule set: `(rule index, best specificity)` pairs in
@@ -389,9 +440,9 @@ impl StyleEngine {
     }
 
     /// Applies an already-matched rule set to `node` — the *cascade*
-    /// phase in isolation (sort by priority/specificity/order, then
-    /// inheritance, stylesheet, inline, `!important` layers). Exposed
-    /// for benchmarks; [`StyleEngine::compute_style`] is the fused path.
+    /// phase in isolation (sort by specificity/order, then inheritance,
+    /// stylesheet, inline, `!important` layers). Exposed for benchmarks;
+    /// [`StyleEngine::compute_style`] is the fused path.
     pub fn cascade_matched(
         &self,
         doc: &Document,
@@ -399,72 +450,47 @@ impl StyleEngine {
         matched: &[(usize, Specificity)],
         parent_style: Option<&ComputedStyle>,
     ) -> ComputedStyle {
-        self.apply(doc, node, matched, parent_style, true)
+        self.cascade(doc, node, matched, parent_style).with_inline()
     }
 
-    fn apply(
+    /// The one cascade builder behind every resolver: sorts the matched
+    /// rules into cascade order, parses the inline `style` attribute,
+    /// and applies the two lowest layers — inheritance from
+    /// `parent_style`, then stylesheet-normal declarations — which both
+    /// views share. [`Cascade::with_inline`] and [`Cascade::both`] add
+    /// the rest.
+    fn cascade(
         &self,
         doc: &Document,
         node: NodeId,
         matched: &[(usize, Specificity)],
         parent_style: Option<&ComputedStyle>,
-        include_inline: bool,
-    ) -> ComputedStyle {
-        // Expand matched rules to (priority, specificity, order) declarations.
-        let mut decls: Vec<(Priority, Specificity, usize, &Declaration)> = Vec::new();
-        for &(order, spec) in matched {
-            for decl in self.stylesheet.rules()[order].declarations() {
-                let priority = if decl.important {
-                    Priority::StylesheetImportant
-                } else {
-                    Priority::Stylesheet
-                };
-                decls.push((priority, spec, order, decl));
-            }
-        }
-        // Inline style.
-        let inline_decls = if include_inline {
-            doc.element(node)
-                .and_then(|el| el.attribute("style"))
-                .map(|style| parse_declarations_str(style).unwrap_or_default())
-                .unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        // Sort stylesheet declarations ascending; later wins on apply.
-        decls.sort_by_key(|a| (a.0, a.1, a.2));
-        let mut style = ComputedStyle::new();
-        // Inheritance first (lowest priority).
+    ) -> Cascade<'_> {
+        // Ascending (specificity, source order): later wins on apply.
+        // Declarations within one rule keep their source order.
+        let mut rules: Vec<(Specificity, usize)> =
+            matched.iter().map(|&(order, spec)| (spec, order)).collect();
+        rules.sort_unstable();
+        let inline = doc
+            .element(node)
+            .and_then(|el| el.attribute("style"))
+            .map(|style| parse_declarations_str(style).unwrap_or_default())
+            .unwrap_or_default();
+        let mut base = ComputedStyle::new();
         if let Some(parent) = parent_style {
             for &prop in INHERITED_PROPERTIES {
                 if let Some(value) = parent.get(prop) {
-                    style.set(prop, value.clone());
+                    base.set(prop, value.clone());
                 }
             }
         }
-        let mut important_pending: Vec<&Declaration> = Vec::new();
-        for (priority, _, _, decl) in decls {
-            match priority {
-                Priority::Stylesheet => {
-                    style.set(&decl.property, decl.value.clone());
-                }
-                Priority::StylesheetImportant => important_pending.push(decl),
-            }
+        apply(&mut base, layer(&self.stylesheet, &rules, false));
+        Cascade {
+            stylesheet: &self.stylesheet,
+            rules,
+            inline,
+            base,
         }
-        for decl in &inline_decls {
-            if !decl.important {
-                style.set(&decl.property, decl.value.clone());
-            }
-        }
-        for decl in important_pending {
-            style.set(&decl.property, decl.value.clone());
-        }
-        for decl in &inline_decls {
-            if decl.important {
-                style.set(&decl.property, decl.value.clone());
-            }
-        }
-        style
     }
 
     /// Resolves the computed style of `node`, including inheritance from
@@ -476,7 +502,7 @@ impl StyleEngine {
         parent_style: Option<&ComputedStyle>,
     ) -> ComputedStyle {
         let matched = self.match_rules(doc, node);
-        self.apply(doc, node, &matched, parent_style, true)
+        self.cascade_matched(doc, node, &matched, parent_style)
     }
 
     /// Like [`StyleEngine::compute_style`], but ignoring the element's
@@ -490,15 +516,15 @@ impl StyleEngine {
         node: NodeId,
         parent_style: Option<&ComputedStyle>,
     ) -> ComputedStyle {
-        let matched = self.match_rules(doc, node);
-        self.apply(doc, node, &matched, parent_style, false)
+        self.compute_style_both(doc, node, parent_style).1
     }
 
     /// Resolves both views of `node` — `(with inline, without inline)` —
-    /// from a *single* matching pass. The two views cannot be derived
-    /// from each other (inline-normal must not override
-    /// stylesheet-`!important`), but they share the matched rule set, so
-    /// transition arming pays for matching once instead of twice.
+    /// from a *single* matching pass and a single shared cascade layer.
+    /// The two views cannot be derived from each other (inline-normal
+    /// must not override stylesheet-`!important`), but they share the
+    /// matched rule set and everything below the inline layer, so
+    /// transition arming pays for matching and the base cascade once.
     pub fn compute_style_both(
         &self,
         doc: &Document,
@@ -506,16 +532,13 @@ impl StyleEngine {
         parent_style: Option<&ComputedStyle>,
     ) -> (ComputedStyle, ComputedStyle) {
         let matched = self.match_rules(doc, node);
-        (
-            self.apply(doc, node, &matched, parent_style, true),
-            self.apply(doc, node, &matched, parent_style, false),
-        )
+        self.cascade(doc, node, &matched, parent_style).both()
     }
 
     /// The naive full-scan resolver: every selector of every rule runs
-    /// the exact match walk. Semantically the reference implementation —
-    /// the differential property suite asserts the bucketed path agrees
-    /// with it property-for-property.
+    /// the exact match walk. The reference implementation for *matching*
+    /// — it shares the cascade builder — which the differential property
+    /// suite compares the bucketed path against property-for-property.
     pub fn compute_style_naive(
         &self,
         doc: &Document,
@@ -523,7 +546,7 @@ impl StyleEngine {
         parent_style: Option<&ComputedStyle>,
     ) -> ComputedStyle {
         let matched = self.match_rules_naive(doc, node);
-        self.apply(doc, node, &matched, parent_style, true)
+        self.cascade_matched(doc, node, &matched, parent_style)
     }
 
     /// Naive counterpart of [`StyleEngine::compute_style_without_inline`].
@@ -534,7 +557,7 @@ impl StyleEngine {
         parent_style: Option<&ComputedStyle>,
     ) -> ComputedStyle {
         let matched = self.match_rules_naive(doc, node);
-        self.apply(doc, node, &matched, parent_style, false)
+        self.cascade(doc, node, &matched, parent_style).both().1
     }
 
     /// Resolves computed styles for the whole tree in document order
@@ -748,6 +771,55 @@ mod tests {
         assert_eq!(
             without_inline,
             eng.compute_style_without_inline(&doc, p, None)
+        );
+    }
+
+    #[test]
+    fn both_views_stack_every_layer_in_cascade_order() {
+        let doc = parse_html(
+            "<div id='a' style='color: green'>\
+               <p id='b' style='width: 9px; height: 7px !important; margin: 3px'>t</p>\
+             </div>",
+        )
+        .unwrap();
+        let eng = engine(
+            "#a { color: red; font-size: 12px; } \
+             p { width: 1px !important; height: 2px !important; margin: 1px; color: blue; } \
+             #b { margin: 2px !important; line-height: 4px; }",
+        );
+        let a = doc.element_by_id("a").unwrap();
+        let b = doc.element_by_id("b").unwrap();
+        let parent = eng.compute_style(&doc, a, None);
+        let px = |v: f64| CssValue::Length(Length::px(v));
+        assert_eq!(
+            parent.get("color"),
+            Some(&CssValue::Keyword("green".into()))
+        );
+        let (with_inline, without_inline) = eng.compute_style_both(&doc, b, Some(&parent));
+        // Inherited font-size; stylesheet-normal color and line-height
+        // beat inheritance; inline-normal width and margin lose to
+        // stylesheet-!important; inline-!important height wins.
+        let expected_with = [
+            ("color", CssValue::Keyword("blue".into())),
+            ("font-size", px(12.0)),
+            ("height", px(7.0)),
+            ("line-height", px(4.0)),
+            ("margin", px(2.0)),
+            ("width", px(1.0)),
+        ];
+        let actual: Vec<(&str, CssValue)> =
+            with_inline.iter().map(|(p, v)| (p, v.clone())).collect();
+        assert_eq!(actual, expected_with);
+        let mut expected_without = expected_with;
+        expected_without[2].1 = px(2.0);
+        let actual: Vec<(&str, CssValue)> =
+            without_inline.iter().map(|(p, v)| (p, v.clone())).collect();
+        assert_eq!(actual, expected_without);
+        // The single-view entry points build the same views.
+        assert_eq!(eng.compute_style(&doc, b, Some(&parent)), with_inline);
+        assert_eq!(
+            eng.compute_style_without_inline(&doc, b, Some(&parent)),
+            without_inline
         );
     }
 

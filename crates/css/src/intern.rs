@@ -6,59 +6,76 @@
 //! and the interner pays each name's allocation exactly once. The table
 //! only ever grows — property vocabularies are tiny and bounded by the
 //! stylesheets a process loads — so interned names can be handed out as
-//! `&'static str` without lifetime plumbing.
+//! `&'static str` without lifetime plumbing. Each id carries its name, so
+//! only interning touches the table's lock; reading a name never does.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, RwLock};
 
-#[derive(Default)]
-struct Interner {
-    ids: HashMap<&'static str, u32>,
-    names: Vec<&'static str>,
-}
-
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| RwLock::new(Interner::default()))
+fn interner() -> &'static RwLock<HashMap<&'static str, PropertyId>> {
+    static INTERNER: OnceLock<RwLock<HashMap<&'static str, PropertyId>>> = OnceLock::new();
+    INTERNER.get_or_init(RwLock::default)
 }
 
 /// An interned CSS property name.
 ///
-/// Equality and hashing compare the integer id. Ordering compares the
-/// *resolved names*: interning order depends on which thread interned a
-/// name first, so id-order would differ between runs, while name-order
-/// is the same everywhere — the property that keeps style iteration
+/// The id is the identity: equality and hashing compare it alone. The
+/// interned name rides along, so [`PropertyId::as_str`] is a field read
+/// rather than a trip through the shared table. Ordering compares the
+/// *names*: interning order depends on which thread interned a name
+/// first, so id-order would differ between runs, while name-order is the
+/// same everywhere — the property that keeps style iteration
 /// byte-identical across serial and parallel executions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PropertyId(u32);
+#[derive(Debug, Clone, Copy)]
+pub struct PropertyId {
+    id: u32,
+    name: &'static str,
+}
 
 impl PropertyId {
     /// Interns `name` (idempotent) and returns its id.
     pub fn intern(name: &str) -> Self {
-        if let Some(&id) = interner().read().expect("interner lock").ids.get(name) {
-            return PropertyId(id);
+        if let Some(&id) = interner().read().expect("interner lock").get(name) {
+            return id;
         }
         let mut table = interner().write().expect("interner lock");
-        if let Some(&id) = table.ids.get(name) {
-            return PropertyId(id);
+        if let Some(&id) = table.get(name) {
+            return id;
         }
         let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-        let id = u32::try_from(table.names.len()).expect("property table overflow");
-        table.names.push(leaked);
-        table.ids.insert(leaked, id);
-        PropertyId(id)
+        let id = PropertyId {
+            id: u32::try_from(table.len()).expect("property table overflow"),
+            name: leaked,
+        };
+        table.insert(leaked, id);
+        id
     }
 
     /// The interned name.
     pub fn as_str(self) -> &'static str {
-        interner().read().expect("interner lock").names[self.0 as usize]
+        self.name
+    }
+}
+
+impl PartialEq for PropertyId {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+    }
+}
+
+impl Eq for PropertyId {}
+
+impl Hash for PropertyId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.id.hash(state);
     }
 }
 
 impl Ord for PropertyId {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if self.0 == other.0 {
+        if self.id == other.id {
             std::cmp::Ordering::Equal
         } else {
             self.as_str().cmp(other.as_str())

@@ -247,11 +247,13 @@ impl Document {
     }
 
     /// Depth-first pre-order traversal of the subtree rooted at `id`
-    /// (including `id` itself).
+    /// (including `id` itself). Follows the tree links, so it allocates
+    /// nothing.
     pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
         Descendants {
             doc: self,
-            stack: vec![id],
+            root: id,
+            next: Some(id),
         }
     }
 
@@ -362,19 +364,27 @@ impl Iterator for Ancestors<'_> {
 #[derive(Debug)]
 pub struct Descendants<'a> {
     doc: &'a Document,
-    stack: Vec<NodeId>,
+    root: NodeId,
+    next: Option<NodeId>,
 }
 
 impl Iterator for Descendants<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let id = self.stack.pop()?;
-        // Push children in reverse so the leftmost child pops first.
-        let children: Vec<NodeId> = self.doc.children(id).collect();
-        for child in children.into_iter().rev() {
-            self.stack.push(child);
-        }
+        let id = self.next?;
+        // Descend to the first child; failing that, climb until a node
+        // below the subtree root has a next sibling.
+        self.next = self.doc.first_child(id).or_else(|| {
+            let mut cur = id;
+            while cur != self.root {
+                if let Some(sibling) = self.doc.next_sibling(cur) {
+                    return Some(sibling);
+                }
+                cur = self.doc.parent(cur)?;
+            }
+            None
+        });
         Some(id)
     }
 }
@@ -467,6 +477,30 @@ mod tests {
         let (doc, div, p, text) = sample();
         let order: Vec<_> = doc.descendants(doc.root()).collect();
         assert_eq!(order, vec![doc.root(), div, p, text]);
+    }
+
+    #[test]
+    fn descendants_stays_inside_the_subtree() {
+        let mut doc = Document::new();
+        let root = doc.root();
+        let [a, a1, a2, a2x, b, b1] =
+            ["a", "a1", "a2", "a2x", "b", "b1"].map(|t| doc.create_element(t));
+        doc.append_child(root, a);
+        doc.append_child(a, a1);
+        doc.append_child(a, a2);
+        doc.append_child(a2, a2x);
+        doc.append_child(root, b);
+        doc.append_child(b, b1);
+        let all: Vec<_> = doc.descendants(root).collect();
+        assert_eq!(all, vec![root, a, a1, a2, a2x, b, b1]);
+        // A subtree walk ends at its root's last descendant, not at the
+        // root's next sibling.
+        assert_eq!(doc.descendants(a).collect::<Vec<_>>(), vec![a, a1, a2, a2x]);
+        assert_eq!(doc.descendants(a2).collect::<Vec<_>>(), vec![a2, a2x]);
+        assert_eq!(doc.descendants(a1).collect::<Vec<_>>(), vec![a1]);
+        doc.detach(a);
+        assert_eq!(doc.descendants(a).count(), 4);
+        assert_eq!(doc.descendants(root).collect::<Vec<_>>(), vec![root, b, b1]);
     }
 
     #[test]

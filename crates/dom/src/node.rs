@@ -64,14 +64,22 @@ impl fmt::Display for Attribute {
 pub struct ElementData {
     tag: String,
     attributes: Vec<Attribute>,
+    /// The element's style atoms (see [`ElementData::style_atoms`]),
+    /// recomputed whenever the tag, `id` or `class` is written.
+    atoms: Vec<u64>,
 }
 
 impl ElementData {
     /// Creates element data for `tag` (stored lowercase) with no attributes.
     pub fn new(tag: impl Into<String>) -> Self {
+        let tag = tag.into().to_ascii_lowercase();
+        // Room for an id and two classes before a refresh must grow it.
+        let mut atoms = Vec::with_capacity(4);
+        atoms.push(tag_atom(&tag));
         ElementData {
-            tag: tag.into().to_ascii_lowercase(),
+            tag,
             attributes: Vec::new(),
+            atoms,
         }
     }
 
@@ -87,10 +95,11 @@ impl ElementData {
 
     /// Returns the value of attribute `name` (case-insensitive), if present.
     pub fn attribute(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
+        // Stored names are lowercase, so this is a case-insensitive match
+        // without lowercasing `name` into a fresh string.
         self.attributes
             .iter()
-            .find(|a| a.name == name)
+            .find(|a| a.name.eq_ignore_ascii_case(name))
             .map(|a| a.value.as_str())
     }
 
@@ -98,17 +107,36 @@ impl ElementData {
     /// the same name.
     pub fn set_attribute(&mut self, name: impl Into<String>, value: impl Into<String>) {
         let attr = Attribute::new(name, value);
+        let refresh = is_atom_attribute(&attr.name);
         match self.attributes.iter_mut().find(|a| a.name == attr.name) {
             Some(existing) => existing.value = attr.value,
             None => self.attributes.push(attr),
+        }
+        if refresh {
+            self.refresh_atoms();
         }
     }
 
     /// Removes attribute `name`, returning its previous value.
     pub fn remove_attribute(&mut self, name: &str) -> Option<String> {
-        let name = name.to_ascii_lowercase();
-        let idx = self.attributes.iter().position(|a| a.name == name)?;
-        Some(self.attributes.remove(idx).value)
+        let idx = self
+            .attributes
+            .iter()
+            .position(|a| a.name.eq_ignore_ascii_case(name))?;
+        let removed = self.attributes.remove(idx);
+        if is_atom_attribute(&removed.name) {
+            self.refresh_atoms();
+        }
+        Some(removed.value)
+    }
+
+    fn refresh_atoms(&mut self) {
+        let mut atoms = std::mem::take(&mut self.atoms);
+        atoms.clear();
+        atoms.push(tag_atom(&self.tag));
+        atoms.extend(self.id().map(id_atom));
+        atoms.extend(self.classes().map(class_atom));
+        self.atoms = atoms;
     }
 
     /// The element's `id` attribute, if any.
@@ -130,12 +158,16 @@ impl ElementData {
 
     /// The style atoms this element contributes to descendants' ancestor
     /// Bloom filters: its tag atom, its id atom (if any), and one atom
-    /// per class. See [`tag_atom`].
-    pub fn style_atoms(&self) -> impl Iterator<Item = u64> + '_ {
-        std::iter::once(tag_atom(self.tag()))
-            .chain(self.id().map(id_atom))
-            .chain(self.classes().map(class_atom))
+    /// per class. See [`tag_atom`]. Cached on the element and refreshed
+    /// when `id` or `class` is written, so reading them hashes nothing.
+    pub fn style_atoms(&self) -> &[u64] {
+        &self.atoms
     }
+}
+
+/// Whether attribute `name` (lowercase) feeds the style atoms.
+fn is_atom_attribute(name: &str) -> bool {
+    name == "id" || name == "class"
 }
 
 impl fmt::Display for ElementData {
@@ -259,16 +291,59 @@ mod tests {
         let mut el = ElementData::new("div");
         el.set_attribute("id", "intro");
         el.set_attribute("class", "a b");
-        let atoms: Vec<u64> = el.style_atoms().collect();
         assert_eq!(
-            atoms,
-            vec![
+            el.style_atoms(),
+            [
                 tag_atom("div"),
                 id_atom("intro"),
                 class_atom("a"),
                 class_atom("b")
             ]
         );
+    }
+
+    #[test]
+    fn attribute_lookup_ignores_case() {
+        let mut el = ElementData::new("div");
+        el.set_attribute("Data-Role", "menu");
+        assert_eq!(el.attributes()[0].name, "data-role");
+        assert_eq!(el.attribute("DATA-ROLE"), Some("menu"));
+        assert_eq!(el.attribute("data-Role"), Some("menu"));
+        assert_eq!(el.remove_attribute("DaTa-RoLe"), Some("menu".to_string()));
+        assert_eq!(el.attribute("data-role"), None);
+        assert!(el.attributes().is_empty());
+    }
+
+    #[test]
+    fn style_atoms_follow_id_and_class_writes() {
+        let mut el = ElementData::new("P");
+        assert_eq!(el.style_atoms(), [tag_atom("p")]);
+        el.set_attribute("class", "a");
+        el.set_attribute("ID", "x");
+        assert_eq!(
+            el.style_atoms(),
+            [tag_atom("p"), id_atom("x"), class_atom("a")]
+        );
+        el.set_attribute("CLASS", "b  c");
+        assert_eq!(
+            el.style_atoms(),
+            [
+                tag_atom("p"),
+                id_atom("x"),
+                class_atom("b"),
+                class_atom("c")
+            ]
+        );
+        // Other attributes leave the atoms alone.
+        el.set_attribute("style", "width: 1px");
+        assert_eq!(el.style_atoms().len(), 4);
+        el.remove_attribute("Id");
+        assert_eq!(
+            el.style_atoms(),
+            [tag_atom("p"), class_atom("b"), class_atom("c")]
+        );
+        el.remove_attribute("class");
+        assert_eq!(el.style_atoms(), [tag_atom("p")]);
     }
 
     #[test]

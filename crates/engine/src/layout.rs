@@ -50,7 +50,6 @@
 use greenweb_css::{ComputedStyle, CssValue};
 use greenweb_dom::{Document, NodeId};
 use std::collections::HashMap;
-use std::fmt::Write;
 
 /// Layout viewport width, px (a typical mobile portrait viewport).
 pub const VIEWPORT_WIDTH: f64 = 360.0;
@@ -78,11 +77,35 @@ fn fnv_u64(hash: u64, v: u64) -> u64 {
     fnv_bytes(hash, &v.to_le_bytes())
 }
 
-/// Hashes `value`'s `Debug` rendering, formatted into the reused `buf`.
-fn fnv_debug(hash: u64, value: &CssValue, buf: &mut String) -> u64 {
-    buf.clear();
-    write!(buf, "{value:?}").expect("formatting into a String cannot fail");
-    fnv_str(hash, buf)
+fn fnv_f64(hash: u64, v: f64) -> u64 {
+    // Every NaN hashes alike: the values are equal for fingerprinting.
+    let v = if v.is_nan() { f64::NAN } else { v };
+    fnv_u64(hash, v.to_bits())
+}
+
+/// Hashes `value` structurally: a variant tag, then the payload — f64
+/// bits, strings, or a list's length followed by its items — so values
+/// of different shapes (`1px` and `1`, `a b` as one keyword and as a
+/// sequence) never share a byte stream.
+fn fnv_value(hash: u64, value: &CssValue) -> u64 {
+    match value {
+        CssValue::Keyword(k) => fnv_str(fnv_bytes(hash, &[0]), k),
+        CssValue::Length(l) => fnv_f64(fnv_bytes(hash, &[1]), l.px),
+        CssValue::Time(t) => fnv_f64(fnv_bytes(hash, &[2]), t.ms),
+        CssValue::Number(n) => fnv_f64(fnv_bytes(hash, &[3]), *n),
+        CssValue::Percentage(p) => fnv_f64(fnv_bytes(hash, &[4]), *p),
+        CssValue::String(s) => fnv_str(fnv_bytes(hash, &[5]), s),
+        CssValue::List(items) => fnv_values(fnv_bytes(hash, &[6]), items),
+        CssValue::Sequence(items) => fnv_values(fnv_bytes(hash, &[7]), items),
+    }
+}
+
+fn fnv_values(hash: u64, items: &[CssValue]) -> u64 {
+    let mut hash = fnv_u64(hash, items.len() as u64);
+    for item in items {
+        hash = fnv_value(hash, item);
+    }
+    hash
 }
 
 /// Pushes `n`'s children last-first, so popping `stack` visits them in
@@ -279,7 +302,6 @@ pub struct RenderPipeline {
     stack: Vec<NodeId>,
     to_measure: Vec<NodeId>,
     items: Vec<DisplayItem>,
-    value_buf: String,
     layout_stats: LayoutStats,
     paint_stats: PaintStats,
 }
@@ -305,7 +327,6 @@ impl RenderPipeline {
             stack: Vec::new(),
             to_measure: Vec::new(),
             items: Vec::new(),
-            value_buf: String::new(),
             layout_stats: LayoutStats::default(),
             paint_stats: PaintStats::default(),
         }
@@ -369,7 +390,6 @@ impl RenderPipeline {
             self.nodes.resize(doc.len(), NodeState::default());
         }
         let nodes = &mut self.nodes;
-        let buf = &mut self.value_buf;
 
         // Overlay values sorted by (node, property): one node's values
         // are a contiguous run, in a deterministic hashing and
@@ -409,7 +429,7 @@ impl RenderPipeline {
                 }
                 for &(_, property, value) in overlay_of(n) {
                     h = fnv_str(h, property);
-                    h = fnv_debug(h, value, buf);
+                    h = fnv_value(h, value);
                 }
             } else if let Some(text) = doc.kind(n).as_text() {
                 h = fnv_str(h, text);
@@ -491,7 +511,7 @@ impl RenderPipeline {
             let mut style_fp = FNV_OFFSET;
             for (property, value) in style.iter() {
                 style_fp = fnv_str(style_fp, property);
-                style_fp = fnv_debug(style_fp, value, buf);
+                style_fp = fnv_value(style_fp, value);
             }
             let state = &mut nodes[n.index()];
             state.measure = Some(NodeMeasure {
@@ -674,6 +694,36 @@ mod tests {
             .expect("parses"),
         );
         (doc, engine)
+    }
+
+    #[test]
+    fn value_hash_is_structural() {
+        use greenweb_css::value::Length;
+        let h = |v: &CssValue| fnv_value(FNV_OFFSET, v);
+        let kw = |k: &str| CssValue::Keyword(k.to_string());
+        assert_ne!(
+            h(&CssValue::Length(Length::px(1.0))),
+            h(&CssValue::Number(1.0))
+        );
+        assert_ne!(
+            h(&kw("a b")),
+            h(&CssValue::Sequence(vec![kw("a"), kw("b")]))
+        );
+        assert_ne!(
+            h(&CssValue::List(vec![kw("a"), kw("b")])),
+            h(&CssValue::Sequence(vec![kw("a"), kw("b")]))
+        );
+        assert_ne!(
+            h(&CssValue::Sequence(vec![kw("ab")])),
+            h(&CssValue::Sequence(vec![kw("a"), kw("b")]))
+        );
+        // Equal values hash alike, NaNs included; distinct zeros do not.
+        assert_eq!(h(&kw("a b")), h(&kw("a b")));
+        assert_eq!(
+            h(&CssValue::Number(f64::NAN)),
+            h(&CssValue::Number(-f64::NAN))
+        );
+        assert_ne!(h(&CssValue::Number(0.0)), h(&CssValue::Number(-0.0)));
     }
 
     #[test]

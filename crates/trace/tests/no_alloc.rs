@@ -9,16 +9,29 @@
 use greenweb_acmp::{Duration, SimTime};
 use greenweb_trace::{record_into, EventKind, SpanKind, TraceHandle};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so allocations made by tests running concurrently on
+    // other threads never show up in a test's count. `const`-initialised
+    // and `Drop`-free: touching it never allocates, so the allocator can
+    // use it without recursing.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct CountingAlloc;
 
 // SAFETY: delegates to `System` unchanged; only a counter is added.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with` fails only while the thread's locals are torn down;
+        // those allocations go uncounted.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -47,11 +60,11 @@ fn detached_recording_does_not_allocate() {
     // Warm up anything lazy in the harness before measuring.
     record_into(&sink, SimTime::ZERO, || allocating_event(0));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..10_000 {
         record_into(&sink, SimTime::from_millis(i), || allocating_event(i));
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -64,8 +77,8 @@ fn attached_recording_does_allocate() {
     // Sanity check that the counter actually observes the payload
     // allocations when a recorder is attached.
     let sink = Some(TraceHandle::with_capacity(16));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     record_into(&sink, SimTime::ZERO, || allocating_event(1));
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert!(after > before, "attached path should build the payload");
 }

@@ -440,7 +440,9 @@ fn gen_stylesheet_source(g: &mut Gen) -> String {
 /// The tentpole's correctness contract: on random documents × random
 /// stylesheets, the bucketed + Bloom-filtered resolver agrees with the
 /// naive full scan property-for-property — for the whole tree, and for
-/// both per-node views (with and without inline style).
+/// both per-node views (with and without inline style). Both resolvers
+/// share one cascade builder, so this checks *matching*; the cascade
+/// layers are pinned by concrete unit tests in `greenweb-css`.
 #[test]
 fn bucketed_style_resolver_matches_naive() {
     check(
