@@ -94,12 +94,9 @@
 //! incremental-rendering suite (naive full relayout vs cached
 //! subtrees + retained display list, counters only) and writes
 //! `BENCH_paint.json`. `metrics` prints one workload's deterministic
-//! [`RunMetrics`] JSON — CI parity gates diff it between
-//! `GREENWEB_STYLE_CACHE=off` and the default (stripping the `"style"`
-//! counters), between `GREENWEB_SCRIPT_VM=off` and the default
-//! (stripping the `"script"` counters), and between
-//! `GREENWEB_PAINT_INCR=off` and the default (stripping the `"style"`,
-//! `"layout"`, and `"paint"` counters).
+//! [`RunMetrics`] JSON for inspection; the workload parity test
+//! (`cargo test --test properties oracle_pins_leave_metrics_unchanged`)
+//! computes the same JSON in-process under each oracle pin.
 //!
 //! [`RunMetrics`]: greenweb::metrics::RunMetrics
 
@@ -393,6 +390,7 @@ fn sweep_command(
     use greenweb_workloads::sweep::{parse_poison_list, run_sweep, SweepConfig, SweepPlan};
     let poisons = parse_poison_list(poison).expect("--poison");
     let plan = SweepPlan::canonical().with_poison(&poisons);
+    #[allow(clippy::disallowed_methods)] // the kill hook of CI's resume-parity gate
     let abort_after = std::env::var("GREENWEB_ABORT_AFTER")
         .ok()
         .map(|k| k.parse().expect("GREENWEB_ABORT_AFTER must be a count"));
@@ -699,10 +697,8 @@ fn paint_bench_report() {
 /// Runs one workload's full trace under GreenWeb-I and prints its
 /// deterministic metrics JSON. The inferred effect summaries are
 /// attached, so summary-gated invalidation downgrades (and their
-/// containment checks) are live. Two CI parity gates diff this output:
-/// `GREENWEB_STYLE_CACHE=off` vs default, and `GREENWEB_EFFECT_GATE=off`
-/// vs default — both require byte-identical JSON after stripping the
-/// `"style"` counter object.
+/// containment checks) are live. The workload parity test in
+/// `tests/properties.rs` builds the same run with each oracle pin.
 fn metrics_report(workload: &str) {
     let w = greenweb_workloads::by_name(workload)
         .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
@@ -725,11 +721,6 @@ fn metrics_report(workload: &str) {
 fn soundness_command(jobs: Jobs, poison: bool) -> i32 {
     use greenweb_engine::{App, EffectSummary};
     use greenweb_workloads::harness::run_many;
-    if poison {
-        // Record violations in the ledger instead of aborting the run on
-        // the engine's containment debug assertion.
-        std::env::set_var("GREENWEB_EFFECT_ASSERT", "off");
-    }
     let workloads = greenweb_workloads::all();
     let policies = Policy::paper_set();
     let apps: Vec<App> = workloads

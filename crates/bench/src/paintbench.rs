@@ -3,7 +3,7 @@
 //!
 //! For each of the 12 workloads the suite runs the *micro* interaction
 //! trace twice — once with the incremental render pipeline disabled
-//! (the naive full-relayout oracle, `GREENWEB_PAINT_INCR=off`) and once
+//! (the naive full-relayout oracle, `RunSpec::with_paint_incremental(false)`) and once
 //! enabled — and reports only deterministic counters: elements laid
 //! out, subtree reuses, dirty elements, damage items, and the
 //! full/partial repaint split. No wall-clock number participates in

@@ -198,8 +198,8 @@ fn reports_agree(vm: &SimReport, tree: &SimReport) -> bool {
 pub fn run_suite() -> ScriptBenchReport {
     let mut rows = Vec::new();
     for w in greenweb_workloads::all() {
-        let full_vm = run_on(&w.app, &w.full, ScriptBackend::Vm);
-        let micro_vm = run_on(&w.app, &w.micro, ScriptBackend::Vm);
+        let full_vm = run_on(&w.app, &w.full, ScriptBackend::Auto);
+        let micro_vm = run_on(&w.app, &w.micro, ScriptBackend::Auto);
         let full_tree = run_on(&w.app, &w.full, ScriptBackend::Tree);
         rows.push(ScriptBenchRow {
             name: w.name.to_string(),

@@ -125,7 +125,7 @@ pub struct RunMetrics {
     /// Layout-pipeline counters (relayouts, elements measured, subtree
     /// reuses, fingerprint-dirty elements). The dirty count is
     /// identical in both rendering modes; the laid-out/reuse split is
-    /// where `GREENWEB_PAINT_INCR` shows.
+    /// where the rendering-mode pin (`RunSpec::paint_incremental`) shows.
     pub layout: LayoutStats,
     /// Paint-pipeline counters (full/partial repaints, display items
     /// emitted/reused, damage items and area) — damage numbers are
@@ -191,13 +191,14 @@ impl RunMetrics {
     /// serial and parallel batch runs.
     ///
     /// The trailing `"style"`, `"script"`, `"layout"`, and `"paint"`
-    /// objects are deliberately flat and last: each parity CI gate
-    /// strips its counter objects with one `sed` expression per object
-    /// (`"style"` for the style-cache gate, `"script"` for the VM-off
-    /// gate, `"style"`+`"layout"`+`"paint"` for the paint-incr gate —
-    /// reused subtrees skip style resolution, so the style counters
-    /// move with the rendering mode too) and then requires the two
-    /// renderings to be byte-identical.
+    /// objects are deliberately flat and last: each row of the workload
+    /// parity test (`oracle_pins_leave_metrics_unchanged`) strips its
+    /// counter objects (`"style"` for the style-cache and effect-gate
+    /// rows, `"script"` for the script-backend row,
+    /// `"style"`+`"layout"`+`"paint"` for the paint-mode row — reused
+    /// subtrees skip style resolution, so the style counters move with
+    /// the rendering mode too) and then requires the two renderings to
+    /// be byte-identical.
     pub fn render_json(&self) -> String {
         format!(
             "{{\"energy_mj\":{},\"violation_pct\":{},\"judged_inputs\":{},\

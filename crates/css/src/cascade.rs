@@ -148,7 +148,7 @@ impl fmt::Display for ComputedStyle {
 /// the bucketed path ran, how much the naive reference would have, what
 /// the Bloom filter rejected, and (filled in by the engine layer) how
 /// the computed-style cache performed. Pure counters — no wall-clock —
-/// so parity gates can diff them byte-for-byte.
+/// so parity tests can diff them byte-for-byte.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StyleStats {
     /// Bucketed style resolutions performed.

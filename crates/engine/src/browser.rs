@@ -51,16 +51,13 @@ pub const VSYNC_PERIOD: Duration = Duration::from_nanos(16_666_667);
 /// The tree-walking interpreter survives as a differential oracle: its
 /// per-op tick counts define the cost model, and the VM's tick-weighted
 /// charging reproduces them exactly, so the two backends yield
-/// byte-identical metrics (CI diffs them).
+/// byte-identical metrics (the workload parity test
+/// `oracle_pins_leave_metrics_unchanged` diffs them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ScriptBackend {
-    /// Resolve from `GREENWEB_SCRIPT_VM`: `off`, `0`, or `false` (any
-    /// case) selects the tree-walking oracle; anything else — including
-    /// unset — selects the VM.
+    /// The bytecode VM (the production path).
     #[default]
     Auto,
-    /// The bytecode VM (the production path).
-    Vm,
     /// The tree-walking interpreter (the oracle path).
     Tree,
 }
@@ -75,15 +72,9 @@ enum ScriptEngine {
 
 impl ScriptEngine {
     fn for_backend(backend: ScriptBackend) -> Self {
-        let use_vm = match backend {
-            ScriptBackend::Auto => crate::env_flag_enabled("GREENWEB_SCRIPT_VM"),
-            ScriptBackend::Vm => true,
-            ScriptBackend::Tree => false,
-        };
-        if use_vm {
-            ScriptEngine::Vm(Vm::new())
-        } else {
-            ScriptEngine::Tree(Interpreter::new())
+        match backend {
+            ScriptBackend::Auto => ScriptEngine::Vm(Vm::new()),
+            ScriptBackend::Tree => ScriptEngine::Tree(Interpreter::new()),
         }
     }
 
@@ -318,7 +309,7 @@ pub struct Browser<S: Scheduler> {
     /// ([`Browser::computed_style`]) stay `&self` while memoizing.
     style_cache: RefCell<StyleCache>,
     /// The script backend: the bytecode VM by default, the tree-walking
-    /// oracle under `GREENWEB_SCRIPT_VM=off` (or [`ScriptBackend::Tree`]).
+    /// oracle under [`ScriptBackend::Tree`].
     script: ScriptEngine,
     /// The handler-compilation cache shared with every analysis consumer
     /// (GreenLint's cost/effect passes, the attribution profiler): one
@@ -330,8 +321,9 @@ pub struct Browser<S: Scheduler> {
     script_stats: ScriptStats,
     listeners: ListenerSet<Value>,
     /// Incremental rendering pipeline: subtree fingerprints, measure
-    /// cache, retained display list, damage diff (`GREENWEB_PAINT_INCR`;
-    /// the oracle mode recomputes everything but prices identically).
+    /// cache, retained display list, damage diff (the oracle mode, see
+    /// [`Browser::set_paint_incremental`], recomputes everything but
+    /// prices identically).
     render: RenderPipeline,
     /// Pricing inputs of the frame currently in the pipeline, computed
     /// once per frame by [`Browser::run_render_pass`] — the stages of
@@ -373,17 +365,11 @@ pub struct Browser<S: Scheduler> {
     /// `(registered node, event, index within that node's listener
     /// list)`. Built from [`App::effect_summaries`] at load.
     effect_summaries: HashMap<(NodeId, EventType, usize), Rc<HandlerSummary>>,
-    /// Whether summary-gated invalidation downgrades are enabled
-    /// (`GREENWEB_EFFECT_GATE`, opt-out; containment *checks* run
-    /// regardless). The effect-gate parity gate in CI runs one workload
-    /// each way and diffs the metrics after stripping the style counters.
+    /// Whether summary-gated invalidation downgrades are enabled (on by
+    /// default, see [`Browser::set_effect_gate_enabled`]; containment
+    /// *checks* run regardless). The workload parity test runs each
+    /// way and diffs the metrics after stripping the style counters.
     effect_gate: bool,
-    /// Whether a containment violation trips a debug assertion
-    /// (`GREENWEB_EFFECT_ASSERT`, opt-out). Poison harnesses — which
-    /// attach deliberately under-approximated summaries to prove the
-    /// detector detects — disable this to observe violations in the
-    /// report instead of aborting debug builds.
-    effect_assertions: bool,
     /// Set after any containment violation: summaries are no longer
     /// trusted for invalidation downgrades in this browser.
     summaries_distrusted: bool,
@@ -410,9 +396,8 @@ impl<S: Scheduler> Browser<S> {
         )
     }
 
-    /// Loads `app` on default hardware with an explicit script backend.
-    /// Tests use this instead of `GREENWEB_SCRIPT_VM`, which races under
-    /// parallel test execution.
+    /// Loads `app` on default hardware with an explicit script backend
+    /// (tests pin the tree-walking oracle this way).
     ///
     /// # Errors
     ///
@@ -466,12 +451,12 @@ impl<S: Scheduler> Browser<S> {
             app_name: app.name.clone(),
             doc,
             style,
-            style_cache: RefCell::new(StyleCache::from_env()),
+            style_cache: RefCell::new(StyleCache::new()),
             script: ScriptEngine::for_backend(backend),
             handler_cache: HandlerCache::default(),
             script_stats: ScriptStats::default(),
             listeners: ListenerSet::new(),
-            render: RenderPipeline::from_env(),
+            render: RenderPipeline::new(true),
             frame_render: FrameRenderInfo::default(),
             cost: app.cost.clone(),
             cpu,
@@ -500,8 +485,7 @@ impl<S: Scheduler> Browser<S> {
             budget: None,
             events_popped: 0,
             effect_summaries: HashMap::new(),
-            effect_gate: crate::env_flag_enabled("GREENWEB_EFFECT_GATE"),
-            effect_assertions: crate::env_flag_enabled("GREENWEB_EFFECT_ASSERT"),
+            effect_gate: true,
             summaries_distrusted: false,
             effect_violations: Vec::new(),
             effect_checks: 0,
@@ -619,18 +603,17 @@ impl<S: Scheduler> Browser<S> {
         &self.style
     }
 
-    /// Enables or disables the computed-style cache for this browser.
-    /// Tests use this instead of `GREENWEB_STYLE_CACHE`, which races
-    /// under parallel test execution. Caching is semantics-preserving;
-    /// only the `style.cache_*` counters differ between modes.
+    /// Enables or disables the computed-style cache for this browser
+    /// (on by default; off is the oracle). Caching is
+    /// semantics-preserving; only the `style.cache_*` counters differ
+    /// between modes.
     pub fn set_style_cache_enabled(&mut self, enabled: bool) {
         self.style_cache.get_mut().set_enabled(enabled);
     }
 
-    /// Switches the rendering pipeline between the incremental path and
-    /// the naive full-relayout/full-repaint oracle. Tests use this
-    /// instead of `GREENWEB_PAINT_INCR`, which races under parallel
-    /// test execution. Semantics-preserving: geometry, display lists,
+    /// Switches the rendering pipeline between the incremental path (the
+    /// default) and the naive full-relayout/full-repaint oracle.
+    /// Semantics-preserving: geometry, display lists,
     /// and every energy/QoS metric are identical between modes — only
     /// the `layout`/`paint` reuse counters (and the style counters,
     /// since reused subtrees skip style resolution) differ.
@@ -685,19 +668,11 @@ impl<S: Scheduler> Browser<S> {
         out
     }
 
-    /// Enables or disables summary-gated invalidation downgrades
-    /// programmatically (tests use this instead of
-    /// `GREENWEB_EFFECT_GATE`, which races under parallel execution).
+    /// Enables or disables summary-gated invalidation downgrades (on by
+    /// default; off is the oracle that always clears everything).
     /// Containment checks run either way.
     pub fn set_effect_gate_enabled(&mut self, enabled: bool) {
         self.effect_gate = enabled;
-    }
-
-    /// Disables the debug assertion on containment violations, so poison
-    /// harnesses (which attach deliberately under-approximated summaries)
-    /// can observe violations in the report instead of aborting.
-    pub fn set_effect_containment_asserts(&mut self, enabled: bool) {
-        self.effect_assertions = enabled;
     }
 
     /// Every `dynamic ⊆ static` containment violation observed so far.
@@ -1439,9 +1414,9 @@ impl<S: Scheduler> Browser<S> {
     ) {
         // The analyzer's correctness contract: everything the callback
         // actually did must be admitted by its static summary
-        // (dynamic ⊆ static). A violation is recorded, trips a debug
-        // assertion, and permanently distrusts summaries for
-        // invalidation downgrades in this browser.
+        // (dynamic ⊆ static). A violation is recorded in the ledger and
+        // permanently distrusts summaries for invalidation downgrades in
+        // this browser.
         if let Some(hs) = summary.as_deref() {
             self.effect_checks += 1;
             let violations = hs.summary.admits(&effects, &self.doc, Some(hs.node));
@@ -1453,12 +1428,6 @@ impl<S: Scheduler> Browser<S> {
                     ));
                 }
                 self.summaries_distrusted = true;
-                if self.effect_assertions {
-                    debug_assert!(
-                        false,
-                        "observed CallbackEffects escape the static EffectSummary: {violations:?}"
-                    );
-                }
             }
         }
         let meta = self.input_meta.iter_mut().find(|m| m.uid == origin.uid);

@@ -12,7 +12,8 @@
 //! what actually changed. [`FrameCostModel::stage_work`] retains the
 //! full-document prices and is what the naive oracle's accounting
 //! corresponds to; the *pricing inputs* are mode-independent, so
-//! `GREENWEB_PAINT_INCR` never changes a run's metrics (DESIGN.md §6k).
+//! the rendering-mode pin (`RunSpec::paint_incremental`) never changes a
+//! run's metrics (DESIGN.md §6k).
 //! The composite stage carries a frequency-independent GPU component,
 //! which is what gives Eq. 1 its non-zero `T_independent` intercept.
 //! Event callbacks are charged by the script engine's op count —

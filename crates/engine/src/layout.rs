@@ -15,15 +15,20 @@
 //!    three invalidation sources the style system reacts to — DOM
 //!    mutations, inline-style writes, animation ticks — land in the
 //!    fingerprints *without consulting* the style cache or the effect
-//!    gate (pricing must not depend on either flag; see the parity
-//!    gates in CI).
+//!    gate (pricing must not depend on either pin; see the workload
+//!    parity test `oracle_pins_leave_metrics_unchanged`).
 //! 2. **Measure.** A bottom-up pass computes each element's box metrics
 //!    from its [`ComputedStyle`]. Entries are cached per node keyed by
 //!    `(stylesheet generation, subtree fingerprint)`: when the pipeline
-//!    is enabled, a subtree whose root's key matches is *reused* —
-//!    nothing under it is re-measured or re-styled. Disabled
-//!    (`GREENWEB_PAINT_INCR=off`), the same pass measures every element
-//!    every frame: the naive oracle.
+//!    is enabled, a subtree is *reused* — nothing under it is
+//!    re-measured or re-styled — when it is not *stale*, i.e. every
+//!    element in it holds a measure valid for that key. (Fingerprints
+//!    hash content, not node identity, so a fresh element swapped in
+//!    for a content-identical one leaves its parent's key unchanged;
+//!    only the stale bit sees that the fresh element was never
+//!    measured.) Disabled ([`RenderPipeline::set_enabled`]`(false)`),
+//!    the same pass measures every element every frame: the naive
+//!    oracle.
 //! 3. **Position.** A cheap top-down pass assigns final boxes (block
 //!    stacking in a fixed mobile viewport). It always walks the whole
 //!    tree — positions depend on earlier siblings — and is not counted
@@ -38,9 +43,9 @@
 //! elements from the fingerprint diff, damage items, total items) are
 //! derived identically in both modes — the enabled flag only gates the
 //! cache-reuse machinery — so a run's energy and QoS metrics are
-//! byte-identical between `GREENWEB_PAINT_INCR` on and off; only the
-//! `layout`/`paint` counters (and the style counters, since reused
-//! subtrees skip style resolution) differ. CI diffs exactly that.
+//! byte-identical between the two modes; only the `layout`/`paint`
+//! counters (and the style counters, since reused subtrees skip style
+//! resolution) differ. The workload parity test diffs exactly that.
 //!
 //! All per-node state lives in one vector indexed by [`NodeId::index`]
 //! and the per-frame buffers are reused, so a frame does no hashing
@@ -120,7 +125,7 @@ fn push_children_reversed(doc: &Document, n: NodeId, stack: &mut Vec<NodeId>) {
 
 /// Layout-stage counters, reported in [`crate::SimReport`] and the
 /// metrics JSON (`"layout":{…}`, a flat trailing object the parity
-/// gates strip with `sed`, like `"style"`/`"script"`).
+/// test strips, like `"style"`/`"script"`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LayoutStats {
     /// Frames the pipeline laid out (one per produced frame).
@@ -276,6 +281,10 @@ struct NodeState {
     own: u64,
     /// Ancestor-context chain hash.
     ctx: u64,
+    /// Whether some element in the subtree lacks a measure valid for
+    /// this frame's `(generation, fingerprint)`, so the subtree cannot
+    /// be reused whole.
+    stale: bool,
     /// Position pass: content box `(x, width)` children are laid into.
     content: (f64, f64),
     /// Position pass: y where the next child goes.
@@ -332,18 +341,9 @@ impl RenderPipeline {
         }
     }
 
-    /// Creates a pipeline honouring `GREENWEB_PAINT_INCR`: `off`, `0`,
-    /// or `false` (any case) selects the naive full-relayout /
-    /// full-repaint oracle, anything else — including unset — the
-    /// incremental path.
-    pub fn from_env() -> Self {
-        Self::new(crate::env_flag_enabled("GREENWEB_PAINT_INCR"))
-    }
-
     /// Switches between the incremental path and the naive oracle.
-    /// Tests use this instead of the env var, which races under
-    /// parallel test execution. Semantics-preserving: only the
-    /// `layout`/`paint`/`style` counters differ between modes.
+    /// Semantics-preserving: only the `layout`/`paint`/`style` counters
+    /// differ between modes.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
@@ -441,13 +441,15 @@ impl RenderPipeline {
         }
         // Machinery-independent dirty count: elements whose subtree
         // fingerprint changed since the previous frame (all of them on
-        // the first frame).
+        // the first frame). The same walk sets the stale bits.
         let mut dirty_elements = 0usize;
         for &n in self.order.iter().rev() {
             let mut h = fnv_u64(nodes[n.index()].ctx, nodes[n.index()].own);
+            let mut stale = false;
             for child in doc.children(n) {
-                let child_fp = nodes[child.index()].fp;
-                h = fnv_u64(h, child_fp.expect("children are fingerprinted first"));
+                let child = &nodes[child.index()];
+                h = fnv_u64(h, child.fp.expect("children are fingerprinted first"));
+                stale |= child.stale;
             }
             let state = &mut nodes[n.index()];
             let prev_fp = if state.walked + 1 == frame {
@@ -455,28 +457,30 @@ impl RenderPipeline {
             } else {
                 None
             };
-            if doc.element(n).is_some() && prev_fp != Some(h) {
-                dirty_elements += 1;
+            if doc.element(n).is_some() {
+                if prev_fp != Some(h) {
+                    dirty_elements += 1;
+                }
+                stale |= !state
+                    .measure
+                    .is_some_and(|m| m.generation == generation && m.fp == h);
             }
+            state.stale = stale;
             state.walked = frame;
             state.fp = Some(h);
         }
 
-        // Pass 2a: mark. Pre-order descent that stops at clean subtree
-        // roots when the incremental machinery is on.
+        // Pass 2a: mark. Pre-order descent that stops at subtree roots
+        // that are not stale when the incremental machinery is on.
         self.to_measure.clear();
         self.stack.clear();
         self.stack.push(root);
         let mut reuses = 0u64;
         while let Some(n) = self.stack.pop() {
             if doc.element(n).is_some() {
-                let state = &nodes[n.index()];
-                let cached = state
-                    .measure
-                    .is_some_and(|m| m.generation == generation && Some(m.fp) == state.fp);
-                if self.enabled && cached {
+                if self.enabled && !nodes[n.index()].stale {
                     reuses += 1;
-                    continue; // whole subtree is clean: skip it
+                    continue; // whole subtree is measured: skip it
                 }
                 self.to_measure.push(n);
             }
@@ -910,6 +914,39 @@ mod tests {
             .find(|i| i.node == extra)
             .expect("new element painted");
         assert_eq!(item.id, 5, "next id after the five first-frame items");
+    }
+
+    #[test]
+    fn fresh_identical_child_swapped_in_is_measured_and_painted() {
+        // Fingerprints hash content, not node identity: swapping the
+        // span for a fresh, content-identical one leaves div#b's key
+        // unchanged, so only the stale bit keeps div#b from being
+        // reused whole with the new span never measured.
+        let (mut doc, engine) = fixture();
+        let (mut incr, mut naive) = pipeline_pair();
+        let overlay = HashMap::new();
+        for pipe in [&mut incr, &mut naive] {
+            render(pipe, &doc, &engine, &overlay);
+        }
+        let b_id = doc.element_by_id("b").expect("b");
+        let old = doc.elements_by_tag("span")[0];
+        doc.detach(old);
+        let fresh = doc.create_element("span");
+        doc.element_mut(fresh)
+            .expect("element")
+            .set_attribute("class", "hot");
+        let text = doc.create_text("x");
+        doc.append_child(fresh, text);
+        doc.append_child(b_id, fresh);
+        let a = render(&mut incr, &doc, &engine, &overlay);
+        let b = render(&mut naive, &doc, &engine, &overlay);
+        assert_eq!(a, b);
+        assert_eq!((a.damage_items, a.total_items), (2, 5));
+        assert_eq!(incr.layout_boxes(), naive.layout_boxes());
+        assert_eq!(incr.display_list(), naive.display_list());
+        assert!(incr.display_list().iter().any(|i| i.node == fresh));
+        // div#a's subtree is still reused whole.
+        assert_eq!(incr.layout_stats().subtree_reuses, 1);
     }
 
     #[test]

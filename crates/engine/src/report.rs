@@ -70,7 +70,7 @@ pub struct SimReport {
     /// Layout-pipeline counters (relayouts, elements measured, subtree
     /// reuses, fingerprint-dirty elements) — deterministic like `style`.
     /// The dirty count is identical in both rendering modes; the
-    /// laid-out/reuse split is where `GREENWEB_PAINT_INCR` shows.
+    /// laid-out/reuse split is where [`crate::RunSpec::paint_incremental`] shows.
     pub layout: LayoutStats,
     /// Paint-pipeline counters (full/partial repaints, display items
     /// emitted/reused, damage items and area) — deterministic, with the

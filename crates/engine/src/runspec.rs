@@ -130,15 +130,15 @@ pub struct RunSpec {
     /// Which script backend executes callbacks. Deliberately excluded
     /// from [`RunSpec::digest`]: the backends produce byte-identical
     /// results (the tick-parity contract), so a spec's identity must not
-    /// depend on which one runs it — the VM-off parity gate leans on
-    /// exactly that.
+    /// depend on which one runs it — the script-backend parity row
+    /// leans on exactly that.
     pub script_backend: crate::browser::ScriptBackend,
-    /// Which rendering mode the browser runs: `None` resolves
-    /// `GREENWEB_PAINT_INCR` at load, `Some(b)` pins it. Excluded from
+    /// Whether the browser renders incrementally (`true`, the default)
+    /// or on the naive full-relayout oracle (`false`). Excluded from
     /// [`RunSpec::digest`] for the same reason as `script_backend`: the
     /// two modes produce byte-identical results (only reuse counters
-    /// differ), and the paint-incr parity gate leans on exactly that.
-    pub paint_incremental: Option<bool>,
+    /// differ), and the paint-mode parity row leans on exactly that.
+    pub paint_incremental: bool,
 }
 
 // The whole point of the spec: it must be able to cross into a worker
@@ -166,7 +166,7 @@ impl RunSpec {
             probe: None,
             budget: None,
             script_backend: crate::browser::ScriptBackend::Auto,
-            paint_incremental: None,
+            paint_incremental: true,
         }
     }
 
@@ -215,9 +215,9 @@ impl RunSpec {
         self
     }
 
-    /// Pins the script backend (default: [`ScriptBackend::Auto`], which
-    /// resolves `GREENWEB_SCRIPT_VM`). Parity harnesses run the same spec
-    /// once per backend and diff the reports.
+    /// Pins the script backend (default: [`ScriptBackend::Auto`], the
+    /// bytecode VM). Parity harnesses run the same spec once per backend
+    /// and diff the reports.
     ///
     /// [`ScriptBackend::Auto`]: crate::browser::ScriptBackend::Auto
     #[must_use]
@@ -226,12 +226,12 @@ impl RunSpec {
         self
     }
 
-    /// Pins the rendering mode (default: resolve `GREENWEB_PAINT_INCR`
-    /// at load). Parity harnesses run the same spec once per mode and
-    /// diff the reports, exactly like the script-backend flip.
+    /// Pins the rendering mode (default: incremental). Parity harnesses
+    /// run the same spec once per mode and diff the reports, exactly
+    /// like the script-backend flip.
     #[must_use]
     pub fn with_paint_incremental(mut self, enabled: bool) -> Self {
-        self.paint_incremental = Some(enabled);
+        self.paint_incremental = enabled;
         self
     }
 
@@ -288,9 +288,7 @@ impl RunSpec {
             self.power.clone(),
             self.script_backend,
         )?;
-        if let Some(enabled) = self.paint_incremental {
-            browser.set_paint_incremental(enabled);
-        }
+        browser.set_paint_incremental(self.paint_incremental);
         if let Some(plan) = self.faults {
             browser.set_fault_plan(plan);
         }

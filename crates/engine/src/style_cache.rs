@@ -18,8 +18,10 @@
 //!   or tree edit can re-route matching for arbitrary nodes).
 //!
 //! Caching is semantics-preserving: hits return exactly what a fresh
-//! resolve would, which the cache-parity CI gate (`GREENWEB_STYLE_CACHE`)
-//! and the differential property suite both enforce. Hit/miss counters
+//! resolve would, which the workload parity test
+//! (`oracle_pins_leave_metrics_unchanged`, pinned through
+//! [`crate::Browser::set_style_cache_enabled`]) and the differential
+//! property suite both enforce. Hit/miss counters
 //! are deterministic and flow into [`greenweb_css::StyleStats`].
 
 use greenweb_css::{ComputedStyle, StyleEngine};
@@ -60,19 +62,8 @@ impl StyleCache {
         }
     }
 
-    /// Creates a cache honoring the `GREENWEB_STYLE_CACHE` environment
-    /// variable: `off`, `0`, or `false` (any case) disables it, anything
-    /// else — including unset — enables it. The parity gate in CI runs
-    /// one workload each way and diffs the metrics.
-    pub fn from_env() -> Self {
-        let mut cache = StyleCache::new();
-        cache.enabled = crate::env_flag_enabled("GREENWEB_STYLE_CACHE");
-        cache
-    }
-
-    /// Enables or disables the cache programmatically (tests use this
-    /// instead of the environment variable, which races under parallel
-    /// test execution). Disabling drops all entries.
+    /// Enables or disables the cache (disabled is the oracle that
+    /// resolves every query afresh). Disabling drops all entries.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         if !enabled {
@@ -98,7 +89,7 @@ impl StyleCache {
     }
 
     /// Records one summary-gated downgrade (no-op while the cache is
-    /// disabled: there is nothing to preserve, and the parity gate wants
+    /// disabled: there is nothing to preserve, and the parity test wants
     /// all non-style counters identical across modes).
     pub fn note_avoided_clear(&mut self) {
         if self.enabled {

@@ -78,7 +78,10 @@ impl Jobs {
     }
 
     /// [`Jobs::auto`], unless the `GREENWEB_JOBS` environment variable
-    /// names an explicit count.
+    /// names an explicit count. This worker-count deployment setting is
+    /// the one environment read a library crate may make; it changes
+    /// throughput only, never an output byte.
+    #[allow(clippy::disallowed_methods)]
     pub fn from_env() -> Self {
         match std::env::var(JOBS_ENV) {
             Ok(value) => value.parse().unwrap_or_else(|_| Self::auto()),

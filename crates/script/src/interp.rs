@@ -2,8 +2,8 @@
 //!
 //! This is the language's *reference* backend. The browser engine
 //! executes compiled bytecode ([`crate::vm::Vm`]) by default and keeps
-//! this tree-walker as the differential oracle behind
-//! `GREENWEB_SCRIPT_VM=off`; the differential suite requires both
+//! this tree-walker as the differential oracle behind the engine's
+//! `ScriptBackend::Tree` pin; the differential suite requires both
 //! backends to agree on values, typed errors, and charged ops.
 //!
 //! The interpreter counts every evaluated statement/expression in

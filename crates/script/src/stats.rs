@@ -1,7 +1,7 @@
 //! Deterministic script-pipeline counters.
 //!
 //! Pure counters — no wall-clock — in the mold of the style system's
-//! `StyleStats`, so the script bench and the VM-off parity gate can diff
+//! `StyleStats`, so the script bench and the script-backend parity test can diff
 //! them byte-for-byte. The engine fills these in as it loads and runs an
 //! app; `ops` is backend-independent by the tick-parity contract, while
 //! `dispatches`/`fold_wins` are VM-path-only evidence that compilation

@@ -156,7 +156,7 @@ pub enum EventKind {
     /// Deterministic render-pipeline counters (layout + paint), recorded
     /// once when the report is built, next to [`EventKind::StyleStats`].
     /// The dirty/damage numbers are identical whichever rendering mode
-    /// (`GREENWEB_PAINT_INCR`) produced them; the laid-out/reuse split
+    /// (`RunSpec::paint_incremental`) produced them; the laid-out/reuse split
     /// is where the modes differ.
     RenderStats {
         /// Frames laid out (one per produced frame).

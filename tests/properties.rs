@@ -2,12 +2,16 @@
 //! inputs, checked with the in-repo `greenweb_det::prop` harness.
 
 use greenweb::lang::{Annotation, AnnotationTable};
+use greenweb::metrics::RunMetrics;
 use greenweb::qos::{QosSpec, QosTarget, QosType, Scenario};
 use greenweb_acmp::{CoreType, Cpu, CpuConfig, Duration, Platform, PowerModel, SimTime, WorkUnit};
 use greenweb_css::{parse_stylesheet, Selector, StyleEngine};
 use greenweb_det::prop::{check, Gen, DEFAULT_CASES};
 use greenweb_dom::{parse_html, EventType};
-use greenweb_engine::{FrameTracker, InputId, Msg};
+use greenweb_engine::{
+    App, Browser, FrameTracker, InputId, Msg, SchedulerFactory, ScriptBackend, SimReport, Trace,
+};
+use greenweb_workloads::harness::{expectations, Policy};
 use std::fmt::Write as _;
 
 const EVENTS: [EventType; 6] = [
@@ -483,52 +487,6 @@ fn bucketed_style_resolver_matches_naive() {
     );
 }
 
-/// The computed-style cache is invisible to behavior: a full engine run
-/// with the cache disabled produces the same frames, inputs, and energy
-/// as with it enabled — only the `style.cache_*` counters may differ.
-#[test]
-fn style_cache_does_not_change_run_results() {
-    use greenweb_engine::{App, Browser, GovernorScheduler, Trace};
-
-    let app = App::builder("cache-parity")
-        .html("<div id='box'><p class='inner'>x</p></div>")
-        .css("#box { width: 10px; transition: width 100ms linear; } .inner { margin: 2px; }")
-        // Two writes per click: the invalidation pass runs before
-        // animation arming, so the second arm's resolve of the same node
-        // is the cache's hit path.
-        .script(
-            "addEventListener(getElementById('box'), 'click', function(e) { \
-               setStyle(getElementById('box'), 'width', 200); \
-               setStyle(getElementById('box'), 'height', 50); markDirty(); });",
-        )
-        .build();
-    let trace = Trace::builder()
-        .click_id(50.0, "box")
-        .click_id(300.0, "box")
-        .end_ms(800.0)
-        .build();
-
-    let run_with_cache = |enabled: bool| {
-        let mut browser =
-            Browser::new(&app, GovernorScheduler::new(greenweb_acmp::PerfGovernor)).unwrap();
-        browser.set_style_cache_enabled(enabled);
-        browser.run(&trace).unwrap()
-    };
-    let on = run_with_cache(true);
-    let off = run_with_cache(false);
-
-    assert_eq!(on.frames, off.frames, "cache changed frame records");
-    assert_eq!(on.inputs, off.inputs, "cache changed input metadata");
-    assert_eq!(on.total_mj(), off.total_mj(), "cache changed energy");
-    // The cache actually engaged: hits on, none off.
-    assert!(on.style.cache_hits > 0, "cache never hit: {:?}", on.style);
-    assert_eq!(
-        off.style.cache_hits, 0,
-        "disabled cache hit: {:?}",
-        off.style
-    );
-}
-
 /// The script backend is invisible to behavior: a full engine run on the
 /// tree-walking oracle produces the same frames, inputs, and energy as
 /// the default bytecode VM — and the same charged op count, by the
@@ -565,7 +523,7 @@ fn script_backend_does_not_change_run_results() {
         .unwrap();
         browser.run(&trace).unwrap()
     };
-    let vm = run_on(ScriptBackend::Vm);
+    let vm = run_on(ScriptBackend::Auto);
     let tree = run_on(ScriptBackend::Tree);
 
     assert_eq!(vm.frames, tree.frames, "backend changed frame records");
@@ -588,54 +546,6 @@ fn script_backend_does_not_change_run_results() {
         "vm missed the precompiled table"
     );
     assert_eq!(tree.script.dispatches, 0, "oracle counted vm dispatches");
-}
-
-/// The VM-off parity gate's contract, in-process: the deterministic
-/// metrics JSON of a VM run and an oracle run are byte-identical once
-/// the trailing `"script"` counter object is stripped — and only that
-/// object distinguishes the two renderings.
-#[test]
-fn script_backend_metrics_json_identical_modulo_script_counters() {
-    use greenweb::metrics::RunMetrics;
-    use greenweb_engine::{App, Browser, GovernorScheduler, ScriptBackend, Trace};
-    use std::collections::HashMap;
-
-    // Strips the `"script"` counter object — the in-process double of
-    // the CI gate's `sed 's/,"script":{[^}]*}//'`. The object is flat
-    // (no nested braces), so the first `}` closes it.
-    fn strip_script(json: &str) -> String {
-        let start = json.find(",\"script\":{").expect("script object missing");
-        let end = start + json[start..].find('}').unwrap() + 1;
-        format!("{}{}", &json[..start], &json[end..])
-    }
-
-    let app = App::builder("json-parity")
-        .html("<div id='box'>x</div>")
-        .script(
-            "addEventListener(getElementById('box'), 'click', function(e) { \
-               setStyle(getElementById('box'), 'width', 3 * 7 + 1); markDirty(); });",
-        )
-        .build();
-    let trace = Trace::builder().click_id(50.0, "box").end_ms(500.0).build();
-    let run_on = |backend: ScriptBackend| {
-        let mut browser = Browser::with_backend(
-            &app,
-            GovernorScheduler::new(greenweb_acmp::PerfGovernor),
-            backend,
-        )
-        .unwrap();
-        let report = browser.run(&trace).unwrap();
-        RunMetrics::compute(&report, &HashMap::new()).render_json()
-    };
-    let vm = run_on(ScriptBackend::Vm);
-    let tree = run_on(ScriptBackend::Tree);
-
-    assert_ne!(vm, tree, "script counters failed to identify the backend");
-    assert_eq!(
-        strip_script(&vm),
-        strip_script(&tree),
-        "backends diverged outside the script counters"
-    );
 }
 
 /// Engine-level differential oracle: on randomly composed handler
@@ -681,7 +591,7 @@ fn script_backends_agree_on_observable_callback_effects() {
                 .unwrap();
                 browser.run(&trace).unwrap()
             };
-            let vm = run_on(ScriptBackend::Vm);
+            let vm = run_on(ScriptBackend::Auto);
             let tree = run_on(ScriptBackend::Tree);
             assert_eq!(vm.frames, tree.frames, "frames diverged\nbody: {body}");
             assert_eq!(vm.inputs, tree.inputs, "inputs diverged\nbody: {body}");
@@ -732,20 +642,19 @@ fn script_backends_trip_the_same_op_limit() {
         }
     };
     assert_eq!(
-        trip(ScriptBackend::Vm),
+        trip(ScriptBackend::Auto),
         trip(ScriptBackend::Tree),
         "backends reported different op-limit trips"
     );
 }
 
 // ---------------------------------------------------------------------------
-// Incremental rendering: layout cache + retained display list (§6k)
+// Oracle pins: one parity table over the bundled workloads
 // ---------------------------------------------------------------------------
 
 /// Strips one flat trailing counter object (`,"name":{…}`) from a
-/// metrics JSON rendering — the in-process double of the CI parity
-/// gates' `sed 's/,"name":{[^}]*}//'`. The objects are flat (no nested
-/// braces), so the first `}` closes them.
+/// metrics JSON rendering. The objects are flat (no nested braces), so
+/// the first `}` closes them.
 fn strip_counter_object(json: &str, name: &str) -> String {
     let needle = format!(",\"{name}\":{{");
     let start = json
@@ -754,6 +663,197 @@ fn strip_counter_object(json: &str, name: &str) -> String {
     let end = start + json[start..].find('}').unwrap() + 1;
     format!("{}{}", &json[..start], &json[end..])
 }
+
+/// The typed per-run pin a parity row flips between the production
+/// path and its oracle.
+#[derive(Debug, Clone, Copy)]
+enum Pin {
+    /// Summary-gated invalidation ([`Browser::set_effect_gate_enabled`]).
+    EffectGate,
+    /// The computed-style cache ([`Browser::set_style_cache_enabled`]).
+    StyleCache,
+    /// Bytecode VM vs tree-walking interpreter ([`ScriptBackend`]).
+    ScriptBackend,
+    /// Incremental rendering vs naive full relayout
+    /// ([`Browser::set_paint_incremental`]).
+    PaintMode,
+}
+
+/// One row of the parity table: running each subject with `pin` on the
+/// production path and on the oracle must give the same report and the
+/// same metrics JSON once the `strip` counter objects are removed, and
+/// `engaged` must be non-zero on the production path and zero on the
+/// oracle, so the row cannot pass because both sides ran one path.
+struct ParityRow {
+    pin: Pin,
+    /// Bundled workload names (full trace) or fixture names
+    /// ([`parity_fixture`]).
+    subjects: &'static [&'static str],
+    strip: &'static [&'static str],
+    engaged: fn(&SimReport) -> u64,
+}
+
+const PARITY_ROWS: [ParityRow; 4] = [
+    ParityRow {
+        pin: Pin::EffectGate,
+        subjects: &["Todo", "BBC"],
+        strip: &["style"],
+        engaged: |r| r.style.cache_invalidations_avoided,
+    },
+    ParityRow {
+        pin: Pin::StyleCache,
+        subjects: &["Cnet", "cache-fixture"],
+        strip: &["style"],
+        engaged: |r| r.style.cache_hits,
+    },
+    ParityRow {
+        pin: Pin::ScriptBackend,
+        subjects: &["Todo", "Paper.js", "script-fixture"],
+        strip: &["script"],
+        engaged: |r| r.script.dispatches,
+    },
+    ParityRow {
+        pin: Pin::PaintMode,
+        subjects: &["Todo", "Cnet", "paint-fixture"],
+        strip: &["style", "layout", "paint"],
+        engaged: |r| r.layout.subtree_reuses,
+    },
+];
+
+/// A small app and trace built to exercise one pin.
+fn parity_fixture(name: &str) -> (App, Trace) {
+    match name {
+        // Two writes per click: the invalidation pass runs before
+        // animation arming, so the second arm's resolve of the same node
+        // is the cache's hit path.
+        "cache-fixture" => (
+            App::builder(name)
+                .html("<div id='box'><p class='inner'>x</p></div>")
+                .css(
+                    "#box { width: 10px; transition: width 100ms linear; } \
+                     .inner { margin: 2px; }",
+                )
+                .script(
+                    "addEventListener(getElementById('box'), 'click', function(e) { \
+                       setStyle(getElementById('box'), 'width', 200); \
+                       setStyle(getElementById('box'), 'height', 50); markDirty(); });",
+                )
+                .build(),
+            Trace::builder()
+                .click_id(50.0, "box")
+                .click_id(300.0, "box")
+                .end_ms(800.0)
+                .build(),
+        ),
+        "script-fixture" => (
+            App::builder(name)
+                .html("<div id='box'>x</div>")
+                .script(
+                    "addEventListener(getElementById('box'), 'click', function(e) { \
+                       setStyle(getElementById('box'), 'width', 3 * 7 + 1); markDirty(); });",
+                )
+                .build(),
+            Trace::builder().click_id(50.0, "box").end_ms(500.0).build(),
+        ),
+        "paint-fixture" => (
+            App::builder(name)
+                .html("<div id='box'><p>a</p><p>b</p></div>")
+                .css("p { height: 12px; }")
+                .script(
+                    "addEventListener(getElementById('box'), 'click', function(e) { \
+                       setStyle(getElementById('box'), 'width', 150); markDirty(); });",
+                )
+                .build(),
+            Trace::builder()
+                .click_id(50.0, "box")
+                .click_id(300.0, "box")
+                .end_ms(700.0)
+                .build(),
+        ),
+        _ => panic!("unknown parity subject {name:?}"),
+    }
+}
+
+/// Runs `app` over `trace` the way `evaluate metrics` does — GreenWeb-I,
+/// inferred effect summaries attached, metrics judged against the
+/// trace's expectations — with `pin` on the production path or on its
+/// oracle. Returns the report and its metrics JSON.
+fn parity_run(app: &App, trace: &Trace, pin: Pin, production: bool) -> (SimReport, String) {
+    let scenario = Scenario::Imperceptible;
+    let backend = match pin {
+        Pin::ScriptBackend if !production => ScriptBackend::Tree,
+        _ => ScriptBackend::default(),
+    };
+    let mut browser =
+        Browser::with_backend(app, Policy::GreenWeb(scenario).build(), backend).unwrap();
+    match pin {
+        Pin::EffectGate => browser.set_effect_gate_enabled(production),
+        Pin::StyleCache => browser.set_style_cache_enabled(production),
+        Pin::PaintMode => browser.set_paint_incremental(production),
+        Pin::ScriptBackend => {}
+    }
+    let report = browser.run(trace).unwrap();
+    let json = RunMetrics::compute(&report, &expectations(app, trace, scenario)).render_json();
+    (report, json)
+}
+
+/// Every oracle pin is invisible outside its own counters: for each
+/// row, each subject's report (energy, frames, inputs, residency,
+/// switches, busy and total time, containment checks) and metrics JSON
+/// minus the row's counter objects are identical with the pin on the
+/// production path and on the oracle; the row's counter shows that the
+/// production path actually engaged; and the containment ledger stays
+/// empty on both sides.
+#[test]
+fn oracle_pins_leave_metrics_unchanged() {
+    for row in &PARITY_ROWS {
+        for &name in row.subjects {
+            let (mut app, trace) = match greenweb_workloads::by_name(name) {
+                Some(w) => (w.app, w.full),
+                None => parity_fixture(name),
+            };
+            app.effect_summaries = greenweb_analyze::infer_effect_summaries(&app);
+            let (on, on_json) = parity_run(&app, &trace, row.pin, true);
+            let (off, off_json) = parity_run(&app, &trace, row.pin, false);
+            let at = format!("{:?} on {name}", row.pin);
+            for (side, report) in [("production", &on), ("oracle", &off)] {
+                assert!(
+                    report.effect_violations.is_empty(),
+                    "{at} ({side}): containment violations {:#?}",
+                    report.effect_violations
+                );
+            }
+            assert!(
+                (row.engaged)(&on) > 0,
+                "{at}: production path never engaged"
+            );
+            assert_eq!((row.engaged)(&off), 0, "{at}: oracle engaged the fast path");
+            assert_eq!(on.energy, off.energy, "{at}: energy diverged");
+            assert_eq!(on.frames, off.frames, "{at}: frames diverged");
+            assert_eq!(on.inputs, off.inputs, "{at}: inputs diverged");
+            assert_eq!(on.residency, off.residency, "{at}: residency diverged");
+            assert_eq!(on.switches, off.switches, "{at}: switches diverged");
+            assert_eq!(on.busy_time, off.busy_time, "{at}: busy time diverged");
+            assert_eq!(on.total_time, off.total_time, "{at}: total time diverged");
+            assert_eq!(on.effect_checks, off.effect_checks, "{at}: checks diverged");
+            let strip = |json: &str| {
+                row.strip.iter().fold(json.to_string(), |json, object| {
+                    strip_counter_object(&json, object)
+                })
+            };
+            assert_eq!(
+                strip(&on_json),
+                strip(&off_json),
+                "{at}: metrics diverged outside {:?}",
+                row.strip
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental rendering: layout cache + retained display list (§6k)
+// ---------------------------------------------------------------------------
 
 /// The incremental render pipeline is invisible to behavior: a full
 /// engine run with the layout cache and retained display list disabled
@@ -840,59 +940,12 @@ fn incremental_rendering_does_not_change_run_results() {
     );
 }
 
-/// The paint-incr parity gate's contract, in-process: the deterministic
-/// metrics JSON of an incremental run and a naive-oracle run are
-/// byte-identical once the `"style"`, `"layout"`, and `"paint"`
-/// counter objects are stripped — and those counters do distinguish
-/// the two renderings. (Style counters differ too because reused
-/// subtrees skip style resolution entirely.)
-#[test]
-fn paint_mode_metrics_json_identical_modulo_render_counters() {
-    use greenweb::metrics::RunMetrics;
-    use greenweb_engine::{App, Browser, GovernorScheduler, Trace};
-    use std::collections::HashMap;
-
-    let app = App::builder("paint-json-parity")
-        .html("<div id='box'><p>a</p><p>b</p></div>")
-        .css("p { height: 12px; }")
-        .script(
-            "addEventListener(getElementById('box'), 'click', function(e) { \
-               setStyle(getElementById('box'), 'width', 150); markDirty(); });",
-        )
-        .build();
-    let trace = Trace::builder()
-        .click_id(50.0, "box")
-        .click_id(300.0, "box")
-        .end_ms(700.0)
-        .build();
-    let run_mode = |enabled: bool| {
-        let mut browser =
-            Browser::new(&app, GovernorScheduler::new(greenweb_acmp::PerfGovernor)).unwrap();
-        browser.set_paint_incremental(enabled);
-        let report = browser.run(&trace).unwrap();
-        RunMetrics::compute(&report, &HashMap::new()).render_json()
-    };
-    let on = run_mode(true);
-    let off = run_mode(false);
-
-    assert_ne!(on, off, "render counters failed to identify the mode");
-    let strip = |json: &str| {
-        let json = strip_counter_object(json, "style");
-        let json = strip_counter_object(&json, "layout");
-        strip_counter_object(&json, "paint")
-    };
-    assert_eq!(
-        strip(&on),
-        strip(&off),
-        "modes diverged outside the style/layout/paint counters"
-    );
-}
-
 /// The tentpole's correctness contract, engine-level: on random
 /// documents × random stylesheets × random mutation sequences (DOM
 /// writes, inline-style writes, class flips, text replacement,
-/// transition-driven animation, rAF chains, and canvas-style
-/// work-only frames), the incremental pipeline and the naive
+/// transition-driven animation, rAF chains, canvas-style work-only
+/// frames, and structural appends, removals, and identity swaps), the
+/// incremental pipeline and the naive
 /// full-relayout oracle agree on everything observable: frame records,
 /// input metadata, energy, final geometry, the final display list, and
 /// the metrics JSON modulo the style/layout/paint counter objects.
@@ -902,7 +955,7 @@ fn rendering_modes_agree_on_random_documents_and_mutations() {
     use greenweb_engine::{App, Browser, GovernorScheduler, Trace};
     use std::collections::HashMap;
 
-    const MUTATIONS: [&str; 8] = [
+    const MUTATIONS: [&str; 11] = [
         "setStyle(getElementById('hub'), 'width', n * 10 + 40);",
         "setStyle(getElementById('hub'), 'height', 30 + n);",
         "if (n > 1) { setAttribute(getElementById('hub'), 'class', 'hot'); } \
@@ -913,6 +966,16 @@ fn rendering_modes_agree_on_random_documents_and_mutations() {
         "setStyle(getElementById('hub'), 'margin', 3);",
         "requestAnimationFrame(function(t) { \
            setStyle(getElementById('hub'), 'height', 9); markDirty(); });",
+        // Structural edits: an append, an append/remove toggle, and a
+        // swap of a fresh element for a content-identical one.
+        "appendChild(getElementById('hub'), createElement('p'));",
+        "var k = getElementById('kid'); \
+         if (k) { removeChild(k); } \
+         else { k = createElement('p'); setAttribute(k, 'id', 'kid'); \
+           appendChild(getElementById('hub'), k); }",
+        "var old = getElementById('swap'); if (old) { removeChild(old); } \
+         var s = createElement('span'); setAttribute(s, 'id', 'swap'); \
+         appendChild(getElementById('hub'), s);",
     ];
     check(
         "rendering_modes_agree_on_random_documents_and_mutations",
