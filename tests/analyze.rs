@@ -177,6 +177,21 @@ fn lint_json_matches_committed_goldens() {
 // Effect-summary soundness: the dynamic ⊆ static gate on real workloads.
 // ---------------------------------------------------------------------------
 
+/// Every observable field of a report except the style-system counters,
+/// which summary-gated invalidation is allowed (indeed expected) to move.
+fn observable_digest(r: &greenweb_engine::SimReport) -> String {
+    let mut residency: Vec<String> = r
+        .residency
+        .iter()
+        .map(|(config, time)| format!("{config:?}={time:?}"))
+        .collect();
+    residency.sort();
+    format!(
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{residency:?}",
+        r.energy, r.frames, r.inputs, r.switches, r.busy_time, r.total_time
+    )
+}
+
 /// The fleet-wide soundness gate in miniature: on every bundled
 /// workload's full trace under GreenWeb-I, each dynamically observed
 /// callback effect is admitted by its handler's static summary, and the
@@ -224,6 +239,38 @@ fn poisoned_summaries_are_caught_by_the_containment_ledger() {
     assert!(
         !report.effect_violations.is_empty(),
         "pure-poisoned summaries went undetected — the violation detector is dead"
+    );
+}
+
+/// Summary-gated invalidation is an invisible optimization: with the
+/// gate on, targeted subtree invalidation replaces clear-all (the
+/// avoided counter moves), yet every observable metric — energy,
+/// frames, inputs, residency, switches — is identical to the ungated
+/// run.
+#[test]
+fn effect_gate_changes_no_observable_metric() {
+    use greenweb_acmp::PerfGovernor;
+    use greenweb_engine::{Browser, GovernorScheduler};
+    let w = greenweb_workloads::by_name("Todo").expect("Todo workload");
+    let mut app = w.app.clone();
+    app.effect_summaries = greenweb_analyze::infer_effect_summaries(&app);
+    let run_with_gate = |enabled: bool| {
+        let mut browser =
+            Browser::new(&app, GovernorScheduler::new(PerfGovernor)).expect("Todo loads");
+        browser.set_effect_gate_enabled(enabled);
+        browser.run(&w.full).expect("Todo runs")
+    };
+    let gated = run_with_gate(true);
+    let ungated = run_with_gate(false);
+    assert!(
+        gated.style.cache_invalidations_avoided > 0,
+        "the clear-all → subtree downgrade never fired on Todo"
+    );
+    assert_eq!(ungated.style.cache_invalidations_avoided, 0);
+    assert_eq!(
+        observable_digest(&gated),
+        observable_digest(&ungated),
+        "summary-gated invalidation changed an observable metric"
     );
 }
 

@@ -666,7 +666,7 @@ fn strip_counter_object(json: &str, name: &str) -> String {
 
 /// The typed per-run pin a parity row flips between the production
 /// path and its oracle.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Pin {
     /// Summary-gated invalidation ([`Browser::set_effect_gate_enabled`]).
     EffectGate,
@@ -679,16 +679,15 @@ enum Pin {
     PaintMode,
 }
 
-/// One row of the parity table: running each subject with `pin` on the
+/// One row of the parity table: running each workload with `pin` on the
 /// production path and on the oracle must give the same report and the
 /// same metrics JSON once the `strip` counter objects are removed, and
 /// `engaged` must be non-zero on the production path and zero on the
 /// oracle, so the row cannot pass because both sides ran one path.
 struct ParityRow {
     pin: Pin,
-    /// Bundled workload names (full trace) or fixture names
-    /// ([`parity_fixture`]).
-    subjects: &'static [&'static str],
+    /// Bundled workload names, run on their full traces.
+    workloads: &'static [&'static str],
     strip: &'static [&'static str],
     engaged: fn(&SimReport) -> u64,
 }
@@ -696,29 +695,34 @@ struct ParityRow {
 const PARITY_ROWS: [ParityRow; 4] = [
     ParityRow {
         pin: Pin::EffectGate,
-        subjects: &["Todo", "BBC"],
+        workloads: &["Todo", "BBC"],
         strip: &["style"],
         engaged: |r| r.style.cache_invalidations_avoided,
     },
     ParityRow {
         pin: Pin::StyleCache,
-        subjects: &["Cnet", "cache-fixture"],
+        workloads: &["Cnet"],
         strip: &["style"],
         engaged: |r| r.style.cache_hits,
     },
     ParityRow {
         pin: Pin::ScriptBackend,
-        subjects: &["Todo", "Paper.js", "script-fixture"],
+        workloads: &["Todo", "Paper.js"],
         strip: &["script"],
         engaged: |r| r.script.dispatches,
     },
     ParityRow {
         pin: Pin::PaintMode,
-        subjects: &["Todo", "Cnet", "paint-fixture"],
+        workloads: &["Todo", "Cnet"],
         strip: &["style", "layout", "paint"],
         engaged: |r| r.layout.subtree_reuses,
     },
 ];
+
+/// The parity row that flips `pin`.
+fn parity_row(pin: Pin) -> &'static ParityRow {
+    PARITY_ROWS.iter().find(|row| row.pin == pin).unwrap()
+}
 
 /// A small app and trace built to exercise one pin.
 fn parity_fixture(name: &str) -> (App, Trace) {
@@ -770,7 +774,7 @@ fn parity_fixture(name: &str) -> (App, Trace) {
                 .end_ms(700.0)
                 .build(),
         ),
-        _ => panic!("unknown parity subject {name:?}"),
+        _ => panic!("unknown parity fixture {name:?}"),
     }
 }
 
@@ -797,58 +801,86 @@ fn parity_run(app: &App, trace: &Trace, pin: Pin, production: bool) -> (SimRepor
     (report, json)
 }
 
-/// Every oracle pin is invisible outside its own counters: for each
-/// row, each subject's report (energy, frames, inputs, residency,
-/// switches, busy and total time, containment checks) and metrics JSON
-/// minus the row's counter objects are identical with the pin on the
-/// production path and on the oracle; the row's counter shows that the
-/// production path actually engaged; and the containment ledger stays
-/// empty on both sides.
+/// Checks one `row` on one subject — a bundled workload's full trace,
+/// or else a [`parity_fixture`]: the report (energy, frames, inputs,
+/// residency, switches, busy and total time, containment checks) and
+/// metrics JSON minus the row's counter objects are identical with the
+/// pin on the production path and on the oracle; the row's counter
+/// shows that the production path actually engaged; and the
+/// containment ledger stays empty on both sides.
+fn assert_parity(row: &ParityRow, name: &str) {
+    let (mut app, trace) = match greenweb_workloads::by_name(name) {
+        Some(w) => (w.app, w.full),
+        None => parity_fixture(name),
+    };
+    app.effect_summaries = greenweb_analyze::infer_effect_summaries(&app);
+    let (on, on_json) = parity_run(&app, &trace, row.pin, true);
+    let (off, off_json) = parity_run(&app, &trace, row.pin, false);
+    let at = format!("{:?} on {name}", row.pin);
+    for (side, report) in [("production", &on), ("oracle", &off)] {
+        assert!(
+            report.effect_violations.is_empty(),
+            "{at} ({side}): containment violations {:#?}",
+            report.effect_violations
+        );
+    }
+    assert!(
+        (row.engaged)(&on) > 0,
+        "{at}: production path never engaged"
+    );
+    assert_eq!((row.engaged)(&off), 0, "{at}: oracle engaged the fast path");
+    assert_eq!(on.energy, off.energy, "{at}: energy diverged");
+    assert_eq!(on.frames, off.frames, "{at}: frames diverged");
+    assert_eq!(on.inputs, off.inputs, "{at}: inputs diverged");
+    assert_eq!(on.residency, off.residency, "{at}: residency diverged");
+    assert_eq!(on.switches, off.switches, "{at}: switches diverged");
+    assert_eq!(on.busy_time, off.busy_time, "{at}: busy time diverged");
+    assert_eq!(on.total_time, off.total_time, "{at}: total time diverged");
+    assert_eq!(on.effect_checks, off.effect_checks, "{at}: checks diverged");
+    let strip = |json: &str| {
+        row.strip.iter().fold(json.to_string(), |json, object| {
+            strip_counter_object(&json, object)
+        })
+    };
+    assert_eq!(
+        strip(&on_json),
+        strip(&off_json),
+        "{at}: metrics diverged outside {:?}",
+        row.strip
+    );
+}
+
+/// Every oracle pin is invisible outside its own counters on the
+/// bundled workloads: [`assert_parity`] holds for every row of
+/// [`PARITY_ROWS`] on each of its workloads.
 #[test]
 fn oracle_pins_leave_metrics_unchanged() {
     for row in &PARITY_ROWS {
-        for &name in row.subjects {
-            let (mut app, trace) = match greenweb_workloads::by_name(name) {
-                Some(w) => (w.app, w.full),
-                None => parity_fixture(name),
-            };
-            app.effect_summaries = greenweb_analyze::infer_effect_summaries(&app);
-            let (on, on_json) = parity_run(&app, &trace, row.pin, true);
-            let (off, off_json) = parity_run(&app, &trace, row.pin, false);
-            let at = format!("{:?} on {name}", row.pin);
-            for (side, report) in [("production", &on), ("oracle", &off)] {
-                assert!(
-                    report.effect_violations.is_empty(),
-                    "{at} ({side}): containment violations {:#?}",
-                    report.effect_violations
-                );
-            }
-            assert!(
-                (row.engaged)(&on) > 0,
-                "{at}: production path never engaged"
-            );
-            assert_eq!((row.engaged)(&off), 0, "{at}: oracle engaged the fast path");
-            assert_eq!(on.energy, off.energy, "{at}: energy diverged");
-            assert_eq!(on.frames, off.frames, "{at}: frames diverged");
-            assert_eq!(on.inputs, off.inputs, "{at}: inputs diverged");
-            assert_eq!(on.residency, off.residency, "{at}: residency diverged");
-            assert_eq!(on.switches, off.switches, "{at}: switches diverged");
-            assert_eq!(on.busy_time, off.busy_time, "{at}: busy time diverged");
-            assert_eq!(on.total_time, off.total_time, "{at}: total time diverged");
-            assert_eq!(on.effect_checks, off.effect_checks, "{at}: checks diverged");
-            let strip = |json: &str| {
-                row.strip.iter().fold(json.to_string(), |json, object| {
-                    strip_counter_object(&json, object)
-                })
-            };
-            assert_eq!(
-                strip(&on_json),
-                strip(&off_json),
-                "{at}: metrics diverged outside {:?}",
-                row.strip
-            );
+        for &name in row.workloads {
+            assert_parity(row, name);
         }
     }
+}
+
+/// The computed-style cache is invisible to behavior on a fixture built
+/// to hit it: only the `style` counters may differ.
+#[test]
+fn style_cache_does_not_change_run_results() {
+    assert_parity(parity_row(Pin::StyleCache), "cache-fixture");
+}
+
+/// The script backend is invisible in the metrics JSON of a small
+/// fixture: only the `script` counters may differ.
+#[test]
+fn script_backend_metrics_json_identical_modulo_script_counters() {
+    assert_parity(parity_row(Pin::ScriptBackend), "script-fixture");
+}
+
+/// The rendering mode is invisible in the metrics JSON of a small
+/// fixture: only the `style`, `layout` and `paint` counters may differ.
+#[test]
+fn paint_mode_metrics_json_identical_modulo_render_counters() {
+    assert_parity(parity_row(Pin::PaintMode), "paint-fixture");
 }
 
 // ---------------------------------------------------------------------------
