@@ -8,6 +8,7 @@
 //! That keeps diagnostics clickable without threading spans through
 //! every parser in the workspace.
 
+use greenweb_trace::json::Obj;
 use std::fmt;
 
 /// Diagnostic severity, ordered most severe first.
@@ -292,39 +293,15 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes one diagnostic as a JSON object (stable field order).
-pub fn diagnostic_json(d: &Diagnostic) -> String {
-    let line = match d.location.line {
-        Some(line) => line.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"code\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"area\":\"{}\",\"line\":{},\"context\":\"{}\",\"message\":\"{}\"}}",
-        d.code.code(),
-        d.code.name(),
-        d.severity,
-        d.location.area,
-        line,
-        json_escape(&d.location.context),
-        json_escape(&d.message),
-    )
+/// Writes one diagnostic's members (stable field order).
+pub(crate) fn write_diagnostic(o: &mut Obj<'_>, d: &Diagnostic) {
+    o.field("code", d.code.code())
+        .field("name", d.code.name())
+        .field("severity", format_args!("{}", d.severity))
+        .field("area", format_args!("{}", d.location.area))
+        .field("line", d.location.line)
+        .field("context", &d.location.context)
+        .field("message", &d.message);
 }
 
 #[cfg(test)]
@@ -383,12 +360,8 @@ mod tests {
             d.render(),
             "warn[GW012] css:2: selector matches no element [#ghost:QoS]"
         );
-        assert!(diagnostic_json(&d).contains("\"line\":2"));
-    }
-
-    #[test]
-    fn json_escape_handles_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let mut json = String::new();
+        greenweb_trace::json::object(&mut json, |o| write_diagnostic(o, &d));
+        assert!(json.contains("\"line\":2"));
     }
 }

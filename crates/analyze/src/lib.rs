@@ -39,8 +39,9 @@ pub mod effects;
 pub mod passes;
 
 pub use cost::{CostAnalyzer, HandlerCost};
-pub use diag::{diagnostic_json, json_escape, Area, Diagnostic, LintCode, Location, Severity};
+pub use diag::{Area, Diagnostic, LintCode, Location, Severity};
 pub use effects::EffectAnalyzer;
+pub use greenweb_trace::json::json_escape;
 pub use passes::{describe_element, FeasibilityFinding, ListenerInfo};
 
 use greenweb::lang::AnnotationTable;
@@ -53,6 +54,7 @@ use greenweb_engine::{
 };
 use greenweb_script::compiler::CompiledProgram;
 use greenweb_script::{compile, parse_program, Program};
+use greenweb_trace::json::{self, Fixed};
 use std::collections::BTreeMap;
 
 /// One setup script, parsed and compiled at most once. Both bytecode
@@ -138,52 +140,45 @@ impl AnalysisReport {
     /// Renders the deterministic JSON form (stable field order, sorted
     /// diagnostics; byte-identical across runs on the same app).
     pub fn render_json(&self) -> String {
-        let diags: Vec<String> = self.diagnostics.iter().map(diagnostic_json).collect();
-        let unsat: Vec<String> = self
-            .unsatisfiable
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"element\":\"{}\",\"node_id\":{},\"event\":\"{}\",\"qos_type\":\"{}\",\
-                     \"bound_ms\":{:.3},\"imperceptible_ms\":{:.3},\"usable_ms\":{:.3}}}",
-                    json_escape(&f.element),
-                    match &f.node_id {
-                        Some(id) => format!("\"{}\"", json_escape(id)),
-                        None => "null".to_string(),
-                    },
-                    f.event,
-                    f.qos_type,
-                    f.bound_ms,
-                    f.imperceptible_ms,
-                    f.usable_ms,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"app\":\"{}\",\"summary\":{{\"error\":{},\"warn\":{},\"note\":{}}},\
-             \"diagnostics\":[{}],\"unsatisfiable\":[{}]}}",
-            json_escape(&self.app_name),
-            self.count(Severity::Error),
-            self.count(Severity::Warn),
-            self.count(Severity::Note),
-            diags.join(","),
-            unsat.join(","),
-        )
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.field("app", &self.app_name)
+                .obj("summary", |s| {
+                    s.field("error", self.count(Severity::Error))
+                        .field("warn", self.count(Severity::Warn))
+                        .field("note", self.count(Severity::Note));
+                })
+                .arr("diagnostics", |a| {
+                    for d in &self.diagnostics {
+                        a.obj(|o| diag::write_diagnostic(o, d));
+                    }
+                })
+                .arr("unsatisfiable", |a| {
+                    for f in &self.unsatisfiable {
+                        a.obj(|o| {
+                            o.field("element", &f.element)
+                                .field("node_id", &f.node_id)
+                                .field("event", format_args!("{}", f.event))
+                                .field("qos_type", format_args!("{}", f.qos_type))
+                                .field("bound_ms", Fixed(f.bound_ms, 3))
+                                .field("imperceptible_ms", Fixed(f.imperceptible_ms, 3))
+                                .field("usable_ms", Fixed(f.usable_ms, 3));
+                        });
+                    }
+                });
+        });
+        out
     }
 
     /// Renders the inferred effect-summary table as deterministic JSON
     /// (already in `(node, event, index)` order).
     pub fn render_effects_json(&self) -> String {
-        let handlers: Vec<String> = self
-            .effect_summaries
-            .iter()
-            .map(HandlerSummary::render_json)
-            .collect();
-        format!(
-            "{{\"app\":\"{}\",\"handlers\":[{}]}}",
-            json_escape(&self.app_name),
-            handlers.join(","),
-        )
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.field("app", &self.app_name)
+                .field("handlers", self.effect_summaries.as_slice());
+        });
+        out
     }
 }
 

@@ -566,65 +566,37 @@ fn bench_report(jobs: Jobs) {
     assert!(identical, "serial and parallel suites diverged");
     // Per-phase pipeline totals from one traced run per workload:
     // simulated-time span durations, so these are deterministic (unlike
-    // the wall-clock numbers above). "script" is the callback stage.
-    // Every workload gets its own breakdown plus a labeled aggregate —
-    // a suite-wide number used to hide per-app regressions behind
-    // Paper.js, the only app the old report covered.
-    let mut per_workload = Vec::with_capacity(workloads.len());
-    let mut aggregate = [0.0f64; 4];
-    for w in &workloads {
-        let profiled = profile::profile(
-            w,
-            &Policy::GreenWeb(Scenario::Imperceptible),
-            Scenario::Imperceptible,
-        )
-        .expect("traced run");
-        let registry = greenweb_trace::MetricsRegistry::from_trace(&profiled.buffer);
-        let stage_total_ms = |kind: greenweb_trace::SpanKind| {
-            registry
-                .histogram(&format!("stage.{}", kind.name()))
-                .map_or(0.0, |h| h.mean() * h.count() as f64)
-        };
-        let phases = [
-            stage_total_ms(greenweb_trace::SpanKind::Style),
-            stage_total_ms(greenweb_trace::SpanKind::Layout),
-            stage_total_ms(greenweb_trace::SpanKind::Paint),
-            stage_total_ms(greenweb_trace::SpanKind::Callback),
-        ];
-        for (total, phase) in aggregate.iter_mut().zip(&phases) {
-            *total += phase;
-        }
-        per_workload.push(phase_entry(w.name, &phases));
-    }
-    let json = format!(
-        "{{\"suite\":\"micro\",\"cells\":{},\"hardware_parallelism\":{},\"jobs\":{},\
-         \"serial_s\":{serial_s:.3},\"parallel_s\":{parallel_s:.3},\"speedup\":{:.2},\
-         \"identical\":{identical},\
-         \"phases_ms\":[{}],\
-         \"phases_ms_aggregate\":{}}}\n",
-        workloads.len() * 4,
-        Jobs::auto(),
-        jobs,
-        serial_s / parallel_s.max(1e-9),
-        per_workload.join(","),
-        phase_entry("aggregate", &aggregate),
-    );
-    std::fs::write("BENCH_evaluate.json", &json).expect("write BENCH_evaluate.json");
+    // the wall-clock numbers above). Every workload gets its own
+    // breakdown plus a labeled aggregate — a suite-wide number used to
+    // hide per-app regressions behind Paper.js, the only app the old
+    // report covered.
+    let phases_ms = workloads
+        .iter()
+        .map(|w| {
+            let profiled = profile::profile(
+                w,
+                &Policy::GreenWeb(Scenario::Imperceptible),
+                Scenario::Imperceptible,
+            )
+            .expect("traced run");
+            (w.name, profile::phase_totals_ms(&profiled))
+        })
+        .collect();
+    let report = profile::MicroBench {
+        cells: workloads.len() * 4,
+        hardware_parallelism: Jobs::auto().count(),
+        jobs: jobs.count(),
+        serial_s,
+        parallel_s,
+        identical,
+        phases_ms,
+    };
+    std::fs::write("BENCH_evaluate.json", report.render_json()).expect("write BENCH_evaluate.json");
     println!(
         "serial {serial_s:.3}s, {jobs} worker(s) {parallel_s:.3}s, speedup {:.2}x \
          (results bit-identical); wrote BENCH_evaluate.json",
-        serial_s / parallel_s.max(1e-9)
+        report.speedup()
     );
-}
-
-/// One `phases_ms` object for `BENCH_evaluate.json`: a workload label
-/// plus its style/layout/paint/script totals in simulated milliseconds.
-fn phase_entry(label: &str, phases: &[f64; 4]) -> String {
-    format!(
-        "{{\"workload\":\"{label}\",\"style\":{:.3},\"layout\":{:.3},\
-         \"paint\":{:.3},\"script\":{:.3}}}",
-        phases[0], phases[1], phases[2], phases[3],
-    )
 }
 
 /// Runs the style microbenchmark suite, asserts the counter-based

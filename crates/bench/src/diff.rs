@@ -11,7 +11,7 @@
 //! human-readable difference lines, so the gate's failure mode is a
 //! diagnosis, not a boolean.
 
-use greenweb_workloads::sweep::json::JsonValue;
+use greenweb_trace::json::JsonValue;
 
 /// How [`diff_json`] compares two documents.
 #[derive(Debug, Clone)]
@@ -39,7 +39,7 @@ impl Default for DiffOptions {
 /// # Errors
 ///
 /// Returns a parse-error description when either document is not the
-/// JSON subset the sweep reader understands.
+/// JSON subset the workspace reader ([`JsonValue`]) understands.
 pub fn diff_json(old: &str, new: &str, options: &DiffOptions) -> Result<Vec<String>, String> {
     let old = JsonValue::parse(old.trim()).map_err(|e| format!("old document: {e}"))?;
     let new = JsonValue::parse(new.trim()).map_err(|e| format!("new document: {e}"))?;

@@ -10,7 +10,8 @@
 //! * [`ablation`] — design-choice ablations (feedback loop, UAI budget,
 //!   baseline governors, big-only vs. ACMP);
 //! * [`profile`] — traced runs: per-stage latency percentiles, a text
-//!   flamegraph, and Perfetto-loadable Chrome trace-event export;
+//!   flamegraph, Perfetto-loadable Chrome trace-event export, and the
+//!   `BENCH_evaluate.json` report;
 //! * [`diff`] — tolerance-aware JSON comparison behind `evaluate diff`,
 //!   the CI regression gate over `BENCH_evaluate.json`;
 //! * [`stylebench`] — the style microbenchmark suite: naive full-scan vs

@@ -24,6 +24,7 @@
 //!   the cost model prices.
 
 use greenweb_engine::{LayoutStats, PaintStats, RunSpec, SimReport, Trace};
+use greenweb_trace::json::{self, Fixed};
 use greenweb_workloads::harness::Policy;
 use std::fmt::Write as _;
 
@@ -103,44 +104,38 @@ impl PaintBenchReport {
     /// Renders the deterministic-counter JSON (everything here is a
     /// counter; there is nothing non-deterministic to exclude).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"suite\":\"paint\",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"workload\":\"{}\",\"elements\":{},\"frames\":{},\
-                 \"naive_laid_out\":{},\"laid_out\":{},\"subtree_reuses\":{},\
-                 \"dirty_elements\":{},\"damage_items\":{},\"damage_area\":{},\
-                 \"items_reused\":{},\"full_repaints\":{},\"partial_repaints\":{}}}",
-                row.name,
-                row.elements,
-                row.layout.relayouts,
-                row.naive_layout.elements_laid_out,
-                row.layout.elements_laid_out,
-                row.layout.subtree_reuses,
-                row.layout.dirty_elements,
-                row.paint.damage_items,
-                row.paint.damage_area,
-                row.paint.items_reused,
-                row.paint.full_repaints,
-                row.paint.partial_repaints,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "],\"total\":{{\"naive_laid_out\":{},\"laid_out\":{},\
-             \"layout_ratio\":{:.2},\"subtree_reuses\":{},\"partial_repaints\":{},\
-             \"pricing_mode_independent\":{}}},\"identical\":{}}}",
-            self.total_naive_laid_out(),
-            self.total_laid_out(),
-            self.layout_ratio(),
-            self.total_subtree_reuses(),
-            self.total_partial_repaints(),
-            self.pricing_mode_independent(),
-            self.identical(),
-        );
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.field("suite", "paint")
+                .arr("rows", |a| {
+                    for row in &self.rows {
+                        a.obj(|r| {
+                            r.field("workload", &row.name)
+                                .field("elements", row.elements)
+                                .field("frames", row.layout.relayouts)
+                                .field("naive_laid_out", row.naive_layout.elements_laid_out)
+                                .field("laid_out", row.layout.elements_laid_out)
+                                .field("subtree_reuses", row.layout.subtree_reuses)
+                                .field("dirty_elements", row.layout.dirty_elements)
+                                .field("damage_items", row.paint.damage_items)
+                                .field("damage_area", row.paint.damage_area)
+                                .field("items_reused", row.paint.items_reused)
+                                .field("full_repaints", row.paint.full_repaints)
+                                .field("partial_repaints", row.paint.partial_repaints);
+                        });
+                    }
+                })
+                .obj("total", |t| {
+                    t.field("naive_laid_out", self.total_naive_laid_out())
+                        .field("laid_out", self.total_laid_out())
+                        .field("layout_ratio", Fixed(self.layout_ratio(), 2))
+                        .field("subtree_reuses", self.total_subtree_reuses())
+                        .field("partial_repaints", self.total_partial_repaints())
+                        .field("pricing_mode_independent", self.pricing_mode_independent());
+                })
+                .field("identical", self.identical());
+        });
+        out.push('\n');
         out
     }
 

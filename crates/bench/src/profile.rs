@@ -10,6 +10,7 @@
 use greenweb::metrics::RunMetrics;
 use greenweb::qos::Scenario;
 use greenweb_engine::BrowserError;
+use greenweb_trace::json::{self, Fixed, Obj};
 use greenweb_trace::{
     chrome_trace_json, flame_summary, LatencySummary, MetricsRegistry, SpanKind, TraceBuffer,
 };
@@ -126,6 +127,89 @@ pub fn export_json(profile: &Profile) -> String {
         &profile.buffer,
         &format!("{} [{}]", profile.workload, profile.policy),
     )
+}
+
+/// Per-phase pipeline totals of a traced run, in simulated
+/// milliseconds: style, layout, paint and script (the callback stage).
+/// Span durations are simulated time, so the totals are deterministic.
+pub fn phase_totals_ms(profile: &Profile) -> [f64; 4] {
+    let registry = MetricsRegistry::from_trace(&profile.buffer);
+    [
+        SpanKind::Style,
+        SpanKind::Layout,
+        SpanKind::Paint,
+        SpanKind::Callback,
+    ]
+    .map(|kind| {
+        registry
+            .histogram(&format!("stage.{}", kind.name()))
+            .map_or(0.0, |h| h.mean() * h.count() as f64)
+    })
+}
+
+/// The `BENCH_evaluate.json` report: the microbenchmark suite timed
+/// serially and on `jobs` workers (wall clock), plus each workload's
+/// [`phase_totals_ms`] and their aggregate (simulated time).
+#[derive(Debug, Clone)]
+pub struct MicroBench {
+    /// Suite cells run per pass.
+    pub cells: usize,
+    /// Worker threads the host offers.
+    pub hardware_parallelism: usize,
+    /// Workers of the parallel pass.
+    pub jobs: usize,
+    /// Wall-clock seconds of the serial pass.
+    pub serial_s: f64,
+    /// Wall-clock seconds of the parallel pass.
+    pub parallel_s: f64,
+    /// Whether both passes produced bit-identical results.
+    pub identical: bool,
+    /// `(workload, phase totals)` in workload order.
+    pub phases_ms: Vec<(&'static str, [f64; 4])>,
+}
+
+impl MicroBench {
+    /// Serial time over parallel time.
+    pub fn speedup(&self) -> f64 {
+        self.serial_s / self.parallel_s.max(1e-9)
+    }
+
+    /// Renders the report as the JSON document `evaluate diff` compares.
+    pub fn render_json(&self) -> String {
+        let phase_entry = |o: &mut Obj<'_>, label: &str, phases: &[f64; 4]| {
+            o.field("workload", label);
+            for (name, ms) in ["style", "layout", "paint", "script"].iter().zip(phases) {
+                o.field(name, Fixed(*ms, 3));
+            }
+        };
+        let mut aggregate = [0.0f64; 4];
+        for (_, phases) in &self.phases_ms {
+            for (total, phase) in aggregate.iter_mut().zip(phases) {
+                *total += phase;
+            }
+        }
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.field("suite", "micro")
+                .field("cells", self.cells)
+                .field("hardware_parallelism", self.hardware_parallelism)
+                .field("jobs", self.jobs)
+                .field("serial_s", Fixed(self.serial_s, 3))
+                .field("parallel_s", Fixed(self.parallel_s, 3))
+                .field("speedup", Fixed(self.speedup(), 2))
+                .field("identical", self.identical)
+                .arr("phases_ms", |a| {
+                    for (label, phases) in &self.phases_ms {
+                        a.obj(|o| phase_entry(o, label, phases));
+                    }
+                })
+                .obj("phases_ms_aggregate", |o| {
+                    phase_entry(o, "aggregate", &aggregate);
+                });
+        });
+        out.push('\n');
+        out
+    }
 }
 
 #[cfg(test)]

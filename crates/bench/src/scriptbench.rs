@@ -23,6 +23,7 @@
 //!   workload (the tick-parity contract, end to end).
 
 use greenweb_engine::{RunSpec, ScriptBackend, ScriptStats, SimReport, Trace};
+use greenweb_trace::json;
 use greenweb_workloads::harness::Policy;
 use std::fmt::Write as _;
 
@@ -83,41 +84,39 @@ impl ScriptBenchReport {
     /// Renders the deterministic-counter JSON (everything here is a
     /// counter; there is nothing non-deterministic to exclude).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"suite\":\"script\",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"workload\":\"{}\",\"programs\":{},\"precompiled_hits\":{},\
-                 \"compiles\":{},\"handlers\":{},\"handler_recompiles\":{},\
-                 \"callbacks\":{},\"ops\":{},\"dispatches\":{},\"fold_wins\":{},\
-                 \"micro_callbacks\":{},\"micro_compiles\":{}}}",
-                row.name,
-                row.full.programs,
-                row.full.precompiled_hits,
-                row.full.compiles,
-                row.full.handlers,
-                row.full.handler_recompiles,
-                row.full.callbacks,
-                row.full.ops,
-                row.full.dispatches,
-                row.full.fold_wins,
-                row.micro.callbacks,
-                row.micro.compiles,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "],\"total\":{{\"compiles\":{},\"handlers\":{},\"fold_wins\":{},\
-             \"compiles_event_independent\":{}}},\"identical\":{}}}",
-            self.total_compiles(),
-            self.total_handlers(),
-            self.total_fold_wins(),
-            self.compiles_event_independent(),
-            self.identical(),
-        );
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.field("suite", "script")
+                .arr("rows", |a| {
+                    for row in &self.rows {
+                        a.obj(|r| {
+                            r.field("workload", &row.name)
+                                .field("programs", row.full.programs)
+                                .field("precompiled_hits", row.full.precompiled_hits)
+                                .field("compiles", row.full.compiles)
+                                .field("handlers", row.full.handlers)
+                                .field("handler_recompiles", row.full.handler_recompiles)
+                                .field("callbacks", row.full.callbacks)
+                                .field("ops", row.full.ops)
+                                .field("dispatches", row.full.dispatches)
+                                .field("fold_wins", row.full.fold_wins)
+                                .field("micro_callbacks", row.micro.callbacks)
+                                .field("micro_compiles", row.micro.compiles);
+                        });
+                    }
+                })
+                .obj("total", |t| {
+                    t.field("compiles", self.total_compiles())
+                        .field("handlers", self.total_handlers())
+                        .field("fold_wins", self.total_fold_wins())
+                        .field(
+                            "compiles_event_independent",
+                            self.compiles_event_independent(),
+                        );
+                })
+                .field("identical", self.identical());
+        });
+        out.push('\n');
         out
     }
 

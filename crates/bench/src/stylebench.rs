@@ -27,6 +27,7 @@ use greenweb_css::stylesheet::parse_stylesheet;
 use greenweb_css::{ComputedStyle, StyleEngine};
 use greenweb_det::DetRng;
 use greenweb_dom::{parse_html, Document, NodeId};
+use greenweb_trace::json::{self, Fixed};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -84,38 +85,37 @@ impl StyleBenchReport {
     /// Renders the deterministic-counter JSON (timings included for
     /// information; all assertions are on the counters).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"suite\":\"style\",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"workload\":\"{}\",\"nodes\":{},\"rules\":{},\
-                 \"naive_matches\":{},\"matches\":{},\"bloom_rejects\":{},\
-                 \"naive_ms\":{:.3},\"match_ms\":{:.3},\"cascade_ms\":{:.3},\"inherit_ms\":{:.3}}}",
-                row.name,
-                row.nodes,
-                row.rules,
-                row.naive_matches,
-                row.matches,
-                row.bloom_rejects,
-                row.naive_ms,
-                row.match_ms,
-                row.cascade_ms,
-                row.inherit_ms,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "],\"total\":{{\"naive_matches\":{},\"matches\":{},\
-             \"bloom_rejects\":{},\"match_ratio\":{:.2}}},\"identical\":{}}}",
-            self.total_naive_matches(),
-            self.total_matches(),
-            self.rows.iter().map(|r| r.bloom_rejects).sum::<u64>(),
-            self.match_ratio(),
-            self.identical,
-        );
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.field("suite", "style")
+                .arr("rows", |a| {
+                    for row in &self.rows {
+                        a.obj(|r| {
+                            r.field("workload", &row.name)
+                                .field("nodes", row.nodes)
+                                .field("rules", row.rules)
+                                .field("naive_matches", row.naive_matches)
+                                .field("matches", row.matches)
+                                .field("bloom_rejects", row.bloom_rejects)
+                                .field("naive_ms", Fixed(row.naive_ms, 3))
+                                .field("match_ms", Fixed(row.match_ms, 3))
+                                .field("cascade_ms", Fixed(row.cascade_ms, 3))
+                                .field("inherit_ms", Fixed(row.inherit_ms, 3));
+                        });
+                    }
+                })
+                .obj("total", |t| {
+                    t.field("naive_matches", self.total_naive_matches())
+                        .field("matches", self.total_matches())
+                        .field(
+                            "bloom_rejects",
+                            self.rows.iter().map(|r| r.bloom_rejects).sum::<u64>(),
+                        )
+                        .field("match_ratio", Fixed(self.match_ratio(), 2));
+                })
+                .field("identical", self.identical);
+        });
+        out.push('\n');
         out
     }
 

@@ -11,6 +11,7 @@ use crate::qos::QosType;
 use greenweb_acmp::{Duration, SimTime};
 use greenweb_css::StyleStats;
 use greenweb_engine::{InputId, LayoutStats, PaintStats, ScriptStats, SimReport};
+use greenweb_trace::json::{self, ToJson};
 use greenweb_trace::{Histogram, LatencySummary};
 use std::collections::HashMap;
 
@@ -200,63 +201,69 @@ impl RunMetrics {
     /// the rendering mode too) and then requires the two renderings to
     /// be byte-identical.
     pub fn render_json(&self) -> String {
-        format!(
-            "{{\"energy_mj\":{},\"violation_pct\":{},\"judged_inputs\":{},\
-             \"unjudged_expected\":{},\"frames\":{},\
-             \"latency\":{{\"count\":{},\"p50_ms\":{},\"p95_ms\":{},\"p99_ms\":{},\"max_ms\":{}}},\
-             \"big_residency\":{},\"switches_per_frame\":{},\
-             \"dvfs_switches\":{},\"migrations\":{},\
-             \"style\":{{\"resolves\":{},\"matches\":{},\"bloom_rejects\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\
-             \"cache_invalidations_avoided\":{}}},\
-             \"script\":{{\"programs\":{},\"compiles\":{},\"precompiled_hits\":{},\
-             \"handlers\":{},\"handler_recompiles\":{},\"callbacks\":{},\
-             \"ops\":{},\"dispatches\":{},\"fold_wins\":{}}},\
-             \"layout\":{{\"relayouts\":{},\"elements_laid_out\":{},\
-             \"subtree_reuses\":{},\"dirty_elements\":{}}},\
-             \"paint\":{{\"full_repaints\":{},\"partial_repaints\":{},\
-             \"items_emitted\":{},\"items_reused\":{},\
-             \"damage_items\":{},\"damage_area\":{}}}}}",
-            self.energy_mj,
-            self.violation_pct,
-            self.judged_inputs,
-            self.unjudged_expected,
-            self.frames,
-            self.latency.count,
-            self.latency.p50_ms,
-            self.latency.p95_ms,
-            self.latency.p99_ms,
-            self.latency.max_ms,
-            self.big_residency,
-            self.switches_per_frame,
-            self.switches.0,
-            self.switches.1,
-            self.style.resolves,
-            self.style.matches,
-            self.style.bloom_rejects,
-            self.style.cache_hits,
-            self.style.cache_misses,
-            self.style.cache_invalidations_avoided,
-            self.script.programs,
-            self.script.compiles,
-            self.script.precompiled_hits,
-            self.script.handlers,
-            self.script.handler_recompiles,
-            self.script.callbacks,
-            self.script.ops,
-            self.script.dispatches,
-            self.script.fold_wins,
-            self.layout.relayouts,
-            self.layout.elements_laid_out,
-            self.layout.subtree_reuses,
-            self.layout.dirty_elements,
-            self.paint.full_repaints,
-            self.paint.partial_repaints,
-            self.paint.items_emitted,
-            self.paint.items_reused,
-            self.paint.damage_items,
-            self.paint.damage_area,
-        )
+        let mut out = String::with_capacity(640);
+        self.write_json(&mut out);
+        out
+    }
+}
+
+impl ToJson for RunMetrics {
+    fn write_json(&self, out: &mut String) {
+        let (style, script, layout, paint) = (&self.style, &self.script, &self.layout, &self.paint);
+        json::object(out, |o| {
+            o.field("energy_mj", self.energy_mj)
+                .field("violation_pct", self.violation_pct)
+                .field("judged_inputs", self.judged_inputs)
+                .field("unjudged_expected", self.unjudged_expected)
+                .field("frames", self.frames)
+                .obj("latency", |l| {
+                    l.field("count", self.latency.count)
+                        .field("p50_ms", self.latency.p50_ms)
+                        .field("p95_ms", self.latency.p95_ms)
+                        .field("p99_ms", self.latency.p99_ms)
+                        .field("max_ms", self.latency.max_ms);
+                })
+                .field("big_residency", self.big_residency)
+                .field("switches_per_frame", self.switches_per_frame)
+                .field("dvfs_switches", self.switches.0)
+                .field("migrations", self.switches.1)
+                .obj("style", |s| {
+                    s.field("resolves", style.resolves)
+                        .field("matches", style.matches)
+                        .field("bloom_rejects", style.bloom_rejects)
+                        .field("cache_hits", style.cache_hits)
+                        .field("cache_misses", style.cache_misses)
+                        .field(
+                            "cache_invalidations_avoided",
+                            style.cache_invalidations_avoided,
+                        );
+                })
+                .obj("script", |s| {
+                    s.field("programs", script.programs)
+                        .field("compiles", script.compiles)
+                        .field("precompiled_hits", script.precompiled_hits)
+                        .field("handlers", script.handlers)
+                        .field("handler_recompiles", script.handler_recompiles)
+                        .field("callbacks", script.callbacks)
+                        .field("ops", script.ops)
+                        .field("dispatches", script.dispatches)
+                        .field("fold_wins", script.fold_wins);
+                })
+                .obj("layout", |l| {
+                    l.field("relayouts", layout.relayouts)
+                        .field("elements_laid_out", layout.elements_laid_out)
+                        .field("subtree_reuses", layout.subtree_reuses)
+                        .field("dirty_elements", layout.dirty_elements);
+                })
+                .obj("paint", |p| {
+                    p.field("full_repaints", paint.full_repaints)
+                        .field("partial_repaints", paint.partial_repaints)
+                        .field("items_emitted", paint.items_emitted)
+                        .field("items_reused", paint.items_reused)
+                        .field("damage_items", paint.damage_items)
+                        .field("damage_area", paint.damage_area);
+                });
+        });
     }
 }
 

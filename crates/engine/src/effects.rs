@@ -24,6 +24,7 @@
 
 use crate::host::CallbackEffects;
 use greenweb_dom::{Document, EventType, NodeId};
+use greenweb_trace::json::{self, Fixed, ToJson};
 use std::collections::BTreeSet;
 
 /// Where a statically tracked attribute or inline-style write can land.
@@ -40,11 +41,11 @@ pub enum EffectTarget {
     ListenerSubtree,
 }
 
-impl EffectTarget {
-    fn render(self) -> String {
+impl ToJson for EffectTarget {
+    fn write_json(&self, out: &mut String) {
         match self {
-            EffectTarget::Node(n) => format!("\"{n}\""),
-            EffectTarget::ListenerSubtree => "\"listener-subtree\"".to_string(),
+            EffectTarget::Node(n) => format_args!("{n}").write_json(out),
+            EffectTarget::ListenerSubtree => "listener-subtree".write_json(out),
         }
     }
 }
@@ -114,13 +115,18 @@ impl TargetSet {
             }),
         }
     }
+}
 
-    fn render_json(&self) -> String {
+impl ToJson for TargetSet {
+    fn write_json(&self, out: &mut String) {
         match self {
-            TargetSet::Unknown => "\"unknown\"".to_string(),
-            TargetSet::Known(s) => {
-                let items: Vec<String> = s.iter().map(|t| t.render()).collect();
-                format!("[{}]", items.join(","))
+            TargetSet::Unknown => "unknown".write_json(out),
+            TargetSet::Known(targets) => {
+                json::array(out, |a| {
+                    for target in targets {
+                        a.item(target);
+                    }
+                });
             }
         }
     }
@@ -480,34 +486,31 @@ impl EffectSummary {
         }
         violations
     }
+}
 
+impl ToJson for EffectSummary {
     /// Deterministic JSON rendering (stable field order).
-    pub fn render_json(&self) -> String {
-        let u64_or_null = |v: Option<u64>| v.map_or("null".to_string(), |n| n.to_string());
-        let f64_or_null = |v: Option<f64>| v.map_or("null".to_string(), |n| format!("{n:.3}"));
-        format!(
-            "{{\"class\":\"{}\",\"top\":{},\"tree\":{},\"attr_targets\":{},\
-             \"style_targets\":{},\"dirty\":{},\"log\":{},\"listeners\":{},\"animate\":{},\
-             \"timers\":{},\"zero_delay_timer\":{},\"zero_delay_chain\":{},\"rafs\":{},\
-             \"rafs_min\":{},\"animates_min\":{},\"work_cycles\":{},\"gpu_ms\":{}}}",
-            self.describe(),
-            self.top,
-            self.may_mutate_tree,
-            self.attr_targets.render_json(),
-            self.style_targets.render_json(),
-            self.may_dirty,
-            self.may_log,
-            self.may_add_listener,
-            self.may_animate,
-            u64_or_null(self.timers),
-            self.zero_delay_timer,
-            self.zero_delay_chain,
-            u64_or_null(self.rafs),
-            self.rafs_min,
-            self.animates_min,
-            f64_or_null(self.work_cycles),
-            f64_or_null(self.gpu_ms),
-        )
+    fn write_json(&self, out: &mut String) {
+        let places = |v: Option<f64>| v.map(|n| Fixed(n, 3));
+        json::object(out, |o| {
+            o.field("class", self.describe())
+                .field("top", self.top)
+                .field("tree", self.may_mutate_tree)
+                .field("attr_targets", &self.attr_targets)
+                .field("style_targets", &self.style_targets)
+                .field("dirty", self.may_dirty)
+                .field("log", self.may_log)
+                .field("listeners", self.may_add_listener)
+                .field("animate", self.may_animate)
+                .field("timers", self.timers)
+                .field("zero_delay_timer", self.zero_delay_timer)
+                .field("zero_delay_chain", self.zero_delay_chain)
+                .field("rafs", self.rafs)
+                .field("rafs_min", self.rafs_min)
+                .field("animates_min", self.animates_min)
+                .field("work_cycles", places(self.work_cycles))
+                .field("gpu_ms", places(self.gpu_ms));
+        });
     }
 }
 
@@ -527,16 +530,15 @@ pub struct HandlerSummary {
     pub summary: EffectSummary,
 }
 
-impl HandlerSummary {
+impl ToJson for HandlerSummary {
     /// Deterministic JSON rendering.
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"node\":{},\"event\":\"{}\",\"index\":{},\"summary\":{}}}",
-            self.node.index(),
-            self.event,
-            self.index,
-            self.summary.render_json()
-        )
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("node", self.node.index())
+                .field("event", format_args!("{}", self.event))
+                .field("index", self.index)
+                .field("summary", &self.summary);
+        });
     }
 }
 
@@ -641,9 +643,14 @@ mod tests {
 
     #[test]
     fn json_is_deterministic_and_tagged() {
+        let render = |value: &dyn ToJson| {
+            let mut out = String::new();
+            value.write_json(&mut out);
+            out
+        };
         let s = EffectSummary::pure();
-        assert_eq!(s.render_json(), s.render_json());
-        assert!(s.render_json().contains("\"class\":\"pure\""));
+        assert_eq!(render(&s), render(&s));
+        assert!(render(&s).contains("\"class\":\"pure\""));
         let h = HandlerSummary {
             node: parse_html("<p id='p'></p>")
                 .unwrap()
@@ -653,6 +660,6 @@ mod tests {
             index: 0,
             summary: s,
         };
-        assert!(h.render_json().starts_with("{\"node\":"));
+        assert!(render(&h).starts_with("{\"node\":"));
     }
 }

@@ -19,7 +19,8 @@
 //! produce byte-identical profiles — serial vs parallel, run vs re-run.
 
 use crate::event::{EventKind, SpanKind};
-use crate::export::{open_event, push_f64, push_json_str, push_uids};
+use crate::export::{event, trace_document};
+use crate::json::{self, Obj};
 use crate::metrics::Histogram;
 use crate::recorder::TraceBuffer;
 use greenweb_acmp::{Duration, SimTime};
@@ -503,122 +504,94 @@ impl AttributionProfile {
     /// the format `evaluate diff` compares field-by-field.
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(512 + self.events.len() * 160);
-        out.push_str("{\"profile\":\"greenweb-attribution-v1\",\"total_mj\":");
-        push_f64(&mut out, self.total_mj);
-        out.push_str(",\"attributed_mj\":");
-        push_f64(&mut out, self.attributed_mj());
-        out.push_str(",\"idle_mj\":");
-        push_f64(&mut out, self.idle_mj);
-        out.push_str(",\"unattributed_mj\":");
-        push_f64(&mut out, self.unattributed_mj);
-        out.push_str(",\"phase_mj\":");
-        push_phases(&mut out, &self.phase_mj);
-        let _ = write!(
-            out,
-            ",\"switches\":{{\"dvfs\":{},\"migration\":{}}},\"misses\":{},\"dropped\":{}",
-            self.switch_dvfs,
-            self.switch_migration,
-            self.misses(),
-            self.dropped
-        );
-        out.push_str(",\"events\":[");
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"uid\":{},\"event\":", event.uid);
-            push_json_str(&mut out, &event.label);
-            out.push_str(",\"dispatch_ms\":");
-            push_f64(&mut out, event.dispatch.as_nanos() as f64 / 1e6);
-            out.push_str(",\"total_mj\":");
-            push_f64(&mut out, event.total_mj());
-            let _ = write!(
-                out,
-                ",\"ops\":{},\"frames\":{},\"phases\":",
-                event.ops, event.frames
-            );
-            push_phases(&mut out, &event.phase_mj);
-            out.push('}');
-        }
-        out.push_str("],\"callbacks\":[");
-        for (i, cb) in self.callbacks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"event\":");
-            push_json_str(&mut out, &cb.label);
-            let _ = write!(out, ",\"count\":{},\"total_ms\":", cb.count);
-            push_f64(&mut out, cb.total_ms);
-            out.push_str(",\"total_mj\":");
-            push_f64(&mut out, cb.total_mj);
-            let _ = write!(out, ",\"ops\":{}}}", cb.total_ops);
-        }
-        out.push_str("],\"selector_buckets\":[");
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"bucket\":\"{}\",\"matches\":{},\"share\":",
-                bucket.bucket, bucket.matches
-            );
-            push_f64(&mut out, bucket.share);
-            out.push('}');
-        }
-        let r = &self.render;
-        let _ = write!(
-            out,
-            "],\"render\":{{\"relayouts\":{},\"elements_laid_out\":{},\
-             \"subtree_reuses\":{},\"dirty_elements\":{},\"full_repaints\":{},\
-             \"partial_repaints\":{},\"items_emitted\":{},\"items_reused\":{},\
-             \"damage_items\":{},\"damage_area\":{}}}",
-            r.relayouts,
-            r.elements_laid_out,
-            r.subtree_reuses,
-            r.dirty_elements,
-            r.full_repaints,
-            r.partial_repaints,
-            r.items_emitted,
-            r.items_reused,
-            r.damage_items,
-            r.damage_area,
-        );
-        out.push_str(",\"forensics\":[");
-        for (i, f) in self.forensics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"uid\":{},\"seq\":{},\"event\":", f.uid, f.seq);
-            push_json_str(&mut out, &f.event);
-            out.push_str(",\"at_ms\":");
-            push_f64(&mut out, f.at.as_nanos() as f64 / 1e6);
-            out.push_str(",\"latency_ms\":");
-            push_f64(&mut out, f.latency_ms);
-            out.push_str(",\"target_ms\":");
-            push_f64(&mut out, f.target_ms);
-            let _ = write!(
-                out,
-                ",\"switches_in_window\":{},\"spans\":[",
-                f.switches_in_window
-            );
-            for (j, span) in f.spans.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{{\"kind\":\"{}\",\"start_ms\":", span.kind.name());
-                push_f64(&mut out, span.start.as_nanos() as f64 / 1e6);
-                out.push_str(",\"dur_ms\":");
-                push_f64(&mut out, span.dur.as_millis_f64());
-                out.push_str(",\"mj\":");
-                push_f64(&mut out, span.mj);
-                out.push_str(",\"uids\":");
-                push_uids(&mut out, &span.uids);
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}\n");
+        json::object(&mut out, |o| {
+            o.field("profile", "greenweb-attribution-v1")
+                .field("total_mj", self.total_mj)
+                .field("attributed_mj", self.attributed_mj())
+                .field("idle_mj", self.idle_mj)
+                .field("unattributed_mj", self.unattributed_mj)
+                .obj("phase_mj", |p| write_phases(p, &self.phase_mj))
+                .obj("switches", |s| {
+                    s.field("dvfs", self.switch_dvfs)
+                        .field("migration", self.switch_migration);
+                })
+                .field("misses", self.misses())
+                .field("dropped", self.dropped)
+                .arr("events", |a| {
+                    for event in &self.events {
+                        a.obj(|e| {
+                            e.field("uid", event.uid)
+                                .field("event", &event.label)
+                                .field("dispatch_ms", event.dispatch.as_nanos() as f64 / 1e6)
+                                .field("total_mj", event.total_mj())
+                                .field("ops", event.ops)
+                                .field("frames", event.frames)
+                                .obj("phases", |p| write_phases(p, &event.phase_mj));
+                        });
+                    }
+                })
+                .arr("callbacks", |a| {
+                    for cb in &self.callbacks {
+                        a.obj(|c| {
+                            c.field("event", &cb.label)
+                                .field("count", cb.count)
+                                .field("total_ms", cb.total_ms)
+                                .field("total_mj", cb.total_mj)
+                                .field("ops", cb.total_ops);
+                        });
+                    }
+                })
+                .arr("selector_buckets", |a| {
+                    for bucket in &self.buckets {
+                        a.obj(|b| {
+                            b.field("bucket", bucket.bucket)
+                                .field("matches", bucket.matches)
+                                .field("share", bucket.share);
+                        });
+                    }
+                })
+                .obj("render", |r| {
+                    let w = &self.render;
+                    r.field("relayouts", w.relayouts)
+                        .field("elements_laid_out", w.elements_laid_out)
+                        .field("subtree_reuses", w.subtree_reuses)
+                        .field("dirty_elements", w.dirty_elements)
+                        .field("full_repaints", w.full_repaints)
+                        .field("partial_repaints", w.partial_repaints)
+                        .field("items_emitted", w.items_emitted)
+                        .field("items_reused", w.items_reused)
+                        .field("damage_items", w.damage_items)
+                        .field("damage_area", w.damage_area);
+                })
+                .arr("forensics", |a| {
+                    for f in &self.forensics {
+                        a.obj(|o| {
+                            o.field("uid", f.uid)
+                                .field("seq", f.seq)
+                                .field("event", &f.event)
+                                .field("at_ms", f.at.as_nanos() as f64 / 1e6)
+                                .field("latency_ms", f.latency_ms)
+                                .field("target_ms", f.target_ms)
+                                .field("switches_in_window", f.switches_in_window)
+                                .arr("spans", |spans| {
+                                    for span in &f.spans {
+                                        spans.obj(|s| {
+                                            s.field("kind", span.kind.name())
+                                                .field(
+                                                    "start_ms",
+                                                    span.start.as_nanos() as f64 / 1e6,
+                                                )
+                                                .field("dur_ms", span.dur.as_millis_f64())
+                                                .field("mj", span.mj)
+                                                .field("uids", span.uids.as_slice());
+                                        });
+                                    }
+                                });
+                        });
+                    }
+                });
+        });
+        out.push('\n');
         out
     }
 
@@ -626,49 +599,50 @@ impl AttributionProfile {
     /// energy and VM ops in each slice's args — loads in Perfetto for
     /// flame-style inspection.
     pub fn flame_json(&self, process_name: &str) -> String {
-        // Re-walk spans in deterministic start order.
         let mut out = String::with_capacity(256 + self.events.len() * 200);
-        out.push_str("{\"traceEvents\":[\n");
-        out.push_str(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":",
-        );
-        push_json_str(&mut out, process_name);
-        out.push_str("}}");
-        for forensic in &self.forensics {
-            for span in &forensic.spans {
-                out.push_str(",\n");
-                open_event(
-                    &mut out,
-                    span.kind.name(),
-                    "attribution",
-                    'X',
-                    1,
-                    span.start.as_nanos() as f64 / 1000.0,
-                );
-                out.push_str(",\"dur\":");
-                push_f64(&mut out, span.dur.as_nanos() as f64 / 1000.0);
-                out.push_str(",\"args\":{\"mj\":");
-                push_f64(&mut out, span.mj);
-                let _ = write!(out, ",\"ops\":{},\"uids\":", span.ops);
-                push_uids(&mut out, &span.uids);
-                let _ = write!(out, ",\"miss_uid\":{}}}}}", forensic.uid);
+        trace_document(&mut out, process_name, &[], |events| {
+            // Re-walk spans in deterministic start order.
+            for forensic in &self.forensics {
+                for span in &forensic.spans {
+                    let start = span.start.as_nanos() as f64 / 1000.0;
+                    event(
+                        events,
+                        span.kind.name(),
+                        "attribution",
+                        "X",
+                        1,
+                        start,
+                        |e| {
+                            e.field("dur", span.dur.as_nanos() as f64 / 1000.0).obj(
+                                "args",
+                                |args| {
+                                    args.field("mj", span.mj)
+                                        .field("ops", span.ops)
+                                        .field("uids", span.uids.as_slice())
+                                        .field("miss_uid", forensic.uid);
+                                },
+                            );
+                        },
+                    );
+                }
             }
-        }
-        for event in &self.events {
-            out.push_str(",\n");
-            open_event(
-                &mut out,
-                &event.label,
-                "event-energy",
-                'C',
-                0,
-                event.dispatch.as_nanos() as f64 / 1000.0,
-            );
-            out.push_str(",\"args\":{\"mj\":");
-            push_f64(&mut out, event.total_mj());
-            out.push_str("}}");
-        }
-        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+            for attributed in &self.events {
+                let dispatch = attributed.dispatch.as_nanos() as f64 / 1000.0;
+                event(
+                    events,
+                    &attributed.label,
+                    "event-energy",
+                    "C",
+                    0,
+                    dispatch,
+                    |e| {
+                        e.obj("args", |args| {
+                            args.field("mj", attributed.total_mj());
+                        });
+                    },
+                );
+            }
+        });
         out
     }
 
@@ -782,16 +756,12 @@ impl AttributionProfile {
     }
 }
 
-fn push_phases(out: &mut String, phases: &[f64; 6]) {
-    out.push('{');
-    for (i, (kind, mj)) in SpanKind::ALL.iter().zip(phases).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":", kind.name());
-        push_f64(out, *mj);
+/// Writes per-phase values (indexed like [`SpanKind::ALL`]) as one
+/// member per phase, named after it.
+pub fn write_phases(o: &mut Obj<'_>, phases: &[f64; 6]) {
+    for (kind, value) in SpanKind::ALL.iter().zip(phases) {
+        o.field(kind.name(), value);
     }
-    out.push('}');
 }
 
 /// The bounded-size roll-up one sweep job contributes to the corpus

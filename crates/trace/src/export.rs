@@ -1,13 +1,12 @@
 //! Exporters: Chrome trace-event JSON (Perfetto / `chrome://tracing`)
 //! and a compact text flamegraph summary.
 //!
-//! The JSON is hand-written (the workspace builds offline, with no
-//! serde): every formatting decision is deterministic — integer
-//! nanosecond timestamps divided to microseconds, `f64` via Rust's
-//! shortest-round-trip `Display` — so identical runs export identical
-//! bytes.
+//! The JSON goes through [`crate::json`], whose number and string
+//! rules are deterministic; timestamps are integer nanoseconds divided
+//! to microseconds, so identical runs export identical bytes.
 
 use crate::event::{EventKind, SpanKind, TraceRecord};
+use crate::json::{self, Arr, Obj, ToJson};
 use crate::metrics::MetricsRegistry;
 use crate::recorder::TraceBuffer;
 use greenweb_acmp::SimTime;
@@ -34,56 +33,88 @@ fn ts_us(at: SimTime) -> f64 {
     at.as_nanos() as f64 / 1000.0
 }
 
-pub(crate) fn push_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        // Rust's Display for f64 is the shortest round-trip form —
-        // compact, exact, and deterministic.
-        let _ = write!(out, "{value}");
-    } else {
-        out.push('0');
-    }
-}
-
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Writes a Chrome trace-event document into `out`: the process and
+/// `threads` name metadata, then the events `body` appends, one per
+/// line.
+pub(crate) fn trace_document(
+    out: &mut String,
+    process_name: &str,
+    threads: &[(u32, &str)],
+    body: impl FnOnce(&mut Arr<'_>),
+) {
+    json::object(out, |doc| {
+        doc.arr("traceEvents", |events| {
+            events.lines();
+            metadata(events, "process_name", 0, "name", process_name);
+            for &(tid, name) in threads {
+                metadata(events, "thread_name", tid, "name", name);
+                metadata(events, "thread_sort_index", tid, "sort_index", tid);
             }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+            body(events);
+        })
+        .field("displayTimeUnit", "ms");
+    });
+    out.push('\n');
 }
 
-/// Opens one event object with the common fields.
-pub(crate) fn open_event(out: &mut String, name: &str, cat: &str, ph: char, tid: u32, ts: f64) {
-    out.push_str("{\"name\":");
-    push_json_str(out, name);
-    out.push_str(",\"cat\":");
-    push_json_str(out, cat);
-    let _ = write!(out, ",\"ph\":\"{ph}\",\"pid\":{PID},\"tid\":{tid},\"ts\":");
-    push_f64(out, ts);
+fn metadata(events: &mut Arr<'_>, name: &str, tid: u32, arg: &str, value: impl ToJson) {
+    events.obj(|e| {
+        e.field("name", name)
+            .field("ph", "M")
+            .field("pid", PID)
+            .field("tid", tid)
+            .obj("args", |args| {
+                args.field(arg, value);
+            });
+    });
 }
 
-pub(crate) fn push_uids(out: &mut String, uids: &[u64]) {
-    out.push('[');
-    for (i, uid) in uids.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{uid}");
-    }
-    out.push(']');
+/// Appends one event with the common fields; `rest` writes the
+/// event's own fields after them.
+pub(crate) fn event(
+    events: &mut Arr<'_>,
+    name: &str,
+    cat: &str,
+    ph: &str,
+    tid: u32,
+    ts: f64,
+    rest: impl FnOnce(&mut Obj<'_>),
+) {
+    events.obj(|e| {
+        e.field("name", name)
+            .field("cat", cat)
+            .field("ph", ph)
+            .field("pid", PID)
+            .field("tid", tid)
+            .field("ts", ts);
+        rest(e);
+    });
 }
 
-fn write_event(out: &mut String, record: &TraceRecord) {
+/// An instant event (`"ph":"I"`, thread-scoped) whose `args` `body`
+/// writes.
+fn instant(
+    events: &mut Arr<'_>,
+    name: &str,
+    cat: &str,
+    tid: u32,
+    at: SimTime,
+    body: impl FnOnce(&mut Obj<'_>),
+) {
+    event(events, name, cat, "I", tid, ts_us(at), |e| {
+        e.field("s", "t").obj("args", body);
+    });
+}
+
+/// A counter event (`"ph":"C"`) whose `args` `body` writes.
+fn counter(events: &mut Arr<'_>, name: &str, ts: f64, body: impl FnOnce(&mut Obj<'_>)) {
+    event(events, name, "power", "C", 0, ts, |e| {
+        e.obj("args", body);
+    });
+}
+
+fn write_event(events: &mut Arr<'_>, record: &TraceRecord) {
+    let at = record.at;
     match &record.kind {
         EventKind::Span {
             kind,
@@ -98,70 +129,52 @@ fn write_event(out: &mut String, record: &TraceRecord) {
             } else {
                 (1, "pipeline")
             };
-            open_event(out, kind.name(), cat, 'X', tid, ts_us(*start));
-            out.push_str(",\"dur\":");
-            push_f64(out, dur.as_nanos() as f64 / 1000.0);
-            out.push_str(",\"args\":{\"uids\":");
-            push_uids(out, uids);
-            let _ = write!(out, ",\"ops\":{ops}");
-            if let Some(label) = label {
-                out.push_str(",\"event\":");
-                push_json_str(out, label);
-            }
-            out.push_str("}}");
+            event(events, kind.name(), cat, "X", tid, ts_us(*start), |e| {
+                e.field("dur", dur.as_nanos() as f64 / 1000.0)
+                    .obj("args", |args| {
+                        args.field("uids", uids.as_slice()).field("ops", ops);
+                        if let Some(label) = label {
+                            args.field("event", label);
+                        }
+                    });
+            });
         }
         EventKind::Vsync => {
-            open_event(out, "vsync", "vsync", 'I', 3, ts_us(record.at));
-            out.push_str(",\"s\":\"t\"}");
+            event(events, "vsync", "vsync", "I", 3, ts_us(at), |e| {
+                e.field("s", "t");
+            });
         }
         EventKind::Decision {
             target_ms,
             predicted_ms,
             chosen,
             profiling,
-        } => {
-            open_event(out, "decision", "scheduler", 'I', 4, ts_us(record.at));
-            out.push_str(",\"s\":\"t\",\"args\":{\"target_ms\":");
-            push_f64(out, *target_ms);
-            out.push_str(",\"predicted_ms\":");
-            match predicted_ms {
-                Some(p) => push_f64(out, *p),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"config\":");
-            push_json_str(out, &chosen.to_string());
-            let _ = write!(out, ",\"profiling\":{profiling}}}}}");
-        }
+        } => instant(events, "decision", "scheduler", 4, at, |args| {
+            args.field("target_ms", target_ms)
+                .field("predicted_ms", predicted_ms)
+                .field("config", format_args!("{chosen}"))
+                .field("profiling", profiling);
+        }),
         EventKind::ConfigSwitch { from, to, penalty } => {
-            open_event(out, "config-switch", "scheduler", 'I', 4, ts_us(record.at));
-            out.push_str(",\"s\":\"t\",\"args\":{\"from\":");
-            push_json_str(out, &from.to_string());
-            out.push_str(",\"to\":");
-            push_json_str(out, &to.to_string());
-            let kind = if from.core == to.core {
-                "dvfs"
-            } else {
-                "migration"
-            };
-            out.push_str(",\"kind\":");
-            push_json_str(out, kind);
-            out.push_str(",\"penalty_us\":");
-            push_f64(out, penalty.as_nanos() as f64 / 1000.0);
-            out.push_str("}}");
+            instant(events, "config-switch", "scheduler", 4, at, |args| {
+                let kind = if from.core == to.core {
+                    "dvfs"
+                } else {
+                    "migration"
+                };
+                args.field("from", format_args!("{from}"))
+                    .field("to", format_args!("{to}"))
+                    .field("kind", kind)
+                    .field("penalty_us", penalty.as_nanos() as f64 / 1000.0);
+            });
         }
-        EventKind::Ladder { from, to } => {
-            open_event(out, "ladder", "scheduler", 'I', 4, ts_us(record.at));
-            out.push_str(",\"s\":\"t\",\"args\":{\"from\":");
-            push_json_str(out, from);
-            out.push_str(",\"to\":");
-            push_json_str(out, to);
-            out.push_str("}}");
-        }
+        EventKind::Ladder { from, to } => instant(events, "ladder", "scheduler", 4, at, |args| {
+            args.field("from", from).field("to", to);
+        }),
         EventKind::Fault { category, detail } => {
-            open_event(out, category, "fault", 'I', 5, ts_us(record.at));
-            out.push_str(",\"s\":\"t\",\"args\":{\"detail\":");
-            push_json_str(out, detail);
-            out.push_str("}}");
+            instant(events, category, "fault", 5, at, |args| {
+                args.field("detail", detail);
+            });
         }
         EventKind::EnergySample {
             actual_mj,
@@ -170,18 +183,16 @@ fn write_event(out: &mut String, record: &TraceRecord) {
             config,
             busy: _,
         } => {
-            open_event(out, "energy_mj", "power", 'C', 0, ts_us(record.at));
-            out.push_str(",\"args\":{\"actual\":");
-            push_f64(out, *actual_mj);
-            out.push_str(",\"metered\":");
-            push_f64(out, *metered_mj);
-            out.push_str("}},\n");
-            open_event(out, "power_mw", "power", 'C', 0, ts_us(record.at));
-            out.push_str(",\"args\":{\"mw\":");
-            push_f64(out, *power_mw);
-            out.push_str("}},\n");
-            open_event(out, "freq_mhz", "power", 'C', 0, ts_us(record.at));
-            let _ = write!(out, ",\"args\":{{\"mhz\":{}}}}}", config.freq_mhz);
+            let ts = ts_us(at);
+            counter(events, "energy_mj", ts, |args| {
+                args.field("actual", actual_mj).field("metered", metered_mj);
+            });
+            counter(events, "power_mw", ts, |args| {
+                args.field("mw", power_mw);
+            });
+            counter(events, "freq_mhz", ts, |args| {
+                args.field("mhz", config.freq_mhz);
+            });
         }
         EventKind::StyleStats {
             resolves,
@@ -194,18 +205,18 @@ fn write_event(out: &mut String, record: &TraceRecord) {
             cache_hits,
             cache_misses,
             cache_invalidations_avoided,
-        } => {
-            open_event(out, "style-stats", "style", 'I', 1, ts_us(record.at));
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"resolves\":{resolves},\"matches\":{matches},\
-                 \"matches_id\":{matches_id},\"matches_class\":{matches_class},\
-                 \"matches_tag\":{matches_tag},\"matches_universal\":{matches_universal},\
-                 \"bloom_rejects\":{bloom_rejects},\"cache_hits\":{cache_hits},\
-                 \"cache_misses\":{cache_misses},\
-                 \"cache_invalidations_avoided\":{cache_invalidations_avoided}}}}}"
-            );
-        }
+        } => instant(events, "style-stats", "style", 1, at, |args| {
+            args.field("resolves", resolves)
+                .field("matches", matches)
+                .field("matches_id", matches_id)
+                .field("matches_class", matches_class)
+                .field("matches_tag", matches_tag)
+                .field("matches_universal", matches_universal)
+                .field("bloom_rejects", bloom_rejects)
+                .field("cache_hits", cache_hits)
+                .field("cache_misses", cache_misses)
+                .field("cache_invalidations_avoided", cache_invalidations_avoided);
+        }),
         EventKind::RenderStats {
             relayouts,
             elements_laid_out,
@@ -217,34 +228,29 @@ fn write_event(out: &mut String, record: &TraceRecord) {
             items_reused,
             damage_items,
             damage_area,
-        } => {
-            open_event(out, "render-stats", "render", 'I', 1, ts_us(record.at));
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"relayouts\":{relayouts},\
-                 \"elements_laid_out\":{elements_laid_out},\
-                 \"subtree_reuses\":{subtree_reuses},\
-                 \"dirty_elements\":{dirty_elements},\
-                 \"full_repaints\":{full_repaints},\
-                 \"partial_repaints\":{partial_repaints},\
-                 \"items_emitted\":{items_emitted},\"items_reused\":{items_reused},\
-                 \"damage_items\":{damage_items},\"damage_area\":{damage_area}}}}}"
-            );
-        }
+        } => instant(events, "render-stats", "render", 1, at, |args| {
+            args.field("relayouts", relayouts)
+                .field("elements_laid_out", elements_laid_out)
+                .field("subtree_reuses", subtree_reuses)
+                .field("dirty_elements", dirty_elements)
+                .field("full_repaints", full_repaints)
+                .field("partial_repaints", partial_repaints)
+                .field("items_emitted", items_emitted)
+                .field("items_reused", items_reused)
+                .field("damage_items", damage_items)
+                .field("damage_area", damage_area);
+        }),
         EventKind::FrameCommit {
             uid,
             seq,
             latency,
             event,
-        } => {
-            open_event(out, "frame", "frames", 'I', 6, ts_us(record.at));
-            let _ = write!(out, ",\"s\":\"t\",\"args\":{{\"uid\":{uid},\"seq\":{seq}");
-            out.push_str(",\"latency_ms\":");
-            push_f64(out, latency.as_millis_f64());
-            out.push_str(",\"event\":");
-            push_json_str(out, event);
-            out.push_str("}}");
-        }
+        } => instant(events, "frame", "frames", 6, at, |args| {
+            args.field("uid", uid)
+                .field("seq", seq)
+                .field("latency_ms", latency.as_millis_f64())
+                .field("event", event);
+        }),
     }
 }
 
@@ -258,27 +264,11 @@ fn write_event(out: &mut String, record: &TraceRecord) {
 /// traces diff cleanly.
 pub fn chrome_trace_json(buffer: &TraceBuffer, process_name: &str) -> String {
     let mut out = String::with_capacity(256 + buffer.events.len() * 160);
-    out.push_str("{\"traceEvents\":[\n");
-    // Metadata: process and thread names.
-    out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":");
-    push_json_str(&mut out, process_name);
-    out.push_str("}}");
-    for (tid, name) in THREADS {
-        let _ = write!(
-            out,
-            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":"
-        );
-        push_json_str(&mut out, name);
-        let _ = write!(
-            out,
-            "}}}},\n{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"sort_index\":{tid}}}}}"
-        );
-    }
-    for record in &buffer.events {
-        out.push_str(",\n");
-        write_event(&mut out, record);
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+    trace_document(&mut out, process_name, &THREADS, |events| {
+        for record in &buffer.events {
+            write_event(events, record);
+        }
+    });
     out
 }
 
@@ -391,41 +381,10 @@ mod tests {
         trace.snapshot()
     }
 
-    /// A minimal JSON well-formedness check: balanced structure and
-    /// properly terminated strings.
-    fn assert_balanced_json(json: &str) {
-        let mut depth: i64 = 0;
-        let mut in_str = false;
-        let mut escaped = false;
-        for c in json.chars() {
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => {
-                    depth -= 1;
-                    assert!(depth >= 0, "unbalanced JSON");
-                }
-                _ => {}
-            }
-        }
-        assert!(!in_str, "unterminated string");
-        assert_eq!(depth, 0, "unbalanced JSON");
-    }
-
     #[test]
     fn chrome_json_is_wellformed_and_typed() {
         let json = chrome_trace_json(&sample_buffer(), "demo \"app\"");
-        assert_balanced_json(&json);
+        crate::json::JsonValue::parse(&json).unwrap();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""), "span event missing");
         assert!(json.contains("\"ph\":\"I\""), "instant event missing");

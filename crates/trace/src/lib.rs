@@ -4,7 +4,8 @@
 //! ring-buffered span/event recorder, a metrics registry with
 //! log-bucketed latency histograms, and exporters producing Chrome
 //! trace-event JSON (loadable in Perfetto / `chrome://tracing`) and a
-//! compact text flamegraph summary.
+//! compact text flamegraph summary. It also owns [`json`], the one JSON
+//! writer and reader every report in the workspace goes through.
 //!
 //! The paper's argument is built on *per-frame* attribution (Fig. 7's
 //! frame lifetime, Fig. 8's metadata propagation); this crate records
@@ -53,6 +54,7 @@
 pub mod attribution;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod merge;
 pub mod metrics;
 pub mod recorder;

@@ -28,7 +28,6 @@
 use crate::harness::{expectations, Policy};
 use greenweb::metrics::RunMetrics;
 use greenweb::qos::Scenario;
-use greenweb_analyze::json_escape;
 use greenweb_engine::{
     App, RunBudget, RunSpec, Scheduler, SchedulerFactory, SimReport, TargetSpec, Trace,
 };
@@ -36,6 +35,7 @@ use greenweb_fleet::{
     run_supervised, FailureKind, FleetReport, JobFailure, JobStatus, Jobs, RetryPolicy,
     SupervisedJob,
 };
+use greenweb_trace::attribution::write_phases;
 use greenweb_trace::metrics::Histogram;
 use greenweb_trace::{AttributionProfile, AttributionSummary, SpanKind};
 use std::fmt;
@@ -45,9 +45,10 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-pub mod json;
+/// The JSON reader and writer the checkpoint and repro files use.
+pub use greenweb_trace::json;
 
-use json::JsonValue;
+use json::{JsonValue, Obj};
 
 /// The checkpoint format tag written in the header line; bump when the
 /// line schema changes incompatibly. v2 added the per-job `attr`
@@ -307,11 +308,13 @@ impl SweepPlan {
     }
 
     fn header_line(&self) -> String {
-        format!(
-            "{{\"sweep\":\"{SWEEP_FORMAT}\",\"jobs\":{},\"fingerprint\":\"{:016x}\"}}",
-            self.cells.len(),
-            self.fingerprint(),
-        )
+        let mut line = String::new();
+        json::object(&mut line, |o| {
+            o.field("sweep", SWEEP_FORMAT)
+                .field("jobs", self.cells.len())
+                .field("fingerprint", format_args!("{:016x}", self.fingerprint()));
+        });
+        line
     }
 }
 
@@ -572,36 +575,26 @@ fn per_job_histogram(report: &SimReport) -> Histogram {
     hist
 }
 
-fn render_hist(hist: &Histogram) -> String {
-    let buckets = hist
-        .nonzero_buckets()
-        .map(|(bucket, n)| format!("[{bucket},{n}]"))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{buckets}]}}",
-        hist.sum(),
-        hist.min(),
-        hist.max(),
-    )
+fn write_hist(o: &mut Obj<'_>, hist: &Histogram) {
+    o.field("sum", hist.sum())
+        .field("min", hist.min())
+        .field("max", hist.max())
+        .arr("buckets", |a| {
+            for (bucket, n) in hist.nonzero_buckets() {
+                a.arr(|pair| {
+                    pair.item(bucket).item(n);
+                });
+            }
+        });
 }
 
-fn render_attr(attr: &AttributionSummary) -> String {
-    let phases = SpanKind::ALL
-        .iter()
-        .zip(attr.phase_mj)
-        .map(|(kind, mj)| format!("\"{}\":{mj}", kind.name()))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"phase_mj\":{{{phases}}},\"idle_mj\":{},\"unattributed_mj\":{},\
-         \"total_mj\":{},\"misses\":{},\"event_mj\":{}}}",
-        attr.idle_mj,
-        attr.unattributed_mj,
-        attr.total_mj,
-        attr.misses,
-        render_hist(&attr.event_mj),
-    )
+fn write_attr(o: &mut Obj<'_>, attr: &AttributionSummary) {
+    o.obj("phase_mj", |p| write_phases(p, &attr.phase_mj))
+        .field("idle_mj", attr.idle_mj)
+        .field("unattributed_mj", attr.unattributed_mj)
+        .field("total_mj", attr.total_mj)
+        .field("misses", attr.misses)
+        .obj("event_mj", |h| write_hist(h, &attr.event_mj));
 }
 
 fn render_ok_line(
@@ -612,27 +605,31 @@ fn render_ok_line(
     attr: &AttributionSummary,
     metrics: &RunMetrics,
 ) -> String {
-    format!(
-        "{{\"job\":{index},\"label\":\"{}\",\"status\":\"ok\",\"attempts\":{attempts},\
-         \"hist\":{},\"attr\":{},\"metrics\":{}}}",
-        json_escape(label),
-        render_hist(hist),
-        render_attr(attr),
-        metrics.render_json(),
-    )
+    let mut line = String::with_capacity(1024);
+    json::object(&mut line, |o| {
+        o.field("job", index)
+            .field("label", label)
+            .field("status", "ok")
+            .field("attempts", attempts)
+            .obj("hist", |h| write_hist(h, hist))
+            .obj("attr", |a| write_attr(a, attr))
+            .field("metrics", metrics);
+    });
+    line
 }
 
 fn render_quarantine_line(failure: &JobFailure) -> String {
-    format!(
-        "{{\"job\":{},\"label\":\"{}\",\"status\":\"quarantined\",\"kind\":\"{}\",\
-         \"attempts\":{},\"digest\":\"{:016x}\",\"detail\":\"{}\"}}",
-        failure.index,
-        json_escape(&failure.label),
-        failure.kind.name(),
-        failure.attempts,
-        failure.digest,
-        json_escape(&failure.detail),
-    )
+    let mut line = String::new();
+    json::object(&mut line, |o| {
+        o.field("job", failure.index)
+            .field("label", &failure.label)
+            .field("status", "quarantined")
+            .field("kind", failure.kind.name())
+            .field("attempts", failure.attempts)
+            .field("digest", format_args!("{:016x}", failure.digest))
+            .field("detail", &failure.detail);
+    });
+    line
 }
 
 /// Executes (or resumes) `plan`, streaming one checkpoint line per job
@@ -869,51 +866,44 @@ impl Repro {
         format!("job{:03}-{}.json", self.job, self.kind)
     }
 
-    /// Serializes the repro as a JSON document.
+    /// Serializes the repro as a JSON document, one top-level field
+    /// per line.
     pub fn render_json(&self) -> String {
-        let strings = |items: &[String]| {
-            items
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let events = self
-            .events
-            .iter()
-            .map(|(at_ms, event, target)| {
-                format!(
-                    "{{\"at_ms\":{at_ms},\"event\":\"{}\",\"target\":\"{}\"}}",
-                    json_escape(event),
-                    json_escape(target),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\n  \"job\": {},\n  \"label\": \"{}\",\n  \"kind\": \"{}\",\n  \
-             \"detail\": \"{}\",\n  \"attempts\": {},\n  \"digest\": \"{:016x}\",\n  \
-             \"policy\": \"{}\",\n  \"scenario\": \"{}\",\n  \
-             \"budget\": {{\"max_callback_ops\": {}, \"max_sim_events\": {}}},\n  \
-             \"app\": {{\"name\": \"{}\", \"html\": \"{}\", \"css\": [{}], \"scripts\": [{}]}},\n  \
-             \"trace\": {{\"end_ms\": {}, \"events\": [{}]}}\n}}\n",
-            self.job,
-            json_escape(&self.label),
-            json_escape(&self.kind),
-            json_escape(&self.detail),
-            self.attempts,
-            self.digest,
-            json_escape(&self.policy),
-            json_escape(&self.scenario),
-            self.budget.max_callback_ops,
-            self.budget.max_sim_events,
-            json_escape(&self.app_name),
-            json_escape(&self.html),
-            strings(&self.css),
-            strings(&self.scripts),
-            self.end_ms,
-            events,
-        )
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.lines()
+                .field("job", self.job)
+                .field("label", &self.label)
+                .field("kind", &self.kind)
+                .field("detail", &self.detail)
+                .field("attempts", self.attempts)
+                .field("digest", format_args!("{:016x}", self.digest))
+                .field("policy", &self.policy)
+                .field("scenario", &self.scenario)
+                .obj("budget", |b| {
+                    b.field("max_callback_ops", self.budget.max_callback_ops)
+                        .field("max_sim_events", self.budget.max_sim_events);
+                })
+                .obj("app", |a| {
+                    a.field("name", &self.app_name)
+                        .field("html", &self.html)
+                        .field("css", self.css.as_slice())
+                        .field("scripts", self.scripts.as_slice());
+                })
+                .obj("trace", |t| {
+                    t.field("end_ms", self.end_ms).arr("events", |a| {
+                        for (at_ms, event, target) in &self.events {
+                            a.obj(|e| {
+                                e.field("at_ms", at_ms)
+                                    .field("event", event)
+                                    .field("target", target);
+                            });
+                        }
+                    });
+                });
+        });
+        out.push('\n');
+        out
     }
 
     /// Writes the repro into `dir` and returns its path.

@@ -11,6 +11,7 @@ use greenweb_dom::{parse_html, EventType};
 use greenweb_engine::{
     App, Browser, FrameTracker, InputId, Msg, SchedulerFactory, ScriptBackend, SimReport, Trace,
 };
+use greenweb_trace::json::{self, json_escape, JsonValue, ToJson};
 use greenweb_workloads::harness::{expectations, Policy};
 use std::fmt::Write as _;
 
@@ -1441,5 +1442,148 @@ fn effect_branch_join_is_monotone() {
             sb.leq(&branchy),
             "arm B escapes the joined summary:\nA: {arm_a}\nB: {arm_b}\n{sb:?}\nvs\n{branchy:?}"
         );
+    });
+}
+
+/// Renders a parsed tree back through the JSON writer, putting odd-sized
+/// containers in the one-member-per-line layout.
+struct Written<'a>(&'a JsonValue);
+
+impl ToJson for Written<'_> {
+    fn write_json(&self, out: &mut String) {
+        match self.0 {
+            JsonValue::Null => None::<u32>.write_json(out),
+            JsonValue::Bool(b) => b.write_json(out),
+            JsonValue::Num(n) => n.write_json(out),
+            JsonValue::Str(s) => s.write_json(out),
+            JsonValue::Arr(items) => json::array(out, |a| {
+                if items.len() % 2 == 1 {
+                    a.lines();
+                }
+                for item in items {
+                    a.item(Written(item));
+                }
+            }),
+            JsonValue::Obj(fields) => json::object(out, |o| {
+                if fields.len() % 2 == 1 {
+                    o.lines();
+                }
+                for (key, value) in fields {
+                    o.field(key, Written(value));
+                }
+            }),
+        }
+    }
+}
+
+/// Structural equality with numbers compared bit for bit (`-0` is not
+/// `0`).
+fn same_json(a: &JsonValue, b: &JsonValue) -> bool {
+    match (a, b) {
+        (JsonValue::Num(x), JsonValue::Num(y)) => x.to_bits() == y.to_bits(),
+        (JsonValue::Arr(x), JsonValue::Arr(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| same_json(a, b))
+        }
+        (JsonValue::Obj(x), JsonValue::Obj(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|((ka, va), (kb, vb))| ka == kb && same_json(va, vb))
+        }
+        _ => a == b,
+    }
+}
+
+fn gen_json_string(g: &mut Gen) -> String {
+    let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+    alphabet.extend([
+        '"', '\\', '/', 'a', 'Z', '0', ' ', 'é', '\u{7f}', '\u{2028}', '🦀',
+    ]);
+    g.string_from(&alphabet, 12)
+}
+
+fn gen_json_f64(g: &mut Gen) -> f64 {
+    match g.usize_in(0, 8) {
+        0 => *g.choose(&[
+            0.0,
+            -0.0,
+            1e300,
+            -1e300,
+            1e-300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ]),
+        // Subnormals: any non-zero mantissa under a zero exponent.
+        1 => f64::from_bits(1 + g.rng.u64_below((1 << 52) - 1)) * *g.choose(&[1.0, -1.0]),
+        2 => g.rng.u64_below((1 << 53) + 1) as f64,
+        3 => g.f64_in(-1e6, 1e6),
+        _ => loop {
+            let x = f64::from_bits(g.rng.next_u64());
+            if x.is_finite() {
+                break x;
+            }
+        },
+    }
+}
+
+fn gen_json_value(g: &mut Gen, depth: u32) -> JsonValue {
+    let leaf = depth == 0 || g.bool_with(0.4);
+    match g.usize_in(0, if leaf { 4 } else { 6 }) {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(g.bool_with(0.5)),
+        2 => JsonValue::Num(gen_json_f64(g)),
+        3 => JsonValue::Str(gen_json_string(g)),
+        4 => JsonValue::Arr(g.vec_of(4, |g| gen_json_value(g, depth - 1))),
+        _ => JsonValue::Obj(g.vec_of(4, |g| (gen_json_string(g), gen_json_value(g, depth - 1)))),
+    }
+}
+
+/// Writer → reader is the identity: every string (quotes, backslashes,
+/// each U+0000–U+001F, non-ASCII, empty), every finite `f64` (±0,
+/// subnormals, 1e±300, integers up to 2^53, bit-exact), every integer
+/// up to 2^53, and nested objects and arrays, empty ones included.
+#[test]
+fn json_writer_round_trips_through_the_reader() {
+    // Exact escapes, as the one escaper writes them.
+    for (text, escaped) in [
+        ("a\"b\\c\nd", "a\\\"b\\\\c\\nd"),
+        ("\u{1}", "\\u0001"),
+        ("a\"b\\c\n\u{7}", "a\\\"b\\\\c\\n\\u0007"),
+        ("\r\t\u{1f}é", "\\r\\t\\u001fé"),
+        ("", ""),
+    ] {
+        assert_eq!(json_escape(text), escaped);
+        let mut out = String::new();
+        text.write_json(&mut out);
+        assert_eq!(out, format!("\"{escaped}\""));
+        assert_eq!(JsonValue::parse(&out), Ok(JsonValue::Str(text.to_string())));
+    }
+    for c in (0u8..0x20).map(char::from) {
+        let mut out = String::new();
+        c.to_string().write_json(&mut out);
+        assert!(
+            out.bytes().all(|b| b >= 0x20),
+            "raw control byte in {out:?}"
+        );
+        assert_eq!(JsonValue::parse(&out), Ok(JsonValue::Str(c.to_string())));
+    }
+    let empty = JsonValue::Obj(vec![
+        ("a".into(), JsonValue::Arr(vec![])),
+        ("o".into(), JsonValue::Obj(vec![])),
+    ]);
+    check("json_writer_round_trips_through_the_reader", 256, |g| {
+        for value in [gen_json_value(g, 4), empty.clone()] {
+            let mut out = String::new();
+            Written(&value).write_json(&mut out);
+            let back = JsonValue::parse(&out).unwrap_or_else(|e| panic!("{e}: {out}"));
+            assert!(
+                same_json(&value, &back),
+                "{value:?}\n -> {out}\n -> {back:?}"
+            );
+        }
+        let n = g.rng.u64_below((1 << 53) + 1);
+        let mut out = String::new();
+        n.write_json(&mut out);
+        assert_eq!(JsonValue::parse(&out).unwrap().as_u64(), Some(n));
     });
 }
