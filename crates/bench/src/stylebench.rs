@@ -3,35 +3,26 @@
 //! For each of the 12 workloads (plus one seeded synthetic stress
 //! document) the suite resolves every element's style twice — once
 //! through the naive full-scan resolver, once through the bucketed +
-//! Bloom-filtered path — and reports:
-//!
-//! * **deterministic counters**: exact [`Selector::matches`] walks each
-//!   path ran, and how many candidates the ancestor Bloom filter
-//!   rejected before the exact walk. These drive the acceptance gate
-//!   (the bucketed path must run ≥ 3× fewer exact matches than naive
-//!   across the suite) and never vary between runs or machines;
-//! * **per-phase wall-clock timings** (match / cascade / inherit),
-//!   informational only — CI asserts nothing about them.
-//!
-//! The three phases are measured as separate passes over the tree:
-//! `match` runs [`StyleEngine::match_rules`] per element, `cascade`
-//! applies the matched sets without inheritance, and `inherit` re-applies
-//! them threading parent styles in document order (so `inherit` is
-//! cascade *plus* inheritance, not the increment). Every row also
-//! differentially checks `compute_all == compute_all_naive` before any
-//! timing is trusted.
+//! Bloom-filtered path ([`StyleEngine::match_rules`] per element) — and
+//! reports deterministic counters only: the exact [`Selector::matches`]
+//! walks each path ran, and how many candidates the ancestor Bloom
+//! filter rejected before the exact walk. They drive the acceptance
+//! gate (the bucketed path must run ≥ 3× fewer exact matches than naive
+//! across the suite) and never vary between runs or machines, so the
+//! committed report is gated byte for byte. Every row also
+//! differentially checks `compute_all == compute_all_naive`. Host time
+//! is the repository benchmark's business, not this report's.
 //!
 //! [`Selector::matches`]: greenweb_css::selector::Selector::matches
 
 use greenweb_css::stylesheet::parse_stylesheet;
-use greenweb_css::{ComputedStyle, StyleEngine};
+use greenweb_css::StyleEngine;
 use greenweb_det::DetRng;
-use greenweb_dom::{parse_html, Document, NodeId};
+use greenweb_dom::{parse_html, Document};
 use greenweb_trace::json::{self, Fixed};
 use std::fmt::Write as _;
-use std::time::Instant;
 
-/// One benchmarked document: counters from both paths plus phase timings.
+/// One benchmarked document: counters from both paths.
 #[derive(Debug, Clone)]
 pub struct StyleBenchRow {
     /// Workload name (or `"synthetic"` for the generated stress row).
@@ -42,19 +33,10 @@ pub struct StyleBenchRow {
     pub rules: usize,
     /// Exact match walks the naive full scan ran.
     pub naive_matches: u64,
-    /// Naive resolve time for the whole tree, in milliseconds.
-    pub naive_ms: f64,
     /// Exact match walks the bucketed path ran.
     pub matches: u64,
     /// Candidates the ancestor Bloom filter rejected.
     pub bloom_rejects: u64,
-    /// Match-phase time (bucketed), in milliseconds.
-    pub match_ms: f64,
-    /// Cascade-phase time (no inheritance), in milliseconds.
-    pub cascade_ms: f64,
-    /// Inheritance pass time (cascade + parent threading), in
-    /// milliseconds.
-    pub inherit_ms: f64,
 }
 
 /// The whole suite: per-document rows plus the aggregate ratio.
@@ -82,8 +64,7 @@ impl StyleBenchReport {
         self.total_naive_matches() as f64 / (self.total_matches().max(1)) as f64
     }
 
-    /// Renders the deterministic-counter JSON (timings included for
-    /// information; all assertions are on the counters).
+    /// Renders the deterministic-counter JSON.
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         json::object(&mut out, |o| {
@@ -96,11 +77,7 @@ impl StyleBenchReport {
                                 .field("rules", row.rules)
                                 .field("naive_matches", row.naive_matches)
                                 .field("matches", row.matches)
-                                .field("bloom_rejects", row.bloom_rejects)
-                                .field("naive_ms", Fixed(row.naive_ms, 3))
-                                .field("match_ms", Fixed(row.match_ms, 3))
-                                .field("cascade_ms", Fixed(row.cascade_ms, 3))
-                                .field("inherit_ms", Fixed(row.inherit_ms, 3));
+                                .field("bloom_rejects", row.bloom_rejects);
                         });
                     }
                 })
@@ -125,36 +102,18 @@ impl StyleBenchReport {
         let _ = writeln!(
             out,
             "style microbenchmark: naive full scan vs bucketed + Bloom \
-             (counters deterministic; timings informational)"
+             (exact selector-match walks)"
         );
         let _ = writeln!(
             out,
-            "{:<11} {:>5} {:>5} {:>9} {:>8} {:>7} {:>9} {:>9} {:>10} {:>10}",
-            "workload",
-            "nodes",
-            "rules",
-            "naive-m",
-            "fast-m",
-            "bloom",
-            "naive ms",
-            "match ms",
-            "cascade ms",
-            "inherit ms"
+            "{:<11} {:>5} {:>5} {:>9} {:>8} {:>7}",
+            "workload", "nodes", "rules", "naive-m", "fast-m", "bloom"
         );
         for row in &self.rows {
             let _ = writeln!(
                 out,
-                "{:<11} {:>5} {:>5} {:>9} {:>8} {:>7} {:>9.3} {:>9.3} {:>10.3} {:>10.3}",
-                row.name,
-                row.nodes,
-                row.rules,
-                row.naive_matches,
-                row.matches,
-                row.bloom_rejects,
-                row.naive_ms,
-                row.match_ms,
-                row.cascade_ms,
-                row.inherit_ms,
+                "{:<11} {:>5} {:>5} {:>9} {:>8} {:>7}",
+                row.name, row.nodes, row.rules, row.naive_matches, row.matches, row.bloom_rejects,
             );
         }
         let _ = writeln!(
@@ -174,63 +133,29 @@ impl StyleBenchReport {
     }
 }
 
-fn elements_in_order(doc: &Document) -> Vec<NodeId> {
-    doc.descendants(doc.root())
-        .filter(|&n| doc.element(n).is_some())
-        .collect()
-}
-
 /// Benchmarks one parsed document against one stylesheet engine.
 fn bench_document(name: &str, doc: &Document, engine: &StyleEngine) -> (StyleBenchRow, bool) {
-    let nodes = elements_in_order(doc);
-
-    // Differential check first: the timings mean nothing if the paths
-    // disagree.
     let identical = engine.compute_all(doc) == engine.compute_all_naive(doc);
 
-    // Naive pass: counters + one wall-clock number.
     engine.reset_stats();
-    let started = Instant::now();
     let _ = engine.compute_all_naive(doc);
-    let naive_ms = started.elapsed().as_secs_f64() * 1e3;
     let naive_matches = engine.stats().naive_matches;
 
-    // Bucketed passes, phase by phase. Counters accumulate only in the
-    // match phase (cascade/inherit reuse the matched sets).
     engine.reset_stats();
-    let started = Instant::now();
-    let matched: Vec<_> = nodes.iter().map(|&n| engine.match_rules(doc, n)).collect();
-    let match_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let started = Instant::now();
-    for (&node, matched) in nodes.iter().zip(&matched) {
-        let _ = engine.cascade_matched(doc, node, matched, None);
+    let mut nodes = 0;
+    for n in doc.elements() {
+        let _ = engine.match_rules(doc, n);
+        nodes += 1;
     }
-    let cascade_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let started = Instant::now();
-    let mut styles: std::collections::HashMap<NodeId, ComputedStyle> =
-        std::collections::HashMap::new();
-    for (&node, matched) in nodes.iter().zip(&matched) {
-        let parent_style = doc.parent(node).and_then(|p| styles.get(&p)).cloned();
-        let style = engine.cascade_matched(doc, node, matched, parent_style.as_ref());
-        styles.insert(node, style);
-    }
-    let inherit_ms = started.elapsed().as_secs_f64() * 1e3;
-
     let stats = engine.stats();
     (
         StyleBenchRow {
             name: name.to_string(),
-            nodes: nodes.len(),
+            nodes,
             rules: engine.stylesheet().rules().len(),
             naive_matches,
-            naive_ms,
             matches: stats.matches,
             bloom_rejects: stats.bloom_rejects,
-            match_ms,
-            cascade_ms,
-            inherit_ms,
         },
         identical,
     )

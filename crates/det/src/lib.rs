@@ -8,6 +8,8 @@
 //! * [`DetRng`]: a small, fast, seedable PRNG (xoshiro256++ seeded via
 //!   SplitMix64) with convenience samplers and labelled [`DetRng::fork`]
 //!   for independent substreams.
+//! * [`mix64`]: the SplitMix64 finalizer, a full-avalanche one-word mix
+//!   (the engine's render pass builds its content fingerprints on it).
 //! * [`prop`]: a minimal property-based testing harness (seeded case
 //!   generation, failure reporting with the reproducing seed) used by the
 //!   per-crate `prop_*.rs` test suites.
@@ -21,4 +23,4 @@
 pub mod prop;
 pub mod rng;
 
-pub use rng::DetRng;
+pub use rng::{mix64, DetRng};

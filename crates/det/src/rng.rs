@@ -9,7 +9,13 @@
 /// SplitMix64 step: used for seeding and for deriving fork seeds.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+    mix64(*state)
+}
+
+/// The SplitMix64 output finalizer: a bijective 64-bit mix in which
+/// every input bit affects every output bit (full avalanche). Also
+/// serves as a one-word hash step for content fingerprints.
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

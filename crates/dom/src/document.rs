@@ -5,9 +5,25 @@
 //! not reclaim slots (documents in the simulator are short-lived), which
 //! keeps every `NodeId` stable for the lifetime of the [`Document`] — a
 //! property the engine's dirty-tracking and the CSS style cache rely on.
+//!
+//! Every document keeps its own mutation clock. Each node carries a
+//! [`Document::version`] stamped from it on creation and on every `&mut`
+//! access to its payload, and [`Document::structure_version`] moves on
+//! every change of the tree's shape. [`Document::instance`] tells two
+//! documents apart, clones included, so a consumer that memoizes by
+//! version knows when its memo belongs to another document.
 
 use crate::node::{ElementData, NodeKind};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`Document::instance`] ids. Only construction and cloning
+/// draw from it; mutations count on the document's own clock.
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_instance() -> u64 {
+    NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A stable handle to a node within one [`Document`].
 ///
@@ -36,10 +52,12 @@ struct NodeSlot {
     last_child: Option<NodeId>,
     prev_sibling: Option<NodeId>,
     next_sibling: Option<NodeId>,
+    /// Clock value of the last `&mut` access to `kind` (or of creation).
+    version: u64,
 }
 
 impl NodeSlot {
-    fn new(kind: NodeKind) -> Self {
+    fn new(kind: NodeKind, version: u64) -> Self {
         NodeSlot {
             kind,
             parent: None,
@@ -47,24 +65,83 @@ impl NodeSlot {
             last_child: None,
             prev_sibling: None,
             next_sibling: None,
+            version,
         }
     }
 }
 
 /// A DOM document: an arena of nodes rooted at [`Document::root`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Document {
     nodes: Vec<NodeSlot>,
     root: NodeId,
+    /// See [`Document::instance`].
+    instance: u64,
+    /// The mutation clock: the last version handed out.
+    clock: u64,
+    /// Clock value of the last structural mutation.
+    structure: u64,
+}
+
+impl Clone for Document {
+    /// Copies the tree and its versions under a fresh instance id: the
+    /// two documents' versions diverge from here on.
+    fn clone(&self) -> Self {
+        Document {
+            nodes: self.nodes.clone(),
+            root: self.root,
+            instance: fresh_instance(),
+            clock: self.clock,
+            structure: self.structure,
+        }
+    }
 }
 
 impl Document {
     /// Creates an empty document containing only the root node.
     pub fn new() -> Self {
         Document {
-            nodes: vec![NodeSlot::new(NodeKind::Document)],
+            nodes: vec![NodeSlot::new(NodeKind::Document, 1)],
             root: NodeId(0),
+            instance: fresh_instance(),
+            clock: 1,
+            structure: 1,
         }
+    }
+
+    /// This document's identity: fresh on construction and on every
+    /// clone, never shared by two live documents. Versions are only
+    /// comparable between reads of the same instance.
+    pub fn instance(&self) -> u64 {
+        self.instance
+    }
+
+    /// The version of `id`'s payload. It moves on creation and on every
+    /// `&mut` access ([`Document::kind_mut`], [`Document::element_mut`]),
+    /// whether or not the write changes anything; reads never move it.
+    pub fn version(&self, id: NodeId) -> u64 {
+        self.slot(id).version
+    }
+
+    /// The version of the tree's shape. It moves on every
+    /// [`Document::create_node`], [`Document::append_child`] and
+    /// effective [`Document::detach`].
+    pub fn structure_version(&self) -> u64 {
+        self.structure
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The slot of `id` with its version moved: the access point for
+    /// every payload write.
+    fn payload_mut(&mut self, id: NodeId) -> &mut NodeSlot {
+        let version = self.tick();
+        let slot = self.slot_mut(id);
+        slot.version = version;
+        slot
     }
 
     /// The document root node.
@@ -93,7 +170,9 @@ impl Document {
     /// Allocates a detached node of the given kind.
     pub fn create_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeSlot::new(kind));
+        let version = self.tick();
+        self.nodes.push(NodeSlot::new(kind, version));
+        self.structure = version;
         id
     }
 
@@ -125,7 +204,7 @@ impl Document {
 
     /// Mutable access to the node's kind.
     pub fn kind_mut(&mut self, id: NodeId) -> &mut NodeKind {
-        &mut self.slot_mut(id).kind
+        &mut self.payload_mut(id).kind
     }
 
     /// The element payload, if `id` is an element.
@@ -135,7 +214,7 @@ impl Document {
 
     /// Mutable element payload, if `id` is an element.
     pub fn element_mut(&mut self, id: NodeId) -> Option<&mut ElementData> {
-        self.slot_mut(id).kind.as_element_mut()
+        self.payload_mut(id).kind.as_element_mut()
     }
 
     /// The lowercase tag name, if `id` is an element.
@@ -194,6 +273,7 @@ impl Document {
         }
         self.slot_mut(parent).last_child = Some(child);
         self.slot_mut(child).parent = Some(parent);
+        self.structure = self.tick();
     }
 
     /// Detaches `id` (and its subtree) from its parent. No-op if detached.
@@ -215,6 +295,7 @@ impl Document {
         slot.parent = None;
         slot.prev_sibling = None;
         slot.next_sibling = None;
+        self.structure = self.tick();
     }
 
     /// Whether `ancestor` is `node` itself or one of its ancestors.
@@ -536,6 +617,103 @@ mod tests {
             doc.serialize(doc.root()),
             "<div id=\"d\"><p>hello</p></div>"
         );
+    }
+
+    #[test]
+    fn every_payload_write_moves_the_node_version() {
+        let (mut doc, div, p, text) = sample();
+        let mut last = doc.version(div);
+        let mut moved = |doc: &Document, node: NodeId, what: &str| {
+            let now = doc.version(node);
+            assert!(now > last, "{what} did not move {node}: {last} -> {now}");
+            last = now;
+        };
+        doc.element_mut(div).unwrap().set_attribute("class", "hot");
+        moved(&doc, div, "attribute write");
+        doc.element_mut(div).unwrap().set_attribute("class", "hot");
+        moved(&doc, div, "same-value attribute write");
+        doc.element_mut(div)
+            .unwrap()
+            .set_attribute("style", "width: 3px");
+        moved(&doc, div, "inline-style write");
+        doc.element_mut(div).unwrap().remove_attribute("style");
+        moved(&doc, div, "attribute removal");
+        let _ = doc.element_mut(div);
+        moved(&doc, div, "unused element_mut");
+        let _ = doc.kind_mut(div);
+        moved(&doc, div, "unused kind_mut");
+        if let NodeKind::Text(t) = doc.kind_mut(text) {
+            t.push('!');
+        }
+        moved(&doc, text, "text write");
+        *doc.kind_mut(text) = NodeKind::Text("bye".into());
+        moved(&doc, text, "text replacement");
+        // Versions come from one document clock: a write to another
+        // node also lands above everything handed out before.
+        doc.element_mut(p).unwrap().set_attribute("id", "q");
+        assert!(doc.version(p) > doc.version(text));
+        let fresh = doc.create_element("i");
+        assert!(doc.version(fresh) > doc.version(p), "creation stamps");
+    }
+
+    #[test]
+    fn reads_never_move_a_version() {
+        let (mut doc, div, p, text) = sample();
+        doc.element_mut(p).unwrap().set_attribute("id", "para");
+        let snapshot = |doc: &Document| {
+            let versions: Vec<u64> = (0..doc.len())
+                .map(|i| doc.version(doc.node_at(i).unwrap()))
+                .collect();
+            (versions, doc.structure_version())
+        };
+        let before = snapshot(&doc);
+        let root = doc.root();
+        let _ = (doc.kind(text), doc.element(div), doc.tag_name(p));
+        let _ = doc.element(p).unwrap().attribute("id");
+        let _ = doc.element(p).unwrap().style_atoms();
+        let _ = doc.children(root).count() + doc.ancestors(text).count();
+        let _ = doc.descendants(root).count() + doc.elements().count();
+        let _ = (doc.element_by_id("para"), doc.elements_by_tag("p"));
+        let _ = (doc.text_content(root), doc.serialize(root), doc.depth(text));
+        assert_eq!(snapshot(&doc), before);
+    }
+
+    #[test]
+    fn structure_version_moves_on_shape_changes_only() {
+        let (mut doc, div, p, _) = sample();
+        let shape = doc.structure_version();
+        doc.element_mut(div).unwrap().set_attribute("class", "x");
+        assert_eq!(doc.structure_version(), shape, "payload writes");
+        let extra = doc.create_text("t");
+        let created = doc.structure_version();
+        assert!(created > shape, "create_node");
+        doc.append_child(p, extra);
+        let appended = doc.structure_version();
+        assert!(appended > created, "append_child");
+        doc.detach(extra);
+        let detached = doc.structure_version();
+        assert!(detached > appended, "detach");
+        doc.detach(extra);
+        assert_eq!(doc.structure_version(), detached, "no-op detach");
+    }
+
+    #[test]
+    fn clones_get_a_fresh_instance_and_diverge() {
+        let (mut doc, div, ..) = sample();
+        let mut copy = doc.clone();
+        assert_ne!(copy.instance(), doc.instance());
+        assert_ne!(Document::new().instance(), doc.instance());
+        assert_eq!(copy.version(div), doc.version(div), "versions copied");
+        // The same write sequence on both hands out the same version
+        // numbers for different contents: only the instance id keeps a
+        // version memo from mixing them up.
+        doc.element_mut(div).unwrap().set_attribute("class", "a");
+        copy.element_mut(div).unwrap().set_attribute("class", "b");
+        assert_eq!(copy.version(div), doc.version(div));
+        assert_ne!(copy.element(div), doc.element(div));
+        copy.element_mut(div).unwrap().set_attribute("class", "a");
+        assert_ne!(copy.version(div), doc.version(div), "diverged");
+        assert_ne!(copy.clone().instance(), copy.instance());
     }
 
     #[test]

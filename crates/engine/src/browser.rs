@@ -36,7 +36,7 @@ use greenweb_script::{
 use greenweb_trace::{record_into, EventKind as TraceKind, SpanKind, TraceHandle};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -346,7 +346,9 @@ pub struct Browser<S: Scheduler> {
     transitions: Vec<ActiveTransition>,
     css_animations: Vec<ActiveCssAnimation>,
     host_animations: Vec<ActiveHostAnimation>,
-    overlay: HashMap<(NodeId, String), CssValue>,
+    /// Animated values by (node, property). Ordered, so the render pass
+    /// reads each node's values as one contiguous, sorted run.
+    overlay: BTreeMap<(NodeId, String), CssValue>,
     input_meta: Vec<InputRecord>,
     /// Scroll/touchmove inputs waiting for VSync-aligned dispatch
     /// (Chromium aligns move-type input delivery to BeginFrame).
@@ -474,7 +476,7 @@ impl<S: Scheduler> Browser<S> {
             transitions: Vec::new(),
             css_animations: Vec::new(),
             host_animations: Vec::new(),
-            overlay: HashMap::new(),
+            overlay: BTreeMap::new(),
             input_meta: Vec::new(),
             pending_moves: Vec::new(),
             next_uid: 0,

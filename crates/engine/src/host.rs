@@ -426,6 +426,37 @@ mod tests {
     }
 
     #[test]
+    fn script_writes_move_dom_versions_and_reads_do_not() {
+        let html = "<div id='x' class='a'><p id='p'>hi</p></div><i id='y'></i>";
+        let base = parse_html(html).unwrap();
+        let node = |doc: &Document, id: &str| doc.element_by_id(id).unwrap();
+        let (read, _) = run_script(
+            html,
+            "var x = getElementById('x'); log(getAttribute(x, 'class'));",
+        );
+        assert_eq!(
+            read.version(node(&read, "x")),
+            base.version(node(&base, "x"))
+        );
+        assert_eq!(read.structure_version(), base.structure_version());
+        for (src, moved) in [
+            ("setAttribute(getElementById('x'), 'class', 'b');", "x"),
+            ("setAttribute(getElementById('x'), 'class', 'a');", "x"),
+            ("setStyle(getElementById('y'), 'width', 3);", "y"),
+        ] {
+            let (doc, _) = run_script(html, src);
+            assert!(
+                doc.version(node(&doc, moved)) > base.version(node(&base, moved)),
+                "{src}"
+            );
+            assert_eq!(doc.structure_version(), base.structure_version(), "{src}");
+        }
+        // setText swaps in a fresh text node: a structure change.
+        let (doc, _) = run_script(html, "setText(getElementById('p'), 'ho');");
+        assert!(doc.structure_version() > base.structure_version());
+    }
+
+    #[test]
     fn raf_and_timers_recorded() {
         let (_, fx) = run_script(
             "<div id='x'></div>",

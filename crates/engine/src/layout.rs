@@ -5,18 +5,19 @@
 //! produced frame, in both rendering modes:
 //!
 //! 1. **Fingerprints.** Every node gets a subtree fingerprint
-//!    `fp(n) = H(ctx(n), content(n), fp(children…))`, where `ctx(n)`
-//!    chains the selector-salient features (tag / id / classes /
-//!    attributes) of every ancestor. A class flip on a parent therefore
-//!    changes every descendant's fingerprint (descendant combinators may
-//!    restyle them), and any content edit bubbles up the ancestor chain
-//!    (content size feeds ancestor heights). Animation overlay values
-//!    and inline `style` attributes are part of `content(n)`, so all
-//!    three invalidation sources the style system reacts to — DOM
-//!    mutations, inline-style writes, animation ticks — land in the
-//!    fingerprints *without consulting* the style cache or the effect
-//!    gate (pricing must not depend on either pin; see the workload
-//!    parity test `oracle_pins_leave_metrics_unchanged`).
+//!    `fp(n) = H(ctx(n), fp(children…))`, where the context
+//!    `ctx(n) = H(ctx(parent), content(n))` chains the selector-salient
+//!    features (tag / id / classes / attributes) and content of every
+//!    ancestor. A class flip on a parent therefore changes every
+//!    descendant's fingerprint (descendant combinators may restyle
+//!    them), and any content edit bubbles up the ancestor chain (content
+//!    size feeds ancestor heights). Animation overlay values and inline
+//!    `style` attributes are part of `content(n)`, so all three
+//!    invalidation sources the style system reacts to — DOM mutations,
+//!    inline-style writes, animation ticks — land in the fingerprints
+//!    *without consulting* the style cache or the effect gate (pricing
+//!    must not depend on either pin; see the workload parity test
+//!    `oracle_pins_leave_metrics_unchanged`).
 //! 2. **Measure.** A bottom-up pass computes each element's box metrics
 //!    from its [`ComputedStyle`]. Entries are cached per node keyed by
 //!    `(stylesheet generation, subtree fingerprint)`: when the pipeline
@@ -47,14 +48,25 @@
 //! counters (and the style counters, since reused subtrees skip style
 //! resolution) differ. The workload parity test diffs exactly that.
 //!
-//! All per-node state lives in one vector indexed by [`NodeId::index`]
-//! and the per-frame buffers are reused, so a frame does no hashing
-//! beyond the fingerprints and, once warm, allocates only for style
-//! resolution and animation-overlay values.
+//! **What a frame costs.** A node's content hash is memoized with the
+//! [`Document::version`] it was taken at, so only nodes written since
+//! the previous frame are rehashed; the memo is dropped when the
+//! pipeline meets another [`Document::instance`] (a clone included).
+//! Every hash step is one word through [`mix64`], strings go in eight
+//! bytes at a time, and fingerprints are only ever compared for
+//! equality. The pre-order walk, with each entry's parent position and
+//! subtree end, is cached until [`Document::structure_version`] moves.
+//! The overlay is ordered by `(node, property)`: one pass over it folds
+//! each node's values into a per-node hash, and the measure pass reads
+//! a node's values back as one `range`. All per-node state lives in one
+//! vector indexed by [`NodeId::index`], per-frame scratch in one
+//! indexed by walk position, and every buffer is reused, so a warm frame
+//! allocates only for style resolution of the elements it re-measures.
 
 use greenweb_css::{ComputedStyle, CssValue};
-use greenweb_dom::{Document, NodeId};
-use std::collections::HashMap;
+use greenweb_det::mix64;
+use greenweb_dom::{Document, NodeId, NodeKind};
+use std::collections::BTreeMap;
 
 /// Layout viewport width, px (a typical mobile portrait viewport).
 pub const VIEWPORT_WIDTH: f64 = 360.0;
@@ -63,63 +75,83 @@ pub const VIEWPORT_HEIGHT: f64 = 640.0;
 /// Height charged per text child when a box has no explicit height.
 pub const TEXT_LINE_HEIGHT: f64 = 16.0;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Start value of every hash chain.
+const SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+/// One hash step: folds `word` into `hash`. [`mix64`] is a bijection,
+/// so two chains that differ in a single word never meet.
+fn mix(hash: u64, word: u64) -> u64 {
+    mix64(hash ^ word)
+}
+
+/// Folds `s` in eight bytes at a time, then its length, which keeps
+/// ("ab","c") distinct from ("a","bc") and "a" from "a\0".
+fn hash_str(mut hash: u64, s: &str) -> u64 {
+    let mut words = s.as_bytes().chunks_exact(8);
+    for word in &mut words {
+        hash = mix(hash, u64::from_le_bytes(word.try_into().expect("8 bytes")));
     }
-    hash
+    let rest = words.remainder();
+    let mut tail = [0u8; 8];
+    tail[..rest.len()].copy_from_slice(rest);
+    mix(mix(hash, u64::from_le_bytes(tail)), s.len() as u64)
 }
 
-fn fnv_str(hash: u64, s: &str) -> u64 {
-    // Separator byte keeps ("ab","c") distinct from ("a","bc").
-    fnv_bytes(fnv_bytes(hash, s.as_bytes()), &[0xff])
-}
-
-fn fnv_u64(hash: u64, v: u64) -> u64 {
-    fnv_bytes(hash, &v.to_le_bytes())
-}
-
-fn fnv_f64(hash: u64, v: f64) -> u64 {
+fn hash_f64(hash: u64, v: f64) -> u64 {
     // Every NaN hashes alike: the values are equal for fingerprinting.
     let v = if v.is_nan() { f64::NAN } else { v };
-    fnv_u64(hash, v.to_bits())
+    mix(hash, v.to_bits())
 }
 
 /// Hashes `value` structurally: a variant tag, then the payload — f64
 /// bits, strings, or a list's length followed by its items — so values
 /// of different shapes (`1px` and `1`, `a b` as one keyword and as a
-/// sequence) never share a byte stream.
-fn fnv_value(hash: u64, value: &CssValue) -> u64 {
+/// sequence) never share a word stream.
+fn hash_value(hash: u64, value: &CssValue) -> u64 {
     match value {
-        CssValue::Keyword(k) => fnv_str(fnv_bytes(hash, &[0]), k),
-        CssValue::Length(l) => fnv_f64(fnv_bytes(hash, &[1]), l.px),
-        CssValue::Time(t) => fnv_f64(fnv_bytes(hash, &[2]), t.ms),
-        CssValue::Number(n) => fnv_f64(fnv_bytes(hash, &[3]), *n),
-        CssValue::Percentage(p) => fnv_f64(fnv_bytes(hash, &[4]), *p),
-        CssValue::String(s) => fnv_str(fnv_bytes(hash, &[5]), s),
-        CssValue::List(items) => fnv_values(fnv_bytes(hash, &[6]), items),
-        CssValue::Sequence(items) => fnv_values(fnv_bytes(hash, &[7]), items),
+        CssValue::Keyword(k) => hash_str(mix(hash, 0), k),
+        CssValue::Length(l) => hash_f64(mix(hash, 1), l.px),
+        CssValue::Time(t) => hash_f64(mix(hash, 2), t.ms),
+        CssValue::Number(n) => hash_f64(mix(hash, 3), *n),
+        CssValue::Percentage(p) => hash_f64(mix(hash, 4), *p),
+        CssValue::String(s) => hash_str(mix(hash, 5), s),
+        CssValue::List(items) => hash_values(mix(hash, 6), items),
+        CssValue::Sequence(items) => hash_values(mix(hash, 7), items),
     }
 }
 
-fn fnv_values(hash: u64, items: &[CssValue]) -> u64 {
-    let mut hash = fnv_u64(hash, items.len() as u64);
+fn hash_values(hash: u64, items: &[CssValue]) -> u64 {
+    let mut hash = mix(hash, items.len() as u64);
     for item in items {
-        hash = fnv_value(hash, item);
+        hash = hash_value(hash, item);
     }
     hash
 }
 
-/// Pushes `n`'s children last-first, so popping `stack` visits them in
-/// document order (an allocation-free pre-order walk).
-fn push_children_reversed(doc: &Document, n: NodeId, stack: &mut Vec<NodeId>) {
-    let mut child = doc.last_child(n);
-    while let Some(c) = child {
-        stack.push(c);
-        child = doc.prev_sibling(c);
+/// The node kinds the render pass tells apart.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Kind {
+    /// The document root or a comment: no box, no height.
+    #[default]
+    Other,
+    Element,
+    Text,
+}
+
+/// The node's kind and the hash of its payload: an element's tag and
+/// attributes (inline `style` included), or a text node's text.
+fn payload_hash(kind: &NodeKind) -> (Kind, u64) {
+    match kind {
+        NodeKind::Element(el) => {
+            let mut h = hash_str(mix(SEED, 1), el.tag());
+            for attr in el.attributes() {
+                h = hash_str(h, &attr.name);
+                h = hash_str(h, &attr.value);
+            }
+            (Kind::Element, h)
+        }
+        NodeKind::Text(text) => (Kind::Text, hash_str(mix(SEED, 2), text)),
+        NodeKind::Document | NodeKind::Comment(_) => (Kind::Other, SEED),
     }
 }
 
@@ -256,7 +288,16 @@ struct NodeMeasure {
 /// [`NodeId::index`] (DESIGN.md §6k, "Per-node state").
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeState {
-    // Persistent across frames.
+    /// The [`Document::version`] `kind` and `payload` were taken at
+    /// (0 = never: versions start at 1).
+    hashed: u64,
+    kind: Kind,
+    /// Hash of the node's payload, see [`payload_hash`].
+    payload: u64,
+    /// Frame whose overlay last held values for the node (0 = none).
+    overlay_frame: u64,
+    /// Hash of the node's overlay values in frame `overlay_frame`.
+    overlay: u64,
     /// Last frame (counted from 1; 0 = never) whose walk reached the node.
     walked: u64,
     /// Subtree fingerprint from frame `walked`. It is the node's
@@ -276,11 +317,25 @@ struct NodeState {
     /// has an item there (at most one per list), so the damage diff
     /// needs no map.
     item_index: usize,
-    // Per-frame scratch, written before it is read in every frame.
-    /// Hash of the node's own selector-salient features and content.
-    own: u64,
-    /// Ancestor-context chain hash.
-    ctx: u64,
+}
+
+/// One entry of the cached pre-order walk.
+#[derive(Debug, Clone, Copy)]
+struct WalkEntry {
+    node: NodeId,
+    /// Walk position of the parent (0, the root's own, for the root).
+    parent: usize,
+    /// One past the walk position of the node's last descendant.
+    end: usize,
+}
+
+/// Per-frame scratch for one walk position, written before it is read
+/// in every frame.
+#[derive(Debug, Clone, Copy, Default)]
+struct FrameSlot {
+    /// The node's context hash after pass 1; its subtree fingerprint
+    /// once the reverse pass has folded in every child's.
+    hash: u64,
     /// Whether some element in the subtree lacks a measure valid for
     /// this frame's `(generation, fingerprint)`, so the subtree cannot
     /// be reused whole.
@@ -299,16 +354,22 @@ pub struct RenderPipeline {
     enabled: bool,
     /// Frames rendered so far; stamps [`NodeState::walked`].
     frame: u64,
+    /// The [`Document::instance`] the version memo belongs to.
+    document: Option<u64>,
     /// Per-node state, grown to [`Document::len`] each frame.
     nodes: Vec<NodeState>,
+    /// The pre-order walk from the root, valid for the
+    /// `(instance, structure version)` in `walk_key`.
+    walk: Vec<WalkEntry>,
+    walk_key: Option<(u64, u64)>,
     next_item_id: u64,
     /// The retained display list (previous frame, document order).
     retained: Vec<DisplayItem>,
     /// Last frame's positioned boxes, document order.
     boxes: Vec<LayoutBox>,
     // Per-frame scratch buffers, kept for their capacity.
-    order: Vec<NodeId>,
-    stack: Vec<NodeId>,
+    slots: Vec<FrameSlot>,
+    stack: Vec<(NodeId, usize)>,
     to_measure: Vec<NodeId>,
     items: Vec<DisplayItem>,
     layout_stats: LayoutStats,
@@ -328,11 +389,14 @@ impl RenderPipeline {
         RenderPipeline {
             enabled,
             frame: 0,
+            document: None,
             nodes: Vec::new(),
+            walk: Vec::new(),
+            walk_key: None,
             next_item_id: 0,
             retained: Vec::new(),
             boxes: Vec::new(),
-            order: Vec::new(),
+            slots: Vec::new(),
             stack: Vec::new(),
             to_measure: Vec::new(),
             items: Vec::new(),
@@ -373,6 +437,41 @@ impl RenderPipeline {
         &self.retained
     }
 
+    /// Rebuilds the pre-order walk of `doc` from its root unless the
+    /// cached one was built for the same instance and tree shape.
+    fn refresh_walk(&mut self, doc: &Document) {
+        let key = (doc.instance(), doc.structure_version());
+        if self.walk_key == Some(key) {
+            return;
+        }
+        self.walk_key = Some(key);
+        self.walk.clear();
+        self.stack.clear();
+        self.stack.push((doc.root(), 0));
+        while let Some((node, parent)) = self.stack.pop() {
+            let pos = self.walk.len();
+            self.walk.push(WalkEntry {
+                node,
+                parent,
+                end: pos + 1,
+            });
+            // Children last-first, so popping visits them in order.
+            let mut child = doc.last_child(node);
+            while let Some(c) = child {
+                self.stack.push((c, pos));
+                child = doc.prev_sibling(c);
+            }
+        }
+        // A subtree ends where its last-ending child does; children sit
+        // after their parent, so one reverse scan settles every end.
+        for i in (1..self.walk.len()).rev() {
+            let (parent, end) = (self.walk[i].parent, self.walk[i].end);
+            let parent_end = &mut self.walk[parent].end;
+            *parent_end = (*parent_end).max(end);
+        }
+        self.slots.resize(self.walk.len(), FrameSlot::default());
+    }
+
     /// Runs the four per-frame passes (fingerprint → measure →
     /// position → display-list diff) over `doc`, resolving styles
     /// through `resolve` and applying the animation `overlay` on top.
@@ -381,7 +480,7 @@ impl RenderPipeline {
         &mut self,
         doc: &Document,
         generation: u64,
-        overlay: &HashMap<(NodeId, String), CssValue>,
+        overlay: &BTreeMap<(NodeId, String), CssValue>,
         resolve: &mut dyn FnMut(NodeId) -> ComputedStyle,
     ) -> FrameRenderInfo {
         self.frame += 1;
@@ -389,102 +488,108 @@ impl RenderPipeline {
         if self.nodes.len() < doc.len() {
             self.nodes.resize(doc.len(), NodeState::default());
         }
+        if self.document != Some(doc.instance()) {
+            // Versions of another document say nothing about this one.
+            self.document = Some(doc.instance());
+            for state in &mut self.nodes {
+                state.hashed = 0;
+            }
+        }
+        self.refresh_walk(doc);
         let nodes = &mut self.nodes;
+        let walk = &self.walk;
+        let slots = &mut self.slots;
 
-        // Overlay values sorted by (node, property): one node's values
-        // are a contiguous run, in a deterministic hashing and
-        // application order.
-        let mut overlays: Vec<(NodeId, &str, &CssValue)> = overlay
-            .iter()
-            .map(|((node, property), value)| (*node, property.as_str(), value))
-            .collect();
-        overlays.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        let overlay_of = |n: NodeId| {
-            let start = overlays.partition_point(|o| o.0 < n);
-            let end = start + overlays[start..].partition_point(|o| o.0 == n);
-            &overlays[start..end]
-        };
-
-        // Pass 1: fingerprints. Pre-order list once, contexts top-down,
-        // fingerprints bottom-up over the reversed list (children come
-        // after their parent in pre-order, so the reverse sees every
-        // child before its parent).
-        let root = doc.root();
-        self.order.clear();
-        self.stack.clear();
-        self.stack.push(root);
-        while let Some(n) = self.stack.pop() {
-            self.order.push(n);
-            push_children_reversed(doc, n, &mut self.stack);
-        }
-        let mut elements = 0usize;
-        for &n in &self.order {
-            let mut h = FNV_OFFSET;
-            if let Some(el) = doc.element(n) {
-                elements += 1;
-                h = fnv_str(h, el.tag());
-                for attr in el.attributes() {
-                    h = fnv_str(h, &attr.name);
-                    h = fnv_str(h, &attr.value);
-                }
-                for &(_, property, value) in overlay_of(n) {
-                    h = fnv_str(h, property);
-                    h = fnv_value(h, value);
-                }
-            } else if let Some(text) = doc.kind(n).as_text() {
-                h = fnv_str(h, text);
-            }
-            let parent_ctx = doc.parent(n).map_or(FNV_OFFSET, |p| nodes[p.index()].ctx);
-            let state = &mut nodes[n.index()];
-            state.own = h;
-            state.ctx = fnv_u64(parent_ctx, h);
-        }
-        // Machinery-independent dirty count: elements whose subtree
-        // fingerprint changed since the previous frame (all of them on
-        // the first frame). The same walk sets the stale bits.
-        let mut dirty_elements = 0usize;
-        for &n in self.order.iter().rev() {
-            let mut h = fnv_u64(nodes[n.index()].ctx, nodes[n.index()].own);
-            let mut stale = false;
-            for child in doc.children(n) {
-                let child = &nodes[child.index()];
-                h = fnv_u64(h, child.fp.expect("children are fingerprinted first"));
-                stale |= child.stale;
-            }
-            let state = &mut nodes[n.index()];
-            let prev_fp = if state.walked + 1 == frame {
-                state.fp
-            } else {
-                None
+        // Overlay hashes: the map is ordered by (node, property), so each
+        // node's values arrive together and in a fixed order.
+        for ((node, property), value) in overlay {
+            let Some(state) = nodes.get_mut(node.index()) else {
+                continue;
             };
-            if doc.element(n).is_some() {
-                if prev_fp != Some(h) {
+            if state.overlay_frame != frame {
+                state.overlay_frame = frame;
+                state.overlay = SEED;
+            }
+            state.overlay = hash_value(hash_str(state.overlay, property), value);
+        }
+
+        // Pass 1: contexts, top-down. Only nodes written since their
+        // payload was hashed are hashed again.
+        let mut elements = 0usize;
+        for (i, entry) in walk.iter().enumerate() {
+            let state = &mut nodes[entry.node.index()];
+            let version = doc.version(entry.node);
+            if state.hashed != version {
+                (state.kind, state.payload) = payload_hash(doc.kind(entry.node));
+                state.hashed = version;
+            }
+            let mut own = state.payload;
+            if state.kind == Kind::Element {
+                elements += 1;
+                if state.overlay_frame == frame {
+                    own = mix(own, state.overlay);
+                }
+            }
+            let parent_ctx = if i == 0 {
+                SEED
+            } else {
+                slots[entry.parent].hash
+            };
+            slots[i] = FrameSlot {
+                hash: mix(parent_ctx, own),
+                ..FrameSlot::default()
+            };
+        }
+        // Fingerprints, bottom-up over the reversed walk: every child is
+        // finished before its parent, into which it folds its
+        // fingerprint and stale bit. The machinery-independent dirty
+        // count — elements whose subtree fingerprint changed since the
+        // previous frame (all of them on the first frame) — falls out.
+        let mut dirty_elements = 0usize;
+        for (i, entry) in walk.iter().enumerate().rev() {
+            let FrameSlot {
+                hash, mut stale, ..
+            } = slots[i];
+            let state = &mut nodes[entry.node.index()];
+            if state.kind == Kind::Element {
+                let prev_fp = if state.walked + 1 == frame {
+                    state.fp
+                } else {
+                    None
+                };
+                if prev_fp != Some(hash) {
                     dirty_elements += 1;
                 }
                 stale |= !state
                     .measure
-                    .is_some_and(|m| m.generation == generation && m.fp == h);
+                    .is_some_and(|m| m.generation == generation && m.fp == hash);
+                slots[i].stale = stale;
             }
-            state.stale = stale;
             state.walked = frame;
-            state.fp = Some(h);
+            state.fp = Some(hash);
+            if i > 0 {
+                let parent = &mut slots[entry.parent];
+                parent.hash = mix(parent.hash, hash);
+                parent.stale |= stale;
+            }
         }
 
-        // Pass 2a: mark. Pre-order descent that stops at subtree roots
-        // that are not stale when the incremental machinery is on.
+        // Pass 2a: mark. A pre-order scan that jumps over subtrees whose
+        // root is not stale when the incremental machinery is on.
         self.to_measure.clear();
-        self.stack.clear();
-        self.stack.push(root);
         let mut reuses = 0u64;
-        while let Some(n) = self.stack.pop() {
-            if doc.element(n).is_some() {
-                if self.enabled && !nodes[n.index()].stale {
+        let mut i = 0;
+        while i < walk.len() {
+            let entry = walk[i];
+            i += 1;
+            if nodes[entry.node.index()].kind == Kind::Element {
+                if self.enabled && !slots[i - 1].stale {
                     reuses += 1;
-                    continue; // whole subtree is measured: skip it
+                    i = entry.end; // whole subtree is measured: skip it
+                    continue;
                 }
-                self.to_measure.push(n);
+                self.to_measure.push(entry.node);
             }
-            push_children_reversed(doc, n, &mut self.stack);
         }
 
         // Pass 2b: measure, bottom-up (reversed pre-order of the marked
@@ -492,8 +597,14 @@ impl RenderPipeline {
         // their cached metrics).
         for &n in self.to_measure.iter().rev() {
             let mut style = resolve(n);
-            for &(_, property, value) in overlay_of(n) {
-                style.set(property, value.clone());
+            if nodes[n.index()].overlay_frame == frame {
+                // The node's values: one run of the ordered map.
+                let run = overlay
+                    .range((n, String::new())..)
+                    .take_while(|((node, _), _)| *node == n);
+                for ((_, property), value) in run {
+                    style.set(property, value.clone());
+                }
             }
             let margin = style_px(&style, "margin").unwrap_or(0.0);
             let explicit_width = style_px(&style, "width");
@@ -503,19 +614,20 @@ impl RenderPipeline {
                 None => {
                     let mut sum = 0.0;
                     for child in doc.children(n) {
-                        if doc.element(child).is_some() {
-                            sum += nodes[child.index()].measure.map_or(0.0, |m| m.outer_height);
-                        } else if doc.kind(child).as_text().is_some() {
-                            sum += TEXT_LINE_HEIGHT;
+                        let child = &nodes[child.index()];
+                        match child.kind {
+                            Kind::Element => sum += child.measure.map_or(0.0, |m| m.outer_height),
+                            Kind::Text => sum += TEXT_LINE_HEIGHT,
+                            Kind::Other => {}
                         }
                     }
                     sum
                 }
             };
-            let mut style_fp = FNV_OFFSET;
+            let mut style_fp = SEED;
             for (property, value) in style.iter() {
-                style_fp = fnv_str(style_fp, property);
-                style_fp = fnv_value(style_fp, value);
+                style_fp = hash_str(style_fp, property);
+                style_fp = hash_value(style_fp, value);
             }
             let state = &mut nodes[n.index()];
             state.measure = Some(NodeMeasure {
@@ -532,44 +644,38 @@ impl RenderPipeline {
         // box's y depends on every earlier sibling — and deliberately
         // not counted as layout work (it is the cheap part). Every node
         // starts from the viewport defaults when the walk reaches it;
-        // its parent was reached earlier, so a parent without a box lays
-        // its children out from those defaults.
+        // its parent was reached earlier, so a parent without a box (the
+        // root, say) lays its children out from those defaults.
         self.boxes.clear();
-        for &n in &self.order {
-            let state = &mut nodes[n.index()];
-            state.content = (0.0, VIEWPORT_WIDTH);
-            state.cursor = 0.0;
-            if n == root {
-                continue;
-            }
-            let Some(parent) = doc.parent(n) else {
-                continue;
-            };
-            if doc.element(n).is_some() {
-                let Some(m) = state.measure else {
-                    continue;
-                };
-                let (px, pw) = nodes[parent.index()].content;
-                let y_cursor = nodes[parent.index()].cursor;
-                let width = m
-                    .explicit_width
-                    .unwrap_or_else(|| (pw - 2.0 * m.margin).max(0.0));
-                let x = px + m.margin;
-                let y = y_cursor + m.margin;
-                let height = (m.outer_height - 2.0 * m.margin).max(0.0);
-                self.boxes.push(LayoutBox {
-                    node: n,
-                    x,
-                    y,
-                    width,
-                    height,
-                });
-                let state = &mut nodes[n.index()];
-                state.content = (x, width);
-                state.cursor = y;
-                nodes[parent.index()].cursor += m.outer_height;
-            } else if doc.kind(n).as_text().is_some() {
-                nodes[parent.index()].cursor += TEXT_LINE_HEIGHT;
+        for (i, entry) in walk.iter().enumerate() {
+            slots[i].content = (0.0, VIEWPORT_WIDTH);
+            slots[i].cursor = 0.0;
+            let state = &nodes[entry.node.index()];
+            match state.kind {
+                Kind::Element => {
+                    let Some(m) = state.measure else {
+                        continue;
+                    };
+                    let (px, pw) = slots[entry.parent].content;
+                    let width = m
+                        .explicit_width
+                        .unwrap_or_else(|| (pw - 2.0 * m.margin).max(0.0));
+                    let x = px + m.margin;
+                    let y = slots[entry.parent].cursor + m.margin;
+                    let height = (m.outer_height - 2.0 * m.margin).max(0.0);
+                    self.boxes.push(LayoutBox {
+                        node: entry.node,
+                        x,
+                        y,
+                        width,
+                        height,
+                    });
+                    slots[i].content = (x, width);
+                    slots[i].cursor = y;
+                    slots[entry.parent].cursor += m.outer_height;
+                }
+                Kind::Text => slots[entry.parent].cursor += TEXT_LINE_HEIGHT,
+                Kind::Other => {}
             }
         }
 
@@ -677,7 +783,7 @@ mod tests {
         pipe: &mut RenderPipeline,
         doc: &Document,
         engine: &StyleEngine,
-        overlay: &HashMap<(NodeId, String), CssValue>,
+        overlay: &BTreeMap<(NodeId, String), CssValue>,
     ) -> FrameRenderInfo {
         pipe.render_frame(doc, engine.generation(), overlay, &mut |n| {
             engine.compute_style(doc, n, None)
@@ -703,7 +809,7 @@ mod tests {
     #[test]
     fn value_hash_is_structural() {
         use greenweb_css::value::Length;
-        let h = |v: &CssValue| fnv_value(FNV_OFFSET, v);
+        let h = |v: &CssValue| hash_value(SEED, v);
         let kw = |k: &str| CssValue::Keyword(k.to_string());
         assert_ne!(
             h(&CssValue::Length(Length::px(1.0))),
@@ -734,7 +840,7 @@ mod tests {
     fn first_frame_measures_everything_and_damages_everything() {
         let (doc, engine) = fixture();
         let (mut incr, _) = pipeline_pair();
-        let overlay = HashMap::new();
+        let overlay = BTreeMap::new();
         let info = render(&mut incr, &doc, &engine, &overlay);
         assert_eq!(info.elements, 5);
         assert_eq!(info.dirty_elements, 5);
@@ -748,7 +854,7 @@ mod tests {
     fn clean_second_frame_reuses_all_subtrees() {
         let (doc, engine) = fixture();
         let (mut incr, mut naive) = pipeline_pair();
-        let overlay = HashMap::new();
+        let overlay = BTreeMap::new();
         render(&mut incr, &doc, &engine, &overlay);
         let info = render(&mut incr, &doc, &engine, &overlay);
         assert_eq!(info.dirty_elements, 0);
@@ -768,7 +874,7 @@ mod tests {
     fn modes_agree_on_geometry_and_display_list_across_mutations() {
         let (mut doc, engine) = fixture();
         let (mut incr, mut naive) = pipeline_pair();
-        let mut overlay = HashMap::new();
+        let mut overlay = BTreeMap::new();
         for step in 0..4u32 {
             let a = render(&mut incr, &doc, &engine, &overlay);
             let b = render(&mut naive, &doc, &engine, &overlay);
@@ -801,7 +907,7 @@ mod tests {
     fn leaf_change_dirties_only_its_ancestor_chain() {
         let (mut doc, engine) = fixture();
         let (mut incr, _) = pipeline_pair();
-        let overlay = HashMap::new();
+        let overlay = BTreeMap::new();
         render(&mut incr, &doc, &engine, &overlay);
         let span = doc.elements_by_tag("span")[0];
         let el = doc.element_mut(span).expect("element");
@@ -821,7 +927,7 @@ mod tests {
     fn parent_class_flip_dirties_every_descendant() {
         let (mut doc, engine) = fixture();
         let (mut incr, _) = pipeline_pair();
-        let overlay = HashMap::new();
+        let overlay = BTreeMap::new();
         render(&mut incr, &doc, &engine, &overlay);
         let a = doc.element_by_id("a").expect("a");
         let el = doc.element_mut(a).expect("element");
@@ -836,7 +942,7 @@ mod tests {
     fn removed_items_count_as_damage() {
         let (mut doc, engine) = fixture();
         let (mut incr, mut naive) = pipeline_pair();
-        let overlay = HashMap::new();
+        let overlay = BTreeMap::new();
         render(&mut incr, &doc, &engine, &overlay);
         render(&mut naive, &doc, &engine, &overlay);
         let b_id = doc.element_by_id("b").expect("b");
@@ -854,7 +960,7 @@ mod tests {
     fn stable_item_ids_survive_clean_frames() {
         let (doc, engine) = fixture();
         let (mut incr, _) = pipeline_pair();
-        let overlay = HashMap::new();
+        let overlay = BTreeMap::new();
         render(&mut incr, &doc, &engine, &overlay);
         let ids: Vec<u64> = incr.display_list().iter().map(|i| i.id).collect();
         render(&mut incr, &doc, &engine, &overlay);
@@ -869,7 +975,7 @@ mod tests {
         // it had two frames ago.
         let (mut doc, engine) = fixture();
         let (mut incr, mut naive) = pipeline_pair();
-        let overlay = HashMap::new();
+        let overlay = BTreeMap::new();
         let b_id = doc.element_by_id("b").expect("b");
         let parent = doc.parent(b_id).expect("attached");
         for pipe in [&mut incr, &mut naive] {
@@ -895,7 +1001,7 @@ mod tests {
     fn element_created_after_first_frame_is_rendered() {
         let (mut doc, engine) = fixture();
         let (mut incr, mut naive) = pipeline_pair();
-        let overlay = HashMap::new();
+        let overlay = BTreeMap::new();
         for pipe in [&mut incr, &mut naive] {
             render(pipe, &doc, &engine, &overlay);
         }
@@ -924,7 +1030,7 @@ mod tests {
         // reused whole with the new span never measured.
         let (mut doc, engine) = fixture();
         let (mut incr, mut naive) = pipeline_pair();
-        let overlay = HashMap::new();
+        let overlay = BTreeMap::new();
         for pipe in [&mut incr, &mut naive] {
             render(pipe, &doc, &engine, &overlay);
         }
@@ -950,12 +1056,70 @@ mod tests {
     }
 
     #[test]
+    fn writing_a_value_back_moves_the_version_but_dirties_nothing() {
+        let (mut doc, engine) = fixture();
+        let (mut incr, mut naive) = pipeline_pair();
+        let overlay = BTreeMap::new();
+        for pipe in [&mut incr, &mut naive] {
+            render(pipe, &doc, &engine, &overlay);
+        }
+        let a_id = doc.element_by_id("a").expect("a");
+        let text = doc
+            .descendants(a_id)
+            .find(|&n| doc.kind(n).as_text() == Some("one"));
+        let text = text.expect("text node");
+        let versions = (doc.version(a_id), doc.version(text));
+        doc.element_mut(a_id)
+            .expect("element")
+            .set_attribute("class", "card");
+        *doc.kind_mut(text) = NodeKind::Text("one".into());
+        assert!(doc.version(a_id) > versions.0 && doc.version(text) > versions.1);
+        let a = render(&mut incr, &doc, &engine, &overlay);
+        let b = render(&mut naive, &doc, &engine, &overlay);
+        assert_eq!(a, b);
+        assert_eq!((a.dirty_elements, a.damage_items), (0, 0));
+        assert_eq!(incr.layout_stats().subtree_reuses, 2, "both top divs");
+        // A real edit after the round trip is still seen.
+        *doc.kind_mut(text) = NodeKind::Text("uno".into());
+        let edited = render(&mut incr, &doc, &engine, &overlay);
+        assert_eq!(edited.dirty_elements, 2, "the <p> and div#a");
+    }
+
+    #[test]
+    fn a_differently_mutated_clone_is_rehashed() {
+        // A clone continues the original's version clock, so the same
+        // write sequence on both hands out equal versions for different
+        // contents. The pipeline must notice the new instance and rehash.
+        let (mut doc, engine) = fixture();
+        let mut copy = doc.clone();
+        let b_id = doc.element_by_id("b").expect("b");
+        doc.element_mut(b_id)
+            .expect("element")
+            .set_attribute("class", "plain");
+        copy.element_mut(b_id)
+            .expect("element")
+            .set_attribute("class", "card");
+        assert_eq!(doc.version(b_id), copy.version(b_id));
+        let overlay = BTreeMap::new();
+        let mut pipe = RenderPipeline::new(true);
+        render(&mut pipe, &doc, &engine, &overlay);
+        let on_copy = render(&mut pipe, &copy, &engine, &overlay);
+        assert_eq!(on_copy.dirty_elements, 2, "div#b and its span");
+        let mut fresh = RenderPipeline::new(true);
+        render(&mut fresh, &copy, &engine, &overlay);
+        assert_eq!(pipe.layout_boxes(), fresh.layout_boxes());
+        // And back: the original is rehashed too.
+        let back = render(&mut pipe, &doc, &engine, &overlay);
+        assert_eq!(back.dirty_elements, 2);
+    }
+
+    #[test]
     fn item_ids_follow_their_nodes_across_mutations() {
         let (mut doc, engine) = fixture();
         let (mut incr, _) = pipeline_pair();
-        let overlay = HashMap::new();
+        let overlay = BTreeMap::new();
         render(&mut incr, &doc, &engine, &overlay);
-        let first: HashMap<NodeId, u64> =
+        let first: std::collections::HashMap<NodeId, u64> =
             incr.display_list().iter().map(|i| (i.node, i.id)).collect();
         let a_id = doc.element_by_id("a").expect("a");
         let parent = doc.parent(a_id).expect("attached");
