@@ -1029,17 +1029,14 @@ mod tests {
             s.attr_targets,
             TargetSet::Known([EffectTarget::ListenerSubtree].into_iter().collect())
         );
-        assert!(s.supports_targeted_invalidation());
         let unknown = summarize("setAttribute(getElementById('x'), 'class', 'on');");
         assert_eq!(unknown.attr_targets, TargetSet::Unknown);
-        assert!(!unknown.supports_targeted_invalidation());
     }
 
     #[test]
     fn tree_mutation_is_detected() {
         let s = summarize("appendChild(document(), createElement('div'));");
         assert!(s.may_mutate_structure());
-        assert!(!s.supports_targeted_invalidation());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! evaluate ablation                   design-choice ablations
 //! evaluate percentiles                per-stage latency percentiles + flame
 //! evaluate all                        everything above
-//! evaluate bench                      serial-vs-parallel wall-clock
+//! evaluate bench                      serial/parallel parity + sim phases
 //! evaluate bench --suite style        style resolver microbenchmark
 //! evaluate bench --suite script       script-pipeline compile-once suite
 //! evaluate bench --suite paint        incremental render-pipeline suite
@@ -52,8 +52,6 @@
 //!
 //! ```text
 //! --tolerance T         max relative numeric drift, default 0.05 (5%)
-//! --ignore a,b,c        key names skipped at any depth (use for
-//!                       wall-clock fields like serial_s/speedup)
 //! ```
 //!
 //! `diff` exits 0 when the documents agree within tolerance and 1 with
@@ -83,14 +81,14 @@
 //! aborted mid-run (`GREENWEB_ABORT_AFTER=K` aborts after K new result
 //! lines — the hook CI's resume-parity gate kills with).
 //!
-//! `bench` (micro) times the microbenchmark suite serially and at
-//! `--jobs`, adds per-phase pipeline totals from one traced run per
-//! workload (plus a labeled aggregate), and writes the comparison to
-//! `BENCH_evaluate.json`. `bench --suite style` runs
-//! the naive-vs-bucketed selector-matching suite and writes
+//! `bench` (micro) runs the microbenchmark suite serially and at
+//! `--jobs`, checks the two agree bit for bit, adds per-phase pipeline
+//! totals in simulated ms from one traced run per workload (plus a
+//! labeled aggregate), and writes `BENCH_evaluate.json`. `bench --suite
+//! style` runs the naive-vs-bucketed selector-matching suite and writes
 //! `BENCH_style.json`. `bench --suite script` runs the script-pipeline
-//! compile-once suite (bytecode VM vs tree-walking oracle, counters
-//! only) and writes `BENCH_script.json`. `bench --suite paint` runs the
+//! compile-once suite (bytecode VM counters only) and writes
+//! `BENCH_script.json`. `bench --suite paint` runs the
 //! incremental-rendering suite (naive full relayout vs cached
 //! subtrees + retained display list, counters only) and writes
 //! `BENCH_paint.json`. `metrics` prints one workload's deterministic
@@ -124,7 +122,6 @@ fn main() {
     let mut flame_output = false;
     let mut poison_summaries = false;
     let mut tolerance: f64 = 0.05;
-    let mut ignore = String::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
@@ -165,7 +162,6 @@ fn main() {
                     .parse()
                     .expect("--tolerance requires a number");
             }
-            "--ignore" => ignore = argv.next().expect("--ignore requires a key list"),
             other => {
                 // First bare word is the command; the rest are its
                 // positional operands (`diff OLD NEW`).
@@ -218,7 +214,7 @@ fn main() {
         return;
     }
     if command == "diff" {
-        std::process::exit(diff_command(&positionals, tolerance, &ignore));
+        std::process::exit(diff_command(&positionals, tolerance));
     }
 
     if wants("table1") {
@@ -489,8 +485,8 @@ fn attribute_command(workload: &str, json_output: bool, flame_output: bool) {
 /// Compares two JSON files field by field and returns the process exit
 /// code: 0 when they agree within tolerance, 1 otherwise (one stdout
 /// line per differing field).
-fn diff_command(paths: &[String], tolerance: f64, ignore: &str) -> i32 {
-    use greenweb_bench::diff::{diff_json, DiffOptions};
+fn diff_command(paths: &[String], tolerance: f64) -> i32 {
+    use greenweb_bench::diff::diff_json;
     let [old_path, new_path] = paths else {
         eprintln!("diff requires exactly two paths: evaluate diff OLD.json NEW.json");
         return 1;
@@ -498,15 +494,7 @@ fn diff_command(paths: &[String], tolerance: f64, ignore: &str) -> i32 {
     let read = |path: &String| {
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"))
     };
-    let options = DiffOptions {
-        tolerance,
-        ignore: ignore
-            .split(',')
-            .filter(|key| !key.is_empty())
-            .map(str::to_string)
-            .collect(),
-    };
-    match diff_json(&read(old_path), &read(new_path), &options) {
+    match diff_json(&read(old_path), &read(new_path), tolerance) {
         Ok(differences) if differences.is_empty() => {
             println!(
                 "{old_path} and {new_path} agree within {:.1}% tolerance",
@@ -543,19 +531,13 @@ fn suite(
     })
 }
 
-/// Times the microbenchmark suite serially and at `jobs`, checks the two
+/// Runs the microbenchmark suite serially and at `jobs`, checks the two
 /// results agree bit for bit, and writes `BENCH_evaluate.json`.
 fn bench_report(jobs: Jobs) {
-    use std::time::Instant;
     let workloads = greenweb_workloads::all();
-    eprintln!("timing micro suite serially...");
-    let started = Instant::now();
+    eprintln!("running micro suite serially and at {jobs} worker(s)...");
     let serial = run_apps(&workloads, SuiteKind::Micro, Jobs::serial());
-    let serial_s = started.elapsed().as_secs_f64();
-    eprintln!("timing micro suite at {jobs} worker(s)...");
-    let started = Instant::now();
     let parallel = run_apps(&workloads, SuiteKind::Micro, jobs);
-    let parallel_s = started.elapsed().as_secs_f64();
     let identical = serial.len() == parallel.len()
         && serial.iter().zip(&parallel).all(|(a, b)| {
             a.perf.report.total_mj() == b.perf.report.total_mj()
@@ -565,12 +547,12 @@ fn bench_report(jobs: Jobs) {
         });
     assert!(identical, "serial and parallel suites diverged");
     // Per-phase pipeline totals from one traced run per workload:
-    // simulated-time span durations, so these are deterministic (unlike
-    // the wall-clock numbers above). Every workload gets its own
+    // simulated-time span durations, so these are deterministic. Every
+    // workload gets its own
     // breakdown plus a labeled aggregate — a suite-wide number used to
     // hide per-app regressions behind Paper.js, the only app the old
     // report covered.
-    let phases_ms = workloads
+    let phases_sim_ms = workloads
         .iter()
         .map(|w| {
             let profiled = profile::profile(
@@ -584,19 +566,11 @@ fn bench_report(jobs: Jobs) {
         .collect();
     let report = profile::MicroBench {
         cells: workloads.len() * 4,
-        hardware_parallelism: Jobs::auto().count(),
-        jobs: jobs.count(),
-        serial_s,
-        parallel_s,
         identical,
-        phases_ms,
+        phases_sim_ms,
     };
     std::fs::write("BENCH_evaluate.json", report.render_json()).expect("write BENCH_evaluate.json");
-    println!(
-        "serial {serial_s:.3}s, {jobs} worker(s) {parallel_s:.3}s, speedup {:.2}x \
-         (results bit-identical); wrote BENCH_evaluate.json",
-        report.speedup()
-    );
+    println!("serial and {jobs}-worker results bit-identical; wrote BENCH_evaluate.json");
 }
 
 /// Runs the style microbenchmark suite, asserts the counter-based
@@ -617,14 +591,12 @@ fn style_bench_report() {
 }
 
 /// Runs the script-pipeline suite, asserts the compile-once acceptance
-/// gate (compile count ≤ handler count, independent of event volume;
-/// results identical to the tree-walking oracle), and writes
-/// `BENCH_script.json`.
+/// gate (compile count ≤ handler count, independent of event volume),
+/// and writes `BENCH_script.json`.
 fn script_bench_report() {
     use greenweb_bench::scriptbench;
     let report = scriptbench::run_suite();
     print!("{}", report.render_text());
-    assert!(report.identical(), "bytecode VM diverged from the oracle");
     assert!(
         report.total_compiles() <= report.total_handlers(),
         "compile count {} exceeds handler count {}",

@@ -5,46 +5,27 @@
 //! Two documents are walked structurally in parallel: objects by key
 //! union (missing or extra keys are differences), arrays by index,
 //! numbers by *relative* difference against a tolerance, and every
-//! other scalar exactly. Wall-clock-dependent fields (`serial_s`,
-//! `speedup`, …) are excluded by name via [`DiffOptions::ignore`], at
-//! any nesting depth. The output is a deterministic list of
+//! other scalar exactly. The output is a deterministic list of
 //! human-readable difference lines, so the gate's failure mode is a
 //! diagnosis, not a boolean.
 
 use greenweb_trace::json::JsonValue;
 
-/// How [`diff_json`] compares two documents.
-#[derive(Debug, Clone)]
-pub struct DiffOptions {
-    /// Maximum allowed relative difference between two numbers:
-    /// `|a − b| / max(|a|, |b|)`. Two zeros always compare equal.
-    pub tolerance: f64,
-    /// Key names skipped wherever they appear (at any depth).
-    pub ignore: Vec<String>,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions {
-            tolerance: 0.05,
-            ignore: Vec::new(),
-        }
-    }
-}
-
 /// Parses both documents and returns every field-level difference
-/// beyond tolerance, in document order. An empty list means the
-/// documents agree.
+/// beyond `tolerance`, in document order. An empty list means the
+/// documents agree. `tolerance` is the maximum allowed relative
+/// difference between two numbers, `|a − b| / max(|a|, |b|)`; two zeros
+/// always compare equal.
 ///
 /// # Errors
 ///
 /// Returns a parse-error description when either document is not the
 /// JSON subset the workspace reader ([`JsonValue`]) understands.
-pub fn diff_json(old: &str, new: &str, options: &DiffOptions) -> Result<Vec<String>, String> {
+pub fn diff_json(old: &str, new: &str, tolerance: f64) -> Result<Vec<String>, String> {
     let old = JsonValue::parse(old.trim()).map_err(|e| format!("old document: {e}"))?;
     let new = JsonValue::parse(new.trim()).map_err(|e| format!("new document: {e}"))?;
     let mut differences = Vec::new();
-    walk("$", &old, &new, options, &mut differences);
+    walk("$", &old, &new, tolerance, &mut differences);
     Ok(differences)
 }
 
@@ -69,22 +50,16 @@ fn render_scalar(value: &JsonValue) -> String {
     }
 }
 
-fn walk(
-    path: &str,
-    old: &JsonValue,
-    new: &JsonValue,
-    options: &DiffOptions,
-    out: &mut Vec<String>,
-) {
+fn walk(path: &str, old: &JsonValue, new: &JsonValue, tolerance: f64, out: &mut Vec<String>) {
     match (old, new) {
         (JsonValue::Num(a), JsonValue::Num(b)) => {
             let scale = a.abs().max(b.abs());
-            if scale > 0.0 && ((a - b).abs() / scale) > options.tolerance {
+            if scale > 0.0 && ((a - b).abs() / scale) > tolerance {
                 let relative = (a - b).abs() / scale;
                 out.push(format!(
                     "{path}: {a} -> {b} (relative change {:.1}% > tolerance {:.1}%)",
                     relative * 100.0,
-                    options.tolerance * 100.0,
+                    tolerance * 100.0,
                 ));
             }
         }
@@ -92,19 +67,13 @@ fn walk(
             // Old-document key order first, then keys only the new one
             // has — deterministic and reads like the committed file.
             for (key, old_value) in a {
-                if options.ignore.iter().any(|ig| ig == key) {
-                    continue;
-                }
                 let child = format!("{path}.{key}");
                 match b.iter().find(|(k, _)| k == key) {
-                    Some((_, new_value)) => walk(&child, old_value, new_value, options, out),
+                    Some((_, new_value)) => walk(&child, old_value, new_value, tolerance, out),
                     None => out.push(format!("{child}: missing from new document")),
                 }
             }
             for (key, _) in b {
-                if options.ignore.iter().any(|ig| ig == key) {
-                    continue;
-                }
                 if !a.iter().any(|(k, _)| k == key) {
                     out.push(format!("{path}.{key}: only in new document"));
                 }
@@ -119,7 +88,7 @@ fn walk(
                     &format!("{path}[{index}]"),
                     old_value,
                     new_value,
-                    options,
+                    tolerance,
                     out,
                 );
             }
@@ -148,43 +117,27 @@ fn walk(
 mod tests {
     use super::*;
 
-    fn diff(old: &str, new: &str, tolerance: f64, ignore: &[&str]) -> Vec<String> {
-        diff_json(
-            old,
-            new,
-            &DiffOptions {
-                tolerance,
-                ignore: ignore.iter().map(|s| (*s).to_string()).collect(),
-            },
-        )
-        .unwrap()
+    fn diff(old: &str, new: &str, tolerance: f64) -> Vec<String> {
+        diff_json(old, new, tolerance).unwrap()
     }
 
     #[test]
     fn identical_documents_have_no_differences() {
         let doc = r#"{"a":1.0,"b":{"c":[1,2,3],"d":"x"},"e":true}"#;
-        assert!(diff(doc, doc, 0.0, &[]).is_empty());
+        assert!(diff(doc, doc, 0.0).is_empty());
     }
 
     #[test]
     fn numbers_compare_relatively() {
         // 4% drift passes a 5% tolerance, fails a 1% one.
-        assert!(diff(r#"{"v":100.0}"#, r#"{"v":104.0}"#, 0.05, &[]).is_empty());
-        let strict = diff(r#"{"v":100.0}"#, r#"{"v":104.0}"#, 0.01, &[]);
+        assert!(diff(r#"{"v":100.0}"#, r#"{"v":104.0}"#, 0.05).is_empty());
+        let strict = diff(r#"{"v":100.0}"#, r#"{"v":104.0}"#, 0.01);
         assert_eq!(strict.len(), 1);
         assert!(strict[0].starts_with("$.v:"), "{strict:?}");
         // Both zero is equal at any tolerance.
-        assert!(diff(r#"{"v":0}"#, r#"{"v":0}"#, 0.0, &[]).is_empty());
+        assert!(diff(r#"{"v":0}"#, r#"{"v":0}"#, 0.0).is_empty());
         // Zero to non-zero is a 100% relative change.
-        assert_eq!(diff(r#"{"v":0}"#, r#"{"v":1}"#, 0.5, &[]).len(), 1);
-    }
-
-    #[test]
-    fn ignored_keys_are_skipped_at_any_depth() {
-        let old = r#"{"serial_s":1.0,"inner":{"serial_s":2.0,"keep":3.0}}"#;
-        let new = r#"{"serial_s":9.0,"inner":{"serial_s":8.0,"keep":3.0}}"#;
-        assert!(diff(old, new, 0.0, &["serial_s"]).is_empty());
-        assert_eq!(diff(old, new, 0.0, &[]).len(), 2);
+        assert_eq!(diff(r#"{"v":0}"#, r#"{"v":1}"#, 0.5).len(), 1);
     }
 
     #[test]
@@ -193,7 +146,6 @@ mod tests {
             r#"{"a":1,"gone":2,"arr":[1,2],"t":"x"}"#,
             r#"{"a":1,"arr":[1,2,3],"t":5,"extra":0}"#,
             0.5,
-            &[],
         );
         assert!(diffs.iter().any(|d| d.contains("$.gone: missing")));
         assert!(diffs.iter().any(|d| d.contains("$.extra: only in new")));
@@ -207,18 +159,13 @@ mod tests {
 
     #[test]
     fn strings_and_bools_compare_exactly() {
-        let diffs = diff(
-            r#"{"s":"ok","b":true}"#,
-            r#"{"s":"bad","b":false}"#,
-            1.0,
-            &[],
-        );
+        let diffs = diff(r#"{"s":"ok","b":true}"#, r#"{"s":"bad","b":false}"#, 1.0);
         assert_eq!(diffs.len(), 2);
     }
 
     #[test]
     fn parse_errors_are_reported_not_panicked() {
-        assert!(diff_json("{", "{}", &DiffOptions::default()).is_err());
-        assert!(diff_json("{}", "nope", &DiffOptions::default()).is_err());
+        assert!(diff_json("{", "{}", 0.05).is_err());
+        assert!(diff_json("{}", "nope", 0.05).is_err());
     }
 }

@@ -17,9 +17,9 @@
 //! * [`stylebench`] — the style microbenchmark suite: naive full-scan vs
 //!   bucketed + Bloom-filtered selector matching with per-phase
 //!   breakdowns (`evaluate bench --suite style`);
-//! * [`scriptbench`] — the script-pipeline suite: compile-once counters
-//!   and the bytecode-VM vs tree-walking-oracle differential over every
-//!   workload (`evaluate bench --suite script`);
+//! * [`scriptbench`] — the script-pipeline suite: the bytecode VM's
+//!   compile-once counters over every workload (`evaluate bench --suite
+//!   script`);
 //! * [`paintbench`] — the render-pipeline suite: incremental layout /
 //!   retained-display-list counters vs the naive full-relayout oracle
 //!   over every workload (`evaluate bench --suite paint`);

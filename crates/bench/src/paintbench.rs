@@ -283,6 +283,11 @@ mod tests {
             assert_eq!(ra.paint, rb.paint, "{}", ra.name);
             assert_eq!(ra.naive_layout, rb.naive_layout, "{}", ra.name);
         }
+        assert_eq!(
+            a.render_json(),
+            include_str!("../../../BENCH_paint.json"),
+            "BENCH_paint.json is stale: regenerate with `evaluate bench --suite paint`"
+        );
     }
 
     #[test]

@@ -147,33 +147,22 @@ pub fn phase_totals_ms(profile: &Profile) -> [f64; 4] {
     })
 }
 
-/// The `BENCH_evaluate.json` report: the microbenchmark suite timed
-/// serially and on `jobs` workers (wall clock), plus each workload's
-/// [`phase_totals_ms`] and their aggregate (simulated time).
+/// The `BENCH_evaluate.json` report: whether the microbenchmark suite
+/// gave bit-identical results serially and on several workers, plus
+/// each workload's [`phase_totals_ms`] and their aggregate. Every value
+/// is simulated or counted, never host wall-clock, so the report can be
+/// diffed at zero tolerance.
 #[derive(Debug, Clone)]
 pub struct MicroBench {
     /// Suite cells run per pass.
     pub cells: usize,
-    /// Worker threads the host offers.
-    pub hardware_parallelism: usize,
-    /// Workers of the parallel pass.
-    pub jobs: usize,
-    /// Wall-clock seconds of the serial pass.
-    pub serial_s: f64,
-    /// Wall-clock seconds of the parallel pass.
-    pub parallel_s: f64,
     /// Whether both passes produced bit-identical results.
     pub identical: bool,
-    /// `(workload, phase totals)` in workload order.
-    pub phases_ms: Vec<(&'static str, [f64; 4])>,
+    /// `(workload, phase totals)` in workload order, simulated ms.
+    pub phases_sim_ms: Vec<(&'static str, [f64; 4])>,
 }
 
 impl MicroBench {
-    /// Serial time over parallel time.
-    pub fn speedup(&self) -> f64 {
-        self.serial_s / self.parallel_s.max(1e-9)
-    }
-
     /// Renders the report as the JSON document `evaluate diff` compares.
     pub fn render_json(&self) -> String {
         let phase_entry = |o: &mut Obj<'_>, label: &str, phases: &[f64; 4]| {
@@ -183,7 +172,7 @@ impl MicroBench {
             }
         };
         let mut aggregate = [0.0f64; 4];
-        for (_, phases) in &self.phases_ms {
+        for (_, phases) in &self.phases_sim_ms {
             for (total, phase) in aggregate.iter_mut().zip(phases) {
                 *total += phase;
             }
@@ -192,18 +181,13 @@ impl MicroBench {
         json::object(&mut out, |o| {
             o.field("suite", "micro")
                 .field("cells", self.cells)
-                .field("hardware_parallelism", self.hardware_parallelism)
-                .field("jobs", self.jobs)
-                .field("serial_s", Fixed(self.serial_s, 3))
-                .field("parallel_s", Fixed(self.parallel_s, 3))
-                .field("speedup", Fixed(self.speedup(), 2))
                 .field("identical", self.identical)
-                .arr("phases_ms", |a| {
-                    for (label, phases) in &self.phases_ms {
+                .arr("phases_sim_ms", |a| {
+                    for (label, phases) in &self.phases_sim_ms {
                         a.obj(|o| phase_entry(o, label, phases));
                     }
                 })
-                .obj("phases_ms_aggregate", |o| {
+                .obj("phases_sim_ms_aggregate", |o| {
                     phase_entry(o, "aggregate", &aggregate);
                 });
         });

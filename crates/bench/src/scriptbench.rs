@@ -2,9 +2,8 @@
 //! script`).
 //!
 //! For each of the 12 workloads the suite runs the *full* interaction
-//! trace and the *micro* trace through the engine's default bytecode-VM
-//! backend, plus the full trace once more through the tree-walking
-//! oracle, and reports only deterministic counters — script compiles,
+//! trace and the *micro* trace through the engine's bytecode VM and
+//! reports only deterministic counters — script compiles,
 //! precompiled-table hits, handler-cache entries, callback dispatches,
 //! charged ops, raw VM dispatches, and folded-constant wins. No
 //! wall-clock number participates in any assertion.
@@ -17,18 +16,18 @@
 //!   event volume) and never exceed the handler count;
 //! * **the precompiled table engages** — every setup script is served
 //!   from the bytecode the [`App`](greenweb_engine::App) builder
-//!   compiled at build time, so the load path performs zero AST walks;
-//! * **the oracle agrees** — frames, inputs, energy, and the charged op
-//!   count of the VM run equal the tree-walking interpreter's, per
-//!   workload (the tick-parity contract, end to end).
+//!   compiled at build time, so the load path performs zero AST walks.
+//!
+//! The VM's agreement with the tree-walking reference interpreter is a
+//! language-level property, checked in `greenweb-script`'s differential
+//! suite.
 
-use greenweb_engine::{RunSpec, ScriptBackend, ScriptStats, SimReport, Trace};
+use greenweb_engine::{RunSpec, ScriptStats, Trace};
 use greenweb_trace::json;
 use greenweb_workloads::harness::Policy;
 use std::fmt::Write as _;
 
-/// One benchmarked workload: VM-path counters from both traces plus the
-/// oracle comparison.
+/// One benchmarked workload: VM counters from both traces.
 #[derive(Debug, Clone)]
 pub struct ScriptBenchRow {
     /// Workload name.
@@ -37,9 +36,6 @@ pub struct ScriptBenchRow {
     pub full: ScriptStats,
     /// Script-pipeline counters of the micro-trace VM run.
     pub micro: ScriptStats,
-    /// Whether the full-trace tree-walking oracle run produced the same
-    /// frames, inputs, energy, and charged op count as the VM run.
-    pub identical: bool,
 }
 
 /// The whole suite: per-workload rows plus aggregate accessors.
@@ -50,11 +46,6 @@ pub struct ScriptBenchReport {
 }
 
 impl ScriptBenchReport {
-    /// Whether every workload's VM run matched its oracle run.
-    pub fn identical(&self) -> bool {
-        self.rows.iter().all(|r| r.identical)
-    }
-
     /// Total AST compiles the VM path performed across full-trace runs
     /// (load-path misses of the precompiled table plus handler-cache
     /// recompiles — zero is the ideal).
@@ -113,8 +104,7 @@ impl ScriptBenchReport {
                             "compiles_event_independent",
                             self.compiles_event_independent(),
                         );
-                })
-                .field("identical", self.identical());
+                });
         });
         out.push('\n');
         out
@@ -159,54 +149,35 @@ impl ScriptBenchReport {
         let _ = writeln!(
             out,
             "total: {} AST compiles for {} handlers ({} constant folds), \
-             compile count event-independent: {}, oracle {}",
+             compile count event-independent: {}",
             self.total_compiles(),
             self.total_handlers(),
             self.total_fold_wins(),
             self.compiles_event_independent(),
-            if self.identical() {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
         );
         out
     }
 }
 
-/// Runs one workload trace under Perf on an explicit script backend.
-fn run_on(app: &greenweb_engine::App, trace: &Trace, backend: ScriptBackend) -> SimReport {
+/// Runs one workload trace under Perf and returns its script counters.
+fn script_stats(app: &greenweb_engine::App, trace: &Trace) -> ScriptStats {
     RunSpec::new(app.clone(), trace.clone(), Box::new(Policy::Perf))
-        .with_script_backend(backend)
         .execute()
         .expect("workload runs")
         .report
-}
-
-/// The oracle check: everything user-observable, plus the charged op
-/// count the cost model consumed (backend-independent by tick parity).
-fn reports_agree(vm: &SimReport, tree: &SimReport) -> bool {
-    vm.frames == tree.frames
-        && vm.inputs == tree.inputs
-        && vm.total_mj() == tree.total_mj()
-        && vm.busy_time == tree.busy_time
-        && vm.script.ops == tree.script.ops
+        .script
 }
 
 /// Runs the suite over all 12 workloads.
 pub fn run_suite() -> ScriptBenchReport {
-    let mut rows = Vec::new();
-    for w in greenweb_workloads::all() {
-        let full_vm = run_on(&w.app, &w.full, ScriptBackend::Auto);
-        let micro_vm = run_on(&w.app, &w.micro, ScriptBackend::Auto);
-        let full_tree = run_on(&w.app, &w.full, ScriptBackend::Tree);
-        rows.push(ScriptBenchRow {
+    let rows = greenweb_workloads::all()
+        .into_iter()
+        .map(|w| ScriptBenchRow {
             name: w.name.to_string(),
-            identical: reports_agree(&full_vm, &full_tree),
-            full: full_vm.script,
-            micro: micro_vm.script,
-        });
-    }
+            full: script_stats(&w.app, &w.full),
+            micro: script_stats(&w.app, &w.micro),
+        })
+        .collect();
     ScriptBenchReport { rows }
 }
 
@@ -218,7 +189,6 @@ mod tests {
     fn suite_counters_meet_the_acceptance_gate() {
         let report = run_suite();
         assert_eq!(report.rows.len(), 12, "all 12 workloads");
-        assert!(report.identical(), "vm diverged from the oracle");
         assert!(
             report.total_compiles() <= report.total_handlers(),
             "compile count {} exceeds handler count {}",
@@ -268,6 +238,11 @@ mod tests {
             assert_eq!(ra.full, rb.full, "{}", ra.name);
             assert_eq!(ra.micro, rb.micro, "{}", ra.name);
         }
+        assert_eq!(
+            a.render_json(),
+            include_str!("../../../BENCH_script.json"),
+            "BENCH_script.json is stale: regenerate with `evaluate bench --suite script`"
+        );
     }
 
     #[test]

@@ -277,6 +277,11 @@ mod tests {
             assert_eq!(ra.matches, rb.matches, "{}", ra.name);
             assert_eq!(ra.bloom_rejects, rb.bloom_rejects, "{}", ra.name);
         }
+        assert_eq!(
+            a.render_json(),
+            include_str!("../../../BENCH_style.json"),
+            "BENCH_style.json is stale: regenerate with `evaluate bench --suite style`"
+        );
     }
 
     #[test]

@@ -113,15 +113,12 @@ pub struct RunMetrics {
     pub switches_per_frame: f64,
     /// `(DVFS switches, migrations)`.
     pub switches: (u64, u64),
-    /// Style-system counters, including the computed-style cache
-    /// hit/miss split. Deterministic (counters, never timings), so they
-    /// participate in the serial/parallel parity diff.
+    /// Style-system counters. Deterministic (counters, never timings),
+    /// so they participate in the serial/parallel parity diff.
     pub style: StyleStats,
     /// Script-pipeline counters (compiles, precompiled hits, callbacks,
     /// charged ops, VM dispatches, fold wins). Deterministic like
-    /// `style`; `ops` is backend-independent by the tick-parity
-    /// contract, while `dispatches`/`fold_wins` identify the bytecode
-    /// backend (zero on the tree-walking oracle).
+    /// `style`.
     pub script: ScriptStats,
     /// Layout-pipeline counters (relayouts, elements measured, subtree
     /// reuses, fingerprint-dirty elements). The dirty count is
@@ -192,13 +189,11 @@ impl RunMetrics {
     /// serial and parallel batch runs.
     ///
     /// The trailing `"style"`, `"script"`, `"layout"`, and `"paint"`
-    /// objects are deliberately flat and last: each row of the workload
-    /// parity test (`oracle_pins_leave_metrics_unchanged`) strips its
-    /// counter objects (`"style"` for the style-cache and effect-gate
-    /// rows, `"script"` for the script-backend row,
-    /// `"style"`+`"layout"`+`"paint"` for the paint-mode row — reused
+    /// objects are deliberately flat and last: the workload parity test
+    /// (`oracle_pins_leave_metrics_unchanged`) strips
+    /// `"style"`+`"layout"`+`"paint"` for its paint-mode row — reused
     /// subtrees skip style resolution, so the style counters move with
-    /// the rendering mode too) and then requires the two renderings to
+    /// the rendering mode too — and then requires the two renderings to
     /// be byte-identical.
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(640);
@@ -230,13 +225,7 @@ impl ToJson for RunMetrics {
                 .obj("style", |s| {
                     s.field("resolves", style.resolves)
                         .field("matches", style.matches)
-                        .field("bloom_rejects", style.bloom_rejects)
-                        .field("cache_hits", style.cache_hits)
-                        .field("cache_misses", style.cache_misses)
-                        .field(
-                            "cache_invalidations_avoided",
-                            style.cache_invalidations_avoided,
-                        );
+                        .field("bloom_rejects", style.bloom_rejects);
                 })
                 .obj("script", |s| {
                     s.field("programs", script.programs)

@@ -145,10 +145,9 @@ impl fmt::Display for ComputedStyle {
 }
 
 /// Deterministic counters from the style system: how much exact matching
-/// the bucketed path ran, how much the naive reference would have, what
-/// the Bloom filter rejected, and (filled in by the engine layer) how
-/// the computed-style cache performed. Pure counters — no wall-clock —
-/// so parity tests can diff them byte-for-byte.
+/// the bucketed path ran, how much the naive reference would have, and
+/// what the Bloom filter rejected. Pure counters — no wall-clock — so
+/// parity tests can diff them byte-for-byte.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StyleStats {
     /// Bucketed style resolutions performed.
@@ -172,58 +171,14 @@ pub struct StyleStats {
     pub naive_resolves: u64,
     /// Exact `Selector::matches` walks the naive path ran.
     pub naive_matches: u64,
-    /// Computed-style cache hits (engine layer; zero inside this crate).
+    /// Always 0: there is no computed-style cache. Only the repository
+    /// benchmark package (`crates/bench/src/bin/benchmark`) reads this
+    /// field.
     pub cache_hits: u64,
-    /// Computed-style cache misses (engine layer; zero inside this crate).
+    /// Always 0: there is no computed-style cache. Only the repository
+    /// benchmark package (`crates/bench/src/bin/benchmark`) reads this
+    /// field.
     pub cache_misses: u64,
-    /// Clear-alls the engine downgraded to targeted subtree invalidation
-    /// because a static effect summary proved the mutating callback could
-    /// not change DOM structure (engine layer; zero inside this crate).
-    pub cache_invalidations_avoided: u64,
-}
-
-impl StyleStats {
-    /// Field-wise sum of two counter sets.
-    pub fn merge(&self, other: &StyleStats) -> StyleStats {
-        StyleStats {
-            resolves: self.resolves + other.resolves,
-            matches: self.matches + other.matches,
-            matches_id: self.matches_id + other.matches_id,
-            matches_class: self.matches_class + other.matches_class,
-            matches_tag: self.matches_tag + other.matches_tag,
-            matches_universal: self.matches_universal + other.matches_universal,
-            bloom_rejects: self.bloom_rejects + other.bloom_rejects,
-            naive_resolves: self.naive_resolves + other.naive_resolves,
-            naive_matches: self.naive_matches + other.naive_matches,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            cache_invalidations_avoided: self.cache_invalidations_avoided
-                + other.cache_invalidations_avoided,
-        }
-    }
-
-    /// Field-wise difference `self - earlier` (saturating), for
-    /// before/after deltas around a measured region.
-    pub fn delta_since(&self, earlier: &StyleStats) -> StyleStats {
-        StyleStats {
-            resolves: self.resolves.saturating_sub(earlier.resolves),
-            matches: self.matches.saturating_sub(earlier.matches),
-            matches_id: self.matches_id.saturating_sub(earlier.matches_id),
-            matches_class: self.matches_class.saturating_sub(earlier.matches_class),
-            matches_tag: self.matches_tag.saturating_sub(earlier.matches_tag),
-            matches_universal: self
-                .matches_universal
-                .saturating_sub(earlier.matches_universal),
-            bloom_rejects: self.bloom_rejects.saturating_sub(earlier.bloom_rejects),
-            naive_resolves: self.naive_resolves.saturating_sub(earlier.naive_resolves),
-            naive_matches: self.naive_matches.saturating_sub(earlier.naive_matches),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            cache_invalidations_avoided: self
-                .cache_invalidations_avoided
-                .saturating_sub(earlier.cache_invalidations_avoided),
-        }
-    }
 }
 
 /// One element's cascade from [`StyleEngine::cascade`]: the layers both

@@ -21,7 +21,6 @@ use crate::layout::{
 use crate::report::{InputRecord, SimReport};
 use crate::runspec::RunBudget;
 use crate::scheduler::{Scheduler, SchedulerCtx};
-use crate::style_cache::StyleCache;
 use greenweb_acmp::{Cpu, CpuConfig, Duration, Platform, PowerModel, SimTime, WorkUnit};
 use greenweb_css::animation::{AnimationSpec, AnimationState};
 use greenweb_css::stylesheet::parse_stylesheet;
@@ -30,11 +29,9 @@ use greenweb_css::value::{CssValue, Length};
 use greenweb_css::{ComputedStyle, StyleEngine, StyleStats};
 use greenweb_dom::{parse_html, Document, Event, EventType, ListenerSet, NodeId};
 use greenweb_script::{
-    compile, parse_program, CompiledProgram, HandlerCache, Interpreter, ScriptError, ScriptStats,
-    Value, Vm,
+    compile, parse_program, CompiledProgram, HandlerCache, ScriptError, ScriptStats, Value, Vm,
 };
 use greenweb_trace::{record_into, EventKind as TraceKind, SpanKind, TraceHandle};
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
@@ -45,82 +42,19 @@ pub const VSYNC_PERIOD: Duration = Duration::from_nanos(16_666_667);
 
 /// Which script backend a browser executes callbacks on.
 ///
-/// The default ([`ScriptBackend::Auto`]) is the bytecode VM: every setup
-/// program and handler body is compiled once at app load and every event
-/// dispatch executes that artifact — the same one the analyzers walk.
-/// The tree-walking interpreter survives as a differential oracle: its
-/// per-op tick counts define the cost model, and the VM's tick-weighted
-/// charging reproduces them exactly, so the two backends yield
-/// byte-identical metrics (the workload parity test
-/// `oracle_pins_leave_metrics_unchanged` diffs them).
+/// The engine always runs the bytecode VM: every setup program and
+/// handler body is compiled once at app load and every event dispatch
+/// executes that artifact — the same one the analyzers walk. The
+/// tree-walking interpreter stays in `greenweb-script` as the
+/// language-level reference the differential suites compare against.
+/// This one-variant type survives only because the repository benchmark
+/// package (`crates/bench/src/bin/benchmark`) passes it to
+/// [`Browser::with_hardware_backend`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ScriptBackend {
-    /// The bytecode VM (the production path).
+    /// The bytecode VM.
     #[default]
     Auto,
-    /// The tree-walking interpreter (the oracle path).
-    Tree,
-}
-
-/// The script execution backend behind one browser: either the bytecode
-/// VM or the tree-walking oracle, behind one call surface so the event
-/// loop never branches on the backend.
-enum ScriptEngine {
-    Vm(Vm),
-    Tree(Interpreter),
-}
-
-impl ScriptEngine {
-    fn for_backend(backend: ScriptBackend) -> Self {
-        match backend {
-            ScriptBackend::Auto => ScriptEngine::Vm(Vm::new()),
-            ScriptBackend::Tree => ScriptEngine::Tree(Interpreter::new()),
-        }
-    }
-
-    fn call_function(
-        &mut self,
-        callee: &Value,
-        args: &[Value],
-        host: &mut ScriptHost<'_>,
-    ) -> Result<Value, ScriptError> {
-        match self {
-            ScriptEngine::Vm(vm) => vm.call_function(callee, args, host),
-            ScriptEngine::Tree(interp) => interp.call_function(callee, args, host),
-        }
-    }
-
-    /// Charged evaluation steps since the last reset — backend-independent
-    /// by the tick-parity contract (the VM's per-instruction weights sum
-    /// to exactly the tree-walker's op count).
-    fn ops(&self) -> u64 {
-        match self {
-            ScriptEngine::Vm(vm) => vm.ops(),
-            ScriptEngine::Tree(interp) => interp.ops(),
-        }
-    }
-
-    /// Raw VM instructions since the last reset (zero on the oracle).
-    fn dispatches(&self) -> u64 {
-        match self {
-            ScriptEngine::Vm(vm) => vm.dispatches(),
-            ScriptEngine::Tree(_) => 0,
-        }
-    }
-
-    fn reset_ops(&mut self) {
-        match self {
-            ScriptEngine::Vm(vm) => vm.reset_ops(),
-            ScriptEngine::Tree(interp) => interp.reset_ops(),
-        }
-    }
-
-    fn set_op_limit(&mut self, limit: u64) {
-        match self {
-            ScriptEngine::Vm(vm) => vm.set_op_limit(limit),
-            ScriptEngine::Tree(interp) => interp.set_op_limit(limit),
-        }
-    }
 }
 
 /// Maps an engine pipeline stage to its trace span kind.
@@ -305,16 +239,12 @@ pub struct Browser<S: Scheduler> {
     app_name: String,
     doc: Document,
     style: StyleEngine,
-    /// Computed-style cache; `RefCell` so read-only accessors
-    /// ([`Browser::computed_style`]) stay `&self` while memoizing.
-    style_cache: RefCell<StyleCache>,
-    /// The script backend: the bytecode VM by default, the tree-walking
-    /// oracle under [`ScriptBackend::Tree`].
-    script: ScriptEngine,
+    /// The bytecode VM every setup program and callback runs on.
+    script: Vm,
     /// The handler-compilation cache shared with every analysis consumer
     /// (GreenLint's cost/effect passes, the attribution profiler): one
-    /// compiled artifact per callback body, aliased zero-copy on the VM
-    /// path. Exposed via [`Browser::handler_cache`].
+    /// compiled artifact per callback body, aliased zero-copy from the
+    /// bytecode the VM runs. Exposed via [`Browser::handler_cache`].
     handler_cache: HandlerCache,
     /// Script-pipeline counters accumulated across setup and callbacks;
     /// snapshot (plus cache-derived fields) lands in the report.
@@ -367,14 +297,6 @@ pub struct Browser<S: Scheduler> {
     /// `(registered node, event, index within that node's listener
     /// list)`. Built from [`App::effect_summaries`] at load.
     effect_summaries: HashMap<(NodeId, EventType, usize), Rc<HandlerSummary>>,
-    /// Whether summary-gated invalidation downgrades are enabled (on by
-    /// default, see [`Browser::set_effect_gate_enabled`]; containment
-    /// *checks* run regardless). The workload parity test runs each
-    /// way and diffs the metrics after stripping the style counters.
-    effect_gate: bool,
-    /// Set after any containment violation: summaries are no longer
-    /// trusted for invalidation downgrades in this browser.
-    summaries_distrusted: bool,
     /// Every `dynamic ⊆ static` violation observed, in occurrence order.
     effect_violations: Vec<String>,
     /// Number of callback returns checked against a static summary.
@@ -398,26 +320,6 @@ impl<S: Scheduler> Browser<S> {
         )
     }
 
-    /// Loads `app` on default hardware with an explicit script backend
-    /// (tests pin the tree-walking oracle this way).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Browser::new`].
-    pub fn with_backend(
-        app: &App,
-        scheduler: S,
-        backend: ScriptBackend,
-    ) -> Result<Self, BrowserError> {
-        Self::with_hardware_backend(
-            app,
-            scheduler,
-            Platform::odroid_xu_e(),
-            PowerModel::odroid_xu_e(),
-            backend,
-        )
-    }
-
     /// Loads `app` on custom hardware.
     ///
     /// # Errors
@@ -425,24 +327,9 @@ impl<S: Scheduler> Browser<S> {
     /// Same as [`Browser::new`].
     pub fn with_hardware(
         app: &App,
-        scheduler: S,
-        platform: Platform,
-        power: PowerModel,
-    ) -> Result<Self, BrowserError> {
-        Self::with_hardware_backend(app, scheduler, platform, power, ScriptBackend::Auto)
-    }
-
-    /// Loads `app` on custom hardware with an explicit script backend.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Browser::new`].
-    pub fn with_hardware_backend(
-        app: &App,
         mut scheduler: S,
         platform: Platform,
         power: PowerModel,
-        backend: ScriptBackend,
     ) -> Result<Self, BrowserError> {
         let doc = parse_html(&app.html)?;
         let stylesheet = parse_stylesheet(&app.css_source())?;
@@ -453,8 +340,7 @@ impl<S: Scheduler> Browser<S> {
             app_name: app.name.clone(),
             doc,
             style,
-            style_cache: RefCell::new(StyleCache::new()),
-            script: ScriptEngine::for_backend(backend),
+            script: Vm::new(),
             handler_cache: HandlerCache::default(),
             script_stats: ScriptStats::default(),
             listeners: ListenerSet::new(),
@@ -487,50 +373,40 @@ impl<S: Scheduler> Browser<S> {
             budget: None,
             events_popped: 0,
             effect_summaries: HashMap::new(),
-            effect_gate: true,
-            summaries_distrusted: false,
             effect_violations: Vec::new(),
             effect_checks: 0,
         };
         browser.set_effect_summaries(&app.effect_summaries);
         // Run setup scripts: they register listeners and may set initial
         // styles. Scheduling effects (dirty/rAF/timers) are ignored at
-        // setup — loading work is modeled by the `load` trace event. On
-        // the VM path each program executes the bytecode compiled once at
-        // `App::build` (fingerprint-validated; recompiled here only if
-        // the sources were mutated after build). The functions it defines
-        // close over that same prototype table, so every later event
-        // dispatch — and every analysis pass — reuses this one artifact.
+        // setup — loading work is modeled by the `load` trace event. Each
+        // program executes the bytecode compiled once at `App::build`
+        // (fingerprint-validated; recompiled here only if the sources
+        // were mutated after build). The functions it defines close over
+        // that same prototype table, so every later event dispatch — and
+        // every analysis pass — reuses this one artifact.
         for (index, src) in app.scripts.iter().enumerate() {
             browser.script_stats.programs += 1;
             let mut host = ScriptHost::new(&mut browser.doc, 0.0);
-            match &mut browser.script {
-                ScriptEngine::Vm(vm) => {
-                    let compiled: CompiledProgram = match app.compiled_script(index) {
-                        Some(compiled) => {
-                            browser.script_stats.precompiled_hits += 1;
-                            compiled.clone() // an `Arc` alias, not a copy
-                        }
-                        None => {
-                            browser.script_stats.compiles += 1;
-                            let program = parse_program(src)?;
-                            compile(&program)
-                                .map_err(|e| ScriptError::new(e.to_string()))
-                                .map_err(BrowserError::Script)?
-                        }
-                    };
-                    browser.script_stats.fold_wins += compiled
-                        .protos
-                        .iter()
-                        .map(|p| u64::from(p.folded))
-                        .sum::<u64>();
-                    vm.run(&compiled, &mut host)?;
+            let compiled: CompiledProgram = match app.compiled_script(index) {
+                Some(compiled) => {
+                    browser.script_stats.precompiled_hits += 1;
+                    compiled.clone() // an `Arc` alias, not a copy
                 }
-                ScriptEngine::Tree(interp) => {
+                None => {
+                    browser.script_stats.compiles += 1;
                     let program = parse_program(src)?;
-                    interp.run(&program, &mut host)?;
+                    compile(&program)
+                        .map_err(|e| ScriptError::new(e.to_string()))
+                        .map_err(BrowserError::Script)?
                 }
-            }
+            };
+            browser.script_stats.fold_wins += compiled
+                .protos
+                .iter()
+                .map(|p| u64::from(p.folded))
+                .sum::<u64>();
+            browser.script.run(&compiled, &mut host)?;
             for (node, event, callback) in host.effects.listeners.drain(..) {
                 browser.listeners.add(node, event, callback);
             }
@@ -538,16 +414,31 @@ impl<S: Scheduler> Browser<S> {
         browser.script_stats.ops += browser.script.ops();
         browser.script_stats.dispatches += browser.script.dispatches();
         browser.script.reset_ops();
-        // Warm the shared handler cache with every registered callback.
-        // On the VM path this is a zero-copy alias of the bytecode the
-        // closures already hold; on the oracle path it performs the AST
-        // recompiles the cache counts as compile-twice debt.
+        // Warm the shared handler cache with every registered callback:
+        // a zero-copy alias of the bytecode the closures already hold.
         for (node, event) in browser.listener_targets() {
             for callback in browser.listeners.get(node, event) {
                 browser.handler_cache.compile_callback(callback);
             }
         }
         Ok(browser)
+    }
+
+    /// [`Browser::with_hardware`] under the name the repository benchmark
+    /// package calls; `ScriptBackend` has one variant, so `_backend`
+    /// selects nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Browser::new`].
+    pub fn with_hardware_backend(
+        app: &App,
+        scheduler: S,
+        platform: Platform,
+        power: PowerModel,
+        _backend: ScriptBackend,
+    ) -> Result<Self, BrowserError> {
+        Self::with_hardware(app, scheduler, platform, power)
     }
 
     /// Loads `app` with a fault-injection plan attached (default
@@ -571,10 +462,8 @@ impl<S: Scheduler> Browser<S> {
         self.injector = Some(FaultInjector::new(plan));
     }
 
-    /// Attaches a watchdog budget. The script backend's per-callback fuel
-    /// ceiling takes effect immediately (both backends meter through the
-    /// one shared [`greenweb_script::Fuel`] type, so the ceiling means
-    /// the same thing either way); the sim-event ceiling is enforced by
+    /// Attaches a watchdog budget. The VM's per-callback fuel ceiling
+    /// takes effect immediately; the sim-event ceiling is enforced by
     /// the next [`Browser::run`]. See [`RunBudget`] for why both ceilings
     /// are deterministic.
     pub fn set_budget(&mut self, budget: RunBudget) {
@@ -603,14 +492,6 @@ impl<S: Scheduler> Browser<S> {
     /// The style engine (stylesheet + resolver).
     pub fn style_engine(&self) -> &StyleEngine {
         &self.style
-    }
-
-    /// Enables or disables the computed-style cache for this browser
-    /// (on by default; off is the oracle). Caching is
-    /// semantics-preserving; only the `style.cache_*` counters differ
-    /// between modes.
-    pub fn set_style_cache_enabled(&mut self, enabled: bool) {
-        self.style_cache.get_mut().set_enabled(enabled);
     }
 
     /// Switches the rendering pipeline between the incremental path (the
@@ -652,7 +533,6 @@ impl<S: Scheduler> Browser<S> {
             .iter()
             .map(|hs| ((hs.node, hs.event, hs.index), Rc::new(hs.clone())))
             .collect();
-        self.summaries_distrusted = false;
     }
 
     /// The static summaries attached for the callbacks registered at
@@ -668,13 +548,6 @@ impl<S: Scheduler> Browser<S> {
             }
         }
         out
-    }
-
-    /// Enables or disables summary-gated invalidation downgrades (on by
-    /// default; off is the oracle that always clears everything).
-    /// Containment checks run either way.
-    pub fn set_effect_gate_enabled(&mut self, enabled: bool) {
-        self.effect_gate = enabled;
     }
 
     /// Every `dynamic ⊆ static` containment violation observed so far.
@@ -708,17 +581,9 @@ impl<S: Scheduler> Browser<S> {
         stats
     }
 
-    /// Combined style-system counters: the engine's resolver stats plus
-    /// this browser's cache hits/misses.
+    /// The style system's counters so far.
     pub fn style_stats(&self) -> StyleStats {
-        let cache = self.style_cache.borrow();
-        let (cache_hits, cache_misses) = cache.counters();
-        self.style.stats().merge(&StyleStats {
-            cache_hits,
-            cache_misses,
-            cache_invalidations_avoided: cache.invalidations_avoided(),
-            ..StyleStats::default()
-        })
+        self.style.stats()
     }
 
     /// Every `(node, event)` pair with a registered listener — what
@@ -878,9 +743,6 @@ impl<S: Scheduler> Browser<S> {
                     matches_tag: style.matches_tag,
                     matches_universal: style.matches_universal,
                     bloom_rejects: style.bloom_rejects,
-                    cache_hits: style.cache_hits,
-                    cache_misses: style.cache_misses,
-                    cache_invalidations_avoided: style.cache_invalidations_avoided,
                 },
             );
         }
@@ -1416,9 +1278,7 @@ impl<S: Scheduler> Browser<S> {
     ) {
         // The analyzer's correctness contract: everything the callback
         // actually did must be admitted by its static summary
-        // (dynamic ⊆ static). A violation is recorded in the ledger and
-        // permanently distrusts summaries for invalidation downgrades in
-        // this browser.
+        // (dynamic ⊆ static). A violation is recorded in the ledger.
         if let Some(hs) = summary.as_deref() {
             self.effect_checks += 1;
             let violations = hs.summary.admits(&effects, &self.doc, Some(hs.node));
@@ -1429,7 +1289,6 @@ impl<S: Scheduler> Browser<S> {
                         self.app_name, hs.event, hs.index, hs.node
                     ));
                 }
-                self.summaries_distrusted = true;
             }
         }
         let meta = self.input_meta.iter_mut().find(|m| m.uid == origin.uid);
@@ -1467,40 +1326,6 @@ impl<S: Scheduler> Browser<S> {
                 duration_ms: call.duration_ms,
                 origin: origin.uid,
             });
-        }
-        // Invalidate the style cache *before* arming animations, so
-        // every resolve below sees post-write state. The ladder:
-        // structural mutations (or attribute mutations with no trusted
-        // static summary) can re-route matching for arbitrary nodes and
-        // drop everything; attribute-only mutations whose summary proves
-        // the callback cannot mutate structure and bounds every write to
-        // a known target set invalidate only the written subtrees (an
-        // attribute on a node changes matching only for the node and its
-        // descendants — the selector grammar has descendant/child
-        // combinators only); inline style writes always invalidate only
-        // the written subtree.
-        if effects.dom_mutated {
-            let downgrade = self.effect_gate
-                && !self.summaries_distrusted
-                && !effects.tree_mutated
-                && summary
-                    .as_deref()
-                    .is_some_and(|hs| hs.summary.supports_targeted_invalidation());
-            if downgrade {
-                self.style_cache.get_mut().note_avoided_clear();
-                for &node in &effects.attr_writes {
-                    self.style_cache
-                        .get_mut()
-                        .invalidate_subtree(&self.doc, node);
-                }
-            } else {
-                self.style_cache.get_mut().clear();
-            }
-        }
-        for write in &effects.style_writes {
-            self.style_cache
-                .get_mut()
-                .invalidate_subtree(&self.doc, write.node);
         }
         let mut armed_css = false;
         for write in effects.style_writes {
@@ -1541,12 +1366,8 @@ impl<S: Scheduler> Browser<S> {
         }
         // One resolve yields both views: the full computed style (to read
         // `transition`) and the cascade without the just-written inline
-        // override (the transition's start value). The seed resolved the
-        // node twice here — full at the top, inline-less again below.
-        let (computed, without_inline) =
-            self.style_cache
-                .get_mut()
-                .resolve(&self.style, &self.doc, write.node);
+        // override (the transition's start value).
+        let (computed, without_inline) = self.style.compute_style_both(&self.doc, write.node, None);
         let Some(transition_value) = computed.get("transition") else {
             return false;
         };
@@ -1581,11 +1402,9 @@ impl<S: Scheduler> Browser<S> {
         true
     }
 
-    /// The computed style of `node`, resolved through the cache.
+    /// The computed style of `node`.
     pub fn computed_style(&self, node: NodeId) -> ComputedStyle {
-        self.style_cache
-            .borrow_mut()
-            .resolve_with_inline(&self.style, &self.doc, node)
+        self.style.compute_style(&self.doc, node, None)
     }
 
     fn apply_config(&mut self, desired: Option<CpuConfig>) {
@@ -1661,17 +1480,14 @@ impl<S: Scheduler> Browser<S> {
     }
 
     /// Runs the per-frame render pass (fingerprint → measure → position
-    /// → display-list diff) and returns the pricing inputs. Styles
-    /// resolve through the computed-style cache; animation overlay
-    /// values ride on top, exactly as [`Browser::computed_style`]
-    /// composes them for scripts.
+    /// → display-list diff) and returns the pricing inputs. Animation
+    /// overlay values ride on top of each resolved style.
     fn run_render_pass(&mut self) -> FrameRenderInfo {
         let doc = &self.doc;
         let style = &self.style;
-        let cache = &self.style_cache;
         self.render
             .render_frame(doc, style.generation(), &self.overlay, &mut |node| {
-                cache.borrow_mut().resolve_with_inline(style, doc, node)
+                style.compute_style(doc, node, None)
             })
     }
 

@@ -16,10 +16,9 @@
 //! run's metrics (DESIGN.md §6k).
 //! The composite stage carries a frequency-independent GPU component,
 //! which is what gives Eq. 1 its non-zero `T_independent` intercept.
-//! Event callbacks are charged by the script engine's op count —
-//! backend-independent by the tick-parity contract, whether the
-//! bytecode VM or the tree-walking oracle ran the callback — plus any
-//! explicit `work()` the script performs.
+//! Event callbacks are charged by the VM's charged op count (equal to
+//! the tree-walking reference interpreter's by the tick-parity
+//! contract) plus any explicit `work()` the script performs.
 //!
 //! `surge_every`/`surge_factor` model the frame-complexity surges the
 //! paper observes in W3School and Cnet (Sec. 7.2: "most of the QoS
@@ -50,7 +49,7 @@ impl Stage {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameCostModel {
     /// CPU cycles charged per script operation (charged op, not raw
-    /// VM dispatch — identical across script backends).
+    /// VM dispatch).
     pub cycles_per_op: f64,
     /// Style-stage cycles per element.
     pub style_cycles_per_element: f64,

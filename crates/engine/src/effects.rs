@@ -3,17 +3,10 @@
 //! The analyzer (`greenweb-analyze`) abstractly interprets each event
 //! handler's bytecode and produces an [`EffectSummary`]: a sound
 //! *over-approximation* of everything the callback can ask the browser to
-//! do. The engine consumes summaries two ways:
-//!
-//! - `Browser::apply_effects` downgrades the computed-style cache's
-//!   clear-all to targeted subtree invalidation when the summary proves
-//!   the callback cannot mutate DOM structure and bounds its attribute
-//!   writes to a known target set.
-//! - After every summarized callback returns, the observed
-//!   [`CallbackEffects`] are checked for containment in the static
-//!   summary (`dynamic ⊆ static`, the analyzer's correctness contract).
-//!   A violation is recorded in the run report, trips a debug assertion,
-//!   and permanently distrusts the summary for invalidation purposes.
+//! do. After every summarized callback returns, the engine checks the
+//! observed [`CallbackEffects`] for containment in the static summary
+//! (`dynamic ⊆ static`, the analyzer's correctness contract) and records
+//! any violation in the run report.
 //!
 //! The lattice is ordered by approximation strength: `pure` (bottom)
 //! admits nothing, `top` admits everything. [`EffectSummary::join`] is
@@ -311,15 +304,9 @@ impl EffectSummary {
             .is_pure()
     }
 
-    /// May change the DOM tree shape (the clear-all trigger).
+    /// May change the DOM tree shape.
     pub fn may_mutate_structure(&self) -> bool {
         self.top || self.may_mutate_tree
-    }
-
-    /// Whether `apply_effects` may downgrade an attribute-only mutation
-    /// from clear-all to per-target subtree invalidation.
-    pub fn supports_targeted_invalidation(&self) -> bool {
-        !self.top && !self.may_mutate_tree && matches!(self.attr_targets, TargetSet::Known(_))
     }
 
     /// Compact human-readable classification for lints and text reports.
@@ -598,7 +585,6 @@ mod tests {
         s.attr_targets.insert(EffectTarget::ListenerSubtree);
         let mut fx = CallbackEffects {
             dirty: true,
-            dom_mutated: true,
             ..CallbackEffects::default()
         };
         fx.attr_writes.push(inner);

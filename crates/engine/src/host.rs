@@ -45,34 +45,11 @@ pub struct StyleWrite {
 pub struct CallbackEffects {
     /// The callback requested a repaint (explicitly or via DOM mutation).
     pub dirty: bool,
-    /// The callback mutated DOM *structure or attributes* (tree edits,
-    /// `setAttribute`) — mutations that can change selector matching
-    /// beyond the written node's own inline style. How much of the
-    /// computed-style cache this costs depends on the static
-    /// [`EffectSummary`](crate::EffectSummary) for the handler, applied as
-    /// an invalidation ladder in `Browser::apply_effects`:
-    ///
-    /// 1. `tree_mutated` (or no trusted summary, or a top summary):
-    ///    structure changed — ancestor chains are stale everywhere, the
-    ///    cache drops everything.
-    /// 2. attribute-only mutation whose summary proves the callback
-    ///    cannot mutate structure and bounds every attribute write to a
-    ///    known target set: only the written subtrees are invalidated
-    ///    (an attribute on a node can change matching only for that node
-    ///    and its descendants — same argument as the style-cache's
-    ///    subtree invalidation for inline `style`, which *is* an
-    ///    attribute).
-    ///
-    /// Inline style writes are tracked separately in
-    /// [`CallbackEffects::style_writes`] and always invalidate only the
-    /// written subtree.
-    pub dom_mutated: bool,
-    /// The callback mutated DOM *structure* (append/remove/setText) —
-    /// strictly stronger than `dom_mutated`, never set without it.
+    /// The callback mutated DOM *structure* (append/remove/setText).
     pub tree_mutated: bool,
     /// Nodes whose attributes `setAttribute` wrote, in call order. The
     /// engine checks these against the static summary's attribute-target
-    /// set and uses them for targeted subtree invalidation.
+    /// set.
     pub attr_writes: Vec<NodeId>,
     /// `requestAnimationFrame` registrations, in call order.
     pub raf: Vec<Value>,
@@ -106,7 +83,7 @@ impl CallbackEffects {
     }
 }
 
-/// The host passed to the interpreter while one callback runs.
+/// The host passed to the script VM while one callback runs.
 #[derive(Debug)]
 pub struct ScriptHost<'a> {
     doc: &'a mut Document,
@@ -223,7 +200,6 @@ impl Host for ScriptHost<'_> {
                     el.set_attribute(attr, value);
                 }
                 self.effects.dirty = true;
-                self.effects.dom_mutated = true;
                 self.effects.attr_writes.push(node);
                 Ok(Value::Null)
             })(),
@@ -330,7 +306,6 @@ impl Host for ScriptHost<'_> {
                 let child = self.node_arg(args, 1, name)?;
                 self.doc.append_child(parent, child);
                 self.effects.dirty = true;
-                self.effects.dom_mutated = true;
                 self.effects.tree_mutated = true;
                 Ok(Value::Null)
             })(),
@@ -338,7 +313,6 @@ impl Host for ScriptHost<'_> {
                 let node = self.node_arg(args, 0, name)?;
                 self.doc.detach(node);
                 self.effects.dirty = true;
-                self.effects.dom_mutated = true;
                 self.effects.tree_mutated = true;
                 Ok(Value::Null)
             })(),
@@ -355,7 +329,6 @@ impl Host for ScriptHost<'_> {
                 let text_node = self.doc.create_text(text);
                 self.doc.append_child(node, text_node);
                 self.effects.dirty = true;
-                self.effects.dom_mutated = true;
                 self.effects.tree_mutated = true;
                 Ok(Value::Null)
             })(),
@@ -370,14 +343,12 @@ impl Host for ScriptHost<'_> {
 mod tests {
     use super::*;
     use greenweb_dom::parse_html;
-    use greenweb_script::{parse_program, Interpreter};
+    use greenweb_script::Vm;
 
     fn run_script(html: &str, src: &str) -> (Document, CallbackEffects) {
         let mut doc = parse_html(html).unwrap();
-        let program = parse_program(src).unwrap();
-        let mut interp = Interpreter::new();
         let mut host = ScriptHost::new(&mut doc, 42.0);
-        interp.run(&program, &mut host).unwrap();
+        Vm::new().run_source(src, &mut host).unwrap();
         let effects = host.effects;
         (doc, effects)
     }
@@ -478,10 +449,8 @@ mod tests {
     #[test]
     fn negative_work_errors() {
         let mut doc = parse_html("<p></p>").unwrap();
-        let program = parse_program("work(-1);").unwrap();
-        let mut interp = Interpreter::new();
         let mut host = ScriptHost::new(&mut doc, 0.0);
-        assert!(interp.run(&program, &mut host).is_err());
+        assert!(Vm::new().run_source("work(-1);", &mut host).is_err());
     }
 
     #[test]
@@ -497,11 +466,9 @@ mod tests {
     #[test]
     fn bad_event_name_errors() {
         let mut doc = parse_html("<p id='p'></p>").unwrap();
-        let program =
-            parse_program("addEventListener(getElementById('p'), 'hover', function(){});").unwrap();
-        let mut interp = Interpreter::new();
         let mut host = ScriptHost::new(&mut doc, 0.0);
-        assert!(interp.run(&program, &mut host).is_err());
+        let src = "addEventListener(getElementById('p'), 'hover', function(){});";
+        assert!(Vm::new().run_source(src, &mut host).is_err());
     }
 
     #[test]
@@ -537,10 +504,8 @@ mod tests {
     #[test]
     fn unknown_function_propagates_none() {
         let mut doc = parse_html("<p></p>").unwrap();
-        let program = parse_program("fooBar();").unwrap();
-        let mut interp = Interpreter::new();
         let mut host = ScriptHost::new(&mut doc, 0.0);
-        let err = interp.run(&program, &mut host).unwrap_err();
+        let err = Vm::new().run_source("fooBar();", &mut host).unwrap_err();
         assert!(err.to_string().contains("undefined function"));
     }
 }

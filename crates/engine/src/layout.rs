@@ -14,10 +14,7 @@
 //!    size feeds ancestor heights). Animation overlay values and inline
 //!    `style` attributes are part of `content(n)`, so all three
 //!    invalidation sources the style system reacts to — DOM mutations,
-//!    inline-style writes, animation ticks — land in the fingerprints
-//!    *without consulting* the style cache or the effect gate (pricing
-//!    must not depend on either pin; see the workload parity test
-//!    `oracle_pins_leave_metrics_unchanged`).
+//!    inline-style writes, animation ticks — land in the fingerprints.
 //! 2. **Measure.** A bottom-up pass computes each element's box metrics
 //!    from its [`ComputedStyle`]. Entries are cached per node keyed by
 //!    `(stylesheet generation, subtree fingerprint)`: when the pipeline

@@ -51,7 +51,6 @@ pub mod layout;
 pub mod report;
 pub mod runspec;
 pub mod scheduler;
-pub mod style_cache;
 
 pub use app::{App, AppBuilder};
 pub use browser::{Browser, BrowserError, ScriptBackend};
@@ -70,4 +69,3 @@ pub use layout::{
 pub use report::{InputRecord, SimReport};
 pub use runspec::{RunBudget, RunOutcome, RunSpec, SchedulerFactory, SchedulerProbe, TraceMode};
 pub use scheduler::{GovernorScheduler, Scheduler, SchedulerCtx};
-pub use style_cache::StyleCache;

@@ -58,14 +58,12 @@ pub struct SimReport {
     pub total_time: Duration,
     /// Record of injected faults, when the run had a fault plan attached.
     pub chaos: Option<ChaosReport>,
-    /// Style-system counters (resolves, exact matches, Bloom rejects,
-    /// cache hits/misses) — deterministic, never wall-clock.
+    /// Style-system counters (resolves, exact matches, Bloom rejects) —
+    /// deterministic, never wall-clock.
     pub style: StyleStats,
     /// Script-pipeline counters (compiles, precompiled hits, callback
     /// dispatches, charged ops, VM dispatches, fold wins) — deterministic
-    /// like `style`. `ops` is backend-independent by the tick-parity
-    /// contract; `dispatches`/`fold_wins` are zero on the tree-walking
-    /// oracle backend.
+    /// like `style`.
     pub script: ScriptStats,
     /// Layout-pipeline counters (relayouts, elements measured, subtree
     /// reuses, fingerprint-dirty elements) — deterministic like `style`.

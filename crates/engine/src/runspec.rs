@@ -71,13 +71,11 @@ pub enum TraceMode {
 /// supervised sweeps stay byte-reproducible even for their failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBudget {
-    /// Fuel ceiling per script callback, in charged evaluation steps.
-    /// Both script backends meter through the one shared
-    /// [`greenweb_script::Fuel`] implementation — the VM charges
-    /// tick weights that sum to exactly the tree-walking oracle's op
-    /// count — so the ceiling is backend-independent. The engine resets
-    /// the counter at each callback entry; an infinite `while (true)`
-    /// loop burns this in bounded time.
+    /// Fuel ceiling per script callback, in charged evaluation steps
+    /// (the VM's tick weights, metered through
+    /// [`greenweb_script::Fuel`]). The engine resets the counter at each
+    /// callback entry; an infinite `while (true)` loop burns this in
+    /// bounded time.
     pub max_callback_ops: u64,
     /// Ceiling on discrete events popped by one run's event loop. A
     /// zero-delay timer bomb (each callback re-arming `setTimeout(f, 0)`)
@@ -127,17 +125,12 @@ pub struct RunSpec {
     pub probe: Option<SchedulerProbe>,
     /// Watchdog ceilings, if this run is supervised.
     pub budget: Option<RunBudget>,
-    /// Which script backend executes callbacks. Deliberately excluded
-    /// from [`RunSpec::digest`]: the backends produce byte-identical
-    /// results (the tick-parity contract), so a spec's identity must not
-    /// depend on which one runs it — the script-backend parity row
-    /// leans on exactly that.
-    pub script_backend: crate::browser::ScriptBackend,
     /// Whether the browser renders incrementally (`true`, the default)
-    /// or on the naive full-relayout oracle (`false`). Excluded from
-    /// [`RunSpec::digest`] for the same reason as `script_backend`: the
-    /// two modes produce byte-identical results (only reuse counters
-    /// differ), and the paint-mode parity row leans on exactly that.
+    /// or on the naive full-relayout oracle (`false`). Deliberately
+    /// excluded from [`RunSpec::digest`]: the two modes produce
+    /// byte-identical results (only reuse counters differ), so a spec's
+    /// identity must not depend on which one runs it — the paint-mode
+    /// parity row leans on exactly that.
     pub paint_incremental: bool,
 }
 
@@ -165,7 +158,6 @@ impl RunSpec {
             recording: TraceMode::Off,
             probe: None,
             budget: None,
-            script_backend: crate::browser::ScriptBackend::Auto,
             paint_incremental: true,
         }
     }
@@ -215,20 +207,8 @@ impl RunSpec {
         self
     }
 
-    /// Pins the script backend (default: [`ScriptBackend::Auto`], the
-    /// bytecode VM). Parity harnesses run the same spec once per backend
-    /// and diff the reports.
-    ///
-    /// [`ScriptBackend::Auto`]: crate::browser::ScriptBackend::Auto
-    #[must_use]
-    pub fn with_script_backend(mut self, backend: crate::browser::ScriptBackend) -> Self {
-        self.script_backend = backend;
-        self
-    }
-
     /// Pins the rendering mode (default: incremental). Parity harnesses
-    /// run the same spec once per mode and diff the reports, exactly
-    /// like the script-backend flip.
+    /// run the same spec once per mode and diff the reports.
     #[must_use]
     pub fn with_paint_incremental(mut self, enabled: bool) -> Self {
         self.paint_incremental = enabled;
@@ -281,12 +261,11 @@ impl RunSpec {
     /// Returns [`BrowserError`] if the app fails to load or a callback
     /// errors.
     pub fn execute(&self) -> Result<RunOutcome, BrowserError> {
-        let mut browser = Browser::with_hardware_backend(
+        let mut browser = Browser::with_hardware(
             &self.app,
             self.scheduler.build(),
             self.platform.clone(),
             self.power.clone(),
-            self.script_backend,
         )?;
         browser.set_paint_incremental(self.paint_incremental);
         if let Some(plan) = self.faults {

@@ -6,12 +6,12 @@
 //! many `(node, event)` registrations share the callback value and no
 //! matter how many consumers look it up — the engine and the analyzers
 //! hand the *same* cache around, so what the analyzer certifies is
-//! byte-for-byte what the engine executes. On the VM path callbacks are
+//! byte-for-byte what the engine executes. The engine's callbacks are
 //! already `VmFunction`s holding their prototype table, and "compiling"
-//! is a zero-copy `Arc` alias; only tree-walker `Function` closures (the
-//! oracle path, or hand-constructed values) need an actual AST
-//! compilation, which the cache counts as a *recompile* so the script
-//! bench can assert the compile-twice debt is gone.
+//! is a zero-copy `Arc` alias; only tree-walker `Function` closures
+//! need an actual AST compilation, which the cache counts as a
+//! *recompile* so the script bench can assert the compile-twice debt is
+//! gone.
 
 use crate::compiler::{compile, Proto};
 use crate::value::Value;

@@ -1,14 +1,15 @@
 //! Tree-walking interpreter with lexical scoping and a pluggable host.
 //!
-//! This is the language's *reference* backend. The browser engine
-//! executes compiled bytecode ([`crate::vm::Vm`]) by default and keeps
-//! this tree-walker as the differential oracle behind the engine's
-//! `ScriptBackend::Tree` pin; the differential suite requires both
-//! backends to agree on values, typed errors, and charged ops.
+//! This is the language's *reference* backend. The browser engine runs
+//! only compiled bytecode ([`crate::vm::Vm`]); this tree-walker is what
+//! the differential suites (`prop_differential`, `prop_lang`) and the
+//! VM's unit tests compare it against — values, host calls, typed
+//! errors, and charged ops must all agree.
 //!
 //! The interpreter counts every evaluated statement/expression in
-//! [`Interpreter::ops`] (via the shared [`Fuel`] budget); the browser
-//! engine converts that count into CPU cycles when charging callback
+//! [`Interpreter::ops`] (via the shared [`Fuel`] budget). Its counts
+//! define the cost model: the VM charges exactly the same ops, which the
+//! browser engine converts into CPU cycles when charging callback
 //! execution to the ACMP performance model, so heavier scripts genuinely
 //! take longer frames.
 

@@ -1,11 +1,10 @@
 //! Deterministic script-pipeline counters.
 //!
 //! Pure counters — no wall-clock — in the mold of the style system's
-//! `StyleStats`, so the script bench and the script-backend parity test can diff
-//! them byte-for-byte. The engine fills these in as it loads and runs an
-//! app; `ops` is backend-independent by the tick-parity contract, while
-//! `dispatches`/`fold_wins` are VM-path-only evidence that compilation
-//! actually happened (and paid off).
+//! `StyleStats`, so the script bench can diff them byte-for-byte. The
+//! engine fills these in as it loads and runs an app; `dispatches` and
+//! `fold_wins` are the evidence that compilation actually happened (and
+//! paid off).
 
 /// Counters from the script execution pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,8 +28,8 @@ pub struct ScriptStats {
     /// Evaluation steps charged (backend-independent: VM tick weights
     /// sum to exactly the tree-walker's count).
     pub ops: u64,
-    /// Raw VM instructions executed (zero on the tree-walk oracle; the
-    /// gap to `ops` is the constant-folding win at run time).
+    /// Raw VM instructions executed (the gap to `ops` is the
+    /// constant-folding win at run time).
     pub dispatches: u64,
     /// Constant-folding wins across every proto the engine loaded.
     pub fold_wins: u64,

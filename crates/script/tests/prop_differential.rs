@@ -3,7 +3,7 @@
 //! interpreter and the bytecode VM.
 
 use greenweb_det::prop::{check, Gen, DEFAULT_CASES};
-use greenweb_script::{parse_program, Interpreter, NoHost, Value, Vm};
+use greenweb_script::{parse_program, Host, Interpreter, NoHost, ScriptError, Value, Vm};
 
 /// Runs `source` on both backends and returns the values of `globals`
 /// from each. Also enforces the tick-parity contract: on success the
@@ -221,20 +221,136 @@ fn errors_agree() {
 }
 
 /// Fuel exhaustion is the same typed class on both backends under the
-/// same ceiling.
+/// same ceiling, for pure loops and for loops that call the host.
 #[test]
 fn op_limit_class_agrees() {
     check("op_limit_class_agrees", 16, |g| {
         let limit = g.usize_in(50, 2_000) as u64;
-        let source = "var i = 0; while (true) { i = i + 1; }";
+        let source = *g.choose(&[
+            "var i = 0; while (true) { i = i + 1; }",
+            "while (true) { markDirty(); }",
+        ]);
         let program = parse_program(source).unwrap();
         let mut interp = Interpreter::new().with_op_limit(limit);
-        let interp_err = interp.run(&program, &mut NoHost).unwrap_err();
+        let interp_err = interp
+            .run(&program, &mut RecordingHost::default())
+            .unwrap_err();
         let mut vm = Vm::new().with_op_limit(limit);
-        let vm_err = vm.run_source(source, &mut NoHost).unwrap_err();
+        let vm_err = vm
+            .run_source(source, &mut RecordingHost::default())
+            .unwrap_err();
         assert!(interp_err.is_op_limit());
         assert!(vm_err.is_op_limit());
         assert_eq!(vm_err.to_string(), interp_err.to_string());
+    });
+}
+
+/// A host that logs every call by name and arguments and returns fixed
+/// values. It keeps the callbacks handed to `setTimeout` and
+/// `requestAnimationFrame`, with the arguments each will be invoked with.
+#[derive(Default)]
+struct RecordingHost {
+    calls: Vec<String>,
+    callbacks: Vec<(Value, Vec<Value>)>,
+}
+
+impl Host for RecordingHost {
+    fn call(&mut self, name: &str, args: &[Value]) -> Option<Result<Value, ScriptError>> {
+        let rendered: Vec<String> = args
+            .iter()
+            .map(|arg| match arg {
+                // The two backends represent functions differently.
+                Value::Function(_) | Value::VmFunction(_) => "<function>".to_string(),
+                other => other.to_string(),
+            })
+            .collect();
+        self.calls.push(format!("{name}({})", rendered.join(", ")));
+        let result = match name {
+            "getElementById" => Value::Number(1.0),
+            "setTimeout" => {
+                self.callbacks.push((args[0].clone(), Vec::new()));
+                Value::Number(self.callbacks.len() as f64)
+            }
+            "requestAnimationFrame" => {
+                self.callbacks
+                    .push((args[0].clone(), vec![Value::Number(16.0)]));
+                Value::Number(self.callbacks.len() as f64)
+            }
+            "setStyle" | "markDirty" | "work" => Value::Null,
+            _ => return None,
+        };
+        Some(Ok(result))
+    }
+}
+
+/// Handler bodies that call the host agree: the same host calls with
+/// the same arguments in the same order, the same globals and the same
+/// charged ops, on the handler itself and on every timer and rAF
+/// callback it registers, each invoked through `call_function` the way
+/// the engine dispatches them.
+#[test]
+fn host_calls_agree() {
+    const STMTS: [&str; 8] = [
+        "setStyle(getElementById('box'), 'width', n * 10);",
+        "setStyle(getElementById('box'), 'height', n + 5);",
+        "markDirty();",
+        "work(n * 100000);",
+        "if (n > 2) { markDirty(); } else { setStyle(getElementById('box'), 'width', 7); }",
+        "var i = 0; while (i < n + 3) { i = i + 1; acc = acc + i; }",
+        "setTimeout(function() { markDirty(); }, 16);",
+        "requestAnimationFrame(function(t) { setStyle(getElementById('box'), 'width', t + 2); markDirty(); });",
+    ];
+    check("host_calls_agree", 48, |g| {
+        let mut body = String::new();
+        for _ in 0..g.usize_in(1, 5) {
+            body.push_str(g.choose::<&str>(&STMTS));
+        }
+        let source = format!(
+            "var n = {}; var acc = 0; function handler(e) {{ {body} }}",
+            g.usize_in(0, 5)
+        );
+        let program = parse_program(&source).unwrap();
+        let mut interp = Interpreter::new();
+        let mut interp_host = RecordingHost::default();
+        interp.run(&program, &mut interp_host).unwrap();
+        let handler = interp.global("handler").unwrap();
+        let event = [Value::Number(0.0)];
+        interp
+            .call_function(&handler, &event, &mut interp_host)
+            .unwrap();
+        let mut vm = Vm::new();
+        let mut vm_host = RecordingHost::default();
+        vm.run_source(&source, &mut vm_host).unwrap();
+        let handler = vm.global("handler").unwrap();
+        vm.call_function(&handler, &event, &mut vm_host).unwrap();
+        let mut next = 0;
+        loop {
+            assert_eq!(
+                vm_host.callbacks.len(),
+                interp_host.callbacks.len(),
+                "registered callbacks diverge on:\n{source}"
+            );
+            if next == interp_host.callbacks.len() {
+                break;
+            }
+            let (callback, args) = interp_host.callbacks[next].clone();
+            interp
+                .call_function(&callback, &args, &mut interp_host)
+                .unwrap();
+            let (callback, args) = vm_host.callbacks[next].clone();
+            vm.call_function(&callback, &args, &mut vm_host).unwrap();
+            next += 1;
+        }
+        assert_eq!(
+            vm_host.calls, interp_host.calls,
+            "host calls diverge on:\n{source}"
+        );
+        let (a, b) = (
+            [interp.global("n"), interp.global("acc")],
+            [vm.global("n"), vm.global("acc")],
+        );
+        assert_same(&source, &a, &b);
+        assert_eq!(vm.ops(), interp.ops(), "charged ops diverge on:\n{source}");
     });
 }
 

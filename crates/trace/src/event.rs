@@ -123,9 +123,8 @@ pub enum EventKind {
         busy: bool,
     },
     /// End-of-run style-system counters: how much exact selector
-    /// matching the bucketed resolver ran, what the ancestor Bloom
-    /// filter rejected, and how the computed-style cache performed.
-    /// Deterministic counters (never wall-clock), recorded once when the
+    /// matching the bucketed resolver ran and what the ancestor Bloom
+    /// filter rejected. Deterministic counters (never wall-clock), recorded once when the
     /// report is built.
     StyleStats {
         /// Bucketed style resolutions performed.
@@ -145,13 +144,6 @@ pub enum EventKind {
         matches_universal: u64,
         /// Candidates rejected by the ancestor Bloom filter alone.
         bloom_rejects: u64,
-        /// Computed-style cache hits.
-        cache_hits: u64,
-        /// Computed-style cache misses.
-        cache_misses: u64,
-        /// Clear-alls downgraded to targeted invalidation because a
-        /// static effect summary proved structure could not change.
-        cache_invalidations_avoided: u64,
     },
     /// Deterministic render-pipeline counters (layout + paint), recorded
     /// once when the report is built, next to [`EventKind::StyleStats`].

@@ -202,9 +202,6 @@ fn write_event(events: &mut Arr<'_>, record: &TraceRecord) {
             matches_tag,
             matches_universal,
             bloom_rejects,
-            cache_hits,
-            cache_misses,
-            cache_invalidations_avoided,
         } => instant(events, "style-stats", "style", 1, at, |args| {
             args.field("resolves", resolves)
                 .field("matches", matches)
@@ -212,10 +209,7 @@ fn write_event(events: &mut Arr<'_>, record: &TraceRecord) {
                 .field("matches_class", matches_class)
                 .field("matches_tag", matches_tag)
                 .field("matches_universal", matches_universal)
-                .field("bloom_rejects", bloom_rejects)
-                .field("cache_hits", cache_hits)
-                .field("cache_misses", cache_misses)
-                .field("cache_invalidations_avoided", cache_invalidations_avoided);
+                .field("bloom_rejects", bloom_rejects);
         }),
         EventKind::RenderStats {
             relayouts,

@@ -309,9 +309,6 @@ impl MetricsRegistry {
                     matches_tag,
                     matches_universal,
                     bloom_rejects,
-                    cache_hits,
-                    cache_misses,
-                    cache_invalidations_avoided,
                 } => {
                     registry.inc_by("style.resolves", *resolves);
                     registry.inc_by("style.matches", *matches);
@@ -320,12 +317,6 @@ impl MetricsRegistry {
                     registry.inc_by("style.matches_tag", *matches_tag);
                     registry.inc_by("style.matches_universal", *matches_universal);
                     registry.inc_by("style.bloom_rejects", *bloom_rejects);
-                    registry.inc_by("style.cache_hits", *cache_hits);
-                    registry.inc_by("style.cache_misses", *cache_misses);
-                    registry.inc_by(
-                        "style.cache_invalidations_avoided",
-                        *cache_invalidations_avoided,
-                    );
                 }
                 EventKind::RenderStats {
                     relayouts,

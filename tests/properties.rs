@@ -9,7 +9,7 @@ use greenweb_css::{parse_stylesheet, Selector, StyleEngine};
 use greenweb_det::prop::{check, Gen, DEFAULT_CASES};
 use greenweb_dom::{parse_html, EventType};
 use greenweb_engine::{
-    App, Browser, FrameTracker, InputId, Msg, SchedulerFactory, ScriptBackend, SimReport, Trace,
+    App, Browser, FrameTracker, InputId, Msg, SchedulerFactory, SimReport, Trace,
 };
 use greenweb_trace::json::{self, json_escape, JsonValue, ToJson};
 use greenweb_workloads::harness::{expectations, Policy};
@@ -488,169 +488,8 @@ fn bucketed_style_resolver_matches_naive() {
     );
 }
 
-/// The script backend is invisible to behavior: a full engine run on the
-/// tree-walking oracle produces the same frames, inputs, and energy as
-/// the default bytecode VM — and the same charged op count, by the
-/// tick-parity contract. Only the VM-shaped counters (`dispatches`,
-/// `fold_wins`, compile-path splits) may differ.
-#[test]
-fn script_backend_does_not_change_run_results() {
-    use greenweb_engine::{App, Browser, GovernorScheduler, ScriptBackend, Trace};
-
-    let app = App::builder("backend-parity")
-        .html("<div id='box'>x</div>")
-        .css("#box { width: 10px; }")
-        .script(
-            "var total = 0; \
-             addEventListener(getElementById('box'), 'click', function(e) { \
-               var i = 0; \
-               while (i < 40) { i = i + 1; total = total + i * 2; } \
-               setStyle(getElementById('box'), 'width', total); \
-               work(500000); markDirty(); });",
-        )
-        .build();
-    let trace = Trace::builder()
-        .click_id(50.0, "box")
-        .click_id(300.0, "box")
-        .end_ms(800.0)
-        .build();
-
-    let run_on = |backend: ScriptBackend| {
-        let mut browser = Browser::with_backend(
-            &app,
-            GovernorScheduler::new(greenweb_acmp::PerfGovernor),
-            backend,
-        )
-        .unwrap();
-        browser.run(&trace).unwrap()
-    };
-    let vm = run_on(ScriptBackend::Auto);
-    let tree = run_on(ScriptBackend::Tree);
-
-    assert_eq!(vm.frames, tree.frames, "backend changed frame records");
-    assert_eq!(vm.inputs, tree.inputs, "backend changed input metadata");
-    assert_eq!(vm.total_mj(), tree.total_mj(), "backend changed energy");
-    assert_eq!(vm.busy_time, tree.busy_time, "backend changed busy time");
-    assert_eq!(
-        vm.script.ops, tree.script.ops,
-        "tick parity broke: vm {:?} vs tree {:?}",
-        vm.script, tree.script
-    );
-    // The VM actually ran bytecode, from the app's precompiled table.
-    assert!(
-        vm.script.dispatches > 0,
-        "vm never dispatched: {:?}",
-        vm.script
-    );
-    assert!(
-        vm.script.precompiled_hits > 0,
-        "vm missed the precompiled table"
-    );
-    assert_eq!(tree.script.dispatches, 0, "oracle counted vm dispatches");
-}
-
-/// Engine-level differential oracle: on randomly composed handler
-/// bodies, the bytecode VM and the tree-walking interpreter produce
-/// identical observable effects — frames, input metadata, energy, and
-/// the charged op count — across DOM writes, control flow, timers, and
-/// rAF chains.
-#[test]
-fn script_backends_agree_on_observable_callback_effects() {
-    use greenweb_engine::{App, Browser, GovernorScheduler, ScriptBackend, Trace};
-
-    const STMTS: [&str; 8] = [
-        "setStyle(getElementById('box'), 'width', n * 10);",
-        "setStyle(getElementById('box'), 'height', n + 5);",
-        "markDirty();",
-        "work(n * 100000);",
-        "if (n > 2) { markDirty(); } else { setStyle(getElementById('box'), 'width', 7); }",
-        "var i = 0; while (i < n + 3) { i = i + 1; acc = acc + i; }",
-        "setTimeout(function() { markDirty(); }, 16);",
-        "requestAnimationFrame(function(t) { setStyle(getElementById('box'), 'width', 1 + 2); markDirty(); });",
-    ];
-    check(
-        "script_backends_agree_on_observable_callback_effects",
-        48,
-        |g| {
-            let mut body = format!("var n = {}; var acc = 0;", g.usize_in(0, 5));
-            for _ in 0..g.usize_in(1, 5) {
-                body.push_str(g.choose::<&str>(&STMTS));
-            }
-            let app = App::builder("backend-differential")
-                .html("<div id='box'>x</div>")
-                .script(format!(
-                    "addEventListener(getElementById('box'), 'click', function(e) {{ {body} }});"
-                ))
-                .build();
-            let trace = Trace::builder().click_id(50.0, "box").end_ms(600.0).build();
-            let run_on = |backend: ScriptBackend| {
-                let mut browser = Browser::with_backend(
-                    &app,
-                    GovernorScheduler::new(greenweb_acmp::PerfGovernor),
-                    backend,
-                )
-                .unwrap();
-                browser.run(&trace).unwrap()
-            };
-            let vm = run_on(ScriptBackend::Auto);
-            let tree = run_on(ScriptBackend::Tree);
-            assert_eq!(vm.frames, tree.frames, "frames diverged\nbody: {body}");
-            assert_eq!(vm.inputs, tree.inputs, "inputs diverged\nbody: {body}");
-            assert_eq!(
-                vm.total_mj(),
-                tree.total_mj(),
-                "energy diverged\nbody: {body}"
-            );
-            assert_eq!(
-                vm.script.ops, tree.script.ops,
-                "tick parity broke\nbody: {body}\nvm {:?}\ntree {:?}",
-                vm.script, tree.script
-            );
-        },
-    );
-}
-
-/// Typed-error agreement: both backends meter the one shared fuel
-/// implementation, so a runaway callback trips the same
-/// [`BrowserError::Budget`] ceiling at the same charged-op count on
-/// either backend.
-#[test]
-fn script_backends_trip_the_same_op_limit() {
-    use greenweb_engine::{App, Browser, GovernorScheduler, RunBudget, ScriptBackend, Trace};
-
-    let app = App::builder("budget-parity")
-        .html("<div id='box'>x</div>")
-        .script(
-            "addEventListener(getElementById('box'), 'click', function(e) { \
-               while (true) { markDirty(); } });",
-        )
-        .build();
-    let trace = Trace::builder().click_id(50.0, "box").end_ms(500.0).build();
-    let trip = |backend: ScriptBackend| {
-        let mut browser = Browser::with_backend(
-            &app,
-            GovernorScheduler::new(greenweb_acmp::PerfGovernor),
-            backend,
-        )
-        .unwrap();
-        browser.set_budget(RunBudget {
-            max_callback_ops: 10_000,
-            max_sim_events: 1_000_000,
-        });
-        match browser.run(&trace) {
-            Err(greenweb_engine::BrowserError::Budget(detail)) => detail,
-            other => panic!("expected an op-limit trip on {backend:?}, got {other:?}"),
-        }
-    };
-    assert_eq!(
-        trip(ScriptBackend::Auto),
-        trip(ScriptBackend::Tree),
-        "backends reported different op-limit trips"
-    );
-}
-
 // ---------------------------------------------------------------------------
-// Oracle pins: one parity table over the bundled workloads
+// Oracle pin: the naive rendering mode over the bundled workloads
 // ---------------------------------------------------------------------------
 
 /// Strips one flat trailing counter object (`,"name":{…}`) from a
@@ -665,160 +504,59 @@ fn strip_counter_object(json: &str, name: &str) -> String {
     format!("{}{}", &json[..start], &json[end..])
 }
 
-/// The typed per-run pin a parity row flips between the production
-/// path and its oracle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Pin {
-    /// Summary-gated invalidation ([`Browser::set_effect_gate_enabled`]).
-    EffectGate,
-    /// The computed-style cache ([`Browser::set_style_cache_enabled`]).
-    StyleCache,
-    /// Bytecode VM vs tree-walking interpreter ([`ScriptBackend`]).
-    ScriptBackend,
-    /// Incremental rendering vs naive full relayout
-    /// ([`Browser::set_paint_incremental`]).
-    PaintMode,
-}
+/// The metrics JSON counter objects the rendering mode may move: reused
+/// subtrees skip style resolution, so `style` moves with `layout` and
+/// `paint`.
+const RENDER_COUNTERS: [&str; 3] = ["style", "layout", "paint"];
 
-/// One row of the parity table: running each workload with `pin` on the
-/// production path and on the oracle must give the same report and the
-/// same metrics JSON once the `strip` counter objects are removed, and
-/// `engaged` must be non-zero on the production path and zero on the
-/// oracle, so the row cannot pass because both sides ran one path.
-struct ParityRow {
-    pin: Pin,
-    /// Bundled workload names, run on their full traces.
-    workloads: &'static [&'static str],
-    strip: &'static [&'static str],
-    engaged: fn(&SimReport) -> u64,
-}
-
-const PARITY_ROWS: [ParityRow; 4] = [
-    ParityRow {
-        pin: Pin::EffectGate,
-        workloads: &["Todo", "BBC"],
-        strip: &["style"],
-        engaged: |r| r.style.cache_invalidations_avoided,
-    },
-    ParityRow {
-        pin: Pin::StyleCache,
-        workloads: &["Cnet"],
-        strip: &["style"],
-        engaged: |r| r.style.cache_hits,
-    },
-    ParityRow {
-        pin: Pin::ScriptBackend,
-        workloads: &["Todo", "Paper.js"],
-        strip: &["script"],
-        engaged: |r| r.script.dispatches,
-    },
-    ParityRow {
-        pin: Pin::PaintMode,
-        workloads: &["Todo", "Cnet"],
-        strip: &["style", "layout", "paint"],
-        engaged: |r| r.layout.subtree_reuses,
-    },
-];
-
-/// The parity row that flips `pin`.
-fn parity_row(pin: Pin) -> &'static ParityRow {
-    PARITY_ROWS.iter().find(|row| row.pin == pin).unwrap()
-}
-
-/// A small app and trace built to exercise one pin.
-fn parity_fixture(name: &str) -> (App, Trace) {
-    match name {
-        // Two writes per click: the invalidation pass runs before
-        // animation arming, so the second arm's resolve of the same node
-        // is the cache's hit path.
-        "cache-fixture" => (
-            App::builder(name)
-                .html("<div id='box'><p class='inner'>x</p></div>")
-                .css(
-                    "#box { width: 10px; transition: width 100ms linear; } \
-                     .inner { margin: 2px; }",
-                )
-                .script(
-                    "addEventListener(getElementById('box'), 'click', function(e) { \
-                       setStyle(getElementById('box'), 'width', 200); \
-                       setStyle(getElementById('box'), 'height', 50); markDirty(); });",
-                )
-                .build(),
-            Trace::builder()
-                .click_id(50.0, "box")
-                .click_id(300.0, "box")
-                .end_ms(800.0)
-                .build(),
-        ),
-        "script-fixture" => (
-            App::builder(name)
-                .html("<div id='box'>x</div>")
-                .script(
-                    "addEventListener(getElementById('box'), 'click', function(e) { \
-                       setStyle(getElementById('box'), 'width', 3 * 7 + 1); markDirty(); });",
-                )
-                .build(),
-            Trace::builder().click_id(50.0, "box").end_ms(500.0).build(),
-        ),
-        "paint-fixture" => (
-            App::builder(name)
-                .html("<div id='box'><p>a</p><p>b</p></div>")
-                .css("p { height: 12px; }")
-                .script(
-                    "addEventListener(getElementById('box'), 'click', function(e) { \
-                       setStyle(getElementById('box'), 'width', 150); markDirty(); });",
-                )
-                .build(),
-            Trace::builder()
-                .click_id(50.0, "box")
-                .click_id(300.0, "box")
-                .end_ms(700.0)
-                .build(),
-        ),
-        _ => panic!("unknown parity fixture {name:?}"),
-    }
+/// A small app and trace built to exercise subtree reuse.
+fn paint_fixture() -> (App, Trace) {
+    (
+        App::builder("paint-fixture")
+            .html("<div id='box'><p>a</p><p>b</p></div>")
+            .css("p { height: 12px; }")
+            .script(
+                "addEventListener(getElementById('box'), 'click', function(e) { \
+                   setStyle(getElementById('box'), 'width', 150); markDirty(); });",
+            )
+            .build(),
+        Trace::builder()
+            .click_id(50.0, "box")
+            .click_id(300.0, "box")
+            .end_ms(700.0)
+            .build(),
+    )
 }
 
 /// Runs `app` over `trace` the way `evaluate metrics` does — GreenWeb-I,
 /// inferred effect summaries attached, metrics judged against the
-/// trace's expectations — with `pin` on the production path or on its
+/// trace's expectations — rendering incrementally or on the naive
 /// oracle. Returns the report and its metrics JSON.
-fn parity_run(app: &App, trace: &Trace, pin: Pin, production: bool) -> (SimReport, String) {
+fn parity_run(app: &App, trace: &Trace, incremental: bool) -> (SimReport, String) {
     let scenario = Scenario::Imperceptible;
-    let backend = match pin {
-        Pin::ScriptBackend if !production => ScriptBackend::Tree,
-        _ => ScriptBackend::default(),
-    };
-    let mut browser =
-        Browser::with_backend(app, Policy::GreenWeb(scenario).build(), backend).unwrap();
-    match pin {
-        Pin::EffectGate => browser.set_effect_gate_enabled(production),
-        Pin::StyleCache => browser.set_style_cache_enabled(production),
-        Pin::PaintMode => browser.set_paint_incremental(production),
-        Pin::ScriptBackend => {}
-    }
+    let mut browser = Browser::new(app, Policy::GreenWeb(scenario).build()).unwrap();
+    browser.set_paint_incremental(incremental);
     let report = browser.run(trace).unwrap();
     let json = RunMetrics::compute(&report, &expectations(app, trace, scenario)).render_json();
     (report, json)
 }
 
-/// Checks one `row` on one subject — a bundled workload's full trace,
-/// or else a [`parity_fixture`]: the report (energy, frames, inputs,
+/// Checks the rendering mode on one subject — a bundled workload's full
+/// trace, or else [`paint_fixture`]: the report (energy, frames, inputs,
 /// residency, switches, busy and total time, containment checks) and
-/// metrics JSON minus the row's counter objects are identical with the
-/// pin on the production path and on the oracle; the row's counter
-/// shows that the production path actually engaged; and the
-/// containment ledger stays empty on both sides.
-fn assert_parity(row: &ParityRow, name: &str) {
+/// metrics JSON minus [`RENDER_COUNTERS`] are identical incremental and
+/// naive; subtree reuses show that the incremental path actually
+/// engaged; and the containment ledger stays empty on both sides.
+fn assert_parity(name: &str) {
     let (mut app, trace) = match greenweb_workloads::by_name(name) {
         Some(w) => (w.app, w.full),
-        None => parity_fixture(name),
+        None => paint_fixture(),
     };
     app.effect_summaries = greenweb_analyze::infer_effect_summaries(&app);
-    let (on, on_json) = parity_run(&app, &trace, row.pin, true);
-    let (off, off_json) = parity_run(&app, &trace, row.pin, false);
-    let at = format!("{:?} on {name}", row.pin);
-    for (side, report) in [("production", &on), ("oracle", &off)] {
+    let (on, on_json) = parity_run(&app, &trace, true);
+    let (off, off_json) = parity_run(&app, &trace, false);
+    let at = format!("paint mode on {name}");
+    for (side, report) in [("incremental", &on), ("naive", &off)] {
         assert!(
             report.effect_violations.is_empty(),
             "{at} ({side}): containment violations {:#?}",
@@ -826,10 +564,13 @@ fn assert_parity(row: &ParityRow, name: &str) {
         );
     }
     assert!(
-        (row.engaged)(&on) > 0,
-        "{at}: production path never engaged"
+        on.layout.subtree_reuses > 0,
+        "{at}: incremental path never engaged"
     );
-    assert_eq!((row.engaged)(&off), 0, "{at}: oracle engaged the fast path");
+    assert_eq!(
+        off.layout.subtree_reuses, 0,
+        "{at}: oracle reused a subtree"
+    );
     assert_eq!(on.energy, off.energy, "{at}: energy diverged");
     assert_eq!(on.frames, off.frames, "{at}: frames diverged");
     assert_eq!(on.inputs, off.inputs, "{at}: inputs diverged");
@@ -839,49 +580,34 @@ fn assert_parity(row: &ParityRow, name: &str) {
     assert_eq!(on.total_time, off.total_time, "{at}: total time diverged");
     assert_eq!(on.effect_checks, off.effect_checks, "{at}: checks diverged");
     let strip = |json: &str| {
-        row.strip.iter().fold(json.to_string(), |json, object| {
-            strip_counter_object(&json, object)
-        })
+        RENDER_COUNTERS
+            .iter()
+            .fold(json.to_string(), |json, object| {
+                strip_counter_object(&json, object)
+            })
     };
     assert_eq!(
         strip(&on_json),
         strip(&off_json),
-        "{at}: metrics diverged outside {:?}",
-        row.strip
+        "{at}: metrics diverged outside {RENDER_COUNTERS:?}"
     );
 }
 
-/// Every oracle pin is invisible outside its own counters on the
-/// bundled workloads: [`assert_parity`] holds for every row of
-/// [`PARITY_ROWS`] on each of its workloads.
+/// The one oracle pin left, the naive rendering mode, is invisible
+/// outside its own counters on the bundled workloads: [`assert_parity`]
+/// holds on Todo and Cnet.
 #[test]
 fn oracle_pins_leave_metrics_unchanged() {
-    for row in &PARITY_ROWS {
-        for &name in row.workloads {
-            assert_parity(row, name);
-        }
+    for name in ["Todo", "Cnet"] {
+        assert_parity(name);
     }
-}
-
-/// The computed-style cache is invisible to behavior on a fixture built
-/// to hit it: only the `style` counters may differ.
-#[test]
-fn style_cache_does_not_change_run_results() {
-    assert_parity(parity_row(Pin::StyleCache), "cache-fixture");
-}
-
-/// The script backend is invisible in the metrics JSON of a small
-/// fixture: only the `script` counters may differ.
-#[test]
-fn script_backend_metrics_json_identical_modulo_script_counters() {
-    assert_parity(parity_row(Pin::ScriptBackend), "script-fixture");
 }
 
 /// The rendering mode is invisible in the metrics JSON of a small
 /// fixture: only the `style`, `layout` and `paint` counters may differ.
 #[test]
 fn paint_mode_metrics_json_identical_modulo_render_counters() {
-    assert_parity(parity_row(Pin::PaintMode), "paint-fixture");
+    assert_parity("paint-fixture");
 }
 
 // ---------------------------------------------------------------------------

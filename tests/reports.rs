@@ -44,12 +44,8 @@ fn every_report_producer_emits_parseable_json() {
 
     let bench = MicroBench {
         cells: 4,
-        hardware_parallelism: 1,
-        jobs: 1,
-        serial_s: 0.5,
-        parallel_s: 0.25,
         identical: true,
-        phases_ms: vec![(todo.name, profile::phase_totals_ms(&traced))],
+        phases_sim_ms: vec![(todo.name, profile::phase_totals_ms(&traced))],
     };
     parses("BENCH_evaluate.json", &bench.render_json());
     parses("BENCH_script.json", &scriptbench::run_suite().render_json());
