@@ -6,7 +6,10 @@
 //! the paper's decision points. Time is discrete-event: the loop pops the
 //! earliest of {input arrival, VSync, task completion, timer, governor
 //! tick} and reacts. Configuration switches mid-task re-scale the task's
-//! remaining work and charge the platform's switch penalty.
+//! remaining work and charge the platform's switch penalty. The two
+//! periodic events each have one slot beside the event heap (only one of
+//! each is ever pending), and a VSync that would only re-arm itself is
+//! handled inline in the loop.
 
 use crate::app::App;
 use crate::cost::{FrameCostModel, Stage};
@@ -129,12 +132,21 @@ impl From<greenweb_script::ScriptError> for BrowserError {
     }
 }
 
+/// The events that go through the heap. VSync and the governor tick
+/// are periodic, with one of each pending at most, so each lives in its
+/// own slot on [`Browser`] instead.
 #[derive(Debug, Clone, PartialEq)]
 enum SimEventKind {
     Input(TraceEvent),
-    VSync,
     TaskDone { gen: u64 },
     Timer { id: u64 },
+}
+
+/// Where the earliest pending event lives.
+#[derive(Debug, Clone, Copy)]
+enum NextEvent {
+    Queue,
+    VSync,
     GovTick,
 }
 
@@ -265,6 +277,12 @@ pub struct Browser<S: Scheduler> {
     scheduler: S,
     now: SimTime,
     queue: BinaryHeap<Reverse<QueuedEvent>>,
+    /// The pending VSync as `(at, seq)`, outside the heap.
+    vsync: Option<(SimTime, u64)>,
+    /// The pending governor tick as `(at, seq)`, outside the heap.
+    gov_tick: Option<(SimTime, u64)>,
+    /// The one counter every event's `seq` is drawn from, heap or slot,
+    /// so `(at, seq)` orders all pending events as a single queue would.
     seq: u64,
     running: Option<Running>,
     ready: VecDeque<Task>,
@@ -351,6 +369,8 @@ impl<S: Scheduler> Browser<S> {
             scheduler,
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
+            vsync: None,
+            gov_tick: None,
             seq: 0,
             running: None,
             ready: VecDeque::new(),
@@ -625,13 +645,68 @@ impl<S: Scheduler> Browser<S> {
         &mut self.scheduler
     }
 
-    fn push_event(&mut self, at: SimTime, kind: SimEventKind) {
+    fn next_seq(&mut self) -> u64 {
         self.seq += 1;
-        self.queue.push(Reverse(QueuedEvent {
-            at,
-            seq: self.seq,
-            kind,
-        }));
+        self.seq
+    }
+
+    fn push_event(&mut self, at: SimTime, kind: SimEventKind) {
+        let seq = self.next_seq();
+        self.queue.push(Reverse(QueuedEvent { at, seq, kind }));
+    }
+
+    fn arm_vsync(&mut self, at: SimTime) {
+        self.vsync = Some((at, self.next_seq()));
+    }
+
+    /// Arms the VSync one period after this one, unless it falls past
+    /// the trace's end.
+    fn rearm_vsync(&mut self, end: SimTime) {
+        let next = self.now + VSYNC_PERIOD;
+        if next <= end {
+            self.arm_vsync(next);
+        }
+    }
+
+    fn arm_gov_tick(&mut self, at: SimTime) {
+        self.gov_tick = Some((at, self.next_seq()));
+    }
+
+    /// The earliest pending event by `(at, seq)` across the heap and the
+    /// two periodic slots, and where it lives.
+    fn next_event(&self) -> Option<(SimTime, NextEvent)> {
+        let mut best = self
+            .queue
+            .peek()
+            .map(|Reverse(event)| ((event.at, event.seq), NextEvent::Queue));
+        for (slot, source) in [
+            (self.vsync, NextEvent::VSync),
+            (self.gov_tick, NextEvent::GovTick),
+        ] {
+            if let Some(key) = slot {
+                if best.is_none_or(|(best_key, _)| key < best_key) {
+                    best = Some((key, source));
+                }
+            }
+        }
+        best.map(|((at, _), source)| (at, source))
+    }
+
+    /// Whether the VSync due now would do nothing in [`Browser::on_vsync`]
+    /// but re-arm itself: no fault injector or recorder is attached (they
+    /// act on every tick), and the main thread is either busy (the tick
+    /// is skipped as congested) or has nothing to deliver, tick or draw.
+    fn vsync_is_noop(&self) -> bool {
+        self.injector.is_none()
+            && self.trace.is_none()
+            && (self.running.is_some()
+                || (self.ready.is_empty()
+                    && self.pending_moves.is_empty()
+                    && self.raf_queue.is_empty()
+                    && self.transitions.is_empty()
+                    && self.css_animations.is_empty()
+                    && self.host_animations.is_empty()
+                    && !self.tracker.is_dirty()))
     }
 
     fn next_gen(&mut self) -> u64 {
@@ -655,41 +730,59 @@ impl<S: Scheduler> Browser<S> {
         for event in events {
             self.push_event(event.at, SimEventKind::Input(event));
         }
-        self.push_event(SimTime::ZERO + VSYNC_PERIOD, SimEventKind::VSync);
+        self.arm_vsync(SimTime::ZERO + VSYNC_PERIOD);
         if let Some(period) = self.scheduler.timer_period() {
-            self.push_event(SimTime::ZERO + period, SimEventKind::GovTick);
+            self.arm_gov_tick(SimTime::ZERO + period);
         }
         let end = trace.end;
-        while let Some(Reverse(event)) = self.queue.pop() {
-            if event.at > end {
+        while let Some((at, source)) = self.next_event() {
+            if at > end {
                 break;
             }
+            // Inline no-op VSyncs count too, so a budget trips at the
+            // same event whichever path a tick takes.
             self.events_popped += 1;
             if let Some(budget) = self.budget {
                 if self.events_popped > budget.max_sim_events {
                     return Err(BrowserError::Budget(format!(
                         "sim-event ceiling exceeded: popped more than {} events \
                          by t={:?} (trace ends at {:?})",
-                        budget.max_sim_events, event.at, end
+                        budget.max_sim_events, at, end
                     )));
                 }
             }
-            debug_assert!(event.at >= self.now, "event queue went backwards");
-            self.now = event.at;
-            match event.kind {
-                // Move-type inputs are VSync-aligned: the browser
-                // coalesces them into the next frame rather than waking
-                // the main thread mid-frame (Chromium's input pipeline).
-                SimEventKind::Input(input)
-                    if matches!(input.event, EventType::Scroll | EventType::TouchMove) =>
-                {
-                    self.pending_moves.push(input);
+            debug_assert!(at >= self.now, "event queue went backwards");
+            self.now = at;
+            match source {
+                NextEvent::VSync => {
+                    self.vsync = None;
+                    if self.vsync_is_noop() {
+                        self.rearm_vsync(end);
+                    } else {
+                        self.on_vsync(end)?;
+                    }
                 }
-                SimEventKind::Input(input) => self.on_input(input)?,
-                SimEventKind::VSync => self.on_vsync(end)?,
-                SimEventKind::TaskDone { gen } => self.on_task_done(gen)?,
-                SimEventKind::Timer { id } => self.on_timer_fired(id)?,
-                SimEventKind::GovTick => self.on_gov_tick(end),
+                NextEvent::GovTick => {
+                    self.gov_tick = None;
+                    self.on_gov_tick(end);
+                }
+                NextEvent::Queue => {
+                    let Reverse(event) = self.queue.pop().expect("next_event peeked it");
+                    match event.kind {
+                        // Move-type inputs are VSync-aligned: the browser
+                        // coalesces them into the next frame rather than
+                        // waking the main thread mid-frame (Chromium's
+                        // input pipeline).
+                        SimEventKind::Input(input)
+                            if matches!(input.event, EventType::Scroll | EventType::TouchMove) =>
+                        {
+                            self.pending_moves.push(input);
+                        }
+                        SimEventKind::Input(input) => self.on_input(input)?,
+                        SimEventKind::TaskDone { gen } => self.on_task_done(gen)?,
+                        SimEventKind::Timer { id } => self.on_timer_fired(id)?,
+                    }
+                }
             }
         }
         self.now = end;
@@ -921,16 +1014,13 @@ impl<S: Scheduler> Browser<S> {
                 VsyncDisposition::Drop => {
                     // The display swallowed the tick: no input delivery,
                     // no rAF, no frame — but the clock keeps beating.
-                    let next = self.now + VSYNC_PERIOD;
-                    if next <= end {
-                        self.push_event(next, SimEventKind::VSync);
-                    }
+                    self.rearm_vsync(end);
                     return Ok(());
                 }
                 VsyncDisposition::Defer(delay) => {
                     // The tick arrives late; its work (and the schedule of
                     // the following tick) shifts with it.
-                    self.push_event(self.now + delay, SimEventKind::VSync);
+                    self.arm_vsync(self.now + delay);
                     return Ok(());
                 }
             }
@@ -1032,10 +1122,7 @@ impl<S: Scheduler> Browser<S> {
                 self.ready.push_back(Task::BeginFrame);
             }
         }
-        let next = self.now + VSYNC_PERIOD;
-        if next <= end {
-            self.push_event(next, SimEventKind::VSync);
-        }
+        self.rearm_vsync(end);
         self.try_start()?;
         Ok(())
     }
@@ -1181,7 +1268,7 @@ impl<S: Scheduler> Browser<S> {
         self.apply_config(desired);
         let next = self.now + period;
         if next <= end {
-            self.push_event(next, SimEventKind::GovTick);
+            self.arm_gov_tick(next);
         }
     }
 

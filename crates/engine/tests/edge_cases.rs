@@ -1,8 +1,12 @@
 //! Edge cases and failure injection for the browser engine.
 
-use greenweb_acmp::PerfGovernor;
+use greenweb_acmp::{CpuConfig, Duration, Governor, PerfGovernor, Platform, SimTime};
 use greenweb_dom::EventType;
-use greenweb_engine::{App, Browser, BrowserError, GovernorScheduler, InputId, TargetSpec, Trace};
+use greenweb_engine::browser::VSYNC_PERIOD;
+use greenweb_engine::{
+    App, Browser, BrowserError, GovernorScheduler, InputId, RunBudget, SimReport, TargetSpec, Trace,
+};
+use greenweb_trace::{EventKind, TraceHandle};
 
 fn perf() -> GovernorScheduler<PerfGovernor> {
     GovernorScheduler::new(PerfGovernor)
@@ -349,4 +353,161 @@ fn style_engine_exposes_parsed_stylesheet() {
     let sheet = browser.style_engine().stylesheet();
     assert_eq!(sheet.rules().len(), 2);
     assert_eq!(sheet.qos_rules().count(), 1);
+}
+
+/// A governor that ticks every two VSync periods, so each of its ticks
+/// lands on the same instant as a VSync, and that flips between the peak
+/// and the lowest configuration on every tick so the report counts
+/// switches.
+#[derive(Debug, Default)]
+struct FlipOnVsyncGovernor {
+    high: bool,
+}
+
+impl Governor for FlipOnVsyncGovernor {
+    fn name(&self) -> &'static str {
+        "flip-on-vsync"
+    }
+
+    fn timer_period(&self) -> Option<Duration> {
+        Some(Duration::from_nanos(2 * VSYNC_PERIOD.as_nanos()))
+    }
+
+    fn on_timer(
+        &mut self,
+        _now: SimTime,
+        _utilization: f64,
+        _current: CpuConfig,
+        platform: &Platform,
+    ) -> CpuConfig {
+        self.high = !self.high;
+        if self.high {
+            platform.peak()
+        } else {
+            platform.lowest()
+        }
+    }
+}
+
+fn on_vsync(n: u64) -> SimTime {
+    SimTime::ZERO + Duration::from_nanos(n * VSYNC_PERIOD.as_nanos())
+}
+
+/// One click whose callback chains a few rAF frames: inputs, VSyncs
+/// that find work, and long idle stretches in between.
+fn raf_chain_app() -> App {
+    App::builder("raf-chain")
+        .html("<button id='b'>go</button>")
+        .script(
+            "var n = 0;
+             function step(t) {
+                 n = n + 1;
+                 work(2000000);
+                 markDirty();
+                 if (n % 4 != 0) { requestAnimationFrame(step); }
+             }
+             addEventListener(getElementById('b'), 'click', function(e) {
+                 work(3000000);
+                 markDirty();
+                 requestAnimationFrame(step);
+             });",
+        )
+        .build()
+}
+
+/// Runs `trace` on a fresh browser, with `recorder` attached if given. A
+/// recorded run takes the full VSync path on every tick; a detached one
+/// handles the ticks that only re-arm themselves inline.
+fn run_flip(
+    app: &App,
+    trace: &Trace,
+    recorder: Option<&TraceHandle>,
+    budget: Option<RunBudget>,
+) -> Result<SimReport, BrowserError> {
+    let mut browser = Browser::new(app, GovernorScheduler::new(FlipOnVsyncGovernor::default()))?;
+    if let Some(recorder) = recorder {
+        browser.set_trace(recorder.clone());
+    }
+    if let Some(budget) = budget {
+        browser.set_budget(budget);
+    }
+    browser.run(trace)
+}
+
+#[test]
+fn ties_with_vsync_order_the_same_detached_and_recorded() {
+    // Two clicks arrive exactly on a VSync (the first also on a governor
+    // tick), and every governor tick coincides with a VSync: the event
+    // loop's `(at, seq)` tie order decides who goes first, and it must
+    // not depend on whether the tick is handled inline.
+    let app = raf_chain_app();
+    let mut trace = Trace::builder()
+        .click_id(0.0, "b")
+        .click_id(0.0, "b")
+        .end_ms(2000.0)
+        .build();
+    trace.events[0].at = on_vsync(6);
+    trace.events[1].at = on_vsync(61);
+    let recorder = TraceHandle::with_capacity(1 << 16);
+    let detached = run_flip(&app, &trace, None, None).unwrap();
+    let recorded = run_flip(&app, &trace, Some(&recorder), None).unwrap();
+    assert_eq!(detached.inputs.len(), 2);
+    assert!(
+        detached.frames.len() >= 8,
+        "{} frames",
+        detached.frames.len()
+    );
+    assert!(detached.switches.0 + detached.switches.1 > 0);
+    assert_eq!(detached.frames, recorded.frames);
+    assert_eq!(detached.switches, recorded.switches);
+    assert_eq!(detached.busy_time, recorded.busy_time);
+
+    // The tie order itself, read off the recorded timeline. An input is
+    // queued before the run arms the first VSync, so at 6 periods the
+    // click goes first.
+    let buffer = recorder.snapshot();
+    let first_at = |at: SimTime, name: &str| {
+        buffer
+            .events
+            .iter()
+            .position(|r| r.at == at && r.kind.name() == name)
+            .unwrap_or_else(|| panic!("no {name} at {at:?}"))
+    };
+    assert!(first_at(on_vsync(6), "input") < first_at(on_vsync(6), "vsync"));
+    // The governor tick due at 4 periods was armed at 2 periods, before
+    // the VSync due at 4 periods (armed at 3), so it runs first: that
+    // VSync's energy sample already shows its second flip, to lowest.
+    let sample = buffer
+        .events
+        .iter()
+        .find_map(|r| match r.kind {
+            EventKind::EnergySample { config, .. } if r.at == on_vsync(4) => Some(config),
+            _ => None,
+        })
+        .expect("an energy sample at 4 periods");
+    assert_eq!(sample, Platform::odroid_xu_e().lowest());
+}
+
+#[test]
+fn event_budget_counts_idle_vsyncs_detached_and_recorded() {
+    // Over a long idle trace nearly every VSync only re-arms itself. The
+    // detached run handles those inline but must still count them, so
+    // the ceiling trips at the same event — the same `t=` — both ways.
+    let app = raf_chain_app();
+    let trace = Trace::builder()
+        .click_id(50.0, "b")
+        .end_ms(10_000.0)
+        .build();
+    let budget = RunBudget {
+        max_callback_ops: 1_000_000,
+        max_sim_events: 200,
+    };
+    let trip = |recorder: Option<&TraceHandle>| match run_flip(&app, &trace, recorder, Some(budget))
+    {
+        Err(BrowserError::Budget(detail)) => detail,
+        other => panic!("expected a budget trip, got {other:?}"),
+    };
+    let detached = trip(None);
+    assert!(detached.contains("t="), "{detached}");
+    assert_eq!(detached, trip(Some(&TraceHandle::with_capacity(1 << 16))));
 }

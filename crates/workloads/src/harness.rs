@@ -221,6 +221,11 @@ pub fn run_traced(
 /// evaluation judges it against (from the app's annotations under
 /// `scenario`). Inputs on unannotated `(element, event)` pairs are
 /// absent — they are not optimization targets (Table 3's note).
+///
+/// Annotations are read the way the runtime reads them
+/// ([`AnnotationTable::from_stylesheet_lossy`]): a malformed `:QoS`
+/// value is judged against its event's Table 1 category default, the
+/// same spec the runtime scheduled it under.
 pub fn expectations(
     app: &App,
     trace: &Trace,
@@ -228,7 +233,7 @@ pub fn expectations(
 ) -> HashMap<InputId, InputExpectation> {
     let doc = parse_html(&app.html).expect("workload html parses");
     let sheet = parse_stylesheet(&app.css_source()).expect("workload css parses");
-    let table = AnnotationTable::from_stylesheet(&sheet).expect("workload annotations parse");
+    let (table, _errors) = AnnotationTable::from_stylesheet_lossy(&sheet);
     let document_element = doc
         .children(doc.root())
         .find(|&c| doc.element(c).is_some())
@@ -357,6 +362,54 @@ mod tests {
         let w = by_name("Paper.js").unwrap();
         let frac = annotated_fraction(&w.app, &w.full);
         assert!(frac > 0.7, "paper.js annotated fraction {frac}");
+    }
+
+    #[test]
+    fn malformed_annotation_is_judged_against_its_category_default() {
+        use greenweb::qos::{QosSpec, QosType};
+        use greenweb_dom::EventType;
+        let app = App::builder("half-malformed")
+            .html("<button id='ok'>a</button><button id='bad'>b</button>")
+            .css(
+                "#ok:QoS { onclick-qos: continuous; }
+                 #bad:QoS { onclick-qos: sometimes, 7; }",
+            )
+            .script(
+                "addEventListener(getElementById('ok'), 'click', function(e) { markDirty(); });
+                 addEventListener(getElementById('bad'), 'click', function(e) { markDirty(); });",
+            )
+            .build();
+        let trace = Trace::builder()
+            .click_id(100.0, "ok")
+            .click_id(600.0, "bad")
+            .end_ms(1200.0)
+            .build();
+        let sheet = parse_stylesheet(&app.css_source()).unwrap();
+        assert!(
+            AnnotationTable::from_stylesheet(&sheet).is_err(),
+            "the strict reader rejects the sheet"
+        );
+        let scenario = Scenario::Usable;
+        let map = expectations(&app, &trace, scenario);
+        let valid = QosSpec::continuous();
+        assert_eq!(map[&InputId(0)].qos_type, QosType::Continuous);
+        assert_eq!(
+            map[&InputId(0)].target_ms,
+            valid.target.for_scenario(scenario)
+        );
+        let fallback = QosSpec::default_for_event(EventType::Click);
+        assert_eq!(map[&InputId(1)].qos_type, fallback.qos_type);
+        assert_eq!(
+            map[&InputId(1)].target_ms,
+            fallback.target.for_scenario(scenario)
+        );
+        // The whole evaluation path judges the run without panicking.
+        let workload = Workload {
+            app,
+            ..by_name("Todo").unwrap()
+        };
+        let m = evaluate(&workload, &trace, &Policy::Perf, scenario).unwrap();
+        assert_eq!(m.metrics.judged_inputs, 2);
     }
 
     #[test]

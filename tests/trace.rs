@@ -10,8 +10,13 @@
 //! 5. the attribution profiler conserves energy (per-event phase
 //!    attribution + idle + unattributed = the measured total), names
 //!    spans that actually overlap every missed frame's window, and
-//!    renders byte-identically across worker counts and repeated runs.
+//!    renders byte-identically across worker counts and repeated runs,
+//!    and
+//! 6. attaching a recorder changes no metric: a detached run (which
+//!    handles no-op VSyncs inline) reports what the recorded run (which
+//!    takes the full VSync path on every tick) reports.
 
+use greenweb::metrics::RunMetrics;
 use greenweb::qos::Scenario;
 use greenweb::GreenWebScheduler;
 use greenweb_engine::FaultPlan;
@@ -19,7 +24,7 @@ use greenweb_fleet::{run_specs, Jobs};
 use greenweb_trace::{chrome_trace_json, AttributionProfile, EventKind, SpanKind, TraceBuffer};
 use greenweb_workloads::by_name;
 use greenweb_workloads::chaos::chaos_run_traced;
-use greenweb_workloads::harness::{lower, run_traced, Policy};
+use greenweb_workloads::harness::{expectations, lower, run, run_traced, Policy};
 
 fn traced_run(name: &str) -> (greenweb_engine::SimReport, TraceBuffer) {
     let w = by_name(name).expect("workload exists");
@@ -239,4 +244,38 @@ fn attribution_profiles_are_byte_identical_serial_vs_parallel() {
         serial, repeated,
         "same seed re-run changed the profile bytes"
     );
+}
+
+#[test]
+fn detached_and_recorded_runs_report_the_same_metrics() {
+    // The recorder is the oracle of the engine's inline no-op VSync
+    // path: a detached run skips `on_vsync` for ticks that find the main
+    // thread busy or nothing to do, a recorded run never does. Every
+    // metric must agree except `energy_mj`, which may move in the last
+    // bits: at each VSync the recorder samples energy, and the sample
+    // calls `cpu.advance`, which splits the energy integral into more
+    // (mathematically equal) pieces.
+    let scenario = Scenario::Imperceptible;
+    for w in greenweb_workloads::all() {
+        let expected = expectations(&w.app, &w.full, scenario);
+        for policy in Policy::paper_set() {
+            let detached = run(&w.app, &w.full, &policy).expect("detached run");
+            let (recorded, _) = run_traced(&w.app, &w.full, &policy).expect("recorded run");
+            let detached = RunMetrics::compute(&detached, &expected);
+            let mut recorded = RunMetrics::compute(&recorded, &expected);
+            let relative = (recorded.energy_mj - detached.energy_mj).abs() / detached.energy_mj;
+            assert!(
+                relative <= 1e-12,
+                "{} / {policy}: energy differs by {relative:e} relative",
+                w.name
+            );
+            recorded.energy_mj = detached.energy_mj;
+            assert_eq!(
+                detached.render_json(),
+                recorded.render_json(),
+                "{} / {policy}: recording changed a metric",
+                w.name
+            );
+        }
+    }
 }
