@@ -11,15 +11,11 @@
 //! evaluate ablation                   design-choice ablations
 //! evaluate percentiles                per-stage latency percentiles + flame
 //! evaluate all                        everything above
-//! evaluate bench                      serial/parallel parity + sim phases
-//! evaluate bench --suite style        style resolver microbenchmark
-//! evaluate bench --suite script       script-pipeline compile-once suite
-//! evaluate bench --suite paint        incremental render-pipeline suite
+//! evaluate bench                      write the four BENCH_*.json reports
 //! evaluate metrics                    one workload's RunMetrics as JSON
 //! evaluate soundness                  dynamic ⊆ static effect-summary gate
 //! evaluate sweep --out F              supervised, checkpointed matrix sweep
 //! evaluate attribute                  per-event energy attribution profile
-//! evaluate diff OLD NEW               tolerance-aware JSON regression gate
 //! ```
 //!
 //! Flags (combinable with any command):
@@ -30,8 +26,6 @@
 //!                       command, implies `trace` (the traced run only)
 //! --workload NAME       workload for percentiles/trace/metrics (default
 //!                       Paper.js)
-//! --suite NAME          bench suite: `micro` (default), `style`,
-//!                       `script`, or `paint`
 //! --jobs N              worker threads for simulation batches (default:
 //!                       GREENWEB_JOBS, else hardware parallelism; 1 is
 //!                       the legacy serial path — output is identical
@@ -48,15 +42,8 @@
 //!                       per attributed span (mJ and ops in args)
 //! ```
 //!
-//! `diff` flags:
-//!
-//! ```text
-//! --tolerance T         max relative numeric drift, default 0.05 (5%)
-//! ```
-//!
-//! `diff` exits 0 when the documents agree within tolerance and 1 with
-//! one line per differing field otherwise — CI's regression gate over
-//! the committed `BENCH_evaluate.json`.
+//! An unknown command, an unknown flag or a second bare word prints the
+//! usage line to stderr and exits 2.
 //!
 //! `soundness` runs every workload's full trace under each paper policy
 //! with the statically inferred effect summaries attached and fails if
@@ -81,56 +68,62 @@
 //! aborted mid-run (`GREENWEB_ABORT_AFTER=K` aborts after K new result
 //! lines — the hook CI's resume-parity gate kills with).
 //!
-//! `bench` (micro) runs the microbenchmark suite serially and at
-//! `--jobs`, checks the two agree bit for bit, adds per-phase pipeline
-//! totals in simulated ms from one traced run per workload (plus a
-//! labeled aggregate), and writes `BENCH_evaluate.json`. `bench --suite
-//! style` runs the naive-vs-bucketed selector-matching suite and writes
-//! `BENCH_style.json`. `bench --suite script` runs the script-pipeline
-//! compile-once suite (bytecode VM counters only) and writes
-//! `BENCH_script.json`. `bench --suite paint` runs the
-//! incremental-rendering suite (naive full relayout vs cached
-//! subtrees + retained display list, counters only) and writes
-//! `BENCH_paint.json`. `metrics` prints one workload's deterministic
-//! [`RunMetrics`] JSON for inspection; the workload parity test
-//! (`cargo test --test properties oracle_pins_leave_metrics_unchanged`)
-//! computes the same JSON in-process under each oracle pin.
+//! `bench` writes every report of [`bench_reports`]: per-phase pipeline
+//! totals in simulated ms (`BENCH_evaluate.json`) and the style, script
+//! and paint suites' counters (`BENCH_style.json`, `BENCH_script.json`,
+//! `BENCH_paint.json`); `tests/reports.rs` checks the committed files
+//! against a fresh render byte for byte. `metrics` prints one workload's
+//! deterministic [`RunMetrics`] JSON for inspection; the workload parity
+//! test (`cargo test --test properties
+//! oracle_pins_leave_metrics_unchanged`) computes the same JSON
+//! in-process under the paint-mode oracle pin.
 //!
 //! [`RunMetrics`]: greenweb::metrics::RunMetrics
+//! [`bench_reports`]: greenweb_bench::bench_reports
 
 use greenweb::autogreen::AutoGreen;
 use greenweb::qos::Scenario;
-use greenweb_bench::figures::{run_apps, run_suite_with, AppRuns, SuiteKind};
-use greenweb_bench::{ablation, profile, render, tables};
+use greenweb_bench::figures::{run_suite_with, AppRuns, SuiteKind};
+use greenweb_bench::{ablation, bench_reports, profile, render, tables};
 use greenweb_fleet::Jobs;
 use greenweb_workloads::harness::{expectations, run, Policy};
 use std::collections::HashMap;
+
+/// Every command `evaluate` accepts, as the usage line lists them.
+const COMMANDS: &str = "all|table1|table2|table3|fig9a|fig9b|fig10a|fig10b|fig10c|fig11|fig12|\
+                        autogreen|uai|ablation|ebs|multiapp|percentiles|trace|bench|metrics|\
+                        soundness|sweep|attribute";
+
+/// Prints the usage line to stderr and exits 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("evaluate: {problem}");
+    eprintln!(
+        "usage: evaluate [{COMMANDS}] [--workload NAME] [--jobs N] [--trace FILE] \
+         [--json|--flame] [--poison-summaries] \
+         [--out FILE [--resume] [--repro-dir DIR] [--poison LIST] [--retries N]]"
+    );
+    std::process::exit(2);
+}
 
 fn main() {
     let mut command: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut workload = String::from("Paper.js");
-    let mut suite_name = String::from("micro");
     let mut jobs = Jobs::from_env();
     let mut out_path: Option<String> = None;
     let mut resume = false;
     let mut repro_dir: Option<String> = None;
     let mut poison = String::new();
     let mut retries: u32 = 3;
-    let mut positionals: Vec<String> = Vec::new();
     let mut json_output = false;
     let mut flame_output = false;
     let mut poison_summaries = false;
-    let mut tolerance: f64 = 0.05;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--trace" => trace_path = Some(argv.next().expect("--trace requires a file path")),
             "--workload" => {
                 workload = argv.next().expect("--workload requires a workload name");
-            }
-            "--suite" => {
-                suite_name = argv.next().expect("--suite requires a suite name");
             }
             "--jobs" => {
                 jobs = argv
@@ -155,21 +148,15 @@ fn main() {
             "--json" => json_output = true,
             "--flame" => flame_output = true,
             "--poison-summaries" => poison_summaries = true,
-            "--tolerance" => {
-                tolerance = argv
-                    .next()
-                    .expect("--tolerance requires a value")
-                    .parse()
-                    .expect("--tolerance requires a number");
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag:?}")),
+            word if !COMMANDS.split('|').any(|c| c == word) => {
+                usage_error(&format!("unknown command {word:?}"));
             }
-            other => {
-                // First bare word is the command; the rest are its
-                // positional operands (`diff OLD NEW`).
-                if command.is_none() {
-                    command = Some(other.to_string());
-                } else {
-                    positionals.push(other.to_string());
+            word => {
+                if let Some(first) = &command {
+                    usage_error(&format!("unexpected {word:?} after command {first:?}"));
                 }
+                command = Some(word.to_string());
             }
         }
     }
@@ -185,14 +172,9 @@ fn main() {
     let wants = |name: &str| command == name || command == "all";
 
     if command == "bench" {
-        match suite_name.as_str() {
-            "micro" => bench_report(jobs),
-            "style" => style_bench_report(),
-            "script" => script_bench_report(),
-            "paint" => paint_bench_report(),
-            other => {
-                panic!("unknown bench suite {other:?} (expected micro, style, script, or paint)")
-            }
+        for (file, json) in bench_reports() {
+            std::fs::write(file, json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+            println!("wrote {file}");
         }
         return;
     }
@@ -212,9 +194,6 @@ fn main() {
     if command == "attribute" {
         attribute_command(&workload, json_output, flame_output);
         return;
-    }
-    if command == "diff" {
-        std::process::exit(diff_command(&positionals, tolerance));
     }
 
     if wants("table1") {
@@ -482,44 +461,6 @@ fn attribute_command(workload: &str, json_output: bool, flame_output: bool) {
     }
 }
 
-/// Compares two JSON files field by field and returns the process exit
-/// code: 0 when they agree within tolerance, 1 otherwise (one stdout
-/// line per differing field).
-fn diff_command(paths: &[String], tolerance: f64) -> i32 {
-    use greenweb_bench::diff::diff_json;
-    let [old_path, new_path] = paths else {
-        eprintln!("diff requires exactly two paths: evaluate diff OLD.json NEW.json");
-        return 1;
-    };
-    let read = |path: &String| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"))
-    };
-    match diff_json(&read(old_path), &read(new_path), tolerance) {
-        Ok(differences) if differences.is_empty() => {
-            println!(
-                "{old_path} and {new_path} agree within {:.1}% tolerance",
-                tolerance * 100.0
-            );
-            0
-        }
-        Ok(differences) => {
-            for difference in &differences {
-                println!("{difference}");
-            }
-            eprintln!(
-                "{} field(s) drifted beyond {:.1}% tolerance",
-                differences.len(),
-                tolerance * 100.0
-            );
-            1
-        }
-        Err(e) => {
-            eprintln!("diff failed: {e}");
-            1
-        }
-    }
-}
-
 fn suite(
     cache: &mut HashMap<SuiteKind, Vec<AppRuns>>,
     kind: SuiteKind,
@@ -531,118 +472,11 @@ fn suite(
     })
 }
 
-/// Runs the microbenchmark suite serially and at `jobs`, checks the two
-/// results agree bit for bit, and writes `BENCH_evaluate.json`.
-fn bench_report(jobs: Jobs) {
-    let workloads = greenweb_workloads::all();
-    eprintln!("running micro suite serially and at {jobs} worker(s)...");
-    let serial = run_apps(&workloads, SuiteKind::Micro, Jobs::serial());
-    let parallel = run_apps(&workloads, SuiteKind::Micro, jobs);
-    let identical = serial.len() == parallel.len()
-        && serial.iter().zip(&parallel).all(|(a, b)| {
-            a.perf.report.total_mj() == b.perf.report.total_mj()
-                && a.interactive.report.total_mj() == b.interactive.report.total_mj()
-                && a.greenweb_i.metrics_i.render_json() == b.greenweb_i.metrics_i.render_json()
-                && a.greenweb_u.metrics_u.render_json() == b.greenweb_u.metrics_u.render_json()
-        });
-    assert!(identical, "serial and parallel suites diverged");
-    // Per-phase pipeline totals from one traced run per workload:
-    // simulated-time span durations, so these are deterministic. Every
-    // workload gets its own
-    // breakdown plus a labeled aggregate — a suite-wide number used to
-    // hide per-app regressions behind Paper.js, the only app the old
-    // report covered.
-    let phases_sim_ms = workloads
-        .iter()
-        .map(|w| {
-            let profiled = profile::profile(
-                w,
-                &Policy::GreenWeb(Scenario::Imperceptible),
-                Scenario::Imperceptible,
-            )
-            .expect("traced run");
-            (w.name, profile::phase_totals_ms(&profiled))
-        })
-        .collect();
-    let report = profile::MicroBench {
-        cells: workloads.len() * 4,
-        identical,
-        phases_sim_ms,
-    };
-    std::fs::write("BENCH_evaluate.json", report.render_json()).expect("write BENCH_evaluate.json");
-    println!("serial and {jobs}-worker results bit-identical; wrote BENCH_evaluate.json");
-}
-
-/// Runs the style microbenchmark suite, asserts the counter-based
-/// acceptance gate (≥ 3× fewer exact matches than naive), and writes
-/// `BENCH_style.json`.
-fn style_bench_report() {
-    use greenweb_bench::stylebench;
-    let report = stylebench::run_suite();
-    print!("{}", report.render_text());
-    assert!(report.identical, "bucketed resolver diverged from naive");
-    assert!(
-        report.match_ratio() >= 3.0,
-        "expected >= 3x fewer exact matches, got {:.2}x",
-        report.match_ratio()
-    );
-    std::fs::write("BENCH_style.json", report.render_json()).expect("write BENCH_style.json");
-    println!("wrote BENCH_style.json");
-}
-
-/// Runs the script-pipeline suite, asserts the compile-once acceptance
-/// gate (compile count ≤ handler count, independent of event volume),
-/// and writes `BENCH_script.json`.
-fn script_bench_report() {
-    use greenweb_bench::scriptbench;
-    let report = scriptbench::run_suite();
-    print!("{}", report.render_text());
-    assert!(
-        report.total_compiles() <= report.total_handlers(),
-        "compile count {} exceeds handler count {}",
-        report.total_compiles(),
-        report.total_handlers(),
-    );
-    assert!(
-        report.compiles_event_independent(),
-        "compile work scaled with event count"
-    );
-    std::fs::write("BENCH_script.json", report.render_json()).expect("write BENCH_script.json");
-    println!("wrote BENCH_script.json");
-}
-
-/// Runs the render-pipeline suite, asserts the incremental-rendering
-/// acceptance gate (naive oracle identical; ≥ 3× fewer elements
-/// measured; subtree reuses and partial repaints observed; dirty/damage
-/// counters mode-independent), and writes `BENCH_paint.json`.
-fn paint_bench_report() {
-    use greenweb_bench::paintbench;
-    let report = paintbench::run_suite();
-    print!("{}", report.render_text());
-    assert!(
-        report.identical(),
-        "incremental rendering diverged from the naive oracle"
-    );
-    assert!(
-        report.pricing_mode_independent(),
-        "dirty/damage counters differed between rendering modes"
-    );
-    assert!(
-        report.layout_ratio() >= 3.0,
-        "expected >= 3x fewer elements laid out, got {:.2}x",
-        report.layout_ratio()
-    );
-    assert!(report.total_subtree_reuses() > 0, "no subtree reuses");
-    assert!(report.total_partial_repaints() > 0, "no partial repaints");
-    std::fs::write("BENCH_paint.json", report.render_json()).expect("write BENCH_paint.json");
-    println!("wrote BENCH_paint.json");
-}
-
 /// Runs one workload's full trace under GreenWeb-I and prints its
 /// deterministic metrics JSON. The inferred effect summaries are
-/// attached, so summary-gated invalidation downgrades (and their
-/// containment checks) are live. The workload parity test in
-/// `tests/properties.rs` builds the same run with each oracle pin.
+/// attached, so the engine's containment checks are live. The workload
+/// parity test in `tests/properties.rs` builds the same run under the
+/// paint-mode oracle pin.
 fn metrics_report(workload: &str) {
     let w = greenweb_workloads::by_name(workload)
         .unwrap_or_else(|| panic!("unknown workload {workload:?}"));

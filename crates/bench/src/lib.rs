@@ -12,28 +12,24 @@
 //! * [`profile`] — traced runs: per-stage latency percentiles, a text
 //!   flamegraph, Perfetto-loadable Chrome trace-event export, and the
 //!   `BENCH_evaluate.json` report;
-//! * [`diff`] — tolerance-aware JSON comparison behind `evaluate diff`,
-//!   the CI regression gate over `BENCH_evaluate.json`;
 //! * [`stylebench`] — the style microbenchmark suite: naive full-scan vs
-//!   bucketed + Bloom-filtered selector matching with per-phase
-//!   breakdowns (`evaluate bench --suite style`);
+//!   bucketed + Bloom-filtered selector matching (`BENCH_style.json`);
 //! * [`scriptbench`] — the script-pipeline suite: the bytecode VM's
-//!   compile-once counters over every workload (`evaluate bench --suite
-//!   script`);
+//!   compile-once counters over every workload (`BENCH_script.json`);
 //! * [`paintbench`] — the render-pipeline suite: incremental layout /
 //!   retained-display-list counters vs the naive full-relayout oracle
-//!   over every workload (`evaluate bench --suite paint`);
+//!   over every workload (`BENCH_paint.json`);
 //! * [`render`] — fixed-width text rendering used by the `evaluate`
 //!   binary.
 //!
-//! Run `cargo run --release -p greenweb-bench --bin evaluate -- all` to
-//! print everything; `cargo bench` wraps the same generators in Criterion
-//! benchmarks.
+//! [`bench_reports`] renders the four committed `BENCH_*.json` files:
+//! `evaluate bench` writes them, and `tests/reports.rs` checks them byte
+//! for byte. Run `cargo run --release -p greenweb-bench --bin evaluate --
+//! all` to print every table and figure.
 
 #![forbid(unsafe_code)]
 
 pub mod ablation;
-pub mod diff;
 pub mod figures;
 pub mod paintbench;
 pub mod profile;
@@ -46,3 +42,15 @@ pub use figures::{
     fig11, fig12, run_app, run_apps, run_suite, run_suite_with, AppRuns, PolicyRun, ResidencyRow,
     SuiteKind, SwitchRow,
 };
+
+/// Every committed report as `(file name, freshly rendered JSON)`, in
+/// the order `evaluate bench` writes them. Each value is simulated or
+/// counted, so a fresh render equals the committed file byte for byte.
+pub fn bench_reports() -> Vec<(&'static str, String)> {
+    vec![
+        ("BENCH_evaluate.json", profile::micro_bench().render_json()),
+        ("BENCH_style.json", stylebench::run_suite().render_json()),
+        ("BENCH_script.json", scriptbench::run_suite().render_json()),
+        ("BENCH_paint.json", paintbench::run_suite().render_json()),
+    ]
+}

@@ -1,5 +1,4 @@
-//! The paint/layout microbenchmark suite (`evaluate bench --suite
-//! paint`).
+//! The paint/layout microbenchmark suite (`BENCH_paint.json`).
 //!
 //! For each of the 12 workloads the suite runs the *micro* interaction
 //! trace twice — once with the incremental render pipeline disabled
@@ -26,7 +25,6 @@
 use greenweb_engine::{LayoutStats, PaintStats, RunSpec, SimReport, Trace};
 use greenweb_trace::json::{self, Fixed};
 use greenweb_workloads::harness::Policy;
-use std::fmt::Write as _;
 
 /// One benchmarked workload: render counters from both modes plus the
 /// oracle comparison.
@@ -138,63 +136,6 @@ impl PaintBenchReport {
         out.push('\n');
         out
     }
-
-    /// Fixed-width text table for the terminal.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "paint microbenchmark: naive full relayout vs incremental \
-             (all counters deterministic)"
-        );
-        let _ = writeln!(
-            out,
-            "{:<11} {:>5} {:>6} {:>9} {:>8} {:>7} {:>6} {:>7} {:>5} {:>8}",
-            "workload",
-            "elems",
-            "frames",
-            "naive-lay",
-            "incr-lay",
-            "reuses",
-            "dirty",
-            "damage",
-            "full",
-            "partial"
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<11} {:>5} {:>6} {:>9} {:>8} {:>7} {:>6} {:>7} {:>5} {:>8}",
-                row.name,
-                row.elements,
-                row.layout.relayouts,
-                row.naive_layout.elements_laid_out,
-                row.layout.elements_laid_out,
-                row.layout.subtree_reuses,
-                row.layout.dirty_elements,
-                row.paint.damage_items,
-                row.paint.full_repaints,
-                row.paint.partial_repaints,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "total: naive {} vs incremental {} elements laid out \
-             ({:.1}x fewer), {} subtree reuses, {} partial repaints, \
-             results {}",
-            self.total_naive_laid_out(),
-            self.total_laid_out(),
-            self.layout_ratio(),
-            self.total_subtree_reuses(),
-            self.total_partial_repaints(),
-            if self.identical() {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
-        );
-        out
-    }
 }
 
 /// Runs one workload trace under Perf with an explicit rendering mode.
@@ -283,20 +224,5 @@ mod tests {
             assert_eq!(ra.paint, rb.paint, "{}", ra.name);
             assert_eq!(ra.naive_layout, rb.naive_layout, "{}", ra.name);
         }
-        assert_eq!(
-            a.render_json(),
-            include_str!("../../../BENCH_paint.json"),
-            "BENCH_paint.json is stale: regenerate with `evaluate bench --suite paint`"
-        );
-    }
-
-    #[test]
-    fn json_contains_totals_and_every_row() {
-        let report = run_suite();
-        let json = report.render_json();
-        assert!(json.contains("\"suite\":\"paint\""));
-        assert!(json.contains("\"layout_ratio\""));
-        assert!(json.contains("\"Paper.js\""));
-        assert!(json.ends_with("}\n"));
     }
 }

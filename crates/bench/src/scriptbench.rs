@@ -1,5 +1,4 @@
-//! The script-pipeline microbenchmark suite (`evaluate bench --suite
-//! script`).
+//! The script-pipeline microbenchmark suite (`BENCH_script.json`).
 //!
 //! For each of the 12 workloads the suite runs the *full* interaction
 //! trace and the *micro* trace through the engine's bytecode VM and
@@ -25,7 +24,6 @@
 use greenweb_engine::{RunSpec, ScriptStats, Trace};
 use greenweb_trace::json;
 use greenweb_workloads::harness::Policy;
-use std::fmt::Write as _;
 
 /// One benchmarked workload: VM counters from both traces.
 #[derive(Debug, Clone)]
@@ -109,54 +107,6 @@ impl ScriptBenchReport {
         out.push('\n');
         out
     }
-
-    /// Fixed-width text table for the terminal.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "script microbenchmark: one compiled artifact per handler \
-             (all counters deterministic)"
-        );
-        let _ = writeln!(
-            out,
-            "{:<11} {:>5} {:>7} {:>8} {:>8} {:>9} {:>10} {:>10} {:>9}",
-            "workload",
-            "progs",
-            "precomp",
-            "compiles",
-            "handlers",
-            "callbacks",
-            "ops",
-            "dispatches",
-            "foldwins"
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<11} {:>5} {:>7} {:>8} {:>8} {:>9} {:>10} {:>10} {:>9}",
-                row.name,
-                row.full.programs,
-                row.full.precompiled_hits,
-                row.full.compiles,
-                row.full.handlers,
-                row.full.callbacks,
-                row.full.ops,
-                row.full.dispatches,
-                row.full.fold_wins,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "total: {} AST compiles for {} handlers ({} constant folds), \
-             compile count event-independent: {}",
-            self.total_compiles(),
-            self.total_handlers(),
-            self.total_fold_wins(),
-            self.compiles_event_independent(),
-        );
-        out
-    }
 }
 
 /// Runs one workload trace under Perf and returns its script counters.
@@ -238,20 +188,5 @@ mod tests {
             assert_eq!(ra.full, rb.full, "{}", ra.name);
             assert_eq!(ra.micro, rb.micro, "{}", ra.name);
         }
-        assert_eq!(
-            a.render_json(),
-            include_str!("../../../BENCH_script.json"),
-            "BENCH_script.json is stale: regenerate with `evaluate bench --suite script`"
-        );
-    }
-
-    #[test]
-    fn json_contains_totals_and_every_row() {
-        let report = run_suite();
-        let json = report.render_json();
-        assert!(json.contains("\"suite\":\"script\""));
-        assert!(json.contains("\"compiles_event_independent\""));
-        assert!(json.contains("\"Paper.js\""));
-        assert!(json.ends_with("}\n"));
     }
 }

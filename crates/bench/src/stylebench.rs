@@ -1,4 +1,4 @@
-//! The style microbenchmark suite (`evaluate bench --suite style`).
+//! The style microbenchmark suite (`BENCH_style.json`).
 //!
 //! For each of the 12 workloads (plus one seeded synthetic stress
 //! document) the suite resolves every element's style twice — once
@@ -93,42 +93,6 @@ impl StyleBenchReport {
                 .field("identical", self.identical);
         });
         out.push('\n');
-        out
-    }
-
-    /// Fixed-width text table for the terminal.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "style microbenchmark: naive full scan vs bucketed + Bloom \
-             (exact selector-match walks)"
-        );
-        let _ = writeln!(
-            out,
-            "{:<11} {:>5} {:>5} {:>9} {:>8} {:>7}",
-            "workload", "nodes", "rules", "naive-m", "fast-m", "bloom"
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<11} {:>5} {:>5} {:>9} {:>8} {:>7}",
-                row.name, row.nodes, row.rules, row.naive_matches, row.matches, row.bloom_rejects,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "total: naive {} vs bucketed {} exact matches ({:.1}x fewer), \
-             results {}",
-            self.total_naive_matches(),
-            self.total_matches(),
-            self.match_ratio(),
-            if self.identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
-        );
         out
     }
 }
@@ -266,31 +230,5 @@ mod tests {
         // The synthetic row must actually exercise the Bloom filter.
         let synth = report.rows.last().expect("synthetic row");
         assert!(synth.bloom_rejects > 0, "no Bloom rejections: {synth:?}");
-    }
-
-    #[test]
-    fn suite_counters_are_deterministic() {
-        let a = run_suite();
-        let b = run_suite();
-        for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(ra.naive_matches, rb.naive_matches, "{}", ra.name);
-            assert_eq!(ra.matches, rb.matches, "{}", ra.name);
-            assert_eq!(ra.bloom_rejects, rb.bloom_rejects, "{}", ra.name);
-        }
-        assert_eq!(
-            a.render_json(),
-            include_str!("../../../BENCH_style.json"),
-            "BENCH_style.json is stale: regenerate with `evaluate bench --suite style`"
-        );
-    }
-
-    #[test]
-    fn json_contains_totals_and_every_row() {
-        let report = run_suite();
-        let json = report.render_json();
-        assert!(json.contains("\"suite\":\"style\""));
-        assert!(json.contains("\"match_ratio\""));
-        assert!(json.contains("\"synthetic\""));
-        assert!(json.ends_with("}\n"));
     }
 }

@@ -1,0 +1,29 @@
+//! `evaluate` rejects what it does not understand: a misspelled command
+//! in a CI step must fail the step, not run nothing and exit 0.
+
+use std::process::Command;
+
+fn exit_code(args: &[&str]) -> i32 {
+    let output = Command::new(env!("CARGO_BIN_EXE_evaluate"))
+        .args(args)
+        .output()
+        .expect("evaluate runs");
+    if output.status.code() == Some(2) {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("usage: evaluate"), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+    output.status.code().expect("evaluate exited")
+}
+
+#[test]
+fn unknown_commands_flags_and_stray_words_exit_2() {
+    assert_eq!(exit_code(&["bogus"]), 2);
+    assert_eq!(exit_code(&["--jsno", "attribute"]), 2);
+    assert_eq!(exit_code(&["fig9a", "extra"]), 2);
+}
+
+#[test]
+fn a_known_command_exits_0() {
+    assert_eq!(exit_code(&["table1"]), 0);
+}

@@ -501,7 +501,7 @@ impl AttributionProfile {
     }
 
     /// Serializes the profile as deterministic single-document JSON —
-    /// the format `evaluate diff` compares field-by-field.
+    /// the format `evaluate attribute --json` prints.
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(512 + self.events.len() * 160);
         json::object(&mut out, |o| {

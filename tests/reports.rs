@@ -1,12 +1,13 @@
 //! Every JSON report the workspace writes parses with the one reader,
 //! `greenweb_trace::json::JsonValue`: metrics rows, lint and effect
 //! reports, Chrome traces, attribution profiles, the sweep's checkpoint
-//! lines and quarantine repros, and every `BENCH_*.json` document.
+//! lines and quarantine repros, and every `BENCH_*.json` document. The
+//! committed `BENCH_*.json` files are also the one gate on those
+//! reports: each must equal a fresh render byte for byte.
 
 use greenweb::qos::Scenario;
 use greenweb_analyze::analyze;
-use greenweb_bench::profile::{self, MicroBench};
-use greenweb_bench::{paintbench, scriptbench, stylebench};
+use greenweb_bench::{bench_reports, profile};
 use greenweb_fleet::{Jobs, RetryPolicy};
 use greenweb_trace::json::JsonValue;
 use greenweb_trace::AttributionProfile;
@@ -42,16 +43,6 @@ fn every_report_producer_emits_parseable_json() {
         .and_then(JsonValue::as_array)
         .is_some());
 
-    let bench = MicroBench {
-        cells: 4,
-        identical: true,
-        phases_sim_ms: vec![(todo.name, profile::phase_totals_ms(&traced))],
-    };
-    parses("BENCH_evaluate.json", &bench.render_json());
-    parses("BENCH_script.json", &scriptbench::run_suite().render_json());
-    parses("BENCH_style.json", &stylebench::run_suite().render_json());
-    parses("BENCH_paint.json", &paintbench::run_suite().render_json());
-
     // The Todo cells of the canonical matrix plus one malformed cell:
     // a header, ok lines, a quarantine line, and a repro.
     let mut plan = SweepPlan::canonical();
@@ -85,4 +76,33 @@ fn every_report_producer_emits_parseable_json() {
     .expect("repro parses");
     assert_eq!(Repro::parse(&repro.render_json()), Ok(repro));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed reports, in `bench_reports` order.
+const COMMITTED: [(&str, &str); 4] = [
+    (
+        "BENCH_evaluate.json",
+        include_str!("../BENCH_evaluate.json"),
+    ),
+    ("BENCH_style.json", include_str!("../BENCH_style.json")),
+    ("BENCH_script.json", include_str!("../BENCH_script.json")),
+    ("BENCH_paint.json", include_str!("../BENCH_paint.json")),
+];
+
+#[test]
+fn committed_bench_files_match_a_fresh_render() {
+    let fresh = bench_reports();
+    assert_eq!(
+        fresh.len(),
+        COMMITTED.len(),
+        "one committed file per report"
+    );
+    for ((file, json), (committed_file, committed)) in fresh.iter().zip(COMMITTED) {
+        assert_eq!(*file, committed_file);
+        parses(file, json);
+        assert!(
+            json == committed,
+            "{file} is stale: regenerate it with `evaluate bench`\nfresh:\n{json}"
+        );
+    }
 }
