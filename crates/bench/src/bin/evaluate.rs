@@ -27,9 +27,9 @@
 //! --workload NAME       workload for percentiles/trace/metrics (default
 //!                       Paper.js)
 //! --jobs N              worker threads for simulation batches (default:
-//!                       GREENWEB_JOBS, else hardware parallelism; 1 is
-//!                       the legacy serial path — output is identical
-//!                       either way)
+//!                       GREENWEB_JOBS, else hardware parallelism; 1 runs
+//!                       every job inline — output is identical either
+//!                       way)
 //! ```
 //!
 //! `attribute` flags:
@@ -60,10 +60,11 @@
 //!                       jobs instead of starting over
 //! --repro-dir DIR       dump a minimized JSON repro per quarantined job
 //! --poison LIST         insert broken cells, e.g. panic:3,spin:7,malformed:11
-//! --retries N           attempts per job before quarantine (default 3)
 //! ```
 //!
-//! `sweep` exits 0 only when every job succeeded, 2 with a failure
+//! Each job runs once: a failing job is quarantined on its first
+//! failure, since the same spec would fail the same way again. `sweep`
+//! exits 0 only when every job succeeded, 2 with a failure
 //! summary table when any job was quarantined, and 3 when the sweep was
 //! aborted mid-run (`GREENWEB_ABORT_AFTER=K` aborts after K new result
 //! lines — the hook CI's resume-parity gate kills with).
@@ -100,7 +101,7 @@ fn usage_error(problem: &str) -> ! {
     eprintln!(
         "usage: evaluate [{COMMANDS}] [--workload NAME] [--jobs N] [--trace FILE] \
          [--json|--flame] [--poison-summaries] \
-         [--out FILE [--resume] [--repro-dir DIR] [--poison LIST] [--retries N]]"
+         [--out FILE [--resume] [--repro-dir DIR] [--poison LIST]]"
     );
     std::process::exit(2);
 }
@@ -114,7 +115,6 @@ fn main() {
     let mut resume = false;
     let mut repro_dir: Option<String> = None;
     let mut poison = String::new();
-    let mut retries: u32 = 3;
     let mut json_output = false;
     let mut flame_output = false;
     let mut poison_summaries = false;
@@ -138,13 +138,6 @@ fn main() {
                 repro_dir = Some(argv.next().expect("--repro-dir requires a directory"));
             }
             "--poison" => poison = argv.next().expect("--poison requires a kind:index list"),
-            "--retries" => {
-                retries = argv
-                    .next()
-                    .expect("--retries requires a count")
-                    .parse()
-                    .expect("--retries requires a positive integer");
-            }
             "--json" => json_output = true,
             "--flame" => flame_output = true,
             "--poison-summaries" => poison_summaries = true,
@@ -187,9 +180,7 @@ fn main() {
     }
     if command == "sweep" {
         let out = out_path.expect("sweep requires --out FILE");
-        std::process::exit(sweep_command(
-            &out, resume, repro_dir, &poison, retries, jobs,
-        ));
+        std::process::exit(sweep_command(&out, resume, repro_dir, &poison, jobs));
     }
     if command == "attribute" {
         attribute_command(&workload, json_output, flame_output);
@@ -359,7 +350,6 @@ fn sweep_command(
     resume: bool,
     repro_dir: Option<String>,
     poison: &str,
-    retries: u32,
     jobs: Jobs,
 ) -> i32 {
     use greenweb_workloads::sweep::{parse_poison_list, run_sweep, SweepConfig, SweepPlan};
@@ -373,10 +363,6 @@ fn sweep_command(
         out: out.into(),
         resume,
         repro_dir: repro_dir.map(Into::into),
-        retry: greenweb_fleet::RetryPolicy {
-            max_attempts: retries.max(1),
-            ..greenweb_fleet::RetryPolicy::default()
-        },
         jobs,
         abort_after,
     };

@@ -1,5 +1,6 @@
 //! `evaluate` rejects what it does not understand: a misspelled command
-//! in a CI step must fail the step, not run nothing and exit 0.
+//! in a CI step must fail the step, not run nothing and exit 0, and so
+//! must a misspelled worker count in the environment.
 
 use std::process::Command;
 
@@ -26,4 +27,19 @@ fn unknown_commands_flags_and_stray_words_exit_2() {
 #[test]
 fn a_known_command_exits_0() {
     assert_eq!(exit_code(&["table1"]), 0);
+}
+
+#[test]
+fn a_malformed_worker_count_in_the_environment_is_rejected() {
+    let output = Command::new(env!("CARGO_BIN_EXE_evaluate"))
+        .arg("table1")
+        .env("GREENWEB_JOBS", "two")
+        .output()
+        .expect("evaluate runs");
+    assert!(!output.status.success(), "GREENWEB_JOBS=two was accepted");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("GREENWEB_JOBS=\"two\" is not a worker count"),
+        "{stderr}"
+    );
 }

@@ -4,13 +4,13 @@
 //!
 //! The evaluation of the paper is a matrix — workloads × policies ×
 //! chaos seeds — and every cell is an independent, deterministic
-//! simulation. This crate runs such a batch on a fixed pool of worker
-//! threads (`std::thread::scope`, no `unsafe`, no dependencies) while
-//! guaranteeing that the *observable output is identical to a serial
-//! run*:
+//! simulation. This crate runs such a batch on one pool of scoped
+//! worker threads (no `unsafe`) while guaranteeing that the
+//! *observable output is identical to a serial run*:
 //!
-//! * jobs are drained from the queue **by index** (an atomic cursor),
-//! * every result is slotted back **at its job's index**, and
+//! * jobs are claimed from the queue **by index** (an atomic cursor),
+//! * results reach the caller **in job-index order** (a reorder buffer
+//!   on the calling thread), and
 //! * each job is a pure function of its inputs (a
 //!   [`greenweb_engine::RunSpec`] builds its browser on the worker, so
 //!   no `Rc`-backed state ever crosses a thread).
@@ -18,42 +18,44 @@
 //! Worker scheduling therefore only affects wall-clock time, never
 //! ordering, metrics, goldens, or exported traces. With
 //! [`Jobs::serial`] (or a single-job batch) no thread is spawned at
-//! all — that is the legacy inline path, bit-identical by construction.
+//! all: every job runs inline on the calling thread.
 //!
-//! ## Two executors, two failure models
+//! ## One pool, two failure models
 //!
 //! * [`run_jobs`] / [`run_specs`] — the *trusted* path. Every job is
 //!   expected to succeed; a panic in any job aborts the whole batch
-//!   (the unwind crosses `thread::scope` on join). Use it for goldens
-//!   and matrices over known-good workloads.
+//!   (the unwind reaches the caller). Use it for goldens and matrices
+//!   over known-good workloads.
 //! * [`supervise::run_supervised`] — the *hardened* path for corpus
 //!   sweeps over untrusted inputs. Failures are contained per job and
 //!   classified into a small taxonomy ([`supervise::FailureKind`]):
 //!   **panic** (caught via `catch_unwind`, payload preserved),
 //!   **budget-exceeded** (a [`greenweb_engine::RunBudget`] watchdog
 //!   ceiling tripped), **load** (HTML/CSS/script parse failure), and
-//!   **script** (runtime callback error). Each failing job climbs a
-//!   deterministic retry ladder and is quarantined — not fatal — when
-//!   its attempts run out, while outcomes stream to the caller in job
-//!   order for append-only checkpointing.
+//!   **script** (runtime callback error). Each job runs once — a spec
+//!   fails the same way every time, so a retry could not help — and a
+//!   failing job is quarantined, not fatal, while outcomes stream to
+//!   the caller in job order for append-only checkpointing.
 
 #![forbid(unsafe_code)]
 
 pub mod supervise;
 
 pub use supervise::{
-    run_supervised, run_supervised_collect, FailureKind, FleetReport, JobFailure, JobStatus,
-    RetryPolicy, SupervisedJob, SupervisedOutcome,
+    run_supervised, FailureKind, FleetReport, JobFailure, JobStatus, SupervisedJob,
+    SupervisedOutcome,
 };
 
 use greenweb_engine::{BrowserError, RunOutcome, RunSpec};
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
+use std::ops::ControlFlow;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 
 /// The environment variable overriding the default worker count
-/// (`GREENWEB_JOBS=1` forces the legacy serial path everywhere).
+/// (`GREENWEB_JOBS=1` runs every batch inline on the calling thread).
 pub const JOBS_ENV: &str = "GREENWEB_JOBS";
 
 /// How many worker threads a batch may use.
@@ -61,8 +63,8 @@ pub const JOBS_ENV: &str = "GREENWEB_JOBS";
 pub struct Jobs(NonZeroUsize);
 
 impl Jobs {
-    /// Exactly one worker: the legacy serial path (runs inline on the
-    /// calling thread, spawning nothing).
+    /// Exactly one worker: every job runs inline on the calling
+    /// thread, spawning nothing.
     pub fn serial() -> Self {
         Jobs(NonZeroUsize::MIN)
     }
@@ -81,10 +83,18 @@ impl Jobs {
     /// names an explicit count. This worker-count deployment setting is
     /// the one environment read a library crate may make; it changes
     /// throughput only, never an output byte.
+    ///
+    /// # Panics
+    ///
+    /// When `GREENWEB_JOBS` is set to something other than a worker
+    /// count. A typo must stop the run: falling back to the hardware
+    /// count would hide it from every worker-count parity check.
     #[allow(clippy::disallowed_methods)]
     pub fn from_env() -> Self {
         match std::env::var(JOBS_ENV) {
-            Ok(value) => value.parse().unwrap_or_else(|_| Self::auto()),
+            Ok(value) => value
+                .parse()
+                .unwrap_or_else(|e| panic!("{JOBS_ENV}={value:?} is not a worker count: {e}")),
             Err(_) => Self::auto(),
         }
     }
@@ -97,12 +107,6 @@ impl Jobs {
     /// True for the one-worker serial path.
     pub fn is_serial(self) -> bool {
         self.count() == 1
-    }
-}
-
-impl Default for Jobs {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -120,38 +124,43 @@ impl std::fmt::Display for Jobs {
     }
 }
 
-/// Runs `jobs` and returns their results **in job order**, regardless
-/// of the worker count or which worker finished first.
+/// The one worker pool behind both executors: runs `jobs` and hands
+/// each result to `sink` **in job-index order**, whichever worker
+/// finished first. Returns true when the sink stopped the batch with
+/// [`ControlFlow::Break`]: workers then claim no further job, and
+/// results still in flight are dropped undelivered.
 ///
 /// With one worker (or at most one job) everything runs inline on the
-/// calling thread. Otherwise `min(workers, jobs)` scoped threads drain
-/// the queue through an atomic index cursor; each result lands at its
-/// job's slot.
-///
-/// This is the *trusted* executor: a panicking job takes down the whole
-/// batch (the panic resumes on the caller when the scope joins — after,
-/// note, the remaining workers have drained the queue). Batches that
-/// must survive poisoned jobs belong on [`supervise::run_supervised`],
-/// which catches the unwind per attempt and quarantines instead.
-pub fn run_jobs<J, R>(jobs: Vec<J>, workers: Jobs) -> Vec<R>
+/// calling thread. Otherwise `min(workers, jobs)` scoped threads claim
+/// jobs through an atomic index cursor and send results back over a
+/// channel; a reorder buffer on the calling thread restores index
+/// order, so the sink needs no `Send` bound. A panicking job is not
+/// caught: the unwind resumes on the caller when the scope joins.
+fn pool<J, R>(jobs: Vec<J>, workers: Jobs, mut sink: impl FnMut(R) -> ControlFlow<()>) -> bool
 where
     J: FnOnce() -> R + Send,
     R: Send,
 {
     if workers.is_serial() || jobs.len() <= 1 {
-        return jobs.into_iter().map(|job| job()).collect();
+        return jobs.into_iter().any(|job| sink(job()).is_break());
     }
-    let threads = workers.count().min(jobs.len());
     let total = jobs.len();
     // The queue: jobs parked at their index, claimed via the cursor.
-    // (A Mutex'd Vec<Option<J>> rather than channels: claims are index-
-    // ordered, and the lock is held only for a `take`, never a run.)
+    // (A Mutex'd Vec<Option<J>> rather than a job channel: claims are
+    // index-ordered, and the lock is held only for a `take`, never a
+    // run.)
     let queue: Mutex<Vec<Option<J>>> = Mutex::new(jobs.into_iter().map(Some).collect());
     let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..total).map(|_| None).collect());
+    let stop = AtomicBool::new(false);
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
+        for _ in 0..workers.count().min(total) {
+            let tx = tx.clone();
+            let (queue, cursor, stop) = (&queue, &cursor, &stop);
+            scope.spawn(move || loop {
+                if stop.load(Ordering::Relaxed) {
+                    return;
+                }
                 let index = cursor.fetch_add(1, Ordering::Relaxed);
                 if index >= total {
                     return;
@@ -159,17 +168,47 @@ where
                 let job = queue.lock().expect("queue lock poisoned")[index]
                     .take()
                     .expect("each index is claimed exactly once");
-                let result = job();
-                results.lock().expect("results lock poisoned")[index] = Some(result);
+                if tx.send((index, job())).is_err() {
+                    return;
+                }
             });
         }
+        drop(tx);
+        let mut pending: BTreeMap<usize, R> = BTreeMap::new();
+        let mut next = 0usize;
+        for (index, result) in rx {
+            pending.insert(index, result);
+            while let Some(ready) = pending.remove(&next) {
+                next += 1;
+                if sink(ready).is_break() {
+                    stop.store(true, Ordering::Relaxed);
+                    return true;
+                }
+            }
+        }
+        false
+    })
+}
+
+/// Runs `jobs` and returns their results **in job order**, regardless
+/// of the worker count or which worker finished first.
+///
+/// This is the *trusted* executor: a panicking job takes down the whole
+/// batch (the panic resumes on the caller — with workers, once the
+/// remaining ones have drained the queue). Batches that must survive
+/// poisoned jobs belong on [`supervise::run_supervised`], which catches
+/// the unwind per job and quarantines instead.
+pub fn run_jobs<J, R>(jobs: Vec<J>, workers: Jobs) -> Vec<R>
+where
+    J: FnOnce() -> R + Send,
+    R: Send,
+{
+    let mut results = Vec::with_capacity(jobs.len());
+    pool(jobs, workers, |result| {
+        results.push(result);
+        ControlFlow::Continue(())
     });
     results
-        .into_inner()
-        .expect("results lock poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every job ran"))
-        .collect()
 }
 
 /// Executes a batch of [`RunSpec`]s, one job per spec, returning the
@@ -238,5 +277,29 @@ mod tests {
         let out = run_jobs(jobs, Jobs::new(8));
         assert_eq!(hits.load(Ordering::Relaxed), 100);
         assert_eq!(out, (0..100).collect::<Vec<_>>());
+    }
+
+    /// A batch whose middle job panics, for the trusted-path tests.
+    fn batch_with_a_panic() -> Vec<Box<dyn FnOnce() -> usize + Send>> {
+        (0..8usize)
+            .map(|i| -> Box<dyn FnOnce() -> usize + Send> {
+                Box::new(move || {
+                    assert_ne!(i, 5, "job 5 panics");
+                    i
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 panics")]
+    fn trusted_path_panics_propagate_serially() {
+        run_jobs(batch_with_a_panic(), Jobs::serial());
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn trusted_path_panics_propagate_from_workers() {
+        run_jobs(batch_with_a_panic(), Jobs::new(4));
     }
 }

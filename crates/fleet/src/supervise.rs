@@ -1,41 +1,37 @@
-//! Supervised fleet execution: panic isolation, retry, quarantine.
+//! Supervised fleet execution: panic isolation and quarantine.
 //!
 //! [`run_jobs`](crate::run_jobs) is the right executor when every job is
 //! trusted — a panic anywhere aborts the whole batch. A 10k-app corpus
 //! sweep cannot afford that: one malformed page, one pathological
 //! workload, one buggy policy must cost *one cell*, not the night's
-//! sweep. [`run_supervised`] wraps each job in [`std::panic::catch_unwind`]
-//! and a retry ladder, classifies every failure into a
-//! [`FailureKind`], and streams outcomes to a sink **in job-index
-//! order** so callers can checkpoint them as an append-only log.
+//! sweep. [`run_supervised`] runs each job once, on the crate's one
+//! worker pool, inside [`std::panic::catch_unwind`], classifies every
+//! failure into a [`FailureKind`], and streams outcomes to a sink **in
+//! job-index order** so callers can checkpoint them as an append-only
+//! log.
 //!
 //! The failure taxonomy (see `DESIGN.md` §6g):
 //!
-//! | kind | source | retried? |
-//! |------|--------|----------|
-//! | [`FailureKind::Panic`] | job code panicked (caught, payload kept) | yes |
-//! | [`FailureKind::BudgetExceeded`] | watchdog ceiling ([`RunBudget`](greenweb_engine::RunBudget)) | yes |
-//! | [`FailureKind::Load`] | HTML/CSS/script failed to parse or load | yes |
-//! | [`FailureKind::Script`] | a callback raised a genuine script error | yes |
+//! | kind | source |
+//! |------|--------|
+//! | [`FailureKind::Panic`] | job code panicked (caught, payload kept) |
+//! | [`FailureKind::BudgetExceeded`] | watchdog ceiling ([`RunBudget`](greenweb_engine::RunBudget)) |
+//! | [`FailureKind::Load`] | HTML/CSS/script failed to parse or load |
+//! | [`FailureKind::Script`] | a callback raised a genuine script error |
 //!
-//! Everything is retried up to [`RetryPolicy::max_attempts`] with
-//! bounded, deterministically jittered backoff ([`DetRng::fork`] keyed
-//! by job index and attempt — the delay schedule is a pure function of
-//! the policy seed). A job that exhausts its attempts is *quarantined*:
-//! the sweep continues, and the caller receives a [`JobFailure`] with
-//! enough data (spec digest, kind, detail, attempt count) to emit a
-//! minimized repro.
+//! A job that fails is *quarantined* on its first failure: the sweep
+//! continues, and the caller receives a [`JobFailure`] with enough data
+//! (spec digest, kind, detail) to emit a minimized repro. Nothing is
+//! retried. A job is a pure function of its [`RunSpec`] — simulated
+//! time and energy, seeded randomness, no host I/O — so a second
+//! attempt would repeat the same computation and fail the same way.
 
 use crate::Jobs;
-use greenweb_det::DetRng;
 use greenweb_engine::{BrowserError, RunOutcome, RunSpec};
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, Once};
-use std::time::Duration;
+use std::sync::Once;
 
 /// Why a supervised job failed. See the module docs for the taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -89,12 +85,10 @@ pub struct JobFailure {
     pub index: usize,
     /// Caller-supplied job label (e.g. `"animation/GreenWeb"`).
     pub label: String,
-    /// Classified failure kind of the *last* attempt.
+    /// Classified failure kind.
     pub kind: FailureKind,
     /// Human-readable detail (error display or panic payload).
     pub detail: String,
-    /// How many attempts were made before quarantining.
-    pub attempts: u32,
     /// [`RunSpec::digest`] of the failing spec, for repro matching.
     pub digest: u64,
 }
@@ -108,53 +102,12 @@ pub struct SupervisedJob {
     pub spec: RunSpec,
 }
 
-/// Retry ladder configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per job (first run included). Minimum 1.
-    pub max_attempts: u32,
-    /// Base backoff before the second attempt, doubled per retry.
-    pub backoff_base_ms: u64,
-    /// Hard cap on any single backoff delay.
-    pub backoff_cap_ms: u64,
-    /// Seed for the deterministic jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 250,
-            seed: 0x9E37_79B9,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before retry number `attempt` (1 = first retry) of job
-    /// `index`: exponential growth from the base, capped, then jittered
-    /// into `[50%, 100%]` by a [`DetRng`] substream forked per
-    /// (job, attempt). A pure function of the policy — two sweeps with
-    /// the same seed sleep identically.
-    pub fn backoff(&self, index: usize, attempt: u32) -> Duration {
-        let doubled = self.backoff_base_ms.saturating_mul(
-            1u64.checked_shl(attempt.saturating_sub(1))
-                .unwrap_or(u64::MAX),
-        );
-        let capped = doubled.min(self.backoff_cap_ms);
-        let mut jitter = DetRng::new(self.seed).fork(&format!("backoff.{index}.{attempt}"));
-        Duration::from_secs_f64(capped as f64 * jitter.f64_in(0.5, 1.0) / 1000.0)
-    }
-}
-
 /// Terminal status of one supervised job.
 #[derive(Debug)]
 pub enum JobStatus {
-    /// The job produced an outcome (possibly after retries).
+    /// The job produced an outcome.
     Ok(Box<RunOutcome>),
-    /// The job exhausted its attempts and was quarantined.
+    /// The job failed and was quarantined.
     Quarantined(JobFailure),
 }
 
@@ -165,8 +118,6 @@ pub struct SupervisedOutcome {
     pub index: usize,
     /// Caller-supplied label.
     pub label: String,
-    /// Attempts consumed (1 = succeeded first try).
-    pub attempts: u32,
     /// Success or quarantine.
     pub status: JobStatus,
 }
@@ -178,9 +129,7 @@ pub struct FleetReport {
     pub total: usize,
     /// Jobs that produced an outcome.
     pub ok: usize,
-    /// Jobs that needed more than one attempt (recovered or not).
-    pub retried: usize,
-    /// Jobs quarantined after exhausting attempts.
+    /// Jobs quarantined.
     pub quarantined: usize,
     /// True when the sink stopped the batch early.
     pub aborted: bool,
@@ -205,27 +154,21 @@ impl FleetReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "fleet: {} jobs, {} ok, {} quarantined, {} retried{}",
+            "fleet: {} jobs, {} ok, {} quarantined{}",
             self.total,
             self.ok,
             self.quarantined,
-            self.retried,
             if self.aborted { " (aborted)" } else { "" },
         );
         if !self.failures.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:>5}  {:<28} {:<16} {:>8}  detail",
-                "job", "label", "kind", "attempts"
-            );
+            let _ = writeln!(out, "{:>5}  {:<28} {:<16}  detail", "job", "label", "kind");
             for failure in &self.failures {
                 let _ = writeln!(
                     out,
-                    "{:>5}  {:<28} {:<16} {:>8}  {}",
+                    "{:>5}  {:<28} {:<16}  {}",
                     failure.index,
                     failure.label,
                     failure.kind.name(),
-                    failure.attempts,
                     failure.detail.lines().next().unwrap_or(""),
                 );
             }
@@ -234,9 +177,6 @@ impl FleetReport {
     }
 
     fn absorb(&mut self, outcome: &SupervisedOutcome) {
-        if outcome.attempts > 1 {
-            self.retried += 1;
-        }
         match &outcome.status {
             JobStatus::Ok(_) => self.ok += 1,
             JobStatus::Quarantined(failure) => {
@@ -248,7 +188,7 @@ impl FleetReport {
 }
 
 thread_local! {
-    /// True while this thread is inside a supervised attempt, so the
+    /// True while this thread is inside a supervised job, so the
     /// process panic hook stays silent (the payload is caught and
     /// reported through [`JobFailure`] instead of stderr).
     static IN_SUPERVISED_JOB: Cell<bool> = const { Cell::new(false) };
@@ -281,55 +221,32 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One attempt: catch panics, classify errors.
-fn attempt(spec: &RunSpec) -> Result<RunOutcome, (FailureKind, String)> {
+/// Runs one job to its terminal status: catch panics, classify errors.
+fn run_one(index: usize, job: SupervisedJob) -> SupervisedOutcome {
     IN_SUPERVISED_JOB.with(|flag| flag.set(true));
     // `AssertUnwindSafe` is sound: `execute` takes `&self` and builds
     // every piece of mutable state (browser, interpreter, scheduler)
     // fresh inside the call, so nothing observable survives an unwind.
-    let caught = catch_unwind(AssertUnwindSafe(|| spec.execute()));
+    let caught = catch_unwind(AssertUnwindSafe(|| job.spec.execute()));
     IN_SUPERVISED_JOB.with(|flag| flag.set(false));
-    match caught {
-        Ok(Ok(outcome)) => Ok(outcome),
-        Ok(Err(error)) => Err((classify(&error), error.to_string())),
-        Err(payload) => Err((FailureKind::Panic, panic_message(payload.as_ref()))),
-    }
-}
-
-/// Runs one job through the retry ladder to a terminal status.
-fn run_one(index: usize, job: &SupervisedJob, retry: &RetryPolicy) -> SupervisedOutcome {
-    let max_attempts = retry.max_attempts.max(1);
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        match attempt(&job.spec) {
-            Ok(outcome) => {
-                return SupervisedOutcome {
-                    index,
-                    label: job.label.clone(),
-                    attempts,
-                    status: JobStatus::Ok(Box::new(outcome)),
-                };
-            }
-            Err((kind, detail)) => {
-                if attempts >= max_attempts {
-                    return SupervisedOutcome {
-                        index,
-                        label: job.label.clone(),
-                        attempts,
-                        status: JobStatus::Quarantined(JobFailure {
-                            index,
-                            label: job.label.clone(),
-                            kind,
-                            detail,
-                            attempts,
-                            digest: job.spec.digest(),
-                        }),
-                    };
-                }
-                std::thread::sleep(retry.backoff(index, attempts));
-            }
-        }
+    let quarantine = |kind, detail| {
+        JobStatus::Quarantined(JobFailure {
+            index,
+            label: job.label.clone(),
+            kind,
+            detail,
+            digest: job.spec.digest(),
+        })
+    };
+    let status = match caught {
+        Ok(Ok(outcome)) => JobStatus::Ok(Box::new(outcome)),
+        Ok(Err(error)) => quarantine(classify(&error), error.to_string()),
+        Err(payload) => quarantine(FailureKind::Panic, panic_message(payload.as_ref())),
+    };
+    SupervisedOutcome {
+        index,
+        label: job.label,
+        status,
     }
 }
 
@@ -338,20 +255,15 @@ fn run_one(index: usize, job: &SupervisedJob, retry: &RetryPolicy) -> Supervised
 /// of worker count or completion order), and returns the aggregate
 /// [`FleetReport`].
 ///
-/// Failures never cross the supervision boundary: panics are caught
-/// per-attempt, engine errors are classified, and both feed the retry
-/// ladder before quarantining. The sink may return
-/// [`ControlFlow::Break`] to abort the batch — workers stop claiming
-/// jobs, already-running jobs finish but are not delivered, and the
-/// report is marked [`FleetReport::aborted`]. Because delivery is a
-/// gapless index prefix, an aborted batch's checkpoint file is always a
-/// valid resume point.
-pub fn run_supervised<F>(
-    jobs: Vec<SupervisedJob>,
-    workers: Jobs,
-    retry: &RetryPolicy,
-    mut sink: F,
-) -> FleetReport
+/// Failures never cross the supervision boundary: each job runs once,
+/// panics are caught, engine errors are classified, and either way the
+/// job is quarantined. The sink may return [`ControlFlow::Break`] to
+/// abort the batch — workers stop claiming jobs, already-running jobs
+/// finish but are not delivered, and the report is marked
+/// [`FleetReport::aborted`]. Because delivery is a gapless index
+/// prefix, an aborted batch's checkpoint file is always a valid resume
+/// point.
+pub fn run_supervised<F>(jobs: Vec<SupervisedJob>, workers: Jobs, mut sink: F) -> FleetReport
 where
     F: FnMut(SupervisedOutcome) -> ControlFlow<()>,
 {
@@ -360,84 +272,16 @@ where
         total: jobs.len(),
         ..FleetReport::default()
     };
-    if workers.is_serial() || jobs.len() <= 1 {
-        for (index, job) in jobs.iter().enumerate() {
-            let outcome = run_one(index, job, retry);
-            report.absorb(&outcome);
-            if sink(outcome).is_break() {
-                report.aborted = true;
-                break;
-            }
-        }
-        return report;
-    }
-
-    let total = jobs.len();
-    let threads = workers.count().min(total);
-    let queue: Mutex<Vec<Option<SupervisedJob>>> = Mutex::new(jobs.into_iter().map(Some).collect());
-    let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<SupervisedOutcome>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let queue = &queue;
-            let cursor = &cursor;
-            let stop = &stop;
-            scope.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= total {
-                    return;
-                }
-                let job = queue.lock().expect("queue lock poisoned")[index]
-                    .take()
-                    .expect("each index is claimed exactly once");
-                let outcome = run_one(index, &job, retry);
-                if tx.send(outcome).is_err() {
-                    return;
-                }
-            });
-        }
-        drop(tx);
-        // Reorder buffer: workers finish out of order, the sink must
-        // see a gapless index sequence. Runs on the calling thread, so
-        // the sink needs no `Send` bound.
-        let mut pending: BTreeMap<usize, SupervisedOutcome> = BTreeMap::new();
-        let mut next = 0usize;
-        for outcome in rx {
-            if report.aborted {
-                continue; // drain so workers can exit their send
-            }
-            pending.insert(outcome.index, outcome);
-            while let Some(ready) = pending.remove(&next) {
-                report.absorb(&ready);
-                next += 1;
-                if sink(ready).is_break() {
-                    report.aborted = true;
-                    stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
+    let tasks: Vec<_> = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(index, job)| move || run_one(index, job))
+        .collect();
+    report.aborted = crate::pool(tasks, workers, |outcome| {
+        report.absorb(&outcome);
+        sink(outcome)
     });
     report
-}
-
-/// Convenience wrapper: supervise a batch and collect every outcome.
-pub fn run_supervised_collect(
-    jobs: Vec<SupervisedJob>,
-    workers: Jobs,
-    retry: &RetryPolicy,
-) -> (Vec<SupervisedOutcome>, FleetReport) {
-    let mut outcomes = Vec::new();
-    let report = run_supervised(jobs, workers, retry, |outcome| {
-        outcomes.push(outcome);
-        ControlFlow::Continue(())
-    });
-    (outcomes, report)
 }
 
 #[cfg(test)]
@@ -503,6 +347,16 @@ mod tests {
         RunSpec::new(app, trace, perf_factory())
     }
 
+    /// Supervises `jobs` with a sink that keeps every outcome.
+    fn collect(jobs: Vec<SupervisedJob>, workers: Jobs) -> (Vec<SupervisedOutcome>, FleetReport) {
+        let mut outcomes = Vec::new();
+        let report = run_supervised(jobs, workers, |outcome| {
+            outcomes.push(outcome);
+            ControlFlow::Continue(())
+        });
+        (outcomes, report)
+    }
+
     #[test]
     fn panicking_job_is_quarantined_not_fatal() {
         let jobs = vec![
@@ -515,11 +369,7 @@ mod tests {
                 spec: panicking_spec(),
             },
         ];
-        let retry = RetryPolicy {
-            backoff_base_ms: 0,
-            ..RetryPolicy::default()
-        };
-        let (outcomes, report) = run_supervised_collect(jobs, Jobs::serial(), &retry);
+        let (outcomes, report) = collect(jobs, Jobs::serial());
         assert_eq!(outcomes.len(), 2);
         assert!(matches!(outcomes[0].status, JobStatus::Ok(_)));
         let JobStatus::Quarantined(failure) = &outcomes[1].status else {
@@ -527,7 +377,6 @@ mod tests {
         };
         assert_eq!(failure.kind, FailureKind::Panic);
         assert!(failure.detail.contains("poisoned"));
-        assert_eq!(failure.attempts, 3);
         assert_eq!(report.ok, 1);
         assert_eq!(report.quarantined, 1);
         assert!(!report.all_ok());
@@ -545,11 +394,7 @@ mod tests {
                 spec: malformed_spec(),
             },
         ];
-        let retry = RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        };
-        let (outcomes, report) = run_supervised_collect(jobs, Jobs::new(2), &retry);
+        let (outcomes, report) = collect(jobs, Jobs::new(2));
         let kinds: Vec<_> = outcomes
             .iter()
             .map(|o| match &o.status {
@@ -571,12 +416,10 @@ mod tests {
                 spec: healthy_spec(),
             })
             .collect();
-        let (outcomes, report) =
-            run_supervised_collect(jobs, Jobs::new(4), &RetryPolicy::default());
+        let (outcomes, report) = collect(jobs, Jobs::new(4));
         let indices: Vec<_> = outcomes.iter().map(|o| o.index).collect();
         assert_eq!(indices, (0..12).collect::<Vec<_>>());
         assert!(report.all_ok());
-        assert_eq!(report.retried, 0);
     }
 
     #[test]
@@ -588,7 +431,7 @@ mod tests {
             })
             .collect();
         let mut seen = Vec::new();
-        let report = run_supervised(jobs, Jobs::new(4), &RetryPolicy::default(), |outcome| {
+        let report = run_supervised(jobs, Jobs::new(4), |outcome| {
             seen.push(outcome.index);
             if seen.len() == 3 {
                 ControlFlow::Break(())
@@ -599,21 +442,6 @@ mod tests {
         assert_eq!(seen, vec![0, 1, 2]);
         assert!(report.aborted);
         assert!(!report.all_ok());
-    }
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_jittered() {
-        let retry = RetryPolicy::default();
-        let a = retry.backoff(7, 1);
-        let b = retry.backoff(7, 1);
-        assert_eq!(a, b, "same (job, attempt) must sleep identically");
-        assert_ne!(retry.backoff(7, 1), retry.backoff(8, 1));
-        for attempt in 1..20 {
-            let d = retry.backoff(0, attempt);
-            assert!(d <= Duration::from_millis(retry.backoff_cap_ms));
-        }
-        // Jitter keeps the delay in [base/2, base] for the first retry.
-        assert!(a >= Duration::from_secs_f64(retry.backoff_base_ms as f64 / 2000.0));
     }
 
     #[test]
@@ -635,12 +463,7 @@ mod tests {
             label: "bad".into(),
             spec: panicking_spec(),
         }];
-        let retry = RetryPolicy {
-            max_attempts: 2,
-            backoff_base_ms: 0,
-            ..RetryPolicy::default()
-        };
-        let (_, report) = run_supervised_collect(jobs, Jobs::serial(), &retry);
+        let (_, report) = collect(jobs, Jobs::serial());
         let table = report.summary_table();
         assert!(table.contains("1 quarantined"));
         assert!(table.contains("panic"));

@@ -32,8 +32,7 @@ use greenweb_engine::{
     App, RunBudget, RunSpec, Scheduler, SchedulerFactory, SimReport, TargetSpec, Trace,
 };
 use greenweb_fleet::{
-    run_supervised, FailureKind, FleetReport, JobFailure, JobStatus, Jobs, RetryPolicy,
-    SupervisedJob,
+    run_supervised, FailureKind, FleetReport, JobFailure, JobStatus, Jobs, SupervisedJob,
 };
 use greenweb_trace::attribution::write_phases;
 use greenweb_trace::metrics::Histogram;
@@ -53,8 +52,9 @@ use json::{JsonValue, Obj};
 /// The checkpoint format tag written in the header line; bump when the
 /// line schema changes incompatibly. v2 added the per-job `attr`
 /// attribution summary to ok lines (and recording to every cell, which
-/// also changes the plan fingerprint).
-pub const SWEEP_FORMAT: &str = "greenweb-sweep-v2";
+/// also changes the plan fingerprint); v3 dropped the per-job
+/// `attempts` count when jobs stopped being retried.
+pub const SWEEP_FORMAT: &str = "greenweb-sweep-v3";
 
 /// The kinds of deliberately broken cells chaos runs inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,8 +327,6 @@ pub struct SweepConfig {
     pub resume: bool,
     /// Where to dump quarantine repro files (created if missing).
     pub repro_dir: Option<PathBuf>,
-    /// Retry ladder for failing jobs.
-    pub retry: RetryPolicy,
     /// Worker threads.
     pub jobs: Jobs,
     /// Abort (cleanly, mid-sweep) after writing this many new result
@@ -343,7 +341,6 @@ impl SweepConfig {
             out: out.into(),
             resume: false,
             repro_dir: None,
-            retry: RetryPolicy::default(),
             jobs: Jobs::serial(),
             abort_after: None,
         }
@@ -408,7 +405,6 @@ impl From<std::io::Error> for SweepError {
 struct PrefixLine {
     index: usize,
     ok: bool,
-    attempts: u32,
     hist: Option<Histogram>,
     attr: Option<AttributionSummary>,
     failure: Option<JobFailure>,
@@ -463,10 +459,6 @@ fn parse_prefix_line(line: &str, lineno: usize) -> Result<PrefixLine, SweepError
         .and_then(JsonValue::as_str)
         .ok_or_else(|| corrupt("missing \"label\"".into()))?
         .to_string();
-    let attempts = value
-        .get("attempts")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| corrupt("missing \"attempts\"".into()))? as u32;
     match value.get("status").and_then(JsonValue::as_str) {
         Some("ok") => {
             let hist = value
@@ -482,7 +474,6 @@ fn parse_prefix_line(line: &str, lineno: usize) -> Result<PrefixLine, SweepError
             Ok(PrefixLine {
                 index,
                 ok: true,
-                attempts,
                 hist: Some(hist),
                 attr: Some(attr),
                 failure: None,
@@ -507,7 +498,6 @@ fn parse_prefix_line(line: &str, lineno: usize) -> Result<PrefixLine, SweepError
             Ok(PrefixLine {
                 index,
                 ok: false,
-                attempts,
                 hist: None,
                 attr: None,
                 failure: Some(JobFailure {
@@ -515,7 +505,6 @@ fn parse_prefix_line(line: &str, lineno: usize) -> Result<PrefixLine, SweepError
                     label,
                     kind,
                     detail,
-                    attempts,
                     digest,
                 }),
             })
@@ -532,39 +521,41 @@ struct ResumeState {
     lines: Vec<PrefixLine>,
 }
 
-fn load_resume_state(path: &Path, header: &str) -> Result<ResumeState, SweepError> {
+/// Validates an existing checkpoint against the plan's `header`.
+/// `None` when the file holds no complete header line (empty, or torn
+/// inside the header by a kill): no job has completed, so the sweep
+/// starts over.
+fn load_resume_state(path: &Path, header: &str) -> Result<Option<ResumeState>, SweepError> {
     let content = fs::read_to_string(path)?;
-    let mut valid_len = 0u64;
+    let mut segments = content.split_inclusive('\n');
+    let Some(first) = segments.next().and_then(|s| s.strip_suffix('\n')) else {
+        return Ok(None);
+    };
+    if first != header {
+        return Err(SweepError::Corrupt(format!(
+            "header mismatch: file has {first:?}, plan expects {header:?} \
+             (different plan, poison set, or budget?)"
+        )));
+    }
+    let mut valid_len = first.len() as u64 + 1;
     let mut lines = Vec::new();
-    for (lineno, segment) in content.split_inclusive('\n').enumerate() {
+    for (lineno, segment) in (1..).zip(segments) {
         let Some(line) = segment.strip_suffix('\n') else {
             break; // torn trailing line from a kill: drop it
         };
-        if lineno == 0 {
-            if line != header {
-                return Err(SweepError::Corrupt(format!(
-                    "header mismatch: file has {line:?}, plan expects {header:?} \
-                     (different plan, poison set, or budget?)"
-                )));
-            }
-        } else {
-            let parsed = parse_prefix_line(line, lineno)?;
-            if parsed.index != lines.len() {
-                return Err(SweepError::Corrupt(format!(
-                    "line {lineno} holds job {} but job {} was expected — \
-                     the file is not a gapless prefix",
-                    parsed.index,
-                    lines.len()
-                )));
-            }
-            lines.push(parsed);
+        let parsed = parse_prefix_line(line, lineno)?;
+        if parsed.index != lines.len() {
+            return Err(SweepError::Corrupt(format!(
+                "line {lineno} holds job {} but job {} was expected — \
+                 the file is not a gapless prefix",
+                parsed.index,
+                lines.len()
+            )));
         }
+        lines.push(parsed);
         valid_len += segment.len() as u64;
     }
-    if content.is_empty() {
-        return Err(SweepError::Corrupt("resume file is empty".into()));
-    }
-    Ok(ResumeState { valid_len, lines })
+    Ok(Some(ResumeState { valid_len, lines }))
 }
 
 fn per_job_histogram(report: &SimReport) -> Histogram {
@@ -600,7 +591,6 @@ fn write_attr(o: &mut Obj<'_>, attr: &AttributionSummary) {
 fn render_ok_line(
     index: usize,
     label: &str,
-    attempts: u32,
     hist: &Histogram,
     attr: &AttributionSummary,
     metrics: &RunMetrics,
@@ -610,7 +600,6 @@ fn render_ok_line(
         o.field("job", index)
             .field("label", label)
             .field("status", "ok")
-            .field("attempts", attempts)
             .obj("hist", |h| write_hist(h, hist))
             .obj("attr", |a| write_attr(a, attr))
             .field("metrics", metrics);
@@ -625,7 +614,6 @@ fn render_quarantine_line(failure: &JobFailure) -> String {
             .field("label", &failure.label)
             .field("status", "quarantined")
             .field("kind", failure.kind.name())
-            .field("attempts", failure.attempts)
             .field("digest", format_args!("{:016x}", failure.digest))
             .field("detail", &failure.detail);
     });
@@ -651,10 +639,13 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepResult, 
     };
 
     // Open the checkpoint: validate + truncate-to-valid on resume,
-    // start fresh otherwise.
-    let resuming = config.resume && config.out.exists();
-    let (mut file, completed) = if resuming {
-        let state = load_resume_state(&config.out, &header)?;
+    // start fresh otherwise (or when no header line survived).
+    let state = if config.resume && config.out.exists() {
+        load_resume_state(&config.out, &header)?
+    } else {
+        None
+    };
+    let (mut file, completed) = if let Some(state) = state {
         if state.lines.len() > plan.cells.len() {
             return Err(SweepError::Corrupt(format!(
                 "file holds {} jobs but the plan has {}",
@@ -663,9 +654,6 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepResult, 
             )));
         }
         for line in &state.lines {
-            if line.attempts > 1 {
-                report.retried += 1;
-            }
             if line.ok {
                 report.ok += 1;
             } else {
@@ -708,7 +696,7 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepResult, 
 
     let mut io_error: Option<std::io::Error> = None;
     let mut written = 0usize;
-    let tail = run_supervised(remaining, config.jobs, &config.retry, |outcome| {
+    let tail = run_supervised(remaining, config.jobs, |outcome| {
         let index = completed + outcome.index;
         let cell = &plan.cells[index];
         let line = match &outcome.status {
@@ -726,14 +714,7 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepResult, 
                     .unwrap_or_default();
                 merged.merge(&hist);
                 attribution.merge(&attr);
-                render_ok_line(
-                    index,
-                    &outcome.label,
-                    outcome.attempts,
-                    &hist,
-                    &attr,
-                    &metrics,
-                )
+                render_ok_line(index, &outcome.label, &hist, &attr, &metrics)
             }
             JobStatus::Quarantined(failure) => {
                 let failure = JobFailure {
@@ -771,7 +752,6 @@ pub fn run_sweep(plan: &SweepPlan, config: &SweepConfig) -> Result<SweepResult, 
     }
 
     report.ok += tail.ok;
-    report.retried += tail.retried;
     report.quarantined += tail.quarantined;
     report.aborted = tail.aborted;
     report
@@ -804,8 +784,6 @@ pub struct Repro {
     pub kind: String,
     /// Failure detail (error display or panic payload).
     pub detail: String,
-    /// Attempts consumed before quarantining.
-    pub attempts: u32,
     /// [`RunSpec::digest`] of the failing spec, in hex.
     pub digest: u64,
     /// Policy name as [`policy_by_name`] accepts it.
@@ -836,7 +814,6 @@ impl Repro {
             label: failure.label.clone(),
             kind: failure.kind.name().to_string(),
             detail: failure.detail.clone(),
-            attempts: failure.attempts,
             digest: failure.digest,
             policy: cell.policy.clone(),
             scenario: cell.scenario.to_string(),
@@ -876,7 +853,6 @@ impl Repro {
                 .field("label", &self.label)
                 .field("kind", &self.kind)
                 .field("detail", &self.detail)
-                .field("attempts", self.attempts)
                 .field("digest", format_args!("{:016x}", self.digest))
                 .field("policy", &self.policy)
                 .field("scenario", &self.scenario)
@@ -972,7 +948,6 @@ impl Repro {
             label: str_field(&value, "label")?,
             kind: str_field(&value, "kind")?,
             detail: str_field(&value, "detail")?,
-            attempts: u64_field(&value, "attempts")? as u32,
             digest: u64::from_str_radix(&str_field(&value, "digest")?, 16)
                 .map_err(|e| format!("bad digest: {e}"))?,
             policy: str_field(&value, "policy")?,
@@ -1086,7 +1061,6 @@ mod tests {
                 label: cell.label.clone(),
                 kind: kind.expected_failure(),
                 detail: "quoted \"detail\"\nwith newline".into(),
-                attempts: 3,
                 digest: spec.digest(),
             };
             let repro = Repro::for_cell(&cell, &failure, RunBudget::SWEEP_DEFAULT);
@@ -1110,7 +1084,6 @@ mod tests {
             label: cell.label.clone(),
             kind: FailureKind::Script,
             detail: "synthetic".into(),
-            attempts: 1,
             digest: cell.to_spec(plan.budget).digest(),
         };
         let repro = Repro::for_cell(cell, &failure, plan.budget);

@@ -1,6 +1,6 @@
 //! Determinism-parity suite for the fleet executor.
 //!
-//! Every test runs the same batch twice — on the legacy serial path
+//! Every test runs the same batch twice — inline on the calling thread
 //! (`Jobs::serial()`) and on four workers (`Jobs::new(4)`) — and
 //! requires the results to be **byte-identical**: rendered
 //! `RunMetrics` JSON across all 12 workloads, merged Chrome
@@ -153,10 +153,11 @@ fn lint_reports_match_goldens_at_any_worker_count() {
 // parity tests above cover the trusted executor.
 // ---------------------------------------------------------------------
 
-use greenweb_fleet::{run_supervised_collect, FailureKind, JobStatus, RetryPolicy, SupervisedJob};
+use greenweb_fleet::{run_supervised, FailureKind, JobStatus, SupervisedJob};
 use greenweb_workloads::sweep::{
     parse_poison_list, run_sweep, Repro, SweepConfig, SweepError, SweepPlan,
 };
+use std::ops::ControlFlow;
 
 /// A scratch path under the target temp dir, unique per test.
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -198,14 +199,10 @@ fn poisoned_sweep_quarantines_only_the_poison_and_keeps_healthy_bytes() {
     let mut config = SweepConfig::new(&out);
     config.jobs = Jobs::new(PARALLEL);
     config.repro_dir = Some(repro_dir.clone());
-    config.retry = RetryPolicy {
-        backoff_base_ms: 0,
-        ..RetryPolicy::default()
-    };
     let result = run_sweep(&plan, &config).expect("poisoned sweep completes");
 
     // Exactly the three poisoned jobs are quarantined, correctly
-    // classified, after the full retry ladder.
+    // classified, each on its one and only run.
     let report = &result.report;
     assert_eq!(report.total, 51);
     assert_eq!(report.ok, 48);
@@ -218,7 +215,6 @@ fn poisoned_sweep_quarantines_only_the_poison_and_keeps_healthy_bytes() {
     let got: Vec<(usize, FailureKind)> =
         report.failures.iter().map(|f| (f.index, f.kind)).collect();
     assert_eq!(got, expected);
-    assert!(report.failures.iter().all(|f| f.attempts == 3));
 
     // Healthy lines are byte-identical to the clean serial sweep's,
     // modulo the index shift poison insertion causes.
@@ -252,7 +248,8 @@ fn poisoned_sweep_quarantines_only_the_poison_and_keeps_healthy_bytes() {
     assert_eq!(healthy, 48);
 
     // Each quarantined job left a parseable repro that lowers back to
-    // a spec with the recorded digest and reproduces the same failure.
+    // a spec with the recorded digest and reproduces the same failure,
+    // down to its detail — the determinism that makes one run enough.
     for failure in &report.failures {
         let path = repro_dir.join(format!(
             "job{:03}-{}.json",
@@ -266,20 +263,19 @@ fn poisoned_sweep_quarantines_only_the_poison_and_keeps_healthy_bytes() {
         assert_eq!(repro.digest, failure.digest);
         let spec = repro.to_spec().expect("repro lowers to a spec");
         assert_eq!(spec.digest(), failure.digest, "repro digest round-trip");
-        let (outcomes, _) = run_supervised_collect(
-            vec![SupervisedJob {
-                label: repro.label.clone(),
-                spec,
-            }],
-            Jobs::serial(),
-            &RetryPolicy {
-                max_attempts: 1,
-                ..RetryPolicy::default()
-            },
-        );
-        match &outcomes[0].status {
+        let job = SupervisedJob {
+            label: repro.label.clone(),
+            spec,
+        };
+        let mut rerun = None;
+        run_supervised(vec![job], Jobs::serial(), |outcome| {
+            rerun = Some(outcome.status);
+            ControlFlow::Continue(())
+        });
+        match rerun.expect("the repro job ran") {
             JobStatus::Quarantined(refailure) => {
                 assert_eq!(refailure.kind, failure.kind, "repro reproduces the failure");
+                assert_eq!(refailure.detail, failure.detail, "repro fails identically");
             }
             JobStatus::Ok(_) => panic!("repro of {} unexpectedly succeeded", repro.label),
         }
@@ -339,6 +335,20 @@ fn interrupted_sweep_resumes_byte_identically() {
     // The merged histogram also survives the resume: it equals the
     // uninterrupted sweep's aggregate.
     assert_eq!(resumed.merged, full.merged);
+
+    // A kill before the header line was complete (or before anything
+    // was written) leaves no completed job: resuming starts over and
+    // writes the header, not a headerless file.
+    for cut in [&a[..30], ""] {
+        std::fs::write(&out, cut).expect("cut inside the header");
+        let restarted = run_sweep(&small_plan(), &resume_config).expect("restarted sweep");
+        assert_eq!(restarted.resumed_jobs, 0);
+        assert_eq!(
+            std::fs::read_to_string(&out).expect("reread"),
+            a,
+            "resume from {cut:?} must equal the uninterrupted file"
+        );
+    }
 
     // Resuming an already-complete file is a no-op that reports the
     // same totals and leaves the bytes alone.

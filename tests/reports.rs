@@ -8,7 +8,7 @@
 use greenweb::qos::Scenario;
 use greenweb_analyze::analyze;
 use greenweb_bench::{bench_reports, profile};
-use greenweb_fleet::{Jobs, RetryPolicy};
+use greenweb_fleet::Jobs;
 use greenweb_trace::json::JsonValue;
 use greenweb_trace::AttributionProfile;
 use greenweb_workloads::harness::Policy;
@@ -53,10 +53,6 @@ fn every_report_producer_emits_parseable_json() {
     let mut config = SweepConfig::new(dir.join("sweep.jsonl"));
     config.jobs = Jobs::serial();
     config.repro_dir = Some(dir.join("repros"));
-    config.retry = RetryPolicy {
-        max_attempts: 1,
-        ..RetryPolicy::default()
-    };
     let result = run_sweep(&plan, &config).expect("sweep runs");
     assert_eq!(result.report.quarantined, 1);
     let lines = std::fs::read_to_string(&config.out).expect("read sweep results");
