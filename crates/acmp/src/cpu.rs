@@ -6,7 +6,7 @@
 //! preceded by an [`Cpu::advance`] to the current time, which the mutating
 //! methods do internally.
 
-use crate::platform::{CoreType, CpuConfig, Platform};
+use crate::platform::{CpuConfig, Platform};
 use crate::power::PowerModel;
 use crate::time::{Duration, SimTime};
 use crate::work::WorkUnit;
@@ -283,34 +283,12 @@ impl Cpu {
     pub fn total_time(&self) -> Duration {
         self.total_time
     }
-
-    /// Fraction of observed time spent busy.
-    pub fn busy_fraction(&self) -> f64 {
-        if self.total_time.is_zero() {
-            0.0
-        } else {
-            self.busy_time.as_secs_f64() / self.total_time.as_secs_f64()
-        }
-    }
-
-    /// Fraction of observed time resident on the big cluster.
-    pub fn big_residency_fraction(&self) -> f64 {
-        if self.total_time.is_zero() {
-            return 0.0;
-        }
-        let big: f64 = self
-            .residency
-            .iter()
-            .filter(|(c, _)| c.core == CoreType::Big)
-            .map(|(_, d)| d.as_secs_f64())
-            .sum();
-        big / self.total_time.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::CoreType;
 
     fn cpu() -> Cpu {
         Cpu::new(Platform::odroid_xu_e(), PowerModel::odroid_xu_e())
@@ -342,7 +320,7 @@ mod tests {
         let active_mw = c.power_model().active_mw(c.platform(), c.config());
         assert!((c.energy().active_mj - 2.0 * active_mw).abs() < 1e-9);
         assert_eq!(c.busy_time(), Duration::from_millis(2000));
-        assert_eq!(c.busy_fraction(), 1.0);
+        assert_eq!(c.total_time(), c.busy_time());
     }
 
     #[test]
@@ -351,7 +329,8 @@ mod tests {
         c.set_busy(SimTime::ZERO, true);
         c.set_busy(SimTime::from_millis(300), false);
         c.advance(SimTime::from_secs(1));
-        assert!((c.busy_fraction() - 0.3).abs() < 1e-9);
+        assert_eq!(c.busy_time(), Duration::from_millis(300));
+        assert_eq!(c.total_time(), Duration::from_millis(1000));
         assert!(c.energy().active_mj > 0.0);
         assert!(c.energy().idle_mj > 0.0);
     }
@@ -378,7 +357,13 @@ mod tests {
         c.advance(SimTime::from_millis(40));
         assert_eq!(c.residency()[&p.peak()], Duration::from_millis(10));
         assert_eq!(c.residency()[&p.lowest()], Duration::from_millis(30));
-        assert!((c.big_residency_fraction() - 0.25).abs() < 1e-9);
+        let big_ns: u64 = c
+            .residency()
+            .iter()
+            .filter(|(config, _)| config.core == CoreType::Big)
+            .map(|(_, d)| d.as_nanos())
+            .sum();
+        assert_eq!(big_ns * 4, c.total_time().as_nanos());
     }
 
     #[test]

@@ -16,8 +16,7 @@
 
 use crate::{CompiledHandler, ScriptUnit};
 use greenweb_script::compiler::{Const, Op, Proto};
-use greenweb_script::value::{Closure, VmClosure};
-use greenweb_script::{compile, BinaryOp, Program, Stmt, UnaryOp, Value};
+use greenweb_script::{BinaryOp, Stmt, UnaryOp};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -215,30 +214,6 @@ impl CostAnalyzer {
     /// [`crate::HandlerCache`].
     pub(crate) fn analyze_compiled(&self, handler: &CompiledHandler) -> HandlerCost {
         self.explore_entry(&handler.protos, handler.main)
-    }
-
-    /// Analyzes one registered listener callback. Returns `None` when the
-    /// value is not a function or its body fails to compile.
-    pub fn analyze_callback(&self, callback: &Value) -> Option<HandlerCost> {
-        match callback {
-            Value::Function(closure) => self.analyze_closure(closure),
-            Value::VmFunction(vm) => Some(self.analyze_vm_closure(vm)),
-            _ => None,
-        }
-    }
-
-    /// Analyzes a tree-walking closure by compiling its body.
-    pub fn analyze_closure(&self, closure: &Closure) -> Option<HandlerCost> {
-        let program = Program {
-            body: closure.body.as_ref().clone(),
-        };
-        let compiled = compile(&program).ok()?;
-        Some(self.explore_entry(&compiled.protos, compiled.main))
-    }
-
-    /// Analyzes an already-compiled closure.
-    pub fn analyze_vm_closure(&self, closure: &VmClosure) -> HandlerCost {
-        self.explore_entry(&closure.protos, closure.proto)
     }
 
     fn explore_entry(&self, protos: &Arc<Vec<Proto>>, main: usize) -> HandlerCost {
@@ -625,7 +600,7 @@ fn binary(op: BinaryOp, l: AbsVal, r: AbsVal) -> AbsVal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use greenweb_script::parse_program;
+    use greenweb_script::{compile, parse_program};
 
     fn handler(source: &str) -> HandlerCost {
         // Wrap the body as a parsed closure the way the browser stores
@@ -725,7 +700,21 @@ mod tests {
 
     #[test]
     fn short_circuit_conditions_fold() {
-        let c = handler("if (true && false) { work(500); } work(7);");
-        assert_eq!(c.work_cycles, 7.0);
+        // Constant conditions decide the branch in the analyzer itself:
+        // the dead `work(500)` never counts.
+        for source in [
+            "if (true && false) { work(500); } work(7);",
+            "if (false) { work(500); } work(7);",
+            "if (!true) { work(500); } work(7);",
+            "if (null) { work(500); } work(7);",
+            "while (0) { work(500); } work(7);",
+            "var x = false ? work(500) : 0; work(7);",
+            "var x = 0 && work(500); work(7);",
+            "var x = 1 || work(500); work(7);",
+            "if (1 < 2) { work(7); } else { work(500); }",
+        ] {
+            let c = handler(source);
+            assert_eq!(c.work_cycles, 7.0, "{source}");
+        }
     }
 }

@@ -219,8 +219,8 @@ impl EffectAnalyzer {
     }
 
     /// Analyzes one registered listener callback. Returns `None` when
-    /// the value is not a function or its body fails to compile (such a
-    /// callback also never runs, so there is nothing to summarize).
+    /// the value is not a VM closure (the engine registers no other
+    /// kind, so there is nothing to summarize).
     pub fn analyze_callback(&self, callback: &Value) -> Option<EffectSummary> {
         let cache = HandlerCache::default();
         cache
@@ -977,6 +977,20 @@ mod tests {
     fn empty_handler_is_pure() {
         let s = summarize("var x = 1 + 2;");
         assert!(s.is_pure(), "{s:?}");
+        // A request behind a constant-false condition never happens.
+        for source in [
+            "if (false) { requestAnimationFrame(function(){}); }",
+            "if (!true) { requestAnimationFrame(function(){}); }",
+            "if (null) { requestAnimationFrame(function(){}); }",
+            "while (0) { requestAnimationFrame(function(){}); }",
+            "var x = false ? requestAnimationFrame(function(){}) : 0;",
+            "var x = 0 && requestAnimationFrame(function(){});",
+            "var x = 1 || requestAnimationFrame(function(){});",
+            "if (1 < 2) { var y = 1; } else { requestAnimationFrame(function(){}); }",
+        ] {
+            let s = summarize(source);
+            assert!(s.is_pure(), "{source}: {s:?}");
+        }
     }
 
     #[test]

@@ -201,9 +201,8 @@ pub fn infer_effect_summaries(app: &App) -> Vec<HandlerSummary> {
 
 /// Summarizes every registered listener callback — all event types, in
 /// the browser's deterministic `(node, event, index)` order. A callback
-/// whose body cannot be compiled gets ⊤ (it may still run through the
-/// tree-walking interpreter, so assuming nothing is the only sound
-/// choice).
+/// that is not a VM closure has no bytecode to analyze and gets ⊤
+/// (assuming nothing is the only sound choice).
 fn effect_summaries_of<S: Scheduler>(
     browser: &Browser<S>,
     analyzer: &EffectAnalyzer,

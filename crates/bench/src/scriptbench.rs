@@ -4,8 +4,8 @@
 //! trace and the *micro* trace through the engine's bytecode VM and
 //! reports only deterministic counters — script compiles,
 //! precompiled-table hits, handler-cache entries, callback dispatches,
-//! charged ops, raw VM dispatches, and folded-constant wins. No
-//! wall-clock number participates in any assertion.
+//! charged ops and raw VM dispatches. No wall-clock number participates
+//! in any assertion.
 //!
 //! The suite's acceptance gate encodes the compile-once contract:
 //!
@@ -45,8 +45,7 @@ pub struct ScriptBenchReport {
 
 impl ScriptBenchReport {
     /// Total AST compiles the VM path performed across full-trace runs
-    /// (load-path misses of the precompiled table plus handler-cache
-    /// recompiles — zero is the ideal).
+    /// (load-path misses of the precompiled table — zero is the ideal).
     pub fn total_compiles(&self) -> u64 {
         self.rows.iter().map(|r| r.full.compiles).sum()
     }
@@ -54,11 +53,6 @@ impl ScriptBenchReport {
     /// Total handler-cache entries across full-trace runs.
     pub fn total_handlers(&self) -> u64 {
         self.rows.iter().map(|r| r.full.handlers).sum()
-    }
-
-    /// Total folded-constant wins across full-trace runs.
-    pub fn total_fold_wins(&self) -> u64 {
-        self.rows.iter().map(|r| r.full.fold_wins).sum()
     }
 
     /// Whether every row's compile count is identical between the micro
@@ -84,11 +78,9 @@ impl ScriptBenchReport {
                                 .field("precompiled_hits", row.full.precompiled_hits)
                                 .field("compiles", row.full.compiles)
                                 .field("handlers", row.full.handlers)
-                                .field("handler_recompiles", row.full.handler_recompiles)
                                 .field("callbacks", row.full.callbacks)
                                 .field("ops", row.full.ops)
                                 .field("dispatches", row.full.dispatches)
-                                .field("fold_wins", row.full.fold_wins)
                                 .field("micro_callbacks", row.micro.callbacks)
                                 .field("micro_compiles", row.micro.compiles);
                         });
@@ -97,7 +89,6 @@ impl ScriptBenchReport {
                 .obj("total", |t| {
                     t.field("compiles", self.total_compiles())
                         .field("handlers", self.total_handlers())
-                        .field("fold_wins", self.total_fold_wins())
                         .field(
                             "compiles_event_independent",
                             self.compiles_event_independent(),
@@ -173,11 +164,24 @@ mod tests {
                 .any(|r| r.full.callbacks > r.micro.callbacks),
             "no workload's full trace out-delivered its micro trace"
         );
-        // No fold-win floor here: the bundled workload scripts compute
-        // from runtime values (event coordinates, loop counters), so
-        // they legitimately contain no literal subtrees to collapse.
-        // The folding pass's win/parity assertions live in the script
-        // crate's unit tests, on sources built to exercise it.
+        // Tick parity with the tree-walker rests on every compiled
+        // instruction carrying 0 or 1 of its ticks.
+        let mut instructions = 0;
+        for w in greenweb_workloads::all() {
+            for index in 0..w.app.scripts.len() {
+                let compiled = w.app.compiled_script(index).expect("precompiled");
+                for proto in compiled.protos.iter() {
+                    instructions += proto.ticks.len();
+                    assert!(
+                        proto.ticks.iter().all(|&t| t <= 1),
+                        "{}: tick weight above 1 in {:?}",
+                        w.name,
+                        proto.name
+                    );
+                }
+            }
+        }
+        assert!(instructions > 0, "no workload script compiled");
     }
 
     #[test]

@@ -117,8 +117,7 @@ pub struct RunMetrics {
     /// so they participate in the serial/parallel parity diff.
     pub style: StyleStats,
     /// Script-pipeline counters (compiles, precompiled hits, callbacks,
-    /// charged ops, VM dispatches, fold wins). Deterministic like
-    /// `style`.
+    /// charged ops, VM dispatches). Deterministic like `style`.
     pub script: ScriptStats,
     /// Layout-pipeline counters (relayouts, elements measured, subtree
     /// reuses, fingerprint-dirty elements). The dirty count is
@@ -232,11 +231,9 @@ impl ToJson for RunMetrics {
                         .field("compiles", script.compiles)
                         .field("precompiled_hits", script.precompiled_hits)
                         .field("handlers", script.handlers)
-                        .field("handler_recompiles", script.handler_recompiles)
                         .field("callbacks", script.callbacks)
                         .field("ops", script.ops)
-                        .field("dispatches", script.dispatches)
-                        .field("fold_wins", script.fold_wins);
+                        .field("dispatches", script.dispatches);
                 })
                 .obj("layout", |l| {
                     l.field("relayouts", layout.relayouts)

@@ -421,11 +421,6 @@ impl<S: Scheduler> Browser<S> {
                         .map_err(BrowserError::Script)?
                 }
             };
-            browser.script_stats.fold_wins += compiled
-                .protos
-                .iter()
-                .map(|p| u64::from(p.folded))
-                .sum::<u64>();
             browser.script.run(&compiled, &mut host)?;
             for (node, event, callback) in host.effects.listeners.drain(..) {
                 browser.listeners.add(node, event, callback);
@@ -589,15 +584,10 @@ impl<S: Scheduler> Browser<S> {
     }
 
     /// Script-pipeline counters so far: accumulated program/callback
-    /// counts plus the handler cache's current compile/recompile totals.
+    /// counts plus the handler cache's current handler total.
     pub fn script_stats(&self) -> ScriptStats {
         let mut stats = self.script_stats;
         stats.handlers = self.handler_cache.handlers();
-        stats.handler_recompiles = self.handler_cache.recompiles();
-        // `compiles` totals everything that invoked the bytecode
-        // compiler: load-time compiles plus handler recompiles (zero on
-        // the VM path, where handlers alias their load-time bytecode).
-        stats.compiles += stats.handler_recompiles;
         stats
     }
 

@@ -15,9 +15,8 @@
 //!   and trace attribution can map hot instructions back to source.
 //! - **`ticks`** — the instruction's fuel weight. The tree-walker
 //!   charges one tick per *AST node visit*; the compiler distributes
-//!   exactly those ticks over the emitted instructions (most carry 0 or
-//!   1; a folded constant carries its whole collapsed subtree's count).
-//!   Summed over an execution, `Vm::ops` therefore equals
+//!   exactly those ticks over the emitted instructions, each of which
+//!   carries 0 or 1. Summed over an execution, `Vm::ops` therefore equals
 //!   `Interpreter::ops` exactly, which keeps the engine's cost model,
 //!   the `RunBudget` fuel ceiling, and `Span.ops` attribution
 //!   backend-independent.
@@ -25,17 +24,11 @@
 //!   interned names, precomputed once so scope lookups at runtime hash
 //!   no strings.
 //!
-//! The constant-folding pass ([`CompileOptions::fold`], on by default)
-//! evaluates literal arithmetic/comparison/concatenation at compile time
-//! and elides dead branches behind constant conditions. Folding never
-//! changes observable semantics *or* charged ops — a folded `Const`
-//! carries the collapsed subtree's tick weight — it only reduces the
-//! number of dispatched instructions.
+//! The compiler lowers the AST directly, with no optimizer pass: every
+//! AST node becomes the instructions that evaluate it at run time.
 
 use crate::ast::{BinaryOp, Expr, Program, Stmt, Target, UnaryOp};
 use crate::atom::name_atom;
-use crate::builtins;
-use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
@@ -50,40 +43,6 @@ pub enum Const {
     Number(f64),
     /// A string.
     Str(String),
-}
-
-impl Const {
-    /// JS-style truthiness of a constant (matches [`Value::is_truthy`]).
-    fn is_truthy(&self) -> bool {
-        match self {
-            Const::Null => false,
-            Const::Bool(b) => *b,
-            Const::Number(n) => *n != 0.0 && !n.is_nan(),
-            Const::Str(s) => !s.is_empty(),
-        }
-    }
-
-    /// The runtime value of this constant.
-    fn to_value(&self) -> Value {
-        match self {
-            Const::Null => Value::Null,
-            Const::Bool(b) => Value::Bool(*b),
-            Const::Number(n) => Value::Number(*n),
-            Const::Str(s) => Value::str(s),
-        }
-    }
-
-    /// The constant form of a scalar value (`None` for reference types,
-    /// which have identity and cannot live in the pool).
-    fn from_value(value: &Value) -> Option<Const> {
-        match value {
-            Value::Null => Some(Const::Null),
-            Value::Bool(b) => Some(Const::Bool(*b)),
-            Value::Number(n) => Some(Const::Number(*n)),
-            Value::Str(s) => Some(Const::Str(s.to_string())),
-            _ => None,
-        }
-    }
 }
 
 /// One bytecode instruction.
@@ -186,9 +145,6 @@ pub struct Proto {
     pub names: Vec<String>,
     /// Name atoms of the interned names (parallel to `names`).
     pub name_atoms: Vec<u64>,
-    /// Constant-folding wins: subtrees collapsed to a single constant
-    /// plus branches elided behind constant conditions.
-    pub folded: u32,
 }
 
 /// A whole compiled program: the prototypes plus the index of the main
@@ -226,22 +182,7 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Compiler knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct CompileOptions {
-    /// Run the constant-folding pass (default on). Disabled only by
-    /// tests that compare folded against unfolded output.
-    pub fold: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions { fold: true }
-    }
-}
-
-/// Compiles a parsed program to bytecode with default options
-/// (constant folding on).
+/// Compiles a parsed program to bytecode.
 ///
 /// # Errors
 ///
@@ -249,20 +190,8 @@ impl Default for CompileOptions {
 /// (currently only `break`/`continue` outside a loop, which the parser
 /// cannot rule out).
 pub fn compile(program: &Program) -> Result<CompiledProgram, CompileError> {
-    compile_with(program, CompileOptions::default())
-}
-
-/// Compiles with explicit [`CompileOptions`].
-///
-/// # Errors
-///
-/// Same as [`compile`].
-pub fn compile_with(
-    program: &Program,
-    options: CompileOptions,
-) -> Result<CompiledProgram, CompileError> {
     let mut protos: Vec<Proto> = Vec::new();
-    let main = compile_function(String::new(), &[], &program.body, &mut protos, options)?;
+    let main = compile_function(String::new(), &[], &program.body, &mut protos)?;
     Ok(CompiledProgram {
         protos: Arc::new(protos),
         main,
@@ -283,17 +212,8 @@ struct FnCompiler<'p> {
     protos: &'p mut Vec<Proto>,
     loops: Vec<LoopCtx>,
     scope_depth: usize,
-    options: CompileOptions,
     /// Current source line, stamped into `spans` at each emit.
     line: u32,
-    /// Tick weight owed by a folded/elided subtree, attached to the next
-    /// emitted instruction. Folding sites only ever leave pending weight
-    /// immediately before emitting a once-per-arrival instruction (a
-    /// branch's `PushScope`, the first op of a short-circuit rhs, the
-    /// function's implicit return), never before a loop header that
-    /// re-executes per iteration — that is what keeps folded and
-    /// unfolded charge counts identical.
-    pending: u32,
 }
 
 fn compile_function(
@@ -301,7 +221,6 @@ fn compile_function(
     params: &[String],
     body: &[Stmt],
     protos: &mut Vec<Proto>,
-    options: CompileOptions,
 ) -> Result<usize, CompileError> {
     let mut fc = FnCompiler {
         proto: Proto {
@@ -313,19 +232,16 @@ fn compile_function(
         protos,
         loops: Vec::new(),
         scope_depth: 0,
-        options,
         line: 0,
-        pending: 0,
     };
     for stmt in body {
         fc.stmt(stmt)?;
     }
     // Implicit `return null` (the tree-walker's fall-off return charges
-    // nothing, so both carry weight 0 and only absorb pending fold debt).
+    // nothing, so both carry weight 0).
     let null = fc.konst(Const::Null);
     fc.emit(Op::Const(null));
     fc.emit(Op::Return);
-    debug_assert_eq!(fc.pending, 0, "fold debt must be attached by function end");
     let index = fc.protos.len();
     let proto = fc.proto;
     debug_assert_eq!(proto.code.len(), proto.spans.len());
@@ -336,14 +252,12 @@ fn compile_function(
 }
 
 impl FnCompiler<'_> {
-    /// Emits `op` with fuel weight `weight`, absorbing any pending
-    /// folded-subtree weight, and stamps the current source line.
+    /// Emits `op` with fuel weight `weight` and stamps the current source
+    /// line.
     fn emit_w(&mut self, op: Op, weight: u32) -> usize {
         self.proto.code.push(op);
         self.proto.spans.push(self.line);
-        self.proto
-            .ticks
-            .push(weight + std::mem::take(&mut self.pending));
+        self.proto.ticks.push(weight);
         self.proto.code.len() - 1
     }
 
@@ -396,78 +310,6 @@ impl FnCompiler<'_> {
         (self.proto.names.len() - 1) as u32
     }
 
-    /// Compile-time evaluation of a constant subtree: the folded value
-    /// plus the number of ticks the tree-walker would charge to evaluate
-    /// it. `None` when the subtree is not constant or folding would
-    /// change semantics (e.g. a binary op that errors at runtime).
-    fn eval_const(&self, expr: &Expr) -> Option<(Const, u32)> {
-        if !self.options.fold {
-            return None;
-        }
-        match expr {
-            Expr::Number(n) => Some((Const::Number(*n), 1)),
-            Expr::Str(s) => Some((Const::Str(s.clone()), 1)),
-            Expr::Bool(b) => Some((Const::Bool(*b), 1)),
-            Expr::Null => Some((Const::Null, 1)),
-            Expr::Unary { op, operand } => {
-                let (c, t) = self.eval_const(operand)?;
-                let folded = match op {
-                    UnaryOp::Neg => match c {
-                        Const::Number(n) => Const::Number(-n),
-                        // Negating a non-number is a runtime error;
-                        // leave it to the backend.
-                        _ => return None,
-                    },
-                    UnaryOp::Not => Const::Bool(!c.is_truthy()),
-                };
-                Some((folded, 1 + t))
-            }
-            Expr::Binary {
-                op: op @ (BinaryOp::And | BinaryOp::Or),
-                lhs,
-                rhs,
-            } => {
-                // Short-circuit: a deciding constant lhs folds the whole
-                // expression without looking at (or charging for) rhs,
-                // exactly like the tree-walker's evaluation.
-                let (l, lt) = self.eval_const(lhs)?;
-                let decided = match op {
-                    BinaryOp::And => !l.is_truthy(),
-                    _ => l.is_truthy(),
-                };
-                if decided {
-                    return Some((l, 1 + lt));
-                }
-                let (r, rt) = self.eval_const(rhs)?;
-                Some((r, 1 + lt + rt))
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let (l, lt) = self.eval_const(lhs)?;
-                let (r, rt) = self.eval_const(rhs)?;
-                // Errors (e.g. `null - 1`) must surface at runtime, so
-                // only an Ok result folds. Division by zero is Ok
-                // (Infinity, like JS) and folds.
-                let v = builtins::binary_op(*op, &l.to_value(), &r.to_value()).ok()?;
-                Some((Const::from_value(&v)?, 1 + lt + rt))
-            }
-            Expr::Conditional {
-                cond,
-                then_value,
-                else_value,
-            } => {
-                let (c, ct) = self.eval_const(cond)?;
-                let arm = if c.is_truthy() {
-                    then_value
-                } else {
-                    else_value
-                };
-                let (v, vt) = self.eval_const(arm)?;
-                Some((v, 1 + ct + vt))
-            }
-            _ => None,
-        }
-    }
-
     fn stmt(&mut self, stmt: &Stmt) -> Result<(), CompileError> {
         match stmt {
             Stmt::VarDecl { name, init, line } => {
@@ -489,7 +331,7 @@ impl FnCompiler<'_> {
                 line,
             } => {
                 self.line = *line;
-                let idx = compile_function(name.clone(), params, body, self.protos, self.options)?;
+                let idx = compile_function(name.clone(), params, body, self.protos)?;
                 self.emit(Op::MakeClosure(idx as u32));
                 let n = self.name(name);
                 self.emit_t(Op::DeclVar(n));
@@ -503,50 +345,22 @@ impl FnCompiler<'_> {
                 then_branch,
                 else_branch,
             } => {
-                if let Some((c, ct)) = self.eval_const(cond) {
-                    // Dead-branch elision: only the taken branch is
-                    // compiled; the `if` statement's tick and the
-                    // condition's ticks attach to the branch's entry.
-                    self.proto.folded += 1;
-                    self.pending += 1 + ct;
-                    let taken = if c.is_truthy() {
-                        then_branch
-                    } else {
-                        else_branch
-                    };
-                    self.block(taken, 0)?;
+                self.expr(cond)?;
+                let to_else = self.emit_t(Op::JumpIfFalse(0));
+                self.block(then_branch, 0)?;
+                if else_branch.is_empty() {
+                    let end = self.here();
+                    self.patch(to_else, end);
                 } else {
-                    self.expr(cond)?;
-                    let to_else = self.emit_t(Op::JumpIfFalse(0));
-                    self.block(then_branch, 0)?;
-                    if else_branch.is_empty() {
-                        let end = self.here();
-                        self.patch(to_else, end);
-                    } else {
-                        let to_end = self.emit(Op::Jump(0));
-                        let else_at = self.here();
-                        self.patch(to_else, else_at);
-                        self.block(else_branch, 0)?;
-                        let end = self.here();
-                        self.patch(to_end, end);
-                    }
+                    let to_end = self.emit(Op::Jump(0));
+                    let else_at = self.here();
+                    self.patch(to_else, else_at);
+                    self.block(else_branch, 0)?;
+                    let end = self.here();
+                    self.patch(to_end, end);
                 }
             }
             Stmt::While { cond, body } => {
-                if let Some((c, ct)) = self.eval_const(cond) {
-                    if !c.is_truthy() {
-                        // Dead loop: the tree-walker evaluates the
-                        // condition once and moves on; charge exactly
-                        // that and elide the body.
-                        self.proto.folded += 1;
-                        self.pending += 1 + ct;
-                        return Ok(());
-                    }
-                    // A constant-truthy condition still folds — via the
-                    // generic expression path below — to one `Const`
-                    // charged per iteration, matching the tree-walker's
-                    // per-iteration re-evaluation.
-                }
                 // The `while` statement's own tick lands on a no-op jump
                 // ahead of the loop header, so it is charged once per
                 // arrival rather than once per iteration.
@@ -685,17 +499,6 @@ impl FnCompiler<'_> {
     }
 
     fn expr(&mut self, expr: &Expr) -> Result<(), CompileError> {
-        // Constant folding: a whole constant subtree becomes one `Const`
-        // carrying the subtree's tick weight (literals fold trivially
-        // with weight 1 — identical to their unfolded compilation).
-        if let Some((c, t)) = self.eval_const(expr) {
-            if t > 1 {
-                self.proto.folded += 1;
-            }
-            let i = self.konst(c);
-            self.emit_w(Op::Const(i), t);
-            return Ok(());
-        }
         match expr {
             Expr::Number(n) => {
                 let c = self.konst(Const::Number(*n));
@@ -739,7 +542,7 @@ impl FnCompiler<'_> {
                 });
             }
             Expr::Function { params, body } => {
-                let idx = compile_function(String::new(), params, body, self.protos, self.options)?;
+                let idx = compile_function(String::new(), params, body, self.protos)?;
                 self.emit_t(Op::MakeClosure(idx as u32));
             }
             Expr::Assign { target, value } => {
@@ -770,38 +573,20 @@ impl FnCompiler<'_> {
             }
             Expr::Binary { op, lhs, rhs } => match op {
                 BinaryOp::And => {
-                    if let Some((l, lt)) = self.eval_const(lhs) {
-                        // Whole-expression folding already failed, so a
-                        // constant lhs here must be truthy with a
-                        // non-constant rhs: `lhs && rhs` is `rhs`, with
-                        // the `&&` and lhs ticks owed to rhs's entry.
-                        debug_assert!(l.is_truthy());
-                        self.proto.folded += 1;
-                        self.pending += 1 + lt;
-                        self.expr(rhs)?;
-                    } else {
-                        self.expr(lhs)?;
-                        let skip = self.emit_t(Op::JumpIfFalsePeek(0));
-                        self.emit(Op::Pop);
-                        self.expr(rhs)?;
-                        let end = self.here();
-                        self.patch(skip, end);
-                    }
+                    self.expr(lhs)?;
+                    let skip = self.emit_t(Op::JumpIfFalsePeek(0));
+                    self.emit(Op::Pop);
+                    self.expr(rhs)?;
+                    let end = self.here();
+                    self.patch(skip, end);
                 }
                 BinaryOp::Or => {
-                    if let Some((l, lt)) = self.eval_const(lhs) {
-                        debug_assert!(!l.is_truthy());
-                        self.proto.folded += 1;
-                        self.pending += 1 + lt;
-                        self.expr(rhs)?;
-                    } else {
-                        self.expr(lhs)?;
-                        let skip = self.emit_t(Op::JumpIfTruePeek(0));
-                        self.emit(Op::Pop);
-                        self.expr(rhs)?;
-                        let end = self.here();
-                        self.patch(skip, end);
-                    }
+                    self.expr(lhs)?;
+                    let skip = self.emit_t(Op::JumpIfTruePeek(0));
+                    self.emit(Op::Pop);
+                    self.expr(rhs)?;
+                    let end = self.here();
+                    self.patch(skip, end);
                 }
                 _ => {
                     self.expr(lhs)?;
@@ -818,28 +603,15 @@ impl FnCompiler<'_> {
                 then_value,
                 else_value,
             } => {
-                if let Some((c, ct)) = self.eval_const(cond) {
-                    // Constant condition, non-constant taken arm: elide
-                    // the test and the dead arm.
-                    self.proto.folded += 1;
-                    self.pending += 1 + ct;
-                    let arm = if c.is_truthy() {
-                        then_value
-                    } else {
-                        else_value
-                    };
-                    self.expr(arm)?;
-                } else {
-                    self.expr(cond)?;
-                    let to_else = self.emit_t(Op::JumpIfFalse(0));
-                    self.expr(then_value)?;
-                    let to_end = self.emit(Op::Jump(0));
-                    let else_at = self.here();
-                    self.patch(to_else, else_at);
-                    self.expr(else_value)?;
-                    let end = self.here();
-                    self.patch(to_end, end);
-                }
+                self.expr(cond)?;
+                let to_else = self.emit_t(Op::JumpIfFalse(0));
+                self.expr(then_value)?;
+                let to_end = self.emit(Op::Jump(0));
+                let else_at = self.here();
+                self.patch(to_else, else_at);
+                self.expr(else_value)?;
+                let end = self.here();
+                self.patch(to_end, end);
             }
             Expr::Call { callee, args, line } => {
                 self.line = *line;
@@ -916,68 +688,6 @@ mod tests {
         compile(&parse_program(src).unwrap()).unwrap()
     }
 
-    fn compile_src_unfolded(src: &str) -> CompiledProgram {
-        compile_with(&parse_program(src).unwrap(), CompileOptions { fold: false }).unwrap()
-    }
-
-    #[test]
-    fn literal_arithmetic_folds_to_one_const() {
-        let p = compile_src("var x = 1 + 2 * 3;");
-        let main = &p.protos[p.main];
-        assert!(!main.code.iter().any(|op| matches!(op, Op::Binary(_))));
-        assert!(main.consts.contains(&Const::Number(7.0)));
-        assert!(main.folded >= 1);
-        // The folded Const carries the whole subtree's tick weight:
-        // Add + Mul + three literals = 5.
-        let at = main
-            .code
-            .iter()
-            .position(|op| matches!(op, Op::Const(_)))
-            .unwrap();
-        assert_eq!(main.ticks[at], 5);
-    }
-
-    #[test]
-    fn unfolded_compile_preserves_the_naive_shape() {
-        let p = compile_src_unfolded("var x = 1 + 2 * 3;");
-        let main = &p.protos[p.main];
-        assert!(main.code.contains(&Op::Binary(BinaryOp::Add)));
-        assert!(main.code.contains(&Op::Binary(BinaryOp::Mul)));
-        assert!(main.consts.contains(&Const::Number(1.0)));
-        assert_eq!(main.folded, 0);
-    }
-
-    #[test]
-    fn folded_and_unfolded_charge_identical_ticks() {
-        // Straight-line, fully live code only: the unfolded compile of a
-        // *dead* branch contributes static ticks that never execute, so
-        // static sums would differ there (dynamic charge parity for dead
-        // branches is covered by the VM-level differential tests).
-        let src = "var x = 1 + 2 * 3; var y = 'a' + 'b'; var z = x > 0 ? 1 : 2;";
-        let folded = compile_src(src);
-        let unfolded = compile_src_unfolded(src);
-        let total = |p: &CompiledProgram| -> u64 {
-            p.protos
-                .iter()
-                .flat_map(|proto| proto.ticks.iter())
-                .map(|t| u64::from(*t))
-                .sum()
-        };
-        // Straight-line code: every instruction executes once, so the
-        // static tick sums must agree for charges to agree.
-        assert_eq!(total(&folded), total(&unfolded));
-        assert!(folded.protos[folded.main].code.len() < unfolded.protos[unfolded.main].code.len());
-    }
-
-    #[test]
-    fn comparison_and_concat_fold() {
-        let p = compile_src("var a = 2 < 3; var b = 'x' + 1;");
-        let main = &p.protos[p.main];
-        assert!(!main.code.iter().any(|op| matches!(op, Op::Binary(_))));
-        assert!(main.consts.contains(&Const::Bool(true)));
-        assert!(main.consts.contains(&Const::Str("x1".into())));
-    }
-
     #[test]
     fn runtime_errors_do_not_fold() {
         // `null - 1` errors at runtime in both backends; the compiler
@@ -985,46 +695,6 @@ mod tests {
         let p = compile_src("var x = null - 1;");
         let main = &p.protos[p.main];
         assert!(main.code.contains(&Op::Binary(BinaryOp::Sub)));
-    }
-
-    #[test]
-    fn dead_if_branch_is_elided() {
-        let p = compile_src("if (false) { boom(); } else { var x = 1; }");
-        let main = &p.protos[p.main];
-        assert!(!main
-            .code
-            .iter()
-            .any(|op| matches!(op, Op::CallName { .. } | Op::JumpIfFalse(_))));
-        assert!(main.folded >= 1);
-    }
-
-    #[test]
-    fn dead_while_loop_is_elided() {
-        let p = compile_src("while (0) { boom(); } var x = 1;");
-        let main = &p.protos[p.main];
-        assert!(!main.code.iter().any(|op| matches!(op, Op::CallName { .. })));
-        // The elided statement's ticks (while + cond = 2) land on the
-        // next emitted instruction.
-        let at = main
-            .code
-            .iter()
-            .position(|op| matches!(op, Op::Const(_)))
-            .unwrap();
-        assert_eq!(main.ticks[at], 3); // 1 (literal) + 2 (elided while)
-    }
-
-    #[test]
-    fn short_circuit_folds_keep_rhs_when_needed() {
-        // `0 && boom()` folds entirely; `1 && f()` keeps the call.
-        let p = compile_src("var a = 0 && boom(); var b = 1 && f();");
-        let main = &p.protos[p.main];
-        let calls: Vec<&Op> = main
-            .code
-            .iter()
-            .filter(|op| matches!(op, Op::CallName { .. }))
-            .collect();
-        assert_eq!(calls.len(), 1, "only the live rhs call survives");
-        assert!(main.consts.contains(&Const::Number(0.0)));
     }
 
     #[test]

@@ -44,9 +44,9 @@ impl Fuel {
         self.charge(1)
     }
 
-    /// Charges `weight` evaluation steps at once (the VM charges a whole
-    /// folded subtree's tick count on one instruction). A zero weight is
-    /// free and never trips the ceiling.
+    /// Charges `weight` evaluation steps at once (the VM charges each
+    /// instruction's tick weight, 0 or 1). A zero weight is free and
+    /// never trips the ceiling.
     ///
     /// # Errors
     ///

@@ -46,7 +46,7 @@ pub mod vm;
 
 pub use ast::{BinaryOp, Expr, Program, Stmt, UnaryOp};
 pub use atom::name_atom;
-pub use compiler::{compile, compile_with, CompileError, CompileOptions, CompiledProgram};
+pub use compiler::{compile, CompileError, CompiledProgram};
 pub use fuel::{Fuel, DEFAULT_OP_LIMIT};
 pub use handler::{CompiledHandler, HandlerCache};
 pub use interp::{Host, Interpreter, NoHost, ScriptError};

@@ -3,7 +3,7 @@
 //! interpreter and the bytecode VM.
 
 use greenweb_det::prop::{check, Gen, DEFAULT_CASES};
-use greenweb_script::{parse_program, Host, Interpreter, NoHost, ScriptError, Value, Vm};
+use greenweb_script::{compile, parse_program, Host, Interpreter, NoHost, ScriptError, Value, Vm};
 
 /// Runs `source` on both backends and returns the values of `globals`
 /// from each. Also enforces the tick-parity contract: on success the
@@ -178,17 +178,25 @@ fn math_agrees() {
 /// Op counts of both backends are *identical* on successful runs: the
 /// VM charges per-instruction tick weights that sum to exactly what the
 /// tree-walker ticks, so `RunBudget` and the cost model mean the same
-/// thing on either backend.
+/// thing on either backend. Every emitted instruction carries 0 or 1 of
+/// those ticks.
 #[test]
 fn op_counts_match_exactly() {
     check("op_counts_match_exactly", 32, |g| {
         let n = g.usize_in(10, 200);
         let source = format!("var s = 0; for (var i = 0; i < {n}; i += 1) {{ s += i; }}");
         let program = parse_program(&source).unwrap();
+        let compiled = compile(&program).unwrap();
+        for proto in compiled.protos.iter() {
+            assert!(
+                proto.ticks.iter().all(|&t| t <= 1),
+                "tick weight above 1 on:\n{source}"
+            );
+        }
         let mut interp = Interpreter::new();
         interp.run(&program, &mut NoHost).unwrap();
         let mut vm = Vm::new();
-        vm.run_source(&source, &mut NoHost).unwrap();
+        vm.run(&compiled, &mut NoHost).unwrap();
         assert_eq!(vm.ops(), interp.ops(), "ops diverge on:\n{source}");
     });
 }

@@ -53,8 +53,10 @@ use json::{JsonValue, Obj};
 /// line schema changes incompatibly. v2 added the per-job `attr`
 /// attribution summary to ok lines (and recording to every cell, which
 /// also changes the plan fingerprint); v3 dropped the per-job
-/// `attempts` count when jobs stopped being retried.
-pub const SWEEP_FORMAT: &str = "greenweb-sweep-v3";
+/// `attempts` count when jobs stopped being retried; v4 dropped the
+/// constant-folding and handler-recompile script counters from ok
+/// lines.
+pub const SWEEP_FORMAT: &str = "greenweb-sweep-v4";
 
 /// The kinds of deliberately broken cells chaos runs inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -155,7 +155,7 @@ fn lint_reports_match_goldens_at_any_worker_count() {
 
 use greenweb_fleet::{run_supervised, FailureKind, JobStatus, SupervisedJob};
 use greenweb_workloads::sweep::{
-    parse_poison_list, run_sweep, Repro, SweepConfig, SweepError, SweepPlan,
+    parse_poison_list, run_sweep, Repro, SweepConfig, SweepError, SweepPlan, SWEEP_FORMAT,
 };
 use std::ops::ControlFlow;
 
@@ -359,19 +359,33 @@ fn interrupted_sweep_resumes_byte_identically() {
     assert_eq!(std::fs::read_to_string(&out).expect("reread"), b);
 }
 
-/// A checkpoint only resumes under the plan (and budget) that wrote it.
+/// A checkpoint only resumes under the plan (and budget) that wrote it,
+/// and in the line format it was written in. A refused file is left
+/// byte-unchanged.
 #[test]
 fn resume_rejects_a_mismatched_plan() {
     let out = scratch("mismatch.jsonl");
     let mut config = SweepConfig::new(&out);
     config.abort_after = Some(2);
     run_sweep(&small_plan(), &config).expect("aborted sweep");
+    let written = std::fs::read_to_string(&out).expect("read partial file");
     let mut other = small_plan();
     other.cells.truncate(12); // drop the poison cell -> new fingerprint
     let mut resume_config = SweepConfig::new(&out);
     resume_config.resume = true;
-    match run_sweep(&other, &resume_config) {
+    let expect_refusal = |plan: &SweepPlan| match run_sweep(plan, &resume_config) {
         Err(SweepError::Corrupt(why)) => assert!(why.contains("header mismatch"), "{why}"),
         other => panic!("expected a corrupt-checkpoint rejection, got {other:?}"),
-    }
+    };
+    expect_refusal(&other);
+    assert_eq!(std::fs::read_to_string(&out).expect("reread"), written);
+
+    // A v3 checkpoint carries script counters v4 lines no longer have:
+    // resuming it would mix two line schemas in one file.
+    assert_eq!(SWEEP_FORMAT, "greenweb-sweep-v4");
+    let v3 = written.replacen(SWEEP_FORMAT, "greenweb-sweep-v3", 1);
+    assert_ne!(v3, written);
+    std::fs::write(&out, &v3).expect("write v3 checkpoint");
+    expect_refusal(&small_plan());
+    assert_eq!(std::fs::read_to_string(&out).expect("reread"), v3);
 }
