@@ -3,8 +3,10 @@
 //! For each of the 12 workloads (plus one seeded synthetic stress
 //! document) the suite resolves every element's style twice — once
 //! through the naive full-scan resolver, once through the bucketed +
-//! Bloom-filtered path ([`StyleEngine::match_rules`] per element) — and
-//! reports deterministic counters only: the exact [`Selector::matches`]
+//! Bloom-filtered path ([`StyleEngine::match_rules`] per element, run
+//! only for the counters it bumps; its cascade-ordered match list is
+//! dropped) — and reports deterministic counters only: the exact
+//! [`Selector::matches`]
 //! walks each path ran, and how many candidates the ancestor Bloom
 //! filter rejected before the exact walk. They drive the acceptance
 //! gate (the bucketed path must run ≥ 3× fewer exact matches than naive
@@ -108,7 +110,7 @@ fn bench_document(name: &str, doc: &Document, engine: &StyleEngine) -> (StyleBen
     engine.reset_stats();
     let mut nodes = 0;
     for n in doc.elements() {
-        let _ = engine.match_rules(doc, n);
+        engine.match_rules(doc, n);
         nodes += 1;
     }
     let stats = engine.stats();

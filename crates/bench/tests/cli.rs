@@ -1,6 +1,7 @@
 //! `evaluate` rejects what it does not understand: a misspelled command
 //! in a CI step must fail the step, not run nothing and exit 0, and so
-//! must a misspelled worker count in the environment.
+//! must a misspelled worker count in the environment. And `evaluate all`
+//! still prints the committed `docs/evaluate_output.txt`.
 
 use std::process::Command;
 
@@ -41,5 +42,21 @@ fn a_malformed_worker_count_in_the_environment_is_rejected() {
     assert!(
         stderr.contains("GREENWEB_JOBS=\"two\" is not a worker count"),
         "{stderr}"
+    );
+}
+
+/// The committed `docs/evaluate_output.txt` is the one record of every
+/// figure and table; `cargo test` catches a drift, not only CI.
+#[test]
+fn evaluate_all_matches_the_committed_output() {
+    let output = Command::new(env!("CARGO_BIN_EXE_evaluate"))
+        .args(["--jobs", "2", "all"])
+        .output()
+        .expect("evaluate runs");
+    assert!(output.status.success(), "evaluate --jobs 2 all failed");
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 output");
+    assert!(
+        stdout == include_str!("../../../docs/evaluate_output.txt"),
+        "`evaluate --jobs 2 all` drifted from docs/evaluate_output.txt"
     );
 }

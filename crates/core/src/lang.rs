@@ -249,15 +249,15 @@ impl AnnotationTable {
 /// Parses one declaration. `None` for non-QoS properties (ignored for
 /// CSS forward compatibility); `Some(Err)` for malformed annotations.
 fn parse_declaration(decl: &Declaration) -> Option<Result<(EventType, QosSpec), LangError>> {
-    let event_name = decl
-        .property
+    let property = decl.property.as_str();
+    let event_name = property
         .strip_prefix("on")
         .and_then(|rest| rest.strip_suffix("-qos"))?;
     let event: EventType = match event_name.parse() {
         Ok(event) => event,
         Err(e) => {
             return Some(Err(LangError::UnknownEvent {
-                property: decl.property.clone(),
+                property: property.to_string(),
                 detail: e.to_string(),
             }))
         }
@@ -266,7 +266,7 @@ fn parse_declaration(decl: &Declaration) -> Option<Result<(EventType, QosSpec), 
         Ok(spec) => Ok((event, spec)),
         Err(detail) => Err(LangError::BadValue {
             event,
-            property: decl.property.clone(),
+            property: property.to_string(),
             detail,
         }),
     })

@@ -6,7 +6,9 @@
 //! Bucketing is purely a *candidate* filter: a selector lands in exactly
 //! one bucket, and an element only pulls the buckets it could possibly
 //! hit (its id bucket, one bucket per class, its tag bucket, and the
-//! universal spill-over). Candidates still run the exact
+//! universal spill-over). Buckets are keyed by style atoms, and the
+//! element's are cached on it, so a lookup hashes and compares no
+//! strings. Candidates still run the exact
 //! [`crate::Selector::matches`] walk, so cascade semantics — specificity,
 //! source order, `!important` — are untouched.
 
@@ -52,38 +54,34 @@ pub(crate) struct Candidate {
 /// The bucketed index of one stylesheet's selectors.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RuleIndex {
-    by_id: HashMap<String, Vec<Candidate>>,
-    by_class: HashMap<String, Vec<Candidate>>,
-    by_tag: HashMap<String, Vec<Candidate>>,
+    /// Candidates filed under the style atom of their id, class or tag
+    /// key. The atoms are kind-prefixed, so one map holds all three
+    /// kinds; a 64-bit collision could only add a candidate, which the
+    /// exact walk then rejects.
+    by_atom: HashMap<u64, Vec<Candidate>>,
     universal: Vec<Candidate>,
 }
 
 /// The bucket a selector files under: the most selective simple
-/// selector of its *subject* compound.
-enum BucketKey<'a> {
-    Id(&'a str),
-    Class(&'a str),
-    Tag(&'a str),
-    Universal,
-}
-
-fn bucket_key(selector: &Selector) -> BucketKey<'_> {
+/// selector of its *subject* compound, as its style atom (`None` for the
+/// universal spill-over).
+fn bucket_key(selector: &Selector) -> (BucketOrigin, Option<u64>) {
     let mut class = None;
     let mut tag = None;
     for part in &selector.subject.parts {
         match part {
-            SimpleSelector::Id(id) => return BucketKey::Id(id),
-            SimpleSelector::Class(name) => class = class.or(Some(name.as_str())),
-            SimpleSelector::Tag(name) => tag = tag.or(Some(name.as_str())),
+            SimpleSelector::Id(id) => return (BucketOrigin::Id, Some(id_atom(id))),
+            SimpleSelector::Class(name) => class = class.or(Some(name)),
+            SimpleSelector::Tag(name) => tag = tag.or(Some(name)),
             // Pseudo-classes, attribute selectors, and `*` don't narrow
             // the candidate set; they fall through to a broader bucket.
             _ => {}
         }
     }
     match (class, tag) {
-        (Some(class), _) => BucketKey::Class(class),
-        (None, Some(tag)) => BucketKey::Tag(tag),
-        (None, None) => BucketKey::Universal,
+        (Some(class), _) => (BucketOrigin::Class, Some(class_atom(class))),
+        (None, Some(tag)) => (BucketOrigin::Tag, Some(tag_atom(tag))),
+        (None, None) => (BucketOrigin::Universal, None),
     }
 }
 
@@ -108,64 +106,40 @@ impl RuleIndex {
         let mut index = RuleIndex::default();
         for (rule_idx, rule) in sheet.rules().iter().enumerate() {
             for (sel_idx, selector) in rule.selectors().iter().enumerate() {
-                let key = bucket_key(selector);
+                let (origin, key) = bucket_key(selector);
                 let candidate = Candidate {
                     rule: rule_idx,
                     selector: sel_idx,
-                    origin: match key {
-                        BucketKey::Id(_) => BucketOrigin::Id,
-                        BucketKey::Class(_) => BucketOrigin::Class,
-                        BucketKey::Tag(_) => BucketOrigin::Tag,
-                        BucketKey::Universal => BucketOrigin::Universal,
-                    },
+                    origin,
                     specificity: selector.specificity(),
                     ancestor_atoms: ancestor_atoms(selector),
                 };
                 match key {
-                    BucketKey::Id(id) => {
-                        index
-                            .by_id
-                            .entry(id.to_string())
-                            .or_default()
-                            .push(candidate);
-                    }
-                    BucketKey::Class(class) => index
-                        .by_class
-                        .entry(class.to_string())
-                        .or_default()
-                        .push(candidate),
-                    BucketKey::Tag(tag) => {
-                        index
-                            .by_tag
-                            .entry(tag.to_string())
-                            .or_default()
-                            .push(candidate);
-                    }
-                    BucketKey::Universal => index.universal.push(candidate),
+                    Some(atom) => index.by_atom.entry(atom).or_default().push(candidate),
+                    None => index.universal.push(candidate),
                 }
             }
         }
         index
     }
 
-    /// Appends every candidate `element` could possibly match to `out`.
+    /// Every candidate `element` could possibly match: its id bucket, one
+    /// bucket per class, its tag bucket, then the universal spill-over.
     /// The exact matching an element skips — everything in buckets it
     /// cannot hit — is the bucketing win.
-    pub fn candidates<'a>(&'a self, element: &ElementData, out: &mut Vec<&'a Candidate>) {
-        if let Some(id) = element.id() {
-            if let Some(bucket) = self.by_id.get(id) {
-                out.extend(bucket);
-            }
-        }
-        for class in element.classes() {
-            if let Some(bucket) = self.by_class.get(class) {
-                out.extend(bucket);
-            }
-        }
-        if let Some(bucket) = self.by_tag.get(element.tag()) {
-            out.extend(bucket);
-        }
-        out.extend(&self.universal);
+    pub fn candidates<'a>(
+        &'a self,
+        element: &'a ElementData,
+    ) -> impl Iterator<Item = &'a Candidate> + 'a {
+        // `style_atoms()` is `[tag, id?, classes…]`, so its tail is the
+        // id and class keys in that order; the tag comes after them.
+        let atoms = element.style_atoms();
+        atoms[1..]
+            .iter()
+            .chain(&atoms[..1])
+            .filter_map(|atom| self.by_atom.get(atom))
+            .flatten()
+            .chain(&self.universal)
     }
 }
 
@@ -179,9 +153,10 @@ mod tests {
     }
 
     fn candidates_for(index: &RuleIndex, element: &ElementData) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        index.candidates(element, &mut out);
-        out.iter().map(|c| (c.rule, c.selector)).collect()
+        index
+            .candidates(element)
+            .map(|c| (c.rule, c.selector))
+            .collect()
     }
 
     #[test]
@@ -222,8 +197,7 @@ mod tests {
         let sheet = parse_stylesheet(".wrap section > p { width: 1px; }").unwrap();
         let idx = RuleIndex::build(&sheet);
         let p = ElementData::new("p");
-        let mut out = Vec::new();
-        idx.candidates(&p, &mut out);
+        let out: Vec<&Candidate> = idx.candidates(&p).collect();
         assert_eq!(out.len(), 1);
         assert_eq!(
             out[0].ancestor_atoms,

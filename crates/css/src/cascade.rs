@@ -1,20 +1,27 @@
 //! The cascade: computing an element's style from stylesheet rules,
 //! specificity, source order, `!important`, inline style, and inheritance.
 //!
-//! Two resolvers share one cascade builder:
+//! One production resolver, and one reference that shares none of its
+//! matching or layering:
 //!
-//! * the **bucketed** resolver (the default) consults the
-//!   `bucket` rule index and the [`crate::bloom`] ancestor
-//!   filter, so each element runs the exact [`Selector::matches`] walk
-//!   only against the handful of candidates it could possibly hit;
-//! * the **naive** resolver ([`StyleEngine::compute_style_naive`])
-//!   scans every selector of every rule — retained as the semantic
-//!   reference the differential property tests compare against.
+//! * the **first-wins** resolver ([`StyleEngine::compute_style`],
+//!   [`StyleEngine::compute_style_both`], [`StyleEngine::compute_all`])
+//!   pulls candidates from the `bucket` rule index by the element's
+//!   cached style atoms, rejects impossible ancestor chains with the
+//!   [`crate::bloom`] filter, runs the exact [`Selector::matches`] walk on
+//!   the rest and sorts the hits into cascade order once. It then walks
+//!   the layers from the highest precedence down and keeps the first
+//!   value seen per property: one clone per surviving property and one
+//!   sort by name;
+//! * the **naive** resolver ([`StyleEngine::compute_style_naive`]) scans
+//!   every selector of every rule and layers forward from the lowest
+//!   precedence, later winning — retained as the semantic reference the
+//!   differential property tests compare against, so they check both
+//!   matching and the cascade.
 //!
-//! Both produce the same matched-rule set, feed it through the same
-//! sort-and-apply code, and are counted by deterministic
-//! [`StyleStats`], so "how much work bucketing skipped" is a CI-checkable
-//! number rather than a wall-clock claim.
+//! Both are counted by deterministic [`StyleStats`], so "how much work
+//! bucketing skipped" is a CI-checkable number rather than a wall-clock
+//! claim.
 
 use crate::bloom::ancestor_filter;
 use crate::bucket::{BucketOrigin, RuleIndex};
@@ -28,7 +35,8 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 
-/// Properties that inherit from the parent element when unset.
+/// Properties that inherit from the parent element when unset, sorted
+/// by name: the first-wins walk binary-searches them.
 const INHERITED_PROPERTIES: &[&str] = &[
     "color",
     "font-family",
@@ -181,8 +189,29 @@ pub struct StyleStats {
     pub cache_misses: u64,
 }
 
-/// One element's cascade from [`StyleEngine::cascade`]: the layers both
-/// views share already applied, the rest held for the view builders.
+/// One view under construction in the first-wins cascade: layers are
+/// offered from the highest precedence down, so the first value offered
+/// for a property is its cascaded value and every later one is ignored.
+#[derive(Default)]
+struct FirstWins(Vec<(PropertyId, CssValue)>);
+
+impl FirstWins {
+    fn offer(&mut self, property: PropertyId, value: &CssValue) {
+        if self.0.iter().all(|&(set, _)| set != property) {
+            self.0.push((property, value.clone()));
+        }
+    }
+
+    fn finish(mut self) -> ComputedStyle {
+        // Properties are unique, so an unstable sort is deterministic.
+        self.0.sort_unstable_by_key(|&(property, _)| property);
+        ComputedStyle { properties: self.0 }
+    }
+}
+
+/// One element's forward cascade from [`StyleEngine::forward_cascade`],
+/// the naive reference's layering: the layers both views share already
+/// applied, the rest held for the view builders.
 struct Cascade<'a> {
     stylesheet: &'a Stylesheet,
     /// Matched rules as `(specificity, rule index)`, ascending.
@@ -209,15 +238,11 @@ impl Cascade<'_> {
         base
     }
 
-    /// Both views, `(with inline, without inline)`. The without-inline
-    /// view is a clone of the shared layers plus stylesheet-`!important`.
-    fn both(self) -> (ComputedStyle, ComputedStyle) {
-        let mut without_inline = self.base.clone();
-        apply(
-            &mut without_inline,
-            layer(self.stylesheet, &self.rules, true),
-        );
-        (self.with_inline(), without_inline)
+    /// The without-inline view: the shared layers plus
+    /// stylesheet-`!important`.
+    fn without_inline(mut self) -> ComputedStyle {
+        apply(&mut self.base, layer(self.stylesheet, &self.rules, true));
+        self.base
     }
 }
 
@@ -237,14 +262,17 @@ fn layer<'a>(
 /// Sets every declaration of `decls` on `style`, in order: later wins.
 fn apply<'a>(style: &mut ComputedStyle, decls: impl IntoIterator<Item = &'a Declaration>) {
     for decl in decls {
-        style.set(&decl.property, decl.value.clone());
+        style.set(decl.property.as_str(), decl.value.clone());
     }
 }
 
-/// A matched rule set: `(rule index, best specificity)` pairs in
-/// ascending rule order. "Best" is the max specificity over the rule's
-/// matching selectors, exactly as the naive scan computes it.
-type Matched = Vec<(usize, Specificity)>;
+/// The inline `style` declarations of `node`, in source order.
+fn inline_declarations(doc: &Document, node: NodeId) -> Vec<Declaration> {
+    doc.element(node)
+        .and_then(|el| el.attribute("style"))
+        .map(|style| parse_declarations_str(style).unwrap_or_default())
+        .unwrap_or_default()
+}
 
 /// A style resolver bound to one stylesheet.
 ///
@@ -256,7 +284,8 @@ type Matched = Vec<(usize, Specificity)>;
 /// The resolver lazily builds a `bucket` rule index the first
 /// time it matches, and rebuilds it when the stylesheet generation
 /// changes ([`StyleEngine::stylesheet_mut`] bumps it). Interior
-/// mutability (the index cell and the stats counters) keeps resolution
+/// mutability (the index cell, the match buffer and the stats counters)
+/// keeps resolution
 /// usable through `&self`; the engine owns one resolver per simulated
 /// browser, so the type is deliberately not `Sync`.
 #[derive(Debug, Clone)]
@@ -265,6 +294,9 @@ pub struct StyleEngine {
     generation: u64,
     index: RefCell<Option<(u64, RuleIndex)>>,
     stats: Cell<StyleStats>,
+    /// The match buffer every resolve reuses, so matching allocates
+    /// nothing once it has grown.
+    matched: RefCell<Vec<(Specificity, usize)>>,
 }
 
 impl StyleEngine {
@@ -275,6 +307,7 @@ impl StyleEngine {
             generation: 0,
             index: RefCell::new(None),
             stats: Cell::new(StyleStats::default()),
+            matched: RefCell::default(),
         }
     }
 
@@ -321,63 +354,59 @@ impl StyleEngine {
         f(&slot.as_ref().expect("index just built").1)
     }
 
-    /// The rules matching `node` as `(rule index, best specificity)`
-    /// pairs in ascending rule order — the bucketed *match* phase in
-    /// isolation, exposed so benchmarks can time it apart from the
-    /// cascade phase.
-    pub fn match_rules(&self, doc: &Document, node: NodeId) -> Vec<(usize, Specificity)> {
-        let mut stats = self.stats.get();
-        stats.resolves += 1;
-        let Some(element) = doc.element(node) else {
-            self.stats.set(stats);
-            return Vec::new();
-        };
-        let filter = ancestor_filter(doc, node);
-        let mut matched: Matched = self.with_index(|index| {
-            let mut candidates = Vec::new();
-            index.candidates(element, &mut candidates);
-            let mut matched: Matched = Vec::new();
-            for candidate in candidates {
-                if !candidate.ancestor_atoms.is_empty()
-                    && !filter.may_contain_all(&candidate.ancestor_atoms)
-                {
-                    stats.bloom_rejects += 1;
-                    continue;
-                }
-                stats.matches += 1;
-                match candidate.origin {
-                    BucketOrigin::Id => stats.matches_id += 1,
-                    BucketOrigin::Class => stats.matches_class += 1,
-                    BucketOrigin::Tag => stats.matches_tag += 1,
-                    BucketOrigin::Universal => stats.matches_universal += 1,
-                }
-                let selector =
-                    &self.stylesheet.rules()[candidate.rule].selectors()[candidate.selector];
-                if selector.matches(doc, node) {
-                    matched.push((candidate.rule, candidate.specificity));
-                }
-            }
-            matched
-        });
-        self.stats.set(stats);
-        // Multiple selectors of one rule may match; keep the best
-        // specificity per rule, in rule order, like the naive scan.
-        matched.sort_unstable();
-        matched.dedup_by(|later, kept| {
-            if later.0 == kept.0 {
-                kept.1 = kept.1.max(later.1);
-                true
-            } else {
-                false
-            }
-        });
+    /// The rules matching `node` as `(specificity, rule index)` pairs in
+    /// ascending order — cascade order, the order the first-wins walk
+    /// reads backwards. A rule matched through several selectors appears
+    /// once per matching selector; walked in reverse, its first hit is
+    /// its highest specificity, and first-wins makes the later hits
+    /// no-ops, so it applies once.
+    pub fn match_rules(&self, doc: &Document, node: NodeId) -> Vec<(Specificity, usize)> {
+        let mut matched = Vec::new();
+        self.match_into(doc, node, &mut matched);
         matched
     }
 
-    fn match_rules_naive(&self, doc: &Document, node: NodeId) -> Matched {
+    /// [`StyleEngine::match_rules`] into a caller-owned buffer, cleared
+    /// first, so a resolve can reuse one buffer for every match.
+    fn match_into(&self, doc: &Document, node: NodeId, matched: &mut Vec<(Specificity, usize)>) {
+        matched.clear();
+        let mut stats = self.stats.get();
+        stats.resolves += 1;
+        if let Some(element) = doc.element(node) {
+            let filter = ancestor_filter(doc, node);
+            self.with_index(|index| {
+                for candidate in index.candidates(element) {
+                    if !candidate.ancestor_atoms.is_empty()
+                        && !filter.may_contain_all(&candidate.ancestor_atoms)
+                    {
+                        stats.bloom_rejects += 1;
+                        continue;
+                    }
+                    stats.matches += 1;
+                    match candidate.origin {
+                        BucketOrigin::Id => stats.matches_id += 1,
+                        BucketOrigin::Class => stats.matches_class += 1,
+                        BucketOrigin::Tag => stats.matches_tag += 1,
+                        BucketOrigin::Universal => stats.matches_universal += 1,
+                    }
+                    let selector =
+                        &self.stylesheet.rules()[candidate.rule].selectors()[candidate.selector];
+                    if selector.matches(doc, node) {
+                        matched.push((candidate.specificity, candidate.rule));
+                    }
+                }
+            });
+        }
+        self.stats.set(stats);
+        matched.sort_unstable();
+    }
+
+    /// The naive match: every selector of every rule, as `(rule index,
+    /// best specificity)` pairs in ascending rule order.
+    fn match_rules_naive(&self, doc: &Document, node: NodeId) -> Vec<(usize, Specificity)> {
         let mut stats = self.stats.get();
         stats.naive_resolves += 1;
-        let mut matched: Matched = Vec::new();
+        let mut matched = Vec::new();
         for (order, rule) in self.stylesheet.rules().iter().enumerate() {
             stats.naive_matches += rule.selectors().len() as u64;
             let best = rule
@@ -394,43 +423,26 @@ impl StyleEngine {
         matched
     }
 
-    /// Applies an already-matched rule set to `node` — the *cascade*
-    /// phase in isolation (sort by specificity/order, then inheritance,
-    /// stylesheet, inline, `!important` layers). Exposed for benchmarks;
-    /// [`StyleEngine::compute_style`] is the fused path.
-    pub fn cascade_matched(
+    /// The naive reference's cascade: sorts the naively matched rules
+    /// into cascade order, parses the inline `style` attribute, and
+    /// layers forward from the lowest precedence — inheritance from
+    /// `parent_style`, then stylesheet-normal declarations, which both
+    /// views share; [`Cascade::with_inline`] and
+    /// [`Cascade::without_inline`] add the rest, later winning.
+    fn forward_cascade(
         &self,
         doc: &Document,
         node: NodeId,
-        matched: &[(usize, Specificity)],
-        parent_style: Option<&ComputedStyle>,
-    ) -> ComputedStyle {
-        self.cascade(doc, node, matched, parent_style).with_inline()
-    }
-
-    /// The one cascade builder behind every resolver: sorts the matched
-    /// rules into cascade order, parses the inline `style` attribute,
-    /// and applies the two lowest layers — inheritance from
-    /// `parent_style`, then stylesheet-normal declarations — which both
-    /// views share. [`Cascade::with_inline`] and [`Cascade::both`] add
-    /// the rest.
-    fn cascade(
-        &self,
-        doc: &Document,
-        node: NodeId,
-        matched: &[(usize, Specificity)],
         parent_style: Option<&ComputedStyle>,
     ) -> Cascade<'_> {
         // Ascending (specificity, source order): later wins on apply.
         // Declarations within one rule keep their source order.
-        let mut rules: Vec<(Specificity, usize)> =
-            matched.iter().map(|&(order, spec)| (spec, order)).collect();
+        let mut rules: Vec<(Specificity, usize)> = self
+            .match_rules_naive(doc, node)
+            .into_iter()
+            .map(|(order, spec)| (spec, order))
+            .collect();
         rules.sort_unstable();
-        let inline = doc
-            .element(node)
-            .and_then(|el| el.attribute("style"))
-            .map(|style| parse_declarations_str(style).unwrap_or_default())
-            .unwrap_or_default();
         let mut base = ComputedStyle::new();
         if let Some(parent) = parent_style {
             for &prop in INHERITED_PROPERTIES {
@@ -443,21 +455,81 @@ impl StyleEngine {
         Cascade {
             stylesheet: &self.stylesheet,
             rules,
-            inline,
+            inline: inline_declarations(doc, node),
             base,
         }
     }
 
+    /// The production cascade: one bucketed match, then one walk over
+    /// the layers from the highest precedence down, keeping the first
+    /// value seen per property —
+    ///
+    /// 1. inline `!important`, 2. stylesheet `!important`, 3. inline
+    ///    normal, 4. stylesheet normal, 5. values inherited from
+    ///    `parent_style`,
+    ///
+    /// each in reverse cascade order. View 0 takes every layer; any
+    /// further view skips the two inline layers. Every view is built from
+    /// the same walk.
+    fn first_wins<const N: usize>(
+        &self,
+        doc: &Document,
+        node: NodeId,
+        parent_style: Option<&ComputedStyle>,
+    ) -> [ComputedStyle; N] {
+        let mut matched = self.matched.take();
+        self.match_into(doc, node, &mut matched);
+        let inline = inline_declarations(doc, node);
+        let mut views: [FirstWins; N] = std::array::from_fn(|_| FirstWins::default());
+        let sheet = |important: bool| {
+            matched
+                .iter()
+                .rev()
+                .flat_map(|&(_, rule)| self.stylesheet.rules()[rule].declarations().iter().rev())
+                .filter(move |decl| decl.important == important)
+        };
+        let inline_layer = |important: bool| {
+            inline
+                .iter()
+                .rev()
+                .filter(move |d| d.important == important)
+        };
+        for important in [true, false] {
+            for decl in inline_layer(important) {
+                views[0].offer(decl.property, &decl.value);
+            }
+            for decl in sheet(important) {
+                for view in &mut views {
+                    view.offer(decl.property, &decl.value);
+                }
+            }
+        }
+        if let Some(parent) = parent_style {
+            for (property, value) in &parent.properties {
+                if INHERITED_PROPERTIES
+                    .binary_search(&property.as_str())
+                    .is_ok()
+                {
+                    for view in &mut views {
+                        view.offer(*property, value);
+                    }
+                }
+            }
+        }
+        self.matched.replace(matched);
+        views.map(FirstWins::finish)
+    }
+
     /// Resolves the computed style of `node`, including inheritance from
-    /// `parent_style` (pass `None` at the root). Bucketed fast path.
+    /// `parent_style` (pass `None` at the root).
     pub fn compute_style(
         &self,
         doc: &Document,
         node: NodeId,
         parent_style: Option<&ComputedStyle>,
     ) -> ComputedStyle {
-        let matched = self.match_rules(doc, node);
-        self.cascade_matched(doc, node, &matched, parent_style)
+        let [style] = self.first_wins(doc, node, parent_style);
+        style
     }
 
     /// Like [`StyleEngine::compute_style`], but ignoring the element's
@@ -475,33 +547,33 @@ impl StyleEngine {
     }
 
     /// Resolves both views of `node` — `(with inline, without inline)` —
-    /// from a *single* matching pass and a single shared cascade layer.
-    /// The two views cannot be derived from each other (inline-normal
-    /// must not override stylesheet-`!important`), but they share the
-    /// matched rule set and everything below the inline layer, so
-    /// transition arming pays for matching and the base cascade once.
+    /// from a *single* match and a single first-wins walk. The two views
+    /// cannot be derived from each other (inline-normal must not override
+    /// stylesheet-`!important`), but the without-inline view is the same
+    /// walk with the two inline layers skipped, so transition arming pays
+    /// for matching and the walk once.
     pub fn compute_style_both(
         &self,
         doc: &Document,
         node: NodeId,
         parent_style: Option<&ComputedStyle>,
     ) -> (ComputedStyle, ComputedStyle) {
-        let matched = self.match_rules(doc, node);
-        self.cascade(doc, node, &matched, parent_style).both()
+        let [with_inline, without_inline] = self.first_wins(doc, node, parent_style);
+        (with_inline, without_inline)
     }
 
     /// The naive full-scan resolver: every selector of every rule runs
-    /// the exact match walk. The reference implementation for *matching*
-    /// — it shares the cascade builder — which the differential property
-    /// suite compares the bucketed path against property-for-property.
+    /// the exact match walk, and the layers apply forward from the
+    /// lowest precedence, later winning. The reference implementation for
+    /// both matching and the cascade, which the differential property
+    /// suite compares the production path against property-for-property.
     pub fn compute_style_naive(
         &self,
         doc: &Document,
         node: NodeId,
         parent_style: Option<&ComputedStyle>,
     ) -> ComputedStyle {
-        let matched = self.match_rules_naive(doc, node);
-        self.cascade_matched(doc, node, &matched, parent_style)
+        self.forward_cascade(doc, node, parent_style).with_inline()
     }
 
     /// Naive counterpart of [`StyleEngine::compute_style_without_inline`].
@@ -511,12 +583,11 @@ impl StyleEngine {
         node: NodeId,
         parent_style: Option<&ComputedStyle>,
     ) -> ComputedStyle {
-        let matched = self.match_rules_naive(doc, node);
-        self.cascade(doc, node, &matched, parent_style).both().1
+        self.forward_cascade(doc, node, parent_style)
+            .without_inline()
     }
 
-    /// Resolves computed styles for the whole tree in document order
-    /// (bucketed).
+    /// Resolves computed styles for the whole tree in document order.
     pub fn compute_all(&self, doc: &Document) -> HashMap<NodeId, ComputedStyle> {
         self.compute_all_with(doc, |node, parent| self.compute_style(doc, node, parent))
     }
@@ -535,13 +606,11 @@ impl StyleEngine {
         mut resolve: impl FnMut(NodeId, Option<&ComputedStyle>) -> ComputedStyle,
     ) -> HashMap<NodeId, ComputedStyle> {
         let mut styles: HashMap<NodeId, ComputedStyle> = HashMap::new();
-        let order: Vec<NodeId> = doc.descendants(doc.root()).collect();
-        for node in order {
+        for node in doc.descendants(doc.root()) {
             if doc.element(node).is_none() {
                 continue;
             }
-            let parent_style = doc.parent(node).and_then(|p| styles.get(&p)).cloned();
-            let style = resolve(node, parent_style.as_ref());
+            let style = resolve(node, doc.parent(node).and_then(|p| styles.get(&p)));
             styles.insert(node, style);
         }
         styles
@@ -867,5 +936,98 @@ mod tests {
             Some(&CssValue::Length(Length::px(7.0))),
             "stale rule index survived a stylesheet mutation"
         );
+    }
+
+    fn px(v: f64) -> CssValue {
+        CssValue::Length(Length::px(v))
+    }
+
+    fn pairs(style: &ComputedStyle) -> Vec<(&str, CssValue)> {
+        style.iter().map(|(p, v)| (p, v.clone())).collect()
+    }
+
+    #[test]
+    fn a_rule_matched_twice_applies_once_at_its_highest_specificity() {
+        let doc = parse_html("<p id='x' class='c'>t</p>").unwrap();
+        let p = doc.element_by_id("x").unwrap();
+        let eng = engine("#x, p { width: 1px; } .c { width: 2px; height: 2px; }");
+        // Both hits of rule 0 stay in the match list, in cascade order.
+        assert_eq!(
+            eng.match_rules(&doc, p),
+            vec![
+                (Specificity::new(0, 0, 1), 0),
+                (Specificity::new(0, 1, 0), 1),
+                (Specificity::new(1, 0, 0), 0),
+            ]
+        );
+        // At `#x` it beats `.c`; at `p` it would lose to it.
+        let style = eng.compute_style(&doc, p, None);
+        assert_eq!(pairs(&style), vec![("height", px(2.0)), ("width", px(1.0))]);
+        assert_eq!(style, eng.compute_style_naive(&doc, p, None));
+    }
+
+    #[test]
+    fn a_property_repeated_within_one_rule_keeps_its_later_value() {
+        let doc = parse_html("<p id='x' style='height: 3px; height: 4px'>t</p>").unwrap();
+        let p = doc.element_by_id("x").unwrap();
+        let eng =
+            engine("p { width: 1px; width: 2px; margin: 1px !important; margin: 2px !important; }");
+        let (with_inline, without_inline) = eng.compute_style_both(&doc, p, None);
+        assert_eq!(
+            pairs(&with_inline),
+            vec![("height", px(4.0)), ("margin", px(2.0)), ("width", px(2.0))]
+        );
+        assert_eq!(
+            pairs(&without_inline),
+            vec![("margin", px(2.0)), ("width", px(2.0))]
+        );
+    }
+
+    #[test]
+    fn important_and_inline_layers_rank_in_both_views() {
+        let doc = parse_html(
+            "<p id='x' style='width: 9px !important; height: 8px; margin: 7px !important'>t</p>",
+        )
+        .unwrap();
+        let p = doc.element_by_id("x").unwrap();
+        let eng = engine("#x { width: 1px !important; height: 2px !important; margin: 3px; }");
+        let (with_inline, without_inline) = eng.compute_style_both(&doc, p, None);
+        // Inline-!important beats stylesheet-!important (width) and
+        // stylesheet-normal (margin); stylesheet-!important beats
+        // inline-normal (height).
+        assert_eq!(
+            pairs(&with_inline),
+            vec![("height", px(2.0)), ("margin", px(7.0)), ("width", px(9.0))]
+        );
+        assert_eq!(
+            pairs(&without_inline),
+            vec![("height", px(2.0)), ("margin", px(3.0)), ("width", px(1.0))]
+        );
+    }
+
+    #[test]
+    fn inherited_values_yield_to_any_matched_declaration() {
+        let doc = parse_html(
+            "<div id='a'><p id='b'>t</p><span id='c' style='color: green'>u</span></div>",
+        )
+        .unwrap();
+        let eng = engine("#a { color: red; font-size: 12px; width: 5px; } * { font-size: 3px; }");
+        let styles = eng.compute_all(&doc);
+        let red = CssValue::Keyword("red".into());
+        let green = CssValue::Keyword("green".into());
+        // The universal rule's font-size beats the inherited 12px, though
+        // it has the lowest specificity; color survives from the parent.
+        let b = doc.element_by_id("b").unwrap();
+        assert_eq!(
+            pairs(&styles[&b]),
+            vec![("color", red), ("font-size", px(3.0))]
+        );
+        // An inline-normal declaration overrides inheritance too.
+        let c = doc.element_by_id("c").unwrap();
+        assert_eq!(
+            pairs(&styles[&c]),
+            vec![("color", green), ("font-size", px(3.0))]
+        );
+        assert_eq!(styles, eng.compute_all_naive(&doc));
     }
 }

@@ -12,7 +12,7 @@
 //! ```
 
 use crate::tokenizer::{tokenize, Token};
-use greenweb_dom::{Document, NodeId};
+use greenweb_dom::{class_atom, Document, NodeId};
 use std::fmt;
 
 /// One simple selector within a compound.
@@ -84,7 +84,11 @@ impl CompoundSelector {
             SimpleSelector::Universal => true,
             SimpleSelector::Tag(tag) => element.tag() == tag,
             SimpleSelector::Id(id) => element.id() == Some(id.as_str()),
-            SimpleSelector::Class(class) => element.has_class(class),
+            // Both the cached atoms and `has_class` come from the class
+            // list, so an absent atom is a sound, string-free reject.
+            SimpleSelector::Class(class) => {
+                element.style_atoms().contains(&class_atom(class)) && element.has_class(class)
+            }
             SimpleSelector::PseudoClass(_) => true,
             SimpleSelector::Attribute { name, value } => match value {
                 None => element.attribute(name).is_some(),

@@ -1,5 +1,6 @@
 //! Stylesheet parsing: rules, declarations, and `@keyframes`.
 
+use crate::intern::PropertyId;
 use crate::selector::{parse_selector_list, Selector};
 use crate::tokenizer::{tokenize_lossy, Token};
 use crate::value::CssValue;
@@ -8,8 +9,8 @@ use std::fmt;
 /// A single `property: value` declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Declaration {
-    /// Property name, lowercase.
-    pub property: String,
+    /// The interned property name, lowercase.
+    pub property: PropertyId,
     /// Parsed value.
     pub value: CssValue,
     /// Whether the declaration carried `!important`.
@@ -18,12 +19,22 @@ pub struct Declaration {
 
 impl Declaration {
     /// Creates a declaration without `!important`.
-    pub fn new(property: impl Into<String>, value: CssValue) -> Self {
+    pub fn new(property: &str, value: CssValue) -> Self {
         Declaration {
-            property: property.into().to_ascii_lowercase(),
+            property: intern_lowercase(property),
             value,
             important: false,
         }
+    }
+}
+
+/// Interns `name` lowercased, copying it only when it has an uppercase
+/// letter.
+fn intern_lowercase(name: &str) -> PropertyId {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        PropertyId::intern(&name.to_ascii_lowercase())
+    } else {
+        PropertyId::intern(name)
     }
 }
 
@@ -115,7 +126,7 @@ impl KeyframesRule {
                 frame
                     .declarations
                     .iter()
-                    .find(|d| d.property == property)
+                    .find(|d| d.property.as_str() == property)
                     .map(|d| (&frame.offset, &d.value))
             })
             .collect();
@@ -369,7 +380,7 @@ fn parse_declarations(tokens: &[Token], errors: &mut Vec<CssError>) -> Vec<Decla
             continue;
         };
         let property = match trim_ws(&chunk[..colon]) {
-            [Token::Ident(name)] => name.to_ascii_lowercase(),
+            [Token::Ident(name)] => intern_lowercase(name),
             _ => {
                 errors.push(CssError::new("invalid property name"));
                 continue;
@@ -484,7 +495,7 @@ mod tests {
         assert_eq!(sheet.rules().len(), 1);
         let rule = &sheet.rules()[0];
         assert_eq!(rule.declarations().len(), 1);
-        assert_eq!(rule.declarations()[0].property, "font-weight");
+        assert_eq!(rule.declarations()[0].property.as_str(), "font-weight");
         assert_eq!(
             rule.declarations()[0].value,
             CssValue::Keyword("bold".into())
@@ -502,7 +513,10 @@ mod tests {
         assert_eq!(sheet.rules().len(), 2);
         let qos: Vec<_> = sheet.qos_rules().collect();
         assert_eq!(qos.len(), 1);
-        assert_eq!(qos[0].declarations()[0].property, "ontouchstart-qos");
+        assert_eq!(
+            qos[0].declarations()[0].property.as_str(),
+            "ontouchstart-qos"
+        );
         assert_eq!(
             qos[0].declarations()[0].value,
             CssValue::Keyword("continuous".into())
@@ -611,7 +625,7 @@ mod tests {
         assert_eq!(sheet.rules().len(), 1);
         let decls = sheet.rules()[0].declarations();
         assert_eq!(decls.len(), 1);
-        assert_eq!(decls[0].property, "height");
+        assert_eq!(decls[0].property.as_str(), "height");
         assert_eq!(errors.len(), 2);
     }
 
@@ -622,7 +636,10 @@ mod tests {
         let css = "£bad&sel { color: red; } h1 { margin: 0; }";
         let (sheet, errors) = parse_stylesheet_with_errors(css);
         assert_eq!(sheet.rules().len(), 1);
-        assert_eq!(sheet.rules()[0].declarations()[0].property, "margin");
+        assert_eq!(
+            sheet.rules()[0].declarations()[0].property.as_str(),
+            "margin"
+        );
         assert!(!errors.is_empty());
     }
 
@@ -645,7 +662,10 @@ mod tests {
         assert_eq!(sheet.rules().len(), 2);
         let qos: Vec<_> = sheet.qos_rules().collect();
         assert_eq!(qos.len(), 1);
-        assert_eq!(qos[0].declarations()[0].property, "ontouchmove-qos");
+        assert_eq!(
+            qos[0].declarations()[0].property.as_str(),
+            "ontouchmove-qos"
+        );
         assert_eq!(
             qos[0].declarations()[0].value,
             CssValue::Keyword("continuous".into())

@@ -113,7 +113,7 @@ fn structured_stylesheets_parse_fully() {
         assert_eq!(sheet.rules().len(), rules.len());
         for (rule, (_, prop, _)) in sheet.rules().iter().zip(&rules) {
             assert_eq!(rule.declarations().len(), 1);
-            assert_eq!(&rule.declarations()[0].property, prop);
+            assert_eq!(rule.declarations()[0].property.as_str(), *prop);
         }
     });
 }

@@ -233,22 +233,17 @@ impl<'a> Parser<'a> {
     fn parse_raw_text(&mut self, element: NodeId, tag: &str) -> Result<(), HtmlError> {
         let close = format!("</{tag}");
         let rest = &self.input[self.pos..];
-        let end = rest
-            .char_indices()
-            .position(|(i, _)| rest[i..].to_ascii_lowercase().starts_with(&close));
-        // `position` above is O(n²) in the worst case but raw-text bodies in
-        // the workloads are small; find a cheaper candidate first.
-        let end = match end {
-            Some(_) => rest
-                .to_ascii_lowercase()
-                .find(&close)
-                .expect("candidate exists"),
-            None => {
-                return Err(HtmlError::new(
-                    format!("unterminated <{tag}> element"),
-                    self.pos,
-                ))
-            }
+        // The first `<` that opens `</tag`, ASCII-case-insensitively.
+        let end = rest.match_indices('<').map(|(i, _)| i).find(|&i| {
+            rest.as_bytes()[i..]
+                .get(..close.len())
+                .is_some_and(|head| head.eq_ignore_ascii_case(close.as_bytes()))
+        });
+        let Some(end) = end else {
+            return Err(HtmlError::new(
+                format!("unterminated <{tag}> element"),
+                self.pos,
+            ));
         };
         let text = &rest[..end];
         if !text.is_empty() {
@@ -411,6 +406,33 @@ mod tests {
         let doc = parse_html("<script>if (a < b) { f(); }</script>").unwrap();
         let script = doc.elements_by_tag("script")[0];
         assert_eq!(doc.text_content(script), "if (a < b) { f(); }");
+    }
+
+    /// The raw text of the only `<script>` in `html`, checking it is one
+    /// text node.
+    fn script_text(html: &str) -> String {
+        let doc = parse_html(html).unwrap();
+        let script = doc.elements_by_tag("script")[0];
+        assert_eq!(doc.children(script).count(), 1);
+        doc.text_content(script)
+    }
+
+    #[test]
+    fn large_script_body_scans_in_linear_time() {
+        // 256 KiB of `<` that never opens `</script`: a scan that
+        // lowercases the rest of the input per character copies ~34 GB.
+        let body = "a<b;".repeat(64 * 1024);
+        let html = format!("<script>{body}</script><p>after</p>");
+        assert_eq!(script_text(&html), body);
+        let doc = parse_html(&html).unwrap();
+        assert_eq!(doc.elements_by_tag("p").len(), 1);
+        assert!(parse_html(&format!("<script>{body}")).is_err());
+    }
+
+    #[test]
+    fn script_end_tag_matches_any_case_and_skips_to_gt() {
+        assert_eq!(script_text("<script>f(a<b)</SCRIPT ><p>x</p>"), "f(a<b)");
+        assert_eq!(script_text("<script>f(a<b)</Script><p>x</p>"), "f(a<b)");
     }
 
     #[test]

@@ -157,9 +157,10 @@ impl ElementData {
     }
 
     /// The style atoms this element contributes to descendants' ancestor
-    /// Bloom filters: its tag atom, its id atom (if any), and one atom
-    /// per class. See [`tag_atom`]. Cached on the element and refreshed
-    /// when `id` or `class` is written, so reading them hashes nothing.
+    /// Bloom filters, in this order: its tag atom, its id atom (if any),
+    /// and one atom per class. See [`tag_atom`]. Cached on the element and
+    /// refreshed when `id` or `class` is written, so reading them hashes
+    /// nothing.
     pub fn style_atoms(&self) -> &[u64] {
         &self.atoms
     }

@@ -29,7 +29,7 @@ use greenweb_css::animation::{AnimationSpec, AnimationState};
 use greenweb_css::stylesheet::parse_stylesheet;
 use greenweb_css::transition::{TransitionSpec, TransitionState};
 use greenweb_css::value::{CssValue, Length};
-use greenweb_css::{ComputedStyle, StyleEngine, StyleStats};
+use greenweb_css::{ComputedStyle, PropertyId, StyleEngine, StyleStats};
 use greenweb_dom::{parse_html, Document, Event, EventType, ListenerSet, NodeId};
 use greenweb_script::{
     compile, parse_program, CompiledProgram, HandlerCache, ScriptError, ScriptStats, Value, Vm,
@@ -1148,16 +1148,17 @@ impl<S: Scheduler> Browser<S> {
                 .keyframes_by_name(&a.state.spec.name)
             {
                 // Sample every property the keyframes animate.
-                let mut properties: Vec<String> = keyframes
+                let mut properties: Vec<PropertyId> = keyframes
                     .frames
                     .iter()
-                    .flat_map(|f| f.declarations.iter().map(|d| d.property.clone()))
+                    .flat_map(|f| f.declarations.iter().map(|d| d.property))
                     .collect();
                 properties.sort();
                 properties.dedup();
                 for property in properties {
-                    if let Some(value) = a.state.sample(keyframes, &property, now_ms) {
-                        self.overlay.insert((a.node, property), value);
+                    if let Some(value) = a.state.sample(keyframes, property.as_str(), now_ms) {
+                        self.overlay
+                            .insert((a.node, property.as_str().to_string()), value);
                     }
                 }
             }

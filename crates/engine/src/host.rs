@@ -144,7 +144,7 @@ impl<'a> ScriptHost<'a> {
         decls
             .into_iter()
             .rev()
-            .find(|d| d.property == property)
+            .find(|d| d.property.as_str() == property)
             .map(|d| d.value)
     }
 
@@ -157,7 +157,7 @@ impl<'a> ScriptHost<'a> {
             .unwrap_or("")
             .to_string();
         let mut decls = parse_declarations_str(&existing).unwrap_or_default();
-        decls.retain(|d| d.property != property);
+        decls.retain(|d| d.property.as_str() != property);
         let mut css = String::new();
         for d in &decls {
             css.push_str(&format!("{}: {}; ", d.property, d.value));

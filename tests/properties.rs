@@ -442,12 +442,14 @@ fn gen_stylesheet_source(g: &mut Gen) -> String {
     css
 }
 
-/// The tentpole's correctness contract: on random documents × random
-/// stylesheets, the bucketed + Bloom-filtered resolver agrees with the
-/// naive full scan property-for-property — for the whole tree, and for
-/// both per-node views (with and without inline style). Both resolvers
-/// share one cascade builder, so this checks *matching*; the cascade
-/// layers are pinned by concrete unit tests in `greenweb-css`.
+/// The style system's correctness contract: on random documents × random
+/// stylesheets, the production resolver agrees with the naive reference
+/// property-for-property — for the whole tree, and for both per-node
+/// views (with and without inline style). The two share neither matching
+/// (bucketed + Bloom-filtered vs a full scan) nor layering (a first-wins
+/// walk from the highest precedence down vs forward application, later
+/// winning), so this checks both matching and the cascade: specificity,
+/// source order, `!important`, inline style and inheritance.
 #[test]
 fn bucketed_style_resolver_matches_naive() {
     check(
