@@ -1,10 +1,11 @@
 //! CPU state: energy metering, per-configuration residency (Fig. 11), and
 //! switch accounting (Fig. 12).
 //!
-//! The engine owns the clock; [`Cpu`] integrates power over the intervals
-//! between state changes. Busy/idle and configuration changes must be
-//! preceded by an [`Cpu::advance`] to the current time, which the mutating
-//! methods do internally.
+//! The engine owns the clock; [`Cpu`] charges the intervals between state
+//! changes to one ledger of integer busy and resident time per
+//! configuration, priced when read. Busy/idle and configuration changes
+//! must be preceded by an [`Cpu::advance`] to the current time, which the
+//! mutating methods do internally.
 
 use crate::platform::{CpuConfig, Platform};
 use crate::power::PowerModel;
@@ -47,37 +48,28 @@ impl EnergyBreakdown {
     }
 }
 
-/// A point-in-time reading of the CPU's power state, as tracing
-/// samples it at display rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerSample {
-    /// The configuration at the sample point.
-    pub config: CpuConfig,
-    /// Whether the CPU was executing work.
-    pub busy: bool,
-    /// Instantaneous power draw at the sampled state, in milliwatts.
-    pub power_mw: f64,
-    /// Cumulative ground-truth energy.
-    pub energy: EnergyBreakdown,
-    /// Cumulative energy as the (possibly distorted) sensor reports it.
-    pub metered: EnergyBreakdown,
+/// One configuration's row of the energy ledger.
+#[derive(Debug, Clone)]
+struct Row {
+    config: CpuConfig,
+    active_mw: f64,
+    idle_mw: f64,
+    resident: Duration,
+    busy: Duration,
 }
 
 /// The simulated CPU.
 #[derive(Debug, Clone)]
 pub struct Cpu {
     platform: Platform,
-    power: PowerModel,
-    config: CpuConfig,
+    /// One row per [`Platform::configs`] entry, in that order.
+    rows: Vec<Row>,
+    /// Index of the current configuration's row.
+    current: usize,
     busy: bool,
     last_update: SimTime,
-    energy: EnergyBreakdown,
     metered: EnergyBreakdown,
     sensor_gain: f64,
-    residency: HashMap<CpuConfig, Duration>,
-    busy_residency: HashMap<CpuConfig, Duration>,
-    busy_time: Duration,
-    total_time: Duration,
     dvfs_switches: u64,
     migrations: u64,
 }
@@ -86,30 +78,44 @@ impl Cpu {
     /// Creates a CPU at the platform's peak configuration (how interactive
     /// Android devices come out of input boost), idle, at time zero.
     pub fn new(platform: Platform, power: PowerModel) -> Self {
-        let config = platform.peak();
+        let peak = platform.peak();
+        let rows = platform
+            .configs()
+            .map(|config| Row {
+                config,
+                active_mw: power.active_mw(&platform, config),
+                idle_mw: power.idle_mw(config),
+                resident: Duration::ZERO,
+                busy: Duration::ZERO,
+            })
+            .collect();
         Cpu {
             platform,
-            power,
-            config,
+            rows,
+            current: 0,
             busy: false,
             last_update: SimTime::ZERO,
-            energy: EnergyBreakdown::default(),
             metered: EnergyBreakdown::default(),
             sensor_gain: 1.0,
-            residency: HashMap::new(),
-            busy_residency: HashMap::new(),
-            busy_time: Duration::ZERO,
-            total_time: Duration::ZERO,
             dvfs_switches: 0,
             migrations: 0,
         }
+        .with_config(peak)
     }
 
     /// Overrides the initial configuration.
     pub fn with_config(mut self, config: CpuConfig) -> Self {
-        assert!(self.platform.is_valid(config), "invalid config {config}");
-        self.config = config;
+        self.current = self.row_of(config);
         self
+    }
+
+    /// The ledger row of `config`; panics if the platform has no such
+    /// configuration.
+    fn row_of(&self, config: CpuConfig) -> usize {
+        self.rows
+            .iter()
+            .position(|row| row.config == config)
+            .unwrap_or_else(|| panic!("invalid config {config}"))
     }
 
     /// The platform description.
@@ -117,14 +123,9 @@ impl Cpu {
         &self.platform
     }
 
-    /// The power model.
-    pub fn power_model(&self) -> &PowerModel {
-        &self.power
-    }
-
     /// The current configuration.
     pub fn config(&self) -> CpuConfig {
-        self.config
+        self.rows[self.current].config
     }
 
     /// Whether the CPU is currently executing work.
@@ -134,21 +135,22 @@ impl Cpu {
 
     /// IPC of the current configuration's cluster.
     pub fn current_ipc(&self) -> f64 {
-        self.platform.cluster(self.config.core).ipc
+        self.platform.cluster(self.config().core).ipc
     }
 
     /// Time `work` would take at the current configuration.
     pub fn duration_of(&self, work: &WorkUnit) -> Duration {
-        work.duration_on(self.config, self.current_ipc())
+        work.duration_on(self.config(), self.current_ipc())
     }
 
     /// Remaining work after executing `work` at the current configuration
     /// for `elapsed`.
     pub fn remaining_after(&self, work: &WorkUnit, elapsed: Duration) -> WorkUnit {
-        work.remaining_after(self.config, self.current_ipc(), elapsed)
+        work.remaining_after(self.config(), self.current_ipc(), elapsed)
     }
 
-    /// Integrates power up to `now`.
+    /// Charges the time up to `now` to the current configuration's row,
+    /// and the sensor's reading of it to the metered energy.
     ///
     /// # Panics
     ///
@@ -159,22 +161,14 @@ impl Cpu {
             return;
         }
         let secs = span.as_secs_f64();
+        let row = &mut self.rows[self.current];
+        row.resident += span;
         if self.busy {
-            let mw = self.power.active_mw(&self.platform, self.config);
-            self.energy.active_mj += mw * secs;
-            self.metered.active_mj += mw * secs * self.sensor_gain;
-            self.busy_time += span;
-            *self
-                .busy_residency
-                .entry(self.config)
-                .or_insert(Duration::ZERO) += span;
+            row.busy += span;
+            self.metered.active_mj += row.active_mw * secs * self.sensor_gain;
         } else {
-            let mw = self.power.idle_mw(self.config);
-            self.energy.idle_mj += mw * secs;
-            self.metered.idle_mj += mw * secs * self.sensor_gain;
+            self.metered.idle_mj += row.idle_mw * secs * self.sensor_gain;
         }
-        *self.residency.entry(self.config).or_insert(Duration::ZERO) += span;
-        self.total_time += span;
         self.last_update = now;
     }
 
@@ -193,34 +187,38 @@ impl Cpu {
     ///
     /// Panics if `to` is not a valid configuration of the platform.
     pub fn switch(&mut self, now: SimTime, to: CpuConfig) -> Duration {
-        assert!(self.platform.is_valid(to), "invalid config {to}");
+        let row = self.row_of(to);
         self.advance(now);
-        if to == self.config {
+        if row == self.current {
             return Duration::ZERO;
         }
-        let kind = if to.core != self.config.core {
-            SwitchKind::Migration
+        let from = self.config();
+        if to.core != from.core {
+            self.migrations += 1;
         } else {
-            SwitchKind::Dvfs
-        };
-        match kind {
-            SwitchKind::Dvfs => self.dvfs_switches += 1,
-            SwitchKind::Migration => self.migrations += 1,
+            self.dvfs_switches += 1;
         }
-        let cost = self.platform.switch_cost(self.config, to);
-        self.config = to;
-        cost
+        self.current = row;
+        self.platform.switch_cost(from, to)
     }
 
-    /// Accumulated energy (ground truth, as dissipated by the model).
+    /// Accumulated energy (ground truth, as dissipated by the model): each
+    /// row's busy time at its active power plus its idle time at its idle
+    /// power, summed in [`Platform::configs`] order.
     pub fn energy(&self) -> EnergyBreakdown {
-        self.energy
+        let mut energy = EnergyBreakdown::default();
+        for row in &self.rows {
+            energy.active_mj += row.active_mw * row.busy.as_secs_f64();
+            energy.idle_mj += row.idle_mw * (row.resident - row.busy).as_secs_f64();
+        }
+        energy
     }
 
     /// Energy as reported by the platform's power sensor (the XU+E's
-    /// on-board current/voltage meters). Equal to [`Cpu::energy`] unless a
-    /// sensor distortion has been applied with [`Cpu::set_sensor_gain`] —
-    /// fault injection uses that to model sensor noise and dropout.
+    /// on-board current/voltage meters), summed interval by interval. Equal
+    /// to [`Cpu::energy`] up to float rounding unless a sensor distortion
+    /// has been applied with [`Cpu::set_sensor_gain`] — fault injection
+    /// uses that to model sensor noise and dropout.
     /// Policies that meter their own consumption (e.g. energy-budget UAI
     /// fallback) read this, not the ground truth.
     pub fn metered_energy(&self) -> EnergyBreakdown {
@@ -241,32 +239,24 @@ impl Cpu {
         self.sensor_gain
     }
 
-    /// Reads the instantaneous power state. Callers should
-    /// [`Cpu::advance`] to the sample time first so the cumulative
-    /// energies are current.
-    pub fn power_sample(&self) -> PowerSample {
-        let power_mw = if self.busy {
-            self.power.active_mw(&self.platform, self.config)
+    /// Instantaneous power draw at the current state, in milliwatts.
+    pub fn power_mw(&self) -> f64 {
+        let row = &self.rows[self.current];
+        if self.busy {
+            row.active_mw
         } else {
-            self.power.idle_mw(self.config)
-        };
-        PowerSample {
-            config: self.config,
-            busy: self.busy,
-            power_mw,
-            energy: self.energy,
-            metered: self.metered,
+            row.idle_mw
         }
     }
 
-    /// Total wall-clock residency per configuration (the Fig. 11 data).
-    pub fn residency(&self) -> &HashMap<CpuConfig, Duration> {
-        &self.residency
-    }
-
-    /// Busy-only residency per configuration.
-    pub fn busy_residency(&self) -> &HashMap<CpuConfig, Duration> {
-        &self.busy_residency
+    /// Total wall-clock residency of every configuration the CPU spent
+    /// time in (the Fig. 11 data).
+    pub fn residency(&self) -> HashMap<CpuConfig, Duration> {
+        self.rows
+            .iter()
+            .filter(|row| !row.resident.is_zero())
+            .map(|row| (row.config, row.resident))
+            .collect()
     }
 
     /// `(dvfs switches, migrations)` — the Fig. 12 data.
@@ -276,12 +266,9 @@ impl Cpu {
 
     /// Total busy time.
     pub fn busy_time(&self) -> Duration {
-        self.busy_time
-    }
-
-    /// Total simulated time observed.
-    pub fn total_time(&self) -> Duration {
-        self.total_time
+        self.rows
+            .iter()
+            .fold(Duration::ZERO, |sum, row| sum + row.busy)
     }
 }
 
@@ -292,6 +279,10 @@ mod tests {
 
     fn cpu() -> Cpu {
         Cpu::new(Platform::odroid_xu_e(), PowerModel::odroid_xu_e())
+    }
+
+    fn total_time(c: &Cpu) -> Duration {
+        Duration::from_nanos(c.residency().values().map(|d| d.as_nanos()).sum())
     }
 
     #[test]
@@ -308,7 +299,7 @@ mod tests {
         c.advance(SimTime::from_secs(1));
         let e = c.energy();
         assert_eq!(e.active_mj, 0.0);
-        let idle_mw = c.power_model().idle_mw(c.config());
+        let idle_mw = PowerModel::odroid_xu_e().idle_mw(c.config());
         assert!((e.idle_mj - idle_mw).abs() < 1e-9);
     }
 
@@ -317,10 +308,10 @@ mod tests {
         let mut c = cpu();
         c.set_busy(SimTime::ZERO, true);
         c.advance(SimTime::from_secs(2));
-        let active_mw = c.power_model().active_mw(c.platform(), c.config());
+        let active_mw = PowerModel::odroid_xu_e().active_mw(c.platform(), c.config());
         assert!((c.energy().active_mj - 2.0 * active_mw).abs() < 1e-9);
         assert_eq!(c.busy_time(), Duration::from_millis(2000));
-        assert_eq!(c.total_time(), c.busy_time());
+        assert_eq!(total_time(&c), c.busy_time());
     }
 
     #[test]
@@ -330,7 +321,7 @@ mod tests {
         c.set_busy(SimTime::from_millis(300), false);
         c.advance(SimTime::from_secs(1));
         assert_eq!(c.busy_time(), Duration::from_millis(300));
-        assert_eq!(c.total_time(), Duration::from_millis(1000));
+        assert_eq!(total_time(&c), Duration::from_millis(1000));
         assert!(c.energy().active_mj > 0.0);
         assert!(c.energy().idle_mj > 0.0);
     }
@@ -363,7 +354,7 @@ mod tests {
             .filter(|(config, _)| config.core == CoreType::Big)
             .map(|(_, d)| d.as_nanos())
             .sum();
-        assert_eq!(big_ns * 4, c.total_time().as_nanos());
+        assert_eq!(big_ns * 4, total_time(&c).as_nanos());
     }
 
     #[test]
@@ -408,21 +399,12 @@ mod tests {
     }
 
     #[test]
-    fn power_sample_reflects_state() {
+    fn power_mw_reflects_state() {
         let mut c = cpu();
-        let idle = c.power_sample();
-        assert!(!idle.busy);
-        assert_eq!(idle.power_mw, c.power_model().idle_mw(c.config()));
+        let power = PowerModel::odroid_xu_e();
+        assert_eq!(c.power_mw(), power.idle_mw(c.config()));
         c.set_busy(SimTime::ZERO, true);
-        c.advance(SimTime::from_secs(1));
-        let busy = c.power_sample();
-        assert!(busy.busy);
-        assert_eq!(
-            busy.power_mw,
-            c.power_model().active_mw(c.platform(), c.config())
-        );
-        assert_eq!(busy.energy, c.energy());
-        assert_eq!(busy.metered, c.metered_energy());
+        assert_eq!(c.power_mw(), power.active_mw(c.platform(), c.config()));
     }
 
     #[test]

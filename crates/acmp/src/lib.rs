@@ -40,7 +40,7 @@ pub mod power;
 pub mod time;
 pub mod work;
 
-pub use cpu::{Cpu, EnergyBreakdown, PowerSample, SwitchKind};
+pub use cpu::{Cpu, EnergyBreakdown, SwitchKind};
 pub use governor::{
     Governor, InteractiveGovernor, OndemandGovernor, PerfGovernor, PowersaveGovernor,
 };

@@ -121,11 +121,6 @@ impl Duration {
         Duration((ms.max(0.0) * 1e6).round() as u64)
     }
 
-    /// From fractional seconds (rounds; clamps negatives to zero).
-    pub fn from_secs_f64(s: f64) -> Self {
-        Duration((s.max(0.0) * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0

@@ -781,10 +781,17 @@ impl<S: Scheduler> Browser<S> {
     }
 
     fn build_report(&mut self, end: SimTime) -> SimReport {
-        // Injected faults are appended to the trace in one deterministic
-        // batch at report time (the exporter's consumers sort by
-        // timestamp, so insertion order does not matter).
         if let Some(trace) = self.trace.clone() {
+            // The task still running at `end`, cut there, and one last
+            // energy sample close the trace: every busy nanosecond lies
+            // under a span and before a sample.
+            if let Some(running) = self.running.as_ref() {
+                self.record_span(&trace, running);
+            }
+            self.record_energy_sample(&trace);
+            // Injected faults are appended to the trace in one
+            // deterministic batch at report time (the exporter's consumers
+            // sort by timestamp, so insertion order does not matter).
             if let Some(injector) = self.injector.as_ref() {
                 for fault in &injector.report().faults {
                     trace.record(
@@ -839,7 +846,7 @@ impl<S: Scheduler> Browser<S> {
             energy: self.cpu.energy(),
             frames: self.tracker.records().to_vec(),
             inputs,
-            residency: self.cpu.residency().clone(),
+            residency: self.cpu.residency(),
             switches: self.cpu.switch_counts(),
             busy_time: self.cpu.busy_time(),
             total_time: end.since(SimTime::ZERO),
@@ -1019,19 +1026,8 @@ impl<S: Scheduler> Browser<S> {
         // energy sample rides the same tick, giving Perfetto counter
         // tracks at display rate.
         if let Some(trace) = self.trace.clone() {
-            self.cpu.advance(self.now);
-            let sample = self.cpu.power_sample();
             trace.record(self.now, TraceKind::Vsync);
-            trace.record(
-                self.now,
-                TraceKind::EnergySample {
-                    actual_mj: sample.energy.total_mj(),
-                    metered_mj: sample.metered.total_mj(),
-                    power_mw: sample.power_mw,
-                    config: sample.config,
-                    busy: sample.busy,
-                },
-            );
+            self.record_energy_sample(&trace);
         }
         // If the main thread is still chewing on the previous frame, skip
         // this VSync entirely — real browsers do not dispatch rAF or
@@ -1263,6 +1259,53 @@ impl<S: Scheduler> Browser<S> {
         }
     }
 
+    /// Records the span of `running` from its start to `self.now`.
+    fn record_span(&self, trace: &TraceHandle, running: &Running) {
+        let (kind, uids, label, ops) = match &running.kind {
+            RunningKind::Callback { origin, ops, .. } => (
+                SpanKind::Callback,
+                vec![origin.uid.0],
+                Some(self.origin_event(origin.uid).name()),
+                *ops,
+            ),
+            RunningKind::Stage { stage, msgs } => (
+                stage_span(*stage),
+                msgs.iter().map(|m| m.uid.0).collect(),
+                None,
+                0,
+            ),
+        };
+        trace.record(
+            self.now,
+            TraceKind::Span {
+                kind,
+                start: running.started,
+                dur: self.now.saturating_since(running.started),
+                uids,
+                label,
+                ops,
+            },
+        );
+    }
+
+    /// Records the CPU's cumulative busy/idle energy split as of
+    /// `self.now`.
+    fn record_energy_sample(&mut self, trace: &TraceHandle) {
+        self.cpu.advance(self.now);
+        let energy = self.cpu.energy();
+        trace.record(
+            self.now,
+            TraceKind::EnergySample {
+                active_mj: energy.active_mj,
+                idle_mj: energy.idle_mj,
+                metered_mj: self.cpu.metered_energy().total_mj(),
+                power_mw: self.cpu.power_mw(),
+                config: self.cpu.config(),
+                busy: self.cpu.is_busy(),
+            },
+        );
+    }
+
     fn on_task_done(&mut self, gen: u64) -> Result<(), BrowserError> {
         let matches = self.running.as_ref().is_some_and(|r| r.gen == gen);
         if !matches {
@@ -1270,32 +1313,8 @@ impl<S: Scheduler> Browser<S> {
         }
         self.cpu.advance(self.now);
         let running = self.running.take().expect("checked above");
-        if let Some(trace) = self.trace.clone() {
-            let (kind, uids, label, ops) = match &running.kind {
-                RunningKind::Callback { origin, ops, .. } => (
-                    SpanKind::Callback,
-                    vec![origin.uid.0],
-                    Some(self.origin_event(origin.uid).name()),
-                    *ops,
-                ),
-                RunningKind::Stage { stage, msgs } => (
-                    stage_span(*stage),
-                    msgs.iter().map(|m| m.uid.0).collect(),
-                    None,
-                    0,
-                ),
-            };
-            trace.record(
-                self.now,
-                TraceKind::Span {
-                    kind,
-                    start: running.started,
-                    dur: self.now.saturating_since(running.started),
-                    uids,
-                    label,
-                    ops,
-                },
-            );
+        if let Some(trace) = self.trace.as_ref() {
+            self.record_span(trace, &running);
         }
         match running.kind {
             RunningKind::Callback {

@@ -4,15 +4,15 @@
 //! frame commits → `EnergySample` deltas — and answers "where did the
 //! energy go".
 //!
-//! Energy apportioning works on the cumulative ground-truth counter the
-//! engine samples at every delivered VSync: each inter-sample delta is
-//! spread over the spans that overlap the interval in proportion to
-//! their overlap (a piecewise-uniform power approximation — exact for
-//! the simulator's constant-power-per-config model whenever no switch
-//! lands mid-interval, and conservative otherwise). Whatever no span
-//! covers is the idle floor. By construction
-//! `attributed + idle = total` up to f64 rounding, which is what the
-//! conservation gate in `tests/trace.rs` pins.
+//! Energy apportioning works on the cumulative ground-truth busy and idle
+//! energies the engine samples at every delivered VSync and at the end
+//! of the run, both read from the CPU's own per-configuration ledger.
+//! Each interval's idle delta is `idle`. Its busy delta goes to the
+//! spans that overlap the interval, in proportion to their overlap over
+//! the time spans cover; with no span in the interval it is
+//! `unattributed`. So `idle` equals the run's idle energy and
+//! `attributed + unattributed` its busy energy, up to f64 rounding,
+//! which is what the conservation gate in `tests/trace.rs` pins.
 //!
 //! Everything here is a pure function of the [`TraceBuffer`]: no clocks,
 //! no maps with nondeterministic iteration order, so identical runs
@@ -181,12 +181,11 @@ pub struct AttributionProfile {
     pub render: RenderWork,
     /// Energy per pipeline phase, indexed like [`SpanKind::ALL`].
     pub phase_mj: [f64; 6],
-    /// Energy in sample intervals no span covered.
+    /// Energy the CPU spent idle.
     pub idle_mj: f64,
-    /// Energy the sample stream recorded but no interval could place
-    /// (stays 0 whenever the run produced samples).
+    /// Busy energy in sample intervals no span overlaps.
     pub unattributed_mj: f64,
-    /// Ground-truth total: the last sample's cumulative counter.
+    /// Ground-truth total: the last sample's busy plus idle energy.
     pub total_mj: f64,
     /// DVFS switch count.
     pub switch_dvfs: u64,
@@ -212,12 +211,13 @@ impl AttributionProfile {
     /// Builds the profile from a recorded trace.
     ///
     /// Single forward pass to lift spans/samples/commits, then one
-    /// two-pointer sweep to apportion each inter-sample energy delta
-    /// over the spans overlapping it.
+    /// two-pointer sweep to apportion each inter-sample busy delta over
+    /// the spans overlapping it.
     pub fn from_trace(buffer: &TraceBuffer) -> AttributionProfile {
         let mut spans: Vec<AttributedSpan> = Vec::new();
-        // Cumulative ground-truth samples, with the implicit zero origin.
-        let mut samples: Vec<(SimTime, f64)> = vec![(SimTime::ZERO, 0.0)];
+        // Cumulative ground-truth `(at, busy, idle)` samples, with the
+        // implicit zero origin.
+        let mut samples: Vec<(SimTime, f64, f64)> = vec![(SimTime::ZERO, 0.0, 0.0)];
         let mut commits: Vec<(SimTime, u64, u32, &'static str, Duration)> = Vec::new();
         let mut switch_times: Vec<SimTime> = Vec::new();
         let mut targets: Vec<(SimTime, u64, f64)> = Vec::new();
@@ -242,9 +242,9 @@ impl AttributionProfile {
                     ops: *ops,
                     mj: 0.0,
                 }),
-                EventKind::EnergySample { actual_mj, .. } => {
-                    samples.push((record.at, *actual_mj));
-                }
+                EventKind::EnergySample {
+                    active_mj, idle_mj, ..
+                } => samples.push((record.at, *active_mj, *idle_mj)),
                 EventKind::FrameCommit {
                     uid,
                     seq,
@@ -304,46 +304,42 @@ impl AttributionProfile {
                 _ => {}
             }
         }
-        // Apportion each inter-sample delta over overlapping spans. The
-        // recorder orders spans by end time; sort by start so the
+        // Apportion each inter-sample busy delta over overlapping spans.
+        // The recorder orders spans by end time; sort by start so the
         // two-pointer sweep can advance monotonically.
         let mut order: Vec<usize> = (0..spans.len()).collect();
         order.sort_by_key(|&i| (spans[i].start, spans[i].end()));
-        let mut idle_mj = 0.0;
+        let (mut idle_mj, mut unattributed_mj) = (0.0, 0.0);
         let mut cursor = 0usize;
+        let mut overlaps: Vec<(usize, u64)> = Vec::new();
         for window in samples.windows(2) {
-            let (t0, mj0) = window[0];
-            let (t1, mj1) = window[1];
-            let delta = (mj1 - mj0).max(0.0);
-            let len = t1.as_nanos().saturating_sub(t0.as_nanos()) as f64;
-            if len <= 0.0 {
-                idle_mj += delta;
-                continue;
-            }
+            let (t0, busy0, idle0) = window[0];
+            let (t1, busy1, idle1) = window[1];
+            idle_mj += idle1 - idle0;
             // Skip spans that ended before this interval; they can never
             // overlap a later one either.
             while cursor < order.len() && spans[order[cursor]].end() <= t0 {
                 cursor += 1;
             }
-            let mut covered = 0.0;
-            let mut i = cursor;
-            while i < order.len() && spans[order[i]].start < t1 {
-                let span = &spans[order[i]];
-                let lo = span.start.as_nanos().max(t0.as_nanos());
-                let hi = span.end().as_nanos().min(t1.as_nanos());
+            overlaps.clear();
+            for &i in order[cursor..].iter().take_while(|&&i| spans[i].start < t1) {
+                let lo = spans[i].start.max(t0).as_nanos();
+                let hi = spans[i].end().min(t1).as_nanos();
                 if hi > lo {
-                    let overlap = (hi - lo) as f64;
-                    spans[order[i]].mj += delta * overlap / len;
-                    covered += overlap;
+                    overlaps.push((i, hi - lo));
                 }
-                i += 1;
             }
-            // The engine serializes main-thread spans, so `covered`
-            // cannot exceed `len`; clamp anyway against zero-length
-            // pathologies.
-            idle_mj += delta * (1.0 - (covered / len).min(1.0));
+            let busy = busy1 - busy0;
+            let covered: u64 = overlaps.iter().map(|&(_, ns)| ns).sum();
+            if covered == 0 {
+                unattributed_mj += busy;
+                continue;
+            }
+            for &(i, ns) in &overlaps {
+                spans[i].mj += busy * ns as f64 / covered as f64;
+            }
         }
-        let total_mj = samples.last().map_or(0.0, |&(_, mj)| mj);
+        let total_mj = samples.last().map_or(0.0, |&(_, busy, idle)| busy + idle);
 
         // Per-event and per-phase rollups. BTreeMap keeps uid order
         // deterministic.
@@ -476,7 +472,7 @@ impl AttributionProfile {
             render,
             phase_mj,
             idle_mj,
-            unattributed_mj: 0.0,
+            unattributed_mj,
             total_mj,
             switch_dvfs,
             switch_migration,
@@ -505,7 +501,7 @@ impl AttributionProfile {
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(512 + self.events.len() * 160);
         json::object(&mut out, |o| {
-            o.field("profile", "greenweb-attribution-v1")
+            o.field("profile", "greenweb-attribution-v2")
                 .field("total_mj", self.total_mj)
                 .field("attributed_mj", self.attributed_mj())
                 .field("idle_mj", self.idle_mj)
@@ -773,9 +769,9 @@ pub fn write_phases(o: &mut Obj<'_>, phases: &[f64; 6]) {
 pub struct AttributionSummary {
     /// Energy per pipeline phase, indexed like [`SpanKind::ALL`].
     pub phase_mj: [f64; 6],
-    /// Energy no span covered.
+    /// Energy the CPU spent idle.
     pub idle_mj: f64,
-    /// Energy no sample interval could place.
+    /// Busy energy in sample intervals no span overlaps.
     pub unattributed_mj: f64,
     /// Ground-truth total.
     pub total_mj: f64,
@@ -829,7 +825,8 @@ mod tests {
     }
 
     /// Two inputs; input 0's callback and paint run inside the first
-    /// sample interval, input 1's style inside the second.
+    /// sample interval, input 1's style inside the second, and the third
+    /// interval has busy energy but no span.
     fn synthetic_buffer() -> TraceBuffer {
         let trace = TraceHandle::with_capacity(64);
         let span = |kind, start: u64, dur: u64, uid: u64, label, ops| EventKind::Span {
@@ -843,42 +840,35 @@ mod tests {
         trace.record(ms(0), span(SpanKind::Input, 0, 0, 0, Some("click"), 0));
         trace.record(ms(4), span(SpanKind::Callback, 0, 4, 0, Some("click"), 100));
         trace.record(ms(8), span(SpanKind::Paint, 4, 4, 0, None, 0));
-        trace.record(
-            ms(16),
-            EventKind::EnergySample {
-                actual_mj: 16.0,
-                metered_mj: 16.0,
-                power_mw: 1000.0,
-                config: CpuConfig::new(CoreType::Big, 1000),
-                busy: true,
-            },
-        );
+        let sample = |active_mj: f64, idle_mj: f64| EventKind::EnergySample {
+            active_mj,
+            idle_mj,
+            metered_mj: active_mj + idle_mj,
+            power_mw: 500.0,
+            config: CpuConfig::new(CoreType::Little, 600),
+            busy: false,
+        };
+        trace.record(ms(16), sample(8.0, 8.0));
         trace.record(ms(17), span(SpanKind::Input, 17, 0, 1, Some("scroll"), 0));
         trace.record(ms(24), span(SpanKind::Style, 20, 4, 1, None, 0));
-        trace.record(
-            ms(32),
-            EventKind::EnergySample {
-                actual_mj: 24.0,
-                metered_mj: 24.0,
-                power_mw: 500.0,
-                config: CpuConfig::new(CoreType::Little, 600),
-                busy: false,
-            },
-        );
+        trace.record(ms(32), sample(10.0, 14.0));
+        trace.record(ms(48), sample(11.0, 20.0));
         trace.snapshot()
     }
 
     #[test]
     fn energy_is_conserved_and_apportioned_by_overlap() {
         let profile = AttributionProfile::from_trace(&synthetic_buffer());
-        assert_eq!(profile.total_mj, 24.0);
-        // First interval: 16 mJ over 16 ms; callback covers 4 ms (4 mJ),
-        // paint 4 ms (4 mJ), idle 8 ms (8 mJ). Second: 8 mJ over 16 ms;
-        // style covers 4 ms (2 mJ), idle 12 ms (6 mJ).
-        assert!((profile.phase_mj[phase_index(SpanKind::Callback)] - 4.0).abs() < 1e-9);
-        assert!((profile.phase_mj[phase_index(SpanKind::Paint)] - 4.0).abs() < 1e-9);
-        assert!((profile.phase_mj[phase_index(SpanKind::Style)] - 2.0).abs() < 1e-9);
-        assert!((profile.idle_mj - 14.0).abs() < 1e-9);
+        assert_eq!(profile.total_mj, 31.0);
+        // First interval: 8 mJ busy, shared by the callback (4 ms) and
+        // the paint (4 ms), 4 mJ each; 8 mJ idle. Second: the style span
+        // takes all 2 mJ busy; 6 mJ idle. Third: 1 mJ busy under no span
+        // is unattributed; 6 mJ idle.
+        assert_eq!(profile.phase_mj[phase_index(SpanKind::Callback)], 4.0);
+        assert_eq!(profile.phase_mj[phase_index(SpanKind::Paint)], 4.0);
+        assert_eq!(profile.phase_mj[phase_index(SpanKind::Style)], 2.0);
+        assert_eq!(profile.idle_mj, 20.0);
+        assert_eq!(profile.unattributed_mj, 1.0);
         let conserved = profile.attributed_mj() + profile.idle_mj + profile.unattributed_mj;
         assert!((conserved - profile.total_mj).abs() < 1e-9);
         // Per-event rows.

@@ -108,10 +108,13 @@ pub enum EventKind {
         /// Human-readable description of the specific fault.
         detail: String,
     },
-    /// An energy-accounting sample, taken at display rate.
+    /// An energy-accounting sample, taken at every delivered VSync and
+    /// once at the end of the run.
     EnergySample {
-        /// Cumulative ground-truth energy, in millijoules.
-        actual_mj: f64,
+        /// Cumulative ground-truth energy spent busy, in millijoules.
+        active_mj: f64,
+        /// Cumulative ground-truth energy spent idle, in millijoules.
+        idle_mj: f64,
         /// Cumulative energy as the (possibly faulted) sensor reports
         /// it, in millijoules.
         metered_mj: f64,

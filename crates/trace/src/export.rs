@@ -177,7 +177,8 @@ fn write_event(events: &mut Arr<'_>, record: &TraceRecord) {
             });
         }
         EventKind::EnergySample {
-            actual_mj,
+            active_mj,
+            idle_mj,
             metered_mj,
             power_mw,
             config,
@@ -185,7 +186,8 @@ fn write_event(events: &mut Arr<'_>, record: &TraceRecord) {
         } => {
             let ts = ts_us(at);
             counter(events, "energy_mj", ts, |args| {
-                args.field("actual", actual_mj).field("metered", metered_mj);
+                args.field("actual", active_mj + idle_mj)
+                    .field("metered", metered_mj);
             });
             counter(events, "power_mw", ts, |args| {
                 args.field("mw", power_mw);
@@ -358,7 +360,8 @@ mod tests {
         trace.record(
             SimTime::from_millis(16),
             EventKind::EnergySample {
-                actual_mj: 10.0,
+                active_mj: 8.0,
+                idle_mj: 2.0,
                 metered_mj: 9.5,
                 power_mw: 750.0,
                 config: CpuConfig::new(CoreType::Big, 1000),

@@ -55,8 +55,9 @@ use json::{JsonValue, Obj};
 /// also changes the plan fingerprint); v3 dropped the per-job
 /// `attempts` count when jobs stopped being retried; v4 dropped the
 /// constant-folding and handler-recompile script counters from ok
-/// lines.
-pub const SWEEP_FORMAT: &str = "greenweb-sweep-v4";
+/// lines; v5 split `attr` by the CPU's exact busy/idle energy and
+/// priced `energy_mj` from its per-configuration ledger.
+pub const SWEEP_FORMAT: &str = "greenweb-sweep-v5";
 
 /// The kinds of deliberately broken cells chaos runs inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

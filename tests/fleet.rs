@@ -380,12 +380,16 @@ fn resume_rejects_a_mismatched_plan() {
     expect_refusal(&other);
     assert_eq!(std::fs::read_to_string(&out).expect("reread"), written);
 
-    // A v3 checkpoint carries script counters v4 lines no longer have:
-    // resuming it would mix two line schemas in one file.
-    assert_eq!(SWEEP_FORMAT, "greenweb-sweep-v4");
-    let v3 = written.replacen(SWEEP_FORMAT, "greenweb-sweep-v3", 1);
-    assert_ne!(v3, written);
-    std::fs::write(&out, &v3).expect("write v3 checkpoint");
-    expect_refusal(&small_plan());
-    assert_eq!(std::fs::read_to_string(&out).expect("reread"), v3);
+    // A v3 checkpoint carries script counters v4 lines no longer have,
+    // and a v4 checkpoint splits `attr` and `energy_mj` the way v5 lines
+    // no longer do: resuming either would mix two line schemas in one
+    // file.
+    assert_eq!(SWEEP_FORMAT, "greenweb-sweep-v5");
+    for old in ["greenweb-sweep-v3", "greenweb-sweep-v4"] {
+        let stale = written.replacen(SWEEP_FORMAT, old, 1);
+        assert_ne!(stale, written);
+        std::fs::write(&out, &stale).expect("write stale checkpoint");
+        expect_refusal(&small_plan());
+        assert_eq!(std::fs::read_to_string(&out).expect("reread"), stale);
+    }
 }

@@ -109,35 +109,59 @@ fn work_split_preserves_duration() {
 }
 
 /// Energy accounting is additive: advancing the CPU through any
-/// partition of an interval yields the same energy as one advance.
+/// partition of an interval, with busy flips and a configuration switch
+/// inside it, yields exactly the energy of advancing only at those state
+/// changes.
 #[test]
 fn energy_additive_over_partitions() {
     check("energy_additive_over_partitions", DEFAULT_CASES, |g| {
-        let cuts = {
-            let len = g.usize_in(1, 8);
-            (0..len)
-                .map(|_| g.usize_in(1, 1_000) as u64)
-                .collect::<Vec<u64>>()
-        };
-        let busy = g.bool_with(0.5);
+        let mut cuts = Vec::new();
+        let mut t = 0;
+        for _ in 0..g.usize_in(1, 8) {
+            t += g.usize_in(1, 10_000_000) as u64;
+            cuts.push(t);
+        }
+        let total_ns = t;
         let platform = Platform::odroid_xu_e();
         let configs: Vec<CpuConfig> = platform.configs().collect();
-        let config = *g.choose(&configs);
-        let total_ms: u64 = cuts.iter().sum();
+        let start = *g.choose(&configs);
+        // State changes at nanosecond times: `None` flips busy/idle,
+        // `Some(config)` switches configuration.
+        let mut changes: Vec<(u64, Option<CpuConfig>)> = (0..g.usize_in(0, 5))
+            .map(|_| (g.usize_in(0, total_ns as usize) as u64, None))
+            .collect();
+        changes.push((
+            g.usize_in(0, total_ns as usize) as u64,
+            Some(*g.choose(&configs)),
+        ));
+        changes.sort_by_key(|&(at, _)| at);
+        let apply = |cpu: &mut Cpu, at: u64, change: Option<CpuConfig>| {
+            let at = SimTime::from_nanos(at);
+            match change {
+                None => cpu.set_busy(at, !cpu.is_busy()),
+                Some(config) => {
+                    cpu.switch(at, config);
+                }
+            }
+        };
 
-        let mut whole = Cpu::new(platform.clone(), PowerModel::odroid_xu_e()).with_config(config);
-        whole.set_busy(SimTime::ZERO, busy);
-        whole.advance(SimTime::from_millis(total_ms));
-
-        let mut pieces = Cpu::new(platform, PowerModel::odroid_xu_e()).with_config(config);
-        pieces.set_busy(SimTime::ZERO, busy);
-        let mut t = 0;
-        for cut in &cuts {
-            t += cut;
-            pieces.advance(SimTime::from_millis(t));
+        let mut whole = Cpu::new(platform.clone(), PowerModel::odroid_xu_e()).with_config(start);
+        for &(at, change) in &changes {
+            apply(&mut whole, at, change);
         }
-        let diff = (whole.energy().total_mj() - pieces.energy().total_mj()).abs();
-        assert!(diff < 1e-6, "energy drift {diff}");
+        whole.advance(SimTime::from_nanos(total_ns));
+
+        let mut pieces = Cpu::new(platform, PowerModel::odroid_xu_e()).with_config(start);
+        let mut pending = changes.iter().peekable();
+        for &cut in &cuts {
+            while let Some(&(at, change)) = pending.next_if(|&&(at, _)| at <= cut) {
+                apply(&mut pieces, at, change);
+            }
+            pieces.advance(SimTime::from_nanos(cut));
+        }
+        assert_eq!(whole.energy(), pieces.energy());
+        assert_eq!(whole.busy_time(), pieces.busy_time());
+        assert_eq!(whole.residency(), pieces.residency());
     });
 }
 
