@@ -74,18 +74,20 @@
 //! and paint suites' counters (`BENCH_style.json`, `BENCH_script.json`,
 //! `BENCH_paint.json`); `tests/reports.rs` checks the committed files
 //! against a fresh render byte for byte. `metrics` prints one workload's
-//! deterministic [`RunMetrics`] JSON for inspection; the workload parity
+//! deterministic [`RunMetrics`] JSON ([`metrics_report`]), which the same
+//! test file checks against `tests/goldens/metrics`; the workload parity
 //! test (`cargo test --test properties
 //! oracle_pins_leave_metrics_unchanged`) computes the same JSON
 //! in-process under the paint-mode oracle pin.
 //!
 //! [`RunMetrics`]: greenweb::metrics::RunMetrics
 //! [`bench_reports`]: greenweb_bench::bench_reports
+//! [`metrics_report`]: greenweb_bench::metrics_report
 
 use greenweb::autogreen::AutoGreen;
 use greenweb::qos::Scenario;
 use greenweb_bench::figures::{run_suite_with, AppRuns, SuiteKind};
-use greenweb_bench::{ablation, bench_reports, profile, render, tables};
+use greenweb_bench::{ablation, bench_reports, metrics_report, profile, render, tables};
 use greenweb_fleet::Jobs;
 use greenweb_workloads::harness::{expectations, run, Policy};
 use std::collections::HashMap;
@@ -172,7 +174,9 @@ fn main() {
         return;
     }
     if command == "metrics" {
-        metrics_report(&workload);
+        let w = greenweb_workloads::by_name(&workload)
+            .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
+        print!("{}", metrics_report(&w));
         return;
     }
     if command == "soundness" {
@@ -456,23 +460,6 @@ fn suite(
         eprintln!("running {kind:?} suite (12 apps x 4 policies, {jobs} worker(s))...");
         run_suite_with(kind, jobs)
     })
-}
-
-/// Runs one workload's full trace under GreenWeb-I and prints its
-/// deterministic metrics JSON. The inferred effect summaries are
-/// attached, so the engine's containment checks are live. The workload
-/// parity test in `tests/properties.rs` builds the same run under the
-/// paint-mode oracle pin.
-fn metrics_report(workload: &str) {
-    let w = greenweb_workloads::by_name(workload)
-        .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
-    let mut app = w.app.clone();
-    app.effect_summaries = greenweb_analyze::infer_effect_summaries(&app);
-    let scenario = Scenario::Imperceptible;
-    let report = run(&app, &w.full, &Policy::GreenWeb(scenario)).expect("run");
-    let expected = expectations(&app, &w.full, scenario);
-    let metrics = greenweb::metrics::RunMetrics::compute(&report, &expected);
-    println!("{}", metrics.render_json());
 }
 
 /// The fleet-scale `dynamic ⊆ static` soundness gate: every workload's

@@ -28,26 +28,11 @@
 //! in `--check` mode when output differs from the committed goldens.
 
 use greenweb_analyze::analyze;
+use greenweb_bench::golden_name;
 use greenweb_fleet::{run_jobs, Jobs};
 use greenweb_workloads::{all, by_name, Workload};
 use std::path::Path;
 use std::process::ExitCode;
-
-/// The golden file name for a workload: lowercase, non-alphanumerics
-/// mapped to `_` (`Paper.js` → `paper_js.json`).
-fn golden_name(workload: &str) -> String {
-    let slug: String = workload
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    format!("{slug}.json")
-}
 
 fn main() -> ExitCode {
     let mut json = false;

@@ -24,8 +24,9 @@
 //!
 //! [`bench_reports`] renders the four committed `BENCH_*.json` files:
 //! `evaluate bench` writes them, and `tests/reports.rs` checks them byte
-//! for byte. Run `cargo run --release -p greenweb-bench --bin evaluate --
-//! all` to print every table and figure.
+//! for byte, as it checks [`metrics_report`] for every workload against
+//! `tests/goldens/metrics`. Run `cargo run --release -p greenweb-bench
+//! --bin evaluate -- all` to print every table and figure.
 
 #![forbid(unsafe_code)]
 
@@ -37,6 +38,10 @@ pub mod render;
 pub mod scriptbench;
 pub mod stylebench;
 pub mod tables;
+
+use greenweb::qos::Scenario;
+use greenweb_workloads::harness::{expectations, run, Policy};
+use greenweb_workloads::Workload;
 
 pub use figures::{
     fig11, fig12, run_app, run_apps, run_suite, run_suite_with, AppRuns, PolicyRun, ResidencyRow,
@@ -53,4 +58,36 @@ pub fn bench_reports() -> Vec<(&'static str, String)> {
         ("BENCH_script.json", scriptbench::run_suite().render_json()),
         ("BENCH_paint.json", paintbench::run_suite().render_json()),
     ]
+}
+
+/// What `evaluate metrics --workload W` prints: the workload's full
+/// trace under GreenWeb-I, with the inferred effect summaries attached
+/// so the engine's containment checks are live, as one deterministic
+/// [`RunMetrics`](greenweb::metrics::RunMetrics) JSON line. The workload
+/// parity test in `tests/properties.rs` builds the same run under the
+/// paint-mode oracle pin.
+pub fn metrics_report(workload: &Workload) -> String {
+    let mut app = workload.app.clone();
+    app.effect_summaries = greenweb_analyze::infer_effect_summaries(&app);
+    let scenario = Scenario::Imperceptible;
+    let report = run(&app, &workload.full, &Policy::GreenWeb(scenario)).expect("run");
+    let expected = expectations(&app, &workload.full, scenario);
+    let metrics = greenweb::metrics::RunMetrics::compute(&report, &expected);
+    format!("{}\n", metrics.render_json())
+}
+
+/// The golden file name for a workload: lowercase, non-alphanumerics
+/// mapped to `_` (`Paper.js` → `paper_js.json`).
+pub fn golden_name(workload: &str) -> String {
+    let slug: String = workload
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    format!("{slug}.json")
 }

@@ -331,8 +331,9 @@ impl StyleEngine {
         self.generation
     }
 
-    /// The cumulative style counters of this resolver (cache fields stay
-    /// zero here — the engine layer merges its own cache counters in).
+    /// The cumulative style counters of this resolver, which the engine
+    /// reports as they are (`cache_hits`/`cache_misses` stay zero: there
+    /// is no computed-style cache).
     pub fn stats(&self) -> StyleStats {
         self.stats.get()
     }

@@ -8,10 +8,12 @@
 //!
 //! Every document keeps its own mutation clock. Each node carries a
 //! [`Document::version`] stamped from it on creation and on every `&mut`
-//! access to its payload, and [`Document::structure_version`] moves on
-//! every change of the tree's shape. [`Document::instance`] tells two
-//! documents apart, clones included, so a consumer that memoizes by
-//! version knows when its memo belongs to another document.
+//! access to its payload, and a [`Document::subtree_version`] that also
+//! moves when anything below the node is written, attached or detached.
+//! [`Document::structure_version`] moves on every change of the tree's
+//! shape. [`Document::instance`] tells two documents apart, clones
+//! included, so a consumer that memoizes by version knows when its memo
+//! belongs to another document.
 
 use crate::node::{ElementData, NodeKind};
 use std::fmt;
@@ -54,6 +56,9 @@ struct NodeSlot {
     next_sibling: Option<NodeId>,
     /// Clock value of the last `&mut` access to `kind` (or of creation).
     version: u64,
+    /// Clock value of the last payload write or shape change at or below
+    /// this node.
+    subtree: u64,
 }
 
 impl NodeSlot {
@@ -66,6 +71,7 @@ impl NodeSlot {
             prev_sibling: None,
             next_sibling: None,
             version,
+            subtree: version,
         }
     }
 }
@@ -123,6 +129,21 @@ impl Document {
         self.slot(id).version
     }
 
+    /// The version of `id`'s subtree: the clock value of the last payload
+    /// write ([`Document::version`]) to `id` or to any node below it, or
+    /// of the last [`Document::append_child`] or [`Document::detach`]
+    /// under it. A subtree whose version is at most a clock value read
+    /// earlier ([`Document::clock`]) has not been written since.
+    pub fn subtree_version(&self, id: NodeId) -> u64 {
+        self.slot(id).subtree
+    }
+
+    /// The mutation clock: the last version handed out. Every version,
+    /// subtree version and structure version is at most this value.
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
+
     /// The version of the tree's shape. It moves on every
     /// [`Document::create_node`], [`Document::append_child`] and
     /// effective [`Document::detach`].
@@ -135,13 +156,24 @@ impl Document {
         self.clock
     }
 
-    /// The slot of `id` with its version moved: the access point for
-    /// every payload write.
+    /// The slot of `id` with its version moved, and the subtree version
+    /// of it and its ancestors: the access point for every payload write.
     fn payload_mut(&mut self, id: NodeId) -> &mut NodeSlot {
         let version = self.tick();
-        let slot = self.slot_mut(id);
-        slot.version = version;
-        slot
+        self.slot_mut(id).version = version;
+        self.stamp_subtrees(id, version);
+        self.slot_mut(id)
+    }
+
+    /// Moves the subtree version of `id` and of each of its ancestors to
+    /// `version`.
+    fn stamp_subtrees(&mut self, id: NodeId, version: u64) {
+        let mut cur = Some(id);
+        while let Some(id) = cur {
+            let slot = self.slot_mut(id);
+            slot.subtree = version;
+            cur = slot.parent;
+        }
     }
 
     /// The document root node.
@@ -274,6 +306,7 @@ impl Document {
         self.slot_mut(parent).last_child = Some(child);
         self.slot_mut(child).parent = Some(parent);
         self.structure = self.tick();
+        self.stamp_subtrees(parent, self.structure);
     }
 
     /// Detaches `id` (and its subtree) from its parent. No-op if detached.
@@ -296,6 +329,7 @@ impl Document {
         slot.prev_sibling = None;
         slot.next_sibling = None;
         self.structure = self.tick();
+        self.stamp_subtrees(parent, self.structure);
     }
 
     /// Whether `ancestor` is `node` itself or one of its ancestors.
@@ -661,8 +695,9 @@ mod tests {
         let (mut doc, div, p, text) = sample();
         doc.element_mut(p).unwrap().set_attribute("id", "para");
         let snapshot = |doc: &Document| {
-            let versions: Vec<u64> = (0..doc.len())
-                .map(|i| doc.version(doc.node_at(i).unwrap()))
+            let versions: Vec<(u64, u64)> = (0..doc.len())
+                .map(|i| doc.node_at(i).unwrap())
+                .map(|n| (doc.version(n), doc.subtree_version(n)))
                 .collect();
             (versions, doc.structure_version())
         };
@@ -695,6 +730,41 @@ mod tests {
         assert!(detached > appended, "detach");
         doc.detach(extra);
         assert_eq!(doc.structure_version(), detached, "no-op detach");
+    }
+
+    #[test]
+    fn subtree_versions_move_on_the_written_node_and_its_ancestors() {
+        let (mut doc, div, p, text) = sample();
+        let root = doc.root();
+        let side = doc.create_element("aside");
+        doc.append_child(root, side);
+        let clock = doc.clock();
+        for node in [root, div, p, text, side] {
+            assert!(doc.subtree_version(node) <= clock, "{node}");
+        }
+        // A payload write moves the node and its ancestors only.
+        let _ = doc.kind_mut(text);
+        let write = doc.version(text);
+        assert_eq!(write, doc.clock());
+        for node in [root, div, p, text] {
+            assert_eq!(doc.subtree_version(node), write, "{node}");
+        }
+        assert!(doc.subtree_version(side) <= clock, "a sibling subtree");
+        // Shape changes move the parent's chain; the moved subtree keeps
+        // its own versions.
+        doc.detach(p);
+        let detached = doc.clock();
+        assert_eq!(doc.subtree_version(div), detached);
+        assert_eq!(doc.subtree_version(root), detached);
+        assert_eq!(doc.subtree_version(p), write);
+        doc.append_child(side, p);
+        assert_eq!(doc.subtree_version(side), doc.structure_version());
+        assert_eq!(doc.subtree_version(div), detached);
+        // A write below a detached node stays in its own tree.
+        doc.detach(side);
+        let _ = doc.element_mut(p);
+        assert_eq!(doc.subtree_version(side), doc.version(p));
+        assert!(doc.subtree_version(root) < doc.version(p));
     }
 
     #[test]

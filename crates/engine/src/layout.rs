@@ -27,15 +27,13 @@
 //!    measured.) Disabled ([`RenderPipeline::set_enabled`]`(false)`),
 //!    the same pass measures every element every frame: the naive
 //!    oracle.
-//! 3. **Position.** A cheap top-down pass assigns final boxes (block
-//!    stacking in a fixed mobile viewport). It always walks the whole
-//!    tree — positions depend on earlier siblings — and is not counted
-//!    as layout work.
+//! 3. **Position.** A top-down pass assigns final boxes (block stacking
+//!    in a fixed mobile viewport). It is not counted as layout work.
 //! 4. **Display list & damage.** One display item per element, with a
-//!    stable per-node item ID. Diffing against the retained list from
-//!    the previous frame yields the damage accounting: items whose rect
-//!    or paint fingerprint changed, plus appearing and disappearing
-//!    items.
+//!    stable per-node item ID, built in the same scan as the boxes.
+//!    Diffing against the retained list from the previous frame yields
+//!    the damage accounting: items whose rect or paint fingerprint
+//!    changed, plus appearing and disappearing items.
 //!
 //! The *pricing inputs* ([`FrameRenderInfo`]: element count, dirty
 //! elements from the fingerprint diff, damage items, total items) are
@@ -45,20 +43,39 @@
 //! counters (and the style counters, since reused subtrees skip style
 //! resolution) differ. The workload parity test diffs exactly that.
 //!
-//! **What a frame costs.** A node's content hash is memoized with the
-//! [`Document::version`] it was taken at, so only nodes written since
-//! the previous frame are rehashed; the memo is dropped when the
-//! pipeline meets another [`Document::instance`] (a clone included).
-//! Every hash step is one word through [`mix64`], strings go in eight
-//! bytes at a time, and fingerprints are only ever compared for
-//! equality. The pre-order walk, with each entry's parent position and
-//! subtree end, is cached until [`Document::structure_version`] moves.
-//! The overlay is ordered by `(node, property)`: one pass over it folds
-//! each node's values into a per-node hash, and the measure pass reads
-//! a node's values back as one `range`. All per-node state lives in one
-//! vector indexed by [`NodeId::index`], per-frame scratch in one
-//! indexed by walk position, and every buffer is reused, so a warm frame
-//! allocates only for style resolution of the elements it re-measures.
+//! **What a frame costs.** A frame costs the region that changed, not
+//! the document. The pre-order walk, each entry with its parent's
+//! position, its subtree's end and its subtree's element and reuse
+//! counts, is cached until [`Document::structure_version`] moves; the
+//! state of each walk position (context, content box, the y it was
+//! placed at) is kept with it. The pipeline remembers the
+//! [`Document::clock`] of its last frame and each node's overlay hash.
+//! Every pass jumps over a *clean* subtree: one whose
+//! [`Document::subtree_version`] is at most that clock, with no node
+//! whose overlay values appeared, changed or went away, below a parent
+//! whose context stands. Its contexts, fingerprints, stale bits and
+//! measures stay as they are and its counts come from the walk's sums;
+//! the position scan also keeps its boxes and items in place when its
+//! parent's content box and the y it starts at are last frame's, and
+//! otherwise walks it again, which translates it. So a frame after a
+//! one-leaf write visits the path from the root and the children of the
+//! nodes on it. A rebuilt walk, a new stylesheet generation, another
+//! [`Document::instance`] (a clone included) and the oracle treat every
+//! subtree as changed: the oracle runs the same passes and skips
+//! nothing.
+//!
+//! Within what a frame visits, a node's content hash is memoized with
+//! the [`Document::version`] it was taken at, so only nodes written since
+//! the previous frame are rehashed; the memo is dropped with another
+//! instance. Every hash step is one word through [`mix64`], strings go
+//! in eight bytes at a time, and fingerprints are only ever compared for
+//! equality. The overlay is ordered by `(node, property)`: one pass over
+//! it folds each node's values into a per-node hash, and the measure
+//! pass reads a node's values back as one `range`. All per-node state
+//! lives in one vector indexed by [`NodeId::index`], per-position state
+//! in one indexed by walk position, and every buffer is reused, so a
+//! warm frame allocates only for style resolution of the elements it
+//! re-measures.
 
 use greenweb_css::{ComputedStyle, CssValue};
 use greenweb_det::mix64;
@@ -295,11 +312,16 @@ struct NodeState {
     overlay_frame: u64,
     /// Hash of the node's overlay values in frame `overlay_frame`.
     overlay: u64,
-    /// Last frame (counted from 1; 0 = never) whose walk reached the node.
+    /// The node's position in the cached walk, when it is in it.
+    pos: usize,
+    /// Set to the previous frame when a walk holding the node is
+    /// replaced, so a frame that rebuilt the walk can tell whether the
+    /// previous frame's walk held the node.
     walked: u64,
-    /// Subtree fingerprint from frame `walked`. It is the node's
-    /// *previous* fingerprint only if `walked` is the previous frame: a
-    /// node that left the tree loses it, so coming back counts as dirty.
+    /// Subtree fingerprint from the last frame whose walk held the node.
+    /// It is the node's *previous* fingerprint only if that was the
+    /// previous frame: a node that left the tree loses it, so coming back
+    /// counts as dirty.
     fp: Option<u64>,
     /// Measure cache + box metrics. Entries for clean subtrees stay
     /// valid across frames (their fingerprints haven't changed), which
@@ -316,7 +338,8 @@ struct NodeState {
     item_index: usize,
 }
 
-/// One entry of the cached pre-order walk.
+/// One entry of the cached pre-order walk, with the subtree aggregates
+/// a skipped subtree's counts are read from.
 #[derive(Debug, Clone, Copy)]
 struct WalkEntry {
     node: NodeId,
@@ -324,23 +347,58 @@ struct WalkEntry {
     parent: usize,
     /// One past the walk position of the node's last descendant.
     end: usize,
+    /// Whether the node was an element when the walk was built.
+    element: bool,
+    /// Position of the node's display item: elements before it.
+    item: usize,
+    /// Elements in the subtree, the node included.
+    elements: usize,
+    /// Subtrees the measure pass reuses whole when nothing in this one
+    /// is stale: 1 for an element, the children's sum otherwise.
+    reuses: usize,
 }
 
-/// Per-frame scratch for one walk position, written before it is read
-/// in every frame.
+/// The state of one walk position. `ctx`, `top` and `content` persist
+/// across frames while the walk does: a subtree is skipped against them.
+/// The other fields are written before they are read in every frame that
+/// reaches the position.
 #[derive(Debug, Clone, Copy, Default)]
-struct FrameSlot {
-    /// The node's context hash after pass 1; its subtree fingerprint
-    /// once the reverse pass has folded in every child's.
+struct Slot {
+    /// The node's context hash.
+    ctx: u64,
+    /// Whether `ctx` moved this frame.
+    ctx_moved: bool,
+    /// The context, then the subtree fingerprint once the reverse pass
+    /// has folded in every child's.
     hash: u64,
     /// Whether some element in the subtree lacks a measure valid for
     /// this frame's `(generation, fingerprint)`, so the subtree cannot
     /// be reused whole.
     stale: bool,
+    /// Frame in which a node in the subtree gained, changed or lost
+    /// overlay values.
+    overlay_moved: u64,
+    /// Frame in which nothing in the subtree changed: its contexts,
+    /// fingerprints and measures stand.
+    clean: u64,
+    /// Position pass: the parent's cursor where the node was placed.
+    top: f64,
     /// Position pass: content box `(x, width)` children are laid into.
     content: (f64, f64),
+    /// Whether `content` moved this frame.
+    content_moved: bool,
     /// Position pass: y where the next child goes.
     cursor: f64,
+}
+
+/// `list[index] = value`, growing the list by one when `index` is its
+/// length: a rebuilt list is written in order, a kept one in place.
+fn put<T>(list: &mut Vec<T>, index: usize, value: T) {
+    if index == list.len() {
+        list.push(value);
+    } else {
+        list[index] = value;
+    }
 }
 
 /// The incremental rendering pipeline: subtree fingerprints, the
@@ -349,26 +407,40 @@ struct FrameSlot {
 #[derive(Debug)]
 pub struct RenderPipeline {
     enabled: bool,
-    /// Frames rendered so far; stamps [`NodeState::walked`].
+    /// Frames rendered so far; stamps the per-frame marks.
     frame: u64,
     /// The [`Document::instance`] the version memo belongs to.
     document: Option<u64>,
+    /// The [`Document::clock`] and stylesheet generation of the last
+    /// frame.
+    clock: u64,
+    generation: u64,
     /// Per-node state, grown to [`Document::len`] each frame.
     nodes: Vec<NodeState>,
     /// The pre-order walk from the root, valid for the
-    /// `(instance, structure version)` in `walk_key`.
+    /// `(instance, structure version)` in `walk_key`, and its slots.
     walk: Vec<WalkEntry>,
     walk_key: Option<(u64, u64)>,
+    slots: Vec<Slot>,
     next_item_id: u64,
-    /// The retained display list (previous frame, document order).
+    /// The retained display list and the positioned boxes (document
+    /// order, one per element: an element's are at its walk entry's
+    /// `item`).
     retained: Vec<DisplayItem>,
-    /// Last frame's positioned boxes, document order.
     boxes: Vec<LayoutBox>,
-    // Per-frame scratch buffers, kept for their capacity.
-    slots: Vec<FrameSlot>,
+    /// Nodes holding overlay values this frame and the last.
+    overlay_nodes: Vec<NodeId>,
+    last_overlay_nodes: Vec<NodeId>,
+    // Per-frame scratch buffers, kept for their capacity: the walk
+    // positions pass 1 reached or skipped, the walk-building stack, the
+    // elements to measure, and the previous display list while a
+    // rebuilt walk's list is written.
+    reached: Vec<usize>,
     stack: Vec<(NodeId, usize)>,
     to_measure: Vec<NodeId>,
-    items: Vec<DisplayItem>,
+    old_items: Vec<DisplayItem>,
+    /// Walk entries the last frame's passes visited.
+    visits: usize,
     layout_stats: LayoutStats,
     paint_stats: PaintStats,
 }
@@ -387,16 +459,22 @@ impl RenderPipeline {
             enabled,
             frame: 0,
             document: None,
+            clock: 0,
+            generation: 0,
             nodes: Vec::new(),
             walk: Vec::new(),
             walk_key: None,
+            slots: Vec::new(),
             next_item_id: 0,
             retained: Vec::new(),
             boxes: Vec::new(),
-            slots: Vec::new(),
+            overlay_nodes: Vec::new(),
+            last_overlay_nodes: Vec::new(),
+            reached: Vec::new(),
             stack: Vec::new(),
             to_measure: Vec::new(),
-            items: Vec::new(),
+            old_items: Vec::new(),
+            visits: 0,
             layout_stats: LayoutStats::default(),
             paint_stats: PaintStats::default(),
         }
@@ -436,22 +514,35 @@ impl RenderPipeline {
 
     /// Rebuilds the pre-order walk of `doc` from its root unless the
     /// cached one was built for the same instance and tree shape.
-    fn refresh_walk(&mut self, doc: &Document) {
+    /// Returns whether it rebuilt.
+    fn refresh_walk(&mut self, doc: &Document) -> bool {
         let key = (doc.instance(), doc.structure_version());
         if self.walk_key == Some(key) {
-            return;
+            return false;
         }
         self.walk_key = Some(key);
+        // The walk being replaced is the one the previous frame used.
+        for entry in &self.walk {
+            self.nodes[entry.node.index()].walked = self.frame - 1;
+        }
         self.walk.clear();
         self.stack.clear();
         self.stack.push((doc.root(), 0));
+        let mut elements = 0;
         while let Some((node, parent)) = self.stack.pop() {
             let pos = self.walk.len();
+            let element = doc.element(node).is_some();
             self.walk.push(WalkEntry {
                 node,
                 parent,
                 end: pos + 1,
+                element,
+                item: elements,
+                elements: usize::from(element),
+                reuses: usize::from(element),
             });
+            elements += usize::from(element);
+            self.nodes[node.index()].pos = pos;
             // Children last-first, so popping visits them in order.
             let mut child = doc.last_child(node);
             while let Some(c) = child {
@@ -459,142 +550,220 @@ impl RenderPipeline {
                 child = doc.prev_sibling(c);
             }
         }
-        // A subtree ends where its last-ending child does; children sit
-        // after their parent, so one reverse scan settles every end.
+        // Children sit after their parent, so one reverse scan settles
+        // every subtree's end (where its last-ending child's is) and
+        // sums.
         for i in (1..self.walk.len()).rev() {
-            let (parent, end) = (self.walk[i].parent, self.walk[i].end);
-            let parent_end = &mut self.walk[parent].end;
-            *parent_end = (*parent_end).max(end);
+            let child = self.walk[i];
+            let parent = &mut self.walk[child.parent];
+            parent.end = parent.end.max(child.end);
+            parent.elements += child.elements;
+            if !parent.element {
+                parent.reuses += child.reuses;
+            }
         }
-        self.slots.resize(self.walk.len(), FrameSlot::default());
+        self.slots.resize(self.walk.len(), Slot::default());
+        true
     }
 
-    /// Runs the four per-frame passes (fingerprint → measure →
-    /// position → display-list diff) over `doc`, resolving styles
-    /// through `resolve` and applying the animation `overlay` on top.
-    /// Returns the machinery-independent pricing inputs for this frame.
-    pub fn render_frame(
-        &mut self,
-        doc: &Document,
-        generation: u64,
-        overlay: &BTreeMap<(NodeId, String), CssValue>,
-        resolve: &mut dyn FnMut(NodeId) -> ComputedStyle,
-    ) -> FrameRenderInfo {
-        self.frame += 1;
+    /// Folds each node's overlay values into a per-node hash and marks
+    /// the walk positions above every node whose values appeared,
+    /// changed or went away since the last frame. The map is ordered by
+    /// `(node, property)`, so each node's values arrive together and in
+    /// a fixed order.
+    fn hash_overlay(&mut self, overlay: &BTreeMap<(NodeId, String), CssValue>) {
         let frame = self.frame;
-        if self.nodes.len() < doc.len() {
-            self.nodes.resize(doc.len(), NodeState::default());
-        }
-        if self.document != Some(doc.instance()) {
-            // Versions of another document say nothing about this one.
-            self.document = Some(doc.instance());
-            for state in &mut self.nodes {
-                state.hashed = 0;
+        std::mem::swap(&mut self.overlay_nodes, &mut self.last_overlay_nodes);
+        self.overlay_nodes.clear();
+        let mut values = overlay.iter().peekable();
+        while let Some(((node, property), value)) = values.next() {
+            let mut hash = hash_value(hash_str(SEED, property), value);
+            while let Some(((_, property), value)) = values.next_if(|((n, _), _)| n == node) {
+                hash = hash_value(hash_str(hash, property), value);
             }
-        }
-        self.refresh_walk(doc);
-        let nodes = &mut self.nodes;
-        let walk = &self.walk;
-        let slots = &mut self.slots;
-
-        // Overlay hashes: the map is ordered by (node, property), so each
-        // node's values arrive together and in a fixed order.
-        for ((node, property), value) in overlay {
-            let Some(state) = nodes.get_mut(node.index()) else {
+            let Some(state) = self.nodes.get_mut(node.index()) else {
                 continue;
             };
-            if state.overlay_frame != frame {
-                state.overlay_frame = frame;
-                state.overlay = SEED;
+            let held = state.overlay_frame + 1 == frame && state.overlay == hash;
+            state.overlay_frame = frame;
+            state.overlay = hash;
+            self.overlay_nodes.push(*node);
+            if !held {
+                self.mark_overlay_moved(*node);
             }
-            state.overlay = hash_value(hash_str(state.overlay, property), value);
         }
+        for i in 0..self.last_overlay_nodes.len() {
+            let node = self.last_overlay_nodes[i];
+            if self.nodes[node.index()].overlay_frame != frame {
+                self.mark_overlay_moved(node);
+            }
+        }
+    }
 
-        // Pass 1: contexts, top-down. Only nodes written since their
-        // payload was hashed are hashed again.
-        let mut elements = 0usize;
-        for (i, entry) in walk.iter().enumerate() {
-            let state = &mut nodes[entry.node.index()];
+    /// Marks `node`'s walk position and its ancestors', when the node is
+    /// in the walk, as holding an overlay change this frame.
+    fn mark_overlay_moved(&mut self, node: NodeId) {
+        let mut pos = self.nodes[node.index()].pos;
+        if self.walk.get(pos).map(|e| e.node) != Some(node) {
+            return;
+        }
+        while self.slots[pos].overlay_moved != self.frame {
+            self.slots[pos].overlay_moved = self.frame;
+            if pos == 0 {
+                break;
+            }
+            pos = self.walk[pos].parent;
+        }
+    }
+
+    /// Pass 1: contexts, top-down. Only nodes written since their
+    /// payload was hashed are hashed again. Unless `all_changed`, a
+    /// subtree is skipped and stamped clean when nothing in it was
+    /// written since the last frame, none of its nodes' overlay values
+    /// moved, and its parent's context stands: its contexts are last
+    /// frame's. Returns `false`, stopping early, when a node turned into
+    /// or out of an element under a kept walk, whose sums then no longer
+    /// hold.
+    fn contexts(&mut self, doc: &Document, all_changed: bool) -> bool {
+        let frame = self.frame;
+        self.reached.clear();
+        let mut i = 0;
+        while i < self.walk.len() {
+            let entry = self.walk[i];
+            self.reached.push(i);
+            let slot = self.slots[i];
+            let parent_moved = i > 0 && self.slots[entry.parent].ctx_moved;
+            if !all_changed
+                && !parent_moved
+                && slot.overlay_moved != frame
+                && doc.subtree_version(entry.node) <= self.clock
+            {
+                self.slots[i].clean = frame;
+                i = entry.end;
+                continue;
+            }
+            let state = &mut self.nodes[entry.node.index()];
             let version = doc.version(entry.node);
             if state.hashed != version {
                 (state.kind, state.payload) = payload_hash(doc.kind(entry.node));
                 state.hashed = version;
             }
+            if (state.kind == Kind::Element) != entry.element {
+                return false;
+            }
             let mut own = state.payload;
-            if state.kind == Kind::Element {
-                elements += 1;
-                if state.overlay_frame == frame {
-                    own = mix(own, state.overlay);
-                }
+            if state.kind == Kind::Element && state.overlay_frame == frame {
+                own = mix(own, state.overlay);
             }
             let parent_ctx = if i == 0 {
                 SEED
             } else {
-                slots[entry.parent].hash
+                self.slots[entry.parent].ctx
             };
-            slots[i] = FrameSlot {
-                hash: mix(parent_ctx, own),
-                ..FrameSlot::default()
+            let ctx = mix(parent_ctx, own);
+            self.slots[i] = Slot {
+                ctx,
+                ctx_moved: ctx != slot.ctx,
+                hash: ctx,
+                stale: false,
+                clean: 0,
+                ..slot
             };
+            i += 1;
         }
-        // Fingerprints, bottom-up over the reversed walk: every child is
-        // finished before its parent, into which it folds its
-        // fingerprint and stale bit. The machinery-independent dirty
-        // count — elements whose subtree fingerprint changed since the
-        // previous frame (all of them on the first frame) — falls out.
-        let mut dirty_elements = 0usize;
-        for (i, entry) in walk.iter().enumerate().rev() {
-            let FrameSlot {
-                hash, mut stale, ..
-            } = slots[i];
-            let state = &mut nodes[entry.node.index()];
-            if state.kind == Kind::Element {
-                let prev_fp = if state.walked + 1 == frame {
-                    state.fp
-                } else {
-                    None
-                };
-                if prev_fp != Some(hash) {
-                    dirty_elements += 1;
+        self.visits += self.reached.len();
+        true
+    }
+
+    /// Fingerprints, bottom-up over the reversed pass-1 positions: every
+    /// child is finished before its parent, into which it folds its
+    /// fingerprint and stale bit; a clean subtree folds in the
+    /// fingerprint it kept. Returns the machinery-independent dirty
+    /// count: elements whose subtree fingerprint changed since the
+    /// previous frame (all of them on the first frame). A kept walk held
+    /// every node last frame too; a rebuilt one, the nodes the replaced
+    /// walk held.
+    fn fingerprints(&mut self, generation: u64, rebuilt: bool) -> usize {
+        let frame = self.frame;
+        let mut dirty_elements = 0;
+        for &i in self.reached.iter().rev() {
+            let entry = self.walk[i];
+            let slot = self.slots[i];
+            let state = &mut self.nodes[entry.node.index()];
+            let (hash, stale) = if slot.clean == frame {
+                // Last frame left every measure in the subtree valid for
+                // these fingerprints and this generation.
+                (state.fp.expect("fingerprinted when last walked"), false)
+            } else {
+                let mut stale = slot.stale;
+                if state.kind == Kind::Element {
+                    let prev_fp = if !rebuilt || state.walked + 1 == frame {
+                        state.fp
+                    } else {
+                        None
+                    };
+                    if prev_fp != Some(slot.hash) {
+                        dirty_elements += 1;
+                    }
+                    stale |= !state
+                        .measure
+                        .is_some_and(|m| m.generation == generation && m.fp == slot.hash);
+                    self.slots[i].stale = stale;
                 }
-                stale |= !state
-                    .measure
-                    .is_some_and(|m| m.generation == generation && m.fp == hash);
-                slots[i].stale = stale;
-            }
-            state.walked = frame;
-            state.fp = Some(hash);
+                state.fp = Some(slot.hash);
+                (slot.hash, stale)
+            };
             if i > 0 {
-                let parent = &mut slots[entry.parent];
+                let parent = &mut self.slots[entry.parent];
                 parent.hash = mix(parent.hash, hash);
                 parent.stale |= stale;
             }
         }
+        dirty_elements
+    }
 
-        // Pass 2a: mark. A pre-order scan that jumps over subtrees whose
-        // root is not stale when the incremental machinery is on.
+    /// Pass 2a: mark. A pre-order scan that jumps over clean subtrees
+    /// and, when the incremental machinery is on, over subtrees whose
+    /// root is not stale. Returns the subtrees reused whole.
+    fn mark(&mut self) -> u64 {
         self.to_measure.clear();
-        let mut reuses = 0u64;
+        let mut reuses = 0;
         let mut i = 0;
-        while i < walk.len() {
-            let entry = walk[i];
-            i += 1;
-            if nodes[entry.node.index()].kind == Kind::Element {
-                if self.enabled && !slots[i - 1].stale {
+        while i < self.walk.len() {
+            let entry = self.walk[i];
+            self.visits += 1;
+            if self.slots[i].clean == self.frame {
+                reuses += entry.reuses as u64;
+                i = entry.end;
+                continue;
+            }
+            if entry.element {
+                if self.enabled && !self.slots[i].stale {
                     reuses += 1;
                     i = entry.end; // whole subtree is measured: skip it
                     continue;
                 }
                 self.to_measure.push(entry.node);
             }
+            i += 1;
         }
+        reuses
+    }
 
-        // Pass 2b: measure, bottom-up (reversed pre-order of the marked
-        // region sees children before parents; clean children keep
-        // their cached metrics).
+    /// Pass 2b: measure, bottom-up (reversed pre-order of the marked
+    /// region sees children before parents; clean children keep
+    /// their cached metrics).
+    fn measure(
+        &mut self,
+        doc: &Document,
+        generation: u64,
+        overlay: &BTreeMap<(NodeId, String), CssValue>,
+        resolve: &mut dyn FnMut(NodeId) -> ComputedStyle,
+    ) {
+        let nodes = &mut self.nodes;
         for &n in self.to_measure.iter().rev() {
             let mut style = resolve(n);
-            if nodes[n.index()].overlay_frame == frame {
+            if nodes[n.index()].overlay_frame == self.frame {
                 // The node's values: one run of the ordered map.
                 let run = overlay
                     .range((n, String::new())..)
@@ -636,91 +805,180 @@ impl RenderPipeline {
                 style_fp,
             });
         }
+    }
 
-        // Pass 3: position. Always a full walk — block stacking means a
-        // box's y depends on every earlier sibling — and deliberately
-        // not counted as layout work (it is the cheap part). Every node
-        // starts from the viewport defaults when the walk reaches it;
-        // its parent was reached earlier, so a parent without a box (the
-        // root, say) lays its children out from those defaults.
-        self.boxes.clear();
-        for (i, entry) in walk.iter().enumerate() {
-            slots[i].content = (0.0, VIEWPORT_WIDTH);
-            slots[i].cursor = 0.0;
-            let state = &nodes[entry.node.index()];
+    /// Passes 3 and 4: position (block stacking in a fixed mobile
+    /// viewport) and the display list with its damage diff against the
+    /// retained list, in one top-down walk. A box's y depends on every
+    /// earlier sibling, so a clean subtree is skipped — its boxes and
+    /// items stand — only where its parent's content box and the y it
+    /// starts at are last frame's; elsewhere it is walked again, which
+    /// translates it, and each item whose rect moved is damage. Neither
+    /// pass counts as layout work. Returns `(damage items, damage area,
+    /// reused items)`.
+    fn position_and_paint(&mut self, rebuilt: bool) -> (usize, u64, u64) {
+        let frame = self.frame;
+        if rebuilt {
+            // A node's `item_index` finds its item in either list;
+            // pointing at an item of another node means it has none
+            // there.
+            std::mem::swap(&mut self.retained, &mut self.old_items);
+            self.retained.clear();
+            self.boxes.clear();
+        }
+        let (mut damage_items, mut damage_area, mut reused_items) = (0usize, 0u64, 0u64);
+        let mut i = 0;
+        while i < self.walk.len() {
+            let entry = self.walk[i];
+            self.visits += 1;
+            let (top, parent_moved, parent_clean) = if i == 0 {
+                (0.0, false, false)
+            } else {
+                let parent = &self.slots[entry.parent];
+                (parent.cursor, parent.content_moved, parent.clean == frame)
+            };
+            let clean = parent_clean || self.slots[i].clean == frame;
+            let state = self.nodes[entry.node.index()];
+            if clean && !parent_moved && top.to_bits() == self.slots[i].top.to_bits() {
+                if i > 0 {
+                    self.slots[entry.parent].cursor += match state.kind {
+                        Kind::Element => state.measure.map_or(0.0, |m| m.outer_height),
+                        Kind::Text => TEXT_LINE_HEIGHT,
+                        Kind::Other => 0.0,
+                    };
+                }
+                reused_items += entry.elements as u64;
+                i = entry.end;
+                continue;
+            }
+            // Every node starts from the viewport defaults; its parent
+            // was reached earlier, so a parent without a box (the root,
+            // say) lays its children out from those defaults.
+            let old_content = self.slots[i].content;
+            let slot = &mut self.slots[i];
+            slot.top = top;
+            if clean {
+                slot.clean = frame;
+            }
+            slot.content = (0.0, VIEWPORT_WIDTH);
+            slot.cursor = 0.0;
             match state.kind {
                 Kind::Element => {
-                    let Some(m) = state.measure else {
-                        continue;
-                    };
-                    let (px, pw) = slots[entry.parent].content;
+                    let m = state.measure.expect("every element is measured");
+                    let (px, pw) = self.slots[entry.parent].content;
                     let width = m
                         .explicit_width
                         .unwrap_or_else(|| (pw - 2.0 * m.margin).max(0.0));
                     let x = px + m.margin;
-                    let y = slots[entry.parent].cursor + m.margin;
+                    let y = self.slots[entry.parent].cursor + m.margin;
                     let height = (m.outer_height - 2.0 * m.margin).max(0.0);
-                    self.boxes.push(LayoutBox {
+                    self.slots[i].content = (x, width);
+                    self.slots[i].cursor = y;
+                    self.slots[entry.parent].cursor += m.outer_height;
+                    let state = &mut self.nodes[entry.node.index()];
+                    let id = *state.item_id.get_or_insert_with(|| {
+                        self.next_item_id += 1;
+                        self.next_item_id - 1
+                    });
+                    let item = DisplayItem {
+                        id,
                         node: entry.node,
                         x,
                         y,
                         width,
                         height,
-                    });
-                    slots[i].content = (x, width);
-                    slots[i].cursor = y;
-                    slots[entry.parent].cursor += m.outer_height;
+                        style_fp: m.style_fp,
+                    };
+                    let old = if rebuilt {
+                        &self.old_items
+                    } else {
+                        &self.retained
+                    };
+                    match old.get(state.item_index) {
+                        Some(old) if old.node == entry.node && old.same_as(&item) => {
+                            reused_items += 1;
+                        }
+                        _ => {
+                            damage_items += 1;
+                            damage_area += item.area_px2();
+                        }
+                    }
+                    state.item_index = entry.item;
+                    put(&mut self.retained, entry.item, item);
+                    put(
+                        &mut self.boxes,
+                        entry.item,
+                        LayoutBox {
+                            node: entry.node,
+                            x,
+                            y,
+                            width,
+                            height,
+                        },
+                    );
                 }
-                Kind::Text => slots[entry.parent].cursor += TEXT_LINE_HEIGHT,
+                Kind::Text => self.slots[entry.parent].cursor += TEXT_LINE_HEIGHT,
                 Kind::Other => {}
             }
+            let slot = &mut self.slots[i];
+            slot.content_moved = slot.content.0.to_bits() != old_content.0.to_bits()
+                || slot.content.1.to_bits() != old_content.1.to_bits();
+            i += 1;
         }
-
-        // Pass 4: display list + damage diff against the retained list.
-        // A node's `item_index` finds its item in either list; pointing
-        // at an item of another node means it has none there.
-        self.items.clear();
-        let mut damage_items = 0usize;
-        let mut damage_area = 0u64;
-        let mut reused_items = 0u64;
-        for b in &self.boxes {
-            let state = &mut nodes[b.node.index()];
-            let id = match state.item_id {
-                Some(id) => id,
-                None => {
-                    let id = self.next_item_id;
-                    self.next_item_id += 1;
-                    state.item_id = Some(id);
-                    id
-                }
-            };
-            let item = DisplayItem {
-                id,
-                node: b.node,
-                x: b.x,
-                y: b.y,
-                width: b.width,
-                height: b.height,
-                style_fp: state.measure.map_or(0, |m| m.style_fp),
-            };
-            match self.retained.get(state.item_index) {
-                Some(old) if old.node == b.node && old.same_as(&item) => reused_items += 1,
-                _ => {
+        if rebuilt {
+            // Items of nodes that left the walk.
+            for old in &self.old_items {
+                let index = self.nodes[old.node.index()].item_index;
+                if self.retained.get(index).map(|item| item.node) != Some(old.node) {
                     damage_items += 1;
-                    damage_area += item.area_px2();
+                    damage_area += old.area_px2();
                 }
             }
-            state.item_index = self.items.len();
-            self.items.push(item);
         }
-        for old in &self.retained {
-            let index = nodes[old.node.index()].item_index;
-            if self.items.get(index).map(|item| item.node) != Some(old.node) {
-                damage_items += 1;
-                damage_area += old.area_px2();
+        (damage_items, damage_area, reused_items)
+    }
+
+    /// Runs the four per-frame passes (fingerprint → measure →
+    /// position → display-list diff) over `doc`, resolving styles
+    /// through `resolve` and applying the animation `overlay` on top.
+    /// Returns the machinery-independent pricing inputs for this frame.
+    pub fn render_frame(
+        &mut self,
+        doc: &Document,
+        generation: u64,
+        overlay: &BTreeMap<(NodeId, String), CssValue>,
+        resolve: &mut dyn FnMut(NodeId) -> ComputedStyle,
+    ) -> FrameRenderInfo {
+        self.frame += 1;
+        self.visits = 0;
+        if self.nodes.len() < doc.len() {
+            self.nodes.resize(doc.len(), NodeState::default());
+        }
+        if self.document != Some(doc.instance()) {
+            // Versions of another document say nothing about this one.
+            self.document = Some(doc.instance());
+            for state in &mut self.nodes {
+                state.hashed = 0;
             }
         }
-        let total_items = self.items.len();
+        let mut rebuilt = self.refresh_walk(doc);
+        self.hash_overlay(overlay);
+        // The oracle, a new walk and a new stylesheet generation skip
+        // nothing.
+        let mut all_changed = rebuilt || !self.enabled || generation != self.generation;
+        while !self.contexts(doc, all_changed) {
+            self.walk_key = None;
+            rebuilt = self.refresh_walk(doc);
+            all_changed = true;
+        }
+        let dirty_elements = self.fingerprints(generation, rebuilt);
+        let reuses = self.mark();
+        self.measure(doc, generation, overlay, resolve);
+        let (damage_items, damage_area, reused_items) = self.position_and_paint(rebuilt);
+        let elements = self.walk[0].elements;
+        let total_items = self.retained.len();
+        self.clock = doc.clock();
+        self.generation = generation;
 
         // Counters. The damage/dirty numbers are mode-independent; the
         // laid-out/reuse/emit split is where the two modes differ.
@@ -744,8 +1002,6 @@ impl RenderPipeline {
         } else {
             self.paint_stats.partial_repaints += 1;
         }
-
-        std::mem::swap(&mut self.retained, &mut self.items);
         FrameRenderInfo {
             elements,
             dirty_elements,
@@ -1132,6 +1388,120 @@ mod tests {
         assert_eq!(incr.display_list()[0].node, b_id);
         for item in incr.display_list() {
             assert_eq!(Some(&item.id), first.get(&item.node), "{}", item.node);
+        }
+    }
+    /// `sections` × `divs` × `spans` elements, each span holding a text
+    /// node.
+    fn grid(sections: usize, divs: usize, spans: usize) -> Document {
+        let mut html = String::new();
+        for _ in 0..sections {
+            html.push_str("<section>");
+            for _ in 0..divs {
+                html.push_str("<div>");
+                for _ in 0..spans {
+                    html.push_str("<span class='hot'>x</span>");
+                }
+                html.push_str("</div>");
+            }
+            html.push_str("</section>");
+        }
+        parse_html(&html).expect("parses")
+    }
+
+    #[test]
+    fn a_leaf_write_visits_only_the_path_and_its_children() {
+        let mut doc = grid(10, 10, 5);
+        let (_, engine) = fixture();
+        let overlay = BTreeMap::new();
+        let (mut incr, mut naive) = pipeline_pair();
+        for pipe in [&mut incr, &mut naive] {
+            render(pipe, &doc, &engine, &overlay);
+        }
+        let walk_len = incr.walk.len();
+        assert_eq!(incr.walk[0].elements, 610);
+        assert_eq!(incr.visits, 3 * walk_len, "the first frame walks it all");
+        render(&mut incr, &doc, &engine, &overlay);
+        assert_eq!(incr.visits, 3, "a clean frame stops at the root");
+
+        let leaf = doc.elements_by_tag("span")[237];
+        doc.element_mut(leaf)
+            .expect("element")
+            .set_attribute("style", "color: red; width: 20px");
+        let a = render(&mut incr, &doc, &engine, &overlay);
+        let b = render(&mut naive, &doc, &engine, &overlay);
+        assert_eq!(a, b);
+        assert_eq!(incr.layout_boxes(), naive.layout_boxes());
+        assert_eq!(incr.display_list(), naive.display_list());
+        assert_eq!((a.dirty_elements, a.damage_items), (3, 1));
+        // Each pass reaches the path from the root to the leaf and the
+        // children of the nodes on it, and nothing else.
+        let path: Vec<NodeId> = std::iter::once(leaf).chain(doc.ancestors(leaf)).collect();
+        let reach = path.len() + path.iter().map(|&n| doc.children(n).count()).sum::<usize>();
+        assert_eq!(reach, 4 + 1 + 5 + 10 + 10);
+        assert!(
+            incr.visits <= 3 * reach,
+            "{} visits for a path reach of {reach} in a walk of {walk_len}",
+            incr.visits
+        );
+    }
+
+    #[test]
+    fn a_clean_child_moves_with_a_parent_whose_width_reads_its_subtree() {
+        // The measure cache keys an element by a fingerprint that covers
+        // its subtree, so a style may read below the element: here the
+        // outer div is as wide as its text is long. Editing the first
+        // <p>'s text re-measures the div, and the second <p> — clean, at
+        // an unchanged y — must still take the div's new width.
+        let mut doc = parse_html("<div><p>ab</p><p>x</p></div>").expect("parses");
+        let div = doc.elements_by_tag("div")[0];
+        let first = doc.elements_by_tag("p")[0];
+        let text = doc.first_child(first).expect("text");
+        let (mut incr, mut naive) = pipeline_pair();
+        let overlay = BTreeMap::new();
+        let frame = |pipe: &mut RenderPipeline, doc: &Document| {
+            pipe.render_frame(doc, 0, &overlay, &mut |n| {
+                let mut style = ComputedStyle::default();
+                if n == div {
+                    let width = 10.0 * doc.text_content(n).len() as f64;
+                    style.set("width", CssValue::Number(width));
+                }
+                style
+            })
+        };
+        for pipe in [&mut incr, &mut naive] {
+            frame(pipe, &doc);
+        }
+        *doc.kind_mut(text) = NodeKind::Text("abcd".into());
+        let a = frame(&mut incr, &doc);
+        let b = frame(&mut naive, &doc);
+        assert_eq!(a, b);
+        assert_eq!(incr.layout_boxes(), naive.layout_boxes());
+        assert_eq!(incr.layout_boxes()[2].width, 50.0);
+    }
+
+    #[test]
+    fn an_element_turned_into_text_under_a_kept_walk_renders_like_the_oracle() {
+        let (mut doc, engine) = fixture();
+        let (mut incr, mut naive) = pipeline_pair();
+        let overlay = BTreeMap::new();
+        for pipe in [&mut incr, &mut naive] {
+            render(pipe, &doc, &engine, &overlay);
+        }
+        let span = doc.elements_by_tag("span")[0];
+        let shape = doc.structure_version();
+        for (kind, elements) in [(NodeKind::Text("t".into()), 4), (doc.kind(span).clone(), 5)] {
+            *doc.kind_mut(span) = kind;
+            assert_eq!(doc.structure_version(), shape, "a payload write");
+            let a = render(&mut incr, &doc, &engine, &overlay);
+            let b = render(&mut naive, &doc, &engine, &overlay);
+            assert_eq!(a, b);
+            assert_eq!((a.elements, a.total_items), (elements, elements));
+            let mut fresh = RenderPipeline::new(true);
+            render(&mut fresh, &doc, &engine, &overlay);
+            for pipe in [&incr, &naive] {
+                assert_eq!(pipe.layout_boxes(), fresh.layout_boxes());
+                assert_eq!(pipe.display_list().len(), elements);
+            }
         }
     }
 }

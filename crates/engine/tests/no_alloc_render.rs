@@ -1,8 +1,9 @@
-//! Proves a warm render pass allocates nothing: once the pipeline's
-//! buffers have grown, `render_frame` over an unchanged document with
-//! live animation-overlay values hashes from its version memo, walks the
-//! cached pre-order list, reads the overlay in place and reuses every
-//! buffer.
+//! Proves a warm render pass allocates nothing of its own: once the
+//! pipeline's buffers have grown, `render_frame` over an unchanged
+//! document with live animation-overlay values hashes from its version
+//! memo, walks the cached pre-order list, reads the overlay in place and
+//! reuses every buffer; after a one-leaf write it allocates only what
+//! resolving that leaf's style does.
 
 // The only unsafe here: a `GlobalAlloc` impl (inherently an unsafe
 // trait) that delegates to `System` and counts calls.
@@ -91,6 +92,53 @@ fn warm_frame_with_a_live_overlay_does_not_allocate() {
     assert_eq!(after - before, 0, "a warm render_frame must not allocate");
     assert_eq!(pipeline.layout_stats().elements_laid_out, laid_out);
     assert_eq!(pipeline.display_list().len(), 5);
+}
+
+#[test]
+fn warm_frame_after_a_one_leaf_write_allocates_only_for_its_style() {
+    // The leaf's ancestors match no rule, so re-measuring them (their
+    // fingerprints fold in the leaf's) resolves empty styles.
+    let mut doc = parse_html(
+        "<div><div><p id='leaf'>one</p><p>two</p></div></div>\
+         <div id='b'><span class='hot'>x</span></div>",
+    )
+    .expect("parses");
+    let engine = StyleEngine::new(parse_stylesheet(".hot { width: 50px; }").expect("parses"));
+    let leaf = doc.element_by_id("leaf").expect("leaf");
+    let span = doc.elements_by_tag("span")[0];
+    let mut overlay: BTreeMap<(NodeId, String), CssValue> = BTreeMap::new();
+    overlay.insert((span, "width".into()), CssValue::Length(Length::px(70.0)));
+    let mut pipeline = RenderPipeline::new(true);
+    for _ in 0..3 {
+        pipeline.render_frame(&doc, engine.generation(), &overlay, &mut |n| {
+            engine.compute_style(&doc, n, None)
+        });
+    }
+    for (step, style) in ["color: red", "color: blue; width: 20px"]
+        .into_iter()
+        .enumerate()
+    {
+        doc.element_mut(leaf)
+            .expect("element")
+            .set_attribute("style", style);
+        let before = allocations();
+        drop(engine.compute_style(&doc, leaf, None));
+        let lone = allocations() - before;
+        let laid_out = pipeline.layout_stats().elements_laid_out;
+        let before = allocations();
+        let info = pipeline.render_frame(&doc, engine.generation(), &overlay, &mut |n| {
+            engine.compute_style(&doc, n, None)
+        });
+        let frame = allocations() - before;
+        assert!(lone > 0, "parsing the inline style allocates");
+        assert!(
+            frame <= lone,
+            "step {step}: the frame allocated {frame} times, one style resolve {lone}"
+        );
+        // The leaf, its <div> and the outer <div> were re-measured.
+        assert_eq!(pipeline.layout_stats().elements_laid_out - laid_out, 3);
+        assert_eq!(info.dirty_elements, 3);
+    }
 }
 
 #[test]

@@ -11,6 +11,7 @@
 use greenweb::metrics::{violation_for_input, InputExpectation};
 use greenweb::qos::QosType;
 use greenweb_analyze::{analyze, LintCode, Severity};
+use greenweb_bench::golden_name;
 use greenweb_engine::{App, InputId, TargetSpec, Trace};
 use greenweb_workloads::all;
 use greenweb_workloads::harness::{run, Policy};
@@ -136,22 +137,6 @@ fn lint_json_is_byte_deterministic_across_runs() {
         let second = analyze(&w.app).render_json();
         assert_eq!(first, second, "{}: JSON differs between runs", w.name);
     }
-}
-
-/// The golden file name for a workload (kept in sync with the
-/// `greenweb_lint` CLI): lowercase, non-alphanumerics mapped to `_`.
-fn golden_name(workload: &str) -> String {
-    let slug: String = workload
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    format!("{slug}.json")
 }
 
 #[test]

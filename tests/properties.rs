@@ -849,6 +849,199 @@ fn rendering_modes_agree_on_random_documents_and_mutations() {
     );
 }
 
+/// The render pipeline's skipping contract, frame by frame: an
+/// incremental pipeline (which jumps over unchanged subtrees) and the
+/// oracle (which skips nothing) report the same pricing inputs, boxes
+/// and display list after *every* frame of a random mutation sequence —
+/// overlay values that appear, change and go away, writes deep inside
+/// clean subtrees, height changes that move later siblings, text edits,
+/// appends and removals, new rules and document clones. A fresh pipeline
+/// checks the boxes both keep across frames.
+#[test]
+fn render_pipelines_agree_after_every_frame() {
+    use greenweb_css::value::Length;
+    use greenweb_css::CssValue;
+    use greenweb_dom::{ElementData, NodeId, NodeKind};
+    use greenweb_engine::RenderPipeline;
+    use std::collections::BTreeMap;
+
+    check("render_pipelines_agree_after_every_frame", 64, |g| {
+        let html = gen_style_document(g);
+        let css = gen_stylesheet_source(g);
+        let mut doc = parse_html(&html).unwrap_or_else(|e| panic!("html {html:?}: {e}"));
+        let mut engine =
+            StyleEngine::new(parse_stylesheet(&css).unwrap_or_else(|e| panic!("css {css:?}: {e}")));
+        let mut overlay: BTreeMap<(NodeId, String), CssValue> = BTreeMap::new();
+        let mut incremental = RenderPipeline::new(true);
+        let mut oracle = RenderPipeline::new(false);
+        let mut log = Vec::new();
+        for frame in 0..g.usize_in(6, 16) {
+            let render = |pipe: &mut RenderPipeline| {
+                pipe.render_frame(&doc, engine.generation(), &overlay, &mut |n| {
+                    engine.compute_style(&doc, n, None)
+                })
+            };
+            let a = render(&mut incremental);
+            let b = render(&mut oracle);
+            let context = || format!("frame {frame} after {log:?}\nhtml: {html}\ncss: {css}");
+            assert_eq!(a, b, "pricing inputs diverged at {}", context());
+            assert_eq!(
+                incremental.layout_boxes(),
+                oracle.layout_boxes(),
+                "boxes diverged at {}",
+                context()
+            );
+            assert_eq!(
+                incremental.display_list(),
+                oracle.display_list(),
+                "display lists diverged at {}",
+                context()
+            );
+            // Both modes keep their walk between structure changes; a
+            // fresh pipeline builds one from scratch.
+            let mut fresh = RenderPipeline::new(false);
+            let c = render(&mut fresh);
+            assert_eq!(
+                (a.elements, a.total_items),
+                (c.elements, c.total_items),
+                "counts diverged from a fresh walk at {}",
+                context()
+            );
+            assert_eq!(
+                incremental.layout_boxes(),
+                fresh.layout_boxes(),
+                "boxes diverged from a fresh walk at {}",
+                context()
+            );
+
+            let elements: Vec<NodeId> = doc.elements().collect();
+            let texts: Vec<NodeId> = doc
+                .descendants(doc.root())
+                .filter(|&n| doc.kind(n).as_text().is_some())
+                .collect();
+            // Deep nodes first: the last element in document order sits
+            // inside the most recently opened subtree.
+            let pick = |g: &mut Gen| -> Option<NodeId> {
+                if elements.is_empty() {
+                    None
+                } else if g.bool_with(0.5) {
+                    elements.last().copied()
+                } else {
+                    Some(*g.choose(&elements))
+                }
+            };
+            for _ in 0..g.usize_in(0, 3) {
+                let op = g.usize_in(0, 13);
+                log.push(op);
+                match op {
+                    0 => {
+                        // An overlay value appears or changes.
+                        if let Some(n) = pick(g) {
+                            let property = *g.choose(&STYLE_PROPS);
+                            let px = g.usize_in(0, 60) as f64;
+                            overlay.insert(
+                                (n, property.to_string()),
+                                CssValue::Length(Length::px(px)),
+                            );
+                        }
+                    }
+                    1 => {
+                        // An overlay value goes away.
+                        let keys: Vec<(NodeId, String)> = overlay.keys().cloned().collect();
+                        if !keys.is_empty() {
+                            overlay.remove(g.choose(&keys));
+                        }
+                    }
+                    2 | 3 => {
+                        // An inline style write, often a height that moves
+                        // every later sibling.
+                        if let Some(n) = pick(g) {
+                            let property = if op == 2 {
+                                "height"
+                            } else {
+                                *g.choose(&STYLE_PROPS)
+                            };
+                            let style = format!("{property}: {}px", g.usize_in(0, 80));
+                            doc.element_mut(n)
+                                .expect("element")
+                                .set_attribute("style", style);
+                        }
+                    }
+                    4 if !texts.is_empty() => {
+                        // A text edit in place.
+                        let t = *g.choose(&texts);
+                        *doc.kind_mut(t) = NodeKind::Text(format!("t{}", g.usize_in(0, 9)));
+                    }
+                    5 => {
+                        // Append a fresh element, sometimes with text.
+                        if let Some(parent) = pick(g) {
+                            let child = doc.create_element(*g.choose(&STYLE_TAGS));
+                            if g.bool_with(0.5) {
+                                let text = doc.create_text("new");
+                                doc.append_child(child, text);
+                            }
+                            doc.append_child(parent, child);
+                        }
+                    }
+                    6 if !elements.is_empty() => {
+                        doc.detach(*g.choose(&elements));
+                    }
+                    7 => {
+                        // A new rule: the stylesheet generation moves.
+                        let rule = format!(
+                            "{} {{ {}: {}px; }}",
+                            gen_style_selector(g),
+                            *g.choose(&STYLE_PROPS),
+                            g.usize_in(0, 80)
+                        );
+                        let sheet = parse_stylesheet(&rule).expect("generated rule parses");
+                        engine.stylesheet_mut().extend(sheet);
+                    }
+                    8 => {
+                        doc = doc.clone();
+                    }
+                    9 => {
+                        // A class flip, or writing a value back: the
+                        // version moves and nothing may change.
+                        if let Some(n) = pick(g) {
+                            let el = doc.element_mut(n).expect("element");
+                            let class = if g.bool_with(0.5) {
+                                el.attribute("class").unwrap_or("").to_string()
+                            } else {
+                                (*g.choose(&STYLE_CLASSES)).to_string()
+                            };
+                            el.set_attribute("class", class);
+                        }
+                    }
+                    10 => {
+                        // A write to a detached node.
+                        let detached: Vec<NodeId> = (0..doc.len())
+                            .filter_map(|i| doc.node_at(i))
+                            .filter(|&n| n != doc.root() && doc.parent(n).is_none())
+                            .collect();
+                        if !detached.is_empty() {
+                            let n = *g.choose(&detached);
+                            if let Some(el) = doc.element_mut(n) {
+                                el.set_attribute("style", "height: 7px");
+                            }
+                        }
+                    }
+                    11 if !texts.is_empty() => {
+                        // A text node turned into an element: the
+                        // walk's shape stands, its element count not.
+                        let t = *g.choose(&texts);
+                        *doc.kind_mut(t) = NodeKind::Element(ElementData::new("p"));
+                    }
+                    _ => {
+                        // Nothing (op 12, or no node to act on): a clean
+                        // frame.
+                    }
+                }
+            }
+        }
+    });
+}
+
 /// Dropped inputs stay invisible: an input that never marks dirty gets no
 /// frame records, and per-input sequence numbers stay contiguous from 0
 /// for everyone else even when inputs vanish mid-sequence.

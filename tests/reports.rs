@@ -7,7 +7,7 @@
 
 use greenweb::qos::Scenario;
 use greenweb_analyze::analyze;
-use greenweb_bench::{bench_reports, profile};
+use greenweb_bench::{bench_reports, golden_name, metrics_report, profile};
 use greenweb_fleet::Jobs;
 use greenweb_trace::json::JsonValue;
 use greenweb_trace::AttributionProfile;
@@ -99,6 +99,29 @@ fn committed_bench_files_match_a_fresh_render() {
         assert!(
             json == committed,
             "{file} is stale: regenerate it with `evaluate bench`\nfresh:\n{json}"
+        );
+    }
+}
+
+/// The style/layout/paint counters of every full-trace run, next to its
+/// energy and QoS metrics: `evaluate metrics --workload W` must print
+/// each of the 12 workloads' committed golden, named by `golden_name`.
+/// Regenerate one intentionally with
+/// `evaluate metrics --workload Paper.js > tests/goldens/metrics/paper_js.json`.
+#[test]
+fn metrics_json_matches_committed_goldens() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/metrics");
+    for w in greenweb_workloads::all() {
+        let path = dir.join(golden_name(w.name));
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let fresh = metrics_report(&w);
+        parses(w.name, &fresh);
+        assert!(
+            fresh == committed,
+            "{} drifted from {}\nfresh:\n{fresh}",
+            w.name,
+            path.display()
         );
     }
 }
