@@ -4,9 +4,9 @@
 //! same bytecode CFG to produce a **lower** bound (forks keep the
 //! cheaper arm, unknown callees contribute nothing), this pass produces
 //! a sound **over-approximation** of everything a handler can ask the
-//! browser to do — an [`EffectSummary`] the engine consumes to downgrade
-//! cache invalidation and to check `dynamic ⊆ static` containment on
-//! every callback return. The polarity inversion dictates every rule:
+//! browser to do — an [`EffectSummary`] the engine checks `dynamic ⊆
+//! static` containment against on every callback return. The polarity
+//! inversion dictates every rule:
 //!
 //! - a ⊤-guarded branch explores both arms and **joins** them;
 //! - an unknown or ambiguous callee, a method call, a member/index

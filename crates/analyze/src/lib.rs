@@ -25,8 +25,8 @@
 //!    annotated handlers (GW050), provable zero-delay timer chains
 //!    (GW051), and structure mutation on high-frequency events (GW060).
 //!    The summaries are also exported ([`infer_effect_summaries`]) for
-//!    the engine, which uses them to downgrade style invalidation and
-//!    to check `dynamic ⊆ static` containment at every callback return.
+//!    the engine, which checks `dynamic ⊆ static` containment against
+//!    them at every callback return.
 //!
 //! Diagnostics carry stable `GW0xx` codes and render deterministically
 //! as text or JSON, so golden files diff cleanly in CI.

@@ -60,13 +60,8 @@ pub struct AblationCell {
 
 /// Feedback ablation: GreenWeb with and without the Sec. 6.2 feedback
 /// loop, judged under the usable scenario (where mispredictions bite —
-/// the W3School/Cnet surges).
-pub fn feedback_ablation(workloads: &[Workload]) -> Vec<AblationCell> {
-    feedback_ablation_with(workloads, Jobs::from_env())
-}
-
-/// [`feedback_ablation`] on an explicit worker count.
-pub fn feedback_ablation_with(workloads: &[Workload], jobs: Jobs) -> Vec<AblationCell> {
+/// the W3School/Cnet surges). Runs on `jobs` workers.
+pub fn feedback_ablation(workloads: &[Workload], jobs: Jobs) -> Vec<AblationCell> {
     let variants = [
         ("feedback", Policy::GreenWeb(Scenario::Usable)),
         ("no-feedback", Policy::GreenWebNoFeedback(Scenario::Usable)),
@@ -135,13 +130,9 @@ pub fn render_feedback_ablation(cells: &[AblationCell]) -> String {
 }
 
 /// DVFS-granularity ablation (Sec. 7.3 suggests fast, fine-grained DVFS
-/// helps): the big cluster with 100 MHz vs. 500 MHz steps.
-pub fn granularity_ablation(workload: &Workload) -> String {
-    granularity_ablation_with(workload, Jobs::from_env())
-}
-
-/// [`granularity_ablation`] on an explicit worker count.
-pub fn granularity_ablation_with(workload: &Workload, jobs: Jobs) -> String {
+/// helps): the big cluster with 100 MHz vs. 500 MHz steps, on `jobs`
+/// workers.
+pub fn granularity_ablation(workload: &Workload, jobs: Jobs) -> String {
     let steps = [("100 MHz", 100u32), ("250 MHz", 250), ("500 MHz", 500)];
     let specs = steps
         .iter()
@@ -190,14 +181,9 @@ pub fn granularity_ablation_with(workload: &Workload, jobs: Jobs) -> String {
 
 /// Big-only vs. ACMP ablation: restrict the runtime to the big cluster
 /// (the "single big core capable of DVFS" alternative of Sec. 10) and
-/// compare with the full ACMP space.
-pub fn acmp_ablation(workloads: &[Workload]) -> String {
-    acmp_ablation_with(workloads, Jobs::from_env())
-}
-
-/// [`acmp_ablation`] on an explicit worker count: `2 × workloads` jobs
-/// (full ACMP and big-only) in one batch.
-pub fn acmp_ablation_with(workloads: &[Workload], jobs: Jobs) -> String {
+/// compare with the full ACMP space: `2 × workloads` jobs in one batch
+/// on `jobs` workers.
+pub fn acmp_ablation(workloads: &[Workload], jobs: Jobs) -> String {
     let acmp_policy = Policy::GreenWeb(Scenario::Usable);
     let specs = workloads
         .iter()
@@ -259,14 +245,9 @@ pub fn acmp_ablation_with(workloads: &[Workload], jobs: Jobs) -> String {
 
 /// GreenWeb vs. the annotation-free EBS baseline (Sec. 9): energy and
 /// violations against the *true* (annotated) expectations, imperceptible
-/// scenario.
-pub fn ebs_comparison(workloads: &[Workload]) -> String {
-    ebs_comparison_with(workloads, Jobs::from_env())
-}
-
-/// [`ebs_comparison`] on an explicit worker count: `3 × workloads` jobs
-/// (EBS, GreenWeb-I, Perf) in one batch.
-pub fn ebs_comparison_with(workloads: &[Workload], jobs: Jobs) -> String {
+/// scenario: `3 × workloads` jobs (EBS, GreenWeb-I, Perf) in one batch
+/// on `jobs` workers.
+pub fn ebs_comparison(workloads: &[Workload], jobs: Jobs) -> String {
     let policies = [
         Policy::Ebs,
         Policy::GreenWeb(Scenario::Imperceptible),
@@ -320,14 +301,9 @@ pub fn ebs_comparison_with(workloads: &[Workload], jobs: Jobs) -> String {
 /// annotated animation with and without a background task stealing CPU
 /// time (a self-rescheduling timer burning cycles, never painting).
 /// GreenWeb's feedback must absorb the contention — more energy, but
-/// bounded QoS damage.
-pub fn background_load_experiment() -> String {
-    background_load_experiment_with(Jobs::from_env())
-}
-
-/// [`background_load_experiment`] on an explicit worker count (two jobs:
-/// the animation alone and with the background task).
-pub fn background_load_experiment_with(jobs: Jobs) -> String {
+/// bounded QoS damage. Two jobs (the animation alone and with the
+/// background task) on `jobs` workers.
+pub fn background_load_experiment(jobs: Jobs) -> String {
     use greenweb::metrics::{InputExpectation, RunMetrics};
     use greenweb::qos::QosType;
     use greenweb_engine::{App, Trace};
@@ -429,7 +405,7 @@ mod tests {
     #[test]
     fn feedback_ablation_shows_violation_gap_on_surgy_app() {
         let w = by_name("W3School").unwrap();
-        let cells = feedback_ablation(std::slice::from_ref(&w));
+        let cells = feedback_ablation(std::slice::from_ref(&w), Jobs::from_env());
         assert_eq!(cells.len(), 2);
         let fb = &cells[0];
         let nofb = &cells[1];
@@ -449,7 +425,7 @@ mod tests {
     #[test]
     fn acmp_beats_big_only_on_a_continuous_app() {
         let w = by_name("Goo.ne.jp").unwrap();
-        let text = acmp_ablation(std::slice::from_ref(&w));
+        let text = acmp_ablation(std::slice::from_ref(&w), Jobs::from_env());
         assert!(text.contains("Goo.ne.jp"));
         // The ratio line reports > 1 when ACMP wins.
         let ratio: f64 = text
@@ -464,7 +440,7 @@ mod tests {
 
     #[test]
     fn background_load_costs_energy_not_qos() {
-        let text = background_load_experiment();
+        let text = background_load_experiment(Jobs::from_env());
         assert!(text.contains("with background"));
         // Parse the two energy cells and compare.
         let numbers: Vec<f64> = text
@@ -487,7 +463,7 @@ mod tests {
     #[test]
     fn granularity_ablation_renders_three_rows() {
         let w = by_name("Todo").unwrap();
-        let text = granularity_ablation(&w);
+        let text = granularity_ablation(&w, Jobs::from_env());
         assert!(text.contains("100 MHz"));
         assert!(text.contains("500 MHz"));
     }

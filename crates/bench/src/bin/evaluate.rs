@@ -86,7 +86,7 @@
 
 use greenweb::autogreen::AutoGreen;
 use greenweb::qos::Scenario;
-use greenweb_bench::figures::{run_suite_with, AppRuns, SuiteKind};
+use greenweb_bench::figures::{run_apps, AppRuns, SuiteKind};
 use greenweb_bench::{ablation, bench_reports, metrics_report, profile, render, tables};
 use greenweb_fleet::Jobs;
 use greenweb_workloads::harness::{expectations, run, Policy};
@@ -300,11 +300,11 @@ fn main() {
             .filter(|w| matches!(w.name, "W3School" | "Cnet" | "Amazon"))
             .cloned()
             .collect();
-        let cells = ablation::feedback_ablation_with(&surgy, jobs);
+        let cells = ablation::feedback_ablation(&surgy, jobs);
         println!("{}", ablation::render_feedback_ablation(&cells));
         println!(
             "{}",
-            ablation::granularity_ablation_with(
+            ablation::granularity_ablation(
                 &greenweb_workloads::by_name("Goo.ne.jp").expect("workload exists"),
                 jobs
             )
@@ -314,7 +314,7 @@ fn main() {
             .filter(|w| matches!(w.name, "Goo.ne.jp" | "Craigslist" | "W3School"))
             .cloned()
             .collect();
-        println!("{}", ablation::acmp_ablation_with(&continuous, jobs));
+        println!("{}", ablation::acmp_ablation(&continuous, jobs));
     }
     if wants("ebs") {
         let chosen: Vec<_> = greenweb_workloads::all()
@@ -322,10 +322,10 @@ fn main() {
             .filter(|w| matches!(w.name, "MSN" | "Todo" | "CamanJS" | "Goo.ne.jp"))
             .cloned()
             .collect();
-        println!("{}", ablation::ebs_comparison_with(&chosen, jobs));
+        println!("{}", ablation::ebs_comparison(&chosen, jobs));
     }
     if wants("multiapp") {
-        println!("{}", ablation::background_load_experiment_with(jobs));
+        println!("{}", ablation::background_load_experiment(jobs));
     }
     if wants("percentiles") || command == "trace" {
         let w = greenweb_workloads::by_name(&workload)
@@ -458,7 +458,7 @@ fn suite(
 ) -> &Vec<AppRuns> {
     cache.entry(kind).or_insert_with(|| {
         eprintln!("running {kind:?} suite (12 apps x 4 policies, {jobs} worker(s))...");
-        run_suite_with(kind, jobs)
+        run_apps(&greenweb_workloads::all(), kind, jobs)
     })
 }
 

@@ -1,6 +1,6 @@
 //! Data generation for every figure of the paper's evaluation.
 //!
-//! One [`run_suite`] call executes every workload under the four compared
+//! One [`run_apps`] call executes every workload under the four compared
 //! policies (Perf, Interactive, GreenWeb-I, GreenWeb-U) on either the
 //! microbenchmark or full-interaction traces; the per-figure accessors
 //! slice that shared data, so `evaluate all` runs each simulation exactly
@@ -147,24 +147,6 @@ pub fn run_apps(workloads: &[Workload], kind: SuiteKind, jobs: Jobs) -> Vec<AppR
         .collect()
 }
 
-/// Runs one workload under the four compared policies.
-pub fn run_app(workload: &Workload, kind: SuiteKind) -> AppRuns {
-    run_apps(std::slice::from_ref(workload), kind, Jobs::from_env())
-        .pop()
-        .expect("one workload in, one row out")
-}
-
-/// Runs the whole Table 3 suite (worker count from `GREENWEB_JOBS`, else
-/// hardware parallelism; the result does not depend on it).
-pub fn run_suite(kind: SuiteKind) -> Vec<AppRuns> {
-    run_suite_with(kind, Jobs::from_env())
-}
-
-/// Runs the whole Table 3 suite on an explicit worker count.
-pub fn run_suite_with(kind: SuiteKind, jobs: Jobs) -> Vec<AppRuns> {
-    run_apps(&greenweb_workloads::all(), kind, jobs)
-}
-
 /// Geometric-free arithmetic mean helper.
 pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
     let v: Vec<f64> = values.into_iter().collect();
@@ -265,8 +247,16 @@ mod tests {
     use super::*;
     use greenweb_workloads::by_name;
 
+    fn micro_runs(name: &str) -> Vec<AppRuns> {
+        run_apps(
+            &[by_name(name).unwrap()],
+            SuiteKind::Micro,
+            Jobs::from_env(),
+        )
+    }
+
     fn todo_runs() -> AppRuns {
-        run_app(&by_name("Todo").unwrap(), SuiteKind::Micro)
+        micro_runs("Todo").pop().unwrap()
     }
 
     #[test]
@@ -295,7 +285,7 @@ mod tests {
         // MSN's micro taps carry a heavy (265M-cycle) callback, so the
         // imperceptible target still forces big-core residency even now
         // that incremental rendering keeps frame work small.
-        let suite = vec![run_app(&by_name("MSN").unwrap(), SuiteKind::Micro)];
+        let suite = micro_runs("MSN");
         for scenario in Scenario::ALL {
             let rows = fig11(&suite, scenario);
             let total: f64 = rows[0].shares.iter().map(|(_, f)| f).sum();
@@ -310,7 +300,7 @@ mod tests {
 
     #[test]
     fn fig12_switches_are_modest() {
-        let suite = vec![run_app(&by_name("Goo.ne.jp").unwrap(), SuiteKind::Micro)];
+        let suite = micro_runs("Goo.ne.jp");
         let rows = fig12(&suite);
         let (dvfs, mig) = rows[0].imperceptible;
         // "GreenWeb introduces only modest configuration switching (20%

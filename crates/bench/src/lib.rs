@@ -43,10 +43,7 @@ use greenweb::qos::Scenario;
 use greenweb_workloads::harness::{expectations, run, Policy};
 use greenweb_workloads::Workload;
 
-pub use figures::{
-    fig11, fig12, run_app, run_apps, run_suite, run_suite_with, AppRuns, PolicyRun, ResidencyRow,
-    SuiteKind, SwitchRow,
-};
+pub use figures::{fig11, fig12, run_apps, AppRuns, PolicyRun, ResidencyRow, SuiteKind, SwitchRow};
 
 /// Every committed report as `(file name, freshly rendered JSON)`, in
 /// the order `evaluate bench` writes them. Each value is simulated or

@@ -3,19 +3,21 @@
 //!
 //! This is the reporting layer over [`greenweb_trace`]: it runs one
 //! workload with a recorder attached ([`run_traced`]), distills the
-//! event buffer into a [`MetricsRegistry`], and renders the tables the
-//! `evaluate` binary prints. The exported JSON loads directly into
-//! Perfetto / `chrome://tracing`.
+//! event buffer in one walk into per-stage span histograms, the
+//! frame-commit latency histogram and per-kind record counts, and
+//! renders the tables the `evaluate` binary prints. The exported JSON
+//! loads directly into Perfetto / `chrome://tracing`.
 
 use greenweb::metrics::RunMetrics;
 use greenweb::qos::Scenario;
 use greenweb_engine::BrowserError;
 use greenweb_trace::json::{self, Fixed, Obj};
 use greenweb_trace::{
-    chrome_trace_json, flame_summary, LatencySummary, MetricsRegistry, SpanKind, TraceBuffer,
+    chrome_trace_json, EventKind, Histogram, LatencySummary, SpanKind, TraceBuffer,
 };
 use greenweb_workloads::harness::{expectations, run_traced, Policy};
 use greenweb_workloads::Workload;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One traced run of a workload, ready for rendering or export.
@@ -56,6 +58,45 @@ pub fn profile(
     })
 }
 
+/// What the stage report reads of a trace, filled in one walk of its
+/// events.
+struct StageTable {
+    /// Span durations per stage, indexed like [`SpanKind::ALL`] (its
+    /// declaration order).
+    stages: [Histogram; 6],
+    /// Frame-commit latencies.
+    frame: Histogram,
+    /// Record counts by [`EventKind::name`], name-ordered.
+    counts: BTreeMap<&'static str, u64>,
+}
+
+impl StageTable {
+    fn from_trace(buffer: &TraceBuffer) -> Self {
+        let mut table = StageTable {
+            stages: Default::default(),
+            frame: Histogram::new(),
+            counts: BTreeMap::new(),
+        };
+        for record in &buffer.events {
+            *table.counts.entry(record.kind.name()).or_insert(0) += 1;
+            match &record.kind {
+                EventKind::Span { kind, dur, .. } => {
+                    table.stages[*kind as usize].record(dur.as_millis_f64());
+                }
+                EventKind::FrameCommit { latency, .. } => {
+                    table.frame.record(latency.as_millis_f64());
+                }
+                _ => {}
+            }
+        }
+        table
+    }
+
+    fn stage(&self, kind: SpanKind) -> &Histogram {
+        &self.stages[kind as usize]
+    }
+}
+
 fn percentile_row(out: &mut String, label: &str, s: LatencySummary) {
     let _ = writeln!(
         out,
@@ -64,10 +105,9 @@ fn percentile_row(out: &mut String, label: &str, s: LatencySummary) {
     );
 }
 
-/// Renders the per-stage and frame-latency percentile table of a
-/// profile, followed by its event counters.
-pub fn percentile_table(profile: &Profile) -> String {
-    let registry = MetricsRegistry::from_trace(&profile.buffer);
+/// The per-stage and frame-latency percentile table of a profile,
+/// followed by its event counts.
+fn percentile_table(profile: &Profile, table: &StageTable) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -80,12 +120,9 @@ pub fn percentile_table(profile: &Profile) -> String {
         "stage", "n", "p50 ms", "p95 ms", "p99 ms", "max ms"
     );
     for kind in SpanKind::ALL {
-        percentile_row(&mut out, kind.name(), registry.stage_summary(kind));
+        percentile_row(&mut out, kind.name(), table.stage(kind).summary());
     }
-    let frame = registry
-        .histogram("frame.latency")
-        .map_or(LatencySummary::EMPTY, greenweb_trace::Histogram::summary);
-    percentile_row(&mut out, "frame", frame);
+    percentile_row(&mut out, "frame", table.frame.summary());
     let _ = writeln!(out);
     let _ = writeln!(
         out,
@@ -97,26 +134,69 @@ pub fn percentile_table(profile: &Profile) -> String {
         profile.metrics.unjudged_expected,
         profile.metrics.frames,
     );
-    let mut counters = String::new();
-    for (name, value) in registry.counters() {
-        if let Some(kind) = name.strip_prefix("count.") {
-            if !counters.is_empty() {
-                counters.push_str(", ");
-            }
-            let _ = write!(counters, "{kind} {value}");
-        }
+    let counts: Vec<String> = table
+        .counts
+        .iter()
+        .map(|(kind, n)| format!("{kind} {n}"))
+        .collect();
+    let _ = writeln!(out, "events: {}", counts.join(", "));
+    out
+}
+
+/// A compact flamegraph-style summary: main-thread self time per
+/// pipeline stage with share bars and percentiles. The engine
+/// serializes all stages on one thread, so self time equals span time.
+fn flame_summary(table: &StageTable, dropped: u64) -> String {
+    let stage_ms = SpanKind::ALL.map(|kind| table.stage(kind).sum());
+    let total_ms: f64 = stage_ms.iter().sum();
+    let max_ms = stage_ms.iter().copied().fold(0.0, f64::max);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "flame: pipeline time by stage (total {total_ms:.1} ms)"
+    );
+    for (kind, ms) in SpanKind::ALL.into_iter().zip(stage_ms) {
+        let summary = table.stage(kind).summary();
+        let share = if total_ms > 0.0 {
+            100.0 * ms / total_ms
+        } else {
+            0.0
+        };
+        let width = if max_ms > 0.0 {
+            ((ms / max_ms) * 24.0).round() as usize
+        } else {
+            0
+        };
+        let _ = writeln!(
+            out,
+            "  {:<9} {:<24} {:5.1}% {:9.1} ms  n={:<5} p50 {:6.2}  p95 {:6.2}  p99 {:6.2} ms",
+            kind.name(),
+            "#".repeat(width),
+            share,
+            ms,
+            summary.count,
+            summary.p50_ms,
+            summary.p95_ms,
+            summary.p99_ms,
+        );
     }
-    let _ = writeln!(out, "events: {counters}");
+    if dropped > 0 {
+        let _ = writeln!(
+            out,
+            "  (ring dropped {dropped} oldest events; totals undercount)"
+        );
+    }
     out
 }
 
 /// Full text report of a profile: percentile table plus flamegraph
-/// summary.
+/// summary, both read from one walk of the trace.
 pub fn render(profile: &Profile) -> String {
+    let table = StageTable::from_trace(&profile.buffer);
     format!(
         "{}\n{}",
-        percentile_table(profile),
-        flame_summary(&profile.buffer)
+        percentile_table(profile, &table),
+        flame_summary(&table, profile.buffer.dropped)
     )
 }
 
@@ -133,18 +213,14 @@ pub fn export_json(profile: &Profile) -> String {
 /// milliseconds: style, layout, paint and script (the callback stage).
 /// Span durations are simulated time, so the totals are deterministic.
 pub fn phase_totals_ms(profile: &Profile) -> [f64; 4] {
-    let registry = MetricsRegistry::from_trace(&profile.buffer);
+    let table = StageTable::from_trace(&profile.buffer);
     [
         SpanKind::Style,
         SpanKind::Layout,
         SpanKind::Paint,
         SpanKind::Callback,
     ]
-    .map(|kind| {
-        registry
-            .histogram(&format!("stage.{}", kind.name()))
-            .map_or(0.0, |h| h.mean() * h.count() as f64)
-    })
+    .map(|kind| table.stage(kind).sum())
 }
 
 /// The `BENCH_evaluate.json` report: each workload's
@@ -208,12 +284,13 @@ impl MicroBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greenweb_acmp::{Duration, SimTime};
 
     #[test]
     fn profile_renders_all_stages_and_counts() {
         let w = greenweb_workloads::by_name("Todo").unwrap();
         let p = profile(&w, &Policy::GreenWeb(Scenario::Usable), Scenario::Usable).unwrap();
-        let table = percentile_table(&p);
+        let table = percentile_table(&p, &StageTable::from_trace(&p.buffer));
         for stage in ["input", "callback", "style", "layout", "paint", "composite"] {
             assert!(table.contains(stage), "missing stage {stage}: {table}");
         }
@@ -225,5 +302,27 @@ mod tests {
             json.contains("\"name\":\"decision\""),
             "no decisions in trace"
         );
+    }
+
+    #[test]
+    fn flame_summary_lists_all_stages() {
+        let trace = greenweb_trace::TraceHandle::with_capacity(8);
+        trace.record(
+            SimTime::from_millis(1),
+            EventKind::Span {
+                kind: SpanKind::Callback,
+                start: SimTime::ZERO,
+                dur: Duration::from_millis(1),
+                uids: vec![0],
+                label: Some("click"),
+                ops: 42,
+            },
+        );
+        trace.record(SimTime::from_millis(16), EventKind::Vsync);
+        let text = flame_summary(&StageTable::from_trace(&trace.snapshot()), 0);
+        for kind in SpanKind::ALL {
+            assert!(text.contains(kind.name()), "{} missing", kind.name());
+        }
+        assert!(text.contains("n=1"));
     }
 }

@@ -170,11 +170,16 @@ pub fn residency_contrast(suite: &[AppRuns]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::{run_app, SuiteKind};
+    use crate::figures::{run_apps, SuiteKind};
+    use greenweb_fleet::Jobs;
     use greenweb_workloads::by_name;
 
     fn tiny_suite() -> Vec<AppRuns> {
-        vec![run_app(&by_name("Todo").unwrap(), SuiteKind::Micro)]
+        run_apps(
+            &[by_name("Todo").unwrap()],
+            SuiteKind::Micro,
+            Jobs::from_env(),
+        )
     }
 
     #[test]

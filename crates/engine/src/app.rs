@@ -33,9 +33,9 @@ pub struct App {
     /// Frame cost parameters.
     pub cost: FrameCostModel,
     /// Static per-handler effect summaries, normally produced by the
-    /// analyzer's effects pass and injected before a measured run. Empty
-    /// means "no static knowledge": the engine falls back to worst-case
-    /// clear-all invalidation and performs no containment checks.
+    /// analyzer's effects pass and injected before a measured run. The
+    /// engine only checks each callback's observed effects against them
+    /// (`dynamic ⊆ static`); empty means no containment checks.
     pub effect_summaries: Vec<HandlerSummary>,
     /// Setup scripts compiled once at [`AppBuilder::build`], parallel to
     /// `scripts`: `(source fingerprint, bytecode)`, or `None` when the

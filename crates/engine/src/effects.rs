@@ -393,8 +393,9 @@ impl EffectSummary {
         }
         // Target containment is only checkable post-hoc while the tree
         // shape is what it was at dispatch: a callback that moved or
-        // detached nodes invalidates ancestor queries (and already pays
-        // the clear-all, so precision is moot there).
+        // detached nodes invalidates ancestor queries, so its write
+        // targets go unchecked (the tree-mutation check above still
+        // applies).
         if !observed.tree_mutated {
             for &node in &observed.attr_writes {
                 if !self.attr_targets.admits_node(node, listener, doc) {

@@ -1,5 +1,4 @@
-//! Exporters: Chrome trace-event JSON (Perfetto / `chrome://tracing`)
-//! and a compact text flamegraph summary.
+//! The exporter: Chrome trace-event JSON (Perfetto / `chrome://tracing`).
 //!
 //! The JSON goes through [`crate::json`], whose number and string
 //! rules are deterministic; timestamps are integer nanoseconds divided
@@ -7,10 +6,8 @@
 
 use crate::event::{EventKind, SpanKind, TraceRecord};
 use crate::json::{self, Arr, Obj, ToJson};
-use crate::metrics::MetricsRegistry;
 use crate::recorder::TraceBuffer;
 use greenweb_acmp::SimTime;
-use std::fmt::Write as _;
 
 /// The simulated process id every event maps to.
 const PID: u32 = 1;
@@ -268,66 +265,6 @@ pub fn chrome_trace_json(buffer: &TraceBuffer, process_name: &str) -> String {
     out
 }
 
-/// Renders a compact flamegraph-style summary: main-thread self time
-/// per pipeline stage with share bars and percentiles. The engine
-/// serializes all stages on one thread, so self time equals span time.
-pub fn flame_summary(buffer: &TraceBuffer) -> String {
-    let registry = MetricsRegistry::from_trace(buffer);
-    let mut rows: Vec<(SpanKind, f64)> = Vec::new();
-    let mut total_ms = 0.0;
-    for kind in SpanKind::ALL {
-        let mut ms = 0.0;
-        for record in buffer.spans() {
-            if let EventKind::Span { kind: k, dur, .. } = &record.kind {
-                if *k == kind {
-                    ms += dur.as_millis_f64();
-                }
-            }
-        }
-        total_ms += ms;
-        rows.push((kind, ms));
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "flame: pipeline time by stage (total {total_ms:.1} ms)"
-    );
-    let max_ms = rows.iter().map(|(_, ms)| *ms).fold(0.0, f64::max);
-    for (kind, ms) in rows {
-        let summary = registry.stage_summary(kind);
-        let share = if total_ms > 0.0 {
-            100.0 * ms / total_ms
-        } else {
-            0.0
-        };
-        let width = if max_ms > 0.0 {
-            ((ms / max_ms) * 24.0).round() as usize
-        } else {
-            0
-        };
-        let _ = writeln!(
-            out,
-            "  {:<9} {:<24} {:5.1}% {:9.1} ms  n={:<5} p50 {:6.2}  p95 {:6.2}  p99 {:6.2} ms",
-            kind.name(),
-            "#".repeat(width),
-            share,
-            ms,
-            summary.count,
-            summary.p50_ms,
-            summary.p95_ms,
-            summary.p99_ms,
-        );
-    }
-    if buffer.dropped > 0 {
-        let _ = writeln!(
-            out,
-            "  (ring dropped {} oldest events; totals undercount)",
-            buffer.dropped
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,14 +336,5 @@ mod tests {
         let a = chrome_trace_json(&sample_buffer(), "x");
         let b = chrome_trace_json(&sample_buffer(), "x");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn flame_summary_lists_all_stages() {
-        let text = flame_summary(&sample_buffer());
-        for kind in SpanKind::ALL {
-            assert!(text.contains(kind.name()), "{} missing", kind.name());
-        }
-        assert!(text.contains("n=1"));
     }
 }

@@ -1,11 +1,11 @@
 //! # greenweb-trace
 //!
 //! Structured tracing for the GreenWeb simulator: a deterministic,
-//! ring-buffered span/event recorder, a metrics registry with
-//! log-bucketed latency histograms, and exporters producing Chrome
-//! trace-event JSON (loadable in Perfetto / `chrome://tracing`) and a
-//! compact text flamegraph summary. It also owns [`json`], the one JSON
-//! writer and reader every report in the workspace goes through.
+//! ring-buffered span/event recorder, log-bucketed latency histograms,
+//! one analysis reader ([`AttributionProfile`]) and one exporter
+//! ([`chrome_trace_json`], Chrome trace-event JSON loadable in Perfetto
+//! / `chrome://tracing`). It also owns [`json`], the one JSON writer and
+//! reader every report in the workspace goes through.
 //!
 //! The paper's argument is built on *per-frame* attribution (Fig. 7's
 //! frame lifetime, Fig. 8's metadata propagation); this crate records
@@ -55,7 +55,6 @@ pub mod attribution;
 pub mod event;
 pub mod export;
 pub mod json;
-pub mod merge;
 pub mod metrics;
 pub mod recorder;
 
@@ -63,7 +62,6 @@ pub use attribution::{
     AttributionProfile, AttributionSummary, EventAttribution, ViolationForensics,
 };
 pub use event::{EventKind, SpanKind, TraceRecord};
-pub use export::{chrome_trace_json, flame_summary};
-pub use merge::merge_buffers;
-pub use metrics::{Histogram, LatencySummary, MetricsRegistry};
+pub use export::chrome_trace_json;
+pub use metrics::{Histogram, LatencySummary};
 pub use recorder::{record_into, TraceBuffer, TraceHandle, TraceRecorder};

@@ -1,13 +1,10 @@
-//! The metrics registry: log-bucketed latency histograms and counters.
+//! Log-bucketed latency histograms and their percentile summaries.
 //!
 //! Buckets grow by a factor of 2^(1/4) (≈ 1.19), giving quantile
 //! estimates within ~9 % relative error across six decades — the
-//! HdrHistogram trade-off without the dependency. Registry iteration is
-//! `BTreeMap`-ordered, so rendered tables are deterministic.
-
-use crate::event::{EventKind, SpanKind};
-use crate::recorder::TraceBuffer;
-use std::collections::BTreeMap;
+//! HdrHistogram trade-off without the dependency. Run metrics, the
+//! sweep's attribution aggregate and the bench's frame-stage report
+//! build on them; the fixed bucket layout makes merging exact.
 
 /// Sub-buckets per power of two.
 const SUB: f64 = 4.0;
@@ -222,153 +219,6 @@ impl LatencySummary {
     };
 }
 
-/// Named histograms + counters, with deterministic iteration order.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    histograms: BTreeMap<String, Histogram>,
-    counters: BTreeMap<String, u64>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `value_ms` into the histogram named `name`.
-    pub fn record_ms(&mut self, name: &str, value_ms: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value_ms);
-    }
-
-    /// Adds `by` to the counter named `name`.
-    pub fn inc_by(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Increments the counter named `name`.
-    pub fn inc(&mut self, name: &str) {
-        self.inc_by(name, 1);
-    }
-
-    /// The histogram named `name`, if any value was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// The counter named `name` (0 when never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All histograms, name-ordered.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// All counters, name-ordered.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Builds the registry a trace implies: per-stage span-duration
-    /// histograms (`stage.<name>`), per-event-type frame-latency
-    /// histograms (`frame.<event>` plus the aggregate `frame.latency`),
-    /// and one counter per event kind (`count.<name>`, with switches
-    /// split by kind and faults by category).
-    pub fn from_trace(buffer: &TraceBuffer) -> Self {
-        let mut registry = MetricsRegistry::new();
-        for record in &buffer.events {
-            registry.inc(&format!("count.{}", record.kind.name()));
-            match &record.kind {
-                EventKind::Span { kind, dur, .. } => {
-                    registry.record_ms(&format!("stage.{}", kind.name()), dur.as_millis_f64());
-                }
-                EventKind::FrameCommit { latency, event, .. } => {
-                    registry.record_ms("frame.latency", latency.as_millis_f64());
-                    registry.record_ms(&format!("frame.{event}"), latency.as_millis_f64());
-                }
-                EventKind::ConfigSwitch { from, to, .. } => {
-                    let kind = if from.core == to.core {
-                        "dvfs"
-                    } else {
-                        "migration"
-                    };
-                    registry.inc(&format!("switch.{kind}"));
-                }
-                EventKind::Fault { category, .. } => {
-                    registry.inc(&format!("fault.{category}"));
-                }
-                EventKind::StyleStats {
-                    resolves,
-                    matches,
-                    matches_id,
-                    matches_class,
-                    matches_tag,
-                    matches_universal,
-                    bloom_rejects,
-                } => {
-                    registry.inc_by("style.resolves", *resolves);
-                    registry.inc_by("style.matches", *matches);
-                    registry.inc_by("style.matches_id", *matches_id);
-                    registry.inc_by("style.matches_class", *matches_class);
-                    registry.inc_by("style.matches_tag", *matches_tag);
-                    registry.inc_by("style.matches_universal", *matches_universal);
-                    registry.inc_by("style.bloom_rejects", *bloom_rejects);
-                }
-                EventKind::RenderStats {
-                    relayouts,
-                    elements_laid_out,
-                    subtree_reuses,
-                    dirty_elements,
-                    full_repaints,
-                    partial_repaints,
-                    items_emitted,
-                    items_reused,
-                    damage_items,
-                    damage_area,
-                } => {
-                    registry.inc_by("layout.relayouts", *relayouts);
-                    registry.inc_by("layout.elements_laid_out", *elements_laid_out);
-                    registry.inc_by("layout.subtree_reuses", *subtree_reuses);
-                    registry.inc_by("layout.dirty_elements", *dirty_elements);
-                    registry.inc_by("paint.full_repaints", *full_repaints);
-                    registry.inc_by("paint.partial_repaints", *partial_repaints);
-                    registry.inc_by("paint.items_emitted", *items_emitted);
-                    registry.inc_by("paint.items_reused", *items_reused);
-                    registry.inc_by("paint.damage_items", *damage_items);
-                    registry.inc_by("paint.damage_area", *damage_area);
-                }
-                _ => {}
-            }
-        }
-        registry
-    }
-
-    /// Folds another registry into this one: histograms merge bucket-wise
-    /// ([`Histogram::merge`]), counters add. Names absent on either side
-    /// behave as empty/zero.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, histogram) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge(histogram);
-        }
-        for (name, &count) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += count;
-        }
-    }
-
-    /// Percentile summary for the span durations of `kind`.
-    pub fn stage_summary(&self, kind: SpanKind) -> LatencySummary {
-        self.histogram(&format!("stage.{}", kind.name()))
-            .map_or(LatencySummary::EMPTY, Histogram::summary)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,36 +320,5 @@ mod tests {
         let mut empty = Histogram::new();
         empty.merge(&before);
         assert_eq!(empty.summary(), before.summary());
-    }
-
-    #[test]
-    fn registry_merge_adds_counters_and_buckets() {
-        let mut a = MetricsRegistry::new();
-        a.inc_by("jobs", 2);
-        a.record_ms("lat", 5.0);
-        let mut b = MetricsRegistry::new();
-        b.inc_by("jobs", 3);
-        b.inc("only-b");
-        b.record_ms("lat", 7.0);
-        b.record_ms("other", 1.0);
-        a.merge(&b);
-        assert_eq!(a.counter("jobs"), 5);
-        assert_eq!(a.counter("only-b"), 1);
-        assert_eq!(a.histogram("lat").unwrap().count(), 2);
-        assert_eq!(a.histogram("other").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn registry_counts_and_orders() {
-        let mut r = MetricsRegistry::new();
-        r.inc("b");
-        r.inc("a");
-        r.inc("b");
-        r.record_ms("lat", 5.0);
-        assert_eq!(r.counter("b"), 2);
-        assert_eq!(r.counter("missing"), 0);
-        let names: Vec<&str> = r.counters().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["a", "b"]);
-        assert_eq!(r.histogram("lat").unwrap().count(), 1);
     }
 }

@@ -3,14 +3,14 @@
 //! Every test runs the same batch twice — inline on the calling thread
 //! (`Jobs::serial()`) and on four workers (`Jobs::new(4)`) — and
 //! requires the results to be **byte-identical**: rendered
-//! `RunMetrics` JSON across all 12 workloads, merged Chrome
-//! trace-event exports, chaos runs across 3 storm seeds, and GreenLint
-//! reports against the committed goldens.
+//! `RunMetrics` JSON across all 12 workloads, each recorded job's
+//! Chrome trace-event export, chaos runs across 3 storm seeds, and
+//! GreenLint reports against the committed goldens.
 
 use greenweb::qos::Scenario;
 use greenweb_engine::{FaultPlan, RunSpec};
 use greenweb_fleet::{run_jobs, run_specs, Jobs};
-use greenweb_trace::{chrome_trace_json, merge_buffers, TraceBuffer};
+use greenweb_trace::chrome_trace_json;
 use greenweb_workloads::chaos::{chaos_batch, chaos_run};
 use greenweb_workloads::harness::{evaluate_batch, lower, Policy};
 use greenweb_workloads::{all, by_name};
@@ -52,30 +52,33 @@ fn run_metrics_json_is_byte_identical_across_worker_counts() {
     assert_eq!(serial, parallel);
 }
 
-/// Merged Chrome trace-event export of three recorded runs.
-fn merged_trace_export(jobs: Jobs) -> String {
-    let specs: Vec<RunSpec> = all()
+/// Each job's Chrome trace-event export, for three recorded runs.
+fn trace_exports(jobs: Jobs) -> Vec<String> {
+    let workloads = all();
+    let specs: Vec<RunSpec> = workloads
         .iter()
         .take(3)
         .map(|w| lower(&w.app, &w.micro, &Policy::GreenWeb(Scenario::Usable)).with_recording())
         .collect();
-    let buffers: Vec<TraceBuffer> = run_specs(specs, jobs)
+    run_specs(specs, jobs)
         .into_iter()
-        .map(|outcome| {
-            outcome
+        .zip(&workloads)
+        .map(|(outcome, w)| {
+            let buffer = outcome
                 .expect("recorded run succeeds")
                 .trace
-                .expect("spec asked for a recording")
+                .expect("spec asked for a recording");
+            chrome_trace_json(&buffer, w.name)
         })
-        .collect();
-    chrome_trace_json(&merge_buffers(&buffers), "fleet-parity")
+        .collect()
 }
 
 #[test]
 fn merged_trace_export_is_byte_identical_across_worker_counts() {
-    let serial = merged_trace_export(Jobs::serial());
-    let parallel = merged_trace_export(Jobs::new(PARALLEL));
-    assert!(!serial.is_empty());
+    let serial = trace_exports(Jobs::serial());
+    let parallel = trace_exports(Jobs::new(PARALLEL));
+    assert_eq!(serial.len(), 3, "one export per job");
+    assert!(serial.iter().all(|json| !json.is_empty()));
     assert_eq!(serial, parallel);
 }
 

@@ -103,6 +103,22 @@ fn committed_bench_files_match_a_fresh_render() {
     }
 }
 
+/// The frame-stage report `evaluate percentiles` prints for its default
+/// workload (per-stage percentiles, event counts and the flame summary)
+/// must appear verbatim in the committed `docs/evaluate_output.txt`.
+#[test]
+fn stage_report_matches_the_committed_evaluate_output() {
+    let paper = greenweb_workloads::by_name("Paper.js").expect("bundled Paper.js workload");
+    let scenario = Scenario::Imperceptible;
+    let profiled =
+        profile::profile(&paper, &Policy::GreenWeb(scenario), scenario).expect("Paper.js runs");
+    let report = profile::render(&profiled);
+    assert!(
+        include_str!("../docs/evaluate_output.txt").contains(&report),
+        "the stage report drifted from docs/evaluate_output.txt\nfresh:\n{report}"
+    );
+}
+
 /// The style/layout/paint counters of every full-trace run, next to its
 /// energy and QoS metrics: `evaluate metrics --workload W` must print
 /// each of the 12 workloads' committed golden, named by `golden_name`.
