@@ -220,7 +220,7 @@ impl AttributionProfile {
         let mut samples: Vec<(SimTime, f64, f64)> = vec![(SimTime::ZERO, 0.0, 0.0)];
         let mut commits: Vec<(SimTime, u64, u32, &'static str, Duration)> = Vec::new();
         let mut switch_times: Vec<SimTime> = Vec::new();
-        let mut targets: Vec<(SimTime, u64, f64)> = Vec::new();
+        let mut targets: Vec<(SimTime, f64)> = Vec::new();
         let mut bucket_counts: Option<[u64; 4]> = None;
         let mut render = RenderWork::default();
         let (mut switch_dvfs, mut switch_migration) = (0u64, 0u64);
@@ -260,7 +260,7 @@ impl AttributionProfile {
                     }
                 }
                 EventKind::Decision { target_ms, .. } => {
-                    targets.push((record.at, record.seq, *target_ms));
+                    targets.push((record.at, *target_ms));
                 }
                 EventKind::StyleStats {
                     matches_id,
@@ -400,31 +400,41 @@ impl AttributionProfile {
         }
 
         // Deadline-miss forensics: judge each commit against the most
-        // recent scheduler decision at or before it.
+        // recent scheduler decision at or before it. Decisions and
+        // switches are recorded in time order, so both lookups are binary
+        // searches. `order` is start-ordered; `reach[k]` is the latest
+        // end among `order[..=k]`, so every span before the first reach
+        // past the window's start ends before the window does.
+        let reach: Vec<SimTime> = order
+            .iter()
+            .scan(SimTime::ZERO, |latest, &i| {
+                *latest = (*latest).max(spans[i].end());
+                Some(*latest)
+            })
+            .collect();
         let mut forensics = Vec::new();
         for &(at, uid, seq, event, latency) in &commits {
-            let target = targets
-                .iter()
-                .take_while(|&&(t, _, _)| t <= at)
-                .last()
-                .map(|&(_, _, ms)| ms);
-            let Some(target_ms) = target else { continue };
+            let decided = targets.partition_point(|&(t, _)| t <= at);
+            let Some(&(_, target_ms)) = targets[..decided].last() else {
+                continue;
+            };
             let latency_ms = latency.as_millis_f64();
             if latency_ms <= target_ms {
                 continue;
             }
             let window_start =
                 SimTime::from_nanos(at.as_nanos().saturating_sub(latency.as_nanos()));
-            let named: Vec<AttributedSpan> = order
+            let lo = reach.partition_point(|&end| end <= window_start);
+            let hi = order.partition_point(|&i| spans[i].start < at);
+            let named: Vec<AttributedSpan> = order[lo..hi.max(lo)]
                 .iter()
                 .map(|&i| &spans[i])
-                .filter(|s| s.end() > window_start && s.start < at)
+                .filter(|s| s.end() > window_start)
                 .cloned()
                 .collect();
-            let switches_in_window = switch_times
-                .iter()
-                .filter(|&&t| t >= window_start && t <= at)
-                .count() as u64;
+            let switches_in_window = (switch_times.partition_point(|&t| t <= at)
+                - switch_times.partition_point(|&t| t < window_start))
+                as u64;
             forensics.push(ViolationForensics {
                 uid,
                 seq,

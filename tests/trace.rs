@@ -211,9 +211,29 @@ fn every_chaos_miss_has_forensics_naming_overlapping_spans() {
             record.at
         );
         // Every named span must genuinely overlap the missed frame's
-        // window [commit - latency, commit].
+        // window [commit - latency, commit], and every span that does is
+        // named (the profiler's binary searches skip none).
         let commit_ms = record.at.as_millis_f64();
         let window_start_ms = commit_ms - record.latency_ms;
+        let commit_ns = record.at.as_nanos();
+        let window_start_ns = commit_ns - (record.latency_ms * 1e6).round() as u64;
+        let overlapping = buffer
+            .events
+            .iter()
+            .filter(|r| match &r.kind {
+                EventKind::Span { start, dur, .. } => {
+                    start.as_nanos() < commit_ns
+                        && start.as_nanos() + dur.as_nanos() > window_start_ns
+                }
+                _ => false,
+            })
+            .count();
+        assert_eq!(
+            record.spans.len(),
+            overlapping,
+            "miss of input {} names a subset of the overlapping spans",
+            record.uid
+        );
         for span in &record.spans {
             let start_ms = span.start.as_millis_f64();
             let end_ms = start_ms + span.dur.as_millis_f64();
