@@ -4,7 +4,7 @@
 //! This is the reporting layer over [`greenweb_trace`]: it runs one
 //! workload with a recorder attached ([`run_traced`]), distills the
 //! event buffer in one walk into per-stage span histograms, the
-//! frame-commit latency histogram and per-kind record counts, and
+//! frame-commit latency histogram and per-kind event counts, and
 //! renders the tables the `evaluate` binary prints. The exported JSON
 //! loads directly into Perfetto / `chrome://tracing`.
 
@@ -66,7 +66,8 @@ struct StageTable {
     stages: [Histogram; 6],
     /// Frame-commit latencies.
     frame: Histogram,
-    /// Record counts by [`EventKind::name`], name-ordered.
+    /// Event counts by [`EventKind::name`], name-ordered; an idle VSync
+    /// run counts its ticks.
     counts: BTreeMap<&'static str, u64>,
 }
 
@@ -78,7 +79,7 @@ impl StageTable {
             counts: BTreeMap::new(),
         };
         for record in &buffer.events {
-            *table.counts.entry(record.kind.name()).or_insert(0) += 1;
+            *table.counts.entry(record.kind.name()).or_insert(0) += record.kind.occurrences();
             match &record.kind {
                 EventKind::Span { kind, dur, .. } => {
                     table.stages[*kind as usize].record(dur.as_millis_f64());
@@ -316,6 +317,7 @@ mod tests {
                 uids: vec![0],
                 label: Some("click"),
                 ops: 42,
+                mj: 0.5,
             },
         );
         trace.record(SimTime::from_millis(16), EventKind::Vsync);

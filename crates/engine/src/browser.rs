@@ -306,6 +306,10 @@ pub struct Browser<S: Scheduler> {
     logs: Vec<String>,
     injector: Option<FaultInjector>,
     trace: Option<TraceHandle>,
+    /// While recording: the CPU ledger's cumulative busy energy when the
+    /// last main-thread span was recorded. The next span carries the
+    /// busy energy drawn since.
+    span_mark_mj: f64,
     /// Watchdog ceilings, when this browser runs supervised.
     budget: Option<RunBudget>,
     /// Discrete events popped by [`Browser::run`] so far (across runs),
@@ -390,6 +394,7 @@ impl<S: Scheduler> Browser<S> {
             logs: Vec::new(),
             injector: None,
             trace: None,
+            span_mark_mj: 0.0,
             budget: None,
             events_popped: 0,
             effect_summaries: HashMap::new(),
@@ -683,12 +688,11 @@ impl<S: Scheduler> Browser<S> {
     }
 
     /// Whether the VSync due now would do nothing in [`Browser::on_vsync`]
-    /// but re-arm itself: no fault injector or recorder is attached (they
-    /// act on every tick), and the main thread is either busy (the tick
-    /// is skipped as congested) or has nothing to deliver, tick or draw.
+    /// but re-arm itself: no fault injector is attached (it acts on every
+    /// tick), and the main thread is either busy (the tick is skipped as
+    /// congested) or has nothing to deliver, tick or draw.
     fn vsync_is_noop(&self) -> bool {
         self.injector.is_none()
-            && self.trace.is_none()
             && (self.running.is_some()
                 || (self.ready.is_empty()
                     && self.pending_moves.is_empty()
@@ -747,6 +751,9 @@ impl<S: Scheduler> Browser<S> {
                 NextEvent::VSync => {
                     self.vsync = None;
                     if self.vsync_is_noop() {
+                        if let Some(trace) = self.trace.as_ref() {
+                            trace.record_idle_vsync(self.now, VSYNC_PERIOD);
+                        }
                         self.rearm_vsync(end);
                     } else {
                         self.on_vsync(end)?;
@@ -783,12 +790,14 @@ impl<S: Scheduler> Browser<S> {
     fn build_report(&mut self, end: SimTime) -> SimReport {
         if let Some(trace) = self.trace.clone() {
             // The task still running at `end`, cut there, and one last
-            // energy sample close the trace: every busy nanosecond lies
-            // under a span and before a sample.
-            if let Some(running) = self.running.as_ref() {
-                self.record_span(&trace, running);
+            // energy sample close the trace: every busy nanosecond's
+            // energy is carried by a span, and the sample holds the run's
+            // busy and idle totals.
+            if let Some(running) = self.running.take() {
+                self.record_span(&running);
+                self.running = Some(running);
             }
-            self.record_energy_sample(&trace);
+            self.record_energy_sample();
             // Injected faults are appended to the trace in one
             // deterministic batch at report time (the exporter's consumers
             // sort by timestamp, so insertion order does not matter).
@@ -930,6 +939,7 @@ impl<S: Scheduler> Browser<S> {
             uids: vec![uid.0],
             label: Some(input.event.name()),
             ops: 0,
+            mj: 0.0,
         });
         let origin = Msg {
             uid,
@@ -986,6 +996,7 @@ impl<S: Scheduler> Browser<S> {
             uids: vec![uid.0],
             label: Some(input.event.name()),
             ops: 0,
+            mj: 0.0,
         });
     }
 
@@ -1022,12 +1033,14 @@ impl<S: Scheduler> Browser<S> {
                 }
             }
         }
-        // Only delivered ticks are traced: the display actually beat. The
-        // energy sample rides the same tick, giving Perfetto counter
-        // tracks at display rate.
-        if let Some(trace) = self.trace.clone() {
+        // Only delivered ticks are traced: the display actually beat.
+        // With an injector attached the sensor gain may have changed at
+        // this tick, so the metered energy track gets a sample here.
+        if let Some(trace) = self.trace.as_ref() {
             trace.record(self.now, TraceKind::Vsync);
-            self.record_energy_sample(&trace);
+        }
+        if self.injector.is_some() {
+            self.record_energy_sample();
         }
         // If the main thread is still chewing on the previous frame, skip
         // this VSync entirely — real browsers do not dispatch rAF or
@@ -1259,8 +1272,15 @@ impl<S: Scheduler> Browser<S> {
         }
     }
 
-    /// Records the span of `running` from its start to `self.now`.
-    fn record_span(&self, trace: &TraceHandle, running: &Running) {
+    /// Records, when a recorder is attached, the span of `running` from
+    /// its start to `self.now`. It carries the busy energy the CPU drew
+    /// since the previous span was recorded: the task's own, plus any
+    /// busy time the CPU spent with no task running before it started.
+    fn record_span(&mut self, running: &Running) {
+        let Some(trace) = self.trace.as_ref() else {
+            return;
+        };
+        let busy_mj = self.cpu.energy().active_mj;
         let (kind, uids, label, ops) = match &running.kind {
             RunningKind::Callback { origin, ops, .. } => (
                 SpanKind::Callback,
@@ -1284,13 +1304,21 @@ impl<S: Scheduler> Browser<S> {
                 uids,
                 label,
                 ops,
+                mj: busy_mj - self.span_mark_mj,
             },
         );
+        self.span_mark_mj = busy_mj;
     }
 
-    /// Records the CPU's cumulative busy/idle energy split as of
-    /// `self.now`.
-    fn record_energy_sample(&mut self, trace: &TraceHandle) {
+    /// Records, when a recorder is attached, the state the energy,
+    /// power and frequency counter tracks draw as of `self.now`: the
+    /// CPU's cumulative busy/idle energy split, its power draw and its
+    /// configuration. Called wherever that state changes slope or level
+    /// (a switch, a busy/idle edge), and once at the end of the run.
+    fn record_energy_sample(&mut self) {
+        let Some(trace) = self.trace.as_ref() else {
+            return;
+        };
         self.cpu.advance(self.now);
         let energy = self.cpu.energy();
         trace.record(
@@ -1313,9 +1341,7 @@ impl<S: Scheduler> Browser<S> {
         }
         self.cpu.advance(self.now);
         let running = self.running.take().expect("checked above");
-        if let Some(trace) = self.trace.as_ref() {
-            self.record_span(trace, &running);
-        }
+        self.record_span(&running);
         match running.kind {
             RunningKind::Callback {
                 effects,
@@ -1354,6 +1380,7 @@ impl<S: Scheduler> Browser<S> {
         }
         if self.ready.is_empty() && self.running.is_none() {
             self.cpu.set_busy(self.now, false);
+            self.record_energy_sample();
             let desired = {
                 let ctx = SchedulerCtx {
                     doc: &self.doc,
@@ -1521,6 +1548,7 @@ impl<S: Scheduler> Browser<S> {
             to,
             penalty,
         });
+        self.record_energy_sample();
         if self.running.is_some() {
             let gen = self.next_gen();
             let running = self.running.as_mut().expect("checked");
@@ -1660,7 +1688,11 @@ impl<S: Scheduler> Browser<S> {
     }
 
     fn start_task(&mut self, kind: RunningKind, work: WorkUnit) {
+        let was_busy = self.cpu.is_busy();
         self.cpu.set_busy(self.now, true);
+        if !was_busy {
+            self.record_energy_sample();
+        }
         let gen = self.next_gen();
         let duration = self.cpu.duration_of(&work);
         self.running = Some(Running {

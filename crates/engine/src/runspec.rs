@@ -11,7 +11,7 @@
 //! never cross a thread boundary — is constructed *inside*
 //! [`RunSpec::execute`], on whichever thread runs the job.
 //!
-//! The outputs ([`RunOutcome`]: report, optional trace snapshot,
+//! The outputs ([`RunOutcome`]: report, optional recorded trace,
 //! optional policy artifact) are plain data and `Send` again, so a
 //! parallel executor can slot them back by job index and reproduce a
 //! serial run byte for byte.
@@ -56,7 +56,7 @@ pub enum TraceMode {
     /// No recorder attached: instrumentation sites stay zero-cost.
     Off,
     /// Attach a ring recorder of the given capacity; the outcome
-    /// carries the snapshot.
+    /// carries its records.
     Ring(usize),
 }
 
@@ -287,9 +287,12 @@ impl RunSpec {
             .probe
             .as_ref()
             .and_then(|probe| probe(&**browser.scheduler()));
+        // The run is over: drop the browser, then move the records out
+        // of the recorder rather than copying them.
+        drop(browser);
         Ok(RunOutcome {
             report,
-            trace: recorder.map(|handle| handle.snapshot()),
+            trace: recorder.map(|handle| handle.take()),
             artifact,
         })
     }

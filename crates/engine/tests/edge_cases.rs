@@ -415,9 +415,7 @@ fn raf_chain_app() -> App {
         .build()
 }
 
-/// Runs `trace` on a fresh browser, with `recorder` attached if given. A
-/// recorded run takes the full VSync path on every tick; a detached one
-/// handles the ticks that only re-arm themselves inline.
+/// Runs `trace` on a fresh browser, with `recorder` attached if given.
 fn run_flip(
     app: &App,
     trace: &Trace,
@@ -475,17 +473,14 @@ fn ties_with_vsync_order_the_same_detached_and_recorded() {
     };
     assert!(first_at(on_vsync(6), "input") < first_at(on_vsync(6), "vsync"));
     // The governor tick due at 4 periods was armed at 2 periods, before
-    // the VSync due at 4 periods (armed at 3), so it runs first: that
-    // VSync's energy sample already shows its second flip, to lowest.
-    let sample = buffer
-        .events
-        .iter()
-        .find_map(|r| match r.kind {
-            EventKind::EnergySample { config, .. } if r.at == on_vsync(4) => Some(config),
-            _ => None,
-        })
-        .expect("an energy sample at 4 periods");
-    assert_eq!(sample, Platform::odroid_xu_e().lowest());
+    // the VSync due at 4 periods (armed at 3), so it runs first: its
+    // second flip, to lowest, precedes that VSync.
+    let flip = first_at(on_vsync(4), "config-switch");
+    assert!(flip < first_at(on_vsync(4), "vsync"));
+    assert!(matches!(
+        buffer.events[flip].kind,
+        EventKind::ConfigSwitch { to, .. } if to == Platform::odroid_xu_e().lowest()
+    ));
 }
 
 #[test]
@@ -510,4 +505,41 @@ fn event_budget_counts_idle_vsyncs_detached_and_recorded() {
     let detached = trip(None);
     assert!(detached.contains("t="), "{detached}");
     assert_eq!(detached, trip(Some(&TraceHandle::with_capacity(1 << 16))));
+}
+
+#[test]
+fn recorded_idle_stretches_cost_no_records_per_tick() {
+    // Ten seconds, one click, a few rAF frames: 599 VSync ticks, nearly
+    // all idle. The recorder must hold records for what happened, not
+    // one per tick: spans, decisions, frame commits and switches, plus
+    // per busy stretch at most its working VSync, its two busy/idle
+    // edge samples and the idle run after it (46 records for 26 here;
+    // one record per tick would be over 630).
+    let app = raf_chain_app();
+    let trace = Trace::builder()
+        .click_id(50.0, "b")
+        .end_ms(10_000.0)
+        .build();
+    let recorder = TraceHandle::with_capacity(1 << 16);
+    let mut browser = Browser::new(&app, perf()).unwrap();
+    browser.set_trace(recorder.clone());
+    let report = browser.run(&trace).unwrap();
+    drop(browser);
+    let buffer = recorder.take();
+    let ticks = buffer.count_of("vsync") as u64;
+    assert_eq!(ticks, 10_000_000_000 / VSYNC_PERIOD.as_nanos());
+    assert!(report.frames.len() >= 4, "{} frames", report.frames.len());
+    let of = |name: &str| buffer.count_of(name) as u64;
+    let work = ["input", "callback", "style", "layout", "paint", "composite"]
+        .map(of)
+        .iter()
+        .sum::<u64>()
+        + of("decision")
+        + of("frame-commit")
+        + of("config-switch");
+    let records = buffer.events.len() as u64;
+    assert!(
+        records <= 2 * work + 8,
+        "{records} records for {work} spans, decisions, commits and switches over {ticks} ticks"
+    );
 }

@@ -68,9 +68,26 @@ pub enum EventKind {
         /// callback spans; the attribution profiler uses it to rank
         /// callbacks by script work, not just wall time.
         ops: u64,
+        /// Busy energy the work drew, in millijoules: the CPU ledger's
+        /// cumulative busy energy when the span was recorded minus its
+        /// value at the previous main-thread span (the task's own, plus
+        /// any busy time with no task running just before it). Main-
+        /// thread tasks never overlap, so these sum to the run's busy
+        /// energy; input-dispatch spans carry none.
+        mj: f64,
     },
-    /// A delivered VSync tick.
+    /// A delivered VSync tick that found work to do.
     Vsync,
+    /// A run of consecutive VSync ticks that found nothing to do (the
+    /// main thread busy, or nothing to deliver, tick or draw), folded
+    /// into one record. The record's timestamp is the first tick's; the
+    /// others follow one `period` apart.
+    IdleVsyncs {
+        /// Ticks in the run (at least one).
+        ticks: u64,
+        /// The interval between ticks.
+        period: Duration,
+    },
     /// A scheduler decision: the per-frame "why" record.
     Decision {
         /// The QoS target in force, in milliseconds.
@@ -108,8 +125,11 @@ pub enum EventKind {
         /// Human-readable description of the specific fault.
         detail: String,
     },
-    /// An energy-accounting sample, taken at every delivered VSync and
-    /// once at the end of the run.
+    /// An energy-accounting sample, taken wherever the counter tracks
+    /// it draws change: at a configuration switch, at a busy/idle edge
+    /// and once at the end of the run. With a fault injector attached
+    /// it is also taken at every delivered VSync, because the sensor's
+    /// gain (and so `metered_mj`'s slope) can change at every tick.
     EnergySample {
         /// Cumulative ground-truth energy spent busy, in millijoules.
         active_mj: f64,
@@ -196,7 +216,7 @@ impl EventKind {
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::Span { kind, .. } => kind.name(),
-            EventKind::Vsync => "vsync",
+            EventKind::Vsync | EventKind::IdleVsyncs { .. } => "vsync",
             EventKind::Decision { .. } => "decision",
             EventKind::ConfigSwitch { .. } => "config-switch",
             EventKind::Ladder { .. } => "ladder",
@@ -205,6 +225,15 @@ impl EventKind {
             EventKind::StyleStats { .. } => "style-stats",
             EventKind::RenderStats { .. } => "render-stats",
             EventKind::FrameCommit { .. } => "frame-commit",
+        }
+    }
+
+    /// How many timeline events the record stands for: the ticks of an
+    /// [`EventKind::IdleVsyncs`] run, one for any other record.
+    pub fn occurrences(&self) -> u64 {
+        match self {
+            EventKind::IdleVsyncs { ticks, .. } => *ticks,
+            _ => 1,
         }
     }
 }

@@ -110,6 +110,13 @@ fn counter(events: &mut Arr<'_>, name: &str, ts: f64, body: impl FnOnce(&mut Obj
     });
 }
 
+/// One VSync tick on the vsync track.
+fn vsync(events: &mut Arr<'_>, at: SimTime) {
+    event(events, "vsync", "vsync", "I", 3, ts_us(at), |e| {
+        e.field("s", "t");
+    });
+}
+
 fn write_event(events: &mut Arr<'_>, record: &TraceRecord) {
     let at = record.at;
     match &record.kind {
@@ -120,6 +127,7 @@ fn write_event(events: &mut Arr<'_>, record: &TraceRecord) {
             uids,
             label,
             ops,
+            mj,
         } => {
             let (tid, cat) = if *kind == SpanKind::Input {
                 (2, "input")
@@ -129,17 +137,23 @@ fn write_event(events: &mut Arr<'_>, record: &TraceRecord) {
             event(events, kind.name(), cat, "X", tid, ts_us(*start), |e| {
                 e.field("dur", dur.as_nanos() as f64 / 1000.0)
                     .obj("args", |args| {
-                        args.field("uids", uids.as_slice()).field("ops", ops);
+                        args.field("uids", uids.as_slice())
+                            .field("ops", ops)
+                            .field("mj", mj);
                         if let Some(label) = label {
                             args.field("event", label);
                         }
                     });
             });
         }
-        EventKind::Vsync => {
-            event(events, "vsync", "vsync", "I", 3, ts_us(at), |e| {
-                e.field("s", "t");
-            });
+        EventKind::Vsync => vsync(events, at),
+        EventKind::IdleVsyncs { ticks, period } => {
+            for tick in 0..*ticks {
+                vsync(
+                    events,
+                    SimTime::from_nanos(at.as_nanos() + tick * period.as_nanos()),
+                );
+            }
         }
         EventKind::Decision {
             target_ms,
@@ -282,9 +296,12 @@ mod tests {
                 uids: vec![0, 1],
                 label: Some("click"),
                 ops: 42,
+                mj: 1.5,
             },
         );
         trace.record(SimTime::from_millis(16), EventKind::Vsync);
+        trace.record_idle_vsync(SimTime::from_millis(32), Duration::from_millis(16));
+        trace.record_idle_vsync(SimTime::from_millis(48), Duration::from_millis(16));
         trace.record(
             SimTime::from_millis(16),
             EventKind::Decision {
@@ -326,6 +343,10 @@ mod tests {
         assert!(json.contains("\"name\":\"callback\""));
         assert!(json.contains("\"uids\":[0,1]"));
         assert!(json.contains("\"ops\":42"), "span ops missing");
+        assert!(json.contains("\"mj\":1.5"), "span energy missing");
+        // The idle run expands to one instant per tick.
+        assert_eq!(json.matches("\"cat\":\"vsync\"").count(), 3);
+        assert!(json.contains("\"ts\":48000"), "last idle tick missing");
         assert!(json.contains("\"predicted_ms\":12.5"));
         assert!(json.contains("demo \\\"app\\\""), "escaping broken");
         assert!(json.contains("tick \\\"dropped\\\"\\n"));

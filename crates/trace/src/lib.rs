@@ -43,6 +43,7 @@
 //!         uids: vec![0],
 //!         label: None,
 //!         ops: 0,
+//!         mj: 0.0,
 //!     },
 //! );
 //! let json = chrome_trace_json(&trace.snapshot(), "demo");

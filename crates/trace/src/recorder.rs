@@ -2,7 +2,7 @@
 //! sites hold.
 
 use crate::event::{EventKind, TraceRecord};
-use greenweb_acmp::SimTime;
+use greenweb_acmp::{Duration, SimTime};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -53,6 +53,24 @@ impl TraceRecorder {
         self.events.push_back(TraceRecord { at, seq, kind });
     }
 
+    /// Records an idle VSync tick at `at`: extends the
+    /// [`EventKind::IdleVsyncs`] run the last record holds when `at` is
+    /// that run's next tick, and starts a new run otherwise.
+    pub fn record_idle_vsync(&mut self, at: SimTime, period: Duration) {
+        if let Some(TraceRecord {
+            at: first,
+            kind: EventKind::IdleVsyncs { ticks, period: p },
+            ..
+        }) = self.events.back_mut()
+        {
+            if *p == period && first.as_nanos() + *ticks * period.as_nanos() == at.as_nanos() {
+                *ticks += 1;
+                return;
+            }
+        }
+        self.record(at, EventKind::IdleVsyncs { ticks: 1, period });
+    }
+
     /// Number of events currently held.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -75,6 +93,15 @@ impl TraceRecorder {
             dropped: self.dropped,
         }
     }
+
+    /// Moves the current contents out into an owned buffer, leaving the
+    /// recorder empty (its drop count and sequence numbers carry on).
+    pub fn take(&mut self) -> TraceBuffer {
+        TraceBuffer {
+            events: std::mem::take(&mut self.events).into(),
+            dropped: self.dropped,
+        }
+    }
 }
 
 /// An immutable snapshot of a recorder's contents, in insertion order.
@@ -87,17 +114,15 @@ pub struct TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// Iterates the span events only.
-    pub fn spans(&self) -> impl Iterator<Item = &TraceRecord> {
+    /// Number of events whose kind-name equals `name` (see
+    /// [`EventKind::name`]), each record counted as
+    /// [`EventKind::occurrences`] events.
+    pub fn count_of(&self, name: &str) -> usize {
         self.events
             .iter()
-            .filter(|r| matches!(r.kind, EventKind::Span { .. }))
-    }
-
-    /// Number of events whose kind-name equals `name` (see
-    /// [`EventKind::name`]).
-    pub fn count_of(&self, name: &str) -> usize {
-        self.events.iter().filter(|r| r.kind.name() == name).count()
+            .filter(|r| r.kind.name() == name)
+            .map(|r| r.kind.occurrences() as usize)
+            .sum()
     }
 }
 
@@ -133,6 +158,12 @@ impl TraceHandle {
         self.0.borrow_mut().record(at, kind);
     }
 
+    /// Records an idle VSync tick (see
+    /// [`TraceRecorder::record_idle_vsync`]).
+    pub fn record_idle_vsync(&self, at: SimTime, period: Duration) {
+        self.0.borrow_mut().record_idle_vsync(at, period);
+    }
+
     /// Number of events currently held.
     pub fn len(&self) -> usize {
         self.0.borrow().len()
@@ -151,6 +182,13 @@ impl TraceHandle {
     /// Copies the current contents into an owned buffer.
     pub fn snapshot(&self) -> TraceBuffer {
         self.0.borrow().snapshot()
+    }
+
+    /// Moves the current contents out into an owned buffer without
+    /// copying a record (see [`TraceRecorder::take`]); every clone of
+    /// the handle then sees an empty recorder.
+    pub fn take(&self) -> TraceBuffer {
+        self.0.borrow_mut().take()
     }
 }
 
@@ -187,7 +225,38 @@ mod tests {
             uids: vec![u],
             label: None,
             ops: 0,
+            mj: 0.0,
         }
+    }
+
+    #[test]
+    fn idle_vsyncs_fold_into_runs_of_consecutive_ticks() {
+        let period = Duration::from_millis(16);
+        let tick = |n: u64| SimTime::from_millis(16 * n);
+        let mut rec = TraceRecorder::with_capacity(16);
+        for n in 1..=3 {
+            rec.record_idle_vsync(tick(n), period);
+        }
+        // Another record ends the run; so does a skipped tick.
+        rec.record(tick(4), EventKind::Vsync);
+        rec.record_idle_vsync(tick(5), period);
+        rec.record_idle_vsync(tick(7), period);
+        let buf = rec.take();
+        let runs: Vec<(SimTime, u64)> = buf
+            .events
+            .iter()
+            .filter_map(|r| match r.kind {
+                EventKind::IdleVsyncs { ticks, .. } => Some((r.at, ticks)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(runs, [(tick(1), 3), (tick(5), 1), (tick(7), 1)]);
+        assert_eq!(buf.events.len(), 4);
+        assert_eq!(buf.count_of("vsync"), 6);
+        // Taking moves everything out; the sequence carries on.
+        assert!(rec.is_empty());
+        rec.record(tick(8), EventKind::Vsync);
+        assert_eq!(rec.take().events[0].seq, 4);
     }
 
     #[test]

@@ -51,6 +51,7 @@ fn allocating_event(i: u64) -> EventKind {
         uids: vec![i, i + 1, i + 2],
         label: Some("click"),
         ops: i,
+        mj: 0.0,
     }
 }
 

@@ -56,8 +56,10 @@ use json::{JsonValue, Obj};
 /// `attempts` count when jobs stopped being retried; v4 dropped the
 /// constant-folding and handler-recompile script counters from ok
 /// lines; v5 split `attr` by the CPU's exact busy/idle energy and
-/// priced `energy_mj` from its per-configuration ledger.
-pub const SWEEP_FORMAT: &str = "greenweb-sweep-v5";
+/// priced `energy_mj` from its per-configuration ledger; v6 prices
+/// `attr`'s per-phase energy from the energy each span carries rather
+/// than a time share of the busy energy between VSync samples.
+pub const SWEEP_FORMAT: &str = "greenweb-sweep-v6";
 
 /// The kinds of deliberately broken cells chaos runs inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,6 +8,7 @@
 //! GreenLint reports against the committed goldens.
 
 use greenweb::qos::Scenario;
+use greenweb_bench::golden_name;
 use greenweb_engine::{FaultPlan, RunSpec};
 use greenweb_fleet::{run_jobs, run_specs, Jobs};
 use greenweb_trace::chrome_trace_json;
@@ -100,22 +101,6 @@ fn chaos_batch_matches_serial_runs_across_seeds() {
         assert_eq!(run.faulted_log, solo.faulted_log);
         assert_eq!(run.metrics, solo.metrics);
     }
-}
-
-/// The golden file name for a workload, as `greenweb_lint` derives it:
-/// lowercase, non-alphanumerics mapped to `_`.
-fn golden_name(workload: &str) -> String {
-    let slug: String = workload
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    format!("{slug}.json")
 }
 
 #[test]
@@ -384,11 +369,16 @@ fn resume_rejects_a_mismatched_plan() {
     assert_eq!(std::fs::read_to_string(&out).expect("reread"), written);
 
     // A v3 checkpoint carries script counters v4 lines no longer have,
-    // and a v4 checkpoint splits `attr` and `energy_mj` the way v5 lines
-    // no longer do: resuming either would mix two line schemas in one
-    // file.
-    assert_eq!(SWEEP_FORMAT, "greenweb-sweep-v5");
-    for old in ["greenweb-sweep-v3", "greenweb-sweep-v4"] {
+    // a v4 checkpoint splits `attr` and `energy_mj` the way v5 lines no
+    // longer do, and a v5 checkpoint's per-phase `attr` energy is a time
+    // share where v6 lines carry the spans' own energy: resuming any of
+    // them would mix two line schemas in one file.
+    assert_eq!(SWEEP_FORMAT, "greenweb-sweep-v6");
+    for old in [
+        "greenweb-sweep-v3",
+        "greenweb-sweep-v4",
+        "greenweb-sweep-v5",
+    ] {
         let stale = written.replacen(SWEEP_FORMAT, old, 1);
         assert_ne!(stale, written);
         std::fs::write(&out, &stale).expect("write stale checkpoint");

@@ -9,12 +9,14 @@
 //!    pipeline stages, scheduler decisions, and energy samples, and
 //! 5. the attribution profiler reproduces the CPU's own busy/idle
 //!    energy split (idle = the CPU's idle energy, spans = its busy
-//!    energy, nothing unattributed), names spans that actually overlap
-//!    every missed frame's window, and renders byte-identically across
-//!    worker counts and repeated runs, and
-//! 6. attaching a recorder changes no metric, to the byte: a detached
-//!    run (which handles no-op VSyncs inline) reports what the recorded
-//!    run (which takes the full VSync path on every tick) reports.
+//!    energy, nothing unattributed), names exactly the spans that
+//!    overlap every missed frame's window, and renders byte-identically
+//!    across worker counts and repeated runs,
+//! 6. attaching a recorder changes no metric, to the byte, and
+//! 7. the engine's inline no-op VSync path reports what the full path
+//!    reports, to the byte: a run with an empty fault plan attached
+//!    (which sends every tick through the full path) against a
+//!    detached one.
 
 use greenweb::metrics::RunMetrics;
 use greenweb::qos::Scenario;
@@ -95,7 +97,7 @@ fn every_frame_has_matching_stage_spans() {
             SpanKind::Paint,
             SpanKind::Composite,
         ] {
-            let covered = buffer.spans().any(|r| match &r.kind {
+            let covered = buffer.events.iter().any(|r| match &r.kind {
                 EventKind::Span { kind, uids, .. } => {
                     *kind == stage && uids.contains(&record.uid.0)
                 }
@@ -133,10 +135,10 @@ fn greenweb_run_covers_the_event_vocabulary() {
 #[test]
 fn attribution_conserves_energy_across_the_suite() {
     // The profiler reads the CPU's own ledger: for every workload, paper
-    // policy and trace, its idle energy is the run's idle energy, the
-    // spans plus `unattributed` hold the run's busy energy, and (since
-    // the task in flight at the end is recorded too) no busy energy is
-    // left outside a span.
+    // policy and trace, its idle energy is the run's idle energy, and the
+    // spans carry the run's busy energy (each one the busy energy drawn
+    // since the span before it; the task in flight at the end is
+    // recorded too), so at most f64 rounding is left unattributed.
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
     for w in greenweb_workloads::all() {
         for (trace, events) in [(&w.micro, "micro"), (&w.full, "full")] {
@@ -280,13 +282,12 @@ fn attribution_profiles_are_byte_identical_serial_vs_parallel() {
 
 #[test]
 fn detached_and_recorded_runs_report_the_same_metrics() {
-    // The recorder is the oracle of the engine's inline no-op VSync
-    // path: a detached run skips `on_vsync` for ticks that find the main
-    // thread busy or nothing to do, a recorded run never does. Every
-    // metric must agree to the byte, `energy_mj` included: the energy
-    // sample at each VSync advances the CPU, but energy is priced from
-    // integer per-configuration time, so where it is advanced does not
-    // matter.
+    // Attaching a recorder changes no metric, `energy_mj` included.
+    // Recorded and detached runs both handle no-op VSyncs inline (that
+    // path's oracle is the next test); what differs is the recording
+    // sites, whose energy samples advance the CPU at switches and
+    // busy/idle edges. Energy is priced from integer per-configuration
+    // time, so where the CPU is advanced must not move a number.
     let scenario = Scenario::Imperceptible;
     for w in greenweb_workloads::all() {
         let expected = expectations(&w.app, &w.full, scenario);
@@ -299,6 +300,35 @@ fn detached_and_recorded_runs_report_the_same_metrics() {
                 detached.render_json(),
                 recorded.render_json(),
                 "{} / {policy}: recording changed a metric",
+                w.name
+            );
+        }
+    }
+}
+
+#[test]
+fn inline_noop_vsyncs_match_the_full_vsync_path() {
+    // The oracle of the engine's inline no-op VSync path: an attached
+    // fault plan, even an empty one, sends every tick through the full
+    // `on_vsync` path, and an empty plan injects nothing. So a detached
+    // run (ticks that find the main thread busy or nothing to do handled
+    // inline) must report every metric of the full-path run to the
+    // byte.
+    let scenario = Scenario::Imperceptible;
+    for w in greenweb_workloads::all() {
+        let expected = expectations(&w.app, &w.full, scenario);
+        for policy in Policy::paper_set() {
+            let detached = lower(&w.app, &w.full, &policy)
+                .execute()
+                .expect("detached run");
+            let full_path = lower(&w.app, &w.full, &policy)
+                .with_faults(FaultPlan::new(7))
+                .execute()
+                .expect("empty-plan run");
+            assert_eq!(
+                RunMetrics::compute(&detached.report, &expected).render_json(),
+                RunMetrics::compute(&full_path.report, &expected).render_json(),
+                "{} / {policy}: the inline VSync path changed a metric",
                 w.name
             );
         }
