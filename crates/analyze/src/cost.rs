@@ -1,38 +1,25 @@
 //! Pass 3: bytecode cost bounds.
 //!
 //! Each registered handler closure is compiled to the stack-machine
-//! bytecode ([`greenweb_script::compiler::Op`]) and explored by an
-//! abstract interpreter over the CFG formed by the `Jump`/`JumpIfFalse`/
-//! peek-jump instructions. The abstract domain is concrete-or-⊤: numbers,
-//! booleans, and closures propagate exactly, so *counted* loops
-//! (`for (i = 0; i < n; i = i + 1)`) simply unroll and their `work()` /
-//! `gpuWork()` payloads accumulate; anything data-dependent evaluates to
-//! ⊤ (Unknown). At a branch on ⊤ both successors are explored and the
-//! *cheaper* one is kept, which makes every reported figure a **lower
-//! bound** on the work any real execution performs. A back edge guarded
-//! by a ⊤ condition is an unbounded loop: it is reported (GW031) and the
-//! exploration takes the exit path, i.e. the loop contributes nothing to
-//! the bound — ⊤, not an error.
+//! bytecode and walked by the shared abstract interpreter
+//! (`absint`) under the cost domain below. A path carries the
+//! work it guarantees: instruction ticks, and `work()`/`gpuWork()`
+//! payloads with concrete arguments. Counted loops unroll, so their
+//! payloads accumulate. At a branch on ⊤ the *cheaper* arm is kept, and
+//! whatever the walk cannot follow (an unresolved callee, recursion, a
+//! truncated path) contributes nothing, which makes every reported
+//! figure a **lower bound** on the work any real execution performs. A
+//! back edge guarded by a ⊤ condition is an unbounded loop: it is
+//! reported (GW031) and the walk takes the exit edge, so the loop
+//! contributes nothing to the bound — ⊤, not an error.
 
-use crate::{CompiledHandler, ScriptUnit};
-use greenweb_script::compiler::{Const, Op, Proto};
-use greenweb_script::{BinaryOp, Stmt, UnaryOp};
-use std::collections::{HashMap, HashSet};
+use crate::absint::{self, AbsVal, Domain, Globals, Scopes};
+use crate::{CompiledHandler, HandlerCache, ScriptUnit};
+use greenweb_script::compiler::Proto;
+use greenweb_script::Value;
+use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
-
-/// Exploration fuel: the total number of abstract steps one handler may
-/// take. Counted workload loops are a few thousand iterations at most;
-/// the cap only bites on runaway (effectively unbounded) concrete loops.
-pub(crate) const FUEL: u64 = 400_000;
-/// Maximum nesting of ⊤-condition forks along one path.
-pub(crate) const MAX_FORKS: u32 = 32;
-/// Maximum abstract call depth.
-pub(crate) const MAX_CALLS: u32 = 16;
-/// How many times one branch pc may fork along a single path before it
-/// is declared a loop with an uncountable bound. Small counted loops
-/// containing data-dependent `if`s stay precisely explored; anything
-/// longer is cut off as unbounded.
-pub(crate) const MAX_REFORKS: u32 = 8;
 
 /// The statically derived cost lower bound of one handler.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -74,30 +61,6 @@ impl HandlerCost {
     }
 }
 
-/// An abstract value: concrete where the program is concrete, ⊤ where it
-/// depends on data the analyzer cannot see.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum AbsVal {
-    Num(f64),
-    Bool(bool),
-    Null,
-    /// A closure over proto `idx` of the *current* prototype table.
-    Closure(usize),
-    Unknown,
-}
-
-impl AbsVal {
-    fn truthy(self) -> Option<bool> {
-        match self {
-            AbsVal::Num(n) => Some(n != 0.0 && !n.is_nan()),
-            AbsVal::Bool(b) => Some(b),
-            AbsVal::Null => Some(false),
-            AbsVal::Closure(_) => Some(true),
-            AbsVal::Unknown => None,
-        }
-    }
-}
-
 /// Cost accumulated along one abstract execution path.
 #[derive(Debug, Clone, Copy, Default)]
 struct PathCost {
@@ -106,89 +69,12 @@ struct PathCost {
     gpu_ms: f64,
 }
 
-impl PathCost {
-    fn plus(self, o: PathCost) -> PathCost {
-        PathCost {
-            ops: self.ops + o.ops,
-            work_cycles: self.work_cycles + o.work_cycles,
-            gpu_ms: self.gpu_ms + o.gpu_ms,
-        }
-    }
-
-    /// Orders paths by guaranteed time (the feasibility metric), with op
-    /// count as the tie-break. `rate` is in cycles per millisecond.
-    fn cheaper(self, o: PathCost, rate: f64) -> PathCost {
-        let a = (self.work_cycles / rate + self.gpu_ms, self.ops);
-        let b = (o.work_cycles / rate + o.gpu_ms, o.ops);
-        if a <= b {
-            self
-        } else {
-            o
-        }
-    }
-}
-
-/// A resolved top-level script function: which compiled program, which
-/// prototype.
-#[derive(Debug, Clone)]
-pub(crate) struct FnRef {
-    pub(crate) protos: Arc<Vec<Proto>>,
-    pub(crate) proto: usize,
-}
-
-/// Uniquely resolvable top-level functions by name, shared by the cost
-/// and effect passes. A name declared more than once (across scripts or
-/// shadowed by a nested function of the same name) maps to `None`: both
-/// passes must treat calls to it as unresolvable.
-pub(crate) type FnTable = HashMap<String, Option<FnRef>>;
-
-/// Builds the shared function table from pre-parsed script units.
-pub(crate) fn build_fn_table(units: &[ScriptUnit]) -> FnTable {
-    let mut functions = FnTable::new();
-    for unit in units {
-        let (Some(program), Some(compiled)) = (&unit.program, &unit.compiled) else {
-            continue;
-        };
-        for stmt in &program.body {
-            let Stmt::FunctionDecl { name, .. } = stmt else {
-                continue;
-            };
-            let matching: Vec<usize> = compiled
-                .protos
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.name == *name)
-                .map(|(i, _)| i)
-                .collect();
-            let entry = if matching.len() == 1 {
-                Some(FnRef {
-                    protos: Arc::clone(&compiled.protos),
-                    proto: matching[0],
-                })
-            } else {
-                None
-            };
-            // Redeclaration anywhere makes the binding ambiguous.
-            match functions.entry(name.clone()) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(entry);
-                }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    o.insert(None);
-                }
-            }
-        }
-    }
-    functions
-}
-
 /// The cost-bound analyzer for one application's scripts.
 #[derive(Debug, Default)]
 pub struct CostAnalyzer {
-    /// Uniquely resolvable top-level functions, by name (see [`FnTable`]).
-    /// Calls to ambiguous names contribute nothing, which keeps the
-    /// bound sound.
-    functions: FnTable,
+    /// The global names calls resolve against. Calls to ambiguous or
+    /// poisoned names contribute nothing, which keeps the bound sound.
+    globals: Globals,
     /// Nominal execution rate (cycles per ms) used only to order paths.
     rate_cycles_per_ms: f64,
 }
@@ -205,9 +91,18 @@ impl CostAnalyzer {
     /// with the effect pass.
     pub(crate) fn from_units(units: &[ScriptUnit], rate_cycles_per_ms: f64) -> Self {
         CostAnalyzer {
-            functions: build_fn_table(units),
+            globals: Globals::new(units),
             rate_cycles_per_ms: rate_cycles_per_ms.max(1.0),
         }
+    }
+
+    /// Analyzes one registered listener callback. Returns `None` when
+    /// the value is not a VM closure.
+    pub fn analyze_callback(&self, callback: &Value) -> Option<HandlerCost> {
+        let cache = HandlerCache::default();
+        cache
+            .compile_callback(callback)
+            .map(|h| self.analyze_compiled(&h))
     }
 
     /// Analyzes a handler compiled once through the shared
@@ -217,383 +112,109 @@ impl CostAnalyzer {
     }
 
     fn explore_entry(&self, protos: &Arc<Vec<Proto>>, main: usize) -> HandlerCost {
-        let mut explorer = Explorer {
+        let mut domain = CostDomain {
             analyzer: self,
-            fuel: FUEL,
             fuel_exhausted: false,
             unbounded: HashSet::new(),
         };
-        let mut call_stack = Vec::new();
-        let cost = explorer.explore_proto(protos, main, &mut call_stack);
+        let cost = absint::walk(&mut domain, protos, main);
         HandlerCost {
             ops: cost.ops,
             work_cycles: cost.work_cycles,
             gpu_ms: cost.gpu_ms,
-            unbounded_loops: explorer.unbounded.len(),
-            fuel_exhausted: explorer.fuel_exhausted,
+            unbounded_loops: domain.unbounded.len(),
+            fuel_exhausted: domain.fuel_exhausted,
         }
     }
 }
 
-/// Identity of a prototype across programs: table pointer + index.
-type ProtoKey = (usize, usize);
-
-struct Explorer<'a> {
+struct CostDomain<'a> {
     analyzer: &'a CostAnalyzer,
-    fuel: u64,
     fuel_exhausted: bool,
     /// `(proto, pc)` of every ⊤-guarded back edge seen (distinct loops).
     unbounded: HashSet<(usize, u32)>,
 }
 
-type Scopes = Vec<HashMap<u32, AbsVal>>;
+impl Domain for CostDomain<'_> {
+    type Path = PathCost;
 
-/// Per-path fork counts, keyed by branch pc.
-type Forked = HashMap<u32, u32>;
+    fn globals(&self) -> &Globals {
+        &self.analyzer.globals
+    }
 
-impl Explorer<'_> {
-    fn explore_proto(
-        &mut self,
-        protos: &Arc<Vec<Proto>>,
-        index: usize,
-        call_stack: &mut Vec<ProtoKey>,
-    ) -> PathCost {
-        let key: ProtoKey = (Arc::as_ptr(protos) as usize, index);
-        // Recursion (or too-deep call chains) contribute nothing: sound
-        // for a lower bound.
-        if call_stack.contains(&key) || call_stack.len() >= MAX_CALLS as usize {
-            return PathCost::default();
+    fn empty(&self) -> PathCost {
+        PathCost::default()
+    }
+
+    fn seq(&self, first: PathCost, then: PathCost) -> PathCost {
+        PathCost {
+            ops: first.ops + then.ops,
+            work_cycles: first.work_cycles + then.work_cycles,
+            gpu_ms: first.gpu_ms + then.gpu_ms,
         }
-        let Some(proto) = protos.get(index) else {
-            return PathCost::default();
+    }
+
+    /// Keeps the arm with less guaranteed time (the feasibility metric),
+    /// op count breaking ties.
+    fn join(&self, taken: PathCost, fallthrough: PathCost) -> PathCost {
+        let rate = self.analyzer.rate_cycles_per_ms;
+        let time = |p: &PathCost| (p.work_cycles / rate + p.gpu_ms, p.ops);
+        if time(&taken) <= time(&fallthrough) {
+            taken
+        } else {
+            fallthrough
+        }
+    }
+
+    /// Charges the instruction's tick weight — the same per-op cost the
+    /// engine's VM charges against `RunBudget` — so the lint's op figures
+    /// are in engine units (weight 1 when a hostile proto carries no tick
+    /// table).
+    fn charge(&self, path: &mut PathCost, proto: &Proto, pc: u32) {
+        path.ops += f64::from(proto.ticks.get(pc as usize).copied().unwrap_or(1));
+    }
+
+    fn builtin(&self, name: &str, args: &[AbsVal], path: &mut PathCost) -> Option<AbsVal> {
+        let total = match name {
+            "work" => &mut path.work_cycles,
+            "gpuWork" => &mut path.gpu_ms,
+            _ => return None,
         };
-        call_stack.push(key);
-        let mut stack = Vec::new();
-        let mut scopes: Scopes = vec![HashMap::new()];
-        let cost = self.run(
-            protos,
-            proto,
-            0,
-            &mut stack,
-            &mut scopes,
-            &mut Forked::new(),
-            call_stack,
-            0,
-        );
-        call_stack.pop();
-        cost
+        if let Some(AbsVal::Num(n)) = args.first() {
+            *total += n.max(0.0);
+        }
+        Some(AbsVal::Null)
     }
 
-    /// Abstractly executes `proto` from `pc` to a `Return`/fall-off,
-    /// returning the cost of the cheapest completion.
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        protos: &Arc<Vec<Proto>>,
-        proto: &Proto,
-        mut pc: u32,
-        stack: &mut Vec<AbsVal>,
-        scopes: &mut Scopes,
-        forked: &mut Forked,
-        call_stack: &mut Vec<ProtoKey>,
-        fork_depth: u32,
-    ) -> PathCost {
-        let mut cost = PathCost::default();
-        loop {
-            if self.fuel == 0 {
-                self.fuel_exhausted = true;
-                return cost;
-            }
-            self.fuel -= 1;
-            let Some(op) = proto.code.get(pc as usize) else {
-                return cost; // fell off the end: implicit return
-            };
-            // Charge the instruction's tick weight — the same per-op cost
-            // the engine's VM charges against `RunBudget` — so the lint's
-            // op figures are in engine units (weight 1 when a hostile
-            // proto carries no tick table).
-            cost.ops += f64::from(proto.ticks.get(pc as usize).copied().unwrap_or(1));
-            let mut next = pc + 1;
-            match *op {
-                Op::Const(i) => stack.push(match proto.consts.get(i as usize) {
-                    Some(Const::Number(n)) => AbsVal::Num(*n),
-                    Some(Const::Bool(b)) => AbsVal::Bool(*b),
-                    Some(Const::Null) => AbsVal::Null,
-                    Some(Const::Str(_)) | None => AbsVal::Unknown,
-                }),
-                Op::GetVar(i) => {
-                    let v = scopes
-                        .iter()
-                        .rev()
-                        .find_map(|s| s.get(&i).copied())
-                        .unwrap_or(AbsVal::Unknown);
-                    stack.push(v);
-                }
-                Op::SetVar(i) => {
-                    let v = pop(stack);
-                    match scopes.iter_mut().rev().find(|s| s.contains_key(&i)) {
-                        Some(scope) => {
-                            scope.insert(i, v);
-                        }
-                        None => {
-                            // Assignment to a captured/global variable the
-                            // analyzer cannot see; remember it locally so
-                            // later reads at least agree within this path.
-                            if let Some(first) = scopes.first_mut() {
-                                first.insert(i, v);
-                            }
-                        }
-                    }
-                }
-                Op::DeclVar(i) => {
-                    let v = pop(stack);
-                    if let Some(last) = scopes.last_mut() {
-                        last.insert(i, v);
-                    }
-                }
-                Op::Pop => {
-                    pop(stack);
-                }
-                Op::Dup => {
-                    let v = stack.last().copied().unwrap_or(AbsVal::Unknown);
-                    stack.push(v);
-                }
-                Op::PushScope => scopes.push(HashMap::new()),
-                Op::PopScope => {
-                    if scopes.len() > 1 {
-                        scopes.pop();
-                    }
-                }
-                Op::Binary(op) => {
-                    let r = pop(stack);
-                    let l = pop(stack);
-                    stack.push(binary(op, l, r));
-                }
-                Op::Unary(op) => {
-                    let v = pop(stack);
-                    stack.push(match (op, v) {
-                        (UnaryOp::Neg, AbsVal::Num(n)) => AbsVal::Num(-n),
-                        (UnaryOp::Not, v) => match v.truthy() {
-                            Some(b) => AbsVal::Bool(!b),
-                            None => AbsVal::Unknown,
-                        },
-                        _ => AbsVal::Unknown,
-                    });
-                }
-                Op::Jump(t) => next = t,
-                Op::JumpIfFalse(t) => {
-                    let cond = pop(stack);
-                    match cond.truthy() {
-                        Some(true) => {}
-                        Some(false) => next = t,
-                        None => {
-                            return cost.plus(self.fork(
-                                protos, proto, pc, t, next, stack, scopes, forked, call_stack,
-                                fork_depth,
-                            ))
-                        }
-                    }
-                }
-                Op::JumpIfFalsePeek(t) => {
-                    let cond = stack.last().copied().unwrap_or(AbsVal::Unknown);
-                    match cond.truthy() {
-                        Some(true) => {}
-                        Some(false) => next = t,
-                        None => {
-                            return cost.plus(self.fork(
-                                protos, proto, pc, t, next, stack, scopes, forked, call_stack,
-                                fork_depth,
-                            ))
-                        }
-                    }
-                }
-                Op::JumpIfTruePeek(t) => {
-                    let cond = stack.last().copied().unwrap_or(AbsVal::Unknown);
-                    match cond.truthy() {
-                        Some(true) => next = t,
-                        Some(false) => {}
-                        None => {
-                            return cost.plus(self.fork(
-                                protos, proto, pc, t, next, stack, scopes, forked, call_stack,
-                                fork_depth,
-                            ))
-                        }
-                    }
-                }
-                Op::MakeArray(n) => {
-                    popn(stack, n as usize);
-                    stack.push(AbsVal::Unknown);
-                }
-                Op::MakeObject { count, .. } => {
-                    popn(stack, count as usize);
-                    stack.push(AbsVal::Unknown);
-                }
-                Op::MakeClosure(i) => stack.push(AbsVal::Closure(i as usize)),
-                Op::CallName { name, argc } => {
-                    let args = popn(stack, argc as usize);
-                    let fname = proto.names.get(name as usize).map(String::as_str);
-                    // The compiler interns every occurrence of a name at
-                    // the same index, so scope bindings are keyed by it.
-                    let local = scopes.iter().rev().find_map(|s| s.get(&name).copied());
-                    match (local, fname) {
-                        (Some(AbsVal::Closure(ci)), _) => {
-                            cost = cost.plus(self.explore_proto(protos, ci, call_stack));
-                            stack.push(AbsVal::Unknown);
-                        }
-                        (Some(_), _) => stack.push(AbsVal::Unknown),
-                        (None, Some("work")) => {
-                            if let Some(AbsVal::Num(n)) = args.first() {
-                                cost.work_cycles += n.max(0.0);
-                            }
-                            stack.push(AbsVal::Null);
-                        }
-                        (None, Some("gpuWork")) => {
-                            if let Some(AbsVal::Num(n)) = args.first() {
-                                cost.gpu_ms += n.max(0.0);
-                            }
-                            stack.push(AbsVal::Null);
-                        }
-                        (None, Some(f)) => {
-                            if let Some(Some(fref)) =
-                                self.analyzer.functions.get(f).map(Option::as_ref)
-                            {
-                                let protos = Arc::clone(&fref.protos);
-                                let idx = fref.proto;
-                                cost = cost.plus(self.explore_proto(&protos, idx, call_stack));
-                            }
-                            stack.push(AbsVal::Unknown);
-                        }
-                        (None, None) => stack.push(AbsVal::Unknown),
-                    }
-                }
-                Op::CallValue { argc } => {
-                    popn(stack, argc as usize);
-                    let callee = pop(stack);
-                    if let AbsVal::Closure(ci) = callee {
-                        cost = cost.plus(self.explore_proto(protos, ci, call_stack));
-                    }
-                    stack.push(AbsVal::Unknown);
-                }
-                Op::CallMethod { argc, .. } => {
-                    popn(stack, argc as usize);
-                    pop(stack);
-                    stack.push(AbsVal::Unknown);
-                }
-                Op::CallMath { argc, .. } => {
-                    popn(stack, argc as usize);
-                    stack.push(AbsVal::Unknown);
-                }
-                Op::GetMember(_) => {
-                    pop(stack);
-                    stack.push(AbsVal::Unknown);
-                }
-                Op::SetMember(_) => {
-                    pop(stack);
-                    pop(stack);
-                }
-                Op::GetIndex => {
-                    pop(stack);
-                    pop(stack);
-                    stack.push(AbsVal::Unknown);
-                }
-                Op::SetIndex => {
-                    popn(stack, 3);
-                }
-                Op::Return => return cost,
-            }
-            pc = next;
-        }
+    fn opaque(&self, path: PathCost) -> ControlFlow<PathCost, PathCost> {
+        ControlFlow::Continue(path)
     }
 
-    /// Explores both successors of a branch whose condition is ⊤ and
-    /// keeps the cheaper completion. A repeated fork at the same `pc`
-    /// along one path is a loop with an uncountable bound: it is recorded
-    /// as unbounded and resolved by taking the exit edge (the farther
-    /// target), so the loop body contributes nothing more.
-    #[allow(clippy::too_many_arguments)]
-    fn fork(
-        &mut self,
-        protos: &Arc<Vec<Proto>>,
-        proto: &Proto,
-        pc: u32,
-        target: u32,
-        fallthrough: u32,
-        stack: &mut Vec<AbsVal>,
-        scopes: &mut Scopes,
-        forked: &mut Forked,
-        call_stack: &mut Vec<ProtoKey>,
-        fork_depth: u32,
-    ) -> PathCost {
-        let reforks = forked.get(&pc).copied().unwrap_or(0);
-        if reforks >= MAX_REFORKS {
-            self.unbounded.insert((proto as *const Proto as usize, pc));
-            let exit = target.max(fallthrough);
-            return self.run(
-                protos, proto, exit, stack, scopes, forked, call_stack, fork_depth,
-            );
-        }
-        if fork_depth >= MAX_FORKS {
-            // Give up on the remainder of this path: 0 is a sound bound.
-            return PathCost::default();
-        }
-        forked.insert(pc, reforks + 1);
-        let a = {
-            let mut stack = stack.clone();
-            let mut scopes = scopes.clone();
-            let mut forked = forked.clone();
-            self.run(
-                protos,
-                proto,
-                target,
-                &mut stack,
-                &mut scopes,
-                &mut forked,
-                call_stack,
-                fork_depth + 1,
-            )
-        };
-        let b = self.run(
-            protos,
-            proto,
-            fallthrough,
-            stack,
-            scopes,
-            forked,
-            call_stack,
-            fork_depth + 1,
-        );
-        a.cheaper(b, self.analyzer.rate_cycles_per_ms)
+    fn returned(
+        &self,
+        path: PathCost,
+        callee: PathCost,
+        _scopes: &mut Scopes,
+    ) -> ControlFlow<PathCost, PathCost> {
+        ControlFlow::Continue(self.seq(path, callee))
     }
-}
 
-fn pop(stack: &mut Vec<AbsVal>) -> AbsVal {
-    stack.pop().unwrap_or(AbsVal::Unknown)
-}
+    fn out_of_fuel(&mut self, path: PathCost) -> PathCost {
+        self.fuel_exhausted = true;
+        path
+    }
 
-fn popn(stack: &mut Vec<AbsVal>, n: usize) -> Vec<AbsVal> {
-    let keep = stack.len().saturating_sub(n);
-    stack.split_off(keep)
-}
+    fn uncountable_loop(&mut self, proto: &Proto, pc: u32) -> ControlFlow<PathCost> {
+        self.unbounded.insert((proto as *const Proto as usize, pc));
+        ControlFlow::Continue(())
+    }
 
-fn binary(op: BinaryOp, l: AbsVal, r: AbsVal) -> AbsVal {
-    use AbsVal::{Bool, Num};
-    match (op, l, r) {
-        (BinaryOp::Add, Num(a), Num(b)) => Num(a + b),
-        (BinaryOp::Sub, Num(a), Num(b)) => Num(a - b),
-        (BinaryOp::Mul, Num(a), Num(b)) => Num(a * b),
-        (BinaryOp::Div, Num(a), Num(b)) => Num(a / b),
-        (BinaryOp::Rem, Num(a), Num(b)) => Num(a % b),
-        (BinaryOp::Lt, Num(a), Num(b)) => Bool(a < b),
-        (BinaryOp::Le, Num(a), Num(b)) => Bool(a <= b),
-        (BinaryOp::Gt, Num(a), Num(b)) => Bool(a > b),
-        (BinaryOp::Ge, Num(a), Num(b)) => Bool(a >= b),
-        (BinaryOp::Eq, Num(a), Num(b)) => Bool(a == b),
-        (BinaryOp::Ne, Num(a), Num(b)) => Bool(a != b),
-        (BinaryOp::Eq, Bool(a), Bool(b)) => Bool(a == b),
-        (BinaryOp::Ne, Bool(a), Bool(b)) => Bool(a != b),
-        (BinaryOp::Eq, AbsVal::Null, AbsVal::Null) => Bool(true),
-        (BinaryOp::Ne, AbsVal::Null, AbsVal::Null) => Bool(false),
-        _ => AbsVal::Unknown,
+    fn recursion(&self) -> PathCost {
+        PathCost::default()
+    }
+
+    fn unexplored(&self) -> PathCost {
+        PathCost::default()
     }
 }
 
@@ -696,6 +317,20 @@ mod tests {
         let compiled = compile(&program).unwrap();
         let c = analyzer.explore_entry(&compiled.protos, compiled.main);
         assert_eq!(c.work_cycles, 0.0);
+    }
+
+    #[test]
+    fn shadowed_builtin_contributes_no_work() {
+        // The VM resolves a script binding of `work` before the host
+        // builtin, so the call below performs no explicit work.
+        for script in ["function work(n) { }", "var work = 3;"] {
+            let analyzer = CostAnalyzer::new(&[script.to_string()], 3.6e6);
+            let program = parse_program("work(1000000); gpuWork(2);").unwrap();
+            let compiled = compile(&program).unwrap();
+            let c = analyzer.explore_entry(&compiled.protos, compiled.main);
+            assert_eq!(c.work_cycles, 0.0, "{script}");
+            assert_eq!(c.gpu_ms, 2.0, "{script}");
+        }
     }
 
     #[test]

@@ -1,27 +1,20 @@
 //! Pass 5: bytecode effect inference (upper bounds).
 //!
-//! The mirror image of the cost pass: where [`crate::cost`] explores the
-//! same bytecode CFG to produce a **lower** bound (forks keep the
-//! cheaper arm, unknown callees contribute nothing), this pass produces
-//! a sound **over-approximation** of everything a handler can ask the
-//! browser to do — an [`EffectSummary`] the engine checks `dynamic ⊆
-//! static` containment against on every callback return. The polarity
-//! inversion dictates every rule:
+//! Each registered handler closure is walked by the shared abstract
+//! interpreter (`absint`) under the effect domain below, which
+//! produces a sound **over-approximation** of everything a handler can
+//! ask the browser to do: an [`EffectSummary`] the engine checks
+//! `dynamic ⊆ static` containment against on every callback return.
 //!
 //! - a ⊤-guarded branch explores both arms and **joins** them;
-//! - an unknown or ambiguous callee, a method call, a member/index
-//!   write, an exhausted exploration budget — anything the analyzer
-//!   cannot model — collapses the summary to [`EffectSummary::top`];
+//! - an unresolved callee, a method call, a member/index write, an
+//!   exhausted exploration budget — anything the analyzer cannot
+//!   model — collapses the rest of the path to [`EffectSummary::top`];
 //! - after inlining any user function, every scope binding is havocked
 //!   to ⊤ (the callee may have captured and reassigned it);
-//! - names assigned or shadowed anywhere in the program are *poisoned*:
-//!   an unbound read or call of a poisoned name resolves to ⊤ instead of
-//!   the global function table or a host builtin.
-//!
-//! Call resolution follows the runtime scope chain — local binding,
-//! then the (unpoisoned) global function table, then host builtins —
-//! unlike the cost pass, which checks `work`/`gpuWork` first; a lower
-//! bound survives that imprecision, an upper bound would not.
+//! - an unbound read of a uniquely declared, unpoisoned global function
+//!   is that function (`FnRef`), so passing it as a callback or calling
+//!   it through a variable stays analyzable.
 //!
 //! Recursive calls are cut with a *residue* summary whose counts are
 //! unbounded but whose may-flags are empty: the recursed prototype's
@@ -36,50 +29,15 @@
 //! a descendant-or-self of the registered node, and writes through it
 //! stay inside [`EffectTarget::ListenerSubtree`].
 
-use crate::cost::{build_fn_table, FnTable, FUEL, MAX_CALLS, MAX_FORKS, MAX_REFORKS};
+use crate::absint::{self, AbsVal, Callee, Domain, Globals, Scopes};
 use crate::{CompiledHandler, HandlerCache, ScriptUnit};
 use greenweb_engine::{EffectSummary, EffectTarget, TargetSet};
-use greenweb_script::ast::Target;
-use greenweb_script::compiler::{Const, Op, Proto};
-use greenweb_script::{BinaryOp, Expr, Stmt, UnaryOp, Value};
+use greenweb_script::compiler::Proto;
+use greenweb_script::Value;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
+use std::ops::ControlFlow;
 use std::sync::Arc;
-
-/// An abstract value. Like the cost pass's domain, concrete where the
-/// program is concrete — plus the two facts this pass actually needs:
-/// which values are the dispatched event (`Event`), its `.target` member
-/// (`TargetNode`, provably in the listener's subtree), and which are
-/// uniquely resolvable global functions (`FnRef`).
-#[derive(Debug, Clone, PartialEq)]
-enum AbsEff {
-    Num(f64),
-    Bool(bool),
-    Null,
-    /// A closure over proto `idx` of the *current* prototype table.
-    Closure(usize),
-    /// The uniquely resolvable global function of that name.
-    FnRef(String),
-    /// The event object passed to the handler.
-    Event,
-    /// `event.target`: a node in the listener's subtree.
-    TargetNode,
-    Unknown,
-}
-
-impl AbsEff {
-    fn truthy(&self) -> Option<bool> {
-        match self {
-            AbsEff::Num(n) => Some(*n != 0.0 && !n.is_nan()),
-            AbsEff::Bool(b) => Some(*b),
-            AbsEff::Null => Some(false),
-            AbsEff::Closure(_) | AbsEff::FnRef(_) | AbsEff::Event => Some(true),
-            // A node handle is a number and node 0 exists, so a target
-            // may legitimately be falsy.
-            AbsEff::TargetNode | AbsEff::Unknown => None,
-        }
-    }
-}
 
 /// Effects accumulated along one abstract execution path, plus the
 /// zero-delay scheduling edges seen (callee names of provably zero-delay
@@ -91,19 +49,25 @@ struct PathEffects {
 }
 
 impl PathEffects {
-    /// The sequential identity: nothing has happened yet.
-    fn pure() -> Self {
+    /// A path with `summary` that schedules no zero-delay edge.
+    fn of(summary: EffectSummary) -> Self {
         PathEffects {
-            summary: EffectSummary::pure(),
+            summary,
             zero_delay_names: BTreeSet::new(),
         }
     }
 
-    /// The absorbing element for an unanalyzable continuation.
-    fn top() -> Self {
+    /// Combines the summaries of `self` and `other` with `f`; the
+    /// zero-delay edges of both survive.
+    fn combine(
+        mut self,
+        mut other: PathEffects,
+        f: fn(&EffectSummary, &EffectSummary) -> EffectSummary,
+    ) -> Self {
+        self.zero_delay_names.append(&mut other.zero_delay_names);
         PathEffects {
-            summary: EffectSummary::top(),
-            zero_delay_names: BTreeSet::new(),
+            summary: f(&self.summary, &other.summary),
+            zero_delay_names: self.zero_delay_names,
         }
     }
 
@@ -111,31 +75,7 @@ impl PathEffects {
     /// guarantees (must-counts, chain evidence) survive, everything else
     /// is weakened to ⊤.
     fn seq_top(self) -> Self {
-        self.seq_path(PathEffects::top())
-    }
-
-    /// Sequential composition: `self` then `other` on the same path.
-    fn seq_path(self, other: PathEffects) -> Self {
-        PathEffects {
-            summary: seq(&self.summary, &other.summary),
-            zero_delay_names: self
-                .zero_delay_names
-                .union(&other.zero_delay_names)
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Join at a control-flow merge: either path may have run.
-    fn join(self, other: PathEffects) -> Self {
-        PathEffects {
-            summary: self.summary.join(&other.summary),
-            zero_delay_names: self
-                .zero_delay_names
-                .union(&other.zero_delay_names)
-                .cloned()
-                .collect(),
-        }
+        self.combine(PathEffects::of(EffectSummary::top()), seq)
     }
 }
 
@@ -190,13 +130,8 @@ fn recursion_residue() -> EffectSummary {
 
 /// The effect-bound analyzer for one application's scripts.
 pub struct EffectAnalyzer {
-    /// Uniquely resolvable top-level functions, shared with the cost pass.
-    functions: FnTable,
-    /// Every name that is var-declared, assigned, or used as a function
-    /// parameter anywhere: reads and calls of these resolve to ⊤ when no
-    /// scope binding is in sight, never to the function table or a host
-    /// builtin.
-    poisoned: HashSet<String>,
+    /// The global names calls and reads resolve against.
+    globals: Globals,
     /// Per-global-function zero-delay `setTimeout` callee sets, computed
     /// on demand for the chain lint.
     zero_delay_memo: RefCell<HashMap<String, BTreeSet<String>>>,
@@ -212,8 +147,7 @@ impl EffectAnalyzer {
     /// cost pass.
     pub(crate) fn from_units(units: &[ScriptUnit]) -> Self {
         EffectAnalyzer {
-            functions: build_fn_table(units),
-            poisoned: poisoned_names(units),
+            globals: Globals::new(units),
             zero_delay_memo: RefCell::new(HashMap::new()),
         }
     }
@@ -246,12 +180,11 @@ impl EffectAnalyzer {
         main: usize,
         entry_params: &[String],
     ) -> PathEffects {
-        let mut explorer = Explorer {
+        let mut domain = EffectDomain {
             analyzer: self,
-            fuel: FUEL,
+            event: entry_params.first().map(String::as_str),
         };
-        let mut call_stack = Vec::new();
-        explorer.explore_proto_bound(protos, main, &mut call_stack, entry_params)
+        absint::walk(&mut domain, protos, main)
     }
 
     /// The named functions `name` may schedule with a provably zero
@@ -260,13 +193,12 @@ impl EffectAnalyzer {
         if let Some(hit) = self.zero_delay_memo.borrow().get(name) {
             return hit.clone();
         }
-        let set = match self.functions.get(name) {
-            Some(Some(fref)) => {
-                let protos = Arc::clone(&fref.protos);
-                self.explore_entry(&protos, fref.proto, &[])
+        let set = match self.globals.function(name) {
+            Some(fref) => {
+                self.explore_entry(&fref.protos, fref.proto, &[])
                     .zero_delay_names
             }
-            _ => BTreeSet::new(),
+            None => BTreeSet::new(),
         };
         self.zero_delay_memo
             .borrow_mut()
@@ -306,530 +238,90 @@ impl EffectAnalyzer {
     }
 }
 
-/// Collects every name the abstract interpreter must never resolve
-/// statically: var declarations, assignment targets, and function
-/// parameters, anywhere in any script. Top-level `function` declaration
-/// *names* are deliberately not poisoned — redeclaration ambiguity is
-/// already handled by the function table mapping them to `None`.
-fn poisoned_names(units: &[ScriptUnit]) -> HashSet<String> {
-    let mut out = HashSet::new();
-    for unit in units {
-        if let Some(program) = &unit.program {
-            for stmt in &program.body {
-                poison_stmt(stmt, &mut out);
-            }
-        }
-    }
-    out
-}
-
-fn poison_stmt(stmt: &Stmt, out: &mut HashSet<String>) {
-    match stmt {
-        Stmt::VarDecl { name, init, .. } => {
-            out.insert(name.clone());
-            if let Some(init) = init {
-                poison_expr(init, out);
-            }
-        }
-        Stmt::FunctionDecl { params, body, .. } => {
-            out.extend(params.iter().cloned());
-            for s in body.iter() {
-                poison_stmt(s, out);
-            }
-        }
-        Stmt::Expr(e) | Stmt::Return(Some(e)) => poison_expr(e, out),
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            poison_expr(cond, out);
-            for s in then_branch.iter().chain(else_branch.iter()) {
-                poison_stmt(s, out);
-            }
-        }
-        Stmt::While { cond, body } => {
-            poison_expr(cond, out);
-            for s in body {
-                poison_stmt(s, out);
-            }
-        }
-        Stmt::For {
-            init,
-            cond,
-            update,
-            body,
-        } => {
-            if let Some(init) = init {
-                poison_stmt(init, out);
-            }
-            if let Some(cond) = cond {
-                poison_expr(cond, out);
-            }
-            if let Some(update) = update {
-                poison_expr(update, out);
-            }
-            for s in body {
-                poison_stmt(s, out);
-            }
-        }
-        Stmt::Block(body) => {
-            for s in body {
-                poison_stmt(s, out);
-            }
-        }
-        Stmt::Return(None) | Stmt::Break | Stmt::Continue => {}
-    }
-}
-
-fn poison_expr(expr: &Expr, out: &mut HashSet<String>) {
-    match expr {
-        Expr::Number(_) | Expr::Str(_) | Expr::Bool(_) | Expr::Null | Expr::Var(_) => {}
-        Expr::Array(items) => {
-            for e in items {
-                poison_expr(e, out);
-            }
-        }
-        Expr::Object(pairs) => {
-            for (_, e) in pairs {
-                poison_expr(e, out);
-            }
-        }
-        Expr::Function { params, body } => {
-            out.extend(params.iter().cloned());
-            for s in body.iter() {
-                poison_stmt(s, out);
-            }
-        }
-        Expr::Assign { target, value } => {
-            match target {
-                Target::Var(name) => {
-                    out.insert(name.clone());
-                }
-                Target::Member(object, _) => poison_expr(object, out),
-                Target::Index(object, index) => {
-                    poison_expr(object, out);
-                    poison_expr(index, out);
-                }
-            }
-            poison_expr(value, out);
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            poison_expr(lhs, out);
-            poison_expr(rhs, out);
-        }
-        Expr::Unary { operand, .. } => poison_expr(operand, out),
-        Expr::Conditional {
-            cond,
-            then_value,
-            else_value,
-        } => {
-            poison_expr(cond, out);
-            poison_expr(then_value, out);
-            poison_expr(else_value, out);
-        }
-        Expr::Call { callee, args, .. } => {
-            poison_expr(callee, out);
-            for e in args {
-                poison_expr(e, out);
-            }
-        }
-        Expr::Member { object, .. } => poison_expr(object, out),
-        Expr::Index { object, index } => {
-            poison_expr(object, out);
-            poison_expr(index, out);
-        }
-    }
-}
-
-/// Identity of a prototype across programs: table pointer + index.
-type ProtoKey = (usize, usize);
-
-type Scopes = Vec<HashMap<u32, AbsEff>>;
-
-/// Per-path fork counts, keyed by branch pc.
-type Forked = HashMap<u32, u32>;
-
-struct Explorer<'a> {
+struct EffectDomain<'a> {
     analyzer: &'a EffectAnalyzer,
-    fuel: u64,
+    /// The handler parameter bound to the dispatched event, if any.
+    event: Option<&'a str>,
 }
 
-impl Explorer<'_> {
-    fn explore_proto(
-        &mut self,
-        protos: &Arc<Vec<Proto>>,
-        index: usize,
-        call_stack: &mut Vec<ProtoKey>,
-    ) -> PathEffects {
-        self.explore_proto_bound(protos, index, call_stack, &[])
+impl Domain for EffectDomain<'_> {
+    type Path = PathEffects;
+
+    fn globals(&self) -> &Globals {
+        &self.analyzer.globals
     }
 
-    fn explore_proto_bound(
-        &mut self,
-        protos: &Arc<Vec<Proto>>,
-        index: usize,
-        call_stack: &mut Vec<ProtoKey>,
-        entry_params: &[String],
-    ) -> PathEffects {
-        let key: ProtoKey = (Arc::as_ptr(protos) as usize, index);
-        if call_stack.contains(&key) {
-            return PathEffects {
-                summary: recursion_residue(),
-                zero_delay_names: BTreeSet::new(),
-            };
-        }
-        // A call that is too deep was never explored at all: unlike
-        // recursion, nothing covers its flags, so it must be ⊤.
-        if call_stack.len() >= MAX_CALLS as usize {
-            return PathEffects::top();
-        }
-        let Some(proto) = protos.get(index) else {
-            return PathEffects::top();
-        };
-        call_stack.push(key);
-        let mut stack = Vec::new();
-        let mut scopes: Scopes = vec![HashMap::new()];
-        // The dispatched event is the handler's first parameter; the
-        // compiler interns every name at a stable per-proto index, so an
-        // unreferenced parameter is simply absent from `names`.
-        if let Some(param) = entry_params.first() {
+    fn empty(&self) -> PathEffects {
+        PathEffects::of(EffectSummary::pure())
+    }
+
+    fn seq(&self, first: PathEffects, then: PathEffects) -> PathEffects {
+        first.combine(then, seq)
+    }
+
+    fn join(&self, taken: PathEffects, fallthrough: PathEffects) -> PathEffects {
+        taken.combine(fallthrough, EffectSummary::join)
+    }
+
+    /// The dispatched event is the handler's first parameter; the
+    /// compiler interns every name at a stable per-proto index, so an
+    /// unreferenced parameter is simply absent from `names`.
+    fn bind_entry(&self, proto: &Proto, scope: &mut HashMap<u32, AbsVal>) {
+        if let Some(param) = self.event {
             if let Some(idx) = proto.names.iter().position(|n| n == param) {
-                scopes[0].insert(idx as u32, AbsEff::Event);
+                scope.insert(idx as u32, AbsVal::Event);
             }
         }
-        let eff = self.run(
-            protos,
-            proto,
-            0,
-            &mut stack,
-            &mut scopes,
-            &mut Forked::new(),
-            call_stack,
-            0,
-        );
-        call_stack.pop();
-        eff
     }
 
-    /// Abstractly executes `proto` from `pc` to a `Return`/fall-off,
-    /// returning the effects of the path (joined over every fork).
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        protos: &Arc<Vec<Proto>>,
-        proto: &Proto,
-        mut pc: u32,
-        stack: &mut Vec<AbsEff>,
+    fn unbound_read(&self, name: &str) -> AbsVal {
+        match self.analyzer.globals.resolve(name) {
+            Callee::Script(_) => AbsVal::FnRef(name.to_string()),
+            Callee::Builtin(_) | Callee::Opaque => AbsVal::Unknown,
+        }
+    }
+
+    fn builtin(&self, name: &str, args: &[AbsVal], path: &mut PathEffects) -> Option<AbsVal> {
+        apply_builtin(name, args, path).then_some(AbsVal::Unknown)
+    }
+
+    fn opaque(&self, path: PathEffects) -> ControlFlow<PathEffects, PathEffects> {
+        ControlFlow::Break(path.seq_top())
+    }
+
+    fn returned(
+        &self,
+        path: PathEffects,
+        callee: PathEffects,
         scopes: &mut Scopes,
-        forked: &mut Forked,
-        call_stack: &mut Vec<ProtoKey>,
-        fork_depth: u32,
-    ) -> PathEffects {
-        let mut eff = PathEffects::pure();
-        loop {
-            if self.fuel == 0 {
-                // Out of budget: the unexplored remainder admits anything.
-                return eff.seq_top();
-            }
-            self.fuel -= 1;
-            let Some(op) = proto.code.get(pc as usize) else {
-                return eff; // fell off the end: implicit return
-            };
-            let mut next = pc + 1;
-            match *op {
-                Op::Const(i) => stack.push(match proto.consts.get(i as usize) {
-                    Some(Const::Number(n)) => AbsEff::Num(*n),
-                    Some(Const::Bool(b)) => AbsEff::Bool(*b),
-                    Some(Const::Null) => AbsEff::Null,
-                    Some(Const::Str(_)) | None => AbsEff::Unknown,
-                }),
-                Op::GetVar(i) => {
-                    let bound = scopes.iter().rev().find_map(|s| s.get(&i).cloned());
-                    let v = bound.unwrap_or_else(|| match proto.names.get(i as usize) {
-                        Some(n) if self.analyzer.poisoned.contains(n) => AbsEff::Unknown,
-                        Some(n) if matches!(self.analyzer.functions.get(n), Some(Some(_))) => {
-                            AbsEff::FnRef(n.clone())
-                        }
-                        _ => AbsEff::Unknown,
-                    });
-                    stack.push(v);
-                }
-                Op::SetVar(i) => {
-                    let v = pop(stack);
-                    match scopes.iter_mut().rev().find(|s| s.contains_key(&i)) {
-                        Some(scope) => {
-                            scope.insert(i, v);
-                        }
-                        None => {
-                            // Assignment to a captured/global variable the
-                            // analyzer cannot see; remember it locally so
-                            // later reads at least agree within this path.
-                            if let Some(first) = scopes.first_mut() {
-                                first.insert(i, v);
-                            }
-                        }
-                    }
-                }
-                Op::DeclVar(i) => {
-                    let v = pop(stack);
-                    if let Some(last) = scopes.last_mut() {
-                        last.insert(i, v);
-                    }
-                }
-                Op::Pop => {
-                    pop(stack);
-                }
-                Op::Dup => {
-                    let v = stack.last().cloned().unwrap_or(AbsEff::Unknown);
-                    stack.push(v);
-                }
-                Op::PushScope => scopes.push(HashMap::new()),
-                Op::PopScope => {
-                    if scopes.len() > 1 {
-                        scopes.pop();
-                    }
-                }
-                Op::Binary(op) => {
-                    let r = pop(stack);
-                    let l = pop(stack);
-                    stack.push(binary(op, l, r));
-                }
-                Op::Unary(op) => {
-                    let v = pop(stack);
-                    stack.push(match (op, v) {
-                        (UnaryOp::Neg, AbsEff::Num(n)) => AbsEff::Num(-n),
-                        (UnaryOp::Not, v) => match v.truthy() {
-                            Some(b) => AbsEff::Bool(!b),
-                            None => AbsEff::Unknown,
-                        },
-                        _ => AbsEff::Unknown,
-                    });
-                }
-                Op::Jump(t) => next = t,
-                Op::JumpIfFalse(t) => {
-                    let cond = pop(stack);
-                    match cond.truthy() {
-                        Some(true) => {}
-                        Some(false) => next = t,
-                        None => {
-                            return eff.seq_path(self.fork(
-                                protos, proto, pc, t, next, stack, scopes, forked, call_stack,
-                                fork_depth,
-                            ))
-                        }
-                    }
-                }
-                Op::JumpIfFalsePeek(t) => {
-                    let cond = stack.last().cloned().unwrap_or(AbsEff::Unknown);
-                    match cond.truthy() {
-                        Some(true) => {}
-                        Some(false) => next = t,
-                        None => {
-                            return eff.seq_path(self.fork(
-                                protos, proto, pc, t, next, stack, scopes, forked, call_stack,
-                                fork_depth,
-                            ))
-                        }
-                    }
-                }
-                Op::JumpIfTruePeek(t) => {
-                    let cond = stack.last().cloned().unwrap_or(AbsEff::Unknown);
-                    match cond.truthy() {
-                        Some(true) => next = t,
-                        Some(false) => {}
-                        None => {
-                            return eff.seq_path(self.fork(
-                                protos, proto, pc, t, next, stack, scopes, forked, call_stack,
-                                fork_depth,
-                            ))
-                        }
-                    }
-                }
-                Op::MakeArray(n) => {
-                    popn(stack, n as usize);
-                    stack.push(AbsEff::Unknown);
-                }
-                Op::MakeObject { count, .. } => {
-                    popn(stack, count as usize);
-                    stack.push(AbsEff::Unknown);
-                }
-                Op::MakeClosure(i) => stack.push(AbsEff::Closure(i as usize)),
-                Op::CallName { name, argc } => {
-                    let args = popn(stack, argc as usize);
-                    let local = scopes.iter().rev().find_map(|s| s.get(&name).cloned());
-                    match local {
-                        Some(AbsEff::Closure(ci)) => {
-                            let callee = self.explore_proto(protos, ci, call_stack);
-                            eff = eff.seq_path(callee);
-                            if eff.summary.top {
-                                return eff;
-                            }
-                            havoc(scopes);
-                            stack.push(AbsEff::Unknown);
-                        }
-                        Some(AbsEff::FnRef(gname)) => {
-                            match self.resolve_global(&gname, call_stack) {
-                                Some(callee) => {
-                                    eff = eff.seq_path(callee);
-                                    if eff.summary.top {
-                                        return eff;
-                                    }
-                                    havoc(scopes);
-                                    stack.push(AbsEff::Unknown);
-                                }
-                                None => return eff.seq_top(),
-                            }
-                        }
-                        // A bound non-function (or ⊤) value is being
-                        // called: unanalyzable.
-                        Some(_) => return eff.seq_top(),
-                        None => {
-                            let Some(fname) = proto.names.get(name as usize) else {
-                                return eff.seq_top();
-                            };
-                            if self.analyzer.poisoned.contains(fname) {
-                                return eff.seq_top();
-                            }
-                            if let Some(entry) = self.analyzer.functions.get(fname) {
-                                // The runtime scope chain resolves global
-                                // script functions before host builtins.
-                                if entry.is_none() {
-                                    return eff.seq_top();
-                                }
-                                match self.resolve_global(fname, call_stack) {
-                                    Some(callee) => {
-                                        eff = eff.seq_path(callee);
-                                        if eff.summary.top {
-                                            return eff;
-                                        }
-                                        havoc(scopes);
-                                        stack.push(AbsEff::Unknown);
-                                    }
-                                    None => return eff.seq_top(),
-                                }
-                            } else if apply_builtin(fname, &args, &mut eff) {
-                                stack.push(AbsEff::Unknown);
-                            } else {
-                                // Unknown name: the call errors or does
-                                // something the analyzer cannot model.
-                                return eff.seq_top();
-                            }
-                        }
-                    }
-                }
-                Op::CallValue { argc } => {
-                    popn(stack, argc as usize);
-                    let callee = pop(stack);
-                    let resolved = match callee {
-                        AbsEff::Closure(ci) => Some(self.explore_proto(protos, ci, call_stack)),
-                        AbsEff::FnRef(gname) => self.resolve_global(&gname, call_stack),
-                        _ => None,
-                    };
-                    match resolved {
-                        Some(callee_eff) => {
-                            eff = eff.seq_path(callee_eff);
-                            if eff.summary.top {
-                                return eff;
-                            }
-                            havoc(scopes);
-                            stack.push(AbsEff::Unknown);
-                        }
-                        None => return eff.seq_top(),
-                    }
-                }
-                // A function-valued member can hold any closure, and the
-                // receiver is always abstract here: unanalyzable.
-                Op::CallMethod { .. } => return eff.seq_top(),
-                Op::CallMath { argc, .. } => {
-                    popn(stack, argc as usize);
-                    stack.push(AbsEff::Unknown);
-                }
-                Op::GetMember(i) => {
-                    let object = pop(stack);
-                    let member = proto.names.get(i as usize).map(String::as_str);
-                    if object == AbsEff::Event && member == Some("target") {
-                        stack.push(AbsEff::TargetNode);
-                    } else {
-                        stack.push(AbsEff::Unknown);
-                    }
-                }
-                // Member/index writes mutate shared heap objects the
-                // domain does not model (and would error on node
-                // handles): give up.
-                Op::SetMember(_) | Op::SetIndex => return eff.seq_top(),
-                Op::GetIndex => {
-                    pop(stack);
-                    pop(stack);
-                    stack.push(AbsEff::Unknown);
-                }
-                Op::Return => return eff,
-            }
-            pc = next;
+    ) -> ControlFlow<PathEffects, PathEffects> {
+        let path = self.seq(path, callee);
+        if path.summary.top {
+            return ControlFlow::Break(path);
         }
+        havoc(scopes);
+        ControlFlow::Continue(path)
     }
 
-    /// Inlines a uniquely resolved global function. `None` when the name
-    /// is unknown or ambiguous (caller must go to ⊤).
-    fn resolve_global(
-        &mut self,
-        name: &str,
-        call_stack: &mut Vec<ProtoKey>,
-    ) -> Option<PathEffects> {
-        let fref = self.analyzer.functions.get(name)?.clone()?;
-        Some(self.explore_proto(&fref.protos, fref.proto, call_stack))
+    fn out_of_fuel(&mut self, path: PathEffects) -> PathEffects {
+        // The unexplored remainder admits anything.
+        path.seq_top()
     }
 
-    /// Explores both successors of a branch whose condition is ⊤ and
-    /// joins them. A repeated fork at the same `pc` along one path is a
-    /// loop whose trip count the analyzer cannot bound: the whole
-    /// remainder collapses to ⊤ (the body may repeat any number of
-    /// times, so no finite count or bounded target set survives).
-    #[allow(clippy::too_many_arguments)]
-    fn fork(
-        &mut self,
-        protos: &Arc<Vec<Proto>>,
-        proto: &Proto,
-        pc: u32,
-        target: u32,
-        fallthrough: u32,
-        stack: &mut Vec<AbsEff>,
-        scopes: &mut Scopes,
-        forked: &mut Forked,
-        call_stack: &mut Vec<ProtoKey>,
-        fork_depth: u32,
-    ) -> PathEffects {
-        let reforks = forked.get(&pc).copied().unwrap_or(0);
-        if reforks >= MAX_REFORKS || fork_depth >= MAX_FORKS {
-            return PathEffects::top();
-        }
-        forked.insert(pc, reforks + 1);
-        let a = {
-            let mut stack = stack.clone();
-            let mut scopes = scopes.clone();
-            let mut forked = forked.clone();
-            self.run(
-                protos,
-                proto,
-                target,
-                &mut stack,
-                &mut scopes,
-                &mut forked,
-                call_stack,
-                fork_depth + 1,
-            )
-        };
-        let b = self.run(
-            protos,
-            proto,
-            fallthrough,
-            stack,
-            scopes,
-            forked,
-            call_stack,
-            fork_depth + 1,
-        );
-        a.join(b)
+    /// The loop body may repeat any number of times, so no finite count
+    /// or bounded target set survives.
+    fn uncountable_loop(&mut self, _proto: &Proto, _pc: u32) -> ControlFlow<PathEffects> {
+        ControlFlow::Break(self.unexplored())
+    }
+
+    fn recursion(&self) -> PathEffects {
+        PathEffects::of(recursion_residue())
+    }
+
+    /// Nothing covers an unexplored call's flags, so unlike recursion it
+    /// must be ⊤.
+    fn unexplored(&self) -> PathEffects {
+        PathEffects::of(EffectSummary::top())
     }
 }
 
@@ -839,7 +331,7 @@ impl Explorer<'_> {
 fn havoc(scopes: &mut Scopes) {
     for scope in scopes.iter_mut() {
         for v in scope.values_mut() {
-            *v = AbsEff::Unknown;
+            *v = AbsVal::Unknown;
         }
     }
 }
@@ -848,7 +340,7 @@ fn havoc(scopes: &mut Scopes) {
 /// Returns `false` for names that are not known builtins. The table
 /// mirrors the dispatch in `greenweb_engine::host` exactly; every entry
 /// over-approximates what that arm records in `CallbackEffects`.
-fn apply_builtin(name: &str, args: &[AbsEff], eff: &mut PathEffects) -> bool {
+fn apply_builtin(name: &str, args: &[AbsVal], eff: &mut PathEffects) -> bool {
     let s = &mut eff.summary;
     match name {
         // Pure reads (createElement builds a detached node: no tracked
@@ -858,14 +350,14 @@ fn apply_builtin(name: &str, args: &[AbsEff], eff: &mut PathEffects) -> bool {
         "setAttribute" => {
             s.may_dirty = true;
             match args.first() {
-                Some(AbsEff::TargetNode) => s.attr_targets.insert(EffectTarget::ListenerSubtree),
+                Some(AbsVal::TargetNode) => s.attr_targets.insert(EffectTarget::ListenerSubtree),
                 _ => s.attr_targets = TargetSet::Unknown,
             }
         }
         "setStyle" => {
             s.may_dirty = true;
             match args.first() {
-                Some(AbsEff::TargetNode) => s.style_targets.insert(EffectTarget::ListenerSubtree),
+                Some(AbsVal::TargetNode) => s.style_targets.insert(EffectTarget::ListenerSubtree),
                 _ => s.style_targets = TargetSet::Unknown,
             }
         }
@@ -883,14 +375,14 @@ fn apply_builtin(name: &str, args: &[AbsEff], eff: &mut PathEffects) -> bool {
             match args.get(1) {
                 // The host clamps the delay at 0, so NaN (which fails
                 // `> 0.0`) is also a zero-delay registration.
-                Some(AbsEff::Num(d)) if *d > 0.0 => {}
+                Some(AbsVal::Num(d)) if *d > 0.0 => {}
                 other => {
                     s.zero_delay_timer = true;
                     // A chain edge needs a *named* callee and a concrete
                     // delay; an unknown delay may be zero (flag above)
                     // but proves nothing.
-                    if matches!(other, Some(AbsEff::Num(_))) {
-                        if let Some(AbsEff::FnRef(f)) = args.first() {
+                    if matches!(other, Some(AbsVal::Num(_))) {
+                        if let Some(AbsVal::FnRef(f)) = args.first() {
                             eff.zero_delay_names.insert(f.clone());
                         }
                     }
@@ -899,13 +391,13 @@ fn apply_builtin(name: &str, args: &[AbsEff], eff: &mut PathEffects) -> bool {
         }
         "work" => {
             s.work_cycles = match (s.work_cycles, args.first()) {
-                (Some(w), Some(AbsEff::Num(n))) => Some(w + n.max(0.0)),
+                (Some(w), Some(AbsVal::Num(n))) => Some(w + n.max(0.0)),
                 _ => None,
             };
         }
         "gpuWork" => {
             s.gpu_ms = match (s.gpu_ms, args.first()) {
-                (Some(g), Some(AbsEff::Num(n))) => Some(g + n.max(0.0)),
+                (Some(g), Some(AbsVal::Num(n))) => Some(g + n.max(0.0)),
                 _ => None,
             };
         }
@@ -919,37 +411,6 @@ fn apply_builtin(name: &str, args: &[AbsEff], eff: &mut PathEffects) -> bool {
         _ => return false,
     }
     true
-}
-
-fn pop(stack: &mut Vec<AbsEff>) -> AbsEff {
-    stack.pop().unwrap_or(AbsEff::Unknown)
-}
-
-fn popn(stack: &mut Vec<AbsEff>, n: usize) -> Vec<AbsEff> {
-    let keep = stack.len().saturating_sub(n);
-    stack.split_off(keep)
-}
-
-fn binary(op: BinaryOp, l: AbsEff, r: AbsEff) -> AbsEff {
-    use AbsEff::{Bool, Num};
-    match (op, l, r) {
-        (BinaryOp::Add, Num(a), Num(b)) => Num(a + b),
-        (BinaryOp::Sub, Num(a), Num(b)) => Num(a - b),
-        (BinaryOp::Mul, Num(a), Num(b)) => Num(a * b),
-        (BinaryOp::Div, Num(a), Num(b)) => Num(a / b),
-        (BinaryOp::Rem, Num(a), Num(b)) => Num(a % b),
-        (BinaryOp::Lt, Num(a), Num(b)) => Bool(a < b),
-        (BinaryOp::Le, Num(a), Num(b)) => Bool(a <= b),
-        (BinaryOp::Gt, Num(a), Num(b)) => Bool(a > b),
-        (BinaryOp::Ge, Num(a), Num(b)) => Bool(a >= b),
-        (BinaryOp::Eq, Num(a), Num(b)) => Bool(a == b),
-        (BinaryOp::Ne, Num(a), Num(b)) => Bool(a != b),
-        (BinaryOp::Eq, Bool(a), Bool(b)) => Bool(a == b),
-        (BinaryOp::Ne, Bool(a), Bool(b)) => Bool(a != b),
-        (BinaryOp::Eq, AbsEff::Null, AbsEff::Null) => Bool(true),
-        (BinaryOp::Ne, AbsEff::Null, AbsEff::Null) => Bool(false),
-        _ => AbsEff::Unknown,
-    }
 }
 
 #[cfg(test)]
@@ -1096,9 +557,8 @@ mod tests {
 
     #[test]
     fn shadowed_builtin_resolves_to_the_script_function() {
-        // The cost pass historically resolves `work` to the builtin even
-        // when a script function shadows it; an upper bound must follow
-        // the runtime's scope chain instead.
+        // The runtime's scope chain finds the script function before
+        // the host builtin.
         let scripts = vec!["function work(n) { markDirty(); }".to_string()];
         let s = summarize_with(&scripts, "work(5);");
         assert!(s.may_dirty);

@@ -4,7 +4,7 @@
 //! judges targets it has observed dynamically — so dead, shadowed,
 //! contradictory, or physically unsatisfiable annotations ship silently
 //! and surface as runtime deadline misses. GreenLint catches them before
-//! a single simulated frame runs, in four passes over a parsed
+//! a single simulated frame runs, in five passes over a parsed
 //! [`App`]:
 //!
 //! 1. **Annotation sanity** ([`passes::annotation_sanity`]) — dead
@@ -15,15 +15,17 @@
 //!    AUTOGREEN's static plan (GW02x).
 //! 3. **Cost bounds** ([`cost::CostAnalyzer`]) — an abstract
 //!    interpretation of each handler's bytecode yielding a lower-bound
-//!    work estimate in the engine cost model's units (GW03x).
+//!    work estimate in the engine cost model's units (GW03x). Passes 3
+//!    and 5 are two domains of one bytecode walker (`absint`), so both
+//!    resolve names, fold constants and fork on ⊤ the same way.
 //! 4. **Platform feasibility** ([`passes::platform_feasibility`]) —
 //!    bounds vs. the ACMP's peak configuration: targets that are
 //!    guaranteed deadline misses (GW04x).
-//! 5. **Effect bounds** ([`effects::EffectAnalyzer`]) — a second
-//!    abstract interpretation of the same bytecode, this time computing
-//!    a sound *upper* bound on everything each handler may do: inert
-//!    annotated handlers (GW050), provable zero-delay timer chains
-//!    (GW051), and structure mutation on high-frequency events (GW060).
+//! 5. **Effect bounds** ([`effects::EffectAnalyzer`]) — the walker's
+//!    second domain, computing a sound *upper* bound on everything each
+//!    handler may do: inert annotated handlers (GW050), provable
+//!    zero-delay timer chains (GW051), and structure mutation on
+//!    high-frequency events (GW060).
 //!    The summaries are also exported ([`infer_effect_summaries`]) for
 //!    the engine, which checks `dynamic ⊆ static` containment against
 //!    them at every callback return.
@@ -33,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 
+mod absint;
 pub mod cost;
 pub mod diag;
 pub mod effects;
@@ -58,8 +61,9 @@ use greenweb_trace::json::{self, Fixed};
 use std::collections::BTreeMap;
 
 /// One setup script, parsed and compiled at most once. Both bytecode
-/// passes (cost lower bounds, effect upper bounds) build their function
-/// tables from the same units instead of re-parsing the sources.
+/// passes (cost lower bounds, effect upper bounds) build their global
+/// name environments from the same units instead of re-parsing the
+/// sources.
 pub(crate) struct ScriptUnit {
     /// Parsed AST; `None` when the script fails to parse (the front-end
     /// pass has already reported that).
@@ -226,7 +230,7 @@ fn effect_summaries_of<S: Scheduler>(
     summaries
 }
 
-/// Runs all four passes over `app`.
+/// Runs all five passes over `app`.
 pub fn analyze(app: &App) -> AnalysisReport {
     analyze_on(app, &Platform::odroid_xu_e())
 }

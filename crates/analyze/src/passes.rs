@@ -231,7 +231,6 @@ pub struct FeasibilityFinding {
 /// Pass 4: flags annotations whose targets are below the guaranteed cost
 /// of their handler even at the platform's peak configuration. Returns
 /// the GW040 findings in structured form.
-#[allow(clippy::too_many_arguments)]
 pub fn platform_feasibility(
     app: &App,
     doc: &Document,

@@ -155,12 +155,6 @@ impl GreenWebScheduler {
         self.watchdog.log()
     }
 
-    /// Pre-seeds the annotation table (used by tests and by UAI wrappers;
-    /// `on_attach` extends rather than replaces).
-    pub fn set_annotations(&mut self, annotations: AnnotationTable) {
-        self.annotations = annotations;
-    }
-
     fn platform(&self) -> &Platform {
         self.predictor.platform()
     }

@@ -184,11 +184,6 @@ impl Stylesheet {
         self.keyframes.iter().find(|k| k.name == name)
     }
 
-    /// Appends a rule.
-    pub fn push_rule(&mut self, rule: Rule) {
-        self.rules.push(rule);
-    }
-
     /// Appends every rule and keyframes definition of `other`.
     pub fn extend(&mut self, other: Stylesheet) {
         self.rules.extend(other.rules);

@@ -94,14 +94,6 @@ impl CssValue {
         }
     }
 
-    /// Returns the time if this is a [`CssValue::Time`].
-    pub fn as_time(&self) -> Option<TimeValue> {
-        match self {
-            CssValue::Time(t) => Some(*t),
-            _ => None,
-        }
-    }
-
     /// Flattens to the list of comma-separated items; a non-list value is a
     /// single item.
     pub fn items(&self) -> Vec<&CssValue> {

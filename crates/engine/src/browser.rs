@@ -29,7 +29,7 @@ use greenweb_css::animation::{AnimationSpec, AnimationState};
 use greenweb_css::stylesheet::parse_stylesheet;
 use greenweb_css::transition::{TransitionSpec, TransitionState};
 use greenweb_css::value::{CssValue, Length};
-use greenweb_css::{ComputedStyle, PropertyId, StyleEngine, StyleStats};
+use greenweb_css::{PropertyId, StyleEngine, StyleStats};
 use greenweb_dom::{parse_html, Document, Event, EventType, ListenerSet, NodeId};
 use greenweb_script::{
     compile, parse_program, CompiledProgram, HandlerCache, ScriptError, ScriptStats, Value, Vm,
@@ -461,18 +461,6 @@ impl<S: Scheduler> Browser<S> {
         Self::with_hardware(app, scheduler, platform, power)
     }
 
-    /// Loads `app` with a fault-injection plan attached (default
-    /// hardware). See [`Browser::set_fault_plan`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Browser::new`].
-    pub fn with_faults(app: &App, scheduler: S, plan: FaultPlan) -> Result<Self, BrowserError> {
-        let mut browser = Self::new(app, scheduler)?;
-        browser.set_fault_plan(plan);
-        Ok(browser)
-    }
-
     /// Attaches a seeded fault-injection plan. The next [`Browser::run`]
     /// perturbs input delivery, VSync timing, callback cost, and the
     /// power sensor per the plan; every fault that fires is recorded in
@@ -632,12 +620,6 @@ impl<S: Scheduler> Browser<S> {
     /// degradation log).
     pub fn scheduler(&self) -> &S {
         &self.scheduler
-    }
-
-    /// Mutable access to the attached scheduler (e.g. to tune watchdog
-    /// thresholds before a run).
-    pub fn scheduler_mut(&mut self) -> &mut S {
-        &mut self.scheduler
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -1524,11 +1506,6 @@ impl<S: Scheduler> Browser<S> {
             origin,
         });
         true
-    }
-
-    /// The computed style of `node`.
-    pub fn computed_style(&self, node: NodeId) -> ComputedStyle {
-        self.style.compute_style(&self.doc, node, None)
     }
 
     fn apply_config(&mut self, desired: Option<CpuConfig>) {

@@ -184,13 +184,6 @@ impl RunSpec {
         self
     }
 
-    /// Sets an explicit recording mode.
-    #[must_use]
-    pub fn with_trace_mode(mut self, mode: TraceMode) -> Self {
-        self.recording = mode;
-        self
-    }
-
     /// Attaches a post-run scheduler probe.
     #[must_use]
     pub fn with_probe(mut self, probe: SchedulerProbe) -> Self {

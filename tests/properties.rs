@@ -1261,10 +1261,11 @@ fn effect_summaries_admit_observed_runs() {
     });
 }
 
-/// Totality: the effect analyzer terminates without panicking on
-/// arbitrary bytecode — unreachable jump targets, stack underflow,
-/// self-recursive closures, calls through garbage — and its must-counts
-/// never exceed its may-counts.
+/// Totality: the effect and cost analyzers terminate without panicking
+/// on arbitrary bytecode — unreachable jump targets, stack underflow,
+/// self-recursive closures, calls through garbage — the effect
+/// must-counts never exceed the may-counts, and no cost figure is NaN or
+/// negative.
 #[test]
 fn effect_analyzer_total_on_hostile_bytecode() {
     use greenweb_script::compiler::{Const, Op, Proto};
@@ -1358,6 +1359,15 @@ fn effect_analyzer_total_on_hostile_bytecode() {
         }
         assert!(summary.leq(&greenweb_engine::EffectSummary::top()));
         assert!(!summary.leq(&greenweb_engine::EffectSummary::pure()) || summary.is_pure());
+        // The cost domain walks the same bytecode: its loop exit edge,
+        // fuel flag and missing tick tables must never make a figure NaN
+        // or negative.
+        let cost = greenweb_analyze::CostAnalyzer::new(&[], 3.6e6)
+            .analyze_callback(&value)
+            .expect("vm functions are analyzable");
+        for figure in [cost.ops, cost.work_cycles, cost.gpu_ms] {
+            assert!(!figure.is_nan() && figure >= 0.0, "{cost:?}");
+        }
     });
 }
 
