@@ -271,22 +271,24 @@ impl std::error::Error for SelectorParseError {}
 
 /// Parses a comma-separated selector list from a token slice (used by the
 /// stylesheet parser for rule preludes).
-pub(crate) fn parse_selector_list(tokens: &[Token]) -> Result<Vec<Selector>, SelectorParseError> {
-    let mut selectors = Vec::new();
-    for group in tokens.split(|t| *t == Token::Comma) {
-        selectors.push(parse_complex(group)?);
-    }
-    Ok(selectors)
+pub(crate) fn parse_selector_list(
+    tokens: &[Token<'_>],
+) -> Result<Vec<Selector>, SelectorParseError> {
+    tokens
+        .split(|t| *t == Token::Comma)
+        .map(parse_complex)
+        .collect()
 }
 
-fn parse_complex(tokens: &[Token]) -> Result<Selector, SelectorParseError> {
-    let mut compounds: Vec<CompoundSelector> = Vec::new();
-    let mut combinators: Vec<Combinator> = Vec::new();
+/// Parses one complex selector. Each compound moves into the selector
+/// whole, paired with the combinator that follows it, once the next
+/// combinator is seen; the last compound is the subject.
+fn parse_complex(tokens: &[Token<'_>]) -> Result<Selector, SelectorParseError> {
+    let mut ancestors: Vec<(CompoundSelector, Combinator)> = Vec::new();
     let mut current = CompoundSelector::default();
-    let mut pending_combinator: Option<Combinator> = None;
     let mut saw_space = false;
 
-    let mut iter = tokens.iter().peekable();
+    let mut iter = tokens.iter();
     while let Some(token) = iter.next() {
         match token {
             Token::Whitespace => {
@@ -300,32 +302,20 @@ fn parse_complex(tokens: &[Token]) -> Result<Selector, SelectorParseError> {
                         message: "combinator without left-hand compound".into(),
                     });
                 }
-                flush(
-                    &mut compounds,
-                    &mut current,
-                    &mut combinators,
-                    &mut pending_combinator,
-                )?;
-                pending_combinator = Some(Combinator::Child);
+                ancestors.push((std::mem::take(&mut current), Combinator::Child));
                 saw_space = false;
             }
             other => {
                 if saw_space && !current.parts.is_empty() {
-                    flush(
-                        &mut compounds,
-                        &mut current,
-                        &mut combinators,
-                        &mut pending_combinator,
-                    )?;
-                    pending_combinator = Some(Combinator::Descendant);
+                    ancestors.push((std::mem::take(&mut current), Combinator::Descendant));
                 }
                 saw_space = false;
                 let simple = match other {
                     Token::Ident(name) => SimpleSelector::Tag(name.to_ascii_lowercase()),
-                    Token::Hash(id) => SimpleSelector::Id(id.clone()),
+                    Token::Hash(id) => SimpleSelector::Id((*id).to_owned()),
                     Token::Delim('*') => SimpleSelector::Universal,
                     Token::Delim('.') => match iter.next() {
-                        Some(Token::Ident(name)) => SimpleSelector::Class(name.clone()),
+                        Some(Token::Ident(name)) => SimpleSelector::Class((*name).to_owned()),
                         _ => {
                             return Err(SelectorParseError {
                                 message: "expected class name after `.`".into(),
@@ -333,7 +323,7 @@ fn parse_complex(tokens: &[Token]) -> Result<Selector, SelectorParseError> {
                         }
                     },
                     Token::Colon => match iter.next() {
-                        Some(Token::Ident(name)) => SimpleSelector::PseudoClass(name.clone()),
+                        Some(Token::Ident(name)) => SimpleSelector::PseudoClass((*name).to_owned()),
                         _ => {
                             return Err(SelectorParseError {
                                 message: "expected pseudo-class name after `:`".into(),
@@ -353,8 +343,8 @@ fn parse_complex(tokens: &[Token]) -> Result<Selector, SelectorParseError> {
                             Some(Token::CloseBracket) => None,
                             Some(Token::Delim('=')) => {
                                 let v = match iter.next() {
-                                    Some(Token::Ident(v)) => v.clone(),
-                                    Some(Token::String(v)) => v.clone(),
+                                    Some(Token::Ident(v)) => (*v).to_owned(),
+                                    Some(Token::String(v)) => v.as_ref().to_owned(),
                                     _ => {
                                         return Err(SelectorParseError {
                                             message: "expected attribute value after `=`".into(),
@@ -394,31 +384,10 @@ fn parse_complex(tokens: &[Token]) -> Result<Selector, SelectorParseError> {
             message: "empty selector".into(),
         });
     }
-    if let Some(comb) = pending_combinator {
-        combinators.push(comb);
-    }
-    compounds.push(current);
-    if compounds.len() != combinators.len() + 1 {
-        return Err(SelectorParseError {
-            message: "dangling combinator".into(),
-        });
-    }
-    let subject = compounds.pop().expect("at least one compound");
-    let ancestors = compounds.into_iter().zip(combinators).collect();
-    Ok(Selector { ancestors, subject })
-}
-
-fn flush(
-    compounds: &mut Vec<CompoundSelector>,
-    current: &mut CompoundSelector,
-    combinators: &mut Vec<Combinator>,
-    pending: &mut Option<Combinator>,
-) -> Result<(), SelectorParseError> {
-    if let Some(comb) = pending.take() {
-        combinators.push(comb);
-    }
-    compounds.push(std::mem::take(current));
-    Ok(())
+    Ok(Selector {
+        ancestors,
+        subject: current,
+    })
 }
 
 #[cfg(test)]

@@ -251,7 +251,7 @@ pub fn parse_stylesheet_with_errors(input: &str) -> (Stylesheet, Vec<CssError>) 
                 errors.push(CssError::new("unexpected `}`"));
                 i += 1;
             }
-            Token::AtKeyword(name) if name == "keyframes" => {
+            Token::AtKeyword("keyframes") => {
                 let (rule, next) = parse_keyframes(&tokens, i + 1, &mut errors);
                 if let Some(rule) = rule {
                     sheet.keyframes.push(rule);
@@ -294,7 +294,7 @@ pub fn parse_declarations_str(input: &str) -> Result<Vec<Declaration>, CssError>
 /// (`close == tokens.len()`), mirroring the CSS rule that EOF closes all
 /// open constructs. `None` when no `{` exists at or after `i`.
 fn find_block(
-    tokens: &[Token],
+    tokens: &[Token<'_>],
     mut i: usize,
     errors: &mut Vec<CssError>,
 ) -> Option<(usize, usize)> {
@@ -327,7 +327,7 @@ fn find_block(
 }
 
 fn parse_style_rule(
-    tokens: &[Token],
+    tokens: &[Token<'_>],
     start: usize,
     errors: &mut Vec<CssError>,
 ) -> (Option<Rule>, usize) {
@@ -349,7 +349,7 @@ fn parse_style_rule(
     (Some(Rule::new(selectors, declarations)), next)
 }
 
-fn trim_ws(tokens: &[Token]) -> &[Token] {
+fn trim_ws<'t, 'a>(tokens: &'t [Token<'a>]) -> &'t [Token<'a>] {
     let mut start = 0;
     let mut end = tokens.len();
     while start < end && tokens[start] == Token::Whitespace {
@@ -361,7 +361,7 @@ fn trim_ws(tokens: &[Token]) -> &[Token] {
     &tokens[start..end]
 }
 
-fn parse_declarations(tokens: &[Token], errors: &mut Vec<CssError>) -> Vec<Declaration> {
+fn parse_declarations(tokens: &[Token<'_>], errors: &mut Vec<CssError>) -> Vec<Declaration> {
     let mut declarations = Vec::new();
     for chunk in tokens.split(|t| *t == Token::Semicolon) {
         let chunk = trim_ws(chunk);
@@ -381,21 +381,18 @@ fn parse_declarations(tokens: &[Token], errors: &mut Vec<CssError>) -> Vec<Decla
                 continue;
             }
         };
-        let mut value_tokens = trim_ws(&chunk[colon + 1..]).to_vec();
-        let mut important = false;
+        let mut value_tokens = trim_ws(&chunk[colon + 1..]);
         // Recognize a trailing `!important`.
-        if value_tokens.len() >= 2 {
-            let n = value_tokens.len();
-            if value_tokens[n - 2] == Token::Delim('!')
-                && value_tokens[n - 1]
-                    .as_ident()
-                    .is_some_and(|s| s.eq_ignore_ascii_case("important"))
+        let important = match value_tokens {
+            [rest @ .., Token::Delim('!'), Token::Ident(word)]
+                if word.eq_ignore_ascii_case("important") =>
             {
-                important = true;
-                value_tokens.truncate(n - 2);
+                value_tokens = trim_ws(rest);
+                true
             }
-        }
-        let value = CssValue::from_tokens(trim_ws(&value_tokens));
+            _ => false,
+        };
+        let value = CssValue::from_tokens(value_tokens);
         declarations.push(Declaration {
             property,
             value,
@@ -406,7 +403,7 @@ fn parse_declarations(tokens: &[Token], errors: &mut Vec<CssError>) -> Vec<Decla
 }
 
 fn parse_keyframes(
-    tokens: &[Token],
+    tokens: &[Token<'_>],
     start: usize,
     errors: &mut Vec<CssError>,
 ) -> (Option<KeyframesRule>, usize) {
@@ -415,7 +412,7 @@ fn parse_keyframes(
     };
     let next = (close + 1).min(tokens.len());
     let name = match trim_ws(&tokens[start..open]) {
-        [Token::Ident(name)] => name.clone(),
+        [Token::Ident(name)] => (*name).to_owned(),
         _ => {
             errors.push(CssError::new("expected keyframes name"));
             return (None, next);
@@ -437,8 +434,8 @@ fn parse_keyframes(
         let offsets: Result<Vec<f64>, CssError> = trim_ws(&body[i..frame_open])
             .split(|t| *t == Token::Comma)
             .map(|sel| match trim_ws(sel) {
-                [Token::Ident(word)] if word == "from" => Ok(0.0),
-                [Token::Ident(word)] if word == "to" => Ok(1.0),
+                [Token::Ident("from")] => Ok(0.0),
+                [Token::Ident("to")] => Ok(1.0),
                 [Token::Percentage(p)] => Ok(p / 100.0),
                 _ => Err(CssError::new("invalid keyframe selector")),
             })
@@ -462,7 +459,7 @@ fn parse_keyframes(
     (Some(KeyframesRule { name, frames }), next)
 }
 
-fn skip_at_rule(tokens: &[Token], mut i: usize, errors: &mut Vec<CssError>) -> usize {
+fn skip_at_rule(tokens: &[Token<'_>], mut i: usize, errors: &mut Vec<CssError>) -> usize {
     // Skip to either a `;` (statement at-rule) or a balanced block.
     while i < tokens.len() {
         match tokens[i] {

@@ -126,51 +126,45 @@ impl CssValue {
     /// Parses a value from the token slice of one declaration (everything
     /// between `:` and `;`). Commas produce a [`CssValue::List`];
     /// whitespace inside a list item produces a [`CssValue::Sequence`].
-    pub fn from_tokens(tokens: &[Token]) -> CssValue {
-        let mut items: Vec<CssValue> = Vec::new();
-        let mut current: Vec<CssValue> = Vec::new();
-        for token in tokens {
-            match token {
-                Token::Comma => {
-                    items.push(Self::collapse(std::mem::take(&mut current)));
-                }
-                Token::Whitespace => {}
-                other => {
-                    if let Some(v) = Self::from_single_token(other) {
-                        current.push(v);
-                    }
-                }
-            }
-        }
-        items.push(Self::collapse(current));
-        if items.len() == 1 {
-            items.pop().expect("one item")
-        } else {
-            CssValue::List(items)
+    pub fn from_tokens(tokens: &[Token<'_>]) -> CssValue {
+        let mut items = tokens.split(|t| *t == Token::Comma).map(Self::from_item);
+        let first = items.next().expect("split yields at least one item");
+        match items.next() {
+            None => first,
+            Some(second) => CssValue::List([first, second].into_iter().chain(items).collect()),
         }
     }
 
-    fn collapse(mut seq: Vec<CssValue>) -> CssValue {
-        match seq.len() {
-            0 => CssValue::Keyword(String::new()),
-            1 => seq.pop().expect("one element"),
-            _ => CssValue::Sequence(seq),
+    /// The value of one comma-separated item: its one value, or a
+    /// [`CssValue::Sequence`] of several.
+    fn from_item(tokens: &[Token<'_>]) -> CssValue {
+        let mut values = tokens.iter().filter_map(Self::from_single_token);
+        let Some(first) = values.next() else {
+            return CssValue::Keyword(String::new());
+        };
+        match values.next() {
+            None => first,
+            Some(second) => CssValue::Sequence([first, second].into_iter().chain(values).collect()),
         }
     }
 
-    fn from_single_token(token: &Token) -> Option<CssValue> {
+    fn from_single_token(token: &Token<'_>) -> Option<CssValue> {
         match token {
-            Token::Ident(name) => Some(CssValue::Keyword(name.clone())),
+            Token::Ident(name) => Some(CssValue::Keyword((*name).to_owned())),
             Token::Number(n) => Some(CssValue::Number(*n)),
             Token::Percentage(p) => Some(CssValue::Percentage(*p)),
-            Token::String(s) => Some(CssValue::String(s.clone())),
+            Token::String(s) => Some(CssValue::String(s.as_ref().to_owned())),
             Token::Hash(h) => Some(CssValue::Keyword(format!("#{h}"))),
-            Token::Dimension(n, unit) => Some(match unit.to_ascii_lowercase().as_str() {
-                "px" => CssValue::Length(Length::px(*n)),
-                "em" => CssValue::Length(Length::px(*n * 16.0)),
-                "ms" => CssValue::Time(TimeValue::ms(*n)),
-                "s" => CssValue::Time(TimeValue::seconds(*n)),
-                _ => CssValue::Number(*n),
+            Token::Dimension(n, unit) => Some(if unit.eq_ignore_ascii_case("px") {
+                CssValue::Length(Length::px(*n))
+            } else if unit.eq_ignore_ascii_case("em") {
+                CssValue::Length(Length::px(*n * 16.0))
+            } else if unit.eq_ignore_ascii_case("ms") {
+                CssValue::Time(TimeValue::ms(*n))
+            } else if unit.eq_ignore_ascii_case("s") {
+                CssValue::Time(TimeValue::seconds(*n))
+            } else {
+                CssValue::Number(*n)
             }),
             // Function arguments and other tokens are dropped; the
             // simulator does not evaluate computed functions.

@@ -199,6 +199,11 @@ impl Document {
         &mut self.nodes[id.index()]
     }
 
+    /// Reserves arena room for at least `additional` more nodes.
+    pub(crate) fn reserve_nodes(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+    }
+
     /// Allocates a detached node of the given kind.
     pub fn create_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
@@ -291,10 +296,14 @@ impl Document {
             self.slot(child).parent.is_none(),
             "node is already attached; detach it first"
         );
-        assert!(
-            !self.is_ancestor_or_self(child, parent),
-            "append would create a cycle"
-        );
+        // A childless node is an ancestor-or-self of `parent` only by
+        // being `parent`, which spares the walk up from `parent` for
+        // every leaf, and so for every node the HTML parser appends.
+        let cyclic = match self.slot(child).first_child {
+            None => child == parent,
+            Some(_) => self.is_ancestor_or_self(child, parent),
+        };
+        assert!(!cyclic, "append would create a cycle");
         let old_last = self.slot(parent).last_child;
         match old_last {
             Some(last) => {

@@ -1,6 +1,15 @@
 //! Node payloads: element data, attributes, and node kinds.
 
+use std::borrow::Cow;
 use std::fmt;
+
+/// Tag names an element refers to rather than owning a copy of: the
+/// common HTML elements, sorted for binary search.
+const STATIC_TAGS: [&str; 33] = [
+    "a", "article", "aside", "body", "br", "button", "canvas", "div", "footer", "form", "h1", "h2",
+    "h3", "head", "header", "html", "img", "input", "label", "li", "main", "nav", "ol", "p",
+    "script", "section", "span", "style", "table", "td", "th", "tr", "ul",
+];
 
 /// 64-bit FNV-1a over `name` with a one-byte kind prefix, so the same
 /// string used as a tag, an id, and a class yields three distinct atoms.
@@ -46,8 +55,10 @@ pub struct Attribute {
 impl Attribute {
     /// Creates an attribute, lowercasing the name.
     pub fn new(name: impl Into<String>, value: impl Into<String>) -> Self {
+        let mut name = name.into();
+        name.make_ascii_lowercase();
         Attribute {
-            name: name.into().to_ascii_lowercase(),
+            name,
             value: value.into(),
         }
     }
@@ -62,20 +73,32 @@ impl fmt::Display for Attribute {
 /// The payload of an element node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElementData {
-    tag: String,
+    tag: Cow<'static, str>,
     attributes: Vec<Attribute>,
     /// The element's style atoms (see [`ElementData::style_atoms`]),
     /// recomputed whenever the tag, `id` or `class` is written.
-    atoms: Vec<u64>,
+    atoms: StyleAtoms,
 }
 
 impl ElementData {
     /// Creates element data for `tag` (stored lowercase) with no attributes.
     pub fn new(tag: impl Into<String>) -> Self {
-        let tag = tag.into().to_ascii_lowercase();
-        // Room for an id and two classes before a refresh must grow it.
-        let mut atoms = Vec::with_capacity(4);
-        atoms.push(tag_atom(&tag));
+        let mut tag = tag.into();
+        tag.make_ascii_lowercase();
+        Self::with_tag(Cow::Owned(tag))
+    }
+
+    /// Element data for a tag name read from markup. A lowercase name from
+    /// [`STATIC_TAGS`] is borrowed; any other is copied and lowercased.
+    pub(crate) fn parsed(name: &str) -> Self {
+        match STATIC_TAGS.binary_search(&name) {
+            Ok(i) => Self::with_tag(Cow::Borrowed(STATIC_TAGS[i])),
+            Err(_) => Self::new(name),
+        }
+    }
+
+    fn with_tag(tag: Cow<'static, str>) -> Self {
+        let atoms = StyleAtoms::new([tag_atom(&tag)]);
         ElementData {
             tag,
             attributes: Vec::new(),
@@ -106,15 +129,28 @@ impl ElementData {
     /// Sets attribute `name` to `value`, replacing an existing attribute of
     /// the same name.
     pub fn set_attribute(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        let attr = Attribute::new(name, value);
-        let refresh = is_atom_attribute(&attr.name);
-        match self.attributes.iter_mut().find(|a| a.name == attr.name) {
-            Some(existing) => existing.value = attr.value,
-            None => self.attributes.push(attr),
-        }
-        if refresh {
+        if self.store_attribute(Attribute::new(name, value)) {
             self.refresh_atoms();
         }
+    }
+
+    /// Stores `attr`, replacing an existing attribute of the same name,
+    /// and returns whether the style atoms are now stale. The HTML parser
+    /// stores every attribute of a start tag this way and refreshes the
+    /// atoms once.
+    pub(crate) fn store_attribute(&mut self, attr: Attribute) -> bool {
+        let stale = is_atom_attribute(&attr.name);
+        match self.attributes.iter_mut().find(|a| a.name == attr.name) {
+            Some(existing) => existing.value = attr.value,
+            None => {
+                if self.attributes.capacity() == 0 {
+                    // Room for the common `id` + `class` pair.
+                    self.attributes.reserve_exact(2);
+                }
+                self.attributes.push(attr);
+            }
+        }
+        stale
     }
 
     /// Removes attribute `name`, returning its previous value.
@@ -130,13 +166,13 @@ impl ElementData {
         Some(removed.value)
     }
 
-    fn refresh_atoms(&mut self) {
-        let mut atoms = std::mem::take(&mut self.atoms);
-        atoms.clear();
-        atoms.push(tag_atom(&self.tag));
-        atoms.extend(self.id().map(id_atom));
-        atoms.extend(self.classes().map(class_atom));
-        self.atoms = atoms;
+    /// Recomputes the style atoms from the tag, `id` and `class`.
+    pub(crate) fn refresh_atoms(&mut self) {
+        // The tag never changes, so neither does the first atom.
+        let atoms = std::iter::once(self.style_atoms()[0])
+            .chain(self.id().map(id_atom))
+            .chain(self.classes().map(class_atom));
+        self.atoms = StyleAtoms::new(atoms);
     }
 
     /// The element's `id` attribute, if any.
@@ -162,7 +198,45 @@ impl ElementData {
     /// refreshed when `id` or `class` is written, so reading them hashes
     /// nothing.
     pub fn style_atoms(&self) -> &[u64] {
-        &self.atoms
+        match &self.atoms {
+            StyleAtoms::Inline(len, atoms) => &atoms[..usize::from(*len)],
+            StyleAtoms::Spilled(atoms) => atoms,
+        }
+    }
+}
+
+/// Style atoms held inside the element: a tag, an id and two classes fit
+/// without a heap allocation; a longer class list spills to the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum StyleAtoms {
+    /// The first `len` slots hold the atoms; the rest are zero.
+    Inline(u8, [u64; INLINE_ATOMS]),
+    /// More than [`INLINE_ATOMS`] atoms.
+    Spilled(Vec<u64>),
+}
+
+const INLINE_ATOMS: usize = 4;
+
+impl StyleAtoms {
+    fn new(atoms: impl IntoIterator<Item = u64>) -> Self {
+        let mut inline = [0; INLINE_ATOMS];
+        let mut spilled = Vec::new();
+        let mut len = 0;
+        for atom in atoms {
+            match inline.get_mut(len) {
+                Some(slot) => *slot = atom,
+                None if spilled.is_empty() => {
+                    spilled.extend_from_slice(&inline);
+                    spilled.push(atom);
+                }
+                None => spilled.push(atom),
+            }
+            len += 1;
+        }
+        match spilled.is_empty() {
+            true => StyleAtoms::Inline(len as u8, inline),
+            false => StyleAtoms::Spilled(spilled),
+        }
     }
 }
 
@@ -273,6 +347,11 @@ mod tests {
         let mut el = ElementData::new("a");
         el.set_attribute("href", "#");
         assert_eq!(el.to_string(), "<a href=\"#\">");
+    }
+
+    #[test]
+    fn static_tags_are_sorted() {
+        assert!(STATIC_TAGS.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
