@@ -6,9 +6,10 @@
 //! Bloom-filtered path ([`StyleEngine::match_rules`] per element, run
 //! only for the counters it bumps; its cascade-ordered match list is
 //! dropped) — and reports deterministic counters only: the exact
-//! [`Selector::matches`]
-//! walks each path ran, and how many candidates the ancestor Bloom
-//! filter rejected before the exact walk. They drive the acceptance
+//! selector walks each path ran (the naive path's
+//! [`Selector::matches`], the bucketed path's compiled selectors), and
+//! how many candidates the ancestor Bloom filter rejected before the
+//! exact walk. They drive the acceptance
 //! gate (the bucketed path must run ≥ 3× fewer exact matches than naive
 //! across the suite) and never vary between runs or machines, so the
 //! committed report is gated byte for byte. Every row also

@@ -9,9 +9,9 @@
 //! atoms`](greenweb_dom::tag_atom), which each element caches when its
 //! `id` or `class` is written, so building a filter hashes no strings.
 //!
-//! False positives are possible (the exact [`crate::Selector::matches`]
-//! walk still runs after a filter hit); false negatives are not, which
-//! is what makes the rejection sound. With two probes into 256 bits and
+//! False positives are possible (the exact walk of the candidate's
+//! compiled selector still runs after a filter hit); false negatives
+//! are not, which is what makes the rejection sound. With two probes into 256 bits and
 //! an ancestor chain contributing `n` atoms, the false-positive
 //! probability is `(1 - e^(-2n/256))^2` — under 2 % for the `n ≤ 20`
 //! chains our workloads produce.

@@ -1,21 +1,33 @@
-//! Rule bucketing: index every selector under its subject's most
-//! selective simple selector (id → class → tag → universal), so matching
-//! an element consults a handful of candidate selectors instead of
-//! scanning the whole stylesheet — the WebKit/Servo rule-hash design.
+//! Rule bucketing and compiled selectors: index every selector under its
+//! subject's most selective simple selector (id → class → tag →
+//! universal), so matching an element consults a handful of candidate
+//! selectors instead of scanning the whole stylesheet — the WebKit/Servo
+//! rule-hash design — and compile each selector once into the tests the
+//! resolver runs on those candidates.
 //!
 //! Bucketing is purely a *candidate* filter: a selector lands in exactly
 //! one bucket, and an element only pulls the buckets it could possibly
 //! hit (its id bucket, one bucket per class, its tag bucket, and the
 //! universal spill-over). Buckets are keyed by style atoms, and the
 //! element's are cached on it, so a lookup hashes and compares no
-//! strings. Candidates still run the exact
-//! [`crate::Selector::matches`] walk, so cascade semantics — specificity,
-//! source order, `!important` — are untouched.
+//! strings.
+//!
+//! A candidate carries its selector compiled: each compound is a short
+//! list of tests that compare a precomputed atom against the element's
+//! cached atoms and then confirm the name, so two names whose 64-bit
+//! atoms collide never match on the atom alone. The compiled walk
+//! accepts exactly the elements [`crate::Selector::matches`] accepts,
+//! which stays the semantic reference (the naive resolver runs it). A
+//! candidate also carries its cascade rank: its `(specificity, rule)`
+//! position in the index's total order, so the resolver sorts matches as
+//! integers.
 
-use crate::selector::{Selector, SimpleSelector, Specificity};
+use crate::selector::{Combinator, CompoundSelector, Selector, SimpleSelector, Specificity};
 use crate::stylesheet::Stylesheet;
-use greenweb_dom::{class_atom, id_atom, tag_atom, ElementData};
+use greenweb_dom::{class_atom, id_atom, tag_atom, Document, ElementData, NodeId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Which bucket a candidate was filed under — recorded so the match
 /// phase can attribute every exact selector walk to the bucket that
@@ -33,33 +45,142 @@ pub(crate) enum BucketOrigin {
     Universal,
 }
 
-/// One `(rule, selector)` pair filed under its bucket key.
-#[derive(Debug, Clone)]
-pub(crate) struct Candidate {
-    /// Index of the rule in the stylesheet.
-    pub rule: usize,
-    /// Index of the selector within the rule's selector list.
-    pub selector: usize,
-    /// The bucket this candidate was filed under.
-    pub origin: BucketOrigin,
-    /// The selector's precomputed specificity.
-    pub specificity: Specificity,
-    /// Tag/id/class atoms drawn from every ancestor compound. Each atom
-    /// must appear somewhere on the matching element's ancestor chain
-    /// (both `>` and descendant combinators anchor to an ancestor), so
-    /// an ancestor-Bloom-filter miss on any of them is a sound reject.
-    pub ancestor_atoms: Vec<u64>,
+/// A range of one of the index's flat arrays, stored as `u32`s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span(u32, u32);
+
+impl Span {
+    fn new(range: Range<usize>) -> Span {
+        let offset = |i: usize| u32::try_from(i).expect("rule index arrays fit u32 offsets");
+        Span(offset(range.start), offset(range.end))
+    }
+
+    fn range(self) -> Range<usize> {
+        self.0 as usize..self.1 as usize
+    }
 }
 
-/// The bucketed index of one stylesheet's selectors.
+/// A name a test confirms: its span of `RuleIndex::names`.
+type Name = Span;
+
+/// One simple selector compiled against the element's cached style
+/// atoms. `*` and pseudo-classes always match, so they compile to no
+/// test at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Test {
+    /// A tag: the element's first atom, then its tag name.
+    Tag(u64, Name),
+    /// `#id`: the element's id atom (its second, when it has an id),
+    /// then its `id`.
+    Id(u64, Name),
+    /// `.class`: the atom among the element's atoms, then its class
+    /// list. `true` when the name is the first the index compiled for
+    /// the atom: the subject's confirmed classes then answer the test
+    /// without reading the class list (see
+    /// [`RuleIndex::confirmed_classes`]).
+    Class(u64, Name, bool),
+    /// `[name]` or `[name=value]`: the attribute read by name.
+    Attribute(Name, Option<Name>),
+}
+
+impl Test {
+    /// Whether `element` passes, with the test's names in `names` and,
+    /// for the subject, its confirmed classes. The atoms are computed
+    /// from the same tag, `id` and class list the name checks read, so an
+    /// absent atom is a sound reject and a present one is confirmed by
+    /// name: an atom collision cannot make a match.
+    fn passes(self, names: &str, element: &ElementData, confirmed: Option<u64>) -> bool {
+        let name = |name: Name| &names[name.range()];
+        let atoms = element.style_atoms();
+        match (self, confirmed) {
+            (Test::Tag(atom, tag), _) => atoms[0] == atom && element.tag() == name(tag),
+            (Test::Id(atom, id), _) => {
+                atoms.get(1) == Some(&atom) && element.id() == Some(name(id))
+            }
+            (Test::Class(atom, _, true), Some(confirmed)) => atoms
+                .iter()
+                .enumerate()
+                .any(|(pos, &a)| a == atom && (confirmed >> pos) & 1 == 1),
+            (Test::Class(atom, class, _), _) => {
+                atoms[1..].contains(&atom) && element.has_class(name(class))
+            }
+            (Test::Attribute(attr, None), _) => element.attribute(name(attr)).is_some(),
+            (Test::Attribute(attr, Some(value)), _) => {
+                element.attribute(name(attr)) == Some(name(value))
+            }
+        }
+    }
+}
+
+/// A compiled compound: its span of `RuleIndex::tests`, with the
+/// combinator that joins it to the compound on its right (unused on a
+/// subject).
+#[derive(Debug, Clone, Copy)]
+struct Compound {
+    tests: Span,
+    combinator: Combinator,
+}
+
+/// One selector filed under its bucket key, compiled.
+#[derive(Debug, Clone)]
+pub(crate) struct Candidate {
+    /// The selector's `(specificity, rule)` position in the index's
+    /// cascade order: see [`RuleIndex::entry`].
+    pub rank: u32,
+    /// The bucket this candidate was filed under.
+    pub origin: BucketOrigin,
+    /// Its span of `RuleIndex::atoms`: see [`RuleIndex::ancestor_atoms`].
+    atoms: Span,
+    /// Its span of `RuleIndex::compounds`: the subject, then the
+    /// ancestors nearest first.
+    compounds: Span,
+}
+
+/// Hashes a style atom as itself: atoms are already FNV-mixed 64-bit
+/// values, so the bucket map needs no second hash.
+#[derive(Default)]
+struct AtomHasher(u64);
+
+impl Hasher for AtomHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 << 8) | u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, atom: u64) {
+        self.0 = atom;
+    }
+}
+
+/// The bucketed index of one stylesheet's selectors. The compiled
+/// selectors live in four flat arrays the candidates index, so building
+/// the index allocates per array, not per selector.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RuleIndex {
     /// Candidates filed under the style atom of their id, class or tag
     /// key. The atoms are kind-prefixed, so one map holds all three
     /// kinds; a 64-bit collision could only add a candidate, which the
-    /// exact walk then rejects.
-    by_atom: HashMap<u64, Vec<Candidate>>,
+    /// compiled tests then reject.
+    by_atom: HashMap<u64, Vec<Candidate>, BuildHasherDefault<AtomHasher>>,
     universal: Vec<Candidate>,
+    /// Every distinct `(specificity, rule)` pair, ascending: a
+    /// candidate's rank indexes it.
+    ranks: Vec<(Specificity, usize)>,
+    /// Every candidate's compounds, back to back.
+    compounds: Vec<Compound>,
+    /// Every compound's tests, back to back.
+    tests: Vec<Test>,
+    /// Every name a test confirms, back to back.
+    names: String,
+    /// The first class name compiled for each class atom.
+    class_names: HashMap<u64, Name, BuildHasherDefault<AtomHasher>>,
+    /// Every candidate's ancestor atoms, back to back.
+    atoms: Vec<u64>,
 }
 
 /// The bucket a selector files under: the most selective simple
@@ -85,61 +206,223 @@ fn bucket_key(selector: &Selector) -> (BucketOrigin, Option<u64>) {
     }
 }
 
-fn ancestor_atoms(selector: &Selector) -> Vec<u64> {
-    let mut atoms = Vec::new();
-    for (compound, _) in &selector.ancestors {
-        for part in &compound.parts {
-            match part {
-                SimpleSelector::Tag(name) => atoms.push(tag_atom(name)),
-                SimpleSelector::Id(name) => atoms.push(id_atom(name)),
-                SimpleSelector::Class(name) => atoms.push(class_atom(name)),
-                _ => {}
+impl RuleIndex {
+    /// Indexes and compiles every selector of every rule in `sheet`.
+    pub fn build(sheet: &Stylesheet) -> Self {
+        let selectors = || {
+            sheet.rules().iter().enumerate().flat_map(|(rule, r)| {
+                r.selectors()
+                    .iter()
+                    .map(move |selector| (selector.specificity(), rule, selector))
+            })
+        };
+        let mut index = RuleIndex {
+            ranks: selectors().map(|(spec, rule, _)| (spec, rule)).collect(),
+            ..RuleIndex::default()
+        };
+        index.ranks.sort_unstable();
+        index.ranks.dedup();
+        for (specificity, rule, selector) in selectors() {
+            let rank = index
+                .ranks
+                .binary_search(&(specificity, rule))
+                .expect("every selector has a rank");
+            let atoms_start = index.atoms.len();
+            for (compound, _) in &selector.ancestors {
+                index
+                    .atoms
+                    .extend(compound.parts.iter().filter_map(|part| match part {
+                        SimpleSelector::Tag(name) => Some(tag_atom(name)),
+                        SimpleSelector::Id(name) => Some(id_atom(name)),
+                        SimpleSelector::Class(name) => Some(class_atom(name)),
+                        _ => None,
+                    }));
+            }
+            let compounds_start = index.compounds.len();
+            // The subject's combinator is never read.
+            index.compile(&selector.subject, Combinator::Child);
+            for (compound, combinator) in selector.ancestors.iter().rev() {
+                index.compile(compound, *combinator);
+            }
+            let (origin, key) = bucket_key(selector);
+            let candidate = Candidate {
+                rank: u32::try_from(rank).expect("ranks fit u32"),
+                origin,
+                atoms: Span::new(atoms_start..index.atoms.len()),
+                compounds: Span::new(compounds_start..index.compounds.len()),
+            };
+            match key {
+                Some(atom) => index.by_atom.entry(atom).or_default().push(candidate),
+                None => index.universal.push(candidate),
             }
         }
-    }
-    atoms
-}
-
-impl RuleIndex {
-    /// Indexes every selector of every rule in `sheet`.
-    pub fn build(sheet: &Stylesheet) -> Self {
-        let mut index = RuleIndex::default();
-        for (rule_idx, rule) in sheet.rules().iter().enumerate() {
-            for (sel_idx, selector) in rule.selectors().iter().enumerate() {
-                let (origin, key) = bucket_key(selector);
-                let candidate = Candidate {
-                    rule: rule_idx,
-                    selector: sel_idx,
-                    origin,
-                    specificity: selector.specificity(),
-                    ancestor_atoms: ancestor_atoms(selector),
-                };
-                match key {
-                    Some(atom) => index.by_atom.entry(atom).or_default().push(candidate),
-                    None => index.universal.push(candidate),
-                }
-            }
+        for bucket in index.by_atom.values_mut().chain([&mut index.universal]) {
+            bucket.sort_by_key(|candidate| candidate.rank);
         }
         index
     }
 
-    /// Every candidate `element` could possibly match: its id bucket, one
-    /// bucket per class, its tag bucket, then the universal spill-over.
-    /// The exact matching an element skips — everything in buckets it
-    /// cannot hit — is the bucketing win.
+    /// Appends `compound`'s tests, the atom tests first, and the
+    /// compound spanning them.
+    fn compile(&mut self, compound: &CompoundSelector, combinator: Combinator) {
+        let start = self.tests.len();
+        for atom_tests in [true, false] {
+            for part in &compound.parts {
+                let test = match part {
+                    SimpleSelector::Tag(name) if atom_tests => {
+                        Test::Tag(tag_atom(name), self.name(name))
+                    }
+                    SimpleSelector::Id(name) if atom_tests => {
+                        Test::Id(id_atom(name), self.name(name))
+                    }
+                    SimpleSelector::Class(name) if atom_tests => self.class_test(name),
+                    SimpleSelector::Attribute { name, value } if !atom_tests => {
+                        let name = self.name(name);
+                        Test::Attribute(name, value.as_deref().map(|value| self.name(value)))
+                    }
+                    _ => continue,
+                };
+                self.tests.push(test);
+            }
+        }
+        self.compounds.push(Compound {
+            tests: Span::new(start..self.tests.len()),
+            combinator,
+        });
+    }
+
+    /// A class test. The first name compiled for an atom is recorded in
+    /// `class_names`, and every later test of that name shares it.
+    fn class_test(&mut self, class: &str) -> Test {
+        let atom = class_atom(class);
+        match self.class_names.get(&atom) {
+            Some(&first) if self.names[first.range()] == *class => Test::Class(atom, first, true),
+            Some(_) => Test::Class(atom, self.name(class), false),
+            None => {
+                let name = self.name(class);
+                self.class_names.insert(atom, name);
+                Test::Class(atom, name, true)
+            }
+        }
+    }
+
+    fn name(&mut self, name: &str) -> Name {
+        let start = self.names.len();
+        self.names.push_str(name);
+        Span::new(start..self.names.len())
+    }
+
+    /// The `(specificity, rule index)` pair at cascade rank `rank`.
+    pub fn entry(&self, rank: u32) -> (Specificity, usize) {
+        self.ranks[rank as usize]
+    }
+
+    /// The atoms `candidate`'s ancestor compounds require. Each must
+    /// appear somewhere on a matching element's ancestor chain (both `>`
+    /// and descendant combinators anchor to an ancestor), so an
+    /// ancestor-Bloom-filter miss on any of them is a sound reject.
+    pub fn ancestor_atoms(&self, candidate: &Candidate) -> &[u64] {
+        &self.atoms[candidate.atoms.range()]
+    }
+
+    /// `element`'s confirmed classes: a bit mask over its style atoms,
+    /// set at each class whose name is the first this index compiled for
+    /// its atom, or `None` past 64 atoms. A class test on such a name
+    /// passes exactly when a position of its atom is set, so the
+    /// subject's class list is read once per resolve rather than once
+    /// per class test.
+    pub fn confirmed_classes(&self, element: &ElementData) -> Option<u64> {
+        let atoms = element.style_atoms();
+        if atoms.len() > 64 {
+            return None;
+        }
+        // The classes are the last atoms, in class-list order.
+        let classes = element.attribute("class").unwrap_or("");
+        let mut confirmed = 0;
+        for ((pos, atom), class) in atoms
+            .iter()
+            .enumerate()
+            .rev()
+            .zip(classes.split_ascii_whitespace().rev())
+        {
+            if self
+                .class_names
+                .get(atom)
+                .is_some_and(|first| self.names[first.range()] == *class)
+            {
+                confirmed |= 1 << pos;
+            }
+        }
+        Some(confirmed)
+    }
+
+    fn passes(&self, compound: Compound, element: &ElementData, confirmed: Option<u64>) -> bool {
+        self.tests[compound.tests.range()]
+            .iter()
+            .all(|test| test.passes(&self.names, element, confirmed))
+    }
+
+    /// Whether `node`, whose element data is `element` and whose
+    /// confirmed classes are `confirmed`, matches `candidate`'s selector.
+    /// The walk is [`Selector::matches`]'s: a child compound must match
+    /// the parent, a descendant compound the nearest ancestor that
+    /// matches it, and a matched ancestor is never revisited.
+    pub fn matches(
+        &self,
+        candidate: &Candidate,
+        doc: &Document,
+        node: NodeId,
+        element: &ElementData,
+        confirmed: Option<u64>,
+    ) -> bool {
+        let (subject, ancestors) = self.compounds[candidate.compounds.range()]
+            .split_first()
+            .expect("a selector has a subject");
+        if !self.passes(*subject, element, confirmed) {
+            return false;
+        }
+        let mut current = node;
+        for &compound in ancestors {
+            loop {
+                let Some(parent) = doc.parent(current) else {
+                    return false;
+                };
+                current = parent;
+                if doc
+                    .element(parent)
+                    .is_some_and(|el| self.passes(compound, el, None))
+                {
+                    break;
+                }
+                if compound.combinator == Combinator::Child {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Every candidate `element` could possibly match: the universal
+    /// spill-over, its tag bucket, one bucket per class, then its id
+    /// bucket. The exact matching an element skips — everything in
+    /// buckets it cannot hit — is the bucketing win.
+    ///
+    /// Each bucket is in rank order, and the buckets come roughly from
+    /// the lowest specificity to the highest, so the matches arrive
+    /// nearly sorted and the resolver's sort has little to move.
     pub fn candidates<'a>(
         &'a self,
         element: &'a ElementData,
     ) -> impl Iterator<Item = &'a Candidate> + 'a {
-        // `style_atoms()` is `[tag, id?, classes…]`, so its tail is the
-        // id and class keys in that order; the tag comes after them.
+        // `style_atoms()` is `[tag, id?, classes…]`: read backwards, its
+        // tail is the class keys, then the id key.
         let atoms = element.style_atoms();
-        atoms[1..]
+        let keyed = atoms[..1]
             .iter()
-            .chain(&atoms[..1])
+            .chain(atoms[1..].iter().rev())
             .filter_map(|atom| self.by_atom.get(atom))
-            .flatten()
-            .chain(&self.universal)
+            .flatten();
+        self.universal.iter().chain(keyed)
     }
 }
 
@@ -152,10 +435,11 @@ mod tests {
         RuleIndex::build(&parse_stylesheet(css).unwrap())
     }
 
-    fn candidates_for(index: &RuleIndex, element: &ElementData) -> Vec<(usize, usize)> {
+    /// The rule index of each candidate `element` pulls, in pull order.
+    fn candidates_for(index: &RuleIndex, element: &ElementData) -> Vec<usize> {
         index
             .candidates(element)
-            .map(|c| (c.rule, c.selector))
+            .map(|c| index.entry(c.rank).1)
             .collect()
     }
 
@@ -164,32 +448,52 @@ mod tests {
         // `div#x.c` must bucket by id, `div.c` by class, `div` by tag.
         let idx = index("div#x.c { width: 1px; } div.c { width: 2px; } div { width: 3px; }");
         let mut plain_div = ElementData::new("div");
-        assert_eq!(candidates_for(&idx, &plain_div), vec![(2, 0)]);
+        assert_eq!(candidates_for(&idx, &plain_div), vec![2]);
         plain_div.set_attribute("class", "c");
-        assert_eq!(candidates_for(&idx, &plain_div), vec![(1, 0), (2, 0)]);
+        assert_eq!(candidates_for(&idx, &plain_div), vec![2, 1]);
         plain_div.set_attribute("id", "x");
-        assert_eq!(
-            candidates_for(&idx, &plain_div),
-            vec![(0, 0), (1, 0), (2, 0)]
-        );
+        assert_eq!(candidates_for(&idx, &plain_div), vec![2, 1, 0]);
     }
 
     #[test]
     fn attribute_and_pseudo_only_selectors_spill_to_universal() {
         let idx = index("[disabled] { width: 1px; } :QoS { width: 2px; } * { width: 3px; }");
         let span = ElementData::new("span");
-        // All three reach every element — no bucket can safely exclude them.
-        assert_eq!(candidates_for(&idx, &span), vec![(0, 0), (1, 0), (2, 0)]);
+        // All three reach every element — no bucket can safely exclude
+        // them — in rank order: `*` has the lowest specificity.
+        assert_eq!(candidates_for(&idx, &span), vec![2, 0, 1]);
     }
 
     #[test]
     fn selector_lists_bucket_each_selector_independently() {
         let idx = index("#a, .b, p { width: 1px; }");
+        let entries = |element: &ElementData| -> Vec<(Specificity, usize)> {
+            idx.candidates(element).map(|c| idx.entry(c.rank)).collect()
+        };
         let p = ElementData::new("p");
-        assert_eq!(candidates_for(&idx, &p), vec![(0, 2)]);
+        assert_eq!(entries(&p), vec![(Specificity::new(0, 0, 1), 0)]);
         let mut div = ElementData::new("div");
         div.set_attribute("class", "b");
-        assert_eq!(candidates_for(&idx, &div), vec![(0, 1)]);
+        assert_eq!(entries(&div), vec![(Specificity::new(0, 1, 0), 0)]);
+    }
+
+    #[test]
+    fn ranks_follow_specificity_then_source_order() {
+        // Two selectors of one rule at one specificity share a rank.
+        let idx = index("#a { width: 1px; } p, div { width: 2px; } .c { width: 3px; }");
+        assert_eq!(
+            idx.ranks,
+            vec![
+                (Specificity::new(0, 0, 1), 1),
+                (Specificity::new(0, 1, 0), 2),
+                (Specificity::new(1, 0, 0), 0),
+            ]
+        );
+        let p = ElementData::new("p");
+        let div = ElementData::new("div");
+        let rank = |element: &ElementData| idx.candidates(element).next().unwrap().rank;
+        assert_eq!(rank(&p), 0);
+        assert_eq!(rank(&div), 0);
     }
 
     #[test]
@@ -200,8 +504,103 @@ mod tests {
         let out: Vec<&Candidate> = idx.candidates(&p).collect();
         assert_eq!(out.len(), 1);
         assert_eq!(
-            out[0].ancestor_atoms,
-            vec![class_atom("wrap"), tag_atom("section")]
+            idx.ancestor_atoms(out[0]),
+            [class_atom("wrap"), tag_atom("section")]
         );
+    }
+
+    /// Exactness does not rest on atoms being collision-free: a test
+    /// whose atom is the element's but whose name is not must reject,
+    /// whether it reads the class list or the confirmed classes. The
+    /// colliding pairs are built directly; no real FNV-64 collision is
+    /// needed.
+    #[test]
+    fn an_atom_hit_with_a_different_name_rejects() {
+        let mut el = ElementData::new("div");
+        el.set_attribute("id", "x");
+        el.set_attribute("class", "hot cold");
+        let mut idx = RuleIndex::default();
+        let mut name = |name: &str| idx.name(name);
+        let hits = [
+            Test::Tag(tag_atom("div"), name("div")),
+            Test::Id(id_atom("x"), name("x")),
+            Test::Class(class_atom("hot"), name("hot"), false),
+            Test::Class(class_atom("cold"), name("cold"), false),
+        ];
+        let collisions = [
+            Test::Tag(tag_atom("div"), name("span")),
+            Test::Id(id_atom("x"), name("y")),
+            Test::Class(class_atom("hot"), name("warm"), false),
+            Test::Class(class_atom("cold"), name("hot cold"), false),
+        ];
+        for test in hits {
+            assert!(test.passes(&idx.names, &el, None), "{test:?} should match");
+        }
+        for test in collisions {
+            assert!(
+                !test.passes(&idx.names, &el, None),
+                "{test:?} matched on its atom alone"
+            );
+        }
+
+        // An index whose first name for the atom of `hot` is `warm`.
+        let warm = idx.name("warm");
+        let cold = idx.name("cold");
+        idx.class_names.insert(class_atom("hot"), warm);
+        idx.class_names.insert(class_atom("cold"), cold);
+        let confirmed = idx.confirmed_classes(&el);
+        // Only `cold` (the last atom) is confirmed.
+        assert_eq!(confirmed, Some(1 << 3));
+        let warm = Test::Class(class_atom("hot"), warm, true);
+        assert!(!warm.passes(&idx.names, &el, confirmed));
+        let cold = Test::Class(class_atom("cold"), cold, true);
+        assert!(cold.passes(&idx.names, &el, confirmed));
+        // `hot` is not the first name of its atom, so it reads the list.
+        let hot = Test::Class(class_atom("hot"), idx.name("hot"), false);
+        assert!(hot.passes(&idx.names, &el, confirmed));
+    }
+
+    #[test]
+    fn class_tests_of_one_name_share_it() {
+        let idx = index(".a, p.a, .b { width: 1px; }");
+        let class_tests: Vec<Test> = idx
+            .tests
+            .iter()
+            .copied()
+            .filter(|test| matches!(test, Test::Class(..)))
+            .collect();
+        let (a, b) = (
+            idx.class_names[&class_atom("a")],
+            idx.class_names[&class_atom("b")],
+        );
+        assert_eq!(
+            class_tests,
+            [
+                Test::Class(class_atom("a"), a, true),
+                Test::Class(class_atom("a"), a, true),
+                Test::Class(class_atom("b"), b, true),
+            ]
+        );
+        let mut el = ElementData::new("p");
+        el.set_attribute("class", "b x a a");
+        // Positions 1 (`b`), 3 and 4 (`a`); `x` no test names.
+        assert_eq!(idx.confirmed_classes(&el), Some(0b11010));
+    }
+
+    #[test]
+    fn star_and_pseudo_classes_compile_away() {
+        let idx = index("*:QoS [data-x=v].a { width: 1px; }");
+        assert_eq!(idx.compounds.len(), 2);
+        // The subject: its atom test runs before its string test.
+        assert_eq!(
+            idx.tests[idx.compounds[0].tests.range()],
+            [
+                Test::Class(class_atom("a"), Span(0, 1), true),
+                Test::Attribute(Span(1, 7), Some(Span(7, 8))),
+            ]
+        );
+        assert_eq!(idx.names, "adata-xv");
+        // The ancestor `*:QoS` tests nothing.
+        assert!(idx.compounds[1].tests.range().is_empty());
     }
 }

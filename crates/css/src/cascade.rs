@@ -8,16 +8,16 @@
 //!   [`StyleEngine::compute_style_both`], [`StyleEngine::compute_all`])
 //!   pulls candidates from the `bucket` rule index by the element's
 //!   cached style atoms, rejects impossible ancestor chains with the
-//!   [`crate::bloom`] filter, runs the exact [`Selector::matches`] walk on
-//!   the rest and sorts the hits into cascade order once. It then walks
+//!   [`crate::bloom`] filter, runs each remaining candidate's compiled
+//!   selector and sorts the hits' cascade ranks once. It then walks
 //!   the layers from the highest precedence down and keeps the first
 //!   value seen per property: one clone per surviving property and one
 //!   sort by name;
-//! * the **naive** resolver ([`StyleEngine::compute_style_naive`]) scans
-//!   every selector of every rule and layers forward from the lowest
-//!   precedence, later winning — retained as the semantic reference the
-//!   differential property tests compare against, so they check both
-//!   matching and the cascade.
+//! * the **naive** resolver ([`StyleEngine::compute_style_naive`]) runs
+//!   [`Selector::matches`] for every selector of every rule and layers
+//!   forward from the lowest precedence, later winning — retained as the
+//!   semantic reference the differential property tests compare
+//!   against, so they check both matching and the cascade.
 //!
 //! Both are counted by deterministic [`StyleStats`], so "how much work
 //! bucketing skipped" is a CI-checkable number rather than a wall-clock
@@ -30,7 +30,7 @@ use crate::selector::{Selector, Specificity};
 use crate::stylesheet::{parse_declarations_str, Declaration, Stylesheet};
 use crate::value::CssValue;
 use greenweb_dom::{Document, NodeId};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -160,7 +160,7 @@ impl fmt::Display for ComputedStyle {
 pub struct StyleStats {
     /// Bucketed style resolutions performed.
     pub resolves: u64,
-    /// Exact `Selector::matches` walks the bucketed path ran.
+    /// Exact compiled-selector walks the bucketed path ran.
     pub matches: u64,
     /// Exact walks on candidates drawn from the id bucket. The four
     /// per-bucket counters partition `matches`, giving the attribution
@@ -295,8 +295,9 @@ pub struct StyleEngine {
     index: RefCell<Option<(u64, RuleIndex)>>,
     stats: Cell<StyleStats>,
     /// The match buffer every resolve reuses, so matching allocates
-    /// nothing once it has grown.
-    matched: RefCell<Vec<(Specificity, usize)>>,
+    /// nothing once it has grown: the cascade ranks of the matched
+    /// selectors.
+    matched: RefCell<Vec<u32>>,
 }
 
 impl StyleEngine {
@@ -343,7 +344,9 @@ impl StyleEngine {
         self.stats.set(StyleStats::default());
     }
 
-    fn with_index<R>(&self, f: impl FnOnce(&RuleIndex) -> R) -> R {
+    /// The rule index of the current stylesheet generation, built on
+    /// first use after a change.
+    fn index(&self) -> RefMut<'_, RuleIndex> {
         let mut slot = self.index.borrow_mut();
         let stale = match &*slot {
             Some((generation, _)) => *generation != self.generation,
@@ -352,7 +355,7 @@ impl StyleEngine {
         if stale {
             *slot = Some((self.generation, RuleIndex::build(&self.stylesheet)));
         }
-        f(&slot.as_ref().expect("index just built").1)
+        RefMut::map(slot, |slot| &mut slot.as_mut().expect("index just built").1)
     }
 
     /// The rules matching `node` as `(specificity, rule index)` pairs in
@@ -362,41 +365,42 @@ impl StyleEngine {
     /// its highest specificity, and first-wins makes the later hits
     /// no-ops, so it applies once.
     pub fn match_rules(&self, doc: &Document, node: NodeId) -> Vec<(Specificity, usize)> {
+        let index = self.index();
         let mut matched = Vec::new();
-        self.match_into(doc, node, &mut matched);
-        matched
+        self.match_into(&index, doc, node, &mut matched);
+        matched.into_iter().map(|rank| index.entry(rank)).collect()
     }
 
-    /// [`StyleEngine::match_rules`] into a caller-owned buffer, cleared
-    /// first, so a resolve can reuse one buffer for every match.
-    fn match_into(&self, doc: &Document, node: NodeId, matched: &mut Vec<(Specificity, usize)>) {
+    /// The cascade ranks of the selectors of `index` matching `node`,
+    /// ascending, into a caller-owned buffer, cleared first, so a
+    /// resolve can reuse one buffer for every match. Ranks sort as the
+    /// `(specificity, rule index)` pairs they stand for.
+    fn match_into(&self, index: &RuleIndex, doc: &Document, node: NodeId, matched: &mut Vec<u32>) {
         matched.clear();
         let mut stats = self.stats.get();
         stats.resolves += 1;
         if let Some(element) = doc.element(node) {
             let filter = ancestor_filter(doc, node);
-            self.with_index(|index| {
-                for candidate in index.candidates(element) {
-                    if !candidate.ancestor_atoms.is_empty()
-                        && !filter.may_contain_all(&candidate.ancestor_atoms)
-                    {
-                        stats.bloom_rejects += 1;
-                        continue;
-                    }
-                    stats.matches += 1;
-                    match candidate.origin {
-                        BucketOrigin::Id => stats.matches_id += 1,
-                        BucketOrigin::Class => stats.matches_class += 1,
-                        BucketOrigin::Tag => stats.matches_tag += 1,
-                        BucketOrigin::Universal => stats.matches_universal += 1,
-                    }
-                    let selector =
-                        &self.stylesheet.rules()[candidate.rule].selectors()[candidate.selector];
-                    if selector.matches(doc, node) {
-                        matched.push((candidate.specificity, candidate.rule));
-                    }
+            // Read the class list only once a candidate needs matching.
+            let mut confirmed = None;
+            for candidate in index.candidates(element) {
+                let atoms = index.ancestor_atoms(candidate);
+                if !atoms.is_empty() && !filter.may_contain_all(atoms) {
+                    stats.bloom_rejects += 1;
+                    continue;
                 }
-            });
+                stats.matches += 1;
+                match candidate.origin {
+                    BucketOrigin::Id => stats.matches_id += 1,
+                    BucketOrigin::Class => stats.matches_class += 1,
+                    BucketOrigin::Tag => stats.matches_tag += 1,
+                    BucketOrigin::Universal => stats.matches_universal += 1,
+                }
+                let confirmed = *confirmed.get_or_insert_with(|| index.confirmed_classes(element));
+                if index.matches(candidate, doc, node, element, confirmed) {
+                    matched.push(candidate.rank);
+                }
+            }
         }
         self.stats.set(stats);
         matched.sort_unstable();
@@ -478,15 +482,19 @@ impl StyleEngine {
         node: NodeId,
         parent_style: Option<&ComputedStyle>,
     ) -> [ComputedStyle; N] {
+        let index = self.index();
         let mut matched = self.matched.take();
-        self.match_into(doc, node, &mut matched);
+        self.match_into(&index, doc, node, &mut matched);
         let inline = inline_declarations(doc, node);
         let mut views: [FirstWins; N] = std::array::from_fn(|_| FirstWins::default());
         let sheet = |important: bool| {
             matched
                 .iter()
                 .rev()
-                .flat_map(|&(_, rule)| self.stylesheet.rules()[rule].declarations().iter().rev())
+                .flat_map(|&rank| {
+                    let (_, rule) = index.entry(rank);
+                    self.stylesheet.rules()[rule].declarations().iter().rev()
+                })
                 .filter(move |decl| decl.important == important)
         };
         let inline_layer = |important: bool| {

@@ -12,7 +12,7 @@
 //! ```
 
 use crate::tokenizer::{tokenize, Token};
-use greenweb_dom::{class_atom, Document, NodeId};
+use greenweb_dom::{Document, NodeId};
 use std::fmt;
 
 /// One simple selector within a compound.
@@ -84,11 +84,7 @@ impl CompoundSelector {
             SimpleSelector::Universal => true,
             SimpleSelector::Tag(tag) => element.tag() == tag,
             SimpleSelector::Id(id) => element.id() == Some(id.as_str()),
-            // Both the cached atoms and `has_class` come from the class
-            // list, so an absent atom is a sound, string-free reject.
-            SimpleSelector::Class(class) => {
-                element.style_atoms().contains(&class_atom(class)) && element.has_class(class)
-            }
+            SimpleSelector::Class(class) => element.has_class(class),
             SimpleSelector::PseudoClass(_) => true,
             SimpleSelector::Attribute { name, value } => match value {
                 None => element.attribute(name).is_some(),
@@ -207,7 +203,10 @@ impl Selector {
         self.subject.has_qos_pseudo()
     }
 
-    /// Whether `node` matches this selector within `doc`.
+    /// Whether `node` matches this selector within `doc`, reading the
+    /// tag and attributes only. The cascade's production resolver runs a
+    /// compiled form of the selector that reads the cached style atoms
+    /// too; this walk is the reference it is tested against.
     pub fn matches(&self, doc: &Document, node: NodeId) -> bool {
         if !self.subject.matches(doc, node) {
             return false;

@@ -12,6 +12,7 @@ use greenweb_css::stylesheet::parse_declarations_str;
 use greenweb_css::value::CssValue;
 use greenweb_dom::{Document, EventType, NodeId};
 use greenweb_script::{Host, ScriptError, Value};
+use std::fmt::Write as _;
 
 /// An `animate(el, prop, to, duration)` call — the stand-in for the
 /// jQuery-style `animate()` that AUTOGREEN detects (Sec. 5).
@@ -160,9 +161,9 @@ impl<'a> ScriptHost<'a> {
         decls.retain(|d| d.property.as_str() != property);
         let mut css = String::new();
         for d in &decls {
-            css.push_str(&format!("{}: {}; ", d.property, d.value));
+            let _ = write!(css, "{}: {}; ", d.property, d.value);
         }
-        css.push_str(&format!("{property}: {raw_value}"));
+        let _ = write!(css, "{property}: {raw_value}");
         if let Some(el) = self.doc.element_mut(node) {
             el.set_attribute("style", css);
         }

@@ -13,7 +13,15 @@ use greenweb_engine::{
 };
 use greenweb_trace::json::{self, json_escape, JsonValue, ToJson};
 use greenweb_workloads::harness::{expectations, Policy};
-use std::fmt::Write as _;
+use style_gen::{
+    gen_style_document, gen_style_selector, gen_stylesheet_source, STYLE_CLASSES, STYLE_PROPS,
+    STYLE_TAGS,
+};
+
+// The style generators and differential check, shared with the
+// `greenweb-css` integration tests.
+#[path = "../crates/css/tests/style_gen/mod.rs"]
+mod style_gen;
 
 const EVENTS: [EventType; 6] = [
     EventType::Click,
@@ -383,89 +391,6 @@ fn frame_tracker_metadata_survives_reordering() {
 // and the engine's computed-style cache must be invisible to results.
 // ---------------------------------------------------------------------------
 
-const STYLE_TAGS: [&str; 5] = ["div", "p", "span", "ul", "li"];
-const STYLE_CLASSES: [&str; 6] = ["a", "b", "hot", "cold", "nav", "card"];
-const STYLE_PROPS: [&str; 4] = ["width", "height", "margin", "color"];
-
-fn gen_style_element(g: &mut Gen, depth: u32, next_id: &mut u32, out: &mut String) {
-    let tag = *g.choose(&STYLE_TAGS);
-    let _ = write!(out, "<{tag}");
-    if g.bool_with(0.3) {
-        let _ = write!(out, " id='e{}'", *next_id);
-        *next_id += 1;
-    }
-    if g.bool_with(0.5) {
-        let a = *g.choose(&STYLE_CLASSES);
-        if g.bool_with(0.3) {
-            let _ = write!(out, " class='{a} {}'", *g.choose(&STYLE_CLASSES));
-        } else {
-            let _ = write!(out, " class='{a}'");
-        }
-    }
-    if g.bool_with(0.25) {
-        let _ = write!(
-            out,
-            " style='{}: {}px{}'",
-            *g.choose(&STYLE_PROPS),
-            g.usize_in(0, 500),
-            if g.bool_with(0.2) { " !important" } else { "" }
-        );
-    }
-    out.push('>');
-    if depth > 0 {
-        for _ in 0..g.usize_in(0, 4) {
-            gen_style_element(g, depth - 1, next_id, out);
-        }
-    } else {
-        out.push('x');
-    }
-    let _ = write!(out, "</{tag}>");
-}
-
-fn gen_style_document(g: &mut Gen) -> String {
-    let mut html = String::new();
-    let mut next_id = 0;
-    for _ in 0..g.usize_in(1, 4) {
-        gen_style_element(g, 3, &mut next_id, &mut html);
-    }
-    html
-}
-
-fn gen_style_selector(g: &mut Gen) -> String {
-    let simple = |g: &mut Gen| match g.usize_in(0, 6) {
-        0 => format!("#e{}", g.usize_in(0, 10)),
-        1 => format!(".{}", *g.choose(&STYLE_CLASSES)),
-        2 => (*g.choose(&STYLE_TAGS)).to_string(),
-        3 => format!("{}.{}", *g.choose(&STYLE_TAGS), *g.choose(&STYLE_CLASSES)),
-        4 => "[style]".to_string(),
-        _ => "*".to_string(),
-    };
-    match g.usize_in(0, 4) {
-        0 => simple(g),
-        1 => format!("{} {}", simple(g), simple(g)),
-        2 => format!("{} > {}", simple(g), simple(g)),
-        _ => format!("{}, {}", simple(g), simple(g)),
-    }
-}
-
-fn gen_stylesheet_source(g: &mut Gen) -> String {
-    let mut css = String::new();
-    for _ in 0..g.usize_in(0, 13) {
-        let _ = write!(css, "{} {{ ", gen_style_selector(g));
-        for _ in 0..g.usize_in(1, 4) {
-            let _ = write!(
-                css,
-                "{}: {}px{}; ",
-                *g.choose(&STYLE_PROPS),
-                g.usize_in(0, 500),
-                if g.bool_with(0.2) { " !important" } else { "" }
-            );
-        }
-        css.push_str("} ");
-    }
-    css
-}
-
 /// The style system's correctness contract: on random documents × random
 /// stylesheets, the production resolver agrees with the naive reference
 /// property-for-property — for the whole tree, and for both per-node
@@ -479,38 +404,7 @@ fn bucketed_style_resolver_matches_naive() {
     check(
         "bucketed_style_resolver_matches_naive",
         DEFAULT_CASES,
-        |g| {
-            let html = gen_style_document(g);
-            let css = gen_stylesheet_source(g);
-            let doc = parse_html(&html).unwrap_or_else(|e| panic!("html {html:?}: {e}"));
-            let engine = StyleEngine::new(
-                parse_stylesheet(&css).unwrap_or_else(|e| panic!("css {css:?}: {e}")),
-            );
-
-            let bucketed = engine.compute_all(&doc);
-            let naive = engine.compute_all_naive(&doc);
-            assert_eq!(
-                bucketed, naive,
-                "tree resolve diverged\ncss: {css}\nhtml: {html}"
-            );
-
-            for node in doc.descendants(doc.root()) {
-                if doc.element(node).is_none() {
-                    continue;
-                }
-                let (with_inline, without_inline) = engine.compute_style_both(&doc, node, None);
-                assert_eq!(
-                    with_inline,
-                    engine.compute_style_naive(&doc, node, None),
-                    "with-inline view diverged\ncss: {css}\nhtml: {html}"
-                );
-                assert_eq!(
-                    without_inline,
-                    engine.compute_style_without_inline_naive(&doc, node, None),
-                    "without-inline view diverged\ncss: {css}\nhtml: {html}"
-                );
-            }
-        },
+        style_gen::resolver_matches_naive,
     );
 }
 
