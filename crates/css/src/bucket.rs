@@ -74,38 +74,29 @@ enum Test {
     /// then its `id`.
     Id(u64, Name),
     /// `.class`: the atom among the element's atoms, then its class
-    /// list. `true` when the name is the first the index compiled for
-    /// the atom: the subject's confirmed classes then answer the test
-    /// without reading the class list (see
-    /// [`RuleIndex::confirmed_classes`]).
-    Class(u64, Name, bool),
+    /// list.
+    Class(u64, Name),
     /// `[name]` or `[name=value]`: the attribute read by name.
     Attribute(Name, Option<Name>),
 }
 
 impl Test {
-    /// Whether `element` passes, with the test's names in `names` and,
-    /// for the subject, its confirmed classes. The atoms are computed
-    /// from the same tag, `id` and class list the name checks read, so an
-    /// absent atom is a sound reject and a present one is confirmed by
-    /// name: an atom collision cannot make a match.
-    fn passes(self, names: &str, element: &ElementData, confirmed: Option<u64>) -> bool {
+    /// Whether `element` passes, with the test's names in `names`. The
+    /// atoms are computed from the same tag, `id` and class list the
+    /// name checks read, so an absent atom is a sound reject and a
+    /// present one is confirmed by name: an atom collision cannot make a
+    /// match.
+    fn passes(self, names: &str, element: &ElementData) -> bool {
         let name = |name: Name| &names[name.range()];
         let atoms = element.style_atoms();
-        match (self, confirmed) {
-            (Test::Tag(atom, tag), _) => atoms[0] == atom && element.tag() == name(tag),
-            (Test::Id(atom, id), _) => {
-                atoms.get(1) == Some(&atom) && element.id() == Some(name(id))
-            }
-            (Test::Class(atom, _, true), Some(confirmed)) => atoms
-                .iter()
-                .enumerate()
-                .any(|(pos, &a)| a == atom && (confirmed >> pos) & 1 == 1),
-            (Test::Class(atom, class, _), _) => {
+        match self {
+            Test::Tag(atom, tag) => atoms[0] == atom && element.tag() == name(tag),
+            Test::Id(atom, id) => atoms.get(1) == Some(&atom) && element.id() == Some(name(id)),
+            Test::Class(atom, class) => {
                 atoms[1..].contains(&atom) && element.has_class(name(class))
             }
-            (Test::Attribute(attr, None), _) => element.attribute(name(attr)).is_some(),
-            (Test::Attribute(attr, Some(value)), _) => {
+            Test::Attribute(attr, None) => element.attribute(name(attr)).is_some(),
+            Test::Attribute(attr, Some(value)) => {
                 element.attribute(name(attr)) == Some(name(value))
             }
         }
@@ -138,6 +129,15 @@ pub(crate) struct Candidate {
 
 /// Hashes a style atom as itself: atoms are already FNV-mixed 64-bit
 /// values, so the bucket map needs no second hash.
+///
+/// FNV is unkeyed, so a page can pick selector names whose atoms share
+/// a bucket; a fixed mix on top would not stop that, only a keyed hash
+/// would. None is needed here: the map holds one stylesheet's keys and
+/// serves that page's own elements, so crafted names slow only the page
+/// that wrote them, and no more than writing the same selectors without
+/// a key (`[x]`, `*`) already does, since every element tests the
+/// universal spill-over. The property interner's table differs: it is
+/// shared by every page a process loads, so it keeps std's keyed hasher.
 #[derive(Default)]
 struct AtomHasher(u64);
 
@@ -177,8 +177,6 @@ pub(crate) struct RuleIndex {
     tests: Vec<Test>,
     /// Every name a test confirms, back to back.
     names: String,
-    /// The first class name compiled for each class atom.
-    class_names: HashMap<u64, Name, BuildHasherDefault<AtomHasher>>,
     /// Every candidate's ancestor atoms, back to back.
     atoms: Vec<u64>,
 }
@@ -275,7 +273,9 @@ impl RuleIndex {
                     SimpleSelector::Id(name) if atom_tests => {
                         Test::Id(id_atom(name), self.name(name))
                     }
-                    SimpleSelector::Class(name) if atom_tests => self.class_test(name),
+                    SimpleSelector::Class(name) if atom_tests => {
+                        Test::Class(class_atom(name), self.name(name))
+                    }
                     SimpleSelector::Attribute { name, value } if !atom_tests => {
                         let name = self.name(name);
                         Test::Attribute(name, value.as_deref().map(|value| self.name(value)))
@@ -289,21 +289,6 @@ impl RuleIndex {
             tests: Span::new(start..self.tests.len()),
             combinator,
         });
-    }
-
-    /// A class test. The first name compiled for an atom is recorded in
-    /// `class_names`, and every later test of that name shares it.
-    fn class_test(&mut self, class: &str) -> Test {
-        let atom = class_atom(class);
-        match self.class_names.get(&atom) {
-            Some(&first) if self.names[first.range()] == *class => Test::Class(atom, first, true),
-            Some(_) => Test::Class(atom, self.name(class), false),
-            None => {
-                let name = self.name(class);
-                self.class_names.insert(atom, name);
-                Test::Class(atom, name, true)
-            }
-        }
     }
 
     fn name(&mut self, name: &str) -> Name {
@@ -325,45 +310,14 @@ impl RuleIndex {
         &self.atoms[candidate.atoms.range()]
     }
 
-    /// `element`'s confirmed classes: a bit mask over its style atoms,
-    /// set at each class whose name is the first this index compiled for
-    /// its atom, or `None` past 64 atoms. A class test on such a name
-    /// passes exactly when a position of its atom is set, so the
-    /// subject's class list is read once per resolve rather than once
-    /// per class test.
-    pub fn confirmed_classes(&self, element: &ElementData) -> Option<u64> {
-        let atoms = element.style_atoms();
-        if atoms.len() > 64 {
-            return None;
-        }
-        // The classes are the last atoms, in class-list order.
-        let classes = element.attribute("class").unwrap_or("");
-        let mut confirmed = 0;
-        for ((pos, atom), class) in atoms
-            .iter()
-            .enumerate()
-            .rev()
-            .zip(classes.split_ascii_whitespace().rev())
-        {
-            if self
-                .class_names
-                .get(atom)
-                .is_some_and(|first| self.names[first.range()] == *class)
-            {
-                confirmed |= 1 << pos;
-            }
-        }
-        Some(confirmed)
-    }
-
-    fn passes(&self, compound: Compound, element: &ElementData, confirmed: Option<u64>) -> bool {
+    fn passes(&self, compound: Compound, element: &ElementData) -> bool {
         self.tests[compound.tests.range()]
             .iter()
-            .all(|test| test.passes(&self.names, element, confirmed))
+            .all(|test| test.passes(&self.names, element))
     }
 
-    /// Whether `node`, whose element data is `element` and whose
-    /// confirmed classes are `confirmed`, matches `candidate`'s selector.
+    /// Whether `node`, whose element data is `element`, matches
+    /// `candidate`'s selector.
     /// The walk is [`Selector::matches`]'s: a child compound must match
     /// the parent, a descendant compound the nearest ancestor that
     /// matches it, and a matched ancestor is never revisited.
@@ -373,12 +327,11 @@ impl RuleIndex {
         doc: &Document,
         node: NodeId,
         element: &ElementData,
-        confirmed: Option<u64>,
     ) -> bool {
         let (subject, ancestors) = self.compounds[candidate.compounds.range()]
             .split_first()
             .expect("a selector has a subject");
-        if !self.passes(*subject, element, confirmed) {
+        if !self.passes(*subject, element) {
             return false;
         }
         let mut current = node;
@@ -390,7 +343,7 @@ impl RuleIndex {
                 current = parent;
                 if doc
                     .element(parent)
-                    .is_some_and(|el| self.passes(compound, el, None))
+                    .is_some_and(|el| self.passes(compound, el))
                 {
                     break;
                 }
@@ -510,10 +463,9 @@ mod tests {
     }
 
     /// Exactness does not rest on atoms being collision-free: a test
-    /// whose atom is the element's but whose name is not must reject,
-    /// whether it reads the class list or the confirmed classes. The
-    /// colliding pairs are built directly; no real FNV-64 collision is
-    /// needed.
+    /// whose atom is the element's but whose name is not must reject.
+    /// The colliding pairs are built directly; no real FNV-64 collision
+    /// is needed.
     #[test]
     fn an_atom_hit_with_a_different_name_rejects() {
         let mut el = ElementData::new("div");
@@ -524,67 +476,24 @@ mod tests {
         let hits = [
             Test::Tag(tag_atom("div"), name("div")),
             Test::Id(id_atom("x"), name("x")),
-            Test::Class(class_atom("hot"), name("hot"), false),
-            Test::Class(class_atom("cold"), name("cold"), false),
+            Test::Class(class_atom("hot"), name("hot")),
+            Test::Class(class_atom("cold"), name("cold")),
         ];
         let collisions = [
             Test::Tag(tag_atom("div"), name("span")),
             Test::Id(id_atom("x"), name("y")),
-            Test::Class(class_atom("hot"), name("warm"), false),
-            Test::Class(class_atom("cold"), name("hot cold"), false),
+            Test::Class(class_atom("hot"), name("warm")),
+            Test::Class(class_atom("cold"), name("hot cold")),
         ];
         for test in hits {
-            assert!(test.passes(&idx.names, &el, None), "{test:?} should match");
+            assert!(test.passes(&idx.names, &el), "{test:?} should match");
         }
         for test in collisions {
             assert!(
-                !test.passes(&idx.names, &el, None),
+                !test.passes(&idx.names, &el),
                 "{test:?} matched on its atom alone"
             );
         }
-
-        // An index whose first name for the atom of `hot` is `warm`.
-        let warm = idx.name("warm");
-        let cold = idx.name("cold");
-        idx.class_names.insert(class_atom("hot"), warm);
-        idx.class_names.insert(class_atom("cold"), cold);
-        let confirmed = idx.confirmed_classes(&el);
-        // Only `cold` (the last atom) is confirmed.
-        assert_eq!(confirmed, Some(1 << 3));
-        let warm = Test::Class(class_atom("hot"), warm, true);
-        assert!(!warm.passes(&idx.names, &el, confirmed));
-        let cold = Test::Class(class_atom("cold"), cold, true);
-        assert!(cold.passes(&idx.names, &el, confirmed));
-        // `hot` is not the first name of its atom, so it reads the list.
-        let hot = Test::Class(class_atom("hot"), idx.name("hot"), false);
-        assert!(hot.passes(&idx.names, &el, confirmed));
-    }
-
-    #[test]
-    fn class_tests_of_one_name_share_it() {
-        let idx = index(".a, p.a, .b { width: 1px; }");
-        let class_tests: Vec<Test> = idx
-            .tests
-            .iter()
-            .copied()
-            .filter(|test| matches!(test, Test::Class(..)))
-            .collect();
-        let (a, b) = (
-            idx.class_names[&class_atom("a")],
-            idx.class_names[&class_atom("b")],
-        );
-        assert_eq!(
-            class_tests,
-            [
-                Test::Class(class_atom("a"), a, true),
-                Test::Class(class_atom("a"), a, true),
-                Test::Class(class_atom("b"), b, true),
-            ]
-        );
-        let mut el = ElementData::new("p");
-        el.set_attribute("class", "b x a a");
-        // Positions 1 (`b`), 3 and 4 (`a`); `x` no test names.
-        assert_eq!(idx.confirmed_classes(&el), Some(0b11010));
     }
 
     #[test]
@@ -595,7 +504,7 @@ mod tests {
         assert_eq!(
             idx.tests[idx.compounds[0].tests.range()],
             [
-                Test::Class(class_atom("a"), Span(0, 1), true),
+                Test::Class(class_atom("a"), Span(0, 1)),
                 Test::Attribute(Span(1, 7), Some(Span(7, 8))),
             ]
         );

@@ -381,8 +381,6 @@ impl StyleEngine {
         stats.resolves += 1;
         if let Some(element) = doc.element(node) {
             let filter = ancestor_filter(doc, node);
-            // Read the class list only once a candidate needs matching.
-            let mut confirmed = None;
             for candidate in index.candidates(element) {
                 let atoms = index.ancestor_atoms(candidate);
                 if !atoms.is_empty() && !filter.may_contain_all(atoms) {
@@ -396,8 +394,7 @@ impl StyleEngine {
                     BucketOrigin::Tag => stats.matches_tag += 1,
                     BucketOrigin::Universal => stats.matches_universal += 1,
                 }
-                let confirmed = *confirmed.get_or_insert_with(|| index.confirmed_classes(element));
-                if index.matches(candidate, doc, node, element, confirmed) {
+                if index.matches(candidate, doc, node, element) {
                     matched.push(candidate.rank);
                 }
             }

@@ -8,11 +8,7 @@
 //! stylesheets a process loads — so interned names can be handed out as
 //! `&'static str` without lifetime plumbing. Each id carries its name, so
 //! only interning touches the table's lock; reading a name never does.
-//! A small per-thread cache of recently interned names answers the
-//! repeats that make up most of a stylesheet's declarations, so those
-//! take neither the lock nor the table's SipHash.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -21,24 +17,6 @@ use std::sync::{OnceLock, RwLock};
 fn interner() -> &'static RwLock<HashMap<&'static str, PropertyId>> {
     static INTERNER: OnceLock<RwLock<HashMap<&'static str, PropertyId>>> = OnceLock::new();
     INTERNER.get_or_init(RwLock::default)
-}
-
-const RECENT_SLOTS: usize = 64;
-
-thread_local! {
-    /// Ids this thread interned recently, direct-mapped by
-    /// [`recent_slot`]: a later name in the same slot replaces an earlier
-    /// one.
-    static RECENT: [Cell<Option<PropertyId>>; RECENT_SLOTS] =
-        const { [const { Cell::new(None) }; RECENT_SLOTS] };
-}
-
-/// The [`RECENT`] slot of `name`: FNV-1a over its bytes.
-fn recent_slot(name: &str) -> usize {
-    let hash = name.bytes().fold(0x811c_9dc5_u32, |hash, byte| {
-        (hash ^ u32::from(byte)).wrapping_mul(0x0100_0193)
-    });
-    hash as usize % RECENT_SLOTS
 }
 
 /// An interned CSS property name.
@@ -59,18 +37,6 @@ pub struct PropertyId {
 impl PropertyId {
     /// Interns `name` (idempotent) and returns its id.
     pub fn intern(name: &str) -> Self {
-        let slot = recent_slot(name);
-        let recent = RECENT.with(|recent| recent[slot].get());
-        if let Some(id) = recent.filter(|id| id.name == name) {
-            return id;
-        }
-        let id = Self::intern_shared(name);
-        RECENT.with(|recent| recent[slot].set(Some(id)));
-        id
-    }
-
-    /// Interns `name` in the process-wide table.
-    fn intern_shared(name: &str) -> Self {
         if let Some(&id) = interner().read().expect("interner lock").get(name) {
             return id;
         }
@@ -144,35 +110,6 @@ mod tests {
     #[test]
     fn distinct_names_get_distinct_ids() {
         assert_ne!(PropertyId::intern("width"), PropertyId::intern("height"));
-    }
-
-    #[test]
-    fn names_sharing_a_recent_slot_keep_their_own_ids() {
-        let names: Vec<String> = (0..=RECENT_SLOTS)
-            .map(|i| format!("slot-test-{i}"))
-            .collect();
-        // Pigeonhole: two of the 65 names share one of the 64 slots.
-        let (a, b) = names
-            .iter()
-            .enumerate()
-            .find_map(|(i, a)| {
-                let b = names[i + 1..]
-                    .iter()
-                    .find(|b| recent_slot(b) == recent_slot(a))?;
-                Some((a, b))
-            })
-            .expect("a shared slot");
-        let first = PropertyId::intern(a);
-        let other = PropertyId::intern(b);
-        assert_ne!(first, other);
-        assert_eq!(PropertyId::intern(a), first);
-        assert_eq!(PropertyId::intern(b).as_str(), b);
-        // Another thread, with an empty cache, gets the same ids.
-        let (a, b) = (a.clone(), b.clone());
-        let ids = std::thread::spawn(move || (PropertyId::intern(&a), PropertyId::intern(&b)))
-            .join()
-            .expect("thread");
-        assert_eq!(ids, (first, other));
     }
 
     #[test]
