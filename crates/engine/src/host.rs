@@ -128,10 +128,7 @@ impl<'a> ScriptHost<'a> {
 
     fn fn_arg(args: &[Value], i: usize, fn_name: &str) -> Result<Value, ScriptError> {
         match args.get(i) {
-            // Either backend's function representation is a callback:
-            // tree-walker closures and compiled VM closures register and
-            // dispatch identically.
-            Some(v @ (Value::Function(_) | Value::VmFunction(_))) => Ok(v.clone()),
+            Some(v @ Value::VmFunction(_)) => Ok(v.clone()),
             _ => Err(ScriptError::new(format!(
                 "{fn_name}: expected function argument"
             ))),

@@ -1,9 +1,9 @@
 //! Interned name atoms for environment lookups.
 //!
 //! Variable names are hashed once — at compile time for the bytecode
-//! backend, per access for the tree-walking oracle — into stable 64-bit
-//! FNV-1a atoms, the same scheme (and constants) the dom/css layers use
-//! for tag/id/class style atoms. Scope chains then key their bindings by
+//! VM, per access for the test-only tree-walking oracle — into stable
+//! 64-bit FNV-1a atoms, the same scheme (and constants) the dom/css
+//! layers use for tag/id/class style atoms. Scope chains then key their bindings by
 //! atom instead of by owned `String`, so a `GetVar` in a hot callback is
 //! an integer probe rather than a string hash + compare per scope level.
 //!

@@ -1,9 +1,9 @@
-//! Built-in operations shared by the tree-walking interpreter and the
-//! bytecode VM: the `Math` namespace, array/string methods, member and
+//! Built-in operations shared by the bytecode VM and the test-only
+//! tree-walking oracle: the `Math` namespace, array/string methods, member and
 //! index access, and binary-operator semantics.
 
 use crate::ast::BinaryOp;
-use crate::interp::ScriptError;
+use crate::runtime::ScriptError;
 use crate::value::Value;
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -1,9 +1,9 @@
 //! Bytecode compiler: lowers the AST to a stack-machine instruction set
 //! executed by [`crate::vm::Vm`].
 //!
-//! The compiler is the second backend of the language (the first is the
-//! tree-walking [`crate::Interpreter`]); both implement identical
-//! semantics, which the differential test suite enforces. Each function
+//! The VM is the language's only shipped executor. A tree-walking
+//! oracle in the crate's test code implements identical semantics,
+//! which the differential test suite enforces. Each function
 //! body compiles to its own [`Proto`]; closures pair a proto index with
 //! the lexical environment captured at `MakeClosure` time.
 //!
@@ -17,7 +17,7 @@
 //!   charges one tick per *AST node visit*; the compiler distributes
 //!   exactly those ticks over the emitted instructions, each of which
 //!   carries 0 or 1. Summed over an execution, `Vm::ops` therefore equals
-//!   `Interpreter::ops` exactly, which keeps the engine's cost model,
+//!   the tree-walker's op count exactly, which keeps the engine's cost model,
 //!   the `RunBudget` fuel ceiling, and `Span.ops` attribution
 //!   backend-independent.
 //! - **`name_atoms`** — FNV-1a atoms ([`crate::atom::name_atom`]) of the

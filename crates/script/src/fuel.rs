@@ -1,11 +1,11 @@
-//! The shared fuel (op budget) machinery behind both backends.
+//! The shared fuel (op budget) machinery behind every executor.
 //!
 //! The watchdog contract — count evaluation work, trip a *typed*
-//! `op_limit` error at the ceiling — used to be implemented twice, once
-//! in the tree-walking interpreter and once in the bytecode VM. Both now
-//! lower onto this one [`Fuel`] type, so `RunBudget.max_callback_ops`
-//! has exactly one implementation to configure and the fleet supervisor
-//! sees one error class regardless of backend.
+//! `op_limit` error at the ceiling — has one implementation, this
+//! [`Fuel`] type: the bytecode VM meters through it, and so does the
+//! test-only tree-walking oracle. `RunBudget.max_callback_ops` has
+//! exactly one implementation to configure and the fleet supervisor
+//! sees one error class.
 //!
 //! The unit of fuel is one *interpreter tick*: one visited statement or
 //! expression node. The VM charges per-instruction weights from
@@ -14,7 +14,7 @@
 //! amount of script work on either backend and the engine's cost model
 //! (which converts ops to cycles) is backend-independent.
 
-use crate::interp::ScriptError;
+use crate::runtime::ScriptError;
 
 /// Default maximum number of evaluation steps per `run`/`call` before an
 /// infinite-loop error is raised.

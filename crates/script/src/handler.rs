@@ -8,8 +8,7 @@
 //! hand the *same* cache around, so what the analyzer certifies is
 //! byte-for-byte what the engine executes. The engine's callbacks are
 //! `VmFunction`s holding their prototype table, so "compiling" is a
-//! zero-copy `Arc` alias. The cache takes VM closures only: a
-//! tree-walker `Function` closure has no bytecode and is not a handler.
+//! zero-copy `Arc` alias. The cache takes VM closures only.
 
 use crate::compiler::Proto;
 use crate::value::Value;
@@ -71,9 +70,9 @@ impl HandlerCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::NoHost;
+    use crate::interp::Interpreter;
+    use crate::runtime::NoHost;
     use crate::vm::Vm;
-    use crate::Interpreter;
 
     #[test]
     fn vm_callbacks_alias_their_bytecode_zero_copy() {

@@ -1,152 +1,47 @@
-//! Tree-walking interpreter with lexical scoping and a pluggable host.
+//! The tree-walking oracle: test code only.
 //!
-//! This is the language's *reference* backend. The browser engine runs
-//! only compiled bytecode ([`crate::vm::Vm`]); this tree-walker is what
-//! the differential suites (`prop_differential`, `prop_lang`) and the
-//! VM's unit tests compare it against — values, host calls, typed
-//! errors, and charged ops must all agree.
+//! This is the language's *reference* executor. The engine runs only
+//! compiled bytecode ([`crate::vm::Vm`]); the differential suite
+//! (`crate::differential`) and the VM's unit tests compare the VM
+//! against this tree-walker: values, host calls, typed errors and
+//! charged ops must all agree.
 //!
 //! The interpreter counts every evaluated statement/expression in
 //! [`Interpreter::ops`] (via the shared [`Fuel`] budget). Its counts
 //! define the cost model: the VM charges exactly the same ops, which the
 //! browser engine converts into CPU cycles when charging callback
-//! execution to the ACMP performance model, so heavier scripts genuinely
-//! take longer frames.
+//! execution to the ACMP performance model.
+
+#![cfg(test)]
 
 use crate::ast::{BinaryOp, Expr, Program, Stmt, Target, UnaryOp};
 use crate::atom::name_atom;
 use crate::fuel::Fuel;
-use crate::value::{Closure, Value};
+use crate::runtime::{Host, Scope, ScopeRef, ScriptError};
+use crate::value::Value;
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::fmt;
 use std::rc::Rc;
 
-/// A shared, mutable lexical scope.
-pub type ScopeRef = Rc<RefCell<Scope>>;
-
-/// One lexical scope: bindings plus an optional parent.
-///
-/// Bindings are keyed by [`name_atom`] rather than by owned strings, so
-/// a lookup is an integer probe per scope level. The tree-walker
-/// atomizes on every access (it is the oracle, not the fast path); the
-/// bytecode compiler atomizes once at compile time.
-#[derive(Debug, Default)]
-pub struct Scope {
-    vars: HashMap<u64, Value>,
-    parent: Option<ScopeRef>,
+/// A tree-walker closure: a function body paired with its captured
+/// environment.
+#[derive(Debug)]
+pub struct Closure {
+    /// Function name (empty for anonymous functions), for diagnostics.
+    pub name: String,
+    /// Parameter names.
+    pub params: Vec<String>,
+    /// Body statements.
+    pub body: Rc<Vec<Stmt>>,
+    /// Captured lexical environment.
+    pub env: ScopeRef,
 }
 
 impl Scope {
-    /// Creates a child scope of `parent`.
-    pub fn child(parent: ScopeRef) -> ScopeRef {
-        Rc::new(RefCell::new(Scope {
-            vars: HashMap::new(),
-            parent: Some(parent),
-        }))
-    }
-
-    pub(crate) fn lookup(scope: &ScopeRef, name: &str) -> Option<Value> {
-        Self::lookup_atom(scope, name_atom(name))
-    }
-
-    pub(crate) fn lookup_atom(scope: &ScopeRef, atom: u64) -> Option<Value> {
-        let mut current = Some(scope.clone());
-        while let Some(s) = current {
-            let s = s.borrow();
-            if let Some(v) = s.vars.get(&atom) {
-                return Some(v.clone());
-            }
-            current = s.parent.clone();
-        }
-        None
-    }
-
-    pub(crate) fn declare(scope: &ScopeRef, name: &str, value: Value) {
-        Self::declare_atom(scope, name_atom(name), value);
-    }
-
-    pub(crate) fn declare_atom(scope: &ScopeRef, atom: u64, value: Value) {
-        scope.borrow_mut().vars.insert(atom, value);
-    }
-
-    pub(crate) fn assign(scope: &ScopeRef, name: &str, value: Value) -> bool {
+    /// Assigns to the nearest binding of `name`; false when none exists.
+    /// The tree-walker atomizes on every access (it is the oracle, not
+    /// the fast path).
+    fn assign(scope: &ScopeRef, name: &str, value: Value) -> bool {
         Self::assign_atom(scope, name_atom(name), value)
-    }
-
-    pub(crate) fn assign_atom(scope: &ScopeRef, atom: u64, value: Value) -> bool {
-        let mut current = Some(scope.clone());
-        while let Some(s) = current {
-            let mut s = s.borrow_mut();
-            if let Some(slot) = s.vars.get_mut(&atom) {
-                *slot = value;
-                return true;
-            }
-            current = s.parent.clone();
-        }
-        false
-    }
-}
-
-/// Runtime error raised during execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScriptError {
-    message: String,
-    op_limit: bool,
-}
-
-impl ScriptError {
-    /// Creates a runtime error.
-    pub fn new(message: impl Into<String>) -> Self {
-        ScriptError {
-            message: message.into(),
-            op_limit: false,
-        }
-    }
-
-    /// Creates the fuel-exhaustion error: the execution budget (op
-    /// limit) ran out. Kept as a distinct class so embedders can treat
-    /// a runaway script as a *watchdog* outcome rather than a program
-    /// bug — the fleet supervisor quarantines the two differently.
-    pub fn op_limit(message: impl Into<String>) -> Self {
-        ScriptError {
-            message: message.into(),
-            op_limit: true,
-        }
-    }
-
-    /// True when this error is fuel exhaustion ([`ScriptError::op_limit`])
-    /// rather than a genuine runtime error.
-    pub fn is_op_limit(&self) -> bool {
-        self.op_limit
-    }
-}
-
-impl fmt::Display for ScriptError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "script error: {}", self.message)
-    }
-}
-
-impl std::error::Error for ScriptError {}
-
-/// The host interface: native functions the embedding browser exposes to
-/// scripts (`getElementById`, `requestAnimationFrame`, `work`, …).
-///
-/// `call` returns `None` when `name` is not a host function, letting the
-/// interpreter report an undefined-variable error instead.
-pub trait Host {
-    /// Invokes host function `name` with `args`.
-    fn call(&mut self, name: &str, args: &[Value]) -> Option<Result<Value, ScriptError>>;
-}
-
-/// A host providing no native functions (useful for pure computation).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoHost;
-
-impl Host for NoHost {
-    fn call(&mut self, _name: &str, _args: &[Value]) -> Option<Result<Value, ScriptError>> {
-        None
     }
 }
 
@@ -167,10 +62,6 @@ pub struct Interpreter {
 }
 
 impl Interpreter {
-    /// Default maximum number of evaluation steps per `run`/`call` before
-    /// an infinite-loop error is raised (shared with the bytecode VM).
-    pub const DEFAULT_OP_LIMIT: u64 = crate::fuel::DEFAULT_OP_LIMIT;
-
     /// Creates an interpreter with an empty global scope.
     pub fn new() -> Self {
         Interpreter {
@@ -186,10 +77,8 @@ impl Interpreter {
         self
     }
 
-    /// Sets the op limit on a live interpreter. Combined with
-    /// [`Interpreter::reset_ops`] (which the engine calls per callback)
-    /// this acts as a per-callback fuel ceiling: the watchdog budget a
-    /// supervised run enforces against runaway generated workloads.
+    /// Sets the op limit on a live interpreter (the VM's watchdog
+    /// contract, [`crate::vm::Vm::set_op_limit`]).
     pub fn set_op_limit(&mut self, limit: u64) {
         self.fuel.set_limit(limit);
     }
@@ -202,12 +91,6 @@ impl Interpreter {
     /// Number of evaluation steps executed so far.
     pub fn ops(&self) -> u64 {
         self.fuel.used()
-    }
-
-    /// Resets the op counter (the engine does this per callback so each
-    /// callback's cost is measured independently).
-    pub fn reset_ops(&mut self) {
-        self.fuel.reset();
     }
 
     /// Reads a global binding.
@@ -236,8 +119,8 @@ impl Interpreter {
         Ok(())
     }
 
-    /// Calls a function value with `args`. Used by the engine to invoke
-    /// event callbacks, rAF callbacks, and timers.
+    /// Calls a function value with `args`, the way the engine invokes
+    /// event callbacks, rAF callbacks, and timers on the VM.
     ///
     /// # Errors
     ///
@@ -620,16 +503,11 @@ impl Interpreter {
     }
 }
 
-impl Default for Interpreter {
-    fn default() -> Self {
-        Interpreter::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use crate::runtime::NoHost;
 
     fn run(src: &str) -> Interpreter {
         let program = parse_program(src).unwrap();

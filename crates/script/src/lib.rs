@@ -17,17 +17,25 @@
 //! numbers, strings, booleans, `null`, arrays, objects, the usual
 //! operators, and calls into a pluggable [`Host`].
 //!
-//! ```
-//! use greenweb_script::{parse_program, Interpreter, NoHost, Value};
+//! Programs compile to bytecode ([`compiler`]) and run on the stack
+//! [`Vm`], the only executor this crate ships:
 //!
-//! let program = parse_program(
+//! ```
+//! use greenweb_script::{NoHost, Value, Vm};
+//!
+//! let mut vm = Vm::new();
+//! vm.run_source(
 //!     "function fib(n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }
 //!      var answer = fib(10);",
-//! ).unwrap();
-//! let mut interp = Interpreter::new();
-//! interp.run(&program, &mut NoHost).unwrap();
-//! assert_eq!(interp.global("answer"), Some(Value::Number(55.0)));
+//!     &mut NoHost,
+//! )
+//! .unwrap();
+//! assert_eq!(vm.global("answer"), Some(Value::Number(55.0)));
 //! ```
+//!
+//! A tree-walking interpreter over the AST lives in the crate's test
+//! code as the VM's reference: the differential suite requires both to
+//! agree on values, host calls, typed errors and charged ops.
 
 #![forbid(unsafe_code)]
 
@@ -35,11 +43,15 @@ pub mod ast;
 pub mod atom;
 pub(crate) mod builtins;
 pub mod compiler;
+#[cfg(test)]
+mod differential;
 pub mod fuel;
 pub mod handler;
-pub mod interp;
+#[cfg(test)]
+mod interp;
 pub mod lexer;
 pub mod parser;
+pub mod runtime;
 pub mod stats;
 pub mod value;
 pub mod vm;
@@ -49,9 +61,9 @@ pub use atom::name_atom;
 pub use compiler::{compile, CompileError, CompiledProgram};
 pub use fuel::{Fuel, DEFAULT_OP_LIMIT};
 pub use handler::{CompiledHandler, HandlerCache};
-pub use interp::{Host, Interpreter, NoHost, ScriptError};
 pub use lexer::{lex, LexError, Token, TokenKind};
 pub use parser::{parse_program, ParseError};
+pub use runtime::{Host, NoHost, ScriptError};
 pub use stats::ScriptStats;
 pub use value::Value;
 pub use vm::Vm;

@@ -1,6 +1,5 @@
 //! Runtime values.
 
-use crate::ast::Stmt;
 use crate::compiler::Proto;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -21,20 +20,7 @@ pub struct VmClosure {
     /// The prototype table the index refers to.
     pub protos: Arc<Vec<Proto>>,
     /// Captured lexical environment.
-    pub env: crate::interp::ScopeRef,
-}
-
-/// A closure: a function body paired with its captured environment.
-#[derive(Debug)]
-pub struct Closure {
-    /// Function name (empty for anonymous functions), for diagnostics.
-    pub name: String,
-    /// Parameter names.
-    pub params: Vec<String>,
-    /// Body statements.
-    pub body: Rc<Vec<Stmt>>,
-    /// Captured lexical environment.
-    pub env: crate::interp::ScopeRef,
+    pub env: crate::runtime::ScopeRef,
 }
 
 /// A runtime value.
@@ -52,10 +38,11 @@ pub enum Value {
     Array(Rc<RefCell<Vec<Value>>>),
     /// A mutable, shared string-keyed object.
     Object(Rc<RefCell<HashMap<String, Value>>>),
-    /// A function closure (tree-walking backend).
-    Function(Rc<Closure>),
     /// A function closure (bytecode backend).
     VmFunction(Rc<VmClosure>),
+    /// A closure of the test-only tree-walking oracle.
+    #[cfg(test)]
+    Function(Rc<crate::interp::Closure>),
 }
 
 impl Value {
@@ -81,7 +68,9 @@ impl Value {
             Value::Bool(b) => *b,
             Value::Number(n) => *n != 0.0 && !n.is_nan(),
             Value::Str(s) => !s.is_empty(),
-            Value::Array(_) | Value::Object(_) | Value::Function(_) | Value::VmFunction(_) => true,
+            Value::Array(_) | Value::Object(_) | Value::VmFunction(_) => true,
+            #[cfg(test)]
+            Value::Function(_) => true,
         }
     }
 
@@ -110,7 +99,9 @@ impl Value {
             Value::Str(_) => "string",
             Value::Array(_) => "array",
             Value::Object(_) => "object",
-            Value::Function(_) | Value::VmFunction(_) => "function",
+            Value::VmFunction(_) => "function",
+            #[cfg(test)]
+            Value::Function(_) => "function",
         }
     }
 
@@ -124,8 +115,9 @@ impl Value {
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Array(a), Value::Array(b)) => Rc::ptr_eq(a, b),
             (Value::Object(a), Value::Object(b)) => Rc::ptr_eq(a, b),
-            (Value::Function(a), Value::Function(b)) => Rc::ptr_eq(a, b),
             (Value::VmFunction(a), Value::VmFunction(b)) => Rc::ptr_eq(a, b),
+            #[cfg(test)]
+            (Value::Function(a), Value::Function(b)) => Rc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -173,19 +165,20 @@ impl fmt::Display for Value {
                 }
                 write!(f, "}}")
             }
-            Value::Function(c) => {
-                if c.name.is_empty() {
-                    write!(f, "<function>")
-                } else {
-                    write!(f, "<function {}>", c.name)
-                }
-            }
             Value::VmFunction(c) => {
                 let name = &c.protos[c.proto].name;
                 if name.is_empty() {
                     write!(f, "<function>")
                 } else {
                     write!(f, "<function {name}>")
+                }
+            }
+            #[cfg(test)]
+            Value::Function(c) => {
+                if c.name.is_empty() {
+                    write!(f, "<function>")
+                } else {
+                    write!(f, "<function {}>", c.name)
                 }
             }
         }

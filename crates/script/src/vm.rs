@@ -1,11 +1,11 @@
-//! The bytecode virtual machine: the engine's default script backend.
+//! The bytecode virtual machine: the engine's only script executor.
 //!
 //! Executes [`crate::compiler::CompiledProgram`]s on an operand stack
-//! with the same observable semantics as the tree-walking
-//! [`crate::Interpreter`] — same values, same scoping (a shared
+//! with the same observable semantics as the crate's test-only
+//! tree-walking oracle — same values, same scoping (a shared
 //! scope-chain representation), same typed errors with the same source
 //! lines, same host interface, same deterministic `Math.random`. The
-//! differential test suite runs random programs through both backends
+//! differential test suite runs random programs through both executors
 //! and requires identical results.
 //!
 //! Two counters, two meanings:
@@ -22,14 +22,14 @@
 //!
 //! One documented divergence: shadowing the `Math` namespace with a user
 //! binding is rejected at runtime by the VM (the compiler specializes
-//! `Math.*` calls), where the interpreter would treat it as an object.
+//! `Math.*` calls), where the oracle would treat it as an object.
 
 use crate::atom::name_atom;
 use crate::builtins;
 use crate::compiler::{compile, CompiledProgram, Const, Op, Proto};
 use crate::fuel::Fuel;
-use crate::interp::{Host, Scope, ScopeRef, ScriptError};
 use crate::parser::parse_program;
+use crate::runtime::{Host, Scope, ScopeRef, ScriptError};
 use crate::value::{Value, VmClosure};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -61,9 +61,10 @@ impl Vm {
         self
     }
 
-    /// Sets the fuel ceiling on a live VM (see
-    /// [`crate::Interpreter::set_op_limit`] — same watchdog contract,
-    /// same shared [`Fuel`] implementation).
+    /// Sets the fuel ceiling on a live VM. Combined with
+    /// [`Vm::reset_ops`] (which the engine calls per callback) this acts
+    /// as a per-callback fuel ceiling: the watchdog budget a supervised
+    /// run enforces against runaway generated workloads.
     pub fn set_op_limit(&mut self, limit: u64) {
         self.fuel.set_limit(limit);
     }
@@ -74,7 +75,7 @@ impl Vm {
     }
 
     /// Evaluation steps charged so far: equals the tree-walking
-    /// interpreter's op count for the same execution (see module docs).
+    /// oracle's op count for the same execution (see module docs).
     pub fn ops(&self) -> u64 {
         self.fuel.used()
     }
@@ -160,9 +161,6 @@ impl Vm {
                 }
                 self.exec(Arc::clone(&closure.protos), closure.proto, frame, host)
             }
-            Value::Function(_) => Err(ScriptError::new(
-                "cannot call a tree-walker closure from the bytecode VM",
-            )),
             other => Err(ScriptError::new(format!(
                 "cannot call a value of type {}",
                 other.type_name()
@@ -365,6 +363,11 @@ impl Vm {
                     stack.push(object);
                 }
                 Op::MakeClosure(idx) => {
+                    if idx as usize >= protos.len() {
+                        return Err(ScriptError::new(format!(
+                            "malformed bytecode: proto index {idx} out of range"
+                        )));
+                    }
                     let scope = scopes.last().expect("frame scope always present").clone();
                     stack.push(Value::VmFunction(Rc::new(VmClosure {
                         proto: idx as usize,
@@ -478,6 +481,7 @@ impl Default for Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::Interpreter;
     use crate::NoHost;
 
     fn run(src: &str) -> Vm {
@@ -603,7 +607,7 @@ mod tests {
         for src in cases {
             let mut vm = Vm::new();
             vm.run_source(src, &mut NoHost).unwrap();
-            let mut interp = crate::Interpreter::new();
+            let mut interp = Interpreter::new();
             interp
                 .run(&crate::parse_program(src).unwrap(), &mut NoHost)
                 .unwrap();
@@ -630,7 +634,7 @@ mod tests {
         let src = "var x = 1;\nmissing(x);\n";
         let mut vm = Vm::new();
         let vm_err = vm.run_source(src, &mut NoHost).unwrap_err();
-        let mut interp = crate::Interpreter::new();
+        let mut interp = Interpreter::new();
         let interp_err = interp
             .run(&crate::parse_program(src).unwrap(), &mut NoHost)
             .unwrap_err();
@@ -640,7 +644,7 @@ mod tests {
         let src = "var o = { a: 1 };\nvar y = o.nope();\n";
         let mut vm = Vm::new();
         let vm_err = vm.run_source(src, &mut NoHost).unwrap_err();
-        let mut interp = crate::Interpreter::new();
+        let mut interp = Interpreter::new();
         let interp_err = interp
             .run(&crate::parse_program(src).unwrap(), &mut NoHost)
             .unwrap_err();
@@ -720,6 +724,13 @@ mod tests {
             vec![Op::MakeArray(4)],
             vec![Op::MakeObject { base: 9, count: 2 }],
             vec![Op::MakeClosure(5), Op::CallValue { argc: 0 }],
+            vec![Op::MakeClosure(5), Op::Return],
+            vec![
+                Op::Const(0),
+                Op::MakeClosure(7),
+                Op::Binary(crate::ast::BinaryOp::Add),
+                Op::Return,
+            ],
             vec![Op::CallName { name: 8, argc: 3 }],
             vec![Op::CallValue { argc: 2 }],
             vec![Op::CallMethod { name: 8, argc: 1 }],
@@ -732,6 +743,7 @@ mod tests {
             let debug = format!("{code:?}");
             let proto = Proto {
                 code,
+                consts: vec![Const::Str("x".to_string())],
                 ..Proto::default()
             };
             let program = CompiledProgram {
@@ -814,7 +826,7 @@ mod tests {
         let mut vm = Vm::new();
         vm.run_source("var a = Math.random(); var b = Math.random();", &mut NoHost)
             .unwrap();
-        let mut interp = crate::Interpreter::new();
+        let mut interp = Interpreter::new();
         interp
             .run(
                 &crate::parse_program("var a = Math.random(); var b = Math.random();").unwrap(),

@@ -1,9 +1,9 @@
 //! Property tests for the scripting language: totality of the frontend,
-//! determinism of the interpreter, and structural invariants of the
-//! evaluator.
+//! determinism of execution, and structural invariants of the
+//! evaluator, all on the bytecode VM the engine runs.
 
 use greenweb_det::prop::{check, DEFAULT_CASES};
-use greenweb_script::{lex, parse_program, Interpreter, NoHost, Value};
+use greenweb_script::{lex, parse_program, NoHost, Value, Vm};
 
 /// The lexer is total: any string either lexes or errors, never
 /// panics.
@@ -30,10 +30,9 @@ fn number_literals_round_trip() {
     check("number_literals_round_trip", DEFAULT_CASES, |g| {
         let n = g.f64_in(0.0, 1e12);
         let source = format!("var x = {n};");
-        let program = parse_program(&source).unwrap();
-        let mut interp = Interpreter::new();
-        interp.run(&program, &mut NoHost).unwrap();
-        assert_eq!(interp.global("x"), Some(Value::Number(n)));
+        let mut vm = Vm::new();
+        vm.run_source(&source, &mut NoHost).unwrap();
+        assert_eq!(vm.global("x"), Some(Value::Number(n)));
     });
 }
 
@@ -46,16 +45,15 @@ fn string_literals_round_trip() {
     check("string_literals_round_trip", DEFAULT_CASES, |g| {
         let s = g.string_from(&SAFE, 40);
         let source = format!("var x = \"{s}\";");
-        let program = parse_program(&source).unwrap();
-        let mut interp = Interpreter::new();
-        interp.run(&program, &mut NoHost).unwrap();
-        let value = interp.global("x").unwrap();
+        let mut vm = Vm::new();
+        vm.run_source(&source, &mut NoHost).unwrap();
+        let value = vm.global("x").unwrap();
         assert_eq!(value.as_str(), Some(s.as_str()));
     });
 }
 
 /// Execution is deterministic: the same program leaves identical
-/// globals and op counts on independent interpreters.
+/// globals and op counts on independent VMs.
 #[test]
 fn interpretation_is_deterministic() {
     check("interpretation_is_deterministic", DEFAULT_CASES, |g| {
@@ -68,11 +66,10 @@ fn interpretation_is_deterministic() {
                  acc = (acc * 31 + i) % 65521;
              }}"
         );
-        let program = parse_program(&source).unwrap();
-        let mut a = Interpreter::new();
-        a.run(&program, &mut NoHost).unwrap();
-        let mut b = Interpreter::new();
-        b.run(&program, &mut NoHost).unwrap();
+        let mut a = Vm::new();
+        a.run_source(&source, &mut NoHost).unwrap();
+        let mut b = Vm::new();
+        b.run_source(&source, &mut NoHost).unwrap();
         assert_eq!(a.global("acc"), b.global("acc"));
         assert_eq!(a.ops(), b.ops());
     });
@@ -88,10 +85,9 @@ fn op_count_monotone_in_work() {
             let source = format!(
                 "var s = 0; var i = 0; for (i = 0; i < {count}; i = i + 1) {{ s = s + i; }}"
             );
-            let program = parse_program(&source).unwrap();
-            let mut interp = Interpreter::new();
-            interp.run(&program, &mut NoHost).unwrap();
-            interp.ops()
+            let mut vm = Vm::new();
+            vm.run_source(&source, &mut NoHost).unwrap();
+            vm.ops()
         };
         assert!(run(n + 1) > run(n));
     });
@@ -109,13 +105,12 @@ fn array_length_tracks_pushes() {
              var len = a.length;
              var last = len > 0 ? a[len - 1] : null;"
         );
-        let program = parse_program(&source).unwrap();
-        let mut interp = Interpreter::new();
-        interp.run(&program, &mut NoHost).unwrap();
-        assert_eq!(interp.global("len"), Some(Value::Number(count as f64)));
+        let mut vm = Vm::new();
+        vm.run_source(&source, &mut NoHost).unwrap();
+        assert_eq!(vm.global("len"), Some(Value::Number(count as f64)));
         if count > 0 {
             assert_eq!(
-                interp.global("last"),
+                vm.global("last"),
                 Some(Value::Number((count as f64 - 1.0) * 2.0))
             );
         }
@@ -132,13 +127,12 @@ fn comparisons_match_f64() {
             "var lt = {a} < {b}; var le = {a} <= {b}; var gt = {a} > {b};
              var ge = {a} >= {b}; var eq = {a} == {b};"
         );
-        let program = parse_program(&source).unwrap();
-        let mut interp = Interpreter::new();
-        interp.run(&program, &mut NoHost).unwrap();
-        assert_eq!(interp.global("lt"), Some(Value::Bool(a < b)));
-        assert_eq!(interp.global("le"), Some(Value::Bool(a <= b)));
-        assert_eq!(interp.global("gt"), Some(Value::Bool(a > b)));
-        assert_eq!(interp.global("ge"), Some(Value::Bool(a >= b)));
-        assert_eq!(interp.global("eq"), Some(Value::Bool(a == b)));
+        let mut vm = Vm::new();
+        vm.run_source(&source, &mut NoHost).unwrap();
+        assert_eq!(vm.global("lt"), Some(Value::Bool(a < b)));
+        assert_eq!(vm.global("le"), Some(Value::Bool(a <= b)));
+        assert_eq!(vm.global("gt"), Some(Value::Bool(a > b)));
+        assert_eq!(vm.global("ge"), Some(Value::Bool(a >= b)));
+        assert_eq!(vm.global("eq"), Some(Value::Bool(a == b)));
     });
 }

@@ -240,17 +240,17 @@ fn gen_expr(g: &mut Gen, depth: u32) -> ExprCase {
     }
 }
 
-/// Generated arithmetic programs evaluate identically in the script
-/// interpreter and a Rust-side reference evaluator.
+/// Generated arithmetic programs evaluate identically on the script VM
+/// and in a Rust-side reference evaluator.
 #[test]
 fn script_arithmetic_matches_reference() {
     check("script_arithmetic_matches_reference", 64, |g| {
         let expr = gen_expr(g, 3);
         let source = format!("var result = {};", expr.text);
-        let program = greenweb_script::parse_program(&source).unwrap();
-        let mut interp = greenweb_script::Interpreter::new();
-        interp.run(&program, &mut greenweb_script::NoHost).unwrap();
-        let got = interp.global("result").unwrap().as_number().unwrap();
+        let mut vm = greenweb_script::Vm::new();
+        vm.run_source(&source, &mut greenweb_script::NoHost)
+            .unwrap();
+        let got = vm.global("result").unwrap().as_number().unwrap();
         if expr.value.is_finite() && got.is_finite() {
             let diff = (got - expr.value).abs();
             let scale = expr.value.abs().max(1.0);
@@ -1163,7 +1163,7 @@ fn effect_summaries_admit_observed_runs() {
 #[test]
 fn effect_analyzer_total_on_hostile_bytecode() {
     use greenweb_script::compiler::{Const, Op, Proto};
-    use greenweb_script::interp::Scope;
+    use greenweb_script::runtime::Scope;
     use greenweb_script::value::VmClosure;
     use greenweb_script::{BinaryOp, UnaryOp, Value};
     use std::cell::RefCell;
