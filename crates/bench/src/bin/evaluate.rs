@@ -89,7 +89,7 @@ use greenweb::qos::Scenario;
 use greenweb_bench::figures::{run_apps, AppRuns, SuiteKind};
 use greenweb_bench::{ablation, bench_reports, metrics_report, profile, render, tables};
 use greenweb_fleet::Jobs;
-use greenweb_workloads::harness::{expectations, run, Policy};
+use greenweb_workloads::harness::{run, Policy};
 use std::collections::HashMap;
 
 /// Every command `evaluate` accepts, as the usage line lists them.
@@ -609,7 +609,6 @@ fn uai_demo() {
     )
     .expect("run");
     let honest = run(&w.app, &w.full, &Policy::GreenWeb(Scenario::Imperceptible)).expect("run");
-    let _ = expectations(&hostile, &w.full, Scenario::Imperceptible);
     println!(
         "honest annotations:              {:>8.0} mJ",
         honest.total_mj()

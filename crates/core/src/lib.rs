@@ -46,7 +46,6 @@
 #![forbid(unsafe_code)]
 
 pub mod autogreen;
-pub mod degrade;
 pub mod ebs;
 pub mod lang;
 pub mod metrics;
@@ -59,12 +58,11 @@ pub mod uai;
 pub use autogreen::{
     AnnotationCandidate, AutoGreen, AutoGreenReport, SkipReason, SkippedTarget, StaticPlan,
 };
-pub use degrade::{DegradationLevel, DegradationLog, Transition, Watchdog};
 pub use ebs::EbsScheduler;
 pub use lang::{Annotation, AnnotationTable, LangError};
 pub use metrics::{
     mean_violation, violation_for_input, violation_rate_in_window,
-    violation_rate_in_window_or_zero, ChaosMetrics, RunMetrics,
+    violation_rate_in_window_or_zero, RunMetrics,
 };
 pub use model::{ConfigPredictor, FrameModel};
 pub use qos::{QosSpec, QosTarget, QosType, Scenario};

@@ -6,9 +6,8 @@
 //! mean over all associated frames (Sec. 7.2). Energy is reported
 //! normalized to a baseline run (Perf in the paper's figures).
 
-use crate::degrade::{DegradationLevel, DegradationLog};
 use crate::qos::QosType;
-use greenweb_acmp::{Duration, SimTime};
+use greenweb_acmp::SimTime;
 use greenweb_css::StyleStats;
 use greenweb_engine::{InputId, LayoutStats, PaintStats, ScriptStats, SimReport};
 use greenweb_trace::json::{self, ToJson};
@@ -257,8 +256,7 @@ impl ToJson for RunMetrics {
 /// `target_ms`, or `None` when the window holds no frames — an empty
 /// window is "no evidence", which is not the same claim as "zero
 /// violations". Chaos harnesses use this to compare the violation rate
-/// during a fault storm against the rate after the watchdog has
-/// re-converged.
+/// during a fault storm against the rate after the storm has passed.
 pub fn violation_rate_in_window(
     report: &SimReport,
     target_ms: f64,
@@ -298,50 +296,6 @@ pub fn violation_rate_in_window_or_zero(
     to: SimTime,
 ) -> f64 {
     violation_rate_in_window(report, target_ms, from, to).unwrap_or(0.0)
-}
-
-/// Robustness metrics of one chaos run: what was injected, how far the
-/// runtime degraded, and how long it took to come back.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosMetrics {
-    /// Total faults the injector fired.
-    pub injected_faults: usize,
-    /// Fault counts by category (`"load-spike"`, `"vsync"`, `"input"`,
-    /// `"sensor"`).
-    pub faults_by_category: HashMap<&'static str, usize>,
-    /// Ladder escalations the watchdog recorded.
-    pub escalations: usize,
-    /// Ladder recoveries (de-escalations).
-    pub recoveries: usize,
-    /// The most degraded level entered.
-    pub deepest_level: DegradationLevel,
-    /// Time from first escalation to the final return to
-    /// [`DegradationLevel::Annotated`]; `None` if never degraded or not
-    /// yet recovered.
-    pub recovery_latency: Option<Duration>,
-}
-
-impl ChaosMetrics {
-    /// Computes chaos metrics from a run's report and the scheduler's
-    /// degradation log. Works for fault-free runs too (all zeros).
-    pub fn compute(report: &SimReport, log: &DegradationLog) -> Self {
-        let mut faults_by_category = HashMap::new();
-        let mut injected_faults = 0;
-        if let Some(chaos) = &report.chaos {
-            injected_faults = chaos.total();
-            for fault in &chaos.faults {
-                *faults_by_category.entry(fault.kind.category()).or_insert(0) += 1;
-            }
-        }
-        ChaosMetrics {
-            injected_faults,
-            faults_by_category,
-            escalations: log.escalations(),
-            recoveries: log.recoveries(),
-            deepest_level: log.deepest(),
-            recovery_latency: log.recovery_latency(),
-        }
-    }
 }
 
 #[cfg(test)]

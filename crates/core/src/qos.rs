@@ -158,11 +158,9 @@ impl QosSpec {
     }
 
     /// The Table 1 category default for `event` — the fallback the
-    /// runtime substitutes when an annotation is malformed or its
-    /// declared targets stop being trustworthy (degradation ladder,
-    /// [`crate::degrade`]): move-type interactions are continuous,
-    /// page load is single/long, every other discrete interaction is
-    /// single/short.
+    /// runtime substitutes when an annotation is malformed: move-type
+    /// interactions are continuous, page load is single/long, every
+    /// other discrete interaction is single/short.
     pub fn default_for_event(event: greenweb_dom::EventType) -> Self {
         use greenweb_dom::EventType;
         match event {

@@ -12,11 +12,10 @@
 //! goes idle the runtime drops to the lowest configuration ("allocate
 //! just enough energy … and conserve energy afterwards", Sec. 3.2).
 
-use crate::degrade::{DegradationLevel, DegradationLog, Transition, Watchdog};
 use crate::lang::{AnnotationTable, LangError};
 use crate::model::{ConfigPredictor, FrameModel};
 use crate::qos::{QosSpec, Scenario};
-use greenweb_acmp::{CoreType, CpuConfig, Platform, PowerModel, SimTime};
+use greenweb_acmp::{CpuConfig, Platform, PowerModel, SimTime};
 use greenweb_css::Stylesheet;
 use greenweb_dom::{Document, EventType, NodeId};
 use greenweb_engine::{FrameRecord, InputId, Scheduler, SchedulerCtx};
@@ -51,22 +50,7 @@ struct ClassState {
 struct ActiveEvent {
     class: ClassKey,
     /// The spec the developer declared.
-    annotated: QosSpec,
-    /// The Table 1 category default for this event — what the ladder
-    /// substitutes once annotated targets are distrusted.
-    fallback: QosSpec,
-}
-
-impl ActiveEvent {
-    /// The spec in force at `level`: annotated while trusted, the
-    /// category default from [`DegradationLevel::CategoryDefault`] down.
-    fn spec(&self, level: DegradationLevel) -> QosSpec {
-        if level >= DegradationLevel::CategoryDefault {
-            self.fallback
-        } else {
-            self.annotated
-        }
-    }
+    spec: QosSpec,
 }
 
 /// The GreenWeb runtime scheduler.
@@ -87,10 +71,6 @@ pub struct GreenWebScheduler {
     /// while a continuous sequence is live the runtime must keep
     /// optimizing rather than drop to the idle configuration.
     last_continuous_frame: Option<SimTime>,
-    /// The deadline-miss watchdog driving the degradation ladder
-    /// ([`crate::degrade`]). Public so harnesses can tune its
-    /// escalation/recovery thresholds.
-    pub watchdog: Watchdog,
     /// Typed errors from lossy annotation extraction at attach time.
     annotation_errors: Vec<LangError>,
     /// Trace recorder shared with the browser, when tracing is on.
@@ -122,7 +102,6 @@ impl GreenWebScheduler {
             reprofile_threshold: 6,
             feedback_enabled: true,
             last_continuous_frame: None,
-            watchdog: Watchdog::default(),
             annotation_errors: Vec::new(),
             trace: None,
         }
@@ -143,16 +122,6 @@ impl GreenWebScheduler {
     /// category-default fallback.
     pub fn annotation_errors(&self) -> &[LangError] {
         &self.annotation_errors
-    }
-
-    /// The current rung of the degradation ladder.
-    pub fn degradation_level(&self) -> DegradationLevel {
-        self.watchdog.level()
-    }
-
-    /// Every ladder transition this run, with timestamps.
-    pub fn degradation_log(&self) -> &DegradationLog {
-        self.watchdog.log()
     }
 
     fn platform(&self) -> &Platform {
@@ -268,35 +237,6 @@ impl GreenWebScheduler {
         }
         None
     }
-
-    /// The configuration a ladder level pins, if it pins one.
-    fn pinned_config(&self, level: DegradationLevel) -> Option<CpuConfig> {
-        match level {
-            // Last resort: perf-governor behaviour until QoS recovers.
-            DegradationLevel::SafeMode => Some(self.platform().peak()),
-            // Models distrusted: a conservative reactive stance — the
-            // big cluster's floor gives headroom without peak power.
-            DegradationLevel::UaiFallback => Some(self.platform().min_config(CoreType::Big)),
-            _ => None,
-        }
-    }
-
-    /// Reacts to a ladder transition: flush state the new level
-    /// invalidates and return the configuration to switch to, if the
-    /// level pins one.
-    fn apply_transition(&mut self, transition: &Transition) -> Option<CpuConfig> {
-        if transition.to >= DegradationLevel::UaiFallback {
-            // Frames now run at a pinned configuration the model didn't
-            // choose; drop in-flight profiling runs and predictions so
-            // their latencies can't poison the models we resume with.
-            for state in self.classes.values_mut() {
-                state.pending_profile = None;
-                state.last_prediction = None;
-                state.settling = false;
-            }
-        }
-        self.pinned_config(transition.to)
-    }
 }
 
 impl Scheduler for GreenWebScheduler {
@@ -331,23 +271,14 @@ impl Scheduler for GreenWebScheduler {
         target: NodeId,
         ctx: &SchedulerCtx<'_>,
     ) -> Option<CpuConfig> {
-        let level = self.watchdog.level();
-        let Some((rule_index, annotation)) = self.annotations.lookup_entry(ctx.doc, target, event)
-        else {
-            // Unannotated events get no per-event decision — except in
-            // safe mode, which pins peak across the board.
-            return self.pinned_config(level);
-        };
+        // Unannotated events get no per-event decision.
+        let (rule_index, annotation) = self.annotations.lookup_entry(ctx.doc, target, event)?;
         let active = ActiveEvent {
             class: (event, rule_index),
-            annotated: annotation.spec,
-            fallback: QosSpec::default_for_event(event),
+            spec: annotation.spec,
         };
         self.active.insert(uid, active);
-        if let Some(pinned) = self.pinned_config(level) {
-            return Some(pinned);
-        }
-        let target_ms = self.target_ms(&active.spec(level));
+        let target_ms = self.target_ms(&active.spec);
         self.decide(now, active.class, target_ms)
     }
 
@@ -357,22 +288,18 @@ impl Scheduler for GreenWebScheduler {
         origins: &[(InputId, EventType)],
         _ctx: &SchedulerCtx<'_>,
     ) -> Option<CpuConfig> {
-        let level = self.watchdog.level();
-        // The most stringent effective target among the batched annotated
-        // inputs governs the frame.
+        // The most stringent target among the batched annotated inputs
+        // governs the frame.
         let mut chosen: Option<(f64, ActiveEvent)> = None;
         for (uid, _) in origins {
             if let Some(active) = self.active.get(uid) {
-                let target_ms = self.target_ms(&active.spec(level));
+                let target_ms = self.target_ms(&active.spec);
                 if chosen.is_none_or(|(t, _)| target_ms < t) {
                     chosen = Some((target_ms, *active));
                 }
             }
         }
         let (target_ms, active) = chosen?;
-        if let Some(pinned) = self.pinned_config(level) {
-            return Some(pinned);
-        }
         self.decide(now, active.class, target_ms)
     }
 
@@ -387,9 +314,7 @@ impl Scheduler for GreenWebScheduler {
             let Some(active) = self.active.get(&record.uid).copied() else {
                 continue;
             };
-            let level = self.watchdog.level();
-            let spec = active.spec(level);
-            if spec.qos_type == crate::qos::QosType::Continuous {
+            if active.spec.qos_type == crate::qos::QosType::Continuous {
                 self.last_continuous_frame = Some(record.completed_at);
                 // A discrete event's (tap's) first frame is anchored at
                 // the input and includes the wait for the next VSync —
@@ -405,37 +330,15 @@ impl Scheduler for GreenWebScheduler {
                 }
             }
             let measured_ms = record.latency.as_millis_f64();
-            let target_ms = self.target_ms(&spec);
-            // The watchdog judges every QoS-relevant frame against the
-            // effective target; a transition overrides any model-level
-            // correction this batch produced.
-            let violated = measured_ms > target_ms;
-            if let Some(transition) = self.watchdog.observe(record.completed_at, violated) {
-                record_into(&self.trace, record.completed_at, || TraceKind::Ladder {
-                    from: transition.from.name(),
-                    to: transition.to.name(),
-                });
-                decision = self.apply_transition(&transition);
-                continue;
-            }
-            // Model feedback only runs while models are still trusted
-            // (frames at a pinned configuration say nothing about the
-            // model's chosen one).
-            if self.watchdog.level() <= DegradationLevel::CategoryDefault {
-                if let Some(config) = self.feedback(active.class, target_ms, measured_ms) {
-                    decision = Some(config);
-                }
+            let target_ms = self.target_ms(&active.spec);
+            if let Some(config) = self.feedback(active.class, target_ms, measured_ms) {
+                decision = Some(config);
             }
         }
         decision
     }
 
     fn on_idle(&mut self, now: SimTime, ctx: &SchedulerCtx<'_>) -> Option<CpuConfig> {
-        // Safe mode pins peak even across idle periods — exactly what the
-        // perf governor does — so recovery frames run at full speed.
-        if self.watchdog.level() == DegradationLevel::SafeMode {
-            return Some(self.platform().peak());
-        }
         // While a continuous sequence is live, the engine goes briefly
         // idle between each composite and the next VSync; the runtime
         // must keep the predicted configuration so the next frame's
@@ -468,9 +371,6 @@ impl Scheduler for GreenWebScheduler {
         utilization: f64,
         ctx: &SchedulerCtx<'_>,
     ) -> Option<CpuConfig> {
-        if self.watchdog.level() == DegradationLevel::SafeMode {
-            return Some(self.platform().peak());
-        }
         let animation_live = self
             .last_continuous_frame
             .is_some_and(|last| now.saturating_since(last).as_millis_f64() < CONTINUOUS_HOLD_MS);
@@ -740,51 +640,5 @@ mod tests {
         // The run still completes end to end.
         let report = run_scenario(&app, Scenario::Usable);
         assert!(!report.frames.is_empty());
-    }
-
-    #[test]
-    fn safe_mode_pins_peak_and_recovery_releases_it() {
-        use crate::degrade::DegradationLevel;
-        let platform = Platform::odroid_xu_e();
-        let doc = greenweb_dom::parse_html("<p></p>").unwrap();
-        let cpu = greenweb_acmp::Cpu::new(platform.clone(), PowerModel::odroid_xu_e());
-        let ctx = SchedulerCtx {
-            doc: &doc,
-            cpu: &cpu,
-        };
-        let mut sched = GreenWebScheduler::new(Scenario::Usable);
-        sched.watchdog.escalate_after = 1;
-        sched.watchdog.recover_after = 1;
-        // Three instant escalations: Annotated → … → SafeMode.
-        for ms in 0..3 {
-            sched.watchdog.observe(SimTime::from_millis(ms), true);
-        }
-        assert_eq!(sched.degradation_level(), DegradationLevel::SafeMode);
-        // Safe mode overrides idle and timer decisions with peak.
-        assert_eq!(
-            sched.on_idle(SimTime::from_millis(5), &ctx),
-            Some(platform.peak())
-        );
-        assert_eq!(
-            sched.on_timer(SimTime::from_millis(6), 0.0, &ctx),
-            Some(platform.peak())
-        );
-        // Clean frames walk back up; backoff makes each step need a
-        // longer streak than the base threshold of 1.
-        let mut ms = 10u64;
-        while sched.degradation_level() != DegradationLevel::Annotated {
-            sched.watchdog.observe(SimTime::from_millis(ms), false);
-            ms += 1;
-            assert!(ms < 200, "recovery must terminate");
-        }
-        assert_eq!(
-            sched.on_timer(SimTime::from_millis(300), 0.0, &ctx),
-            Some(platform.lowest())
-        );
-        assert!(sched.degradation_log().recovery_latency().is_some());
-        assert_eq!(
-            sched.degradation_log().deepest(),
-            DegradationLevel::SafeMode
-        );
     }
 }

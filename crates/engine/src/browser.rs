@@ -310,7 +310,7 @@ pub struct Browser<S: Scheduler> {
     /// last main-thread span was recorded. The next span carries the
     /// busy energy drawn since.
     span_mark_mj: f64,
-    /// Watchdog ceilings, when this browser runs supervised.
+    /// Budget ceilings, when this browser runs supervised.
     budget: Option<RunBudget>,
     /// Discrete events popped by [`Browser::run`] so far (across runs),
     /// checked against `budget.max_sim_events`.
@@ -483,8 +483,7 @@ impl<S: Scheduler> Browser<S> {
     /// spans, VSync ticks, configuration switches, energy samples, frame
     /// commits, and injected faults into it; the handle is also passed
     /// to the scheduler (via [`Scheduler::attach_trace`]) so policies
-    /// can add their decision and degradation events to the same
-    /// timeline. Without a recorder attached, all instrumentation sites
+    /// can add their decision events to the same timeline. Without a recorder attached, all instrumentation sites
     /// are branches on a `None` — no payloads are built, nothing
     /// allocates.
     pub fn set_trace(&mut self, trace: TraceHandle) {
@@ -613,13 +612,6 @@ impl<S: Scheduler> Browser<S> {
     /// Collected `log()` output.
     pub fn logs(&self) -> &[String] {
         &self.logs
-    }
-
-    /// The attached scheduler. Chaos harnesses use this after a run to
-    /// read runtime state the report does not carry (e.g. a
-    /// degradation log).
-    pub fn scheduler(&self) -> &S {
-        &self.scheduler
     }
 
     fn next_seq(&mut self) -> u64 {

@@ -8,8 +8,8 @@
 //! schedules, and enabling one category never perturbs another's stream.
 //!
 //! Every fault that actually fires is appended to a log the browser
-//! publishes as a [`ChaosReport`] — degradation must be observable, not
-//! just survivable.
+//! publishes as a [`ChaosReport`], so every fault a run survived is
+//! also on record.
 
 use crate::events::TraceEvent;
 use greenweb_acmp::{Duration, SimTime};
@@ -82,8 +82,9 @@ pub struct FaultSpec {
     /// Power-sensor distortion.
     pub sensor: Option<SensorFaultSpec>,
     /// Restrict injection to `[start_ms, end_ms)`; `None` means the whole
-    /// run. A bounded window is how recovery is demonstrated: faults
-    /// stop, the watchdog re-converges.
+    /// run. A bounded window confines the faults to one stretch of the
+    /// run, so the frames after it show how the runtime recovers once
+    /// they stop.
     pub window_ms: Option<(f64, f64)>,
 }
 

@@ -67,5 +67,5 @@ pub use layout::{
     DisplayItem, FrameRenderInfo, LayoutBox, LayoutStats, PaintStats, RenderPipeline,
 };
 pub use report::{InputRecord, SimReport};
-pub use runspec::{RunBudget, RunOutcome, RunSpec, SchedulerFactory, SchedulerProbe, TraceMode};
+pub use runspec::{RunBudget, RunOutcome, RunSpec, SchedulerFactory, TraceMode};
 pub use scheduler::{GovernorScheduler, Scheduler, SchedulerCtx};

@@ -11,10 +11,9 @@
 //! never cross a thread boundary — is constructed *inside*
 //! [`RunSpec::execute`], on whichever thread runs the job.
 //!
-//! The outputs ([`RunOutcome`]: report, optional recorded trace,
-//! optional policy artifact) are plain data and `Send` again, so a
-//! parallel executor can slot them back by job index and reproduce a
-//! serial run byte for byte.
+//! The outputs ([`RunOutcome`]: report and optional recorded trace)
+//! are plain data and `Send` again, so a parallel executor can slot
+//! them back by job index and reproduce a serial run byte for byte.
 
 use crate::app::App;
 use crate::browser::{Browser, BrowserError};
@@ -24,7 +23,6 @@ use crate::report::SimReport;
 use crate::scheduler::Scheduler;
 use greenweb_acmp::{Platform, PowerModel};
 use greenweb_trace::{TraceBuffer, TraceHandle};
-use std::any::Any;
 use std::fmt;
 
 /// A construction recipe for a [`Scheduler`].
@@ -95,12 +93,6 @@ impl RunBudget {
     };
 }
 
-/// Extracts a policy-specific artifact from the scheduler after a run
-/// (via [`Scheduler::as_any`] downcasting), e.g. a degradation log.
-/// The artifact must be `Send` so it can leave the worker thread even
-/// though the scheduler itself cannot.
-pub type SchedulerProbe = Box<dyn Fn(&dyn Scheduler) -> Option<Box<dyn Any + Send>> + Send + Sync>;
-
 /// An immutable, thread-portable description of one simulation run.
 ///
 /// Construct with [`RunSpec::new`] and refine with the builder-style
@@ -121,9 +113,7 @@ pub struct RunSpec {
     pub scheduler: Box<dyn SchedulerFactory>,
     /// Event-timeline recording mode.
     pub recording: TraceMode,
-    /// Post-run scheduler-state extractor, if the caller needs one.
-    pub probe: Option<SchedulerProbe>,
-    /// Watchdog ceilings, if this run is supervised.
+    /// Budget ceilings, if this run is supervised.
     pub budget: Option<RunBudget>,
     /// Whether the browser renders incrementally (`true`, the default)
     /// or on the naive full-relayout oracle (`false`). Deliberately
@@ -145,8 +135,8 @@ const _: () = {
 
 impl RunSpec {
     /// A spec for `app` replaying `trace` under the policy `scheduler`
-    /// builds, on the default ODroid XU+E hardware, with no faults, no
-    /// recording, and no probe.
+    /// builds, on the default ODroid XU+E hardware, with no faults and no
+    /// recording.
     pub fn new(app: App, trace: Trace, scheduler: Box<dyn SchedulerFactory>) -> Self {
         RunSpec {
             app,
@@ -156,7 +146,6 @@ impl RunSpec {
             faults: None,
             scheduler,
             recording: TraceMode::Off,
-            probe: None,
             budget: None,
             paint_incremental: true,
         }
@@ -184,13 +173,6 @@ impl RunSpec {
         self
     }
 
-    /// Attaches a post-run scheduler probe.
-    #[must_use]
-    pub fn with_probe(mut self, probe: SchedulerProbe) -> Self {
-        self.probe = Some(probe);
-        self
-    }
-
     /// Attaches a watchdog budget: the run fails with
     /// [`BrowserError::Budget`] instead of running away when either
     /// ceiling is hit.
@@ -210,9 +192,9 @@ impl RunSpec {
 
     /// A deterministic FNV-1a fingerprint of the spec's *data* parts —
     /// app sources, cost model, input trace, fault plan, recording mode,
-    /// and budget. The scheduler factory and probe are opaque closures
-    /// and deliberately excluded; quarantine repros carry the policy by
-    /// name alongside this digest instead.
+    /// and budget. The scheduler factory is an opaque closure and
+    /// deliberately excluded; quarantine repros carry the policy by name
+    /// alongside this digest instead.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xCBF2_9CE4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -276,17 +258,12 @@ impl RunSpec {
             }
         };
         let report = browser.run(&self.trace)?;
-        let artifact = self
-            .probe
-            .as_ref()
-            .and_then(|probe| probe(&**browser.scheduler()));
         // The run is over: drop the browser, then move the records out
         // of the recorder rather than copying them.
         drop(browser);
         Ok(RunOutcome {
             report,
             trace: recorder.map(|handle| handle.take()),
-            artifact,
         })
     }
 }
@@ -310,8 +287,6 @@ pub struct RunOutcome {
     pub report: SimReport,
     /// The recorded event timeline, when the spec asked for one.
     pub trace: Option<TraceBuffer>,
-    /// The probe's extraction, when the spec carried one.
-    pub artifact: Option<Box<dyn Any + Send>>,
 }
 
 #[cfg(test)]
@@ -346,7 +321,6 @@ mod tests {
         assert_eq!(outcome.report.frames.len(), direct.frames.len());
         assert_eq!(outcome.report.total_mj(), direct.total_mj());
         assert!(outcome.trace.is_none());
-        assert!(outcome.artifact.is_none());
     }
 
     #[test]

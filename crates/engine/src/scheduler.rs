@@ -37,7 +37,7 @@ pub trait Scheduler {
     fn on_attach(&mut self, _stylesheet: &Stylesheet, _doc: &Document) {}
 
     /// Hands the policy a shared trace recorder so it can emit
-    /// decision/ladder events. Policies that don't trace ignore it.
+    /// decision events. Policies that don't trace ignore it.
     fn attach_trace(&mut self, _trace: TraceHandle) {}
 
     /// A user input arrived (CPU is waking up if idle).
@@ -92,10 +92,10 @@ pub trait Scheduler {
         None
     }
 
-    /// Downcasting hook: policies that carry harness-relevant state
-    /// (e.g. a degradation log) return `Some(self)` so a
-    /// [`crate::runspec::SchedulerProbe`] can recover the concrete type
-    /// from behind the `dyn Scheduler` a run spec builds.
+    /// Downcasting hook: a policy returns `Some(self)` so callers
+    /// holding a `dyn Scheduler` (a [`crate::SchedulerFactory`]'s
+    /// output, or a wrapper forwarding to its inner policy) can recover
+    /// the concrete type and read its configuration.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }

@@ -111,6 +111,17 @@ impl Parser {
         }
     }
 
+    /// A property name after `.` or as an object-literal key: an
+    /// identifier or, as in JS, a reserved word (`o.if`, `{ if: 1 }`).
+    /// Any other token comes back as the error, for the message.
+    fn property_name(token: TokenKind) -> Result<String, TokenKind> {
+        match token {
+            TokenKind::Ident(name) => Ok(name),
+            TokenKind::Keyword(kw) => Ok(kw.to_string()),
+            other => Err(other),
+        }
+    }
+
     fn statement(&mut self) -> Result<Stmt, ParseError> {
         let line = self.line();
         match self.peek().clone() {
@@ -402,7 +413,12 @@ impl Parser {
                     line,
                 };
             } else if self.eat_punct(".") {
-                let property = self.expect_ident()?;
+                let property = Self::property_name(self.advance()).map_err(|other| {
+                    ParseError::new(
+                        format!("expected property name, found `{other}`"),
+                        self.line(),
+                    )
+                })?;
                 expr = Expr::Member {
                     object: Box::new(expr),
                     property,
@@ -469,14 +485,13 @@ impl Parser {
                 if !self.eat_punct("}") {
                     loop {
                         let key = match self.advance() {
-                            TokenKind::Ident(name) => name,
                             TokenKind::Str(s) => s,
-                            other => {
-                                return Err(ParseError::new(
+                            other => Self::property_name(other).map_err(|other| {
+                                ParseError::new(
                                     format!("expected object key, found `{other}`"),
                                     line,
-                                ))
-                            }
+                                )
+                            })?,
                         };
                         self.expect_punct(":")?;
                         entries.push((key, self.assignment()?));

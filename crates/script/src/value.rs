@@ -165,14 +165,12 @@ impl fmt::Display for Value {
                 }
                 write!(f, "}}")
             }
-            Value::VmFunction(c) => {
-                let name = &c.protos[c.proto].name;
-                if name.is_empty() {
-                    write!(f, "<function>")
-                } else {
-                    write!(f, "<function {name}>")
-                }
-            }
+            // A hand-built closure can index past its prototype table;
+            // print it as anonymous rather than panic.
+            Value::VmFunction(c) => match c.protos.get(c.proto) {
+                Some(proto) if !proto.name.is_empty() => write!(f, "<function {}>", proto.name),
+                _ => write!(f, "<function>"),
+            },
             #[cfg(test)]
             Value::Function(c) => {
                 if c.name.is_empty() {
@@ -241,6 +239,23 @@ mod tests {
             Value::array(vec![Value::Number(1.0), Value::Bool(true)]).to_string(),
             "[1, true]"
         );
+    }
+
+    #[test]
+    fn closures_display_their_name_and_survive_a_bad_proto_index() {
+        let protos = Arc::new(vec![Proto {
+            name: "tick".to_string(),
+            ..Default::default()
+        }]);
+        let closure = |proto| {
+            Value::VmFunction(Rc::new(VmClosure {
+                proto,
+                protos: Arc::clone(&protos),
+                env: Default::default(),
+            }))
+        };
+        assert_eq!(closure(0).to_string(), "<function tick>");
+        assert_eq!(closure(7).to_string(), "<function>");
     }
 
     #[test]

@@ -501,6 +501,14 @@ mod tests {
     }
 
     #[test]
+    fn reserved_words_are_property_names() {
+        let vm = run("var o = { if: 1, return: 2, 'x': 3 };
+             o.while = 4;
+             var s = o.if + o.return + o.x + o.while;");
+        assert_eq!(number(&vm, "s"), 10.0);
+    }
+
+    #[test]
     fn control_flow() {
         let vm = run("var s = 0;
              for (var i = 1; i <= 100; i++) { s += i; }

@@ -109,14 +109,6 @@ pub enum EventKind {
         /// The DVFS/migration stall charged to the running task.
         penalty: Duration,
     },
-    /// A degradation-ladder transition (level names from
-    /// `greenweb::degrade`).
-    Ladder {
-        /// The level left.
-        from: &'static str,
-        /// The level entered.
-        to: &'static str,
-    },
     /// An injected fault fired.
     Fault {
         /// Coarse category (`"load-spike"`, `"vsync"`, `"input"`,
@@ -219,7 +211,6 @@ impl EventKind {
             EventKind::Vsync | EventKind::IdleVsyncs { .. } => "vsync",
             EventKind::Decision { .. } => "decision",
             EventKind::ConfigSwitch { .. } => "config-switch",
-            EventKind::Ladder { .. } => "ladder",
             EventKind::Fault { .. } => "fault",
             EventKind::EnergySample { .. } => "energy-sample",
             EventKind::StyleStats { .. } => "style-stats",

@@ -179,9 +179,6 @@ fn write_event(events: &mut Arr<'_>, record: &TraceRecord) {
                     .field("penalty_us", penalty.as_nanos() as f64 / 1000.0);
             });
         }
-        EventKind::Ladder { from, to } => instant(events, "ladder", "scheduler", 4, at, |args| {
-            args.field("from", from).field("to", to);
-        }),
         EventKind::Fault { category, detail } => {
             instant(events, category, "fault", 5, at, |args| {
                 args.field("detail", detail);

@@ -13,9 +13,8 @@
 //! (input → callback → style → layout → paint → composite), VSync
 //! ticks, scheduler decisions with their "why" (QoS target, predicted
 //! latency, chosen configuration), configuration switches with the
-//! DVFS/migration cost charged, degradation-ladder transitions,
-//! injected faults, and energy-accounting samples (metered vs. ground
-//! truth).
+//! DVFS/migration cost charged, injected faults, and energy-accounting
+//! samples (metered vs. ground truth).
 //!
 //! Two properties are load-bearing:
 //!

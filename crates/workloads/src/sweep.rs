@@ -247,7 +247,7 @@ fn poison_cell(spec: PoisonSpec) -> SweepCell {
 pub struct SweepPlan {
     /// The cells, in job order.
     pub cells: Vec<SweepCell>,
-    /// Watchdog ceilings applied to every cell.
+    /// Budget ceilings applied to every cell.
     pub budget: RunBudget,
 }
 
@@ -795,7 +795,7 @@ pub struct Repro {
     pub policy: String,
     /// Scenario name (informational).
     pub scenario: String,
-    /// Watchdog budget the job ran under.
+    /// Run budget the job ran under.
     pub budget: RunBudget,
     /// App name.
     pub app_name: String,

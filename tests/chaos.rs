@@ -3,49 +3,39 @@
 //! The robustness claims the fault-injection work must uphold:
 //!
 //! 1. a seeded chaos run is byte-for-byte reproducible,
-//! 2. a bounded fault storm drives the scheduler into safe mode and the
-//!    watchdog walks it back out after the storm passes,
-//! 3. once re-converged, the QoS violation rate is within 2× of the
-//!    fault-free run, and
-//! 4. the `ChaosReport` records every injected fault, confined to the
+//! 2. once a bounded fault storm has passed, the stock runtime's QoS
+//!    violation rate is back within 2× of the fault-free run, and
+//! 3. the `ChaosReport` records every injected fault, confined to the
 //!    plan's window.
 
 use greenweb::metrics::violation_rate_in_window;
 use greenweb::qos::Scenario;
-use greenweb::{DegradationLevel, GreenWebScheduler};
 use greenweb_acmp::SimTime;
 use greenweb_engine::FaultPlan;
 use greenweb_workloads::by_name;
-use greenweb_workloads::chaos::{chaos_run, chaos_run_with, ChaosRun};
+use greenweb_workloads::chaos::{chaos_run, ChaosRun};
 
 /// The storm window, in milliseconds of the Paper.js full trace (16 s of
-/// near-continuous annotated touchmove — the watchdog sees a judged
-/// frame nearly every VSync, both during and after the storm).
+/// near-continuous annotated touchmove — the runtime judges a frame
+/// nearly every VSync, both during and after the storm).
 const STORM: (f64, f64) = (3_000.0, 9_000.0);
-/// Where the post-recovery judgment window starts. The hair-trigger
-/// watchdog below re-converges by ~11.1 s on the probed seeds.
+/// Where the post-storm judgment window starts, leaving the runtime
+/// 2.5 s to drain the backlog the storm left behind.
 const JUDGE_FROM: u64 = 11_500;
 
 fn windowed_storm(seed: u64) -> FaultPlan {
-    // The stock storm's 6× spikes are absorbed by the ladder's pinned
-    // big-cluster floor; 25× spikes overwhelm even that, forcing the
-    // final escalation into safe mode.
+    // 25× spikes instead of the stock storm's 6×, so the storm visibly
+    // hurts QoS (the during-storm check below).
     FaultPlan::storm(seed)
         .with_load_spikes(0.7, 25.0)
         .with_window_ms(STORM.0, STORM.1)
 }
 
-/// A storm on Paper.js's full trace with a hair-trigger watchdog, so
-/// the ladder provably reaches safe mode and provably climbs back.
+/// A windowed storm on Paper.js's full trace under the stock usable
+/// GreenWeb runtime.
 fn stormy_paperjs(seed: u64) -> ChaosRun {
     let w = by_name("Paper.js").unwrap();
-    chaos_run_with(&w.app, &w.full, windowed_storm(seed), || {
-        let mut sched = GreenWebScheduler::new(Scenario::Usable);
-        sched.watchdog.escalate_after = 2;
-        sched.watchdog.recover_after = 2;
-        sched
-    })
-    .unwrap()
+    chaos_run(&w.app, &w.full, Scenario::Usable, windowed_storm(seed)).unwrap()
 }
 
 #[test]
@@ -62,38 +52,12 @@ fn seeded_chaos_runs_are_byte_for_byte_reproducible() {
         assert_eq!(fa.latency, fb.latency);
         assert_eq!(fa.completed_at, fb.completed_at);
     }
-    assert_eq!(a.faulted_log, b.faulted_log, "ladder transitions diverged");
 
     let other = chaos_run(&w.app, &w.full, Scenario::Usable, FaultPlan::storm(43)).unwrap();
     assert_ne!(
         a.faulted.chaos, other.faulted.chaos,
         "different seeds must yield different schedules"
     );
-}
-
-#[test]
-fn fault_storm_drives_safe_mode_entry_and_exit() {
-    let run = stormy_paperjs(42);
-    assert_eq!(
-        run.faulted_log.deepest(),
-        DegradationLevel::SafeMode,
-        "storm should drive the ladder to the bottom: {:?}",
-        run.faulted_log.transitions()
-    );
-    assert!(
-        run.recovered(),
-        "watchdog never walked back to annotated: {:?}",
-        run.faulted_log.transitions()
-    );
-    assert!(run.metrics.escalations >= 3, "{:?}", run.metrics);
-    assert!(run.metrics.recoveries >= 3, "{:?}", run.metrics);
-    let latency = run.metrics.recovery_latency.unwrap();
-    assert!(
-        latency.as_millis_f64() > 0.0,
-        "recovery latency must be positive"
-    );
-    // The fault-free twin never needs the ladder at all.
-    assert!(!run.baseline_log.ever_degraded());
 }
 
 #[test]
@@ -137,9 +101,11 @@ fn chaos_report_records_every_fault_inside_the_window() {
             "storm injected no {category} faults: {chaos}"
         );
     }
-    let by_cat: usize = run.metrics.faults_by_category.values().sum();
+    let by_cat: usize = ["load-spike", "vsync", "input", "sensor"]
+        .into_iter()
+        .map(|category| chaos.count(category))
+        .sum();
     assert_eq!(by_cat, chaos.total(), "category counts must cover the log");
-    assert_eq!(run.metrics.injected_faults, chaos.total());
     for fault in &chaos.faults {
         let ms = fault.at.as_millis_f64();
         assert!(

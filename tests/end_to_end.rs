@@ -196,21 +196,13 @@ fn expectation_map_is_stable_against_report_inputs() {
 #[test]
 fn mis_annotation_wastes_energy_and_uai_recovers_it() {
     // Sec. 8 end to end: a hostile 1 ms target pins the ACMP at peak;
-    // the UAI budget restores sanity. The runtime's degradation ladder
-    // would neutralize the hostile target on its own (see the companion
-    // test below), so this test disables the watchdog to isolate the
-    // paper's original UAI mechanism.
+    // the UAI budget restores sanity.
     let honest = by_name("Goo.ne.jp").unwrap();
     let mut hostile_app = honest.unannotated_app.clone();
     hostile_app
         .css
         .push(".navbtn:QoS { onclick-qos: continuous, 1, 1; }".to_string());
-    let trusting = || {
-        let mut sched = GreenWebScheduler::new(Scenario::Imperceptible);
-        // Never escalate: trust the hostile annotation forever.
-        sched.watchdog.escalate_after = u32::MAX;
-        sched
-    };
+    let trusting = || GreenWebScheduler::new(Scenario::Imperceptible);
     let honest_run = run_with(&honest.app, &honest.micro, trusting());
     let hostile_run = run_with(&hostile_app, &honest.micro, trusting());
     assert!(
@@ -226,33 +218,4 @@ fn mis_annotation_wastes_energy_and_uai_recovers_it() {
         greenweb::EnergyBudgetUai::new(trusting(), budget),
     );
     assert!(guarded.total_mj() < hostile_run.total_mj());
-}
-
-#[test]
-fn degradation_ladder_neutralizes_mis_annotation_without_uai() {
-    // The robustness ladder generalizes Sec. 8: an unreachable 1 ms
-    // target misses every deadline, the watchdog distrusts the annotated
-    // targets, and the event falls back to its category default — so the
-    // hostile rule no longer pins peak, even with no energy budget set.
-    let honest = by_name("Goo.ne.jp").unwrap();
-    let mut hostile_app = honest.unannotated_app.clone();
-    hostile_app
-        .css
-        .push(".navbtn:QoS { onclick-qos: continuous, 1, 1; }".to_string());
-    let hostile_trusting = {
-        let mut sched = GreenWebScheduler::new(Scenario::Imperceptible);
-        sched.watchdog.escalate_after = u32::MAX;
-        run_with(&hostile_app, &honest.micro, sched)
-    };
-    let hostile_guarded = run_with(
-        &hostile_app,
-        &honest.micro,
-        GreenWebScheduler::new(Scenario::Imperceptible),
-    );
-    assert!(
-        hostile_guarded.total_mj() < hostile_trusting.total_mj(),
-        "ladder {} mJ should undercut trusting {} mJ",
-        hostile_guarded.total_mj(),
-        hostile_trusting.total_mj()
-    );
 }

@@ -97,9 +97,7 @@ fn chaos_batch_matches_serial_runs_across_seeds() {
         assert_eq!(run.baseline.total_mj(), solo.baseline.total_mj());
         assert_eq!(run.faulted.total_mj(), solo.faulted.total_mj());
         assert_eq!(run.faulted.chaos, solo.faulted.chaos);
-        assert_eq!(run.baseline_log, solo.baseline_log);
-        assert_eq!(run.faulted_log, solo.faulted_log);
-        assert_eq!(run.metrics, solo.metrics);
+        assert_eq!(run.faulted.switches, solo.faulted.switches);
     }
 }
 

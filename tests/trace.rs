@@ -9,7 +9,8 @@
 //!    pipeline stages, scheduler decisions, and energy samples, and
 //! 5. the attribution profiler reproduces the CPU's own busy/idle
 //!    energy split (idle = the CPU's idle energy, spans = its busy
-//!    energy, nothing unattributed), names exactly the spans that
+//!    energy, nothing unattributed), also under fault storms, names
+//!    exactly the spans that
 //!    overlap every missed frame's window, and renders byte-identically
 //!    across worker counts and repeated runs,
 //! 6. attaching a recorder changes no metric, to the byte, and
@@ -20,7 +21,6 @@
 
 use greenweb::metrics::RunMetrics;
 use greenweb::qos::Scenario;
-use greenweb::GreenWebScheduler;
 use greenweb_engine::FaultPlan;
 use greenweb_fleet::{run_specs, Jobs};
 use greenweb_trace::{chrome_trace_json, AttributionProfile, EventKind, SpanKind, TraceBuffer};
@@ -37,10 +37,9 @@ fn traced_run(name: &str) -> (greenweb_engine::SimReport, TraceBuffer) {
 fn same_seed_same_plan_exports_identical_bytes() {
     let w = by_name("Todo").expect("workload exists");
     let export = || {
-        let (_, buffer) = chaos_run_traced(&w.app, &w.micro, FaultPlan::storm(23), || {
-            GreenWebScheduler::new(Scenario::Usable)
-        })
-        .expect("chaos run");
+        let (_, buffer) =
+            chaos_run_traced(&w.app, &w.micro, Scenario::Usable, FaultPlan::storm(23))
+                .expect("chaos run");
         chrome_trace_json(&buffer, "determinism-check")
     };
     let first = export();
@@ -58,10 +57,9 @@ fn different_seeds_diverge() {
     // ignored the faults; different storms must produce different bytes.
     let w = by_name("Todo").expect("workload exists");
     let export = |seed: u64| {
-        let (_, buffer) = chaos_run_traced(&w.app, &w.micro, FaultPlan::storm(seed), || {
-            GreenWebScheduler::new(Scenario::Usable)
-        })
-        .expect("chaos run");
+        let (_, buffer) =
+            chaos_run_traced(&w.app, &w.micro, Scenario::Usable, FaultPlan::storm(seed))
+                .expect("chaos run");
         chrome_trace_json(&buffer, "determinism-check")
     };
     assert_ne!(export(23), export(24));
@@ -77,10 +75,8 @@ fn fault_free_run_emits_no_fault_events() {
 #[test]
 fn faulted_run_logs_its_faults() {
     let w = by_name("Todo").expect("workload exists");
-    let (run, buffer) = chaos_run_traced(&w.app, &w.micro, FaultPlan::storm(23), || {
-        GreenWebScheduler::new(Scenario::Usable)
-    })
-    .expect("chaos run");
+    let (run, buffer) = chaos_run_traced(&w.app, &w.micro, Scenario::Usable, FaultPlan::storm(23))
+        .expect("chaos run");
     let injected = run.faulted.chaos.as_ref().expect("chaos report").total();
     assert!(injected > 0, "storm must inject faults");
     assert_eq!(buffer.count_of("fault"), injected);
@@ -185,13 +181,50 @@ fn attribution_conserves_energy_across_the_suite() {
 }
 
 #[test]
+fn attribution_conserves_energy_under_fault_storms() {
+    // Injected load spikes, dropped and jittered VSyncs, perturbed
+    // inputs and sensor noise reshape the timeline, but the profiler
+    // must still read the CPU's ledger exactly: idle is the CPU's idle
+    // energy, and the spans plus the remainder are its busy energy.
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+    for w in greenweb_workloads::all() {
+        for scenario in [Scenario::Imperceptible, Scenario::Usable] {
+            for seed in [17, 42, 99] {
+                let (run, buffer) =
+                    chaos_run_traced(&w.app, &w.micro, scenario, FaultPlan::storm(seed))
+                        .expect("chaos run");
+                let name = format!("{} / {scenario} / storm {seed}", w.name);
+                assert_eq!(buffer.dropped, 0, "{name}: the ring dropped records");
+                let profile = AttributionProfile::from_trace(&buffer);
+                let energy = run.faulted.energy;
+                assert!(
+                    close(profile.idle_mj, energy.idle_mj),
+                    "{name}: profile idle {} mJ vs CPU idle {} mJ",
+                    profile.idle_mj,
+                    energy.idle_mj
+                );
+                let busy = profile.attributed_mj() + profile.unattributed_mj;
+                assert!(
+                    close(busy, energy.active_mj),
+                    "{name}: attributed + unattributed {busy} mJ vs CPU active {} mJ",
+                    energy.active_mj
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn every_chaos_miss_has_forensics_naming_overlapping_spans() {
     // W3School under imperceptible targets with a fault storm reliably
     // misses deadlines; Usable targets would make this test vacuous.
     let w = by_name("W3School").expect("workload exists");
-    let (_, buffer) = chaos_run_traced(&w.app, &w.micro, FaultPlan::storm(23), || {
-        GreenWebScheduler::new(Scenario::Imperceptible)
-    })
+    let (_, buffer) = chaos_run_traced(
+        &w.app,
+        &w.micro,
+        Scenario::Imperceptible,
+        FaultPlan::storm(23),
+    )
     .expect("chaos run");
     let profile = AttributionProfile::from_trace(&buffer);
     assert!(profile.misses() > 0, "storm produced no deadline misses");
