@@ -109,20 +109,21 @@ impl Governor for PowersaveGovernor {
 ///
 /// Parameters mirror the cpufreq sysfs knobs: `hispeed_freq`,
 /// `go_hispeed_load`, `target_load`, `min_sample_time`,
-/// `above_hispeed_delay`.
+/// `above_hispeed_delay`; [`InteractiveGovernor::android_default`] sets
+/// them.
 #[derive(Debug, Clone)]
 pub struct InteractiveGovernor {
     /// Frequency to jump to when load exceeds `go_hispeed_load` (MHz,
     /// big cluster).
-    pub hispeed_freq_mhz: u32,
+    hispeed_freq_mhz: u32,
     /// Load threshold that triggers the hispeed jump.
-    pub go_hispeed_load: f64,
+    go_hispeed_load: f64,
     /// Load the governor tries to hold by picking frequency.
-    pub target_load: f64,
+    target_load: f64,
     /// Minimum time at a frequency before ramping down.
-    pub min_sample_time: Duration,
+    min_sample_time: Duration,
     /// Time to hold at `hispeed_freq` before going above it.
-    pub above_hispeed_delay: Duration,
+    above_hispeed_delay: Duration,
     last_raise: SimTime,
     hispeed_since: Option<SimTime>,
 }
@@ -219,20 +220,14 @@ impl Governor for InteractiveGovernor {
     }
 }
 
-/// The classic ondemand governor: jump to max above `up_threshold`, else
-/// scale proportionally to load.
-#[derive(Debug, Clone)]
-pub struct OndemandGovernor {
-    /// Utilization above which the governor jumps to the maximum
-    /// frequency.
-    pub up_threshold: f64,
-}
+/// The classic ondemand governor: jump to max above 80% utilization,
+/// else scale proportionally to load.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OndemandGovernor;
 
-impl Default for OndemandGovernor {
-    fn default() -> Self {
-        OndemandGovernor { up_threshold: 0.80 }
-    }
-}
+/// Utilization above which [`OndemandGovernor`] jumps to the maximum
+/// frequency.
+const ONDEMAND_UP_THRESHOLD: f64 = 0.80;
 
 impl Governor for OndemandGovernor {
     fn name(&self) -> &'static str {
@@ -247,10 +242,10 @@ impl Governor for OndemandGovernor {
         platform: &Platform,
     ) -> CpuConfig {
         let spec = platform.cluster(crate::platform::CoreType::Big);
-        if utilization >= self.up_threshold {
+        if utilization >= ONDEMAND_UP_THRESHOLD {
             platform.peak()
         } else {
-            let wanted = (spec.max_mhz as f64 * utilization / self.up_threshold) as u32;
+            let wanted = (spec.max_mhz as f64 * utilization / ONDEMAND_UP_THRESHOLD) as u32;
             let snapped = wanted.max(spec.min_mhz).min(spec.max_mhz);
             let offset = snapped - spec.min_mhz;
             let snapped = spec.min_mhz + offset / spec.step_mhz * spec.step_mhz;
@@ -342,7 +337,7 @@ mod tests {
     #[test]
     fn ondemand_jumps_to_max_above_threshold() {
         let p = plat();
-        let mut g = OndemandGovernor::default();
+        let mut g = OndemandGovernor;
         assert_eq!(g.on_timer(SimTime::ZERO, 0.9, p.lowest(), &p), p.peak());
         let low = g.on_timer(SimTime::ZERO, 0.1, p.peak(), &p);
         assert!(low.freq_mhz < p.peak().freq_mhz);

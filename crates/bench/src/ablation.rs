@@ -2,18 +2,17 @@
 //! paper's figures, as called out in DESIGN.md §6).
 //!
 //! Every experiment lowers its runs to [`RunSpec`] batches — including
-//! the custom-platform variants, which describe their hardware through
-//! [`CoreSchedulerSpec::GreenWebOn`] instead of hand-building a browser
-//! — so an `_with` variant with an explicit [`Jobs`] count exists for
-//! each, and the default entry points honor `GREENWEB_JOBS`.
+//! the custom-platform variants, whose scheduler factory is a closure
+//! building [`GreenWebScheduler::with_hardware`] instead of a
+//! hand-built browser — and runs them on the [`Jobs`] count it is given.
 
 use crate::figures::mean;
 use greenweb::metrics::RunMetrics;
 use greenweb::qos::Scenario;
-use greenweb::CoreSchedulerSpec;
+use greenweb::GreenWebScheduler;
 use greenweb_acmp::platform::ClusterSpec;
 use greenweb_acmp::{Platform, PowerModel};
-use greenweb_engine::{RunSpec, SimReport};
+use greenweb_engine::{RunSpec, Scheduler, SimReport};
 use greenweb_fleet::{run_specs, Jobs};
 use greenweb_workloads::harness::{expectations, run_many, Policy};
 use greenweb_workloads::Workload;
@@ -28,14 +27,18 @@ fn custom_hardware_spec(
     platform: Platform,
     power: PowerModel,
 ) -> RunSpec {
+    let (model_platform, model_power) = (platform.clone(), power.clone());
+    let factory = move || -> Box<dyn Scheduler> {
+        Box::new(GreenWebScheduler::with_hardware(
+            scenario,
+            model_platform.clone(),
+            model_power.clone(),
+        ))
+    };
     RunSpec::new(
         workload.app.clone(),
         workload.full.clone(),
-        Box::new(CoreSchedulerSpec::GreenWebOn {
-            scenario,
-            platform: platform.clone(),
-            power: power.clone(),
-        }),
+        Box::new(factory),
     )
     .with_hardware(platform, power)
 }

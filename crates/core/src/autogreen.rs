@@ -146,26 +146,18 @@ impl fmt::Display for AutoGreenReport {
     }
 }
 
-/// The automatic annotator.
-#[derive(Debug, Clone)]
-pub struct AutoGreen {
-    /// How long (virtual ms) each profiling run observes the callback's
-    /// aftermath for animation signals.
-    pub profile_window_ms: f64,
-}
+/// How long (virtual ms) each profiling run observes the callback's
+/// aftermath for animation signals.
+const PROFILE_WINDOW_MS: f64 = 700.0;
 
-impl Default for AutoGreen {
-    fn default() -> Self {
-        AutoGreen {
-            profile_window_ms: 700.0,
-        }
-    }
-}
+/// The automatic annotator.
+#[derive(Debug, Clone, Default)]
+pub struct AutoGreen;
 
 impl AutoGreen {
-    /// Creates an annotator with the default profiling window.
+    /// Creates an annotator.
     pub fn new() -> Self {
-        AutoGreen::default()
+        AutoGreen
     }
 
     /// Runs the three phases on `app`, returning the annotated app and
@@ -305,7 +297,7 @@ impl AutoGreen {
             // Phase 2: profiling run — trigger the event, observe signals.
             let trace = Trace::builder()
                 .event(10.0, event, TargetSpec::Id(target_id))
-                .end_ms(self.profile_window_ms)
+                .end_ms(PROFILE_WINDOW_MS)
                 .build();
             let mut profiler = Browser::new(app, GovernorScheduler::new(PerfGovernor))?;
             let run = profiler.run(&trace)?;

@@ -37,26 +37,21 @@ pub struct EbsScheduler {
     predictor: ConfigPredictor,
     classes: HashMap<ClassKey, EbsClass>,
     active: HashMap<InputId, ClassKey>,
-    /// Latency budget as a multiple of the event's inherent
-    /// (peak-configuration) latency. The HPCA'15 system exposes a
-    /// comparable slack knob.
-    pub slack: f64,
 }
 
-impl EbsScheduler {
-    /// Creates an EBS scheduler with the default 2× slack on the default
-    /// hardware model.
-    pub fn new() -> Self {
-        Self::with_hardware(Platform::odroid_xu_e(), PowerModel::odroid_xu_e())
-    }
+/// Latency budget as a multiple of the event's inherent
+/// (peak-configuration) latency. The HPCA'15 system exposes a
+/// comparable slack knob.
+const SLACK: f64 = 2.0;
 
-    /// Creates an EBS scheduler with an explicit hardware description.
-    pub fn with_hardware(platform: Platform, power: PowerModel) -> Self {
+impl EbsScheduler {
+    /// Creates an EBS scheduler with 2× slack on the default hardware
+    /// model.
+    pub fn new() -> Self {
         EbsScheduler {
-            predictor: ConfigPredictor::new(platform, power),
+            predictor: ConfigPredictor::new(Platform::odroid_xu_e(), PowerModel::odroid_xu_e()),
             classes: HashMap::new(),
             active: HashMap::new(),
-            slack: 2.0,
         }
     }
 
@@ -69,7 +64,7 @@ impl EbsScheduler {
     /// not of the user.
     fn derived_budget_ms(&self, model: &FrameModel) -> Option<f64> {
         let peak = self.predictor.platform().peak();
-        Some(model.predict_latency_ms(peak)? * self.slack)
+        Some(model.predict_latency_ms(peak)? * SLACK)
     }
 
     fn decide(&mut self, class: ClassKey) -> Option<CpuConfig> {

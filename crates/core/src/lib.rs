@@ -52,7 +52,6 @@ pub mod metrics;
 pub mod model;
 pub mod qos;
 pub mod runtime;
-pub mod spec;
 pub mod uai;
 
 pub use autogreen::{
@@ -67,5 +66,4 @@ pub use metrics::{
 pub use model::{ConfigPredictor, FrameModel};
 pub use qos::{QosSpec, QosTarget, QosType, Scenario};
 pub use runtime::GreenWebScheduler;
-pub use spec::CoreSchedulerSpec;
 pub use uai::EnergyBudgetUai;

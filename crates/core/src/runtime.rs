@@ -61,10 +61,6 @@ pub struct GreenWebScheduler {
     predictor: ConfigPredictor,
     classes: HashMap<ClassKey, ClassState>,
     active: HashMap<InputId, ActiveEvent>,
-    /// Relative prediction error treated as a misprediction.
-    pub misprediction_tolerance: f64,
-    /// Consecutive mispredictions before the model is re-profiled.
-    pub reprofile_threshold: u32,
     /// Whether feedback adjustment is enabled (ablation knob).
     pub feedback_enabled: bool,
     /// Completion time of the most recent frame of a continuous event;
@@ -80,6 +76,12 @@ pub struct GreenWebScheduler {
 /// How long after the last continuous frame the runtime still considers
 /// the animation live (a few VSync periods).
 const CONTINUOUS_HOLD_MS: f64 = 60.0;
+
+/// Prediction error, relative to the target, treated as a misprediction.
+const MISPREDICTION_TOLERANCE: f64 = 0.25;
+
+/// Consecutive mispredictions before a class model is re-profiled.
+const REPROFILE_THRESHOLD: u32 = 6;
 
 impl GreenWebScheduler {
     /// Creates a runtime for `scenario` on the default ODroid hardware
@@ -98,8 +100,6 @@ impl GreenWebScheduler {
             predictor: ConfigPredictor::new(platform, power),
             classes: HashMap::new(),
             active: HashMap::new(),
-            misprediction_tolerance: 0.25,
-            reprofile_threshold: 6,
             feedback_enabled: true,
             last_continuous_frame: None,
             annotation_errors: Vec::new(),
@@ -207,12 +207,12 @@ impl GreenWebScheduler {
             state.streak += 1;
         } else if state.settling {
             state.settling = false;
-        } else if error > self.misprediction_tolerance {
+        } else if error > MISPREDICTION_TOLERANCE {
             state.streak += 1;
         } else {
             state.streak = 0;
         }
-        if state.streak >= self.reprofile_threshold {
+        if state.streak >= REPROFILE_THRESHOLD {
             // Recalibrate: fresh profiling runs (Sec. 6.2).
             state.model.reset();
             state.streak = 0;
@@ -593,7 +593,6 @@ mod tests {
     #[test]
     fn repeated_mispredictions_trigger_reprofiling() {
         let mut sched = GreenWebScheduler::new(Scenario::Usable);
-        sched.reprofile_threshold = 3;
         let class = (EventType::TouchMove, 0usize);
         for _ in 0..4 {
             let config = sched.decide(SimTime::ZERO, class, 33.3).unwrap();
@@ -601,15 +600,29 @@ mod tests {
             sched.feedback(class, 33.3, latency);
         }
         assert!(sched.classes[&class].model.is_fitted());
-        // Wildly wrong measurements, repeatedly.
-        for _ in 0..3 {
+        // Wildly wrong measurements, repeatedly: the model survives one
+        // short of the threshold...
+        for _ in 1..REPROFILE_THRESHOLD {
             sched.decide(SimTime::ZERO, class, 33.3).unwrap();
             sched.feedback(class, 33.3, 500.0);
         }
+        assert!(sched.classes[&class].model.is_fitted());
+        // ...and the threshold-th misprediction resets it.
+        sched.decide(SimTime::ZERO, class, 33.3).unwrap();
+        sched.feedback(class, 33.3, 500.0);
         assert!(
             !sched.classes[&class].model.is_fitted(),
             "model must reset after repeated mispredictions"
         );
+    }
+
+    #[test]
+    fn greenweb_scheduler_exposes_itself_via_as_any() {
+        let erased: Box<dyn Scheduler> = Box::new(GreenWebScheduler::new(Scenario::Usable));
+        assert!(erased
+            .as_any()
+            .and_then(|any| any.downcast_ref::<GreenWebScheduler>())
+            .is_some());
     }
 
     #[test]

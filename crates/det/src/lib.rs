@@ -10,6 +10,9 @@
 //!   for independent substreams.
 //! * [`mix64`]: the SplitMix64 finalizer, a full-avalanche one-word mix
 //!   (the engine's render pass builds its content fingerprints on it).
+//! * [`fnv1a`]: the workspace's one 64-bit FNV-1a, for style and script
+//!   name atoms ([`atom`]) and for source, run-spec and sweep-plan
+//!   fingerprints.
 //! * [`prop`]: a minimal property-based testing harness (seeded case
 //!   generation, failure reporting with the reproducing seed) used by the
 //!   per-crate `prop_*.rs` test suites.
@@ -23,4 +26,4 @@
 pub mod prop;
 pub mod rng;
 
-pub use rng::{mix64, DetRng};
+pub use rng::{atom, fnv1a, fnv1a_field, mix64, DetRng, FNV1A_BASIS};

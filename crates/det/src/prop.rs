@@ -96,11 +96,7 @@ impl Gen {
 
 fn base_seed(name: &str) -> u64 {
     // Stable across runs: derived from the property name only.
-    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    for b in name.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
-    }
-    h
+    crate::fnv1a(0x9E37_79B9_7F4A_7C15, name.as_bytes())
 }
 
 /// Run `property` over `cases` seeded random cases. Panics (re-raising the

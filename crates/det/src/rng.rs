@@ -21,15 +21,38 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a label, used to give [`DetRng::fork`] streams
-/// independent, order-insensitive seeds.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+/// The 64-bit FNV-1a offset basis: the state every [`fnv1a`] chain
+/// starts from.
+pub const FNV1A_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `hash` (start a chain at
+/// [`FNV1A_BASIS`]). The workspace's one FNV-1a: style and script name
+/// atoms, script-source and run-spec fingerprints, and [`DetRng::fork`]
+/// labels all hash through it. Inlined, because the DOM atomizes class
+/// names on every restyling frame.
+#[inline]
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    h
+    hash
+}
+
+/// The atom of `name` under a one-byte `kind`: [`fnv1a`] over `kind`
+/// then `name`. The DOM's style atoms (`t` tag, `#` id, `.` class) and
+/// the script's name atoms (`v`) share this one format, so the same
+/// string used in two roles never yields the same atom.
+#[inline]
+pub fn atom(kind: u8, name: &str) -> u64 {
+    fnv1a(fnv1a(FNV1A_BASIS, &[kind]), name.as_bytes())
+}
+
+/// [`fnv1a`] over one field of a record, then a `0xFF` separator, so
+/// the fields `("ab", "c")` and `("a", "bc")` hash apart.
+#[inline]
+pub fn fnv1a_field(hash: u64, bytes: &[u8]) -> u64 {
+    fnv1a(fnv1a(hash, bytes), &[0xFF])
 }
 
 /// A deterministic, seedable random number generator (xoshiro256++).
@@ -68,7 +91,7 @@ impl DetRng {
     /// how many values have been drawn, so adding a new consumer cannot
     /// perturb existing streams.
     pub fn fork(&self, label: &str) -> DetRng {
-        DetRng::new(self.seed ^ fnv1a(label.as_bytes()))
+        DetRng::new(self.seed ^ fnv1a(FNV1A_BASIS, label.as_bytes()))
     }
 
     /// Next raw 64-bit value.

@@ -1,5 +1,6 @@
 //! Node payloads: element data, attributes, and node kinds.
 
+use greenweb_det::atom;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -11,36 +12,27 @@ const STATIC_TAGS: [&str; 33] = [
     "script", "section", "span", "style", "table", "td", "th", "tr", "ul",
 ];
 
-/// 64-bit FNV-1a over `name` with a one-byte kind prefix, so the same
-/// string used as a tag, an id, and a class yields three distinct atoms.
-fn style_atom(kind: u8, name: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in std::iter::once(kind).chain(name.bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
-}
-
 /// The style atom of a (lowercase) tag name.
 ///
 /// Style atoms are stable 64-bit hashes shared between the DOM and the
 /// CSS engine: ancestor Bloom filters insert the atoms of every element
 /// on a node's ancestor chain, and selector indexes precompute the atoms
 /// a combinator chain requires, so a filter miss rejects a candidate
-/// selector without walking the tree.
+/// selector without walking the tree. Each is a [`greenweb_det::atom`]
+/// with a one-byte kind (`t`, `#`, `.`), so the same string used as a
+/// tag, an id, and a class yields three distinct atoms.
 pub fn tag_atom(name: &str) -> u64 {
-    style_atom(b't', name)
+    atom(b't', name)
 }
 
 /// The style atom of an `id` attribute value. See [`tag_atom`].
 pub fn id_atom(name: &str) -> u64 {
-    style_atom(b'#', name)
+    atom(b'#', name)
 }
 
 /// The style atom of a single class name. See [`tag_atom`].
 pub fn class_atom(name: &str) -> u64 {
-    style_atom(b'.', name)
+    atom(b'.', name)
 }
 
 /// A single `name="value"` attribute on an element.

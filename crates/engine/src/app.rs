@@ -2,20 +2,8 @@
 
 use crate::cost::FrameCostModel;
 use crate::effects::HandlerSummary;
+use greenweb_det::{fnv1a, FNV1A_BASIS};
 use greenweb_script::{compile, parse_program, CompiledProgram};
-
-/// FNV-1a over a script source, guarding the precompiled table against
-/// post-build mutation of [`App::scripts`] (the fields are public; a
-/// test that splices a source after `build()` must not execute stale
-/// bytecode).
-fn source_fingerprint(source: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in source.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A Web application: markup, stylesheets, and scripts, plus the cost
 /// parameters the engine charges for its frames.
@@ -41,7 +29,9 @@ pub struct App {
     /// `scripts`: `(source fingerprint, bytecode)`, or `None` when the
     /// source fails to parse or compile (the browser surfaces that error
     /// at load, exactly as before). Private — consumers go through
-    /// [`App::compiled_script`], which validates the fingerprint.
+    /// [`App::compiled_script`], which validates the fingerprint (FNV-1a
+    /// of the source): the fields are public, and a test that splices a
+    /// source after `build()` must not execute stale bytecode.
     compiled_scripts: Vec<Option<(u64, CompiledProgram)>>,
 }
 
@@ -73,7 +63,7 @@ impl App {
     pub fn compiled_script(&self, index: usize) -> Option<&CompiledProgram> {
         let (fingerprint, compiled) = self.compiled_scripts.get(index)?.as_ref()?;
         let source = self.scripts.get(index)?;
-        (*fingerprint == source_fingerprint(source)).then_some(compiled)
+        (*fingerprint == fnv1a(FNV1A_BASIS, source.as_bytes())).then_some(compiled)
     }
 }
 
@@ -121,7 +111,7 @@ impl AppBuilder {
             .map(|source| {
                 let program = parse_program(source).ok()?;
                 let compiled = compile(&program).ok()?;
-                Some((source_fingerprint(source), compiled))
+                Some((fnv1a(FNV1A_BASIS, source.as_bytes()), compiled))
             })
             .collect();
         self.app

@@ -78,7 +78,7 @@
 //! re-measures.
 
 use greenweb_css::{ComputedStyle, CssValue};
-use greenweb_det::mix64;
+use greenweb_det::{mix64, FNV1A_BASIS};
 use greenweb_dom::{Document, NodeId, NodeKind};
 use std::collections::BTreeMap;
 
@@ -90,7 +90,7 @@ pub const VIEWPORT_HEIGHT: f64 = 640.0;
 pub const TEXT_LINE_HEIGHT: f64 = 16.0;
 
 /// Start value of every hash chain.
-const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+const SEED: u64 = FNV1A_BASIS;
 
 /// One hash step: folds `word` into `hash`. [`mix64`] is a bijection,
 /// so two chains that differ in a single word never meet.

@@ -22,6 +22,7 @@ use crate::fault::FaultPlan;
 use crate::report::SimReport;
 use crate::scheduler::Scheduler;
 use greenweb_acmp::{Platform, PowerModel};
+use greenweb_det::{fnv1a_field, FNV1A_BASIS};
 use greenweb_trace::{TraceBuffer, TraceHandle};
 use std::fmt;
 
@@ -196,16 +197,8 @@ impl RunSpec {
     /// deliberately excluded; quarantine repros carry the policy by name
     /// alongside this digest instead.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            // Field separator so ("ab","c") and ("a","bc") differ.
-            h ^= 0xFF;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+        let mut h = FNV1A_BASIS;
+        let mut eat = |bytes: &[u8]| h = fnv1a_field(h, bytes);
         eat(self.app.name.as_bytes());
         eat(self.app.html.as_bytes());
         for css in &self.app.css {
@@ -407,6 +400,17 @@ mod tests {
         assert_eq!(a.digest(), b.digest(), "same data, same digest");
         let c = RunSpec::new(app, trace, perf_factory()).with_budget(RunBudget::SWEEP_DEFAULT);
         assert_ne!(a.digest(), c.digest(), "budget participates in digest");
+    }
+
+    #[test]
+    fn fnv_values_are_pinned() {
+        // Atoms and digests are persisted (sweep checkpoints carry the
+        // plan fingerprint) and shared across crates: pin their values.
+        assert_eq!(greenweb_dom::tag_atom("div"), 0x0495_0bef_201b_3656);
+        assert_eq!(greenweb_script::name_atom("x"), 0x08cf_4407_b570_f203);
+        let trace = Trace::builder().click_id(100.0, "go").end_ms(600.0).build();
+        let spec = RunSpec::new(demo_app(), trace, perf_factory());
+        assert_eq!(spec.digest(), 0xfa00_e441_0370_fe1f);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Supervised fleet execution: panic isolation and quarantine.
 //!
 //! [`run_jobs`](crate::run_jobs) is the right executor when every job is
-//! trusted — a panic anywhere aborts the whole batch. A 10k-app corpus
-//! sweep cannot afford that: one malformed page, one pathological
-//! workload, one buggy policy must cost *one cell*, not the night's
-//! sweep. [`run_supervised`] runs each job once, on the crate's one
+//! trusted — a panic anywhere aborts the whole batch. A sweep cannot
+//! afford that: one malformed page, one pathological workload, one
+//! buggy policy must cost *one cell*, not the whole sweep.
+//! [`run_supervised`] runs each job once, on the crate's one
 //! worker pool, inside [`std::panic::catch_unwind`], classifies every
 //! failure into a [`FailureKind`], and streams outcomes to a sink **in
 //! job-index order** so callers can checkpoint them as an append-only

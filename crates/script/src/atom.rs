@@ -13,17 +13,14 @@
 //! the same atomization so any collision would at least be *consistent*
 //! across the differential suite.
 
-/// 64-bit FNV-1a over `name` with a one-byte kind prefix (`b'v'` for
-/// variables), mirroring `greenweb_dom`'s `tag_atom`/`id_atom`/
-/// `class_atom` so script names live in the same atom namespace without
+use greenweb_det::atom;
+
+/// The [`greenweb_det::atom`] of `name` with kind `b'v'` (variables),
+/// the format of `greenweb_dom`'s `tag_atom`/`id_atom`/
+/// `class_atom`, so script names live in the same atom namespace without
 /// colliding with any style atom.
 pub fn name_atom(name: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in std::iter::once(b'v').chain(name.bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
+    atom(b'v', name)
 }
 
 #[cfg(test)]
@@ -41,11 +38,7 @@ mod tests {
     fn kind_prefix_separates_from_style_atoms() {
         // `greenweb_dom::tag_atom("div")` prefixes b't'; the variable
         // atom of the same string must differ because of the b'v' prefix.
-        let mut tag: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in std::iter::once(b't').chain("div".bytes()) {
-            tag ^= u64::from(byte);
-            tag = tag.wrapping_mul(0x0100_0000_01b3);
-        }
+        let tag = greenweb_det::atom(b't', "div");
         assert_ne!(name_atom("div"), tag);
     }
 }

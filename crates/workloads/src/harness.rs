@@ -3,9 +3,10 @@
 //! Every entry point here lowers to the same primitive: a [`Policy`] is
 //! a [`SchedulerFactory`] (a `Send` recipe, not a live scheduler), so
 //! `(app, trace, policy)` lowers to a self-contained
-//! [`greenweb_engine::RunSpec`] via [`lower`], and the serial helpers
-//! ([`run`], [`run_traced`], [`evaluate`]) are thin wrappers over the
-//! batch API ([`run_many`], [`evaluate_batch`]) at
+//! [`greenweb_engine::RunSpec`] via [`lower`]. [`run`] and
+//! [`run_traced`] execute that one spec on the calling thread; the batch
+//! API ([`run_many`], [`evaluate_batch`]) hands the specs to
+//! [`greenweb_fleet::run_specs`], and [`evaluate`] is a one-cell batch at
 //! [`greenweb_fleet::Jobs::serial`]. A parallel batch is byte-identical
 //! to the serial one because each job is deterministic and results are
 //! slotted back by index.
@@ -14,7 +15,7 @@ use crate::Workload;
 use greenweb::lang::AnnotationTable;
 use greenweb::metrics::{InputExpectation, RunMetrics};
 use greenweb::qos::Scenario;
-use greenweb::CoreSchedulerSpec;
+use greenweb::{EbsScheduler, EnergyBudgetUai, GreenWebScheduler};
 use greenweb_acmp::{
     InteractiveGovernor, OndemandGovernor, PerfGovernor, Platform, PowersaveGovernor,
 };
@@ -30,7 +31,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// The energy/QoS policies the evaluation compares (Sec. 7.1 plus the
-/// ablation variants).
+/// ablation variants): the one description of a run's scheduler. Its
+/// [`fmt::Display`] name is what sweep checkpoints and repro files store,
+/// and [`Policy::from_name`] reads it back.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Policy {
     /// Peak performance (the paper's *Perf* baseline).
@@ -62,13 +65,29 @@ impl Policy {
             Policy::GreenWeb(Scenario::Usable),
         ]
     }
+
+    /// The policies that go by a fixed name: every variant but the
+    /// parameterized ablations.
+    pub(crate) const NAMED: [Policy; 7] = [
+        Policy::Perf,
+        Policy::Interactive,
+        Policy::Ondemand,
+        Policy::Powersave,
+        Policy::Ebs,
+        Policy::GreenWeb(Scenario::Imperceptible),
+        Policy::GreenWeb(Scenario::Usable),
+    ];
+
+    /// The policy whose [`fmt::Display`] name is `name`, among the seven
+    /// with a fixed name (the parameterized ablations have none).
+    pub fn from_name(name: &str) -> Option<Policy> {
+        Policy::NAMED.into_iter().find(|p| p.to_string() == name)
+    }
 }
 
 /// A [`Policy`] is a construction recipe, not a live scheduler: it is
 /// plain `Send + Sync` data, and the scheduler it names is built on
-/// whichever worker thread executes the lowered [`RunSpec`]. GreenWeb
-/// variants delegate to [`CoreSchedulerSpec`]; the cpufreq baselines
-/// build their governors directly.
+/// whichever worker thread executes the lowered [`RunSpec`].
 impl SchedulerFactory for Policy {
     fn build(&self) -> Box<dyn Scheduler> {
         match self {
@@ -76,24 +95,19 @@ impl SchedulerFactory for Policy {
             Policy::Interactive => Box::new(GovernorScheduler::new(
                 InteractiveGovernor::android_default(&Platform::odroid_xu_e()),
             )),
-            Policy::Ondemand => Box::new(GovernorScheduler::new(OndemandGovernor::default())),
+            Policy::Ondemand => Box::new(GovernorScheduler::new(OndemandGovernor)),
             Policy::Powersave => Box::new(GovernorScheduler::new(PowersaveGovernor)),
-            Policy::Ebs => CoreSchedulerSpec::Ebs.build(),
-            Policy::GreenWeb(scenario) => CoreSchedulerSpec::GreenWeb {
-                scenario: *scenario,
-                feedback: true,
+            Policy::Ebs => Box::new(EbsScheduler::new()),
+            Policy::GreenWeb(scenario) => Box::new(GreenWebScheduler::new(*scenario)),
+            Policy::GreenWebNoFeedback(scenario) => {
+                let mut scheduler = GreenWebScheduler::new(*scenario);
+                scheduler.feedback_enabled = false;
+                Box::new(scheduler)
             }
-            .build(),
-            Policy::GreenWebNoFeedback(scenario) => CoreSchedulerSpec::GreenWeb {
-                scenario: *scenario,
-                feedback: false,
-            }
-            .build(),
-            Policy::GreenWebUai(scenario, budget_mj) => CoreSchedulerSpec::GreenWebUai {
-                scenario: *scenario,
-                budget_mj: *budget_mj,
-            }
-            .build(),
+            Policy::GreenWebUai(scenario, budget_mj) => Box::new(EnergyBudgetUai::new(
+                GreenWebScheduler::new(*scenario),
+                *budget_mj,
+            )),
         }
     }
 }
@@ -147,56 +161,6 @@ pub fn run_many(
         .into_iter()
         .map(|outcome| outcome.map(|o| o.report))
         .collect()
-}
-
-/// Why the GreenLint pre-run gate refused to run an app.
-#[derive(Debug)]
-pub enum GateError {
-    /// The static analyzer found error-severity diagnostics; the report
-    /// carries every finding.
-    Lint(Box<greenweb_analyze::AnalysisReport>),
-    /// The app failed to load once the gate passed.
-    Browser(BrowserError),
-}
-
-impl fmt::Display for GateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GateError::Lint(report) => write!(
-                f,
-                "greenweb-lint found {} error(s) in `{}`:\n{}",
-                report.count(greenweb_analyze::Severity::Error),
-                report.app_name,
-                report.render_text()
-            ),
-            GateError::Browser(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for GateError {}
-
-/// Runs the GreenLint static analyzer over `app` (the opt-in pre-run
-/// gate's check, also usable on its own).
-pub fn lint(app: &App) -> greenweb_analyze::AnalysisReport {
-    greenweb_analyze::analyze(app)
-}
-
-/// Like [`run`], but gated on GreenLint: the app is statically analyzed
-/// first and refused — without simulating a single frame — if any
-/// error-severity diagnostic fires (dropped annotations, guaranteed
-/// deadline misses, load failures).
-///
-/// # Errors
-///
-/// Returns [`GateError::Lint`] with the full report when the analyzer
-/// finds errors, or [`GateError::Browser`] if the app then fails to run.
-pub fn run_gated(app: &App, trace: &Trace, policy: &Policy) -> Result<SimReport, GateError> {
-    let report = lint(app);
-    if report.has_errors() {
-        return Err(GateError::Lint(Box::new(report)));
-    }
-    run(app, trace, policy).map_err(GateError::Browser)
 }
 
 /// Like [`run`], but with a trace recorder attached: returns the report
@@ -334,14 +298,67 @@ mod tests {
     use crate::by_name;
 
     #[test]
-    fn policy_names() {
-        assert_eq!(Policy::Perf.to_string(), "Perf");
+    fn policy_names_round_trip() {
+        // Checkpoints and repro files store the display name: each must
+        // read back as the policy that printed it (so no two collide).
+        for policy in Policy::NAMED {
+            assert_eq!(Policy::from_name(&policy.to_string()), Some(policy));
+        }
+        // The stored names themselves are pinned too: a round trip holds
+        // for any spelling, so a renamed variant would orphan old files.
+        let names: Vec<String> = Policy::NAMED.iter().map(Policy::to_string).collect();
         assert_eq!(
-            Policy::GreenWeb(Scenario::Imperceptible).to_string(),
-            "GreenWeb-I"
+            names,
+            [
+                "Perf",
+                "Interactive",
+                "Ondemand",
+                "Powersave",
+                "EBS",
+                "GreenWeb-I",
+                "GreenWeb-U"
+            ]
         );
-        assert_eq!(Policy::GreenWeb(Scenario::Usable).to_string(), "GreenWeb-U");
+        assert_eq!(Policy::from_name("nope"), None);
+        let nofb = Policy::GreenWebNoFeedback(Scenario::Usable);
+        assert_eq!(Policy::from_name(&nofb.to_string()), None);
         assert_eq!(Policy::paper_set().len(), 4);
+    }
+
+    #[test]
+    fn policies_build_the_named_schedulers() {
+        let built = |p: Policy| p.build().name();
+        assert_eq!(built(Policy::Perf), "perf");
+        assert_eq!(built(Policy::Interactive), "interactive");
+        assert_eq!(built(Policy::Ondemand), "ondemand");
+        assert_eq!(built(Policy::Powersave), "powersave");
+        assert_eq!(built(Policy::Ebs), "ebs");
+        assert_eq!(built(Policy::GreenWeb(Scenario::Usable)), "greenweb-usable");
+        assert_eq!(
+            built(Policy::GreenWebNoFeedback(Scenario::Usable)),
+            "greenweb-usable"
+        );
+        assert_eq!(
+            built(Policy::GreenWebUai(Scenario::Imperceptible, 500.0)),
+            "uai(greenweb-imperceptible)"
+        );
+    }
+
+    #[test]
+    fn feedback_is_off_only_in_the_no_feedback_variant() {
+        let feedback = |p: Policy| {
+            let scheduler = p.build();
+            let greenweb = scheduler
+                .as_any()
+                .and_then(|any| any.downcast_ref::<GreenWebScheduler>())
+                .expect("greenweb downcasts");
+            greenweb.feedback_enabled
+        };
+        assert!(feedback(Policy::GreenWeb(Scenario::Imperceptible)));
+        assert!(
+            !feedback(Policy::GreenWebNoFeedback(Scenario::Imperceptible)),
+            "no-feedback variant must build with feedback off"
+        );
     }
 
     #[test]
@@ -420,36 +437,6 @@ mod tests {
         assert_eq!(i.len(), u.len());
         let (uid, imp) = i.iter().next().unwrap();
         assert!(imp.target_ms < u[uid].target_ms);
-    }
-
-    #[test]
-    fn gate_passes_bundled_workloads() {
-        // No bundled app may carry an error-severity lint: the gate must
-        // be transparent for the paper suite.
-        let w = by_name("Todo").unwrap();
-        let report = lint(&w.app);
-        assert!(!report.has_errors(), "{}", report.render_text());
-        let sim = run_gated(&w.app, &w.micro, &Policy::Perf).unwrap();
-        assert!(!sim.frames.is_empty());
-    }
-
-    #[test]
-    fn gate_refuses_unsatisfiable_app() {
-        let app = App::builder("gate-refused")
-            .html("<button id='b'>x</button>")
-            .css("#b:QoS { onclick-qos: single, short; }")
-            .script(
-                "addEventListener(getElementById('b'), 'click', function(e) {
-                     work(9000000000); markDirty();
-                 });",
-            )
-            .build();
-        let w = by_name("Todo").unwrap();
-        let err = run_gated(&app, &w.micro, &Policy::Perf).unwrap_err();
-        match err {
-            GateError::Lint(report) => assert!(report.has_errors()),
-            GateError::Browser(e) => panic!("expected a lint refusal, got {e}"),
-        }
     }
 
     #[test]

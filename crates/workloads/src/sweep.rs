@@ -1,8 +1,9 @@
 //! Checkpointed, resumable, fault-tolerant evaluation sweeps.
 //!
-//! The paper's evaluation is 48 cells; ROADMAP item 3 is 10k apps. At
-//! that scale a sweep must survive poisoned inputs and interrupted
-//! processes, so this module layers three things over
+//! The paper's evaluation is 48 independent cells, and one bad cell (a
+//! panicking policy, a runaway or malformed script) must not abort the
+//! sweep and lose the healthy results; nor may an interrupted process.
+//! So this module layers three things over
 //! [`greenweb_fleet::run_supervised`]:
 //!
 //! * **A canonical plan** ([`SweepPlan::canonical`]): the Table 3
@@ -28,6 +29,7 @@
 use crate::harness::{expectations, Policy};
 use greenweb::metrics::RunMetrics;
 use greenweb::qos::Scenario;
+use greenweb_det::{fnv1a_field, FNV1A_BASIS};
 use greenweb_engine::{
     App, RunBudget, RunSpec, Scheduler, SchedulerFactory, SimReport, TargetSpec, Trace,
 };
@@ -151,22 +153,13 @@ impl SchedulerFactory for PanicFactory {
 /// The name the panicking pseudo-policy goes by in repro files.
 const PANIC_POLICY: &str = "panic-factory";
 
-/// Parses the policy names [`run_sweep`] and repro files emit (the
-/// [`Policy`] `Display` strings for the baseline and paper set, plus
-/// the poison pseudo-policy).
+/// Parses the policy names [`run_sweep`] and repro files emit: a
+/// [`Policy::from_name`] name, or the poison pseudo-policy.
 pub fn policy_by_name(name: &str) -> Option<Box<dyn SchedulerFactory>> {
-    let policy = match name {
-        "Perf" => Policy::Perf,
-        "Interactive" => Policy::Interactive,
-        "Ondemand" => Policy::Ondemand,
-        "Powersave" => Policy::Powersave,
-        "EBS" => Policy::Ebs,
-        "GreenWeb-I" => Policy::GreenWeb(Scenario::Imperceptible),
-        "GreenWeb-U" => Policy::GreenWeb(Scenario::Usable),
-        PANIC_POLICY => return Some(Box::new(PanicFactory)),
-        _ => return None,
-    };
-    Some(Box::new(policy))
+    if name == PANIC_POLICY {
+        return Some(Box::new(PanicFactory));
+    }
+    Some(Box::new(Policy::from_name(name)?))
 }
 
 /// One cell of a sweep: everything needed to lower a [`RunSpec`], judge
@@ -220,7 +213,7 @@ fn poison_cell(spec: PoisonSpec) -> SweepCell {
                 )
                 .build(),
             Trace::builder().click_id(50.0, "go").end_ms(300.0).build(),
-            "Perf".to_string(),
+            Policy::Perf.to_string(),
         ),
         PoisonKind::Malformed => (
             App::builder("poison-malformed")
@@ -228,7 +221,7 @@ fn poison_cell(spec: PoisonSpec) -> SweepCell {
                 .script("function ( { this is not a script")
                 .build(),
             Trace::builder().end_ms(100.0).build(),
-            "Perf".to_string(),
+            Policy::Perf.to_string(),
         ),
     };
     SweepCell {
@@ -295,15 +288,8 @@ impl SweepPlan {
     /// the same fingerprint run the same jobs, so a checkpoint file is
     /// only resumable under the fingerprint it was started with.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h ^= 0xFF;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+        let mut h = FNV1A_BASIS;
+        let mut eat = |bytes: &[u8]| h = fnv1a_field(h, bytes);
         for cell in &self.cells {
             eat(cell.label.as_bytes());
             eat(&cell.to_spec(self.budget).digest().to_le_bytes());
@@ -1103,7 +1089,7 @@ mod tests {
 
     #[test]
     fn policy_names_round_trip_through_the_registry() {
-        for policy in Policy::paper_set() {
+        for policy in Policy::NAMED {
             assert!(
                 policy_by_name(&policy.to_string()).is_some(),
                 "{policy} must be recoverable from its display name"
