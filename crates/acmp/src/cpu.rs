@@ -68,8 +68,6 @@ pub struct Cpu {
     current: usize,
     busy: bool,
     last_update: SimTime,
-    metered: EnergyBreakdown,
-    sensor_gain: f64,
     dvfs_switches: u64,
     migrations: u64,
 }
@@ -95,8 +93,6 @@ impl Cpu {
             current: 0,
             busy: false,
             last_update: SimTime::ZERO,
-            metered: EnergyBreakdown::default(),
-            sensor_gain: 1.0,
             dvfs_switches: 0,
             migrations: 0,
         }
@@ -149,8 +145,7 @@ impl Cpu {
         work.remaining_after(self.config(), self.current_ipc(), elapsed)
     }
 
-    /// Charges the time up to `now` to the current configuration's row,
-    /// and the sensor's reading of it to the metered energy.
+    /// Charges the time up to `now` to the current configuration's row.
     ///
     /// # Panics
     ///
@@ -160,14 +155,10 @@ impl Cpu {
         if span.is_zero() {
             return;
         }
-        let secs = span.as_secs_f64();
         let row = &mut self.rows[self.current];
         row.resident += span;
         if self.busy {
             row.busy += span;
-            self.metered.active_mj += row.active_mw * secs * self.sensor_gain;
-        } else {
-            self.metered.idle_mj += row.idle_mw * secs * self.sensor_gain;
         }
         self.last_update = now;
     }
@@ -204,7 +195,9 @@ impl Cpu {
 
     /// Accumulated energy (ground truth, as dissipated by the model): each
     /// row's busy time at its active power plus its idle time at its idle
-    /// power, summed in [`Platform::configs`] order.
+    /// power, summed in [`Platform::configs`] order. This is the run's one
+    /// energy account: reports, traces and energy-budgeting policies all
+    /// read it.
     pub fn energy(&self) -> EnergyBreakdown {
         let mut energy = EnergyBreakdown::default();
         for row in &self.rows {
@@ -212,31 +205,6 @@ impl Cpu {
             energy.idle_mj += row.idle_mw * (row.resident - row.busy).as_secs_f64();
         }
         energy
-    }
-
-    /// Energy as reported by the platform's power sensor (the XU+E's
-    /// on-board current/voltage meters), summed interval by interval. Equal
-    /// to [`Cpu::energy`] up to float rounding unless a sensor distortion
-    /// has been applied with [`Cpu::set_sensor_gain`] — fault injection
-    /// uses that to model sensor noise and dropout.
-    /// Policies that meter their own consumption (e.g. energy-budget UAI
-    /// fallback) read this, not the ground truth.
-    pub fn metered_energy(&self) -> EnergyBreakdown {
-        self.metered
-    }
-
-    /// Sets the gain the power sensor applies to all subsequent energy
-    /// increments: `1.0` is a faithful sensor, `0.0` a dropout (the meter
-    /// reads nothing), other values model calibration noise. Advances the
-    /// integrator to `now` first so the new gain only affects the future.
-    pub fn set_sensor_gain(&mut self, now: SimTime, gain: f64) {
-        self.advance(now);
-        self.sensor_gain = gain.max(0.0);
-    }
-
-    /// The current power-sensor gain.
-    pub fn sensor_gain(&self) -> f64 {
-        self.sensor_gain
     }
 
     /// Instantaneous power draw at the current state, in milliwatts.
@@ -373,29 +341,6 @@ mod tests {
     fn switch_rejects_invalid_config() {
         let mut c = cpu();
         c.switch(SimTime::ZERO, CpuConfig::new(CoreType::Big, 1234));
-    }
-
-    #[test]
-    fn metered_energy_tracks_truth_with_unit_gain() {
-        let mut c = cpu();
-        c.set_busy(SimTime::ZERO, true);
-        c.advance(SimTime::from_secs(1));
-        assert_eq!(c.metered_energy(), c.energy());
-    }
-
-    #[test]
-    fn sensor_gain_distorts_metered_but_not_truth() {
-        let mut c = cpu();
-        c.set_busy(SimTime::ZERO, true);
-        c.advance(SimTime::from_millis(500));
-        c.set_sensor_gain(SimTime::from_millis(500), 0.0); // dropout
-        c.advance(SimTime::from_secs(1));
-        let truth = c.energy().total_mj();
-        let metered = c.metered_energy().total_mj();
-        assert!((metered - truth / 2.0).abs() < 1e-9, "{metered} vs {truth}");
-        c.set_sensor_gain(SimTime::from_secs(1), 2.0); // over-reading noise
-        c.advance(SimTime::from_millis(1500));
-        assert!(c.metered_energy().total_mj() > c.energy().total_mj() * 0.99);
     }
 
     #[test]

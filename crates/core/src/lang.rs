@@ -127,21 +127,17 @@ impl AnnotationTable {
     ///
     /// # Errors
     ///
-    /// Returns [`LangError`] if a `:QoS` rule declares an unknown event
-    /// or a malformed QoS value. Non-QoS declarations inside `:QoS` rules
+    /// Returns the first [`LangError`] of
+    /// [`AnnotationTable::from_stylesheet_lossy`]: the first `:QoS`
+    /// declaration, in source order, naming an unknown event or carrying
+    /// a malformed QoS value. Non-QoS declarations inside `:QoS` rules
     /// are ignored (CSS forward compatibility).
     pub fn from_stylesheet(stylesheet: &Stylesheet) -> Result<Self, LangError> {
-        let mut table = AnnotationTable::new();
-        for rule in stylesheet.qos_rules() {
-            for decl in rule.declarations() {
-                match parse_declaration(decl) {
-                    None => continue,
-                    Some(Err(e)) => return Err(e),
-                    Some(Ok((event, spec))) => table.push_for_rule(rule, event, spec),
-                }
-            }
+        let (table, errors) = Self::from_stylesheet_lossy(stylesheet);
+        match errors.into_iter().next() {
+            Some(first) => Err(first),
+            None => Ok(table),
         }
-        Ok(table)
     }
 
     /// Like [`AnnotationTable::from_stylesheet`], but malformed

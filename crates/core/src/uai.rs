@@ -50,10 +50,9 @@ impl<S: Scheduler> EnergyBudgetUai<S> {
     }
 
     fn check(&mut self, ctx: &SchedulerCtx<'_>) {
-        // Budget accounting reads the *metered* energy — what an on-device
-        // power sensor would report — so sensor faults are observable to
-        // the policy, exactly as they would be on real hardware.
-        if !self.tripped && ctx.cpu.metered_energy().total_mj() >= self.budget_mj {
+        // Budget accounting reads the CPU's one energy ledger, the same
+        // energy the run reports.
+        if !self.tripped && ctx.cpu.energy().total_mj() >= self.budget_mj {
             self.tripped = true;
         }
     }

@@ -175,7 +175,7 @@ mod tests {
     use crate::value::Length;
 
     fn spec(decl: &str) -> AnimationSpec {
-        let decls = parse_declarations_str(decl).unwrap();
+        let decls = parse_declarations_str(decl);
         AnimationSpec::parse(&decls[0].value).unwrap()
     }
 

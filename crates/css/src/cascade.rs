@@ -270,7 +270,7 @@ fn apply<'a>(style: &mut ComputedStyle, decls: impl IntoIterator<Item = &'a Decl
 fn inline_declarations(doc: &Document, node: NodeId) -> Vec<Declaration> {
     doc.element(node)
         .and_then(|el| el.attribute("style"))
-        .map(|style| parse_declarations_str(style).unwrap_or_default())
+        .map(parse_declarations_str)
         .unwrap_or_default()
 }
 

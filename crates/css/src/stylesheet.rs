@@ -275,18 +275,11 @@ pub fn parse_stylesheet_with_errors(input: &str) -> (Stylesheet, Vec<CssError>) 
 
 /// Parses the declarations inside one `{ … }` block given as source text
 /// (used for `style="…"` inline attributes). Malformed declarations are
-/// skipped individually, like browsers treat `style` attributes.
-///
-/// # Errors
-///
-/// Never fails; the `Result` is kept for API stability.
-pub fn parse_declarations_str(input: &str) -> Result<Vec<Declaration>, CssError> {
-    let (tokens, token_errors) = tokenize_lossy(input);
-    let mut errors: Vec<CssError> = token_errors
-        .into_iter()
-        .map(|e| CssError::new(e.to_string()))
-        .collect();
-    Ok(parse_declarations(&tokens, &mut errors))
+/// skipped individually, like browsers treat `style` attributes, and
+/// their errors are not reported.
+pub fn parse_declarations_str(input: &str) -> Vec<Declaration> {
+    let (tokens, _) = tokenize_lossy(input);
+    parse_declarations(&tokens, &mut Vec::new())
 }
 
 /// Returns `(open_brace_index, close_brace_index)`. A block the input
@@ -675,7 +668,7 @@ mod tests {
 
     #[test]
     fn inline_declarations_parse() {
-        let decls = parse_declarations_str("width: 100px; transition: width 2s").unwrap();
+        let decls = parse_declarations_str("width: 100px; transition: width 2s");
         assert_eq!(decls.len(), 2);
         assert_eq!(
             decls[1].value,

@@ -240,7 +240,7 @@ mod tests {
     use crate::value::Length;
 
     fn parse_transition(decl: &str) -> Vec<TransitionSpec> {
-        let decls = parse_declarations_str(decl).unwrap();
+        let decls = parse_declarations_str(decl);
         TransitionSpec::parse_list(&decls[0].value)
     }
 

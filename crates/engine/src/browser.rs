@@ -462,10 +462,10 @@ impl<S: Scheduler> Browser<S> {
     }
 
     /// Attaches a seeded fault-injection plan. The next [`Browser::run`]
-    /// perturbs input delivery, VSync timing, callback cost, and the
-    /// power sensor per the plan; every fault that fires is recorded in
-    /// the report's [`crate::ChaosReport`]. Runs with the same plan (and
-    /// same app/trace/scheduler) are byte-for-byte reproducible.
+    /// perturbs input delivery, VSync timing and callback cost per the
+    /// plan; every fault that fires is recorded in the report's
+    /// [`crate::ChaosReport`]. Runs with the same plan (and same
+    /// app/trace/scheduler) are byte-for-byte reproducible.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.injector = Some(FaultInjector::new(plan));
     }
@@ -986,11 +986,6 @@ impl<S: Scheduler> Browser<S> {
 
     fn on_vsync(&mut self, end: SimTime) -> Result<(), BrowserError> {
         if let Some(injector) = self.injector.as_mut() {
-            // The power sensor is sampled at display rate (~60 Hz): apply
-            // this interval's (possibly distorted) gain before any other
-            // work charges energy.
-            let gain = injector.sensor_gain(self.now);
-            self.cpu.set_sensor_gain(self.now, gain);
             match injector.on_vsync(self.now) {
                 VsyncDisposition::Deliver => {}
                 VsyncDisposition::Drop => {
@@ -1008,13 +1003,8 @@ impl<S: Scheduler> Browser<S> {
             }
         }
         // Only delivered ticks are traced: the display actually beat.
-        // With an injector attached the sensor gain may have changed at
-        // this tick, so the metered energy track gets a sample here.
         if let Some(trace) = self.trace.as_ref() {
             trace.record(self.now, TraceKind::Vsync);
-        }
-        if self.injector.is_some() {
-            self.record_energy_sample();
         }
         // If the main thread is still chewing on the previous frame, skip
         // this VSync entirely — real browsers do not dispatch rAF or
@@ -1300,10 +1290,8 @@ impl<S: Scheduler> Browser<S> {
             TraceKind::EnergySample {
                 active_mj: energy.active_mj,
                 idle_mj: energy.idle_mj,
-                metered_mj: self.cpu.metered_energy().total_mj(),
                 power_mw: self.cpu.power_mw(),
                 config: self.cpu.config(),
-                busy: self.cpu.is_busy(),
             },
         );
     }

@@ -1,11 +1,11 @@
 //! Seeded, deterministic fault injection for the frame pipeline.
 //!
 //! A [`FaultPlan`] describes *which* chaos to inject (load spikes,
-//! dropped/jittered VSync ticks, delayed/dropped/duplicated inputs,
-//! power-sensor noise/dropout) and carries a seed; a [`FaultInjector`]
-//! executes the plan with one independent [`DetRng`] stream per fault
-//! category, so two runs with the same plan inject byte-identical fault
-//! schedules, and enabling one category never perturbs another's stream.
+//! dropped/jittered VSync ticks, delayed/dropped/duplicated inputs) and
+//! carries a seed; a [`FaultInjector`] executes the plan with one
+//! independent [`DetRng`] stream per fault category, so two runs with
+//! the same plan inject byte-identical fault schedules, and enabling one
+//! category never perturbs another's stream.
 //!
 //! Every fault that actually fires is appended to a log the browser
 //! publishes as a [`ChaosReport`], so every fault a run survived is
@@ -55,22 +55,8 @@ pub struct InputFaultSpec {
     pub duplicate_prob: f64,
 }
 
-/// Power-sensor fault injection, sampled once per VSync interval (~60 Hz,
-/// like the XU+E's on-board meters): the sensor can drop out (read
-/// nothing) or mis-read by a calibration-noise factor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SensorFaultSpec {
-    /// Probability a sample interval is a dropout (gain 0).
-    pub dropout_prob: f64,
-    /// Probability a sample interval is noisy.
-    pub noise_prob: f64,
-    /// Noise magnitude: a noisy interval's gain is uniform in
-    /// `[1 - frac, 1 + frac]`.
-    pub noise_frac: f64,
-}
-
 /// What chaos to inject. Categories left `None` are not injected, so a
-/// plan can isolate a single failure mode or combine all four.
+/// plan can isolate a single failure mode or combine all three.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultSpec {
     /// Callback cost multipliers.
@@ -79,8 +65,6 @@ pub struct FaultSpec {
     pub vsync: Option<VsyncFaultSpec>,
     /// Delayed / dropped / duplicated inputs.
     pub input: Option<InputFaultSpec>,
-    /// Power-sensor distortion.
-    pub sensor: Option<SensorFaultSpec>,
     /// Restrict injection to `[start_ms, end_ms)`; `None` means the whole
     /// run. A bounded window confines the faults to one stretch of the
     /// run, so the frames after it show how the runtime recovers once
@@ -146,35 +130,19 @@ impl FaultPlan {
         self
     }
 
-    /// Enables power-sensor dropout/noise.
-    pub fn with_sensor_faults(
-        mut self,
-        dropout_prob: f64,
-        noise_prob: f64,
-        noise_frac: f64,
-    ) -> Self {
-        self.spec.sensor = Some(SensorFaultSpec {
-            dropout_prob,
-            noise_prob,
-            noise_frac,
-        });
-        self
-    }
-
     /// Restricts injection to the window `[start_ms, end_ms)`.
     pub fn with_window_ms(mut self, start_ms: f64, end_ms: f64) -> Self {
         self.spec.window_ms = Some((start_ms, end_ms));
         self
     }
 
-    /// A "storm" preset used by the chaos harness: all four categories at
+    /// A "storm" preset used by the chaos harness: all three categories at
     /// aggressive rates.
     pub fn storm(seed: u64) -> Self {
         FaultPlan::new(seed)
             .with_load_spikes(0.35, 6.0)
             .with_vsync_faults(0.05, 0.10, 12.0)
             .with_input_faults(0.15, 120.0, 0.05, 0.10)
-            .with_sensor_faults(0.05, 0.25, 0.30)
     }
 }
 
@@ -210,13 +178,6 @@ pub enum FaultKind {
         /// The input's event type.
         event: EventType,
     },
-    /// The power sensor read nothing for one sample interval.
-    SensorDropout,
-    /// The power sensor mis-read by `gain` for one sample interval.
-    SensorNoise {
-        /// The distorted gain (1.0 = faithful).
-        gain: f64,
-    },
 }
 
 impl FaultKind {
@@ -228,7 +189,6 @@ impl FaultKind {
             FaultKind::InputDelayed { .. }
             | FaultKind::InputDropped { .. }
             | FaultKind::InputDuplicated { .. } => "input",
-            FaultKind::SensorDropout | FaultKind::SensorNoise { .. } => "sensor",
         }
     }
 }
@@ -248,10 +208,6 @@ impl fmt::Display for FaultKind {
             }
             FaultKind::InputDropped { event } => write!(f, "{} dropped", event.name()),
             FaultKind::InputDuplicated { event } => write!(f, "{} duplicated", event.name()),
-            FaultKind::SensorDropout => write!(f, "power sensor read nothing"),
-            FaultKind::SensorNoise { gain } => {
-                write!(f, "power sensor gain {gain:.3}")
-            }
         }
     }
 }
@@ -297,13 +253,12 @@ impl fmt::Display for ChaosReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "chaos seed {}: {} faults ({} load-spike, {} vsync, {} input, {} sensor)",
+            "chaos seed {}: {} faults ({} load-spike, {} vsync, {} input)",
             self.seed,
             self.total(),
             self.count("load-spike"),
             self.count("vsync"),
             self.count("input"),
-            self.count("sensor"),
         )
     }
 }
@@ -327,7 +282,6 @@ pub struct FaultInjector {
     callback_rng: DetRng,
     vsync_rng: DetRng,
     input_rng: DetRng,
-    sensor_rng: DetRng,
     log: Vec<InjectedFault>,
 }
 
@@ -340,7 +294,6 @@ impl FaultInjector {
             callback_rng: root.fork("callback"),
             vsync_rng: root.fork("vsync"),
             input_rng: root.fork("input"),
-            sensor_rng: root.fork("sensor"),
             log: Vec::new(),
         }
     }
@@ -402,36 +355,6 @@ impl FaultInjector {
             return VsyncDisposition::Defer(delay);
         }
         VsyncDisposition::Deliver
-    }
-
-    /// Power-sensor gain for the sample interval starting at `now`
-    /// (1.0 = faithful).
-    pub fn sensor_gain(&mut self, now: SimTime) -> f64 {
-        let Some(spec) = self.plan.spec.sensor else {
-            return 1.0;
-        };
-        if !self.active_at(now) {
-            return 1.0;
-        }
-        if self.sensor_rng.gen_bool(spec.dropout_prob) {
-            self.log.push(InjectedFault {
-                at: now,
-                kind: FaultKind::SensorDropout,
-            });
-            return 0.0;
-        }
-        if self.sensor_rng.gen_bool(spec.noise_prob) {
-            let gain = self
-                .sensor_rng
-                .f64_in(1.0 - spec.noise_frac, 1.0 + spec.noise_frac)
-                .max(0.0);
-            self.log.push(InjectedFault {
-                at: now,
-                kind: FaultKind::SensorNoise { gain },
-            });
-            return gain;
-        }
-        1.0
     }
 
     /// Applies input faults to a trace's events: drops, duplicates, and
@@ -515,7 +438,6 @@ mod tests {
             inj.on_vsync(SimTime::from_millis(16)),
             VsyncDisposition::Deliver
         );
-        assert_eq!(inj.sensor_gain(SimTime::from_millis(16)), 1.0);
         assert_eq!(inj.report().total(), 0);
     }
 
@@ -532,12 +454,35 @@ mod tests {
             let vsyncs: Vec<VsyncDisposition> = (1..50)
                 .map(|i| inj.on_vsync(SimTime::from_millis(i * 16)))
                 .collect();
-            let gains: Vec<f64> = (1..50)
-                .map(|i| inj.sensor_gain(SimTime::from_millis(i * 16)))
-                .collect();
-            (inputs, mults, vsyncs, gains, inj.report())
+            (inputs, mults, vsyncs, inj.report())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn toggling_a_category_leaves_the_others_schedules_alone() {
+        let trace = sample_trace();
+        let log = |plan: FaultPlan| {
+            let mut inj = FaultInjector::new(plan);
+            inj.perturb_inputs(&trace.events);
+            for i in 1..200 {
+                inj.on_vsync(SimTime::from_millis(i * 16));
+                inj.callback_multiplier(SimTime::from_millis(i * 16 + 3));
+            }
+            inj.report().faults
+        };
+        let storm = FaultPlan::storm(42);
+        let mut no_vsync = storm;
+        no_vsync.spec.vsync = None;
+        let (full, without) = (log(storm), log(no_vsync));
+        for category in ["vsync", "load-spike", "input"] {
+            assert!(full.iter().any(|f| f.kind.category() == category));
+        }
+        let non_vsync: Vec<InjectedFault> = full
+            .into_iter()
+            .filter(|f| f.kind.category() != "vsync")
+            .collect();
+        assert_eq!(non_vsync, without);
     }
 
     #[test]
@@ -556,14 +501,17 @@ mod tests {
         let mut inj = FaultInjector::new(
             FaultPlan::new(7)
                 .with_load_spikes(1.0, 4.0)
-                .with_sensor_faults(1.0, 0.0, 0.0),
+                .with_vsync_faults(1.0, 0.0, 0.0),
         );
         assert_eq!(inj.callback_multiplier(SimTime::from_millis(1)), 4.0);
-        assert_eq!(inj.sensor_gain(SimTime::from_millis(2)), 0.0);
+        assert_eq!(
+            inj.on_vsync(SimTime::from_millis(2)),
+            VsyncDisposition::Drop
+        );
         let report = inj.report();
         assert_eq!(report.total(), 2);
         assert_eq!(report.count("load-spike"), 1);
-        assert_eq!(report.count("sensor"), 1);
+        assert_eq!(report.count("vsync"), 1);
     }
 
     #[test]

@@ -138,8 +138,7 @@ impl<'a> ScriptHost<'a> {
     /// Reads a property from an element's inline style.
     fn inline_style_value(&self, node: NodeId, property: &str) -> Option<CssValue> {
         let style = self.doc.element(node)?.attribute("style")?;
-        let decls = parse_declarations_str(style).ok()?;
-        decls
+        parse_declarations_str(style)
             .into_iter()
             .rev()
             .find(|d| d.property.as_str() == property)
@@ -154,7 +153,7 @@ impl<'a> ScriptHost<'a> {
             .and_then(|el| el.attribute("style"))
             .unwrap_or("")
             .to_string();
-        let mut decls = parse_declarations_str(&existing).unwrap_or_default();
+        let mut decls = parse_declarations_str(&existing);
         decls.retain(|d| d.property.as_str() != property);
         let mut css = String::new();
         for d in &decls {

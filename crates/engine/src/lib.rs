@@ -59,7 +59,7 @@ pub use effects::{EffectSummary, EffectTarget, HandlerSummary, TargetSet};
 pub use events::{InputId, TargetSpec, Trace, TraceBuilder, TraceEvent};
 pub use fault::{
     ChaosReport, FaultInjector, FaultKind, FaultPlan, FaultSpec, InjectedFault, InputFaultSpec,
-    LoadSpikeSpec, SensorFaultSpec, VsyncDisposition, VsyncFaultSpec,
+    LoadSpikeSpec, VsyncDisposition, VsyncFaultSpec,
 };
 pub use frame::{FrameRecord, FrameTracker, Msg};
 pub use greenweb_script::{CompiledHandler, HandlerCache, ScriptStats};

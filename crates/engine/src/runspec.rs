@@ -71,7 +71,7 @@ pub enum TraceMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBudget {
     /// Fuel ceiling per script callback, in charged evaluation steps
-    /// (the VM's tick weights, metered through
+    /// (the VM's tick weights, counted through
     /// [`greenweb_script::Fuel`]). The engine resets the counter at each
     /// callback entry; an infinite `while (true)` loop burns this in
     /// bounded time.

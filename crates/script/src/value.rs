@@ -16,11 +16,23 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct VmClosure {
     /// Index into the program's prototype table.
-    pub proto: usize,
+    pub(crate) proto: usize,
     /// The prototype table the index refers to.
-    pub protos: Arc<Vec<Proto>>,
+    pub(crate) protos: Arc<Vec<Proto>>,
     /// Captured lexical environment.
-    pub env: crate::runtime::ScopeRef,
+    pub(crate) env: crate::runtime::ScopeRef,
+}
+
+impl VmClosure {
+    /// A closure over `protos[proto]` capturing `env`; `None` when
+    /// `proto` is out of range.
+    pub fn new(
+        proto: usize,
+        protos: Arc<Vec<Proto>>,
+        env: crate::runtime::ScopeRef,
+    ) -> Option<Self> {
+        (proto < protos.len()).then_some(VmClosure { proto, protos, env })
+    }
 }
 
 /// A runtime value.
@@ -247,15 +259,10 @@ mod tests {
             name: "tick".to_string(),
             ..Default::default()
         }]);
-        let closure = |proto| {
-            Value::VmFunction(Rc::new(VmClosure {
-                proto,
-                protos: Arc::clone(&protos),
-                env: Default::default(),
-            }))
-        };
-        assert_eq!(closure(0).to_string(), "<function tick>");
-        assert_eq!(closure(7).to_string(), "<function>");
+        let closure = |proto| VmClosure::new(proto, Arc::clone(&protos), Default::default());
+        let tick = Value::VmFunction(Rc::new(closure(0).expect("index 0 is in range")));
+        assert_eq!(tick.to_string(), "<function tick>");
+        assert!(closure(7).is_none(), "index 7 is out of range");
     }
 
     #[test]

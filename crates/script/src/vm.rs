@@ -363,17 +363,14 @@ impl Vm {
                     stack.push(object);
                 }
                 Op::MakeClosure(idx) => {
-                    if idx as usize >= protos.len() {
+                    let scope = scopes.last().expect("frame scope always present").clone();
+                    let Some(closure) = VmClosure::new(idx as usize, Arc::clone(&protos), scope)
+                    else {
                         return Err(ScriptError::new(format!(
                             "malformed bytecode: proto index {idx} out of range"
                         )));
-                    }
-                    let scope = scopes.last().expect("frame scope always present").clone();
-                    stack.push(Value::VmFunction(Rc::new(VmClosure {
-                        proto: idx as usize,
-                        protos: Arc::clone(&protos),
-                        env: scope,
-                    })));
+                    };
+                    stack.push(Value::VmFunction(Rc::new(closure)));
                 }
                 Op::CallName { name, argc } => {
                     let args: Vec<Value> = split_args!(argc);

@@ -826,10 +826,8 @@ mod tests {
         let sample = |active_mj: f64, idle_mj: f64| EventKind::EnergySample {
             active_mj,
             idle_mj,
-            metered_mj: active_mj + idle_mj,
             power_mw: 500.0,
             config: CpuConfig::new(CoreType::Little, 600),
-            busy: false,
         };
         trace.record(ms(0), span(SpanKind::Input, 0, 0, 0, Some("click"), 0, 0.0));
         trace.record(

@@ -111,31 +111,23 @@ pub enum EventKind {
     },
     /// An injected fault fired.
     Fault {
-        /// Coarse category (`"load-spike"`, `"vsync"`, `"input"`,
-        /// `"sensor"`).
+        /// Coarse category (`"load-spike"`, `"vsync"`, `"input"`).
         category: &'static str,
         /// Human-readable description of the specific fault.
         detail: String,
     },
     /// An energy-accounting sample, taken wherever the counter tracks
     /// it draws change: at a configuration switch, at a busy/idle edge
-    /// and once at the end of the run. With a fault injector attached
-    /// it is also taken at every delivered VSync, because the sensor's
-    /// gain (and so `metered_mj`'s slope) can change at every tick.
+    /// and once at the end of the run.
     EnergySample {
         /// Cumulative ground-truth energy spent busy, in millijoules.
         active_mj: f64,
         /// Cumulative ground-truth energy spent idle, in millijoules.
         idle_mj: f64,
-        /// Cumulative energy as the (possibly faulted) sensor reports
-        /// it, in millijoules.
-        metered_mj: f64,
         /// Instantaneous power draw at the sampled state, in milliwatts.
         power_mw: f64,
         /// The configuration at the sample point.
         config: CpuConfig,
-        /// Whether the CPU was executing work.
-        busy: bool,
     },
     /// End-of-run style-system counters: how much exact selector
     /// matching the bucketed resolver ran and what the ancestor Bloom

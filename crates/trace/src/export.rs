@@ -187,15 +187,12 @@ fn write_event(events: &mut Arr<'_>, record: &TraceRecord) {
         EventKind::EnergySample {
             active_mj,
             idle_mj,
-            metered_mj,
             power_mw,
             config,
-            busy: _,
         } => {
             let ts = ts_us(at);
             counter(events, "energy_mj", ts, |args| {
-                args.field("actual", active_mj + idle_mj)
-                    .field("metered", metered_mj);
+                args.field("actual", active_mj + idle_mj);
             });
             counter(events, "power_mw", ts, |args| {
                 args.field("mw", power_mw);
@@ -313,10 +310,8 @@ mod tests {
             EventKind::EnergySample {
                 active_mj: 8.0,
                 idle_mj: 2.0,
-                metered_mj: 9.5,
                 power_mw: 750.0,
                 config: CpuConfig::new(CoreType::Big, 1000),
-                busy: true,
             },
         );
         trace.record(

@@ -14,7 +14,7 @@
 //! ticks, scheduler decisions with their "why" (QoS target, predicted
 //! latency, chosen configuration), configuration switches with the
 //! DVFS/migration cost charged, injected faults, and energy-accounting
-//! samples (metered vs. ground truth).
+//! samples of the CPU's one energy ledger.
 //!
 //! Two properties are load-bearing:
 //!

@@ -166,9 +166,8 @@ mod tests {
     #[test]
     fn empty_plan_matches_baseline_energy() {
         // An empty plan still attaches an injector; it must not perturb
-        // the simulation. (Sampling the sensor gain each VSync advances
-        // the CPU more often, which energy priced from integer
-        // per-configuration time does not see.)
+        // the simulation, so energy and every frame's latency match the
+        // fault-free run bit for bit.
         let w = by_name("Todo").unwrap();
         let run = chaos_run(&w.app, &w.micro, Scenario::Usable, FaultPlan::new(9)).unwrap();
         assert_eq!(run.faulted.chaos.as_ref().unwrap().total(), 0);

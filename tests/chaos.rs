@@ -95,13 +95,13 @@ fn chaos_report_records_every_fault_inside_the_window() {
     let run = stormy_paperjs(7);
     let chaos = run.faulted.chaos.as_ref().expect("chaos report attached");
     assert_eq!(chaos.seed, 7);
-    for category in ["load-spike", "vsync", "input", "sensor"] {
+    for category in ["load-spike", "vsync", "input"] {
         assert!(
             chaos.count(category) > 0,
             "storm injected no {category} faults: {chaos}"
         );
     }
-    let by_cat: usize = ["load-spike", "vsync", "input", "sensor"]
+    let by_cat: usize = ["load-spike", "vsync", "input"]
         .into_iter()
         .map(|category| chaos.count(category))
         .sum();

@@ -1239,11 +1239,13 @@ fn effect_analyzer_total_on_hostile_bytecode() {
             })
             .collect();
         let entry = g.usize_in(0, proto_count);
-        let value = Value::VmFunction(Rc::new(VmClosure {
-            proto: entry,
-            protos: std::sync::Arc::new(protos),
-            env: Rc::new(RefCell::new(Scope::default())),
-        }));
+        let closure = VmClosure::new(
+            entry,
+            std::sync::Arc::new(protos),
+            Rc::new(RefCell::new(Scope::default())),
+        )
+        .expect("the entry index is drawn in range");
+        let value = Value::VmFunction(Rc::new(closure));
         let analyzer = greenweb_analyze::EffectAnalyzer::new(&[]);
         let summary = analyzer
             .analyze_callback(&value)

@@ -182,8 +182,8 @@ fn attribution_conserves_energy_across_the_suite() {
 
 #[test]
 fn attribution_conserves_energy_under_fault_storms() {
-    // Injected load spikes, dropped and jittered VSyncs, perturbed
-    // inputs and sensor noise reshape the timeline, but the profiler
+    // Injected load spikes, dropped and jittered VSyncs and perturbed
+    // inputs reshape the timeline, but the profiler
     // must still read the CPU's ledger exactly: idle is the CPU's idle
     // energy, and the spans plus the remainder are its busy energy.
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
