@@ -133,7 +133,7 @@ type FnTable = HashMap<String, Option<FnRef>>;
 fn build_fn_table(units: &[ScriptUnit]) -> FnTable {
     let mut functions = FnTable::new();
     for unit in units {
-        let (Some(program), Some(compiled)) = (&unit.program, &unit.compiled) else {
+        let (Some(program), Ok(compiled)) = (&unit.program, &unit.compiled) else {
             continue;
         };
         for stmt in &program.body {
@@ -461,7 +461,11 @@ impl<D: Domain> Walker<'_, D> {
     /// One activation of `protos[index]`.
     fn call(&mut self, protos: &Arc<Vec<Proto>>, index: usize) -> D::Path {
         let key: ProtoKey = (Arc::as_ptr(protos) as usize, index);
-        if self.call_stack.contains(&key) {
+        // The entry activation binds the event parameter, so it is not the
+        // ⊤-state exploration a recursion residue stands on: a call back
+        // into the entry prototype (a named handler calling itself) is
+        // explored once more, under ⊤, before recursion is cut.
+        if self.call_stack.iter().skip(1).any(|active| *active == key) {
             return self.domain.recursion();
         }
         if self.call_stack.len() >= MAX_CALLS as usize {
@@ -737,4 +741,33 @@ impl<D: Domain> Walker<'_, D> {
 
 fn lookup(scopes: &Scopes, name: u32) -> Option<AbsVal> {
     scopes.iter().rev().find_map(|s| s.get(&name).cloned())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// GreenLint inlines the bytecode `App::build` compiled — the very
+    /// prototype tables the engine's closures hold — not a copy of its
+    /// own, on every bundled workload.
+    #[test]
+    fn inlined_functions_are_the_apps_compiled_bytecode() {
+        let mut inlined = 0;
+        for workload in greenweb_workloads::all() {
+            let app = &workload.app;
+            let globals = Globals::new(&crate::app_units(app));
+            for (name, function) in &globals.functions {
+                let Some(function) = function else {
+                    continue;
+                };
+                let shared = (0..app.scripts.len()).any(|index| {
+                    app.compiled_script(index)
+                        .is_some_and(|compiled| Arc::ptr_eq(&compiled.protos, &function.protos))
+                });
+                assert!(shared, "{}: `{name}` is not the app's bytecode", app.name);
+                inlined += 1;
+            }
+        }
+        assert!(inlined > 0, "no bundled workload declares a function");
+    }
 }

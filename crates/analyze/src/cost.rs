@@ -14,7 +14,7 @@
 //! contributes nothing to the bound — ⊤, not an error.
 
 use crate::absint::{self, AbsVal, Domain, Globals, Scopes};
-use crate::{CompiledHandler, HandlerCache, ScriptUnit};
+use crate::ScriptUnit;
 use greenweb_script::compiler::Proto;
 use greenweb_script::Value;
 use std::collections::HashSet;
@@ -84,7 +84,7 @@ impl CostAnalyzer {
     /// that fail to parse or compile are skipped (the front-end pass has
     /// already reported them).
     pub fn new(scripts: &[String], rate_cycles_per_ms: f64) -> Self {
-        Self::from_units(&crate::parse_units(scripts), rate_cycles_per_ms)
+        Self::from_units(&crate::parse_units(scripts, |_| None), rate_cycles_per_ms)
     }
 
     /// Like [`CostAnalyzer::new`], from pre-parsed script units shared
@@ -97,18 +97,13 @@ impl CostAnalyzer {
     }
 
     /// Analyzes one registered listener callback. Returns `None` when
-    /// the value is not a VM closure.
+    /// the value is not a VM closure. The closure's own prototype table
+    /// is walked, so the bound is on the bytecode the engine executes.
     pub fn analyze_callback(&self, callback: &Value) -> Option<HandlerCost> {
-        let cache = HandlerCache::default();
-        cache
-            .compile_callback(callback)
-            .map(|h| self.analyze_compiled(&h))
-    }
-
-    /// Analyzes a handler compiled once through the shared
-    /// [`crate::HandlerCache`].
-    pub(crate) fn analyze_compiled(&self, handler: &CompiledHandler) -> HandlerCost {
-        self.explore_entry(&handler.protos, handler.main)
+        let Value::VmFunction(closure) = callback else {
+            return None;
+        };
+        Some(self.explore_entry(closure.protos(), closure.proto()))
     }
 
     fn explore_entry(&self, protos: &Arc<Vec<Proto>>, main: usize) -> HandlerCost {

@@ -20,8 +20,10 @@
 //! unbounded but whose may-flags are empty: the recursed prototype's
 //! instructions are all explored in the current activation under a
 //! ⊤ entry state, so the join over paths already covers its flags and
-//! targets; only per-activation counts need weakening. A call that is
-//! merely too deep (`MAX_CALLS`) has never been explored and must be
+//! targets; only per-activation counts need weakening. The handler's
+//! entry activation binds its event parameter, so it is not such an
+//! activation: a handler calling itself is explored once more before
+//! the cut. A call that is merely too deep (`MAX_CALLS`) has never been explored and must be
 //! ⊤ outright.
 //!
 //! `e.target` is the one piece of non-⊤ pointer knowledge: dispatch only
@@ -30,7 +32,7 @@
 //! stay inside [`EffectTarget::ListenerSubtree`].
 
 use crate::absint::{self, AbsVal, Callee, Domain, Globals, Scopes};
-use crate::{CompiledHandler, HandlerCache, ScriptUnit};
+use crate::ScriptUnit;
 use greenweb_engine::{EffectSummary, EffectTarget, TargetSet};
 use greenweb_script::compiler::Proto;
 use greenweb_script::Value;
@@ -140,7 +142,7 @@ pub struct EffectAnalyzer {
 impl EffectAnalyzer {
     /// Builds the analyzer from the app's setup scripts.
     pub fn new(scripts: &[String]) -> Self {
-        Self::from_units(&crate::parse_units(scripts))
+        Self::from_units(&crate::parse_units(scripts, |_| None))
     }
 
     /// Builds the analyzer from pre-parsed script units shared with the
@@ -155,16 +157,26 @@ impl EffectAnalyzer {
     /// Analyzes one registered listener callback. Returns `None` when
     /// the value is not a VM closure (the engine registers no other
     /// kind, so there is nothing to summarize).
+    /// The closure's own prototype table is walked, so the summary
+    /// certifies the bytecode the engine executes.
     pub fn analyze_callback(&self, callback: &Value) -> Option<EffectSummary> {
-        let cache = HandlerCache::default();
-        cache
-            .compile_callback(callback)
-            .map(|h| self.analyze_compiled(&h))
+        let Value::VmFunction(closure) = callback else {
+            return None;
+        };
+        let (protos, entry) = (closure.protos(), closure.proto());
+        let event = protos.get(entry).and_then(|p| p.params.first());
+        Some(self.summarize(protos, entry, event.map(String::as_str)))
     }
 
-    /// Analyzes a handler compiled through the shared [`HandlerCache`].
-    pub(crate) fn analyze_compiled(&self, handler: &CompiledHandler) -> EffectSummary {
-        let path = self.explore_entry(&handler.protos, handler.main, &handler.params);
+    /// Summarizes `protos[entry]` with its parameter `event` bound to
+    /// the dispatched event.
+    fn summarize(
+        &self,
+        protos: &Arc<Vec<Proto>>,
+        entry: usize,
+        event: Option<&str>,
+    ) -> EffectSummary {
+        let path = self.explore_entry(protos, entry, event);
         let mut summary = path.summary;
         if !path.zero_delay_names.is_empty()
             && self.reaches_zero_delay_cycle(&path.zero_delay_names)
@@ -178,11 +190,11 @@ impl EffectAnalyzer {
         &self,
         protos: &Arc<Vec<Proto>>,
         main: usize,
-        entry_params: &[String],
+        event: Option<&str>,
     ) -> PathEffects {
         let mut domain = EffectDomain {
             analyzer: self,
-            event: entry_params.first().map(String::as_str),
+            event,
         };
         absint::walk(&mut domain, protos, main)
     }
@@ -195,7 +207,7 @@ impl EffectAnalyzer {
         }
         let set = match self.globals.function(name) {
             Some(fref) => {
-                self.explore_entry(&fref.protos, fref.proto, &[])
+                self.explore_entry(&fref.protos, fref.proto, None)
                     .zero_delay_names
             }
             None => BTreeSet::new(),
@@ -422,12 +434,7 @@ mod tests {
         let analyzer = EffectAnalyzer::new(scripts);
         let program = parse_program(source).unwrap();
         let compiled = compile(&program).unwrap();
-        let handler = CompiledHandler {
-            protos: compiled.protos,
-            main: compiled.main,
-            params: vec!["e".to_string()],
-        };
-        analyzer.analyze_compiled(&handler)
+        analyzer.summarize(&compiled.protos, compiled.main, Some("e"))
     }
 
     fn summarize(source: &str) -> EffectSummary {
@@ -584,6 +591,25 @@ mod tests {
         assert!(!s.top, "recursion alone must not give up entirely");
         assert_eq!(s.work_cycles, None, "per-activation counts are unbounded");
         assert!(!s.may_dirty);
+    }
+
+    /// A named handler that calls itself: the entry activation binds `e`
+    /// to the dispatched event, but the self-call may pass anything, so
+    /// it is explored once more under ⊤ rather than cut as recursion.
+    #[test]
+    fn a_self_calling_handler_is_explored_past_its_entry() {
+        let source = "var n = 0;
+            function h(e) {
+                setAttribute(e.target, 'k', 'v');
+                if (n < 1) { n = n + 1; h({ target: getElementById('box') }); }
+            }"
+        .to_string();
+        let compiled = compile(&parse_program(&source).unwrap()).unwrap();
+        let units = crate::parse_units(std::slice::from_ref(&source), |_| Some(&compiled));
+        let analyzer = EffectAnalyzer::from_units(&units);
+        let entry = compiled.protos.iter().position(|p| p.name == "h").unwrap();
+        let s = analyzer.summarize(&compiled.protos, entry, Some("e"));
+        assert_eq!(s.attr_targets, TargetSet::Unknown, "{s:?}");
     }
 
     #[test]

@@ -60,35 +60,49 @@ use greenweb_script::{compile, parse_program, Program};
 use greenweb_trace::json::{self, Fixed};
 use std::collections::BTreeMap;
 
-/// One setup script, parsed and compiled at most once. Both bytecode
-/// passes (cost lower bounds, effect upper bounds) build their global
-/// name environments from the same units instead of re-parsing the
-/// sources.
+/// One setup script, through the front end once. The front-end
+/// diagnostics and both bytecode passes (cost lower bounds, effect upper
+/// bounds) read the same units instead of re-parsing the sources.
 pub(crate) struct ScriptUnit {
-    /// Parsed AST; `None` when the script fails to parse (the front-end
-    /// pass has already reported that).
+    /// Parsed AST; `None` when the script fails to parse.
     pub(crate) program: Option<Program>,
-    /// Compiled bytecode; `None` when parsing or compilation fails.
-    pub(crate) compiled: Option<CompiledProgram>,
+    /// Bytecode, or the parse or compile error as its GW003 diagnostic
+    /// reads.
+    pub(crate) compiled: Result<CompiledProgram, String>,
 }
 
-/// Parses and compiles every setup script once.
-pub(crate) fn parse_units(scripts: &[String]) -> Vec<ScriptUnit> {
+/// The units of `app`'s setup scripts. Their bytecode is what
+/// [`App::compiled_script`] holds — the prototype tables the engine's
+/// closures execute — so GreenLint inlines the functions the engine
+/// runs, not a second compile of them.
+pub(crate) fn app_units(app: &App) -> Vec<ScriptUnit> {
+    parse_units(&app.scripts, |index| app.compiled_script(index))
+}
+
+/// Parses every setup script once and takes its bytecode from
+/// `precompiled(index)`, compiling only the scripts it has none for, as
+/// the browser does at load.
+pub(crate) fn parse_units<'a>(
+    scripts: &[String],
+    precompiled: impl Fn(usize) -> Option<&'a CompiledProgram>,
+) -> Vec<ScriptUnit> {
     scripts
         .iter()
-        .map(|source| {
-            let program = parse_program(source).ok();
-            let compiled = program.as_ref().and_then(|p| compile(p).ok());
-            ScriptUnit { program, compiled }
+        .enumerate()
+        .map(|(index, source)| {
+            let program = parse_program(source).map_err(|e| e.to_string());
+            let compiled = match (&program, precompiled(index)) {
+                (Err(e), _) => Err(e.clone()),
+                (Ok(_), Some(compiled)) => Ok(compiled.clone()), // an `Arc` alias
+                (Ok(program), None) => compile(program).map_err(|e| e.to_string()),
+            };
+            ScriptUnit {
+                program: program.ok(),
+                compiled,
+            }
         })
         .collect()
 }
-
-// The handler-compilation cache lives in `greenweb_script::handler` and
-// is shared with the engine: the analysis passes below compile handlers
-// through the cache owned by the `Browser` they load, so what GreenLint
-// certifies is byte-for-byte the artifact the engine executes.
-pub use greenweb_script::{CompiledHandler, HandlerCache};
 
 /// The full result of analyzing one application.
 #[derive(Debug, Clone, Default)]
@@ -193,14 +207,8 @@ pub fn infer_effect_summaries(app: &App) -> Vec<HandlerSummary> {
     let Ok(browser) = Browser::new(app, GovernorScheduler::new(PerfGovernor)) else {
         return Vec::new();
     };
-    let units = parse_units(&app.scripts);
-    // The browser pre-warmed its handler cache at load, so the analyzer
-    // walks the very same compiled artifacts the engine would execute.
-    effect_summaries_of(
-        &browser,
-        &EffectAnalyzer::from_units(&units),
-        browser.handler_cache(),
-    )
+    let units = app_units(app);
+    effect_summaries_of(&browser, &EffectAnalyzer::from_units(&units))
 }
 
 /// Summarizes every registered listener callback — all event types, in
@@ -210,15 +218,13 @@ pub fn infer_effect_summaries(app: &App) -> Vec<HandlerSummary> {
 fn effect_summaries_of<S: Scheduler>(
     browser: &Browser<S>,
     analyzer: &EffectAnalyzer,
-    cache: &HandlerCache,
 ) -> Vec<HandlerSummary> {
     let mut summaries = Vec::new();
     for (node, event) in browser.listener_targets() {
         for (index, callback) in browser.listener_callbacks(node, event).iter().enumerate() {
-            let summary = match cache.compile_callback(callback) {
-                Some(handler) => analyzer.analyze_compiled(&handler),
-                None => EffectSummary::top(),
-            };
+            let summary = analyzer
+                .analyze_callback(callback)
+                .unwrap_or_else(EffectSummary::top);
             summaries.push(HandlerSummary {
                 node,
                 event,
@@ -254,18 +260,13 @@ pub fn analyze_on(app: &App, platform: &Platform) -> AnalysisReport {
             format!("recovered from a stylesheet error: {e}"),
         ));
     }
-    for (i, source) in app.scripts.iter().enumerate() {
-        let result = parse_program(source).map(|p| compile(&p));
-        let detail = match result {
-            Err(e) => Some(e.to_string()),
-            Ok(Err(e)) => Some(e.to_string()),
-            Ok(Ok(_)) => None,
-        };
-        if let Some(detail) = detail {
+    let units = app_units(app);
+    for (i, unit) in units.iter().enumerate() {
+        if let Err(detail) = &unit.compiled {
             out.push(Diagnostic::new(
                 LintCode::ScriptLoad,
                 Location::new(Area::Script(i), format!("script {i}")),
-                detail,
+                detail.clone(),
             ));
         }
     }
@@ -311,17 +312,11 @@ pub fn analyze_on(app: &App, platform: &Platform) -> AnalysisReport {
     // types), computed before pass 2 so AUTOGREEN's static precheck is
     // effect-aware, and installed on the browser so `static_precheck`
     // sees exactly the table the engine would consume.
-    let units = parse_units(&app.scripts);
-    // Compile handlers through the cache the browser warmed at load:
-    // the engine and every analysis pass below share one compiled
-    // artifact per callback (zero-copy on the bytecode path).
-    let summaries = effect_summaries_of(
-        &browser,
-        &EffectAnalyzer::from_units(&units),
-        browser.handler_cache(),
-    );
+    // The units hold the bytecode `App::build` compiled and each
+    // callback is walked through its own prototype table, so the engine
+    // and every pass below share one compiled artifact.
+    let summaries = effect_summaries_of(&browser, &EffectAnalyzer::from_units(&units));
     browser.set_effect_summaries(&summaries);
-    let cache = browser.handler_cache();
 
     let live_doc = browser.document();
     let listeners: Vec<ListenerInfo> = browser
@@ -349,8 +344,8 @@ pub fn analyze_on(app: &App, platform: &Platform) -> AnalysisReport {
         let mut total = HandlerCost::default();
         let mut analyzed = 0usize;
         for callback in browser.listener_callbacks(info.node, info.event) {
-            if let Some(handler) = cache.compile_callback(callback) {
-                total = total.plus(&analyzer.analyze_compiled(&handler));
+            if let Some(cost) = analyzer.analyze_callback(callback) {
+                total = total.plus(&cost);
                 analyzed += 1;
             }
         }
@@ -459,6 +454,7 @@ pub fn analyze_on(app: &App, platform: &Platform) -> AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greenweb_engine::{EffectTarget, TargetSet};
 
     fn app(html: &str, css: &str, script: &str) -> App {
         App::builder("lint-test")
@@ -528,6 +524,63 @@ mod tests {
         let second = analyze(&a).render_json();
         assert_eq!(first, second);
         assert!(first.contains("\"code\":\"GW012\""));
+    }
+
+    /// A callback is analyzed from the closure's own prototype table:
+    /// the analyzers are built from no script at all, so the bytecode
+    /// the closure holds is the only one they can walk, and its first
+    /// parameter binds the dispatched event.
+    #[test]
+    fn callbacks_are_analyzed_from_their_own_bytecode() {
+        let mut vm = greenweb_script::Vm::new();
+        vm.run_source(
+            "var f = function(e) { work(500); setAttribute(e.target, 'k', 'v'); };",
+            &mut greenweb_script::NoHost,
+        )
+        .unwrap();
+        let f = vm.global("f").unwrap();
+        let effects = EffectAnalyzer::new(&[]).analyze_callback(&f).unwrap();
+        assert_eq!(effects.work_cycles, Some(500.0));
+        let subtree = [EffectTarget::ListenerSubtree];
+        assert_eq!(effects.attr_targets, TargetSet::Known(subtree.into()));
+        let cost = CostAnalyzer::new(&[], 3.6e6).analyze_callback(&f).unwrap();
+        assert_eq!(cost.work_cycles, 500.0);
+    }
+
+    #[test]
+    fn non_closures_are_not_analyzed() {
+        let effects = EffectAnalyzer::new(&[]);
+        let cost = CostAnalyzer::new(&[], 3.6e6);
+        for value in [
+            greenweb_script::Value::Null,
+            greenweb_script::Value::Number(1.0),
+            greenweb_script::Value::Str("f".into()),
+        ] {
+            assert!(effects.analyze_callback(&value).is_none(), "{value}");
+            assert!(cost.analyze_callback(&value).is_none(), "{value}");
+        }
+    }
+
+    /// One front-end pass per script yields the GW003 text of both a
+    /// parse error and a compile error (`break` outside a loop parses).
+    #[test]
+    fn script_load_errors_name_the_front_end_failure() {
+        let (bad_parse, bad_compile) = ("var = ;", "break;");
+        let a = App::builder("broken-scripts")
+            .html("<p>x</p>")
+            .script(bad_parse)
+            .script(bad_compile)
+            .build();
+        let messages: Vec<_> = analyze(&a)
+            .with_code(LintCode::ScriptLoad)
+            .into_iter()
+            .filter(|d| matches!(d.location.area, Area::Script(_)))
+            .map(|d| d.message.clone())
+            .collect();
+        let parse_error = parse_program(bad_parse).unwrap_err().to_string();
+        let program = parse_program(bad_compile).unwrap();
+        let compile_error = compile(&program).unwrap_err().to_string();
+        assert_eq!(messages, [parse_error, compile_error]);
     }
 
     #[test]

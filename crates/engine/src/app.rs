@@ -100,9 +100,8 @@ impl AppBuilder {
 
     /// Finalizes the app, compiling every setup script once. This is the
     /// single compilation point of the script pipeline: the bytecode built
-    /// here is what the engine executes, what the analyzers walk, and what
-    /// the attribution profiler attributes — per-event re-walking (and the
-    /// old compile-twice split between engine and linter) is gone.
+    /// here is what the engine executes and what GreenLint walks, one
+    /// `Arc`-shared prototype table per script.
     pub fn build(mut self) -> App {
         self.app.compiled_scripts = self
             .app

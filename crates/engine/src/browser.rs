@@ -32,13 +32,14 @@ use greenweb_css::value::{CssValue, Length};
 use greenweb_css::{PropertyId, StyleEngine, StyleStats};
 use greenweb_dom::{parse_html, Document, Event, EventType, ListenerSet, NodeId};
 use greenweb_script::{
-    compile, parse_program, CompiledProgram, HandlerCache, ScriptError, ScriptStats, Value, Vm,
+    compile, parse_program, CompiledProgram, ScriptError, ScriptStats, Value, Vm,
 };
 use greenweb_trace::{record_into, EventKind as TraceKind, SpanKind, TraceHandle};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// The VSync period: 60 Hz, like the paper's mobile display.
 pub const VSYNC_PERIOD: Duration = Duration::from_nanos(16_666_667);
@@ -253,13 +254,8 @@ pub struct Browser<S: Scheduler> {
     style: StyleEngine,
     /// The bytecode VM every setup program and callback runs on.
     script: Vm,
-    /// The handler-compilation cache shared with every analysis consumer
-    /// (GreenLint's cost/effect passes, the attribution profiler): one
-    /// compiled artifact per callback body, aliased zero-copy from the
-    /// bytecode the VM runs. Exposed via [`Browser::handler_cache`].
-    handler_cache: HandlerCache,
     /// Script-pipeline counters accumulated across setup and callbacks;
-    /// snapshot (plus cache-derived fields) lands in the report.
+    /// a snapshot lands in the report.
     script_stats: ScriptStats,
     listeners: ListenerSet<Value>,
     /// Incremental rendering pipeline: subtree fingerprints, measure
@@ -363,7 +359,6 @@ impl<S: Scheduler> Browser<S> {
             doc,
             style,
             script: Vm::new(),
-            handler_cache: HandlerCache::default(),
             script_stats: ScriptStats::default(),
             listeners: ListenerSet::new(),
             render: RenderPipeline::new(true),
@@ -409,7 +404,8 @@ impl<S: Scheduler> Browser<S> {
         // (fingerprint-validated; recompiled here only if the sources
         // were mutated after build). The functions it defines close over
         // that same prototype table, so every later event dispatch — and
-        // every analysis pass — reuses this one artifact.
+        // GreenLint, which reads the same `App::compiled_script` — reuses
+        // this one artifact.
         for (index, src) in app.scripts.iter().enumerate() {
             browser.script_stats.programs += 1;
             let mut host = ScriptHost::new(&mut browser.doc, 0.0);
@@ -434,13 +430,25 @@ impl<S: Scheduler> Browser<S> {
         browser.script_stats.ops += browser.script.ops();
         browser.script_stats.dispatches += browser.script.dispatches();
         browser.script.reset_ops();
-        // Warm the shared handler cache with every registered callback:
-        // a zero-copy alias of the bytecode the closures already hold.
-        for (node, event) in browser.listener_targets() {
-            for callback in browser.listeners.get(node, event) {
-                browser.handler_cache.compile_callback(callback);
-            }
-        }
+        // Distinct handler bodies the setup scripts registered: one per
+        // `(prototype table, proto index)`, however many nodes share it.
+        // Sorted rather than hashed: a hash set's growth would follow the
+        // listener map's random iteration order, and with it the
+        // allocation count the benchmark requires to repeat exactly.
+        let mut bodies: Vec<_> = browser
+            .listeners
+            .targets()
+            .flat_map(|(node, event)| browser.listeners.get(node, event))
+            .filter_map(|callback| match callback {
+                Value::VmFunction(closure) => {
+                    Some((Arc::as_ptr(closure.protos()), closure.proto()))
+                }
+                _ => None,
+            })
+            .collect();
+        bodies.sort_unstable();
+        bodies.dedup();
+        browser.script_stats.handlers = bodies.len() as u64;
         Ok(browser)
     }
 
@@ -567,20 +575,9 @@ impl<S: Scheduler> Browser<S> {
         self.effect_checks
     }
 
-    /// The handler-compilation cache: one compiled artifact per callback
-    /// body. Analysis consumers (GreenLint's cost/effect passes, the
-    /// attribution profiler) compile through this cache so they certify
-    /// byte-for-byte the bytecode this browser executes.
-    pub fn handler_cache(&self) -> &HandlerCache {
-        &self.handler_cache
-    }
-
-    /// Script-pipeline counters so far: accumulated program/callback
-    /// counts plus the handler cache's current handler total.
+    /// Script-pipeline counters so far.
     pub fn script_stats(&self) -> ScriptStats {
-        let mut stats = self.script_stats;
-        stats.handlers = self.handler_cache.handlers();
-        stats
+        self.script_stats
     }
 
     /// The style system's counters so far.

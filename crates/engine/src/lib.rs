@@ -62,7 +62,7 @@ pub use fault::{
     LoadSpikeSpec, VsyncDisposition, VsyncFaultSpec,
 };
 pub use frame::{FrameRecord, FrameTracker, Msg};
-pub use greenweb_script::{CompiledHandler, HandlerCache, ScriptStats};
+pub use greenweb_script::ScriptStats;
 pub use layout::{
     DisplayItem, FrameRenderInfo, LayoutBox, LayoutStats, PaintStats, RenderPipeline,
 };

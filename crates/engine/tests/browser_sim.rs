@@ -420,3 +420,39 @@ fn surge_frames_cost_more() {
         normal.latency.as_millis_f64()
     );
 }
+
+/// `ScriptStats::handlers` counts distinct handler bodies registered at
+/// load: one named function shared by three nodes is one body (as
+/// LZMA-JS's `pickSize`), two inline closures are two, and a listener a
+/// callback adds while the app runs is not counted.
+#[test]
+fn handler_count_is_distinct_bodies_registered_at_load() {
+    let html = "<button id='a'>a</button><button id='b'>b</button><button id='c'>c</button>";
+    let handlers = |script: &str| {
+        let app = App::builder("handlers").html(html).script(script).build();
+        let mut browser = Browser::new(&app, perf()).unwrap();
+        let at_load = browser.script_stats().handlers;
+        let trace = Trace::builder()
+            .click_id(50.0, "a")
+            .click_id(150.0, "b")
+            .end_ms(400.0)
+            .build();
+        let report = browser.run(&trace).unwrap();
+        // Both clicks reach a listener, the late one included.
+        assert_eq!(report.script.callbacks, 2, "{script}");
+        assert_eq!(report.script.handlers, at_load, "{script}");
+        at_load
+    };
+    let shared = "function pick(e) { markDirty(); }
+                  addEventListener(getElementById('a'), 'click', pick);
+                  addEventListener(getElementById('b'), 'click', pick);
+                  addEventListener(getElementById('c'), 'click', pick);";
+    assert_eq!(handlers(shared), 1);
+    let inline = "addEventListener(getElementById('a'), 'click', function(e) { markDirty(); });
+                  addEventListener(getElementById('b'), 'click', function(e) { markDirty(); });";
+    assert_eq!(handlers(inline), 2);
+    let late = "addEventListener(getElementById('a'), 'click', function(e) {
+                    addEventListener(getElementById('b'), 'click', function(f) { markDirty(); });
+                });";
+    assert_eq!(handlers(late), 1);
+}

@@ -46,7 +46,6 @@ pub mod compiler;
 #[cfg(test)]
 mod differential;
 pub mod fuel;
-pub mod handler;
 #[cfg(test)]
 mod interp;
 pub mod lexer;
@@ -60,7 +59,6 @@ pub use ast::{BinaryOp, Expr, Program, Stmt, UnaryOp};
 pub use atom::name_atom;
 pub use compiler::{compile, CompileError, CompiledProgram};
 pub use fuel::{Fuel, DEFAULT_OP_LIMIT};
-pub use handler::{CompiledHandler, HandlerCache};
 pub use lexer::{lex, LexError, Token, TokenKind};
 pub use parser::{parse_program, ParseError};
 pub use runtime::{Host, NoHost, ScriptError};

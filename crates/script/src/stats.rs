@@ -18,7 +18,9 @@ pub struct ScriptStats {
     /// Setup programs served from the app's precompiled table (compiled
     /// once at `App::build`, validated by source fingerprint).
     pub precompiled_hits: u64,
-    /// Distinct handler bodies entered in the shared `HandlerCache`.
+    /// Distinct handler bodies registered at load: the distinct
+    /// `(prototype table, proto index)` pairs among the listeners the
+    /// setup scripts added.
     pub handlers: u64,
     /// Callback invocations dispatched by the engine.
     pub callbacks: u64,

@@ -33,6 +33,18 @@ impl VmClosure {
     ) -> Option<Self> {
         (proto < protos.len()).then_some(VmClosure { proto, protos, env })
     }
+
+    /// The prototype table the closure executes: the `Arc` its program
+    /// was compiled into, shared with every analysis of that program.
+    pub fn protos(&self) -> &Arc<Vec<Proto>> {
+        &self.protos
+    }
+
+    /// The closure's entry index into [`VmClosure::protos`] (always in
+    /// range).
+    pub fn proto(&self) -> usize {
+        self.proto
+    }
 }
 
 /// A runtime value.

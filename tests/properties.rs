@@ -1119,152 +1119,229 @@ fn click_summary(body: &str) -> greenweb_engine::EffectSummary {
     summaries.into_iter().next().unwrap().summary
 }
 
-/// Soundness by fuzzing: whatever handler the generator produces, the
-/// statically inferred summary admits everything the engine observes the
-/// handler doing (`dynamic ⊆ static`, checked by the engine's own
-/// containment ledger with debug assertions armed).
-#[test]
-fn effect_summaries_admit_observed_runs() {
-    use greenweb_engine::{App, Browser, GovernorScheduler, TargetSpec, Trace};
-    check("effect_summaries_admit_observed_runs", 48, |g| {
-        let mut body = String::new();
-        let mut fresh = 0u32;
-        for _ in 0..g.usize_in(1, 6) {
-            gen_effect_stmt(g, 2, &mut fresh, &mut body);
-        }
-        let mut app = App::builder("effect-fuzz")
-            .html("<button id='btn'>b</button><div id='box'></div>")
-            .script(format!(
-                "addEventListener(getElementById('btn'), 'click', function(e) {{ {body} }});"
-            ))
-            .build();
-        app.effect_summaries = greenweb_analyze::infer_effect_summaries(&app);
-        let trace = Trace::builder()
-            .event(10.0, EventType::Click, TargetSpec::Id("btn".to_string()))
-            .end_ms(400.0)
-            .build();
-        let mut browser = Browser::new(&app, GovernorScheduler::new(greenweb_acmp::PerfGovernor))
-            .expect("generated app loads");
-        let report = browser.run(&trace).expect("generated app runs");
-        assert!(report.effect_checks > 0, "no containment check ran: {body}");
-        assert!(
-            report.effect_violations.is_empty(),
-            "{body}\n{:#?}",
-            report.effect_violations
+/// The setup script of a fuzzed one-button app whose click handler runs
+/// `body`. Half the cases register `body` as an inline closure. The
+/// others register a named top-level function, BBC's `expandStory`
+/// shape, that runs `body` in its first activation only (so a body that
+/// grows the tree does not grow it again), then writes through
+/// `e.target`, calls named top-level helpers with the event and calls
+/// itself behind a guard, passing either the event or an object whose
+/// `target` lies outside the listener's subtree.
+fn effect_fuzz_script(g: &mut Gen, fresh: &mut u32, body: &str) -> String {
+    if g.bool_with(0.5) {
+        return format!(
+            "addEventListener(getElementById('btn'), 'click', function(e) {{ {body} }});"
         );
-    });
+    }
+    let mut script = String::from("var depth = 0;\n");
+    let mut calls = String::new();
+    for h in 0..g.usize_in(1, 3) {
+        let mut helper = String::new();
+        for _ in 0..g.usize_in(1, 3) {
+            gen_effect_stmt(g, 1, fresh, &mut helper);
+        }
+        script.push_str(&format!("function helper{h}(e) {{ {helper} }}\n"));
+        calls.push_str(&format!("helper{h}(e); "));
+    }
+    let mut tail = String::from("setAttribute(e.target, 'data-k', 'v'); ");
+    gen_effect_stmt(g, 0, fresh, &mut tail);
+    let arg = if g.bool_with(0.5) {
+        "e"
+    } else {
+        "{ target: getElementById('box') }"
+    };
+    script.push_str(&format!(
+        "function handler(e) {{ if (depth == 0) {{ {body} }} {tail} {calls}\
+         if (depth < 2) {{ depth = depth + 1; handler({arg}); }} }}\n\
+         addEventListener(getElementById('btn'), 'click', handler);"
+    ));
+    script
 }
 
-/// Totality: the effect and cost analyzers terminate without panicking
-/// on arbitrary bytecode — unreachable jump targets, stack underflow,
-/// self-recursive closures, calls through garbage — the effect
-/// must-counts never exceed the may-counts, and no cost figure is NaN or
-/// negative.
+/// Soundness on one generated app: the statically inferred summary
+/// admits everything the engine observes the handler doing (`dynamic ⊆
+/// static`, checked by the engine's own containment ledger with debug
+/// assertions armed).
+fn summaries_admit_observed_run(g: &mut Gen) {
+    use greenweb_engine::{App, Browser, GovernorScheduler, TargetSpec, Trace};
+    let mut body = String::new();
+    let mut fresh = 0u32;
+    for _ in 0..g.usize_in(1, 6) {
+        gen_effect_stmt(g, 2, &mut fresh, &mut body);
+    }
+    let script = effect_fuzz_script(g, &mut fresh, &body);
+    let mut app = App::builder("effect-fuzz")
+        .html("<button id='btn'>b</button><div id='box'></div>")
+        .script(script.as_str())
+        .build();
+    app.effect_summaries = greenweb_analyze::infer_effect_summaries(&app);
+    let trace = Trace::builder()
+        .event(10.0, EventType::Click, TargetSpec::Id("btn".to_string()))
+        .end_ms(400.0)
+        .build();
+    let mut browser = Browser::new(&app, GovernorScheduler::new(greenweb_acmp::PerfGovernor))
+        .expect("generated app loads");
+    let report = browser.run(&trace).expect("generated app runs");
+    assert!(
+        report.effect_checks > 0,
+        "no containment check ran: {script}"
+    );
+    assert!(
+        report.effect_violations.is_empty(),
+        "{script}\n{:#?}",
+        report.effect_violations
+    );
+}
+
+/// Soundness by fuzzing: whatever handler the generator produces, inline
+/// or named, the inferred summary admits the observed run.
 #[test]
-fn effect_analyzer_total_on_hostile_bytecode() {
-    use greenweb_script::compiler::{Const, Op, Proto};
+fn effect_summaries_admit_observed_runs() {
+    check(
+        "effect_summaries_admit_observed_runs",
+        48,
+        summaries_admit_observed_run,
+    );
+}
+
+#[test]
+#[ignore = "extended fuzz; run with --ignored"]
+fn effect_summaries_admit_observed_runs_extended() {
+    check(
+        "effect_summaries_admit_observed_runs_extended",
+        50 * 48,
+        summaries_admit_observed_run,
+    );
+}
+
+fn random_op(g: &mut Gen) -> greenweb_script::compiler::Op {
+    use greenweb_script::compiler::Op;
+    use greenweb_script::{BinaryOp, UnaryOp};
+    let name = g.usize_in(0, 10) as u32;
+    let argc = g.usize_in(0, 4) as u8;
+    match g.usize_in(0, 26) {
+        0 => Op::Const(g.usize_in(0, 6) as u32),
+        1 => Op::GetVar(name),
+        2 => Op::SetVar(name),
+        3 => Op::DeclVar(name),
+        4 => Op::Pop,
+        5 => Op::Dup,
+        6 => Op::PushScope,
+        7 => Op::PopScope,
+        8 => Op::Binary(BinaryOp::Add),
+        9 => Op::Unary(UnaryOp::Not),
+        10 => Op::Jump(g.usize_in(0, 64) as u32),
+        11 => Op::JumpIfFalse(g.usize_in(0, 64) as u32),
+        12 => Op::JumpIfFalsePeek(g.usize_in(0, 64) as u32),
+        13 => Op::JumpIfTruePeek(g.usize_in(0, 64) as u32),
+        14 => Op::MakeArray(g.usize_in(0, 4) as u16),
+        15 => Op::MakeObject {
+            base: name,
+            count: g.usize_in(0, 3) as u16,
+        },
+        16 => Op::MakeClosure(g.usize_in(0, 4) as u32),
+        17 => Op::CallName { name, argc },
+        18 => Op::CallValue { argc },
+        19 => Op::CallMethod { name, argc },
+        20 => Op::CallMath { name, argc },
+        21 => Op::GetMember(name),
+        22 => Op::SetMember(name),
+        23 => Op::GetIndex,
+        24 => Op::SetIndex,
+        _ => Op::Return,
+    }
+}
+/// Totality on one random prototype table: the effect and cost analyzers
+/// terminate without panicking on arbitrary bytecode — unreachable jump
+/// targets, stack underflow, self-recursive closures, calls through
+/// garbage — the effect must-counts never exceed the may-counts, and no
+/// cost figure is NaN or negative.
+fn analyzers_total_on(g: &mut Gen) {
+    use greenweb_script::compiler::{Const, Proto};
     use greenweb_script::runtime::Scope;
     use greenweb_script::value::VmClosure;
-    use greenweb_script::{BinaryOp, UnaryOp, Value};
+    use greenweb_script::Value;
     use std::cell::RefCell;
     use std::rc::Rc;
-    fn random_op(g: &mut Gen) -> Op {
-        let name = g.usize_in(0, 10) as u32;
-        let argc = g.usize_in(0, 4) as u8;
-        match g.usize_in(0, 26) {
-            0 => Op::Const(g.usize_in(0, 6) as u32),
-            1 => Op::GetVar(name),
-            2 => Op::SetVar(name),
-            3 => Op::DeclVar(name),
-            4 => Op::Pop,
-            5 => Op::Dup,
-            6 => Op::PushScope,
-            7 => Op::PopScope,
-            8 => Op::Binary(BinaryOp::Add),
-            9 => Op::Unary(UnaryOp::Not),
-            10 => Op::Jump(g.usize_in(0, 64) as u32),
-            11 => Op::JumpIfFalse(g.usize_in(0, 64) as u32),
-            12 => Op::JumpIfFalsePeek(g.usize_in(0, 64) as u32),
-            13 => Op::JumpIfTruePeek(g.usize_in(0, 64) as u32),
-            14 => Op::MakeArray(g.usize_in(0, 4) as u16),
-            15 => Op::MakeObject {
-                base: name,
-                count: g.usize_in(0, 3) as u16,
-            },
-            16 => Op::MakeClosure(g.usize_in(0, 4) as u32),
-            17 => Op::CallName { name, argc },
-            18 => Op::CallValue { argc },
-            19 => Op::CallMethod { name, argc },
-            20 => Op::CallMath { name, argc },
-            21 => Op::GetMember(name),
-            22 => Op::SetMember(name),
-            23 => Op::GetIndex,
-            24 => Op::SetIndex,
-            _ => Op::Return,
-        }
+    let proto_count = g.usize_in(1, 4);
+    let protos: Vec<Proto> = (0..proto_count)
+        .map(|_| Proto {
+            name: String::new(),
+            params: vec!["e".to_string()],
+            code: (0..g.usize_in(1, 48)).map(|_| random_op(g)).collect(),
+            consts: vec![
+                Const::Null,
+                Const::Bool(true),
+                Const::Number(0.0),
+                Const::Number(2.5),
+                Const::Str("s".to_string()),
+            ],
+            names: [
+                "work",
+                "markDirty",
+                "setTimeout",
+                "requestAnimationFrame",
+                "helper",
+                "e",
+                "target",
+                "push",
+                "abs",
+                "x",
+            ]
+            .iter()
+            .map(ToString::to_string)
+            .collect(),
+            // Hostile bytecode carries none of the compiler's
+            // side tables (spans, ticks, atoms): the analyzer and
+            // VM must stay total without them.
+            ..Proto::default()
+        })
+        .collect();
+    let entry = g.usize_in(0, proto_count);
+    let closure = VmClosure::new(
+        entry,
+        std::sync::Arc::new(protos),
+        Rc::new(RefCell::new(Scope::default())),
+    )
+    .expect("the entry index is drawn in range");
+    let value = Value::VmFunction(Rc::new(closure));
+    let analyzer = greenweb_analyze::EffectAnalyzer::new(&[]);
+    let summary = analyzer
+        .analyze_callback(&value)
+        .expect("vm functions are analyzable");
+    if let Some(rafs) = summary.rafs {
+        assert!(summary.rafs_min <= rafs, "{summary:?}");
     }
-    check("effect_analyzer_total_on_hostile_bytecode", 128, |g| {
-        let proto_count = g.usize_in(1, 4);
-        let protos: Vec<Proto> = (0..proto_count)
-            .map(|_| Proto {
-                name: String::new(),
-                params: vec!["e".to_string()],
-                code: (0..g.usize_in(1, 48)).map(|_| random_op(g)).collect(),
-                consts: vec![
-                    Const::Null,
-                    Const::Bool(true),
-                    Const::Number(0.0),
-                    Const::Number(2.5),
-                    Const::Str("s".to_string()),
-                ],
-                names: [
-                    "work",
-                    "markDirty",
-                    "setTimeout",
-                    "requestAnimationFrame",
-                    "helper",
-                    "e",
-                    "target",
-                    "push",
-                    "abs",
-                    "x",
-                ]
-                .iter()
-                .map(ToString::to_string)
-                .collect(),
-                // Hostile bytecode carries none of the compiler's
-                // side tables (spans, ticks, atoms): the analyzer and
-                // VM must stay total without them.
-                ..Proto::default()
-            })
-            .collect();
-        let entry = g.usize_in(0, proto_count);
-        let closure = VmClosure::new(
-            entry,
-            std::sync::Arc::new(protos),
-            Rc::new(RefCell::new(Scope::default())),
-        )
-        .expect("the entry index is drawn in range");
-        let value = Value::VmFunction(Rc::new(closure));
-        let analyzer = greenweb_analyze::EffectAnalyzer::new(&[]);
-        let summary = analyzer
-            .analyze_callback(&value)
-            .expect("vm functions are analyzable");
-        if let Some(rafs) = summary.rafs {
-            assert!(summary.rafs_min <= rafs, "{summary:?}");
-        }
-        assert!(summary.leq(&greenweb_engine::EffectSummary::top()));
-        assert!(!summary.leq(&greenweb_engine::EffectSummary::pure()) || summary.is_pure());
-        // The cost domain walks the same bytecode: its loop exit edge,
-        // fuel flag and missing tick tables must never make a figure NaN
-        // or negative.
-        let cost = greenweb_analyze::CostAnalyzer::new(&[], 3.6e6)
-            .analyze_callback(&value)
-            .expect("vm functions are analyzable");
-        for figure in [cost.ops, cost.work_cycles, cost.gpu_ms] {
-            assert!(!figure.is_nan() && figure >= 0.0, "{cost:?}");
-        }
-    });
+    assert!(summary.leq(&greenweb_engine::EffectSummary::top()));
+    assert!(!summary.leq(&greenweb_engine::EffectSummary::pure()) || summary.is_pure());
+    // The cost domain walks the same bytecode: its loop exit edge,
+    // fuel flag and missing tick tables must never make a figure NaN
+    // or negative.
+    let cost = greenweb_analyze::CostAnalyzer::new(&[], 3.6e6)
+        .analyze_callback(&value)
+        .expect("vm functions are analyzable");
+    for figure in [cost.ops, cost.work_cycles, cost.gpu_ms] {
+        assert!(!figure.is_nan() && figure >= 0.0, "{cost:?}");
+    }
+}
+
+#[test]
+fn effect_analyzer_total_on_hostile_bytecode() {
+    check(
+        "effect_analyzer_total_on_hostile_bytecode",
+        128,
+        analyzers_total_on,
+    );
+}
+
+#[test]
+#[ignore = "extended fuzz; run with --ignored"]
+fn effect_analyzer_total_on_hostile_bytecode_extended() {
+    check(
+        "effect_analyzer_total_on_hostile_bytecode_extended",
+        50 * 128,
+        analyzers_total_on,
+    );
 }
 
 /// Branch joining is monotone: each arm's standalone summary is admitted
