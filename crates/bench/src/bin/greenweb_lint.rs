@@ -26,13 +26,33 @@
 //!
 //! Exit status is non-zero when any error-severity diagnostic fires, or
 //! in `--check` mode when output differs from the committed goldens.
+//! `--help` (or `-h`) prints the usage block above and exits 0; an
+//! unknown word, or a flag missing its value, prints it to stderr and
+//! exits 2.
 
 use greenweb_analyze::analyze;
 use greenweb_bench::golden_name;
 use greenweb_fleet::{run_jobs, Jobs};
 use greenweb_workloads::{all, by_name, Workload};
 use std::path::Path;
-use std::process::ExitCode;
+use std::process::{exit, ExitCode};
+
+/// The usage block of the module doc, verbatim.
+const USAGE: &str = "\
+greenweb_lint                         lint every bundled workload (text)
+greenweb_lint --workload Todo         lint one workload
+greenweb_lint --json                  JSON, one document per app line
+greenweb_lint --write tests/goldens/lint    (re)write golden JSON files
+greenweb_lint --check tests/goldens/lint    diff against goldens
+greenweb_lint --jobs N                analyze on N worker threads
+greenweb_lint --effects [--json]      inferred per-handler effect summaries
+";
+
+/// Prints `problem` and the usage block to stderr and exits 2.
+fn usage_error(problem: &str) -> ! {
+    eprint!("{problem}\nusage:\n{USAGE}");
+    exit(2)
+}
 
 fn main() -> ExitCode {
     let mut json = false;
@@ -43,21 +63,23 @@ fn main() -> ExitCode {
     let mut jobs = Jobs::from_env();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} requires a value")))
+        };
         match arg.as_str() {
+            "--help" | "-h" => {
+                print!("usage:\n{USAGE}");
+                return ExitCode::SUCCESS;
+            }
             "--json" => json = true,
             "--effects" => effects = true,
             "--all" => workload = None,
-            "--write" => write_dir = Some(argv.next().expect("--write requires a directory")),
-            "--check" => check_dir = Some(argv.next().expect("--check requires a directory")),
-            "--workload" => {
-                workload = Some(argv.next().expect("--workload requires a workload name"));
-            }
+            "--write" => write_dir = Some(value()),
+            "--check" => check_dir = Some(value()),
+            "--workload" => workload = Some(value()),
             "--jobs" => {
-                jobs = match argv
-                    .next()
-                    .expect("--jobs requires a worker count")
-                    .parse::<Jobs>()
-                {
+                jobs = match value().parse::<Jobs>() {
                     Ok(jobs) => jobs,
                     Err(e) => {
                         eprintln!("--jobs requires a positive integer: {e}");
@@ -65,10 +87,7 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return ExitCode::FAILURE;
-            }
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
 

@@ -1,7 +1,9 @@
 //! `evaluate` rejects what it does not understand: a misspelled command
 //! in a CI step must fail the step, not run nothing and exit 0, and so
 //! must a misspelled worker count in the environment. And `evaluate all`
-//! still prints the committed `docs/evaluate_output.txt`.
+//! still prints the committed `docs/evaluate_output.txt`. `greenweb_lint`
+//! answers `--help` with the usage block of its module doc, and a bad
+//! argument with the same block on stderr and exit status 2.
 
 use std::process::Command;
 
@@ -59,4 +61,54 @@ fn evaluate_all_matches_the_committed_output() {
         stdout == include_str!("../../../docs/evaluate_output.txt"),
         "`evaluate --jobs 2 all` drifted from docs/evaluate_output.txt"
     );
+}
+
+/// The usage block of `greenweb_lint`'s module doc, one line per entry.
+fn lint_usage_in_module_doc() -> String {
+    let source = include_str!("../src/bin/greenweb_lint.rs");
+    let block = source
+        .split_once("//! ```text\n")
+        .and_then(|(_, rest)| rest.split_once("//! ```\n"))
+        .expect("the module doc has a usage block")
+        .0;
+    block
+        .lines()
+        .map(|line| format!("{}\n", line.trim_start_matches("//! ")))
+        .collect()
+}
+
+fn lint(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_greenweb_lint"))
+        .args(args)
+        .output()
+        .expect("greenweb_lint runs")
+}
+
+#[test]
+fn greenweb_lint_help_prints_the_module_doc_usage() {
+    let usage = format!("usage:\n{}", lint_usage_in_module_doc());
+    for help in ["--help", "-h"] {
+        let output = lint(&[help]);
+        assert_eq!(output.status.code(), Some(0), "{help}");
+        assert_eq!(String::from_utf8_lossy(&output.stdout), usage, "{help}");
+    }
+}
+
+#[test]
+fn greenweb_lint_rejects_unknown_words_and_missing_values_with_usage() {
+    let usage = format!("usage:\n{}", lint_usage_in_module_doc());
+    for args in [
+        &["--bogus"][..],
+        &["Todo"],
+        &["--write"],
+        &["--check"],
+        &["--workload"],
+        &["--json", "--jobs"],
+    ] {
+        let output = lint(args);
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.ends_with(&usage), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} printed to stdout");
+    }
 }

@@ -12,7 +12,8 @@
 //! * **Language extensions** ([`lang`], Sec. 4): the `:QoS` CSS
 //!   pseudo-class and `on<event>-qos` properties of Table 2, parsed from
 //!   ordinary stylesheets into an annotation table with selector matching
-//!   and specificity.
+//!   and specificity. Both modules are defined in `greenweb-css`, below
+//!   the engine, and re-exported here under the same paths.
 //! * **AUTOGREEN** ([`autogreen`], Sec. 5): automatic annotation by
 //!   instrumented profiling — trigger each event, detect rAF /
 //!   `animate()` / CSS transitions, and inject generated `:QoS` rules.
@@ -47,12 +48,12 @@
 
 pub mod autogreen;
 pub mod ebs;
-pub mod lang;
 pub mod metrics;
 pub mod model;
-pub mod qos;
 pub mod runtime;
 pub mod uai;
+
+pub use greenweb_css::{lang, qos};
 
 pub use autogreen::{
     AnnotationCandidate, AutoGreen, AutoGreenReport, SkipReason, SkippedTarget, StaticPlan,

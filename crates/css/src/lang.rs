@@ -16,7 +16,7 @@
 //! (Sec. 4.2's "modular design").
 
 use crate::qos::{QosSpec, QosTarget, QosType, ResponseExpectation};
-use greenweb_css::{CssValue, Declaration, Rule, Selector, Specificity, Stylesheet};
+use crate::{CssValue, Declaration, Rule, Selector, Specificity, Stylesheet};
 use greenweb_dom::{Document, EventType, NodeId};
 use std::fmt;
 
@@ -242,6 +242,72 @@ impl AnnotationTable {
     }
 }
 
+/// The `:QoS` spec per event type of one element, indexed by position
+/// in [`EventType::ALL`].
+type SpecRow = [Option<QosSpec>; EventType::ALL.len()];
+
+/// What judging reads of an app's annotations: for the document element
+/// and for the first element (in document order) carrying each `id`,
+/// the spec [`AnnotationTable::lookup`] gives every event type on the
+/// document it was built from.
+///
+/// The ids are sorted and each indexes a row of specs; elements with
+/// equal rows share one, so the table stays small beside a document.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QosTargets {
+    /// Every distinct `id`, sorted, with the row of its first element.
+    ids: Box<[(Box<str>, u32)]>,
+    /// Distinct spec rows; row 0 is the document element's.
+    rows: Box<[SpecRow]>,
+}
+
+impl QosTargets {
+    /// Resolves `table` once on every element of `doc` that judging can
+    /// name. The document element is the root's first element child, or
+    /// the root itself when it has none.
+    pub fn new(doc: &Document, table: &AnnotationTable) -> Self {
+        let row_of = |node| EventType::ALL.map(|event| table.lookup(doc, node, event).copied());
+        let document_element = doc
+            .children(doc.root())
+            .find(|&c| doc.element(c).is_some())
+            .unwrap_or_else(|| doc.root());
+        let mut rows = vec![row_of(document_element)];
+        let mut named: Vec<(&str, NodeId)> = doc
+            .elements()
+            .filter_map(|node| Some((doc.element(node)?.id()?, node)))
+            .collect();
+        // A stable sort keeps each id's elements in document order, so
+        // `dedup` keeps the first, as `Document::element_by_id` finds it.
+        named.sort_by_key(|&(id, _)| id);
+        named.dedup_by_key(|&mut (id, _)| id);
+        let ids = named
+            .into_iter()
+            .map(|(id, node)| {
+                let row = row_of(node);
+                let index = rows.iter().position(|r| *r == row).unwrap_or_else(|| {
+                    rows.push(row);
+                    rows.len() - 1
+                });
+                (Box::from(id), index as u32)
+            })
+            .collect();
+        QosTargets {
+            ids,
+            rows: rows.into_boxed_slice(),
+        }
+    }
+
+    /// The spec for `event` on the element `id` names, or on the
+    /// document element when `id` is `None` or names no element.
+    pub fn lookup(&self, id: Option<&str>, event: EventType) -> Option<&QosSpec> {
+        let row = id
+            .and_then(|id| self.ids.binary_search_by(|(k, _)| (**k).cmp(id)).ok())
+            .map_or(0, |i| self.ids[i].1 as usize);
+        // `EventType::ALL` lists the variants in declaration order.
+        self.rows[row][event as usize].as_ref()
+    }
+}
+
 /// Parses one declaration. `None` for non-QoS properties (ignored for
 /// CSS forward compatibility); `Some(Err)` for malformed annotations.
 fn parse_declaration(decl: &Declaration) -> Option<Result<(EventType, QosSpec), LangError>> {
@@ -327,7 +393,7 @@ fn parse_qos_value(value: &CssValue) -> Result<QosSpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use greenweb_css::parse_stylesheet;
+    use crate::parse_stylesheet;
     use greenweb_dom::parse_html;
 
     fn table(css: &str) -> AnnotationTable {
@@ -498,6 +564,36 @@ mod tests {
     fn multiple_declarations_in_one_rule() {
         let t = table("#x:QoS { onclick-qos: single, short; ontouchmove-qos: continuous; }");
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn event_types_index_spec_rows_in_declaration_order() {
+        for (i, event) in EventType::ALL.into_iter().enumerate() {
+            assert_eq!(event as usize, i);
+        }
+    }
+
+    #[test]
+    fn qos_targets_share_equal_rows() {
+        let doc = parse_html("<main><p id='a'></p><p id='b'></p><p id='c' class='k'></p></main>")
+            .unwrap();
+        let t = QosTargets::new(
+            &doc,
+            &table("p:QoS { onclick-qos: continuous; } .k:QoS { onclick-qos: single, long; }"),
+        );
+        // The document element's row, one for `a` and `b`, one for `c`.
+        assert_eq!(t.rows.len(), 3);
+        assert_eq!(t.ids.len(), 3);
+        assert_eq!(
+            t.lookup(Some("b"), EventType::Click),
+            Some(&QosSpec::continuous())
+        );
+        assert_eq!(
+            t.lookup(Some("c"), EventType::Click),
+            Some(&QosSpec::single(ResponseExpectation::Long))
+        );
+        assert_eq!(t.lookup(None, EventType::Click), None);
+        assert_eq!(t.lookup(Some("z"), EventType::Click), None);
     }
 
     #[test]

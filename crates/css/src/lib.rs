@@ -7,9 +7,13 @@
 //! The engine is a *dialect host* for the GreenWeb language extensions
 //! (PLDI 2016, Sec. 4): the `:QoS` pseudo-class parses as an ordinary
 //! pseudo-class and `on<event>-qos` parses as an ordinary declaration, so
-//! the GreenWeb runtime (`greenweb` crate) can extract QoS annotations from
-//! any stylesheet without this crate knowing their semantics — mirroring
-//! how the paper layers its extension on top of stock CSS syntax.
+//! the cascade styles a page without knowing their semantics — mirroring
+//! how the paper layers its extension on top of stock CSS syntax. The
+//! extension itself sits beside the engine: [`qos`] holds the Sec. 3 QoS
+//! abstractions and [`lang`] extracts annotations from any stylesheet and
+//! resolves them by selector matching. The `greenweb` crate re-exports
+//! both under the same names; they live here so that an app bundle
+//! (`greenweb-engine`) can resolve its own annotations.
 //!
 //! ```
 //! use greenweb_css::{parse_stylesheet, Specificity};
@@ -29,6 +33,8 @@ pub mod bloom;
 mod bucket;
 pub mod cascade;
 pub mod intern;
+pub mod lang;
+pub mod qos;
 pub mod selector;
 pub mod stylesheet;
 pub mod tokenizer;

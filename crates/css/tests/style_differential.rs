@@ -9,12 +9,22 @@
 //! two resolvers on every element after each round. The differential on
 //! fresh documents runs in `tests/properties.rs`; its extended variant
 //! runs here.
+//!
+//! The same generators drive the GreenWeb annotation differential.
+//! `QosTargets::new` resolves every annotation once per `id` and for the
+//! document element, and judging looks inputs up by `id`. On random
+//! documents (ids that repeat, ids no element carries) and sheets mixing
+//! style rules with annotations (malformed values, unknown events,
+//! `:QoS` on any selector shape), each table lookup must equal
+//! `AnnotationTable::lookup` on the element `Document::element_by_id`
+//! finds, or on the document element when it finds none.
 
 mod style_gen;
 
+use greenweb_css::lang::{AnnotationTable, QosTargets};
 use greenweb_css::{parse_stylesheet, StyleEngine};
 use greenweb_det::prop::{check, Gen, DEFAULT_CASES};
-use greenweb_dom::{parse_html, Document, ElementData, NodeId};
+use greenweb_dom::{parse_html, Document, ElementData, EventType, NodeId};
 use style_gen::{
     assert_resolver_matches_naive, gen_class_list, gen_style_document, gen_stylesheet_source,
     resolver_matches_naive, DATA_VALUES, STYLE_CLASSES, STYLE_PROPS, STYLE_TAGS,
@@ -145,5 +155,61 @@ fn style_resolver_matches_naive_extended() {
         "style_resolver_matches_naive_across_mutations_extended",
         50 * DEFAULT_CASES,
         resolver_matches_naive_across_mutations,
+    );
+}
+
+/// One case of the annotation differential: every id of a random
+/// document, two it lacks, and the document element, under every event.
+fn qos_targets_match_lookup(g: &mut Gen) {
+    let html = gen_style_document(g);
+    let css = gen_stylesheet_source(g);
+    let doc = parse_html(&html).unwrap_or_else(|e| panic!("html {html:?}: {e}"));
+    let sheet = parse_stylesheet(&css).unwrap_or_else(|e| panic!("css {css:?}: {e}"));
+    let (table, _errors) = AnnotationTable::from_stylesheet_lossy(&sheet);
+    let targets = QosTargets::new(&doc, &table);
+    let document_element = doc
+        .children(doc.root())
+        .find(|&c| doc.element(c).is_some())
+        .unwrap_or_else(|| doc.root());
+    let mut ids: Vec<&str> = doc
+        .elements()
+        .filter_map(|node| doc.element(node)?.id())
+        .collect();
+    ids.extend(["e99", "missing"]);
+    for event in EventType::ALL {
+        assert_eq!(
+            targets.lookup(None, event),
+            table.lookup(&doc, document_element, event),
+            "root {event}\ncss: {css}\nhtml: {html}"
+        );
+        for &id in &ids {
+            let node = doc.element_by_id(id).unwrap_or(document_element);
+            assert_eq!(
+                targets.lookup(Some(id), event),
+                table.lookup(&doc, node, event),
+                "#{id} {event}\ncss: {css}\nhtml: {html}"
+            );
+        }
+    }
+}
+
+#[test]
+fn qos_targets_match_per_node_lookup() {
+    check(
+        "qos_targets_match_per_node_lookup",
+        DEFAULT_CASES,
+        qos_targets_match_lookup,
+    );
+}
+
+/// The differential at 50 times the cases, for the extended fuzz run
+/// (`cargo test --release -p greenweb-css -- --ignored`).
+#[test]
+#[ignore = "extended fuzz; run with --ignored"]
+fn qos_targets_match_per_node_lookup_extended() {
+    check(
+        "qos_targets_match_per_node_lookup_extended",
+        50 * DEFAULT_CASES,
+        qos_targets_match_lookup,
     );
 }

@@ -4,6 +4,11 @@
 //! against the naive reference (`Selector::matches` over every rule,
 //! forward layering).
 //!
+//! The same documents and declarations feed the GreenWeb annotation
+//! differential (`qos_differential.rs`): ids that repeat, and
+//! `on<event>-qos` declarations that are well-formed, malformed, or name
+//! an unknown event.
+//!
 //! Shared by the `greenweb-css` integration tests and the workspace's
 //! `tests/properties.rs` (through `#[path]`); each uses a subset.
 
@@ -17,6 +22,32 @@ pub const STYLE_CLASSES: [&str; 6] = ["a", "b", "hot", "cold", "nav", "card"];
 pub const STYLE_PROPS: [&str; 4] = ["width", "height", "margin", "color"];
 /// Values of the `data-x` attribute that `[data-x=…]` selectors test.
 pub const DATA_VALUES: [&str; 2] = ["v", "w"];
+/// The events `on<event>-qos` declarations name: every DOM event type,
+/// and `hover`, which is none.
+const QOS_EVENTS: [&str; 9] = [
+    "click",
+    "scroll",
+    "touchstart",
+    "touchend",
+    "touchmove",
+    "load",
+    "transitionend",
+    "animationend",
+    "hover",
+];
+/// `:QoS` values of Table 2's grammar, then malformed ones.
+const QOS_VALUES: [&str; 10] = [
+    "continuous",
+    "single, short",
+    "single, long",
+    "continuous, 20, 100",
+    "single, 50, 200",
+    "sometimes",
+    "single",
+    "single, maybe",
+    "continuous, 100, 20",
+    "continuous, 20",
+];
 
 /// An attribute name as markup may spell it: usually lowercase,
 /// sometimes upper-case (the DOM stores names lowercase either way).
@@ -42,12 +73,18 @@ pub fn gen_class_list(g: &mut Gen) -> String {
     classes.join(" ")
 }
 
-fn gen_style_element(g: &mut Gen, depth: u32, next_id: &mut u32, out: &mut String) {
+fn gen_style_element(g: &mut Gen, depth: u32, next_id: &mut usize, out: &mut String) {
     let tag = *g.choose(&STYLE_TAGS);
     let _ = write!(out, "<{tag}");
     if g.bool_with(0.3) {
-        let _ = write!(out, " {}='e{}'", attr_name(g, "id"), *next_id);
-        *next_id += 1;
+        // Now and then an id repeats an earlier element's.
+        let id = if *next_id > 0 && g.bool_with(0.15) {
+            g.usize_in(0, *next_id)
+        } else {
+            *next_id += 1;
+            *next_id - 1
+        };
+        let _ = write!(out, " {}='e{id}'", attr_name(g, "id"));
     }
     if g.bool_with(0.5) {
         let _ = write!(out, " {}='{}'", attr_name(g, "class"), gen_class_list(g));
@@ -131,18 +168,40 @@ pub fn gen_style_selector(g: &mut Gen) -> String {
     }
 }
 
+/// One declaration: usually a length property, sometimes a GreenWeb
+/// `on<event>-qos` annotation (well-formed or not, on a known event or
+/// not), which the cascade treats as any other property.
+fn gen_declaration(g: &mut Gen, css: &mut String) {
+    if g.bool_with(0.35) {
+        let _ = write!(
+            css,
+            "on{}-qos: {}; ",
+            *g.choose(&QOS_EVENTS),
+            *g.choose(&QOS_VALUES)
+        );
+    } else {
+        let _ = write!(
+            css,
+            "{}: {}px{}; ",
+            *g.choose(&STYLE_PROPS),
+            g.usize_in(0, 500),
+            if g.bool_with(0.2) { " !important" } else { "" }
+        );
+    }
+}
+
+/// Up to twelve rules. Two in five put `:QoS` on the subject of their
+/// last selector, making them GreenWeb annotations.
 pub fn gen_stylesheet_source(g: &mut Gen) -> String {
     let mut css = String::new();
     for _ in 0..g.usize_in(0, 13) {
-        let _ = write!(css, "{} {{ ", gen_style_selector(g));
+        css.push_str(&gen_style_selector(g));
+        if g.bool_with(0.4) {
+            css.push_str(":QoS");
+        }
+        css.push_str(" { ");
         for _ in 0..g.usize_in(1, 4) {
-            let _ = write!(
-                css,
-                "{}: {}px{}; ",
-                *g.choose(&STYLE_PROPS),
-                g.usize_in(0, 500),
-                if g.bool_with(0.2) { " !important" } else { "" }
-            );
+            gen_declaration(g, &mut css);
         }
         css.push_str("} ");
     }

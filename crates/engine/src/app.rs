@@ -2,8 +2,13 @@
 
 use crate::cost::FrameCostModel;
 use crate::effects::HandlerSummary;
+use greenweb_css::lang::{AnnotationTable, QosTargets};
+use greenweb_css::parse_stylesheet;
 use greenweb_det::{fnv1a, FNV1A_BASIS};
+use greenweb_dom::parse_html;
 use greenweb_script::{compile, parse_program, CompiledProgram};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A Web application: markup, stylesheets, and scripts, plus the cost
 /// parameters the engine charges for its frames.
@@ -33,6 +38,11 @@ pub struct App {
     /// of the source): the fields are public, and a test that splices a
     /// source after `build()` must not execute stale bytecode.
     compiled_scripts: Vec<Option<(u64, CompiledProgram)>>,
+    /// The QoS table of the initial document, filled by the first
+    /// [`App::qos_targets`] call with the fingerprint of the sources it
+    /// was built from. Lazy, unlike `compiled_scripts`: building it
+    /// parses the app once more, which `build()` is not charged for.
+    qos_targets: QosSlot,
 }
 
 impl App {
@@ -47,6 +57,7 @@ impl App {
                 cost: FrameCostModel::default(),
                 effect_summaries: Vec::new(),
                 compiled_scripts: Vec::new(),
+                qos_targets: QosSlot::default(),
             },
         }
     }
@@ -64,6 +75,68 @@ impl App {
         let (fingerprint, compiled) = self.compiled_scripts.get(index)?.as_ref()?;
         let source = self.scripts.get(index)?;
         (*fingerprint == fnv1a(FNV1A_BASIS, source.as_bytes())).then_some(compiled)
+    }
+
+    /// The `:QoS` spec per event type of the document element and of
+    /// each `id`'s first element in the initial document, read lossily
+    /// as the runtime reads annotations. The first call builds the table
+    /// and keeps it, shared by clones made after it; a call whose `html` or
+    /// `css` no longer matches the kept table's fingerprint builds a
+    /// fresh table and returns it uncached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the HTML or the CSS fails to parse.
+    pub fn qos_targets(&self) -> Arc<QosTargets> {
+        let fingerprint = self.sources_fingerprint();
+        let (kept, table) = self
+            .qos_targets
+            .0
+            .get_or_init(|| (fingerprint, Arc::new(self.build_qos_targets())));
+        if *kept == fingerprint {
+            Arc::clone(table)
+        } else {
+            Arc::new(self.build_qos_targets())
+        }
+    }
+
+    fn build_qos_targets(&self) -> QosTargets {
+        let doc = parse_html(&self.html).expect("workload html parses");
+        let sheet = parse_stylesheet(&self.css_source()).expect("workload css parses");
+        let (table, _errors) = AnnotationTable::from_stylesheet_lossy(&sheet);
+        QosTargets::new(&doc, &table)
+    }
+
+    /// FNV-1a of the HTML's length, the HTML, and the CSS sources as
+    /// [`App::css_source`] joins them.
+    fn sources_fingerprint(&self) -> u64 {
+        let mut h = fnv1a(FNV1A_BASIS, &(self.html.len() as u64).to_le_bytes());
+        h = fnv1a(h, self.html.as_bytes());
+        for (i, css) in self.css.iter().enumerate() {
+            if i > 0 {
+                h = fnv1a(h, b"\n");
+            }
+            h = fnv1a(h, css.as_bytes());
+        }
+        h
+    }
+}
+
+/// The slot behind [`App::qos_targets`]. Filling it changes no
+/// observable property of the app, so it compares equal to any other
+/// slot and prints no contents.
+#[derive(Clone, Default)]
+struct QosSlot(OnceLock<(u64, Arc<QosTargets>)>);
+
+impl PartialEq for QosSlot {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for QosSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("QosSlot")
     }
 }
 

@@ -12,15 +12,12 @@
 //! slotted back by index.
 
 use crate::Workload;
-use greenweb::lang::AnnotationTable;
 use greenweb::metrics::{InputExpectation, RunMetrics};
 use greenweb::qos::Scenario;
 use greenweb::{EbsScheduler, EnergyBudgetUai, GreenWebScheduler};
 use greenweb_acmp::{
     InteractiveGovernor, OndemandGovernor, PerfGovernor, Platform, PowersaveGovernor,
 };
-use greenweb_css::parse_stylesheet;
-use greenweb_dom::parse_html;
 use greenweb_engine::{
     App, BrowserError, GovernorScheduler, InputId, RunSpec, Scheduler, SchedulerFactory, SimReport,
     TargetSpec, Trace,
@@ -186,29 +183,27 @@ pub fn run_traced(
 /// `scenario`). Inputs on unannotated `(element, event)` pairs are
 /// absent — they are not optimization targets (Table 3's note).
 ///
-/// Annotations are read the way the runtime reads them
+/// Each input is one lookup in [`App::qos_targets`], the table the app
+/// builds from its initial document on first use. Annotations are read
+/// the way the runtime reads them
 /// ([`AnnotationTable::from_stylesheet_lossy`]): a malformed `:QoS`
 /// value is judged against its event's Table 1 category default, the
 /// same spec the runtime scheduled it under.
+///
+/// [`AnnotationTable::from_stylesheet_lossy`]: greenweb::lang::AnnotationTable::from_stylesheet_lossy
 pub fn expectations(
     app: &App,
     trace: &Trace,
     scenario: Scenario,
 ) -> HashMap<InputId, InputExpectation> {
-    let doc = parse_html(&app.html).expect("workload html parses");
-    let sheet = parse_stylesheet(&app.css_source()).expect("workload css parses");
-    let (table, _errors) = AnnotationTable::from_stylesheet_lossy(&sheet);
-    let document_element = doc
-        .children(doc.root())
-        .find(|&c| doc.element(c).is_some())
-        .unwrap_or_else(|| doc.root());
+    let targets = app.qos_targets();
     let mut map = HashMap::new();
     for (index, event) in trace.events.iter().enumerate() {
-        let target = match &event.target {
-            TargetSpec::Id(id) => doc.element_by_id(id).unwrap_or(document_element),
-            TargetSpec::Root => document_element,
+        let id = match &event.target {
+            TargetSpec::Id(id) => Some(id.as_str()),
+            TargetSpec::Root => None,
         };
-        if let Some(spec) = table.lookup(&doc, target, event.event) {
+        if let Some(spec) = targets.lookup(id, event.event) {
             map.insert(
                 InputId(index as u64),
                 InputExpectation {
@@ -296,6 +291,153 @@ pub fn evaluate_batch(
 mod tests {
     use super::*;
     use crate::by_name;
+    use greenweb::lang::AnnotationTable;
+    use greenweb::qos::QosType;
+    use greenweb_css::parse_stylesheet;
+    use greenweb_dom::{parse_html, EventType};
+    use std::sync::Arc;
+
+    /// The reference for [`expectations`]: parse the app's sources on
+    /// every call and resolve each input's element with
+    /// [`AnnotationTable::lookup`], as judging did before the app kept a
+    /// table.
+    fn expectations_reparsed(
+        app: &App,
+        trace: &Trace,
+        scenario: Scenario,
+    ) -> HashMap<InputId, InputExpectation> {
+        let doc = parse_html(&app.html).expect("workload html parses");
+        let sheet = parse_stylesheet(&app.css_source()).expect("workload css parses");
+        let (table, _errors) = AnnotationTable::from_stylesheet_lossy(&sheet);
+        let document_element = doc
+            .children(doc.root())
+            .find(|&c| doc.element(c).is_some())
+            .unwrap_or_else(|| doc.root());
+        let mut map = HashMap::new();
+        for (index, event) in trace.events.iter().enumerate() {
+            let target = match &event.target {
+                TargetSpec::Id(id) => doc.element_by_id(id).unwrap_or(document_element),
+                TargetSpec::Root => document_element,
+            };
+            if let Some(spec) = table.lookup(&doc, target, event.event) {
+                map.insert(
+                    InputId(index as u64),
+                    InputExpectation {
+                        qos_type: spec.qos_type,
+                        target_ms: spec.target.for_scenario(scenario),
+                    },
+                );
+            }
+        }
+        map
+    }
+
+    #[test]
+    fn expectations_match_the_reparsing_reference_on_every_workload() {
+        for w in crate::all() {
+            for (kind, trace) in [("full", &w.full), ("micro", &w.micro)] {
+                for scenario in Scenario::ALL {
+                    assert_eq!(
+                        expectations(&w.app, trace, scenario),
+                        expectations_reparsed(&w.app, trace, scenario),
+                        "{} {kind} {scenario}",
+                        w.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expectations_match_the_reference_on_annotation_corner_cases() {
+        let app = App::builder("corners")
+            .html(
+                "<main><div id='dup'>a</div><p id='dup'>b</p>\
+                 <ul id='list'><li id='item'>c</li></ul>\
+                 <span id='tie'>d</span><button id='bad'>e</button></main>",
+            )
+            .css(
+                "main:QoS { onclick-qos: continuous; onload-qos: single, long; }
+                 #dup:QoS { onclick-qos: single, short; }
+                 p#dup:QoS { onclick-qos: continuous, 20, 100; }
+                 #bad:QoS { onclick-qos: sometimes; onhover-qos: continuous; ontouchend-qos: continuous; }
+                 #list li:QoS { ontouchmove-qos: continuous, 25, 50; }
+                 #tie:QoS { onclick-qos: single, short; }
+                 #tie:QoS { onclick-qos: single, long; }",
+            )
+            .build();
+        let id = |id: &str| TargetSpec::Id(id.to_string());
+        let trace = Trace::builder()
+            .event(10.0, EventType::Click, id("dup"))
+            .event(20.0, EventType::Click, id("missing"))
+            .event(30.0, EventType::Load, TargetSpec::Root)
+            .event(40.0, EventType::Click, id("bad"))
+            .event(50.0, EventType::TouchEnd, id("bad"))
+            .event(60.0, EventType::TouchMove, id("item"))
+            .event(70.0, EventType::TouchMove, id("list"))
+            .event(80.0, EventType::Click, id("tie"))
+            .end_ms(100.0)
+            .build();
+        for scenario in Scenario::ALL {
+            assert_eq!(
+                expectations(&app, &trace, scenario),
+                expectations_reparsed(&app, &trace, scenario),
+                "{scenario}"
+            );
+        }
+        let map = expectations(&app, &trace, Scenario::Usable);
+        let target = |i: u64| map.get(&InputId(i)).map(|e| (e.qos_type, e.target_ms));
+        // The first `dup` (a div) wins over the later, more specific p.
+        assert_eq!(target(0), Some((QosType::Single, 300.0)));
+        // A missing id and the root both land on the document element.
+        assert_eq!(target(1), Some((QosType::Continuous, 33.3)));
+        assert_eq!(target(2), Some((QosType::Single, 10_000.0)));
+        // A malformed value falls back to the category default; the
+        // unknown event beside it drops without taking the rule along.
+        assert_eq!(target(3), Some((QosType::Single, 300.0)));
+        assert_eq!(target(4), Some((QosType::Continuous, 33.3)));
+        // The descendant selector matches the item, not its list.
+        assert_eq!(target(5), Some((QosType::Continuous, 50.0)));
+        assert_eq!(target(6), None);
+        // At equal specificity the later rule wins.
+        assert_eq!(target(7), Some((QosType::Single, 10_000.0)));
+    }
+
+    #[test]
+    fn judging_follows_edited_sources_and_filling_is_invisible() {
+        let mut app = App::builder("stale")
+            .html("<div><button id='a' class='hot'>a</button><button id='b'>b</button></div>")
+            .css(".hot:QoS { onclick-qos: single, short; }")
+            .build();
+        let trace = Trace::builder()
+            .click_id(10.0, "a")
+            .click_id(20.0, "b")
+            .end_ms(100.0)
+            .build();
+        let unfilled = app.clone();
+        let debug = format!("{app:?}");
+        let judge = |app: &App| {
+            let map = expectations(app, &trace, Scenario::Usable);
+            assert_eq!(map, expectations_reparsed(app, &trace, Scenario::Usable));
+            [0, 1].map(|i| map.get(&InputId(i)).map(|e| e.target_ms))
+        };
+        assert_eq!(judge(&app), [Some(300.0), None]);
+        // Filling the table changes neither equality nor the debug view,
+        // and a clone of the filled app shares the table.
+        assert_eq!(app, unfilled);
+        assert_eq!(format!("{app:?}"), debug);
+        let filled = app.clone();
+        assert!(Arc::ptr_eq(&app.qos_targets(), &filled.qos_targets()));
+        // A changed target in the CSS is followed...
+        app.css[0] = ".hot:QoS { onclick-qos: single, long; }".to_string();
+        assert_eq!(judge(&app), [Some(10_000.0), None]);
+        // ...and so is an id moved in the HTML: `a` now names a cold
+        // button, and the missing `b` falls back to the document element.
+        app.html = "<div class='hot'><button>a</button><button id='a'>b</button></div>".to_string();
+        assert_eq!(judge(&app), [None, Some(10_000.0)]);
+        // The clone keeps the table of the sources it still holds.
+        assert_eq!(judge(&filled), [Some(300.0), None]);
+    }
 
     #[test]
     fn policy_names_round_trip() {
@@ -383,8 +525,7 @@ mod tests {
 
     #[test]
     fn malformed_annotation_is_judged_against_its_category_default() {
-        use greenweb::qos::{QosSpec, QosType};
-        use greenweb_dom::EventType;
+        use greenweb::qos::QosSpec;
         let app = App::builder("half-malformed")
             .html("<button id='ok'>a</button><button id='bad'>b</button>")
             .css(
